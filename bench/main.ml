@@ -28,8 +28,9 @@
    that crashes or times out is contained (with --timeout-ms/--retries
    honoured), its section cells print `-', and the partial results
    stand.  The `speedup' section re-runs the set-I matrix sequentially,
-   and the `backends' section races the reference, pre-decoded and
-   closure-compiled execution engines over the suite's measure stage.
+   and the `backends' section races the reference, closure-compiled and
+   (when available) native execution engines over the suite's measure
+   stage.
    All wall times land in BENCH_PR6.json together with per-workload
    dynamic counts, per-job outcome tallies (ok/retried/degraded/...)
    and the detection-coverage comparison of the syntactic vs the
@@ -364,13 +365,14 @@ let bechamel_table7 () =
             truncate_input (Lazy.force r.workload.Workloads.Spec.test_input)
           in
           let make label prog =
-            (* pre-build the image so the lowering is amortized and the
-               measured quantity is the pure simulation loop *)
-            let image = Sim.Image.build prog in
+            (* compile once so lowering and closure compilation are
+               amortized and the measured quantity is the pure
+               simulation loop *)
+            let compiled = Sim.Compiled.compile (Sim.Image.build prog) in
             Bechamel.Test.make
               ~name:(r.workload.Workloads.Spec.name ^ "/" ^ label)
               (Bechamel.Staged.stage (fun () ->
-                   ignore (Sim.Machine.run_image image ~input)))
+                   ignore (Sim.Compiled.exec compiled ~input)))
           in
           [ make "original" (orig r).Driver.Pipeline.v_program;
             make "reordered" (reord r).Driver.Pipeline.v_program ]
@@ -635,14 +637,8 @@ let detection () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Execution backends: reference vs pre-decoded vs closure-compiled    *)
+(* Execution backends: reference vs closure-compiled vs native         *)
 (* ------------------------------------------------------------------ *)
-
-let backend_name = function
-  | `Reference -> "reference"
-  | `Predecoded -> "predecoded"
-  | `Compiled -> "compiled"
-  | `Native -> "native"
 
 (* (backend name, best-of-N measure-stage wall seconds), for the JSON *)
 let backend_results : (string * float) list ref = ref []
@@ -682,12 +678,12 @@ let backends_section () =
       rows
   in
   let engines =
-    [ `Reference; `Predecoded; `Compiled ]
+    [ `Reference; `Compiled ]
     @ (if Sim.Native.available () then [ `Native ] else [])
   in
   if not (Sim.Native.available ()) then
     Printf.eprintf
-      "[bench] native backend unavailable on this host; racing three \
+      "[bench] native backend unavailable on this host; racing two \
        engines\n%!";
   let sweep config bank =
     let t0 = Unix.gettimeofday () in
@@ -701,7 +697,7 @@ let backends_section () =
   let run_all backend =
     let config = { Driver.Config.default with Driver.Config.backend } in
     Printf.eprintf "[bench] measuring %d programs under the %s backend...\n%!"
-      (List.length programs) (backend_name backend);
+      (List.length programs) (Sim.Machine.backend_name backend);
     (* one bank reused (reset) across the whole sweep, as the pipeline's
        measure stage reuses one across its original/reordered pair *)
     let bank = Sim.Predictor.bank Driver.Config.default.Driver.Config.predictors in
@@ -749,11 +745,12 @@ let backends_section () =
             then
               failwith
                 (Printf.sprintf "backend %s disagrees with reference on %s"
-                   (backend_name b) name))
+                   (Sim.Machine.backend_name b) name))
           versions)
       rest
   | [] -> ());
-  backend_results := List.map (fun (b, w, _) -> (backend_name b, w)) timed;
+  backend_results :=
+    List.map (fun (b, w, _) -> (Sim.Machine.backend_name b, w)) timed;
   let wall_of name = List.assoc name !backend_results in
   let compiled = wall_of "compiled" in
   Printf.printf "best of %d timed sweeps per engine\n" runs_per_engine;
@@ -761,23 +758,22 @@ let backends_section () =
   line 40;
   List.iter
     (fun (b, w, _) ->
-      Printf.printf "%-12s %11.3fs %13.2fx\n" (backend_name b) w
+      Printf.printf "%-12s %11.3fs %13.2fx\n" (Sim.Machine.backend_name b) w
         (w /. Float.max 1e-9 compiled))
     timed;
   line 40;
-  let pre = wall_of "predecoded" in
-  if compiled < pre then
+  let refw = wall_of "reference" in
+  if compiled < refw then
     Printf.printf
-      "compiled beats predecoded by %.2fx on the suite measure stage\n"
-      (pre /. Float.max 1e-9 compiled)
+      "compiled beats reference by %.2fx on the suite measure stage\n"
+      (refw /. Float.max 1e-9 compiled)
   else
     Printf.printf
-      "WARNING: compiled (%.3fs) did not beat predecoded (%.3fs) on this run\n"
-      compiled pre;
+      "WARNING: compiled (%.3fs) did not beat reference (%.3fs) on this run\n"
+      compiled refw;
   match List.assoc_opt "native" !backend_results with
   | None -> ()
   | Some nat ->
-    let refw = wall_of "reference" in
     let speedup = refw /. Float.max 1e-9 nat in
     (match !native_codegen_seconds with
     | Some c ->
@@ -906,10 +902,8 @@ let write_json ~harness_wall () =
         (fun i (name, w) ->
           p "%s\"%s_measure_seconds\": %.3f" (if i = 0 then "" else ", ") name w)
         l;
-      (match (List.assoc_opt "compiled" l, List.assoc_opt "predecoded" l,
-              List.assoc_opt "reference" l) with
-      | Some c, Some pre, Some refw ->
-        p ", \"compiled_vs_predecoded_speedup\": %.3f" (pre /. Float.max 1e-9 c);
+      (match (List.assoc_opt "compiled" l, List.assoc_opt "reference" l) with
+      | Some c, Some refw ->
         p ", \"compiled_vs_reference_speedup\": %.3f" (refw /. Float.max 1e-9 c)
       | _ -> ());
       (match (List.assoc_opt "native" l, List.assoc_opt "reference" l) with

@@ -154,26 +154,16 @@ let timings_arg =
         ~doc:"Report per-stage wall-clock times on stderr.")
 
 let backend_conv =
-  let parse = function
-    | "reference" | "ref" -> Ok `Reference
-    | "predecoded" | "image" -> Ok `Predecoded
-    | "compiled" | "closure" -> Ok `Compiled
-    | "native" -> Ok `Native
-    | s ->
+  let parse s =
+    match Sim.Machine.backend_of_name s with
+    | Some b -> Ok b
+    | None ->
       Error
         (`Msg
           (Printf.sprintf
-             "unknown backend %S (use reference, predecoded, compiled or \
-              native)" s))
+             "unknown backend %S (use reference, compiled or native)" s))
   in
-  let print ppf b =
-    Format.pp_print_string ppf
-      (match b with
-      | `Reference -> "reference"
-      | `Predecoded -> "predecoded"
-      | `Compiled -> "compiled"
-      | `Native -> "native")
-  in
+  let print ppf b = Format.pp_print_string ppf (Sim.Machine.backend_name b) in
   Arg.conv (parse, print)
 
 let backend_arg default =
@@ -183,10 +173,10 @@ let backend_arg default =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Execution engine: $(b,reference) (MIR-walking oracle), \
-           $(b,predecoded) (flat-image interpreter), $(b,compiled) \
-           (closure-threaded code) or $(b,native) (runtime OCaml codegen \
-           via ocamlfind + Dynlink; falls back to compiled when no \
-           toolchain is present).  All four are observably identical.")
+           $(b,compiled) (closure-threaded code) or $(b,native) (runtime \
+           OCaml codegen via ocamlfind + Dynlink; falls back to compiled \
+           when no toolchain is present).  All three are observably \
+           identical.")
 
 let profile_conv =
   let parse s =
@@ -264,7 +254,7 @@ let verify_arg =
            after the reordering pass; a rejected rewrite aborts the run.")
 
 let run_cmd =
-  let run source hs input trace reference backend timings ncache_dir
+  let run source hs input trace backend timings ncache_dir
       no_ncache =
     handle_errors (fun () ->
         apply_native_opts ncache_dir no_ncache;
@@ -284,9 +274,7 @@ let run_cmd =
             Some (fun ~func ~label -> Printf.eprintf "[trace] %s:%s\n" func label)
           else None
         in
-        let backend =
-          resolve_backend (if reference then `Reference else backend)
-        in
+        let backend = resolve_backend backend in
         let result =
           stage "measure" (fun () -> Sim.Machine.run ~backend ?on_block prog ~input)
         in
@@ -300,19 +288,11 @@ let run_cmd =
       & info [ "trace" ]
           ~doc:"Print every basic block executed to stderr (control-flow trace).")
   in
-  let reference =
-    Arg.(
-      value & flag
-      & info [ "reference" ]
-          ~doc:
-            "Interpret the MIR directly instead of the fast backends \
-             (shorthand for $(b,--backend=reference)).")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute a MiniC program on the simulator.")
     Term.(
       const run $ source_arg "run" $ heuristic_arg $ input_arg $ trace
-      $ reference $ backend_arg `Compiled $ timings_arg
+      $ backend_arg `Compiled $ timings_arg
       $ native_cache_dir_arg $ no_native_cache_arg)
 
 let reorder_cmd =
@@ -705,7 +685,7 @@ let suite_cmd =
           ~doc:
             "Disable backend graceful degradation (by default a job whose \
              attempts crash on the requested backend is retried down the \
-             native > compiled > predecoded > reference ladder; a missing \
+             native > compiled > reference ladder; a missing \
              native toolchain counts as a crash of the native rung).")
   in
   Cmd.v
@@ -757,7 +737,7 @@ let fuzz_cmd =
     handle_errors (fun () ->
         let backends =
           match (backend, native) with
-          | Some b, _ -> [ (b :> Check.Fuzz.backend) ]
+          | Some b, _ -> [ b ]
           | None, true -> Check.Fuzz.all_backends ()
           | None, false -> Check.Fuzz.default_backends
         in
@@ -859,7 +839,7 @@ let fuzz_cmd =
       & info [ "backend" ] ~docv:"BACKEND"
           ~doc:
             "Restrict differential execution to one engine (default: race \
-             reference, predecoded and compiled against each other).")
+             reference and compiled against each other).")
   in
   let native =
     Arg.(
@@ -2012,7 +1992,7 @@ let bench_corpus_cmd =
     handle_errors (fun () ->
         let backends =
           match (backend, native) with
-          | Some b, _ -> [ (b :> Check.Fuzz.backend) ]
+          | Some b, _ -> [ b ]
           | None, true -> Check.Fuzz.all_backends ()
           | None, false -> Check.Fuzz.default_backends
         in
@@ -2063,7 +2043,7 @@ let bench_corpus_cmd =
       value
       & opt (some backend_conv) None
       & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Replay under one engine only (default: race the three \
+          ~doc:"Replay under one engine only (default: race the two \
                 in-process engines).")
   in
   let native =

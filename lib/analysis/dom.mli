@@ -34,8 +34,8 @@ val dominates : t -> string -> string -> bool
     [a].  Reflexive; [false] when either label is unanalyzed. *)
 
 val dominators : t -> string -> string list
-(** Root-first chain of dominators of a label, ending with the label
-    itself; [[]] for unanalyzed labels. *)
+(** The dominator chain of a label, from the label itself up to the
+    root (label first); [[]] for unanalyzed labels. *)
 
 val known : t -> string -> bool
 (** The label was reached by the analysis (reachable in the analyzed

@@ -42,7 +42,7 @@ val load_dir : string -> (repro list, string) result
     it. *)
 
 val replay :
-  ?backends:Check.Fuzz.backend list ->
+  ?backends:Sim.Machine.backend list ->
   ?profile:[ `Trained | `Static ] ->
   repro ->
   Check.Fuzz.case_out
@@ -52,7 +52,7 @@ val replay :
     prediction instead of its recorded training run. *)
 
 val mint_from_inject :
-  ?backends:Check.Fuzz.backend list ->
+  ?backends:Sim.Machine.backend list ->
   seed:int -> cases:int -> max:int -> unit -> repro list
 (** Recreate inject-mode fuzz cases, shrink each caught one with
     {!Check.Gen.shrink_spec} while the verifier still catches the

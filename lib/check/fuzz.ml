@@ -1,8 +1,6 @@
 module Detect = Reorder.Detect
 module Pass = Reorder.Pass
 
-type backend = [ `Reference | `Predecoded | `Compiled | `Native ]
-
 type failure = {
   f_case : int;
   f_spec : Gen.spec;
@@ -227,12 +225,6 @@ let capture ?(config = Sim.Machine.default_config) backend prog ~input =
   in
   { x_result = result; x_branches = List.rev !branches; x_blocks = List.rev !blocks }
 
-let backend_name = function
-  | `Reference -> "reference"
-  | `Predecoded -> "predecoded"
-  | `Compiled -> "compiled"
-  | `Native -> "native"
-
 (* all requested backends must agree on everything observable *)
 let cross_backend_errors ?config ~what backends prog ~input =
   match backends with
@@ -248,7 +240,9 @@ let cross_backend_errors ?config ~what backends prog ~input =
             !errors
             @ [
                 Printf.sprintf "%s: %s disagrees with %s on %s" what
-                  (backend_name b) (backend_name first) field;
+                  (Sim.Machine.backend_name b)
+                  (Sim.Machine.backend_name first)
+                  field;
               ]
         in
         (match (base.x_result, r.x_result) with
@@ -466,13 +460,13 @@ let run_case ?config ?profile ~backends ~inject ~case spec =
 
 let spec_of_case ~seed ~case = Gen.spec_of_seed ((seed * 1_000_003) + case)
 
-let default_backends : backend list = [ `Reference; `Predecoded; `Compiled ]
+let default_backends : Sim.Machine.backend list = [ `Reference; `Compiled ]
 
 (* native code generation costs an out-of-process compile per fresh
    program, far too slow for a fuzz loop's default budget; opt in via
    [~backends:(all_backends ())] (a no-op on hosts without the
    toolchain) *)
-let all_backends () : backend list =
+let all_backends () : Sim.Machine.backend list =
   if Sim.Native.available () then default_backends @ [ `Native ]
   else default_backends
 

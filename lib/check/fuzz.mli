@@ -23,8 +23,6 @@
     [bromc fuzz --inject] additionally fails a run where {b no} case
     could be injected (wholly vacuous). *)
 
-type backend = [ `Reference | `Predecoded | `Compiled | `Native ]
-
 type failure = {
   f_case : int;       (** 0-based case index *)
   f_spec : Gen.spec;  (** spec as generated *)
@@ -61,12 +59,12 @@ type stats = {
 
 val ok : stats -> bool
 
-val default_backends : backend list
-(** [[`Reference; `Predecoded; `Compiled]]. *)
+val default_backends : Sim.Machine.backend list
+(** [[`Reference; `Compiled]]. *)
 
-val all_backends : unit -> backend list
+val all_backends : unit -> Sim.Machine.backend list
 (** {!default_backends} plus [`Native] when {!Sim.Native.available};
-    what [bromc fuzz --native] and the four-way differential tests
+    what [bromc fuzz --native] and the three-way differential tests
     use. *)
 
 val pp_stats : Format.formatter -> stats -> unit
@@ -108,7 +106,7 @@ val case_coalesce : int -> bool
 val run_case :
   ?config:Sim.Machine.config ->
   ?profile:[ `Trained | `Static ] ->
-  backends:backend list ->
+  backends:Sim.Machine.backend list ->
   inject:bool ->
   case:int ->
   Gen.spec ->
@@ -123,7 +121,7 @@ val run_case :
 
 val run_program :
   ?config:Sim.Machine.config ->
-  ?backends:backend list ->
+  ?backends:Sim.Machine.backend list ->
   ?facts:bool ->
   ?coalesce:bool ->
   ?profile:[ `Trained | `Static ] ->
@@ -139,7 +137,7 @@ val run_program :
     (default [`Trained]). *)
 
 val run :
-  ?backends:backend list ->
+  ?backends:Sim.Machine.backend list ->
   ?inject:bool ->
   ?log:(string -> unit) ->
   ?profile:[ `Trained | `Static ] ->
@@ -154,10 +152,10 @@ val run :
     [seed] and [i], so the same [(cases, seed)] always replays the same
     corpus — which is what makes checkpoint/resume sound.  [log]
     receives one progress line every few hundred cases.  [backends]
-    defaults to the three interpreted/closure engines
+    defaults to the reference and closure engines
     ({!default_backends}); native code generation compiles out of
     process per fresh program, far too slow for a fuzz loop, so
-    four-way differentials are opt-in via {!all_backends}.  [profile]
+    three-way differentials are opt-in via {!all_backends}.  [profile]
     (default [`Trained]) selects the counts source for every case; with
     [`Static] the fuzzer exercises the profile-free prediction path —
     injection self-tests still apply, since the verifier must reject a

@@ -15,7 +15,7 @@
     program is re-validated ({!Mir.Validate}), every block the pass had
     no business touching is required to be instruction-for-instruction
     identical, and dominator sanity of the spliced chain is checked with
-    {!Mir.Dom}.
+    {!Analysis.Dom}.
 
     What this certifies: the range → target partition, duplicated side
     effects, condition-code reestablishment, default-target complement

@@ -22,17 +22,22 @@ type t = {
   validate : bool;
   verify : bool;
   fuel : int;
-  backend : [ `Reference | `Predecoded | `Compiled | `Native ];
+  backend : Sim.Machine.backend;
   native_cache_dir : string option;
   native_cache : bool;
   cancel : (unit -> bool) option;
 }
 
-let backend_name = function
-  | `Reference -> "reference"
-  | `Predecoded -> "predecoded"
-  | `Compiled -> "compiled"
-  | `Native -> "native"
+let backend_name = Sim.Machine.backend_name
+
+(* degradation walks from the requested backend down to the reference
+   interpreter — the slowest rung, but the one with the least machinery
+   to go wrong *)
+let rungs c =
+  match c.backend with
+  | `Native -> [ `Native; `Compiled; `Reference ]
+  | `Compiled -> [ `Compiled; `Reference ]
+  | `Reference -> [ `Reference ]
 
 let profile_name = function
   | `Trained -> "trained"

@@ -45,9 +45,9 @@ type t = {
           later cleanup reshapes the blocks); a rejected rewrite fails
           the pipeline *)
   fuel : int;               (** simulator instruction budget per run *)
-  backend : [ `Reference | `Predecoded | `Compiled | `Native ];
+  backend : Sim.Machine.backend;
       (** execution engine for the training and measurement runs
-          (default [`Compiled]; all four are observably identical, so
+          (default [`Compiled]; all three are observably identical, so
           this only changes wall-clock time — but [`Native] needs a
           working ocamlfind toolchain and otherwise degrades down the
           {!Pipeline.run_guarded_job} ladder) *)
@@ -65,10 +65,14 @@ type t = {
 
 val default : t
 
-val backend_name :
-  [ `Reference | `Predecoded | `Compiled | `Native ] -> string
-(** Stable machine-readable tag ("reference" / "predecoded" /
-    "compiled" / "native") used in manifests and reports. *)
+val backend_name : Sim.Machine.backend -> string
+(** {!Sim.Machine.backend_name}: the stable tag used in manifests and
+    reports. *)
+
+val rungs : t -> Sim.Machine.backend list
+(** The degradation ladder of the configured backend, fastest first:
+    native → compiled → reference, starting at [backend].  Both the
+    batch jobs ({!Pipeline.run_guarded_job}) and the server walk it. *)
 
 val profile_name : [ `Trained | `Static | `Both ] -> string
 (** Stable machine-readable tag ("trained" / "static" / "both"). *)

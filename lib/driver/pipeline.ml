@@ -46,9 +46,6 @@ let run_backend (config : Config.t) ?profile ?on_branch ?image prog ~input =
   let sc = sim_config config in
   match config.Config.backend with
   | `Reference -> Sim.Machine.run_reference ~config:sc ?profile ?on_branch prog ~input
-  | `Predecoded ->
-    let img = match image with Some i -> i | None -> Sim.Image.build prog in
-    Sim.Machine.run_image ~config:sc ?profile ?on_branch img ~input
   | `Compiled ->
     let img = match image with Some i -> i | None -> Sim.Image.build prog in
     Sim.Compiled.run_image ~config:sc ?profile ?on_branch img ~input
@@ -91,10 +88,10 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
 
 (* measure a finalized program on the test input with all predictors.
    The predictors live in a prebuilt {!Sim.Predictor.bank}: the compiled
-   backend drives it through its fused sink (no allocation per branch
-   event), the others through a single closure.  Callers measuring
-   several versions can pass one [bank] to reuse across calls — it is
-   reset here. *)
+   and native backends drive it through their fused sink (no allocation
+   per branch event), the reference interpreter through a single
+   closure.  Callers measuring several versions can pass one [bank] to
+   reuse across calls — it is reset here. *)
 let measure (config : Config.t) ?bank prog ~input =
   let bank =
     match bank with
@@ -116,11 +113,6 @@ let measure (config : Config.t) ?bank prog ~input =
         ~sink:(Sim.Predictor.Sink_bank bank)
         ?cache_dir:config.Config.native_cache_dir
         ~use_cache:config.Config.native_cache (Sim.Image.build prog) ~input
-    | `Predecoded ->
-      Sim.Machine.run_image ~config:sc
-        ~on_branch:(fun ~site ~taken ->
-          Sim.Predictor.bank_access bank ~site ~taken)
-        (Sim.Image.build prog) ~input
     | `Reference ->
       Sim.Machine.run_reference ~config:sc
         ~on_branch:(fun ~site ~taken ->
@@ -398,16 +390,6 @@ type job_outcome = {
   o_seconds : float;
 }
 
-let outcome_ladder : Config.t -> _ = fun config ->
-  (* degradation walks from the requested backend down to the reference
-     interpreter — the slowest rung, but the one with the least
-     machinery to go wrong *)
-  match config.Config.backend with
-  | `Native -> [ `Native; `Compiled; `Predecoded; `Reference ]
-  | `Compiled -> [ `Compiled; `Predecoded; `Reference ]
-  | `Predecoded -> [ `Predecoded; `Reference ]
-  | `Reference -> [ `Reference ]
-
 (* defense-in-depth re-check of the pipeline's own invariant, outside
    {!run}: this is what catches a wrong-result fault that corrupted the
    observables after the pipeline's internal comparison passed *)
@@ -424,7 +406,7 @@ let check_observables name r =
 let run_guarded_job ?fault ~index ~policy j =
   let requested = j.job_config.Config.backend in
   let rungs =
-    if policy.Guard.degrade then outcome_ladder j.job_config
+    if policy.Guard.degrade then Config.rungs j.job_config
     else [ requested ]
   in
   let injected =

@@ -137,8 +137,8 @@ val run_jobs : ?domains:int -> job list -> (result * float) list
     per-attempt watchdog deadlines and bounded seeded retries, plus
     backend graceful degradation — a job whose [`Native] attempts crash
     (including {!Sim.Native.Unavailable}: no ocamlfind, codegen or
-    dynlink failure) is retried under [`Compiled], then [`Predecoded]
-    and finally [`Reference], and the divergence is recorded.  Traps
+    dynlink failure) is retried under [`Compiled] and finally
+    [`Reference] ({!Config.rungs}), and the divergence is recorded.  Traps
     and timeouts are final: they are properties of the simulated
     program and the deadline, identical on every backend, so degrading
     cannot help. *)

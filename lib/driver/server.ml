@@ -518,13 +518,6 @@ let sync t =
 (* Request execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rungs_of (c : Config.t) =
-  match c.Config.backend with
-  | `Native -> [ `Native; `Compiled; `Predecoded; `Reference ]
-  | `Compiled -> [ `Compiled; `Predecoded; `Reference ]
-  | `Predecoded -> [ `Predecoded; `Reference ]
-  | `Reference -> [ `Reference ]
-
 let exec_rung t (art : artifact) backend ~cancel ~input =
   let sc = sim_config ~cancel t in
   match backend with
@@ -533,7 +526,6 @@ let exec_rung t (art : artifact) backend ~cancel ~input =
       ?cache_dir:t.config.Config.native_cache_dir
       ~use_cache:t.config.Config.native_cache art.a_image ~input
   | `Compiled -> Sim.Compiled.exec ~config:sc art.a_compiled ~input
-  | `Predecoded -> Sim.Machine.run_image ~config:sc art.a_image ~input
   | `Reference -> Sim.Machine.run_reference ~config:sc art.a_served ~input
 
 (* the sampled profiling shadow: run the instrumented training clone on
@@ -609,7 +601,7 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
   | entry ->
     let art = Atomic.get entry.e_artifact in
     let rungs =
-      if policy.Guard.degrade then rungs_of t.config else [ requested ]
+      if policy.Guard.degrade then Config.rungs t.config else [ requested ]
     in
     let rec walk rungs =
       match rungs with

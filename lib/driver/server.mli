@@ -33,7 +33,7 @@
 
     {b Resilience.}  Every request runs under the PR-5 {!Guard}
     ladder: per-attempt watchdog, bounded seeded retries, and backend
-    degradation native → compiled → predecoded → reference, each rung
+    degradation native → compiled → reference, each rung
     served from its cached artifact.  One poisoned request cannot take
     the service down.
 

@@ -1,6 +1,6 @@
 module RS = Mir.Reg.Set
 
-let loop_insns fn (loop : Mir.Loops.loop) =
+let loop_insns fn (loop : Analysis.Loops.loop) =
   List.concat_map
     (fun label ->
       match Mir.Func.find_block_opt fn label with
@@ -12,7 +12,7 @@ let loop_insns fn (loop : Mir.Loops.loop) =
         in
         b.Mir.Block.insns @ delay
       | None -> [])
-    loop.Mir.Loops.body
+    loop.Analysis.Loops.l_body
 
 let hoistable_kind ~loop_has_effects insn =
   match insn with
@@ -24,7 +24,70 @@ let hoistable_kind ~loop_has_effects insn =
   | Mir.Insn.Profile_range _ | Mir.Insn.Profile_comb _ ->
     false
 
-let hoist_from_loop fn (loop : Mir.Loops.loop) =
+let retarget_term (t : Mir.Block.term) ~from ~into =
+  let swap l = if String.equal l from then into else l in
+  let kind =
+    match t.Mir.Block.kind with
+    | Mir.Block.Br (c, a, b) -> Mir.Block.Br (c, swap a, swap b)
+    | Mir.Block.Jmp l -> Mir.Block.Jmp (swap l)
+    | Mir.Block.Switch (r, cases, d) ->
+      Mir.Block.Switch (r, List.map (fun (v, l) -> (v, swap l)) cases, swap d)
+    | (Mir.Block.Jtab _ | Mir.Block.Ret _) as k -> k
+  in
+  { t with Mir.Block.kind }
+
+let preheader fn (loop : Analysis.Loops.loop) =
+  let header = loop.Analysis.Loops.l_header in
+  let preds = Mir.Func.predecessors fn in
+  let header_preds =
+    match Hashtbl.find_opt preds header with Some ps -> ps | None -> []
+  in
+  let outside =
+    List.filter (fun p -> not (Analysis.Loops.in_body loop p)) header_preds
+  in
+  let reusable =
+    match outside with
+    | [ single ] -> (
+      match Mir.Func.find_block_opt fn single with
+      | Some b when Mir.Func.successors fn b = [ header ] -> Some single
+      | _ -> None)
+    | _ -> None
+  in
+  match reusable with
+  | Some label -> label
+  | None ->
+    let label = Mir.Func.fresh_label fn in
+    let nb = Mir.Block.make ~label [] (Mir.Block.Jmp header) in
+    List.iter
+      (fun p ->
+        match Mir.Func.find_block_opt fn p with
+        | Some pb -> (
+          pb.Mir.Block.term <-
+            retarget_term pb.Mir.Block.term ~from:header ~into:label;
+          match pb.Mir.Block.term.Mir.Block.kind with
+          | Mir.Block.Jtab (_, id) ->
+            let table = Mir.Func.jtab fn id in
+            Array.iteri
+              (fun i t -> if String.equal t header then table.(i) <- label)
+              table
+          | Mir.Block.Br _ | Mir.Block.Jmp _ | Mir.Block.Switch _
+          | Mir.Block.Ret _ ->
+            ())
+        | None -> ())
+      outside;
+    (* place the preheader right before the header; when the header is
+       the entry block this makes the preheader the new entry, keeping
+       it reachable even with no outside predecessors *)
+    let rec insert = function
+      | [] -> [ nb ]
+      | (b : Mir.Block.t) :: rest ->
+        if String.equal b.Mir.Block.label header then nb :: b :: rest
+        else b :: insert rest
+    in
+    fn.Mir.Func.blocks <- insert fn.Mir.Func.blocks;
+    label
+
+let hoist_from_loop fn (loop : Analysis.Loops.loop) =
   let insns = loop_insns fn loop in
   let loop_has_effects =
     List.exists
@@ -45,7 +108,7 @@ let hoist_from_loop fn (loop : Mir.Loops.loop) =
     insns;
   let defined_in_loop r = Hashtbl.mem def_count r in
   let live = Mir.Liveness.compute fn in
-  let in_loop l = List.mem l loop.Mir.Loops.body in
+  let in_loop = Analysis.Loops.in_body loop in
   (* registers live on entry to any block just outside the loop *)
   let exit_live =
     List.fold_left
@@ -58,9 +121,9 @@ let hoist_from_loop fn (loop : Mir.Loops.loop) =
               else RS.union acc (Mir.Liveness.live_in live s))
             acc (Mir.Func.successors fn b)
         | None -> acc)
-      RS.empty loop.Mir.Loops.body
+      RS.empty loop.Analysis.Loops.l_body
   in
-  let header_live = Mir.Liveness.live_in live loop.Mir.Loops.header in
+  let header_live = Mir.Liveness.live_in live loop.Analysis.Loops.l_header in
   let can_hoist insn =
     hoistable_kind ~loop_has_effects insn
     && (match Mir.Insn.defs insn with
@@ -87,11 +150,11 @@ let hoist_from_loop fn (loop : Mir.Loops.loop) =
             move
         end
       | None -> ())
-    loop.Mir.Loops.body;
+    loop.Analysis.Loops.l_body;
   (match !hoisted with
   | [] -> ()
   | moved ->
-    let ph = Mir.Loops.preheader fn loop in
+    let ph = preheader fn loop in
     let phb = Mir.Func.find_block fn ph in
     phb.Mir.Block.insns <- phb.Mir.Block.insns @ moved);
   List.length !hoisted
@@ -105,7 +168,8 @@ let run_func (fn : Mir.Func.t) =
     let n =
       List.fold_left
         (fun acc loop -> acc + hoist_from_loop fn loop)
-        0 (Mir.Loops.find fn)
+        0
+        (Analysis.Loops.loops (Analysis.Loops.analyze fn))
     in
     total := !total + n;
     continue_ := n > 0

@@ -20,6 +20,11 @@
     (e.g. address or bound computations), which is what vpo's code
     motion bought its measured baselines. *)
 
+val preheader : Mir.Func.t -> Analysis.Loops.loop -> string
+(** The unique block outside the loop that falls into the header,
+    creating one if needed (all non-back-edge predecessors of the header
+    are retargeted to the new block).  Returns its label. *)
+
 val run_func : Mir.Func.t -> int
 (** Number of instructions hoisted. *)
 

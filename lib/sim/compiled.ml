@@ -2,8 +2,8 @@
 
    Each {!Image.pblock} is compiled once into an OCaml closure that
    executes its instructions straight-line and returns the index of the
-   next block to run; the per-instruction [match] dispatch of the
-   pre-decoded interpreter disappears — every instruction is a
+   next block to run; there is no per-instruction [match] dispatch —
+   every instruction is a
    specialized closure built at compile time (operand shapes resolved,
    builtins and callees bound, constants folded), fused into one code
    chain per block.
@@ -389,7 +389,7 @@ let compile_insn (cfuncs : cfunc array) (globals : Image.global array)
               regs.(Mir.Reg.to_int r))
         | None -> ())
   | Image.Ptrap_insn msg ->
-    (* uncharged, matching the pre-decoded backend's trap thunks *)
+    (* uncharged: a trap thunk raises before paying for itself *)
     Cobs (fun _ _ -> raise (Trap msg))
 
 (* a delay-slot instruction executed standalone: it pays its own charge *)
@@ -520,7 +520,7 @@ let compile_term cfuncs globals unknowns ~pending_i ~pending_n
       set_ret st regs;
       -1
   | Image.Ptrap_term msg ->
-    (* uncharged, like the pre-decoded backend; the body's batch is
+    (* uncharged, like the trap instructions; the body's batch is
        still owed so an earlier fuel exhaustion wins as it should *)
     fun st _ ->
       flush st pending_i pending_n;

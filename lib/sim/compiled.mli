@@ -3,11 +3,11 @@
     Lowers each {!Image.pblock} into a chain of OCaml closures built
     once at compile time: operand shapes are resolved, builtins and
     callees are bound, immediate-only arithmetic is constant-folded,
-    and the per-instruction [match] dispatch of the pre-decoded
-    interpreter disappears.  Counter and fuel updates are charged in
-    block-granular batches precomputed at compile time, with a flush
-    before every observable point so traps, fuel exhaustion and the ten
-    counters are byte-identical to the other two backends.
+    and there is no per-instruction [match] dispatch.  Counter and
+    fuel updates are charged in block-granular batches precomputed at
+    compile time, with a flush before every observable point so traps,
+    fuel exhaustion and the ten counters are byte-identical to the
+    reference interpreter and the native backend.
 
     Branch measurement is fused into the loop: conditional-branch
     terminators deliver their outcome straight to a {!Predictor.sink},
@@ -43,8 +43,7 @@ val run_image :
   Image.t ->
   input:string ->
   Runtime.result
-(** Compile and run in one step, with the same interface as
-    [Machine.run_image]. *)
+(** Compile and run in one step. *)
 
 val run :
   ?config:Runtime.config ->

@@ -1,15 +1,15 @@
 (** Pre-decoded execution image.
 
     A one-time lowering of a {!Mir.Program.t} into flat arrays for the
-    simulator's fast path: every label becomes an integer block index,
+    simulator's fast backends: every label becomes an integer block index,
     every global symbol an integer memory slot, every function an
     integer id, every operand a pre-resolved register index or
-    immediate, and every builtin a tag — so the interpreter main loop
-    performs no hashtable lookups, no string comparisons and no list
-    traversals.  The MIR-walking interpreter in {!Machine} is kept as a
-    reference oracle; [Machine.run_image] executes images built here
-    with identical observable behaviour (output, exit code, counters,
-    branch-site event stream).
+    immediate, and every builtin a tag — so the code {!Compiled} and
+    {!Native} generate from it performs no hashtable lookups, no string
+    comparisons and no list traversals.  The MIR-walking interpreter in
+    {!Machine} is kept as a reference oracle; both backends execute
+    images built here with identical observable behaviour (output, exit
+    code, counters, branch-site event stream).
 
     Decoding never fails: references that the reference interpreter
     would only fault on at execution time (unknown callees, unknown

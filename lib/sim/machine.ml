@@ -21,8 +21,8 @@ type result = Runtime.result = {
 
 (* ------------------------------------------------------------------ *)
 (* Reference interpreter: walks the MIR in place, resolving labels     *)
-(* through per-function hashtables.  Kept as the oracle the            *)
-(* pre-decoded backend below is cross-checked against.                 *)
+(* through per-function hashtables.  Kept as the oracle the fast       *)
+(* backends ({!Compiled}, {!Native}) are cross-checked against.        *)
 (* ------------------------------------------------------------------ *)
 
 (* Pre-resolved view of a function: block array, label -> index map, and
@@ -331,263 +331,22 @@ let run_reference ?(config = default_config) ?profile ?on_branch ?on_block
   in
   { counters = st.counters; output = Buffer.contents st.out; exit_code }
 
-(* ------------------------------------------------------------------ *)
-(* Pre-decoded backend: executes an {!Image.t}.  The main loop does no *)
-(* hashtable lookups, no string comparisons and no list traversals;    *)
-(* observable behaviour is identical to the reference interpreter.     *)
-(* ------------------------------------------------------------------ *)
+type backend = [ `Reference | `Compiled | `Native ]
 
-type pstate = {
-  pimage : Image.t;
-  pmemory : int array array;  (* indexed by global slot *)
-  pcounters : Counters.t;
-  pout : Buffer.t;
-  pinput : string;
-  mutable pinput_pos : int;
-  mutable pcc_a : int;
-  mutable pcc_b : int;
-  mutable pfuel_left : int;
-  pconfig : config;
-  pprofile : Profile.t option;
-  pon_branch : (site:int -> taken:bool -> unit) option;
-  pon_block : (func:string -> label:string -> unit) option;
-}
+let backend_name = function
+  | `Reference -> "reference"
+  | `Compiled -> "compiled"
+  | `Native -> "native"
 
-let pcharge st n =
-  st.pcounters.Counters.insns <- st.pcounters.Counters.insns + n;
-  st.pfuel_left <- st.pfuel_left - n;
-  if st.pfuel_left < 0 then
-    trap "fuel exhausted (%d instructions)" st.pconfig.fuel
+let backend_of_name = function
+  | "reference" | "ref" -> Some `Reference
+  | "compiled" | "closure" -> Some `Compiled
+  | "native" -> Some `Native
+  | _ -> None
 
-let pgetchar st =
-  if st.pinput_pos >= String.length st.pinput then -1
-  else begin
-    let c = Char.code st.pinput.[st.pinput_pos] in
-    st.pinput_pos <- st.pinput_pos + 1;
-    c
-  end
-
-let pval regs = function
-  | Image.Preg r -> regs.(r)
-  | Image.Pimm n -> n
-
-let pcharge_layout_jump st =
-  pcharge st 2 (* jmp + its (nop) delay slot *);
-  st.pcounters.Counters.jumps <- st.pcounters.Counters.jumps + 1;
-  st.pcounters.Counters.nops <- st.pcounters.Counters.nops + 1
-
-let rec pexec_call st depth fid (argv : int array) =
-  let fi = st.pimage.Image.funcs.(fid) in
-  if depth >= st.pconfig.max_depth then
-    trap "call depth exceeded in %s" fi.Image.pf_name;
-  let regs = Array.make (max fi.Image.pf_nregs 1) 0 in
-  let params = fi.Image.pf_params in
-  let np = Array.length params in
-  for i = 0 to np - 1 do
-    if i >= Array.length argv then trap "too few arguments to %s" fi.Image.pf_name;
-    regs.(params.(i)) <- argv.(i)
-  done;
-  pexec_blocks st depth fi regs 0
-
-and pexec_insn st depth regs (i : Image.pinsn) =
-  match i with
-  | Image.Pprofile_range (id, r) ->
-    (match st.pprofile with
-    | Some p -> Profile.record_range p id regs.(r)
-    | None -> ())
-  | Image.Pprofile_comb id ->
-    (match st.pprofile with
-    | Some p ->
-      Profile.record_comb p id ~read_reg:(fun r -> regs.(Mir.Reg.to_int r))
-    | None -> ())
-  | Image.Pmov (r, o) ->
-    pcharge st 1;
-    regs.(r) <- pval regs o
-  | Image.Punop (op, r, o) ->
-    pcharge st 1;
-    regs.(r) <- Mir.Insn.eval_unop op (pval regs o)
-  | Image.Pbinop (op, r, a, b) ->
-    pcharge st 1;
-    let va = pval regs a and vb = pval regs b in
-    let v =
-      try Mir.Insn.eval_binop op va vb
-      with Division_by_zero -> trap "division by zero"
-    in
-    regs.(r) <- v
-  | Image.Pload (r, slot, idx) ->
-    pcharge st 1;
-    st.pcounters.Counters.loads <- st.pcounters.Counters.loads + 1;
-    let arr = st.pmemory.(slot) in
-    let i = pval regs idx in
-    if i < 0 || i >= Array.length arr then
-      trap "out-of-bounds access %s[%d] (size %d)"
-        st.pimage.Image.globals.(slot).Image.g_name i (Array.length arr);
-    regs.(r) <- arr.(i)
-  | Image.Pstore (slot, idx, v) ->
-    pcharge st 1;
-    st.pcounters.Counters.stores <- st.pcounters.Counters.stores + 1;
-    let arr = st.pmemory.(slot) in
-    let i = pval regs idx in
-    if i < 0 || i >= Array.length arr then
-      trap "out-of-bounds access %s[%d] (size %d)"
-        st.pimage.Image.globals.(slot).Image.g_name i (Array.length arr);
-    arr.(i) <- pval regs v
-  | Image.Pcmp (a, b) ->
-    pcharge st 1;
-    st.pcc_a <- pval regs a;
-    st.pcc_b <- pval regs b
-  | Image.Pcall (dst, fid, args) ->
-    pcharge st 1;
-    st.pcounters.Counters.calls <- st.pcounters.Counters.calls + 1;
-    let argv = Array.map (pval regs) args in
-    let v = pexec_call st (depth + 1) fid argv in
-    if dst >= 0 then regs.(dst) <- v
-  | Image.Pbuiltin (dst, b, args) ->
-    pcharge st 1;
-    st.pcounters.Counters.calls <- st.pcounters.Counters.calls + 1;
-    let v =
-      match b with
-      | Image.Bgetchar -> pgetchar st
-      | Image.Bputchar ->
-        let c = pval regs args.(0) in
-        Buffer.add_char st.pout (Char.chr (c land 255));
-        c
-      | Image.Bprint_int ->
-        Buffer.add_string st.pout (string_of_int (pval regs args.(0)));
-        0
-      | Image.Bexit -> raise (Program_exit (pval regs args.(0)))
-    in
-    if dst >= 0 then regs.(dst) <- v
-  | Image.Pnop ->
-    pcharge st 1;
-    st.pcounters.Counters.nops <- st.pcounters.Counters.nops + 1
-  | Image.Ptrap_insn msg -> raise (Trap msg)
-
-and pexec_delay st depth regs (b : Image.pblock) =
-  match b.Image.pb_delay with
-  | Some i -> pexec_insn st depth regs i
-  | None ->
-    pcharge st 1;
-    st.pcounters.Counters.nops <- st.pcounters.Counters.nops + 1
-
-and pexec_blocks st depth fi regs start_index =
-  let blocks = fi.Image.pf_blocks in
-  let block_index = ref start_index in
-  let return_value = ref 0 in
-  let running = ref true in
-  let goto target =
-    if target >= 0 then block_index := target
-    else trap "jump to unknown label %s" fi.Image.pf_unknown.(-target - 1)
-  in
-  let cancel = st.pconfig.cancel in
-  while !running do
-    (match cancel with
-    | Some c -> if c () then raise Runtime.Cancelled
-    | None -> ());
-    let b = blocks.(!block_index) in
-    (match st.pon_block with
-    | Some f -> f ~func:fi.Image.pf_name ~label:b.Image.pb_label
-    | None -> ());
-    let insns = b.Image.pb_insns in
-    for i = 0 to Array.length insns - 1 do
-      pexec_insn st depth regs (Array.unsafe_get insns i)
-    done;
-    match b.Image.pb_term with
-    | Image.Pbr (cond, taken_t, not_taken_t, nt_falls) ->
-      pcharge st 1;
-      st.pcounters.Counters.cond_branches <-
-        st.pcounters.Counters.cond_branches + 1;
-      let taken = Mir.Cond.eval cond st.pcc_a st.pcc_b in
-      if taken then
-        st.pcounters.Counters.taken_branches <-
-          st.pcounters.Counters.taken_branches + 1;
-      (match st.pon_branch with
-      | Some f -> f ~site:b.Image.pb_site ~taken
-      | None -> ());
-      (if b.Image.pb_annul then
-         match b.Image.pb_delay with
-         | Some i when taken -> pexec_insn st depth regs i
-         | Some _ -> () (* annulled: the slot is squashed, nothing executes *)
-         | None ->
-           pcharge st 1;
-           st.pcounters.Counters.nops <- st.pcounters.Counters.nops + 1
-       else pexec_delay st depth regs b);
-      if taken then goto taken_t
-      else begin
-        if not nt_falls then pcharge_layout_jump st;
-        goto not_taken_t
-      end
-    | Image.Pjmp (target, falls) ->
-      if falls then block_index := target
-      else begin
-        pcharge st 1;
-        st.pcounters.Counters.jumps <- st.pcounters.Counters.jumps + 1;
-        pexec_delay st depth regs b;
-        goto target
-      end
-    | Image.Pjtab (r, table) ->
-      pcharge st 1;
-      st.pcounters.Counters.indirect_jumps <-
-        st.pcounters.Counters.indirect_jumps + 1;
-      pexec_delay st depth regs b;
-      let idx = regs.(r) in
-      if idx < 0 || idx >= Array.length table then
-        trap "jump table index %d out of bounds (%s)" idx b.Image.pb_label;
-      goto table.(idx)
-    | Image.Pret v ->
-      pcharge st 1;
-      st.pcounters.Counters.returns <- st.pcounters.Counters.returns + 1;
-      pexec_delay st depth regs b;
-      (match v with Some o -> return_value := pval regs o | None -> ());
-      running := false
-    | Image.Ptrap_term msg -> raise (Trap msg)
-    | Image.Praise_term e -> raise e
-  done;
-  !return_value
-
-let run_image ?(config = default_config) ?profile ?on_branch ?on_block
-    (img : Image.t) ~input =
-  let memory =
-    Array.map
-      (fun (g : Image.global) ->
-        match g.Image.g_init with
-        | Some init ->
-          let arr = Array.make g.Image.g_size 0 in
-          Array.blit init 0 arr 0 (Array.length init);
-          arr
-        | None -> Array.make g.Image.g_size 0)
-      img.Image.globals
-  in
-  let st =
-    {
-      pimage = img;
-      pmemory = memory;
-      pcounters = Counters.make ();
-      pout = Buffer.create 1024;
-      pinput = input;
-      pinput_pos = 0;
-      pcc_a = 0;
-      pcc_b = 0;
-      pfuel_left = config.fuel;
-      pconfig = config;
-      pprofile = profile;
-      pon_branch = on_branch;
-      pon_block = on_block;
-    }
-  in
-  let exit_code =
-    try
-      if img.Image.main_id < 0 then trap "call to unknown function main"
-      else pexec_call st 0 img.Image.main_id [||]
-    with Program_exit code -> code
-  in
-  { counters = st.pcounters; output = Buffer.contents st.pout; exit_code }
-
-let run ?config ?profile ?on_branch ?on_block ?(backend = `Predecoded)
+let run ?config ?profile ?on_branch ?on_block ?(backend = `Compiled)
     (p : Mir.Program.t) ~input =
   match backend with
   | `Reference -> run_reference ?config ?profile ?on_branch ?on_block p ~input
-  | `Predecoded ->
-    run_image ?config ?profile ?on_branch ?on_block (Image.build p) ~input
   | `Compiled -> Compiled.run ?config ?profile ?on_branch ?on_block p ~input
   | `Native -> Native.run ?config ?profile ?on_branch ?on_block p ~input

@@ -38,12 +38,24 @@ type result = Runtime.result = {
   exit_code : int;
 }
 
+type backend = [ `Reference | `Compiled | `Native ]
+(** The execution engines.  All three produce identical output, exit
+    codes, counters and branch-site event streams. *)
+
+val backend_name : backend -> string
+(** Stable machine-readable tag ("reference" / "compiled" / "native")
+    used on the command line, in manifests and in reports. *)
+
+val backend_of_name : string -> backend option
+(** Inverse of {!backend_name}; also accepts the aliases "ref" and
+    "closure".  [None] on unknown tags. *)
+
 val run :
   ?config:config ->
   ?profile:Profile.t ->
   ?on_branch:(site:int -> taken:bool -> unit) ->
   ?on_block:(func:string -> label:string -> unit) ->
-  ?backend:[ `Predecoded | `Reference | `Compiled | `Native ] ->
+  ?backend:backend ->
   Mir.Program.t ->
   input:string ->
   result
@@ -53,18 +65,15 @@ val run :
     [on_block] is called on entry to every basic block (a control-flow
     trace).  Raises {!Trap} on runtime errors.
 
-    [backend] selects the execution engine (default [`Predecoded]):
+    [backend] selects the execution engine (default [`Compiled]):
     [`Reference] walks the MIR directly and is kept as the oracle the
-    fast paths are cross-checked against; [`Predecoded] lowers the
-    program through {!Image.build} and interprets the label-free,
-    hashtable-free image; [`Compiled] additionally compiles each image
-    block to a chain of OCaml closures ({!Compiled}), eliminating
-    per-instruction dispatch; [`Native] generates OCaml source for the
-    image, compiles it out of process and dynlinks the result
-    ({!Native} — raises {!Native.Unavailable} when no toolchain is
-    present, so callers that cannot degrade should check
-    {!Native.available} first).  All four produce identical output,
-    exit codes, counters and branch-site event streams. *)
+    fast paths are cross-checked against; [`Compiled] lowers the
+    program through {!Image.build} and compiles each image block to a
+    chain of OCaml closures ({!Compiled}), eliminating per-instruction
+    dispatch; [`Native] generates OCaml source for the image, compiles
+    it out of process and dynlinks the result ({!Native} — raises
+    {!Native.Unavailable} when no toolchain is present, so callers that
+    cannot degrade should check {!Native.available} first). *)
 
 val run_reference :
   ?config:config ->
@@ -75,18 +84,6 @@ val run_reference :
   input:string ->
   result
 (** The MIR-walking reference interpreter ([run ~backend:`Reference]). *)
-
-val run_image :
-  ?config:config ->
-  ?profile:Profile.t ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
-  ?on_block:(func:string -> label:string -> unit) ->
-  Image.t ->
-  input:string ->
-  result
-(** Execute a pre-built {!Image.t}.  Use this to amortize the one-time
-    lowering across repeated runs of the same program (e.g. wall-clock
-    benchmarking); [run p] is [run_image (Image.build p)]. *)
 
 val site_of : Mir.Program.t -> func:string -> label:string -> int
 (** The site number the machine assigns to the branch terminating the

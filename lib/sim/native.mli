@@ -6,7 +6,7 @@
     inlined at branch terminators — compiles it out of process with
     [ocamlfind ocamlopt -shared], loads the resulting [.cmxs] with
     [Dynlink.loadfile_private], and executes it with observable
-    behaviour byte-identical to the other three backends (output, exit
+    behaviour byte-identical to the other two backends (output, exit
     code, the ten counters, branch-site event stream, block trace, trap
     messages, cooperative cancellation at block granularity).
 

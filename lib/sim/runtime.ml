@@ -1,5 +1,5 @@
-(* Types shared by every execution backend (reference, pre-decoded,
-   closure-compiled).  Lives below Machine and Compiled so the two can
+(* Types shared by every execution backend (reference, closure-compiled,
+   native).  Lives below Machine and Compiled so the two can
    agree on traps, configuration and results without depending on each
    other; Machine re-exports everything under its historical names. *)
 

@@ -74,3 +74,60 @@ let expect_trap f =
   match f () with
   | exception Sim.Machine.Trap _ -> ()
   | _ -> Alcotest.fail "expected a simulator trap"
+
+(* reference dominance: a dominates b iff b is unreachable from the
+   entry once a is removed (meaningful when both are reachable).  One
+   reachability sweep per dominator candidate, memoized per function. *)
+let reference_dominates fn =
+  let avoiding = Hashtbl.create 16 in
+  let reachable_avoiding a =
+    match Hashtbl.find_opt avoiding a with
+    | Some seen -> seen
+    | None ->
+      let seen = Hashtbl.create 16 in
+      let rec go l =
+        if (not (Hashtbl.mem seen l)) && not (String.equal l a) then begin
+          Hashtbl.replace seen l ();
+          match Mir.Func.find_block_opt fn l with
+          | Some b -> List.iter go (Mir.Func.successors fn b)
+          | None -> ()
+        end
+      in
+      (match fn.Mir.Func.blocks with
+      | e :: _ -> go e.Mir.Block.label
+      | [] -> ());
+      Hashtbl.replace avoiding a seen;
+      seen
+  in
+  fun a b -> String.equal a b || not (Hashtbl.mem (reachable_avoiding a) b)
+
+(* Analysis.Dom against the path-cutting reference on every pair of
+   reachable blocks: the dominance verdicts, and each block's immediate
+   dominator — the strict dominator that every other strict dominator
+   dominates *)
+let dom_matches_reference fn =
+  let dom = Analysis.Dom.compute fn in
+  let refdom = reference_dominates fn in
+  let reach = Mir.Func.reachable fn in
+  let labels =
+    List.filter_map
+      (fun (b : Mir.Block.t) ->
+        if Hashtbl.mem reach b.Mir.Block.label then Some b.Mir.Block.label
+        else None)
+      fn.Mir.Func.blocks
+  in
+  List.for_all
+    (fun b ->
+      let strict =
+        List.filter (fun a -> (not (String.equal a b)) && refdom a b) labels
+      in
+      let expected_idom =
+        List.find_opt
+          (fun d -> List.for_all (fun a -> refdom a d) strict)
+          strict
+      in
+      Option.equal String.equal (Analysis.Dom.idom dom b) expected_idom
+      && List.for_all
+           (fun a -> Analysis.Dom.dominates dom a b = refdom a b)
+           labels)
+    labels

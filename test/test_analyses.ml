@@ -31,18 +31,21 @@ let loop_fn ?(body_insns = []) () =
 
 let test_dom_chain () =
   let fn = loop_fn () in
-  let dom = Mir.Dom.compute fn in
+  let dom = Analysis.Dom.compute fn in
   check_bool "entry dominates everything" true
     (List.for_all
-       (fun (b : Mir.Block.t) -> Mir.Dom.dominates dom "entry" b.Mir.Block.label)
+       (fun (b : Mir.Block.t) ->
+         Analysis.Dom.dominates dom "entry" b.Mir.Block.label)
        fn.Mir.Func.blocks);
-  check_bool "head dominates body" true (Mir.Dom.dominates dom "head" "body");
+  check_bool "head dominates body" true
+    (Analysis.Dom.dominates dom "head" "body");
   check_bool "body does not dominate head" false
-    (Mir.Dom.dominates dom "body" "head");
-  check_bool "reflexive" true (Mir.Dom.dominates dom "body" "body");
+    (Analysis.Dom.dominates dom "body" "head");
+  check_bool "reflexive" true (Analysis.Dom.dominates dom "body" "body");
   Alcotest.(check (option string)) "idom of body" (Some "head")
-    (Mir.Dom.idom dom "body");
-  Alcotest.(check (option string)) "idom of entry" None (Mir.Dom.idom dom "entry")
+    (Analysis.Dom.idom dom "body");
+  Alcotest.(check (option string)) "idom of entry" None
+    (Analysis.Dom.idom dom "entry")
 
 let test_dom_diamond_join () =
   let fn = Mir.Func.make ~name:"d" ~params:[ r 0 ] in
@@ -53,27 +56,29 @@ let test_dom_diamond_join () =
   Mir.Func.add_block fn (Mir.Block.make ~label:"t" [] (Mir.Block.Jmp "join"));
   Mir.Func.add_block fn (Mir.Block.make ~label:"f" [] (Mir.Block.Jmp "join"));
   Mir.Func.add_block fn (Mir.Block.make ~label:"join" [] (Mir.Block.Ret None));
-  let dom = Mir.Dom.compute fn in
+  let dom = Analysis.Dom.compute fn in
   Alcotest.(check (option string)) "join's idom skips the arms" (Some "entry")
-    (Mir.Dom.idom dom "join");
+    (Analysis.Dom.idom dom "join");
   Alcotest.(check (list string)) "dominator chain of join" [ "join"; "entry" ]
-    (Mir.Dom.dominators dom "join");
-  check_bool "t does not dominate join" false (Mir.Dom.dominates dom "t" "join");
-  (* dominance frontier: t's frontier is the join *)
-  Alcotest.(check (list string)) "frontier of t" [ "join" ]
-    (Mir.Dom.dominance_frontier dom "t")
+    (Analysis.Dom.dominators dom "join");
+  check_bool "t does not dominate join" false
+    (Analysis.Dom.dominates dom "t" "join")
 
 (* ------------------------------------------------------------------ *)
 (* Loops                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let loops_of fn = Analysis.Loops.loops (Analysis.Loops.analyze fn)
+
 let test_loop_detection () =
   let fn = loop_fn () in
-  match Mir.Loops.find fn with
+  match loops_of fn with
   | [ l ] ->
-    check_output "header" "head" l.Mir.Loops.header;
-    Alcotest.(check (list string)) "body" [ "head"; "body" ] l.Mir.Loops.body;
-    Alcotest.(check (list string)) "back edges" [ "body" ] l.Mir.Loops.back_edges
+    check_output "header" "head" l.Analysis.Loops.l_header;
+    Alcotest.(check (list string)) "body" [ "head"; "body" ]
+      l.Analysis.Loops.l_body;
+    Alcotest.(check (list string)) "back edges" [ "body" ]
+      l.Analysis.Loops.l_back_edges
   | ls -> Alcotest.failf "expected one loop, got %d" (List.length ls)
 
 let test_loop_nested () =
@@ -83,13 +88,13 @@ let test_loop_nested () =
        0; j < 3; j++) s++; print_int(s); return 0; }"
   in
   let fn = Mir.Program.find_func prog "main" in
-  check_int "two loops" 2 (List.length (Mir.Loops.find fn))
+  check_int "two loops" 2 (List.length (loops_of fn))
 
 let test_preheader_reuse () =
   let fn = loop_fn () in
-  let l = List.hd (Mir.Loops.find fn) in
+  let l = List.hd (loops_of fn) in
   (* entry already falls uniquely into head *)
-  check_output "existing block reused" "entry" (Mir.Loops.preheader fn l)
+  check_output "existing block reused" "entry" (Mopt.Licm.preheader fn l)
 
 let test_preheader_created () =
   let fn = loop_fn () in
@@ -100,8 +105,8 @@ let test_preheader_created () =
   (Mir.Func.find_block fn "entry").Mir.Block.insns <-
     (Mir.Func.find_block fn "entry").Mir.Block.insns
     @ [ Mir.Insn.Cmp (reg 1, imm 0) ];
-  let l = List.hd (Mir.Loops.find fn) in
-  let ph = Mir.Loops.preheader fn l in
+  let l = List.hd (loops_of fn) in
+  let ph = Mopt.Licm.preheader fn l in
   check_bool "fresh block" true (not (String.equal ph "entry"));
   (* both outside predecessors now reach head only through ph *)
   let preds = Mir.Func.predecessors fn in

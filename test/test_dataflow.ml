@@ -423,7 +423,7 @@ let test_const_prop_entry_zero () =
 let test_awk_facts_admit_strictly_more () =
   (* awk keeps FS/RS in registers, as real awk does; only the facts walk
      can use those compares.  The admitted sequences must survive the
-     full train/reorder/certify pipeline with all three backends
+     full train/reorder/certify pipeline with both in-process backends
      byte-identical. *)
   let w = Workloads.Registry.find "awk" in
   let base = compile w.Workloads.Spec.source in
@@ -462,7 +462,7 @@ let test_awk_facts_admit_strictly_more () =
         List.map
           (fun backend ->
             (Sim.Machine.run ~backend prog ~input).Sim.Machine.output)
-          [ `Reference; `Predecoded; `Compiled ])
+          [ `Reference; `Compiled ])
       [ base; reord ]
   in
   match outputs with

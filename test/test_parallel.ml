@@ -362,7 +362,7 @@ let test_backend_fallback_observables () =
   in
   let clean = Driver.Pipeline.run_jobs ~domains:4 jobs in
   (* corrupt every job's compiled-backend result: each must fall back to
-     the predecoded interpreter and reproduce the clean observables *)
+     the reference interpreter and reproduce the clean observables *)
   let faults =
     List.mapi
       (fun i _ ->
@@ -384,7 +384,7 @@ let test_backend_fallback_observables () =
           o.Driver.Pipeline.o_degraded;
         check_output
           (o.Driver.Pipeline.o_name ^ ": fallback backend")
-          "predecoded" o.Driver.Pipeline.o_backend;
+          "reference" o.Driver.Pipeline.o_backend;
         List.iter
           (fun (what, of_version) ->
             check_output

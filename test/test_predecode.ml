@@ -1,12 +1,12 @@
-(* Differential tests for the fast execution backends: every program
-   must behave identically under the MIR-walking reference interpreter,
-   the Image-based pre-decoded interpreter AND the closure-compiled
-   backend — same output, exit code, all ten counters, and the same
-   (site, taken) branch event and block trace streams. *)
+(* Differential tests for the fast execution backend: every program
+   must behave identically under the MIR-walking reference interpreter
+   and the closure-compiled backend built from the pre-decoded image —
+   same output, exit code, all ten counters, and the same (site, taken)
+   branch event and block trace streams. *)
 
 open Helpers
 
-let fast_backends = [ ("predecoded", `Predecoded); ("compiled", `Compiled) ]
+let fast_backends = [ ("compiled", `Compiled) ]
 
 let counter_fields (c : Sim.Counters.t) =
   [
@@ -226,7 +226,7 @@ let prop_differential =
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 n
 
-(* every workload under every heuristic set, all three backends *)
+(* every workload under every heuristic set, both backends *)
 let test_all_workloads () =
   List.iter
     (fun hs ->
@@ -242,16 +242,18 @@ let test_all_workloads () =
         Workloads.Registry.all)
     Mopt.Switch_lower.all_sets
 
-(* the prebuilt-image entry point must agree with run on a fresh build *)
+(* the prebuilt-image entry point must agree with run on a fresh build,
+   and one image must serve repeated runs unchanged *)
 let test_run_image_reuse () =
   let prog = compile_final "int main() { print_int(42); return 3; }" in
   let image = Sim.Image.build prog in
-  let a = Sim.Machine.run_image image ~input:"" in
-  let b = Sim.Machine.run_image image ~input:"" in
+  let a = Sim.Compiled.run_image image ~input:"" in
+  let b = Sim.Compiled.run_image image ~input:"" in
   let c = Sim.Machine.run prog ~input:"" in
-  check_output "first" c.Sim.Machine.output a.Sim.Machine.output;
-  check_output "second (image reused)" c.Sim.Machine.output b.Sim.Machine.output;
-  check_int "exit" c.Sim.Machine.exit_code b.Sim.Machine.exit_code
+  check_output "first" c.Sim.Machine.output a.Sim.Runtime.output;
+  check_output "second (image reused)" c.Sim.Machine.output
+    b.Sim.Runtime.output;
+  check_int "exit" c.Sim.Machine.exit_code b.Sim.Runtime.exit_code
 
 (* a compiled program holds no run state: compile once, execute many
    times, each run starts from scratch *)
@@ -280,7 +282,8 @@ let test_bank_equivalence () =
   let input = truncate 3000 (Lazy.force w.Workloads.Spec.test_input) in
   let keys = Driver.Config.paper_predictors in
   (* old protocol: an assoc list of predictors behind an on_branch
-     closure, List.iter-ed for every event *)
+     closure, List.iter-ed for every event, on the reference interpreter
+     so the two protocols also run on two different engines *)
   let preds =
     List.map
       (fun (h, c, e) ->
@@ -291,7 +294,7 @@ let test_bank_equivalence () =
   let on_branch ~site ~taken =
     List.iter (fun (_, p) -> Sim.Predictor.access p ~site ~taken) preds
   in
-  let _ = Sim.Machine.run ~on_branch prog ~input in
+  let _ = Sim.Machine.run ~backend:`Reference ~on_branch prog ~input in
   (* new protocol: a bank wired into the compiled branch terminators *)
   let bank = Sim.Predictor.bank keys in
   let compiled = Sim.Compiled.compile (Sim.Image.build prog) in

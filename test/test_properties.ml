@@ -112,56 +112,22 @@ let prop_switch_reorder_preserves =
 (* Reference-model properties for the analyses                          *)
 (* ------------------------------------------------------------------ *)
 
-(* reference dominance: a dominates b iff b is unreachable from the
-   entry once a is removed (and both are reachable) *)
-let reference_dominates fn a b =
-  if String.equal a b then true
-  else begin
-    let reachable_avoiding avoided =
-      let seen = Hashtbl.create 16 in
-      let rec go l =
-        if (not (Hashtbl.mem seen l)) && not (String.equal l avoided) then begin
-          Hashtbl.replace seen l ();
-          match Mir.Func.find_block_opt fn l with
-          | Some b -> List.iter go (Mir.Func.successors fn b)
-          | None -> ()
-        end
-      in
-      (match fn.Mir.Func.blocks with
-      | e :: _ -> go e.Mir.Block.label
-      | [] -> ());
-      seen
-    in
-    not (Hashtbl.mem (reachable_avoiding a) b)
-  end
-
 let prop_dominators_match_reference =
   qcheck2 ~count:300 ~print:Gen.print_cfg
     "dominators agree with the path-cutting reference" Gen.gen_cfg (fun spec ->
-      let fn = Gen.build_cfg spec in
-      let dom = Mir.Dom.compute fn in
-      let reach = Mir.Func.reachable fn in
-      List.for_all
-        (fun (a : Mir.Block.t) ->
-          List.for_all
-            (fun (b : Mir.Block.t) ->
-              let la = a.Mir.Block.label and lb = b.Mir.Block.label in
-              if not (Hashtbl.mem reach la && Hashtbl.mem reach lb) then true
-              else Mir.Dom.dominates dom la lb = reference_dominates fn la lb)
-            fn.Mir.Func.blocks)
-        fn.Mir.Func.blocks)
+      dom_matches_reference (Gen.build_cfg spec))
 
 let prop_loops_headers_dominate_bodies =
   qcheck2 ~count:300 ~print:Gen.print_cfg "loop headers dominate their bodies"
     Gen.gen_cfg (fun spec ->
       let fn = Gen.build_cfg spec in
-      let dom = Mir.Dom.compute fn in
+      let dom = Analysis.Dom.compute fn in
       List.for_all
-        (fun (l : Mir.Loops.loop) ->
+        (fun (l : Analysis.Loops.loop) ->
           List.for_all
-            (fun b -> Mir.Dom.dominates dom l.Mir.Loops.header b)
-            l.Mir.Loops.body)
-        (Mir.Loops.find fn))
+            (fun b -> Analysis.Dom.dominates dom l.Analysis.Loops.l_header b)
+            l.Analysis.Loops.l_body)
+        (Analysis.Loops.loops (Analysis.Loops.analyze fn)))
 
 (* ------------------------------------------------------------------ *)
 (* Front-end robustness fuzz                                           *)

@@ -1,8 +1,8 @@
 (* The static-prediction layer: golden heuristic probabilities on
    hand-built CFGs, the Dempster–Shafer combination rule, Wu–Larus
-   frequency propagation properties, the Analysis.Dom differential
-   against Mir.Dom (Check.Verify runs on the former, the optimizer on
-   the latter — they must agree), and the static-profile pipeline's
+   frequency propagation properties, Analysis.Dom against the
+   path-cutting reference (postdominators on random CFGs, dominators on
+   fuzz specs and the repro corpus), and the static-profile pipeline's
    backend differential. *)
 
 open Helpers
@@ -234,34 +234,65 @@ let prop_freq_cfgs =
     "freq invariants on random CFGs (incl. irreducible)" Check.Gen.gen_cfg
     (fun cfg -> freq_invariants (Check.Gen.build_cfg cfg))
 
-(* --- Analysis.Dom vs Mir.Dom differential -------------------------- *)
+(* --- Analysis.Dom against the path-cutting reference ---------------- *)
 
-(* Check.Verify certifies rewrites with [Analysis.Dom]; the optimizer's
-   loop analyses run on [Mir.Dom].  On reachable blocks the two must be
-   the same analysis. *)
-let dom_agrees fn =
-  let a = Analysis.Dom.compute fn in
-  let m = Mir.Dom.compute fn in
-  let reachable = Mir.Func.reachable fn in
+(* postdominance by path cutting: a postdominates b iff every path from
+   b to a [Ret] passes through a.  Postdominators are defined on the
+   blocks reachable from the entry that can reach an exit *)
+let postdom_matches_reference fn =
+  let post = Analysis.Dom.compute_post fn in
+  let reach = Mir.Func.reachable fn in
+  let exits_avoiding a b =
+    let seen = Hashtbl.create 16 in
+    let rec go l =
+      (not (String.equal l a))
+      && (not (Hashtbl.mem seen l))
+      && begin
+           Hashtbl.replace seen l ();
+           match Mir.Func.find_block_opt fn l with
+           | Some blk -> (
+             match blk.Mir.Block.term.Mir.Block.kind with
+             | Mir.Block.Ret _ -> true
+             | _ -> List.exists go (Mir.Func.successors fn blk))
+           | None -> false
+         end
+    in
+    go b
+  in
   let labels =
-    List.filter
-      (fun l -> Hashtbl.mem reachable l)
-      (List.map (fun (b : Mir.Block.t) -> b.Mir.Block.label) fn.Mir.Func.blocks)
+    List.filter_map
+      (fun (b : Mir.Block.t) ->
+        if Hashtbl.mem reach b.Mir.Block.label then Some b.Mir.Block.label
+        else None)
+      fn.Mir.Func.blocks
+  in
+  let analyzed =
+    List.filter (exits_avoiding Analysis.Dom.virtual_exit) labels
   in
   List.for_all
-    (fun x ->
-      Option.equal String.equal (Analysis.Dom.idom a x) (Mir.Dom.idom m x)
-      && List.for_all
-           (fun y ->
-             Analysis.Dom.dominates a x y = Mir.Dom.dominates m x y)
-           labels)
+    (fun b ->
+      Analysis.Dom.known post b = List.mem b analyzed)
     labels
+  && List.for_all
+       (fun b ->
+         Analysis.Dom.dominates post Analysis.Dom.virtual_exit b
+         && List.for_all
+              (fun a ->
+                Analysis.Dom.dominates post a b
+                = (String.equal a b || not (exits_avoiding a b)))
+              analyzed)
+       analyzed
 
-let prop_dom_cfgs =
+let prop_postdom_cfgs =
   qcheck2 ~count:200 ~print:Check.Gen.print_cfg
-    "Analysis.Dom = Mir.Dom on random CFGs" Check.Gen.gen_cfg
-    (fun cfg -> dom_agrees (Check.Gen.build_cfg cfg))
+    "postdominators match the path-cutting reference on random CFGs"
+    Check.Gen.gen_cfg
+    (fun cfg -> postdom_matches_reference (Check.Gen.build_cfg cfg))
 
+(* Check.Verify certifies rewrites and LICM finds loops with
+   [Analysis.Dom]; beyond the random CFGs of the property suite, it must
+   match the reference on the fuzz generator's programs and on every
+   committed repro *)
 let test_dom_fuzz_corpus () =
   List.iter
     (fun spec ->
@@ -269,8 +300,9 @@ let test_dom_fuzz_corpus () =
       List.iter
         (fun fn ->
           Alcotest.(check bool)
-            (Printf.sprintf "dominators agree on %s" fn.Mir.Func.name)
-            true (dom_agrees fn))
+            (Printf.sprintf "dominators match the reference on %s"
+               fn.Mir.Func.name)
+            true (dom_matches_reference fn))
         p.Mir.Program.funcs)
     (Check.Gen.sample ~seed:7 ~n:25 Check.Gen.gen_spec)
 
@@ -284,9 +316,9 @@ let test_dom_repro_corpus () =
         List.iter
           (fun fn ->
             Alcotest.(check bool)
-              (Printf.sprintf "dominators agree on %s/%s"
+              (Printf.sprintf "dominators match the reference on %s/%s"
                  r.Bench_db.Corpus.rp_name fn.Mir.Func.name)
-              true (dom_agrees fn))
+              true (dom_matches_reference fn))
           r.Bench_db.Corpus.rp_program.Mir.Program.funcs)
       repros
 
@@ -378,7 +410,7 @@ let suite =
     case "freq: cyclic probability saturates at the cap" test_freq_loop_cap;
     prop_freq_specs;
     prop_freq_cfgs;
-    prop_dom_cfgs;
+    prop_postdom_cfgs;
     case "dom: differential on fuzz specs" test_dom_fuzz_corpus;
     case "dom: differential on the repro corpus" test_dom_repro_corpus;
     case "dom: postdominators of a while loop" test_postdom;
