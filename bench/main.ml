@@ -824,135 +824,143 @@ let speedup () =
 (* BENCH_PR2.json: the machine-readable perf trajectory record         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* a float as the snapshots have always recorded it: to 3 decimals *)
+let f3 v = Json.Float (Float.round (v *. 1000.) /. 1000.)
+
+let write_file path j =
+  let oc = open_out path in
+  output_string oc (Json.to_string ~compact:false j);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "[bench] wrote %s\n" path
 
 let write_json ~harness_wall () =
   match Hashtbl.find_opt matrix Mopt.Switch_lower.set_i.Mopt.Switch_lower.hs_name with
   | None -> ()  (* no set-I rows were computed; nothing to record *)
   | Some (rows, matrix_wall) ->
-    let oc = open_out !json_path in
-    let p fmt = Printf.fprintf oc fmt in
-    p "{\n";
-    p "  \"pr\": 6,\n";
-    p "  \"heuristic_set\": \"I\",\n";
-    p "  \"fast\": %b,\n" !fast;
-    p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-    p "  \"domains\": %d,\n" (domains ());
-    p "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
-    (* the pool never uses more domains than there are jobs *)
-    p "  \"effective_domains\": %d,\n" (min (domains ()) (List.length rows));
-    p "  \"harness_wall_seconds\": %.3f,\n" harness_wall;
-    p "  \"matrix_wall_seconds\": %.3f,\n" matrix_wall;
-    (match !speedup_data with
-    | Some (par, d, seqw) ->
-      p "  \"parallel_wall_seconds\": %.3f,\n" par;
-      p "  \"parallel_domains\": %d,\n" d;
-      p "  \"sequential_wall_seconds\": %.3f,\n" seqw;
-      p "  \"speedup\": %.3f,\n" (seqw /. Float.max 1e-9 par)
-    | None -> ());
-    (match
-       Hashtbl.find_opt outcomes_memo
-         Mopt.Switch_lower.set_i.Mopt.Switch_lower.hs_name
-     with
-    | None -> ()
-    | Some outcomes ->
-      let count p = List.length (List.filter p outcomes) in
-      let status s (o : Driver.Pipeline.job_outcome) =
-        String.equal (Driver.Pool.outcome_status o.Driver.Pipeline.o_outcome) s
-      in
-      p
-        "  \"outcomes\": {\"ok\": %d, \"retried\": %d, \"degraded\": %d, \
-         \"timeout\": %d, \"trap\": %d, \"crash\": %d, \"gave_up\": %d},\n"
-        (count (status "ok"))
-        (count (fun o ->
-             status "ok" o && o.Driver.Pipeline.o_retried > 0))
-        (count (fun o -> o.Driver.Pipeline.o_degraded))
-        (count (status "timeout"))
-        (count (status "trap"))
-        (count (status "crash"))
-        (count (status "gave_up"));
-      p "  \"missing\": [%s],\n"
-        (String.concat ", "
-           (List.filter_map
-              (fun (o : Driver.Pipeline.job_outcome) ->
-                if Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome then None
-                else
-                  Some
-                    (Printf.sprintf "\"%s\""
-                       (json_escape o.Driver.Pipeline.o_name)))
-              outcomes)));
-    (match !backend_results with
-    | [] -> ()
-    | l ->
-      p "  \"backends\": {";
-      p "\"runs_per_engine\": %d, " runs_per_engine;
-      List.iteri
-        (fun i (name, w) ->
-          p "%s\"%s_measure_seconds\": %.3f" (if i = 0 then "" else ", ") name w)
-        l;
-      (match (List.assoc_opt "compiled" l, List.assoc_opt "reference" l) with
-      | Some c, Some refw ->
-        p ", \"compiled_vs_reference_speedup\": %.3f" (refw /. Float.max 1e-9 c)
-      | _ -> ());
-      (match (List.assoc_opt "native" l, List.assoc_opt "reference" l) with
-      | Some n, Some refw ->
-        p ", \"native_vs_reference_speedup\": %.3f" (refw /. Float.max 1e-9 n);
-        (match !native_codegen_seconds with
-        | Some c -> p ", \"native_codegen_seconds\": %.3f" c
-        | None -> ());
-        (match !native_cache_stats with
-        | Some st ->
-          p
-            ", \"native_cache\": {\"memo_hits\": %d, \"disk_hits\": %d, \
-             \"misses\": %d, \"compiles\": %d}"
-            st.Sim.Native.memo_hits st.Sim.Native.disk_hits
-            st.Sim.Native.misses st.Sim.Native.compiles
-        | None -> ())
-      | _ -> ());
-      p ", \"native_available\": %b" (Sim.Native.available ());
-      p "},\n");
-    p "  \"workloads\": [\n";
-    let nrows = List.length rows in
-    List.iteri
-      (fun i r ->
-        let o = counters_of (orig r) and n = counters_of (reord r) in
-        let ss, st, fs, ft =
-          detect_counts r.workload Mopt.Switch_lower.set_i
+    let speedup =
+      match !speedup_data with
+      | Some (par, d, seqw) ->
+        [
+          ("parallel_wall_seconds", f3 par);
+          ("parallel_domains", Json.Int d);
+          ("sequential_wall_seconds", f3 seqw);
+          ("speedup", f3 (seqw /. Float.max 1e-9 par));
+        ]
+      | None -> []
+    in
+    let outcomes =
+      match
+        Hashtbl.find_opt outcomes_memo
+          Mopt.Switch_lower.set_i.Mopt.Switch_lower.hs_name
+      with
+      | None -> []
+      | Some outcomes ->
+        let count p = Json.Int (List.length (List.filter p outcomes)) in
+        let status s (o : Driver.Pipeline.job_outcome) =
+          String.equal (Driver.Pool.outcome_status o.Driver.Pipeline.o_outcome) s
         in
-        p
-          "    {\"name\": \"%s\", \"orig_insns\": %d, \"reord_insns\": %d, \
-           \"insn_reduction_pct\": %.3f, \"orig_branches\": %d, \
-           \"reord_branches\": %d, \"branch_reduction_pct\": %.3f, \
-           \"seqs_syntactic\": %d, \"tests_syntactic\": %d, \
-           \"seqs_facts\": %d, \"tests_facts\": %d, \
-           \"extra_facts_seqs\": %d, \"reordered\": %d, \
-           \"pipeline_seconds\": %.3f}%s\n"
-          (json_escape r.workload.Workloads.Spec.name)
-          o.Sim.Counters.insns n.Sim.Counters.insns
-          (pct o.Sim.Counters.insns n.Sim.Counters.insns)
-          o.Sim.Counters.cond_branches n.Sim.Counters.cond_branches
-          (pct o.Sim.Counters.cond_branches n.Sim.Counters.cond_branches)
-          ss st fs ft (fs - ss)
-          (Reorder.Pass.reordered_count r.result.Driver.Pipeline.r_report)
-          r.seconds
-          (if i = nrows - 1 then "" else ","))
-      rows;
-    p "  ]\n";
-    p "}\n";
-    close_out oc;
-    Printf.printf "[bench] wrote %s\n" !json_path
+        [
+          ( "outcomes",
+            Json.Obj
+              [
+                ("ok", count (status "ok"));
+                ( "retried",
+                  count (fun o ->
+                      status "ok" o && o.Driver.Pipeline.o_retried > 0) );
+                ("degraded", count (fun o -> o.Driver.Pipeline.o_degraded));
+                ("timeout", count (status "timeout"));
+                ("trap", count (status "trap"));
+                ("crash", count (status "crash"));
+                ("gave_up", count (status "gave_up"));
+              ] );
+          ( "missing",
+            Json.Arr
+              (List.filter_map
+                 (fun (o : Driver.Pipeline.job_outcome) ->
+                   if Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome then
+                     None
+                   else Some (Json.Str o.Driver.Pipeline.o_name))
+                 outcomes) );
+        ]
+    in
+    let backends =
+      match !backend_results with
+      | [] -> []
+      | l ->
+        let speedup engine key =
+          match (List.assoc_opt engine l, List.assoc_opt "reference" l) with
+          | Some w, Some refw -> [ (key, f3 (refw /. Float.max 1e-9 w)) ]
+          | _ -> []
+        in
+        let opt key render = function Some v -> [ (key, render v) ] | None -> [] in
+        let cache (st : Sim.Native.stats) =
+          Json.Obj
+            [
+              ("memo_hits", Json.Int st.memo_hits);
+              ("disk_hits", Json.Int st.disk_hits);
+              ("misses", Json.Int st.misses);
+              ("compiles", Json.Int st.compiles);
+            ]
+        in
+        let native =
+          match speedup "native" "native_vs_reference_speedup" with
+          | [] -> []
+          | s ->
+            s
+            @ opt "native_codegen_seconds" f3 !native_codegen_seconds
+            @ opt "native_cache" cache !native_cache_stats
+        in
+        [
+          ( "backends",
+            Json.Obj
+              ((("runs_per_engine", Json.Int runs_per_engine)
+               :: List.map (fun (name, w) -> (name ^ "_measure_seconds", f3 w)) l)
+              @ speedup "compiled" "compiled_vs_reference_speedup"
+              @ native
+              @ [ ("native_available", Json.Bool (Sim.Native.available ())) ])
+          );
+        ]
+    in
+    let workload r =
+      let o = counters_of (orig r) and n = counters_of (reord r) in
+      let ss, st, fs, ft = detect_counts r.workload Mopt.Switch_lower.set_i in
+      Json.Obj
+        [
+          ("name", Json.Str r.workload.Workloads.Spec.name);
+          ("orig_insns", Json.Int o.Sim.Counters.insns);
+          ("reord_insns", Json.Int n.Sim.Counters.insns);
+          ("insn_reduction_pct", f3 (pct o.Sim.Counters.insns n.Sim.Counters.insns));
+          ("orig_branches", Json.Int o.Sim.Counters.cond_branches);
+          ("reord_branches", Json.Int n.Sim.Counters.cond_branches);
+          ( "branch_reduction_pct",
+            f3 (pct o.Sim.Counters.cond_branches n.Sim.Counters.cond_branches) );
+          ("seqs_syntactic", Json.Int ss);
+          ("tests_syntactic", Json.Int st);
+          ("seqs_facts", Json.Int fs);
+          ("tests_facts", Json.Int ft);
+          ("extra_facts_seqs", Json.Int (fs - ss));
+          ( "reordered",
+            Json.Int (Reorder.Pass.reordered_count r.result.Driver.Pipeline.r_report) );
+          ("pipeline_seconds", f3 r.seconds);
+        ]
+    in
+    write_file !json_path
+      (Json.Obj
+         ([
+            ("pr", Json.Int 6);
+            ("heuristic_set", Json.Str "I");
+            ("fast", Json.Bool !fast);
+            ("cores", Json.Int (Domain.recommended_domain_count ()));
+            ("domains", Json.Int (domains ()));
+            ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
+            (* the pool never uses more domains than there are jobs *)
+            ("effective_domains", Json.Int (min (domains ()) (List.length rows)));
+            ("harness_wall_seconds", f3 harness_wall);
+            ("matrix_wall_seconds", f3 matrix_wall);
+          ]
+         @ speedup @ outcomes @ backends
+         @ [ ("workloads", Json.Arr (List.map workload rows)) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Static profile: heuristic prediction vs the training run             *)
@@ -1073,45 +1081,41 @@ let static_profile_section () =
     "\n%d of %d workloads reach >= 50%% of the trained reduction statically\n"
     !at_half !compared;
   if not !no_json then begin
-    let oc = open_out !static_json_path in
-    let p fmt = Printf.fprintf oc fmt in
-    p "{\n";
-    p "  \"bench\": \"static_profile\",\n";
-    p "  \"pr\": 9,\n";
-    p "  \"heuristic_set\": \"I\",\n";
-    p "  \"fast\": %b,\n" !fast;
-    p "  \"workloads_at_half_trained\": %d,\n" !at_half;
-    p "  \"workloads_compared\": %d,\n" !compared;
-    p "  \"workloads\": [\n";
-    let names = List.map (fun (w : Workloads.Spec.t) -> w.Workloads.Spec.name)
-        Workloads.Registry.all in
-    let nnames = List.length names in
-    List.iteri
-      (fun i name ->
-        let num = function Some v -> Printf.sprintf "%.3f" v | None -> "null" in
-        let count = function Some (_, n) -> string_of_int n | None -> "null" in
-        let t = find name trained
-        and s = find name static_rows
-        and b = find name both_rows in
-        let ob =
-          match (t, s, b) with
-          | Some (o, _), _, _ | _, Some (o, _), _ | _, _, Some (o, _) ->
-            string_of_int o
-          | _ -> "null"
-        in
-        p
-          "    {\"name\": \"%s\", \"orig_branches\": %s, \
-           \"trained_branches\": %s, \"static_branches\": %s, \
-           \"both_branches\": %s, \"trained_reduction_pct\": %s, \
-           \"static_reduction_pct\": %s, \"both_reduction_pct\": %s}%s\n"
-          (json_escape name) ob (count t) (count s) (count b) (num (red t))
-          (num (red s)) (num (red b))
-          (if i = nnames - 1 then "" else ","))
-      names;
-    p "  ]\n";
-    p "}\n";
-    close_out oc;
-    Printf.printf "[bench] wrote %s\n" !static_json_path
+    let opt f = function Some v -> f v | None -> Json.Null in
+    let workload (w : Workloads.Spec.t) =
+      let name = w.Workloads.Spec.name in
+      let t = find name trained
+      and s = find name static_rows
+      and b = find name both_rows in
+      let ob =
+        match (t, s, b) with
+        | Some (o, _), _, _ | _, Some (o, _), _ | _, _, Some (o, _) -> Json.Int o
+        | _ -> Json.Null
+      in
+      let count = opt (fun (_, n) -> Json.Int n) and num = opt f3 in
+      Json.Obj
+        [
+          ("name", Json.Str name);
+          ("orig_branches", ob);
+          ("trained_branches", count t);
+          ("static_branches", count s);
+          ("both_branches", count b);
+          ("trained_reduction_pct", num (red t));
+          ("static_reduction_pct", num (red s));
+          ("both_reduction_pct", num (red b));
+        ]
+    in
+    write_file !static_json_path
+      (Json.Obj
+         [
+           ("bench", Json.Str "static_profile");
+           ("pr", Json.Int 9);
+           ("heuristic_set", Json.Str "I");
+           ("fast", Json.Bool !fast);
+           ("workloads_at_half_trained", Json.Int !at_half);
+           ("workloads_compared", Json.Int !compared);
+           ("workloads", Json.Arr (List.map workload Workloads.Registry.all));
+         ])
   end
 
 (* ------------------------------------------------------------------ *)

@@ -445,7 +445,7 @@ let failures_json_arg =
            flushed incrementally) recording every job's outcome to $(docv).")
 
 let suite_cmd =
-  let run hs jobs backend verify profile names fail_fast timeout_ms retries
+  let run hs jobs backend verify profile names timeout_ms retries
       failures_json inject_n inject_seed no_degrade ncache_dir no_ncache =
     handle_errors (fun () ->
         apply_native_opts ncache_dir no_ncache;
@@ -482,159 +482,131 @@ let suite_cmd =
             | Some j -> j
             | None -> Driver.Pool.default_domains ())
         in
-        if fail_fast && inject_n > 0 then
-          raise
-            (Failure
-               "--fail-fast bypasses the guarded runner; it cannot be \
-                combined with --inject");
-        if fail_fast then begin
-          (* legacy abort-on-first-failure path *)
-          let t0 = Unix.gettimeofday () in
-          let results = Driver.Pipeline.run_jobs ~domains jobs_list in
-          let wall = Unix.gettimeofday () -. t0 in
-          Printf.printf "%-8s %12s %12s %9s %8s\n" "workload" "orig insns"
-            "reord insns" "reduction" "seconds";
-          List.iter
-            (fun ((r : Driver.Pipeline.result), seconds) ->
-              let o = r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters in
-              let n =
+        (* guarded: every job runs to a structured outcome, and failures
+           cannot abort or disturb siblings *)
+        let policy =
+          {
+            Driver.Guard.default with
+            Driver.Guard.timeout_ms;
+            retries;
+            seed = inject_seed;
+            degrade = not no_degrade;
+          }
+        in
+        let faults =
+          if inject_n > 0 then
+            Driver.Inject.plan ~seed:inject_seed
+              ~jobs:(List.length jobs_list) ~count:inject_n
+          else []
+        in
+        let t0 = Unix.gettimeofday () in
+        let outcomes =
+          Driver.Pipeline.run_jobs_guarded ~domains ~policy ~inject:faults
+            jobs_list
+        in
+        let wall = Unix.gettimeofday () -. t0 in
+        Printf.printf "%-8s %-8s %12s %12s %9s %5s %-10s %8s\n" "workload"
+          "status" "orig insns" "reord insns" "reduction" "tries" "backend"
+          "seconds";
+        List.iter
+          (fun (o : Driver.Pipeline.job_outcome) ->
+            let backend =
+              o.Driver.Pipeline.o_backend
+              ^ if o.Driver.Pipeline.o_degraded then "*" else ""
+            in
+            match o.Driver.Pipeline.o_outcome with
+            | Driver.Pool.Ok r ->
+              let c_o =
+                r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters
+              in
+              let c_n =
                 r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters
               in
-              Printf.printf "%-8s %12d %12d %8.2f%% %8.3f\n"
-                r.Driver.Pipeline.r_name o.Sim.Counters.insns
-                n.Sim.Counters.insns
-                (Driver.Pipeline.pct o.Sim.Counters.insns n.Sim.Counters.insns)
-                seconds)
-            results;
-          Printf.printf "total: %.2fs on %d domain(s)\n" wall domains
-        end
-        else begin
-          (* guarded keep-going path: every job runs to a structured
-             outcome, failures cannot abort or disturb siblings *)
-          let policy =
-            {
-              Driver.Guard.default with
-              Driver.Guard.timeout_ms;
-              retries;
-              seed = inject_seed;
-              degrade = not no_degrade;
-            }
+              Printf.printf "%-8s %-8s %12d %12d %8.2f%% %5d %-10s %8.3f\n"
+                o.Driver.Pipeline.o_name "ok" c_o.Sim.Counters.insns
+                c_n.Sim.Counters.insns
+                (Driver.Pipeline.pct c_o.Sim.Counters.insns
+                   c_n.Sim.Counters.insns)
+                o.Driver.Pipeline.o_attempts backend
+                o.Driver.Pipeline.o_seconds
+            | out ->
+              Printf.printf "%-8s %-8s %12s %12s %9s %5d %-10s %8.3f\n"
+                o.Driver.Pipeline.o_name (Driver.Pool.outcome_status out) "-"
+                "-" "-" o.Driver.Pipeline.o_attempts backend
+                o.Driver.Pipeline.o_seconds;
+              Printf.printf "  %s\n" (Driver.Pool.outcome_message out))
+          outcomes;
+        let count p = List.length (List.filter p outcomes) in
+        let is_ok (o : Driver.Pipeline.job_outcome) =
+          Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome
+        in
+        let failed = count (fun o -> not (is_ok o)) in
+        let retried =
+          count (fun o -> is_ok o && o.Driver.Pipeline.o_retried > 0)
+        in
+        let degraded = count (fun o -> o.Driver.Pipeline.o_degraded) in
+        Printf.printf
+          "total: %.2fs on %d domain(s); %d ok (%d retried, %d degraded), \
+           %d failed\n"
+          wall domains
+          (count is_ok)
+          retried degraded failed;
+        (match failures_json with
+        | Some path ->
+          Driver.Manifest.write path
+            (List.map Driver.Pipeline.manifest_of_outcome outcomes);
+          Printf.eprintf "failure manifest written to %s\n" path
+        | None -> ());
+        if faults <> [] then begin
+          (* containment certification: every planted fault must have
+             bitten and been either recovered or attributed; no
+             non-victim job may fail *)
+          let escapes =
+            List.filter_map
+              (fun (f : Driver.Inject.fault) ->
+                let o = List.nth outcomes f.Driver.Inject.i_job in
+                if
+                  is_ok o
+                  && o.Driver.Pipeline.o_retried = 0
+                  && not o.Driver.Pipeline.o_degraded
+                then
+                  Some
+                    (Format.asprintf "%a: fault left no trace (escape)"
+                       Driver.Inject.pp_fault f)
+                else None)
+              faults
           in
-          let faults =
-            if inject_n > 0 then
-              Driver.Inject.plan ~seed:inject_seed
-                ~jobs:(List.length jobs_list) ~count:inject_n
-            else []
+          let collateral =
+            List.filter_map
+              (fun (o : Driver.Pipeline.job_outcome) ->
+                if o.Driver.Pipeline.o_injected = "" && not (is_ok o) then
+                  Some
+                    (Printf.sprintf "job %d (%s) failed without a fault: %s"
+                       o.Driver.Pipeline.o_index o.Driver.Pipeline.o_name
+                       (Driver.Pool.outcome_message
+                          o.Driver.Pipeline.o_outcome))
+                else None)
+              outcomes
           in
-          let t0 = Unix.gettimeofday () in
-          let outcomes =
-            Driver.Pipeline.run_jobs_guarded ~domains ~policy ~inject:faults
-              jobs_list
-          in
-          let wall = Unix.gettimeofday () -. t0 in
-          Printf.printf "%-8s %-8s %12s %12s %9s %5s %-10s %8s\n" "workload"
-            "status" "orig insns" "reord insns" "reduction" "tries" "backend"
-            "seconds";
-          List.iter
-            (fun (o : Driver.Pipeline.job_outcome) ->
-              let backend =
-                o.Driver.Pipeline.o_backend
-                ^ if o.Driver.Pipeline.o_degraded then "*" else ""
-              in
-              match o.Driver.Pipeline.o_outcome with
-              | Driver.Pool.Ok r ->
-                let c_o =
-                  r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters
-                in
-                let c_n =
-                  r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters
-                in
-                Printf.printf "%-8s %-8s %12d %12d %8.2f%% %5d %-10s %8.3f\n"
-                  o.Driver.Pipeline.o_name "ok" c_o.Sim.Counters.insns
-                  c_n.Sim.Counters.insns
-                  (Driver.Pipeline.pct c_o.Sim.Counters.insns
-                     c_n.Sim.Counters.insns)
-                  o.Driver.Pipeline.o_attempts backend
-                  o.Driver.Pipeline.o_seconds
-              | out ->
-                Printf.printf "%-8s %-8s %12s %12s %9s %5d %-10s %8.3f\n"
-                  o.Driver.Pipeline.o_name (Driver.Pool.outcome_status out) "-"
-                  "-" "-" o.Driver.Pipeline.o_attempts backend
-                  o.Driver.Pipeline.o_seconds;
-                Printf.printf "  %s\n" (Driver.Pool.outcome_message out))
-            outcomes;
-          let count p = List.length (List.filter p outcomes) in
-          let is_ok (o : Driver.Pipeline.job_outcome) =
-            Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome
-          in
-          let failed = count (fun o -> not (is_ok o)) in
-          let retried =
-            count (fun o -> is_ok o && o.Driver.Pipeline.o_retried > 0)
-          in
-          let degraded = count (fun o -> o.Driver.Pipeline.o_degraded) in
           Printf.printf
-            "total: %.2fs on %d domain(s); %d ok (%d retried, %d degraded), \
-             %d failed\n"
-            wall domains
-            (count is_ok)
-            retried degraded failed;
-          (match failures_json with
-          | Some path ->
-            Driver.Manifest.write path
-              (List.map Driver.Pipeline.manifest_of_outcome outcomes);
-            Printf.eprintf "failure manifest written to %s\n" path
-          | None -> ());
-          if faults <> [] then begin
-            (* containment certification: every planted fault must have
-               bitten and been either recovered or attributed; no
-               non-victim job may fail *)
-            let escapes =
-              List.filter_map
-                (fun (f : Driver.Inject.fault) ->
-                  let o = List.nth outcomes f.Driver.Inject.i_job in
-                  if
-                    is_ok o
-                    && o.Driver.Pipeline.o_retried = 0
-                    && not o.Driver.Pipeline.o_degraded
-                  then
-                    Some
-                      (Format.asprintf "%a: fault left no trace (escape)"
-                         Driver.Inject.pp_fault f)
-                  else None)
-                faults
-            in
-            let collateral =
-              List.filter_map
-                (fun (o : Driver.Pipeline.job_outcome) ->
-                  if o.Driver.Pipeline.o_injected = "" && not (is_ok o) then
-                    Some
-                      (Printf.sprintf "job %d (%s) failed without a fault: %s"
-                         o.Driver.Pipeline.o_index o.Driver.Pipeline.o_name
-                         (Driver.Pool.outcome_message
-                            o.Driver.Pipeline.o_outcome))
-                  else None)
-                outcomes
-            in
-            Printf.printf
-              "injection: %d faults planted, %d recovered, %d contained \
-               failures, %d escapes, %d collateral\n"
-              (List.length faults)
-              (List.length
-                 (List.filter
-                    (fun (f : Driver.Inject.fault) ->
-                      is_ok (List.nth outcomes f.Driver.Inject.i_job))
-                    faults))
-              (List.length
-                 (List.filter
-                    (fun (f : Driver.Inject.fault) ->
-                      not (is_ok (List.nth outcomes f.Driver.Inject.i_job)))
-                    faults))
-              (List.length escapes) (List.length collateral);
-            List.iter (Printf.eprintf "error: %s\n") (escapes @ collateral);
-            if escapes <> [] || collateral <> [] then exit 1
-          end
-          else if failed > 0 then exit 1
-        end)
+            "injection: %d faults planted, %d recovered, %d contained \
+             failures, %d escapes, %d collateral\n"
+            (List.length faults)
+            (List.length
+               (List.filter
+                  (fun (f : Driver.Inject.fault) ->
+                    is_ok (List.nth outcomes f.Driver.Inject.i_job))
+                  faults))
+            (List.length
+               (List.filter
+                  (fun (f : Driver.Inject.fault) ->
+                    not (is_ok (List.nth outcomes f.Driver.Inject.i_job)))
+                  faults))
+            (List.length escapes) (List.length collateral);
+          List.iter (Printf.eprintf "error: %s\n") (escapes @ collateral);
+          if escapes <> [] || collateral <> [] then exit 1
+        end
+        else if failed > 0 then exit 1)
   in
   let jobs =
     Arg.(
@@ -650,15 +622,6 @@ let suite_cmd =
       value & pos_all string []
       & info [] ~docv:"WORKLOAD"
           ~doc:"Workloads to run (default: all built-ins).")
-  in
-  let fail_fast =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:
-            "Abort the whole suite on the first failing workload (legacy \
-             behaviour).  The default keeps going: every workload runs to a \
-             structured outcome and failures are reported together.")
   in
   let inject_n =
     Arg.(
@@ -694,11 +657,10 @@ let suite_cmd =
          "Run the reordering pipeline over many workloads in parallel and \
           print the per-workload instruction reductions.  Jobs are guarded: \
           crashes, traps and timeouts are contained per job and reported \
-          together (see $(b,--fail-fast), $(b,--timeout-ms), $(b,--retries), \
-          $(b,--inject)).")
+          together (see $(b,--timeout-ms), $(b,--retries), $(b,--inject)).")
     Term.(
       const run $ heuristic_arg $ jobs $ backend_arg `Compiled $ verify_arg
-      $ profile_arg $ names $ fail_fast $ timeout_ms_arg $ retries_arg
+      $ profile_arg $ names $ timeout_ms_arg $ retries_arg
       $ failures_json_arg $ inject_n $ inject_seed $ no_degrade
       $ native_cache_dir_arg $ no_native_cache_arg)
 
@@ -1290,62 +1252,6 @@ let cache_cmd =
 (* serve: the long-running optimization service                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let server_stats_json (st : Driver.Server.stats) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"requests\":%d,\"cold\":%d,\"shadow_runs\":%d,\"merges\":%d,\
-        \"reopts\":%d,\"domains\":%d,\"caches\":["
-       st.Driver.Server.st_requests st.Driver.Server.st_cold
-       st.Driver.Server.st_shadow_runs st.Driver.Server.st_merges
-       st.Driver.Server.st_reopts st.Driver.Server.st_domains);
-  List.iteri
-    (fun i (s : Sim.Artifact.stats) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"entries\":%d,\"hits\":%d,\"misses\":%d,\
-            \"builds\":%d,\"evictions\":%d}"
-           (json_escape s.Sim.Artifact.a_name)
-           s.Sim.Artifact.a_entries s.Sim.Artifact.a_hits
-           s.Sim.Artifact.a_misses s.Sim.Artifact.a_builds
-           s.Sim.Artifact.a_evictions))
-    st.Driver.Server.st_caches;
-  let ns = st.Driver.Server.st_native in
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"native\":{\"memo_hits\":%d,\"disk_hits\":%d,\"compiles\":%d,\
-        \"memo_entries\":%d,\"memo_evictions\":%d,\"quarantined\":%d},\
-        \"overloaded\":%d,\"restored\":%d,\"programs\":["
-       ns.Sim.Native.memo_hits ns.Sim.Native.disk_hits
-       ns.Sim.Native.compiles ns.Sim.Native.memo_entries
-       ns.Sim.Native.memo_evictions ns.Sim.Native.quarantined
-       st.Driver.Server.st_overloaded st.Driver.Server.st_restored);
-  List.iteri
-    (fun i (name, gen, execs) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"generation\":%d,\"executions\":%d}"
-           (json_escape name) gen execs))
-    st.Driver.Server.st_programs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
 let domains_arg =
   Arg.(
     value
@@ -1493,7 +1399,10 @@ let serve_cmd =
               Driver.Server.sync srv;
               print_line "synced"
             | [ "stats" ] ->
-              print_line ("stats " ^ server_stats_json (Driver.Server.stats srv))
+              print_line
+                ("stats "
+                ^ Json.to_string
+                    (Driver.Server.stats_json (Driver.Server.stats srv)))
             | "run" :: name :: rest -> (
               let seed =
                 match rest with

@@ -385,78 +385,84 @@ let count_outcomes (report : Pass.report) =
       | Pass.Unchanged _ -> (r, c, u + 1))
     (0, 0, 0) report.Pass.seq_reports
 
-let run_case ?config ?profile ~backends ~inject ~case spec =
-  try
-    let base, reord, report =
-      transform
-        ?coalesce_machine:(coalesce_machine_for case)
-        ?config ?profile ~facts:(case_facts case) spec
-    in
-    let injected =
-      if inject then inject_wrong_default ~before:base ~after:reord report
-      else None
-    in
-    let summary = Verify.certify_report ~before:base ~after:reord report in
-    let reo, coa, unc = count_outcomes report in
-    let pieces =
-      List.fold_left
-        (fun acc r -> acc + r.Verify.v_pieces)
-        0 summary.Verify.seq_results
-    in
-    let out =
-      {
-        co_errors = [];
-        co_reordered = reo;
-        co_coalesced = coa;
-        co_unchanged = unc;
-        co_pieces = pieces;
-        co_injected = injected <> None;
-        co_caught = false;
-        co_blocks = None;
-        co_lint_diags = 0;
-      }
-    in
-    match injected with
-    | Some (_fname, blocks) ->
-      if Verify.ok summary then
-        {
-          out with
-          co_errors =
-            [ "verifier accepted a program with an injected wrong default target" ];
-        }
-      else { out with co_caught = true; co_blocks = Some blocks }
-    | None ->
-      if inject then out (* nothing reordered: nothing to plant *)
-      else if not (Verify.ok summary) then
-        { out with co_errors = Verify.all_errors summary }
-      else begin
-        let lint_errors, lint_diags =
-          lint_cross_errors ?config base
-            ~inputs:[ spec.Gen.sp_train; spec.Gen.sp_test ]
-        in
-        (* finalize both versions exactly like the pipeline, then race the
-           backends *)
-        let orig = Mir.Clone.program base in
-        ignore (Mopt.Cleanup.finalize orig);
-        ignore (Mopt.Cleanup.finalize reord);
-        Mir.Validate.check orig;
-        Mir.Validate.check reord;
-        let errors =
-          differential_errors ?config backends ~orig ~reord
-            ~input:spec.Gen.sp_test
-        in
-        { out with co_errors = lint_errors @ errors; co_lint_diags = lint_diags }
-      end
-  with
-  | Failure m -> { co_errors = [ "exception: " ^ m ];
-                   co_reordered = 0; co_coalesced = 0; co_unchanged = 0;
-                   co_pieces = 0; co_injected = false; co_caught = false;
-                   co_blocks = None; co_lint_diags = 0 }
+let empty_outcome =
+  { co_errors = []; co_reordered = 0; co_coalesced = 0; co_unchanged = 0;
+    co_pieces = 0; co_injected = false; co_caught = false; co_blocks = None;
+    co_lint_diags = 0 }
+
+(* a failure anywhere in a case is a finding, not a crash of the run *)
+let contained f =
+  try f () with
+  | Failure m -> { empty_outcome with co_errors = [ "exception: " ^ m ] }
   | Sim.Machine.Trap m ->
-    { co_errors = [ "trap during training: " ^ m ];
-      co_reordered = 0; co_coalesced = 0; co_unchanged = 0; co_pieces = 0;
-      co_injected = false; co_caught = false; co_blocks = None;
-      co_lint_diags = 0 }
+    { empty_outcome with co_errors = [ "trap during training: " ^ m ] }
+
+(* the tail every case shares once its program is transformed: certify,
+   tally, and — unless [verdict] settles the outcome from the
+   certification alone — the lint cross-check, finalizing both versions
+   exactly like the pipeline, validation, and the backend race *)
+let check_transformed ?config ?(verdict = fun _ _ -> None) ~backends
+    ~train ~test (base, reord, report) =
+  let summary = Verify.certify_report ~before:base ~after:reord report in
+  let reo, coa, unc = count_outcomes report in
+  let pieces =
+    List.fold_left
+      (fun acc r -> acc + r.Verify.v_pieces)
+      0 summary.Verify.seq_results
+  in
+  let out =
+    { empty_outcome with co_reordered = reo; co_coalesced = coa;
+                         co_unchanged = unc; co_pieces = pieces }
+  in
+  match verdict summary out with
+  | Some out -> out
+  | None ->
+    if not (Verify.ok summary) then
+      { out with co_errors = Verify.all_errors summary }
+    else begin
+      let lint_errors, lint_diags =
+        lint_cross_errors ?config base ~inputs:[ train; test ]
+      in
+      let orig = Mir.Clone.program base in
+      ignore (Mopt.Cleanup.finalize orig);
+      ignore (Mopt.Cleanup.finalize reord);
+      Mir.Validate.check orig;
+      Mir.Validate.check reord;
+      let errors = differential_errors ?config backends ~orig ~reord ~input:test in
+      { out with co_errors = lint_errors @ errors; co_lint_diags = lint_diags }
+    end
+
+let run_case ?config ?profile ~backends ~inject ~case spec =
+  contained (fun () ->
+      let ((base, reord, report) as transformed) =
+        transform
+          ?coalesce_machine:(coalesce_machine_for case)
+          ?config ?profile ~facts:(case_facts case) spec
+      in
+      (* inject mode judges the verifier, not the program: a wrong
+         default planted before certification must be caught, and a case
+         with nothing reordered has nowhere to plant one *)
+      let injected =
+        if inject then inject_wrong_default ~before:base ~after:reord report
+        else None
+      in
+      let verdict summary out =
+        match injected with
+        | None -> if inject then Some out else None
+        | Some (_fname, blocks) ->
+          let out = { out with co_injected = true } in
+          if Verify.ok summary then
+            Some
+              {
+                out with
+                co_errors =
+                  [ "verifier accepted a program with an injected wrong \
+                     default target" ];
+              }
+          else Some { out with co_caught = true; co_blocks = Some blocks }
+      in
+      check_transformed ?config ~verdict ~backends ~train:spec.Gen.sp_train
+        ~test:spec.Gen.sp_test transformed)
 
 let spec_of_case ~seed ~case = Gen.spec_of_seed ((seed * 1_000_003) + case)
 
@@ -480,54 +486,17 @@ let all_backends () : Sim.Machine.backend list =
    terminators; it is cloned first, so the caller's copy survives. *)
 let run_program ?config ?(backends = default_backends) ?(facts = true)
     ?(coalesce = false) ?profile ~heuristic ~train ~test prog =
-  let empty =
-    { co_errors = []; co_reordered = 0; co_coalesced = 0; co_unchanged = 0;
-      co_pieces = 0; co_injected = false; co_caught = false; co_blocks = None;
-      co_lint_diags = 0 }
-  in
-  try
-    let built = Mir.Clone.program prog in
-    Mir.Validate.check ~allow_switch:true built;
-    Mopt.Switch_lower.lower_program heuristic built;
-    Mopt.Cleanup.run built;
-    Mir.Validate.check built;
-    let base, reord, report =
-      transform_built
-        ?coalesce_machine:
-          (if coalesce then Some Sim.Cycle_model.sparc_ipc else None)
-        ?config ?profile ~facts ~train built
-    in
-    let summary = Verify.certify_report ~before:base ~after:reord report in
-    let reo, coa, unc = count_outcomes report in
-    let pieces =
-      List.fold_left
-        (fun acc r -> acc + r.Verify.v_pieces)
-        0 summary.Verify.seq_results
-    in
-    let out =
-      { empty with co_reordered = reo; co_coalesced = coa; co_unchanged = unc;
-                   co_pieces = pieces }
-    in
-    if not (Verify.ok summary) then
-      { out with co_errors = Verify.all_errors summary }
-    else begin
-      let lint_errors, lint_diags =
-        lint_cross_errors ?config base ~inputs:[ train; test ]
-      in
-      let orig = Mir.Clone.program base in
-      ignore (Mopt.Cleanup.finalize orig);
-      ignore (Mopt.Cleanup.finalize reord);
-      Mir.Validate.check orig;
-      Mir.Validate.check reord;
-      let errors =
-        differential_errors ?config backends ~orig ~reord ~input:test
-      in
-      { out with co_errors = lint_errors @ errors; co_lint_diags = lint_diags }
-    end
-  with
-  | Failure m -> { empty with co_errors = [ "exception: " ^ m ] }
-  | Sim.Machine.Trap m ->
-    { empty with co_errors = [ "trap during training: " ^ m ] }
+  contained (fun () ->
+      let built = Mir.Clone.program prog in
+      Mir.Validate.check ~allow_switch:true built;
+      Mopt.Switch_lower.lower_program heuristic built;
+      Mopt.Cleanup.run built;
+      Mir.Validate.check built;
+      check_transformed ?config ~backends ~train ~test
+        (transform_built
+           ?coalesce_machine:
+             (if coalesce then Some Sim.Cycle_model.sparc_ipc else None)
+           ?config ?profile ~facts ~train built))
 
 (* ------------------------------------------------------------------ *)
 (* The driver loop                                                      *)

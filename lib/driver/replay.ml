@@ -526,96 +526,77 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
 (* BENCH_PR7.json                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json ~path (o : outcome) =
+  let st = Server.stats_json o.ro_stats in
+  let from_stats k = (k, Option.value ~default:Json.Null (Json.member k st)) in
+  let ints = List.map (fun (k, n) -> (k, Json.Int n)) in
+  (* 4 decimals: 0.1 us on the millisecond fields, far below the noise *)
+  let floats =
+    List.map (fun (k, f) -> (k, Json.Float (Float.round (f *. 1e4) /. 1e4)))
+  in
+  let fault f =
+    Json.Obj
+      [
+        ("request", Json.Int f.rf_request);
+        ("kind", Json.Str f.rf_kind);
+        ("outcome", Json.Str f.rf_outcome);
+      ]
+  in
+  let event (e : Server.reopt_event) =
+    Json.Obj
+      [
+        ("program", Json.Str e.re_program);
+        ("generation", Json.Int e.re_generation);
+        ("executions", Json.Int e.re_executions);
+        ("signature", Json.Str e.re_signature);
+      ]
+  in
+  let j =
+    Json.Obj
+      ((("bench", Json.Str "serve_replay")
+       :: ints
+            [
+              ("requests", o.ro_requests); ("ok", o.ro_ok);
+              ("failed", o.ro_failed); ("domains", o.ro_stats.st_domains);
+            ])
+      @ floats
+          [
+            ("elapsed_s", o.ro_elapsed_s);
+            ("throughput_rps", o.ro_throughput_rps);
+            ("p50_ms", o.ro_p50_ms); ("p99_ms", o.ro_p99_ms);
+            ("cold_ms_per_request", o.ro_cold_ms); ("cold_rps", o.ro_cold_rps);
+            ("warm_vs_cold_ratio", o.ro_warm_ratio);
+          ]
+      @ ints [ ("checked", o.ro_checked); ("mismatches", o.ro_mismatches) ]
+      @ [
+          ( "server",
+            Json.Obj
+              (List.map from_stats
+                 [ "requests"; "cold"; "shadow_runs"; "merges"; "reopts" ]) );
+          from_stats "caches";
+          from_stats "native";
+          ( "chaos",
+            Json.Obj
+              (ints
+                 [
+                   ("planned", o.ro_chaos_planned); ("ok", o.ro_chaos_ok);
+                   ("failed", o.ro_chaos_failed);
+                   ("vacuous", o.ro_chaos_vacuous);
+                   ("escapes", o.ro_chaos_escapes);
+                 ]
+              @ [ ("faults", Json.Arr (List.map fault o.ro_chaos_faults)) ]) );
+          ( "durability",
+            Json.Obj
+              (ints
+                 [
+                   ("crash_restarts", o.ro_crash_restarts);
+                   ("restored", o.ro_restored);
+                 ]
+              @ [ ("restore_exact", Json.Bool o.ro_restore_exact) ]) );
+          ("reopt_events", Json.Arr (List.map event o.ro_events));
+        ])
+  in
   let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"serve_replay\",\n";
-  p "  \"requests\": %d,\n" o.ro_requests;
-  p "  \"ok\": %d,\n" o.ro_ok;
-  p "  \"failed\": %d,\n" o.ro_failed;
-  p "  \"domains\": %d,\n" o.ro_stats.Server.st_domains;
-  p "  \"elapsed_s\": %.6f,\n" o.ro_elapsed_s;
-  p "  \"throughput_rps\": %.2f,\n" o.ro_throughput_rps;
-  p "  \"p50_ms\": %.4f,\n" o.ro_p50_ms;
-  p "  \"p99_ms\": %.4f,\n" o.ro_p99_ms;
-  p "  \"cold_ms_per_request\": %.4f,\n" o.ro_cold_ms;
-  p "  \"cold_rps\": %.2f,\n" o.ro_cold_rps;
-  p "  \"warm_vs_cold_ratio\": %.2f,\n" o.ro_warm_ratio;
-  p "  \"checked\": %d,\n" o.ro_checked;
-  p "  \"mismatches\": %d,\n" o.ro_mismatches;
-  p "  \"server\": { \"requests\": %d, \"cold\": %d, \"shadow_runs\": %d, \"merges\": %d, \"reopts\": %d },\n"
-    o.ro_stats.Server.st_requests o.ro_stats.Server.st_cold
-    o.ro_stats.Server.st_shadow_runs o.ro_stats.Server.st_merges
-    o.ro_stats.Server.st_reopts;
-  p "  \"caches\": [\n";
-  let n_caches = List.length o.ro_stats.Server.st_caches in
-  List.iteri
-    (fun i (s : Sim.Artifact.stats) ->
-      p
-        "    { \"name\": \"%s\", \"entries\": %d, \"capacity\": %d, \
-         \"hits\": %d, \"misses\": %d, \"builds\": %d, \"evictions\": %d, \
-         \"failures\": %d }%s\n"
-        (json_escape s.Sim.Artifact.a_name)
-        s.Sim.Artifact.a_entries s.Sim.Artifact.a_capacity
-        s.Sim.Artifact.a_hits s.Sim.Artifact.a_misses s.Sim.Artifact.a_builds
-        s.Sim.Artifact.a_evictions s.Sim.Artifact.a_failures
-        (if i = n_caches - 1 then "" else ","))
-    o.ro_stats.Server.st_caches;
-  p "  ],\n";
-  let ns = o.ro_stats.Server.st_native in
-  p
-    "  \"native\": { \"memo_hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-     \"compiles\": %d, \"memo_evictions\": %d, \"memo_entries\": %d, \
-     \"memo_capacity\": %d, \"quarantined\": %d },\n"
-    ns.Sim.Native.memo_hits ns.Sim.Native.disk_hits ns.Sim.Native.misses
-    ns.Sim.Native.compiles ns.Sim.Native.memo_evictions
-    ns.Sim.Native.memo_entries ns.Sim.Native.memo_capacity
-    ns.Sim.Native.quarantined;
-  p
-    "  \"chaos\": { \"planned\": %d, \"ok\": %d, \"failed\": %d, \
-     \"vacuous\": %d, \"escapes\": %d, \"faults\": [" o.ro_chaos_planned
-    o.ro_chaos_ok o.ro_chaos_failed o.ro_chaos_vacuous o.ro_chaos_escapes;
-  let n_f = List.length o.ro_chaos_faults in
-  List.iteri
-    (fun i f ->
-      p "{ \"request\": %d, \"kind\": \"%s\", \"outcome\": \"%s\" }%s"
-        f.rf_request (json_escape f.rf_kind) (json_escape f.rf_outcome)
-        (if i = n_f - 1 then "" else ", "))
-    o.ro_chaos_faults;
-  p "] },\n";
-  p
-    "  \"durability\": { \"crash_restarts\": %d, \"restored\": %d, \
-     \"restore_exact\": %b },\n"
-    o.ro_crash_restarts o.ro_restored o.ro_restore_exact;
-  p "  \"reopt_events\": [\n";
-  let n_ev = List.length o.ro_events in
-  List.iteri
-    (fun i (e : Server.reopt_event) ->
-      p
-        "    { \"program\": \"%s\", \"generation\": %d, \"executions\": %d, \
-         \"signature\": \"%s\" }%s\n"
-        (json_escape e.Server.re_program)
-        e.Server.re_generation e.Server.re_executions
-        (json_escape e.Server.re_signature)
-        (if i = n_ev - 1 then "" else ","))
-    o.ro_events;
-  p "  ]\n";
-  p "}\n";
+  output_string oc (Json.to_string ~compact:false j);
+  output_char oc '\n';
   close_out oc

@@ -243,10 +243,12 @@ let snapshot t =
           Atomic.set t.snap_mark (State.appended w))
   | _ -> ()
 
-(* cold path, single-flighted by the [programs] cache: parse + optimize
-   the base once, detect, instrument and train on this first request's
-   input, reorder, and pre-build every serving artifact *)
-let build_entry t ~name ~key ~source ~input =
+(* the one entry constructor: parse + optimize the base once (through
+   [mir_cache]), detect, instrument, let [fill] give the fresh table its
+   counts, reoptimize under them and pre-build every serving artifact
+   of [generation].  [last_opt] defaults to the filled table's
+   executions *)
+let make_entry t ~name ~key ~source ~generation ?last_opt fill =
   let base =
     Sim.Artifact.find_or_build t.mir_cache key (fun () ->
         Pipeline.compile_base t.config source)
@@ -254,43 +256,53 @@ let build_entry t ~name ~key ~source ~input =
   let seqs = Pipeline.detect_seqs t.config base in
   let train_prog, table = Pipeline.instrument t.config base seqs in
   let train_compiled = Sim.Compiled.compile (Sim.Image.build train_prog) in
-  (match t.config.Config.profile with
-  | `Static ->
-    (* cold requests start on the pure static prediction: no training
-       run; the online shard profiles and {!Reorder.Drift} take over as
-       real counts accumulate and diverge from the prediction *)
-    Reorder.Profiles.add_static base seqs table
-  | (`Trained | `Both) as mode ->
-    (* the training run: a trap or fuel exhaustion still leaves usable
-       partial counts, so it is not fatal here — the guarded request
-       itself will surface the failure to the caller *)
-    (try
-       ignore
-         (Sim.Compiled.exec ~config:(sim_config t) ~profile:table
-            train_compiled ~input)
-     with _ -> ());
-    if mode = `Both then Reorder.Profiles.add_static base seqs table);
+  fill base seqs table train_compiled;
   let served, _report = Pipeline.reoptimize t.config ~name base seqs table in
   let signature = signature_of t base seqs table in
-  let artifact = build_artifact t ~key ~generation:1 ~signature served in
+  let artifact = build_artifact t ~key ~generation ~signature served in
+  {
+    e_key = key;
+    e_name = name;
+    e_source = source;
+    e_base = base;
+    e_seqs = seqs;
+    e_train_compiled = train_compiled;
+    e_global = table;
+    e_shards =
+      Array.init
+        (Pool.Workers.size t.pool)
+        (fun _ -> (Mutex.create (), Sim.Profile.copy_shape table));
+    e_artifact = Atomic.make artifact;
+    e_merge = Mutex.create ();
+    e_last_opt_execs =
+      Option.value last_opt ~default:(Sim.Profile.total_executions table);
+    e_pending = Atomic.make 0;
+  }
+
+(* cold path, single-flighted by the [programs] cache: train on this
+   first request's input and serve generation 1 *)
+let build_entry t ~name ~key ~source ~input =
   let entry =
-    {
-      e_key = key;
-      e_name = name;
-      e_source = source;
-      e_base = base;
-      e_seqs = seqs;
-      e_train_compiled = train_compiled;
-      e_global = table;
-      e_shards =
-        Array.init
-          (Pool.Workers.size t.pool)
-          (fun _ -> (Mutex.create (), Sim.Profile.copy_shape table));
-      e_artifact = Atomic.make artifact;
-      e_merge = Mutex.create ();
-      e_last_opt_execs = Sim.Profile.total_executions table;
-      e_pending = Atomic.make 0;
-    }
+    make_entry t ~name ~key ~source ~generation:1
+      (fun base seqs table train_compiled ->
+        match t.config.Config.profile with
+        | `Static ->
+          (* cold requests start on the pure static prediction: no
+             training run; the online shard profiles and
+             {!Reorder.Drift} take over as real counts accumulate and
+             diverge from the prediction *)
+          Reorder.Profiles.add_static base seqs table
+        | (`Trained | `Both) as mode ->
+          (* the training run: a trap or fuel exhaustion still leaves
+             usable partial counts, so it is not fatal here — the
+             guarded request itself will surface the failure to the
+             caller *)
+          (try
+             ignore
+               (Sim.Compiled.exec ~config:(sim_config t) ~profile:table
+                  train_compiled ~input)
+           with _ -> ());
+          if mode = `Both then Reorder.Profiles.add_static base seqs table)
   in
   Mutex.lock t.entries_lock;
   t.entries := !(t.entries) @ [ entry ];
@@ -309,44 +321,17 @@ let build_entry t ~name ~key ~source ~input =
    from the restored counters; with counters intact it reproduces the
    persisted one, and it is what future drift checks compare against. *)
 let restore_entry t (p : State.program) =
-  let key = p.State.p_key in
-  let base =
-    Sim.Artifact.find_or_build t.mir_cache key (fun () ->
-        Pipeline.compile_base t.config p.State.p_source)
-  in
-  let seqs = Pipeline.detect_seqs t.config base in
-  let train_prog, table = Pipeline.instrument t.config base seqs in
-  let train_compiled = Sim.Compiled.compile (Sim.Image.build train_prog) in
-  let applied =
-    Sim.Profile.set_counters table ~ranges:p.State.p_ranges
-      ~combs:p.State.p_combs
-  in
-  if applied = 0 && (p.State.p_ranges <> [] || p.State.p_combs <> []) then
-    failwith "restore: persisted counters do not match the program's shape";
-  let served, _report =
-    Pipeline.reoptimize t.config ~name:p.State.p_name base seqs table
-  in
-  let signature = signature_of t base seqs table in
-  let artifact =
-    build_artifact t ~key ~generation:p.State.p_generation ~signature served
-  in
-  {
-    e_key = key;
-    e_name = p.State.p_name;
-    e_source = p.State.p_source;
-    e_base = base;
-    e_seqs = seqs;
-    e_train_compiled = train_compiled;
-    e_global = table;
-    e_shards =
-      Array.init
-        (Pool.Workers.size t.pool)
-        (fun _ -> (Mutex.create (), Sim.Profile.copy_shape table));
-    e_artifact = Atomic.make artifact;
-    e_merge = Mutex.create ();
-    e_last_opt_execs = p.State.p_last_opt_execs;
-    e_pending = Atomic.make 0;
-  }
+  make_entry t ~name:p.State.p_name ~key:p.State.p_key
+    ~source:p.State.p_source ~generation:p.State.p_generation
+    ~last_opt:p.State.p_last_opt_execs (fun _ _ table _ ->
+      let applied =
+        Sim.Profile.set_counters table ~ranges:p.State.p_ranges
+          ~combs:p.State.p_combs
+      in
+      if applied = 0 && (p.State.p_ranges <> [] || p.State.p_combs <> [])
+      then
+        failwith
+          "restore: persisted counters do not match the program's shape")
 
 (* replay persisted state into the caches, drop what no longer matches
    (config change, unparsable source); never fails the boot *)
@@ -733,6 +718,49 @@ let stats t =
              Sim.Profile.total_executions e.e_global ))
          es);
   }
+
+let stats_json st =
+  let ints = List.map (fun (k, n) -> (k, Json.Int n)) in
+  let cache (c : Sim.Artifact.stats) =
+    Json.Obj
+      (("name", Json.Str c.a_name)
+      :: ints
+           [
+             ("entries", c.a_entries); ("capacity", c.a_capacity);
+             ("hits", c.a_hits); ("misses", c.a_misses);
+             ("builds", c.a_builds); ("evictions", c.a_evictions);
+             ("failures", c.a_failures);
+           ])
+  in
+  let program (name, gen, execs) =
+    Json.Obj
+      (("name", Json.Str name)
+      :: ints [ ("generation", gen); ("executions", execs) ])
+  in
+  let ns : Sim.Native.stats = st.st_native in
+  Json.Obj
+    (ints
+       [
+         ("requests", st.st_requests); ("cold", st.st_cold);
+         ("shadow_runs", st.st_shadow_runs); ("merges", st.st_merges);
+         ("reopts", st.st_reopts); ("domains", st.st_domains);
+       ]
+    @ [
+        ("caches", Json.Arr (List.map cache st.st_caches));
+        ( "native",
+          Json.Obj
+            (ints
+               [
+                 ("memo_hits", ns.memo_hits); ("disk_hits", ns.disk_hits);
+                 ("misses", ns.misses); ("compiles", ns.compiles);
+                 ("memo_evictions", ns.memo_evictions);
+                 ("memo_entries", ns.memo_entries);
+                 ("memo_capacity", ns.memo_capacity);
+                 ("quarantined", ns.quarantined);
+               ]) );
+      ]
+    @ ints [ ("overloaded", st.st_overloaded); ("restored", st.st_restored) ]
+    @ [ ("programs", Json.Arr (List.map program st.st_programs)) ])
 
 let reopt_events t =
   Mutex.lock t.events_lock;

@@ -170,6 +170,13 @@ val sync : t -> unit
     loses nothing learned before it. *)
 
 val stats : t -> stats
+
+val stats_json : stats -> Json.t
+(** The one JSON rendering of {!stats}, shared by [bromc serve]'s
+    [stats] line and {!Replay.write_json}: counters, every cache's full
+    {!Sim.Artifact.stats}, the full {!Sim.Native.stats}, and per-program
+    generations.  [st_mispredicts] is not rendered. *)
+
 val reopt_events : t -> reopt_event list
 (** Re-optimizations so far, oldest first. *)
 

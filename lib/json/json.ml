@@ -149,7 +149,12 @@ let parse_number st =
     | Some f -> Float f
     | None -> error st "bad number %S" lexeme)
 
-let rec parse_value st =
+(* far beyond any document this repo writes, and shallow enough that
+   hostile input cannot exhaust the stack: the reader stays total *)
+let max_depth = 512
+
+let rec parse_value ?(depth = 0) st =
+  if depth > max_depth then error st "nested deeper than %d" max_depth;
   skip_ws st;
   match peek st with
   | None -> error st "expected a value, found end of input"
@@ -168,7 +173,7 @@ let rec parse_value st =
         skip_ws st;
         let key = parse_string st in
         expect st ':';
-        let v = parse_value st in
+        let v = parse_value ~depth:(depth + 1) st in
         fields := (key, v) :: !fields;
         skip_ws st;
         match peek st with
@@ -191,7 +196,7 @@ let rec parse_value st =
       let items = ref [] in
       let continue = ref true in
       while !continue do
-        let v = parse_value st in
+        let v = parse_value ~depth:(depth + 1) st in
         items := v :: !items;
         skip_ws st;
         match peek st with

@@ -1,12 +1,14 @@
 (** A dependency-free JSON value type, parser and printer.
 
     The repo's machine-readable artifacts — the historical [BENCH_PR*.json]
-    snapshots, the bench history time series, failure manifests — are all
-    JSON, and the toolchain deliberately carries no third-party JSON
-    dependency.  {!Driver.Manifest} reads exactly one flat-object shape;
-    this module is the general reader the importers need: full recursive
-    values, arrays, nested objects, escapes, and a printer whose output
-    round-trips ({!parse} of {!to_string} is {!equal}).
+    snapshots, the bench history time series, failure manifests, the
+    durable serving journal, the serve [stats] line, replay records and
+    [lint --json] — are all JSON, and the toolchain deliberately carries
+    no third-party JSON dependency.  This module is the one codec every
+    reader and writer of them shares: full recursive values, arrays,
+    nested objects, escapes, and a printer whose output round-trips
+    ({!parse} of {!to_string} is {!equal}).  It sits at the bottom of the
+    library graph, so the driver and the analyses can use it too.
 
     Numbers are kept as [float] with a flag recording whether the source
     lexeme was integral, so [{"n": 34}] prints back as [34], not [34.]. *)
@@ -24,7 +26,9 @@ exception Parse_error of string
 (** Position-annotated message. *)
 
 val parse : string -> t
-(** @raise Parse_error on malformed input (trailing garbage included). *)
+(** Total on arbitrary bytes: {!Parse_error} is the only exception it
+    raises.
+    @raise Parse_error on malformed input (trailing garbage included). *)
 
 val parse_file : string -> t
 (** {!parse} on a whole file's contents. *)

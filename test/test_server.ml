@@ -276,7 +276,32 @@ let test_server_cold_then_warm () =
       check_int "program built once" 1
         (cache_stat st "programs").Sim.Artifact.a_builds;
       check_int "MIR parsed once" 1
-        (cache_stat st "mir").Sim.Artifact.a_builds)
+        (cache_stat st "mir").Sim.Artifact.a_builds;
+      (* the one JSON rendering: round-trips, and carries the union of
+         the fields the serve line and the replay record used to print *)
+      let j = Json.parse (Json.to_string (Driver.Server.stats_json st)) in
+      let get path =
+        List.fold_left (fun v k -> Option.bind v (Json.member k)) (Some j) path
+      in
+      check_bool "requests rendered" true
+        (Option.bind (get [ "requests" ]) Json.int = Some 2);
+      let programs_cache =
+        List.find
+          (fun c -> Json.member "name" c = Some (Json.Str "programs"))
+          (Option.get (Option.bind (get [ "caches" ]) Json.arr))
+      in
+      List.iter
+        (fun k ->
+          check_bool ("cache field " ^ k) true
+            (Option.bind (Json.member k programs_cache) Json.int <> None))
+        [ "entries"; "capacity"; "hits"; "misses"; "builds"; "evictions";
+          "failures" ];
+      List.iter
+        (fun k ->
+          check_bool ("native field " ^ k) true
+            (Option.bind (get [ "native"; k ]) Json.int <> None))
+        [ "memo_hits"; "disk_hits"; "misses"; "compiles"; "memo_evictions";
+          "memo_entries"; "memo_capacity"; "quarantined" ])
 
 (* Satellite: N domains requesting the same cold program concurrently
    compile it exactly once, and every response is byte-identical. *)

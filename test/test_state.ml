@@ -230,6 +230,124 @@ let test_manifest_torn_tail () =
       | exception Driver.Manifest.Parse_error _ -> ())
 
 (* ---------------------------------------------------------------- *)
+(* Readers are total on arbitrary bytes                                *)
+(* ---------------------------------------------------------------- *)
+
+(* a \u escape with no hex digits once made the manifest reader raise
+   [Failure "int_of_string"], which slipped past the torn-tail handler
+   and, inside a CRC-valid journal frame, out of [State.load] *)
+let bad_unicode = {|{"a": "\uzzzz"}|}
+
+let write_frames dir payloads =
+  let oc = open_out_bin (Driver.State.journal_path ~dir) in
+  List.iter
+    (fun p ->
+      output_string oc (Driver.State.frame p);
+      output_char oc '\n')
+    payloads;
+  close_out oc
+
+let test_bad_escape_is_a_parse_error () =
+  (match Driver.Manifest.entry_of_line bad_unicode with
+  | _ -> Alcotest.fail "a bad \\u escape must not parse"
+  | exception Driver.Manifest.Parse_error _ -> ());
+  with_dir (fun dir ->
+      write_frames dir
+        [
+          {|{"t": "program", "v": 1, "key": "\uzzzz"}|};
+          bad_unicode;
+          Printf.sprintf {|{"t": "bank", "v": %d, "tallies": ""}|}
+            Driver.State.version;
+        ];
+      let r = Driver.State.load ~dir in
+      check_int "bad frames skipped" 2 r.Driver.State.r_skipped;
+      check_int "the good frame still restores" 1 r.Driver.State.r_records)
+
+(* random bytes, heavy on the characters that steer a JSON reader *)
+let jsonish =
+  let open QCheck.Gen in
+  let punct =
+    oneofl
+      [ '{'; '}'; '['; ']'; '"'; '\\'; ':'; ','; 'u'; 'n'; 't'; '0'; '9';
+        '-'; '.'; 'e'; ' '; 'D'; 'a' ]
+  in
+  let body = string_size ~gen:(frequency [ (4, punct); (1, char) ]) (0 -- 40) in
+  let doc =
+    frequency
+      [
+        (1, body);
+        (2, map (fun b -> "{\"k\": " ^ b) body);
+        (2, map (fun b -> "{\"label\": \"" ^ b ^ "\"}") body);
+        (1, return bad_unicode);
+      ]
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") doc
+
+let parse_raises_only_parse_error =
+  qcheck ~count:1000 "json: parse raises only Parse_error" jsonish (fun s ->
+      match Json.parse s with
+      | _ -> true
+      | exception Json.Parse_error _ -> true)
+
+let manifest_raises_only_parse_error =
+  qcheck ~count:1000 "manifest: entry_of_line raises only Parse_error" jsonish
+    (fun s ->
+      match Driver.Manifest.entry_of_line s with
+      | _ -> true
+      | exception Driver.Manifest.Parse_error _ -> true)
+
+let state_load_is_total =
+  qcheck ~count:200 "state: load on framed arbitrary payloads never raises"
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 6) jsonish)
+    (fun payloads ->
+      (* a frame is one line; the payload itself may hold anything else *)
+      let payloads = List.map (String.map (function '\n' -> ' ' | c -> c)) payloads in
+      with_dir (fun dir ->
+          write_frames dir payloads;
+          let r = Driver.State.load ~dir in
+          r.Driver.State.r_records + r.Driver.State.r_skipped
+          = List.length payloads))
+
+(* lines in the spaced format earlier releases wrote, pinned verbatim:
+   manifests and state directories written then must still read back *)
+let legacy_manifest_line =
+  {|{"id": 4, "label": "a \"quoted\"\nlabel", "status": "crash", "message": "tab\there", "attempts": 3, "retried": 2, "backend": "compiled", "degraded": true, "injected": "raise", "wall_ms": 12.500}|}
+
+let legacy_journal =
+  [
+    {|a2df6da5 {"t": "program", "v": 1, "key": "k1", "name": "alpha", "source": "int main() {\n\tputs(\"a\\\\b\");\n}", "drift": "v1 g3 e100 sig-g3", "last_opt": 50, "ranges": "0:100:7,3;1:6:1,2,3", "combs": "0:4:4"}|};
+    {|cb6a8ddf {"t": "bank", "v": 1, "tallies": "2.2.64:1000:37"}|};
+  ]
+
+let test_legacy_lines_read_back () =
+  let e =
+    Driver.Manifest.entry ~label:"a \"quoted\"\nlabel" ~message:"tab\there"
+      ~attempts:3 ~retried:2 ~backend:"compiled" ~degraded:true
+      ~injected:"raise" ~wall_ms:12.5 ~id:4 ~status:"crash" ()
+  in
+  check_bool "legacy manifest line reads back exactly" true
+    (Driver.Manifest.entry_of_line legacy_manifest_line = e);
+  (* the resume check strips wall-clock fields with this exact pattern *)
+  check_bool "new manifest lines are compact" true
+    (contains_substring (Driver.Manifest.to_line e) {|,"wall_ms":12.5}|});
+  with_dir (fun dir ->
+      let oc = open_out_bin (Driver.State.journal_path ~dir) in
+      List.iter (fun l -> output_string oc (l ^ "\n")) legacy_journal;
+      close_out oc;
+      let r = Driver.State.load ~dir in
+      check_int "no legacy frame skipped" 0 r.Driver.State.r_skipped;
+      check_bool "legacy program record reads back exactly" true
+        (r.Driver.State.r_programs
+        = [
+            {
+              (program ~key:"k1" ~name:"alpha" ~generation:3 ()) with
+              Driver.State.p_source = "int main() {\n\tputs(\"a\\\\b\");\n}";
+            };
+          ]);
+      check_bool "legacy bank record reads back exactly" true
+        (r.Driver.State.r_bank = [ ((2, 2, 64), (1000, 37)) ]))
+
+(* ---------------------------------------------------------------- *)
 (* Chaos plans                                                       *)
 (* ---------------------------------------------------------------- *)
 
@@ -269,6 +387,13 @@ let suite =
       test_snapshot_compacts_journal;
     case "manifest: torn final line skipped, mid-file corruption raises"
       test_manifest_torn_tail;
+    case "readers: a bad \\u escape is a parse error, never a Failure"
+      test_bad_escape_is_a_parse_error;
+    parse_raises_only_parse_error;
+    manifest_raises_only_parse_error;
+    state_load_is_total;
+    case "readers: legacy spaced manifest and journal lines read back"
+      test_legacy_lines_read_back;
     case "inject: server chaos plans are seeded and exhaustive"
       test_server_plan;
   ]
