@@ -1148,7 +1148,6 @@ let cache_cmd =
         end
         else if clear then begin
           let n = Sim.Native.Cache.clear ~dir () in
-          Sim.Native.clear_memo ();
           let dropped = Sim.Artifact.clear_registered () in
           Printf.printf "cleared %d file(s) from %s" n dir;
           if dropped > 0 then
@@ -1183,31 +1182,20 @@ let cache_cmd =
                   e.Sim.Native.Cache.e_bytes
                   (if e.Sim.Native.Cache.e_current then "  (current)" else ""))
               entries;
-          let ns = Sim.Native.stats () in
-          Printf.printf
-            "memo:        %d entry(ies), cap %d, %d hit(s), %d eviction(s)\n"
-            ns.Sim.Native.memo_entries ns.Sim.Native.memo_capacity
-            ns.Sim.Native.memo_hits ns.Sim.Native.memo_evictions;
-          (* the MIR / image / closure artifact caches are in-process
-             state of a serving daemon; a fresh CLI invocation has none.
-             the serve protocol's [stats] request reports the live
-             numbers *)
-          match Sim.Artifact.registered_stats () with
-          | [] ->
-            print_string
-              "artifacts:   (none in this process; query a running \
-               `bromc serve` with its `stats` request)\n"
-          | regs ->
-            List.iter
-              (fun (s : Sim.Artifact.stats) ->
-                Printf.printf
-                  "artifacts:   %-8s %4d entry(ies) cap %d, %d hit(s), %d \
-                   miss(es), %d build(s), %d eviction(s)\n"
-                  s.Sim.Artifact.a_name s.Sim.Artifact.a_entries
-                  s.Sim.Artifact.a_capacity s.Sim.Artifact.a_hits
-                  s.Sim.Artifact.a_misses s.Sim.Artifact.a_builds
-                  s.Sim.Artifact.a_evictions)
-              regs
+          (* the in-process artifact caches: the native memo of loaded
+             plugins and, in a serving daemon, the MIR / image / closure
+             caches (the serve protocol's [stats] request reports a
+             running daemon's live numbers) *)
+          List.iter
+            (fun (s : Sim.Artifact.stats) ->
+              Printf.printf
+                "artifacts:   %-8s %4d entry(ies) cap %d, %d hit(s), %d \
+                 miss(es), %d build(s), %d eviction(s)\n"
+                s.Sim.Artifact.a_name s.Sim.Artifact.a_entries
+                s.Sim.Artifact.a_capacity s.Sim.Artifact.a_hits
+                s.Sim.Artifact.a_misses s.Sim.Artifact.a_builds
+                s.Sim.Artifact.a_evictions)
+            (Sim.Artifact.registered_stats ())
         end)
   in
   let dir =

@@ -1,34 +1,14 @@
-(* re-run the paper's selection (same compatibility filter and cost
-   model as Pass.run) against a profile table, without applying
-   anything, and render the outcome as a comparable string *)
+(* re-run the paper's selection ({!Pass.choose}) against a profile
+   table, without applying anything, and render the outcome as a
+   comparable string *)
 
-let seq_signature ?(selector = `Greedy) ?(keep_original_default = false)
-    (p : Mir.Program.t) (seq : Detect.t) table =
+let seq_signature ?selector ?keep_original_default (p : Mir.Program.t)
+    (seq : Detect.t) table =
   let view = Profiles.counts table seq in
   if view.Profiles.total = 0 then "?"
   else begin
     let fn = Mir.Program.find_func p seq.Detect.func_name in
-    let ccl = Analysis.Cc_live.analyze fn in
-    let input = Profiles.select_input seq view in
-    let compatible eliminated =
-      Apply.compatible_for ~cc:ccl fn seq eliminated
-      && ((not keep_original_default)
-         || List.for_all
-              (fun (it : Select.input_item) ->
-                String.equal it.Select.in_target seq.Detect.default_target)
-              eliminated)
-    in
-    let choice =
-      match selector with
-      | `Greedy -> Select.greedy ~compatible ~total:view.Profiles.total input
-      | `Exhaustive ->
-        if List.length input > 14 then
-          Select.greedy ~compatible ~total:view.Profiles.total input
-        else
-          Select.exhaustive ~compatible ~max_items:14
-            ~total:view.Profiles.total input
-    in
-    match choice with
+    match Pass.choose ?selector ?keep_original_default fn seq view with
     | None -> "?"
     | Some c ->
       let payloads items =

@@ -6,9 +6,9 @@
     the served artifact was optimized with.  This module answers the
     question "would the selector choose differently under today's
     counts?" without touching any program: it reruns the paper's
-    selection (the same cost model and cc-compatibility filter as
-    {!Pass.run}) against a profile table and renders the outcome as a
-    stable string {e signature}.
+    selection ({!Pass.choose}, the rule {!Pass.run} applies) against a
+    profile table and renders the outcome as a stable string
+    {e signature}.
 
     The daemon computes the signature when it (re-)optimizes a program
     and again after merging fresh profile shards; a changed signature

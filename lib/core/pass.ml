@@ -49,6 +49,27 @@ let is_identity (seq : Detect.t) (choice : Select.choice) =
   && eliminated_payloads = List.init (List.length defaults) (fun j -> n + j)
   && String.equal choice.Select.default_target seq.Detect.default_target
 
+let choose ?(selector = `Greedy) ?(keep_original_default = false) fn
+    (seq : Detect.t) (view : Profiles.counts_view) =
+  let ccl = Analysis.Cc_live.analyze fn in
+  let input = Profiles.select_input seq view in
+  let compatible eliminated =
+    Apply.compatible_for ~cc:ccl fn seq eliminated
+    && ((not keep_original_default)
+       || List.for_all
+            (fun (it : Select.input_item) ->
+              String.equal it.Select.in_target seq.Detect.default_target)
+            eliminated)
+  in
+  let total = view.Profiles.total in
+  match selector with
+  | `Greedy -> Select.greedy ~compatible ~total input
+  | `Exhaustive ->
+    (* 2^m subsets per target: fall back to Figure 8 on the rare very
+       long sequences *)
+    if List.length input > 14 then Select.greedy ~compatible ~total input
+    else Select.exhaustive ~compatible ~max_items:14 ~total input
+
 let run ?(options = Apply.default_options) ?(selector = `Greedy)
     ?(keep_original_default = false) ?coalesce_machine
     ?(coalesce_max_span = 512) (p : Mir.Program.t) (seqs : Detect.t list)
@@ -72,28 +93,7 @@ let run ?(options = Apply.default_options) ?(selector = `Greedy)
           base (Unchanged "never executed in training") None orig_branches
         else begin
           let fn = Mir.Program.find_func p seq.Detect.func_name in
-          let ccl = Analysis.Cc_live.analyze fn in
-          let input = Profiles.select_input seq view in
-          let compatible eliminated =
-            Apply.compatible_for ~cc:ccl fn seq eliminated
-            && ((not keep_original_default)
-               || List.for_all
-                    (fun (it : Select.input_item) ->
-                      String.equal it.Select.in_target seq.Detect.default_target)
-                    eliminated)
-          in
-          let choice =
-            match selector with
-            | `Greedy -> Select.greedy ~compatible ~total:view.Profiles.total input
-            | `Exhaustive ->
-              (* 2^m subsets per target: fall back to Figure 8 on the rare
-                 very long sequences *)
-              if List.length input > 14 then
-                Select.greedy ~compatible ~total:view.Profiles.total input
-              else
-                Select.exhaustive ~compatible ~max_items:14
-                  ~total:view.Profiles.total input
-          in
+          let choice = choose ~selector ~keep_original_default fn seq view in
           match choice with
           | None -> base (Unchanged "no compatible ordering") None orig_branches
           | Some choice ->

@@ -30,6 +30,21 @@ val reordered_count : report -> int
 val coalesced_count : report -> int
 val detected_count : report -> int
 
+val choose :
+  ?selector:[ `Greedy | `Exhaustive ] ->
+  ?keep_original_default:bool ->
+  Mir.Func.t ->
+  Detect.t ->
+  Profiles.counts_view ->
+  Select.choice option
+(** The selection rule for one sequence of [fn] under its training
+    counts: the candidate items of {!Profiles.select_input}, filtered
+    by condition-code compatibility (and, with [keep_original_default],
+    by eliminating only ranges of the original default target), solved
+    greedily (Figure 8) or exhaustively (falling back to greedy beyond
+    14 items).  [None] when no compatible ordering exists.  {!run} and
+    {!Drift} both select through this function. *)
+
 val run :
   ?options:Apply.options ->
   ?selector:[ `Greedy | `Exhaustive ] ->

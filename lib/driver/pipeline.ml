@@ -39,21 +39,32 @@ let sim_config (config : Config.t) =
     Sim.Machine.cancel = config.Config.cancel;
   }
 
-(* run a program under the configured execution backend; when the caller
-   already holds the pre-decoded image, the fast backends reuse it
-   instead of lowering a second time *)
-let run_backend (config : Config.t) ?profile ?on_branch ?image prog ~input =
+(* run a program under the configured execution backend, delivering
+   branch events to [sink]; when the caller already holds the
+   pre-decoded image, the fast backends reuse it instead of lowering a
+   second time *)
+let run_backend (config : Config.t) ?profile ?(sink = Sim.Predictor.Sink_none)
+    ?image prog ~input =
   let sc = sim_config config in
+  let image () = match image with Some i -> i | None -> Sim.Image.build prog in
   match config.Config.backend with
-  | `Reference -> Sim.Machine.run_reference ~config:sc ?profile ?on_branch prog ~input
+  | `Reference ->
+    let on_branch =
+      match sink with
+      | Sim.Predictor.Sink_none -> None
+      | Sim.Predictor.Sink_fun f -> Some f
+      | Sim.Predictor.Sink_bank bank ->
+        Some (fun ~site ~taken -> Sim.Predictor.bank_access bank ~site ~taken)
+    in
+    Sim.Machine.run_reference ~config:sc ?profile ?on_branch prog ~input
   | `Compiled ->
-    let img = match image with Some i -> i | None -> Sim.Image.build prog in
-    Sim.Compiled.run_image ~config:sc ?profile ?on_branch img ~input
+    Sim.Compiled.exec ~config:sc ?profile ~sink
+      (Sim.Compiled.compile (image ()))
+      ~input
   | `Native ->
-    let img = match image with Some i -> i | None -> Sim.Image.build prog in
-    Sim.Native.run_image ~config:sc ?profile ?on_branch
+    Sim.Native.run_image ~config:sc ?profile ~sink
       ?cache_dir:config.Config.native_cache_dir
-      ~use_cache:config.Config.native_cache img ~input
+      ~use_cache:config.Config.native_cache (image ()) ~input
 
 (* profile-guided layout: run the training input once more against this
    very binary (layouts need edge frequencies of the final CFG, which
@@ -83,7 +94,10 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
     Hashtbl.replace counts label
       (if taken then (t + 1, nt) else (t, nt + 1))
   in
-  let _ = run_backend config ~on_branch ~image prog ~input:training_input in
+  let _ =
+    run_backend config ~sink:(Sim.Predictor.Sink_fun on_branch) ~image prog
+      ~input:training_input
+  in
   ignore (Mopt.Profile_layout.run prog tables)
 
 (* measure a finalized program on the test input with all predictors.
@@ -100,24 +114,8 @@ let measure (config : Config.t) ?bank prog ~input =
       b
     | None -> Sim.Predictor.bank config.Config.predictors
   in
-  let sc = sim_config config in
   let result =
-    match config.Config.backend with
-    | `Compiled ->
-      Sim.Compiled.exec ~config:sc
-        ~sink:(Sim.Predictor.Sink_bank bank)
-        (Sim.Compiled.compile (Sim.Image.build prog))
-        ~input
-    | `Native ->
-      Sim.Native.run_image ~config:sc
-        ~sink:(Sim.Predictor.Sink_bank bank)
-        ?cache_dir:config.Config.native_cache_dir
-        ~use_cache:config.Config.native_cache (Sim.Image.build prog) ~input
-    | `Reference ->
-      Sim.Machine.run_reference ~config:sc
-        ~on_branch:(fun ~site ~taken ->
-          Sim.Predictor.bank_access bank ~site ~taken)
-        prog ~input
+    run_backend config ~sink:(Sim.Predictor.Sink_bank bank) prog ~input
   in
   let mispredicts = Sim.Predictor.bank_mispredicts bank in
   let cycles =

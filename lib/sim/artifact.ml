@@ -17,7 +17,7 @@ type 'a slot = Ready of 'a entry | Building
 
 type 'a t = {
   name : string;
-  capacity : int;
+  mutable capacity : int;
   table : (string, 'a slot) Hashtbl.t;
   lock : Mutex.t;
   cond : Condition.t;
@@ -127,6 +127,21 @@ let enforce_capacity_locked t =
         t.evictions <- t.evictions + 1
     done
   end
+
+let set_capacity t n =
+  Mutex.lock t.lock;
+  t.capacity <- n;
+  enforce_capacity_locked t;
+  Mutex.unlock t.lock
+
+let reset_stats t =
+  Mutex.lock t.lock;
+  t.hits <- 0;
+  t.misses <- 0;
+  t.builds <- 0;
+  t.evictions <- 0;
+  t.failures <- 0;
+  Mutex.unlock t.lock
 
 let find t key =
   Mutex.lock t.lock;

@@ -56,6 +56,14 @@ val clear : 'a t -> int
 (** Drop every resident artifact; returns how many were dropped.
     Counters are kept (they describe the process, not the contents). *)
 
+val set_capacity : 'a t -> int -> unit
+(** Change the LRU cap (0 = unbounded), evicting least-recently-used
+    entries at once if the cache is over the new cap. *)
+
+val reset_stats : 'a t -> unit
+(** Zero the event counters (hits, misses, builds, evictions,
+    failures); resident artifacts and the capacity are kept. *)
+
 val stats : 'a t -> stats
 val name : 'a t -> string
 

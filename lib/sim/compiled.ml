@@ -8,16 +8,11 @@
    builtins and callees bound, constants folded), fused into one code
    chain per block.
 
-   Counters and fuel are charged in block-granular batches precomputed
-   at compile time.  Exactness is preserved by flushing the pending
-   batch before every point whose behaviour the outside world can
-   observe: instructions that can trap or perform I/O (loads, stores,
-   register-divisor division, calls, builtins), profile recordings, and
-   every terminator.  Between two flush points only pure register
-   arithmetic runs, so moving its charges to the flush is
-   indistinguishable — the fuel trap fires under exactly the same
-   conditions and with the same message as the other backends, and the
-   ten counters are exact at every exit, including mid-block [exit].
+   Counters and fuel are charged in the block-granular batches of
+   {!Image.plan}: a closure flushing the precomputed batch is placed
+   before every instruction the plan flushes at, and the terminator
+   pays the batch still owed.  The plan decides where batches go; this
+   module only turns them into closures.
 
    Measurement is fused into the loop: branch terminators deliver their
    outcome to a {!Predictor.sink} held in the run state — a prebuilt
@@ -127,13 +122,6 @@ let rec seq (codes : code list) : code =
 (* Instruction compilation                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* how a compiled instruction participates in charge batching *)
-type comp =
-  | Cnop          (* counted nop; no code at all *)
-  | Cpure of code (* no observable effect; charge joins the batch *)
-  | Ceff of code  (* observable or trapping; batch + own 1 flushed first *)
-  | Cobs of code  (* observable but charges nothing (profile, traps) *)
-
 let operand = function
   | Image.Preg r -> fun regs -> Array.unsafe_get regs r
   | Image.Pimm n -> fun _ -> n
@@ -171,152 +159,134 @@ let compile_binop op r a b =
   match op, a, b with
   (* division and modulus by a register (or zero) can trap *)
   | (Div | Rem), _, Image.Pimm 0 ->
-    Ceff (fun _ _ -> trap "division by zero")
+    fun _ _ -> trap "division by zero"
   | Div, _, Image.Pimm n ->
     let x = operand a in
-    Cpure (fun _ regs -> Array.unsafe_set regs r (x regs / n))
+    fun _ regs -> Array.unsafe_set regs r (x regs / n)
   | Rem, _, Image.Pimm n ->
     let x = operand a in
-    Cpure (fun _ regs -> Array.unsafe_set regs r (x regs mod n))
+    fun _ regs -> Array.unsafe_set regs r (x regs mod n)
   | Div, _, Image.Preg y ->
     let x = operand a in
-    Ceff
-      (fun _ regs ->
-        let d = Array.unsafe_get regs y in
-        if d = 0 then trap "division by zero";
-        Array.unsafe_set regs r (x regs / d))
+    fun _ regs ->
+      let d = Array.unsafe_get regs y in
+      if d = 0 then trap "division by zero";
+      Array.unsafe_set regs r (x regs / d)
   | Rem, _, Image.Preg y ->
     let x = operand a in
-    Ceff
-      (fun _ regs ->
-        let d = Array.unsafe_get regs y in
-        if d = 0 then trap "division by zero";
-        Array.unsafe_set regs r (x regs mod d))
+    fun _ regs ->
+      let d = Array.unsafe_get regs y in
+      if d = 0 then trap "division by zero";
+      Array.unsafe_set regs r (x regs mod d)
   (* the pure operators, specialized on operand shape *)
   | Add, Image.Preg x, Image.Preg y ->
-    Cpure
-      (fun _ regs ->
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs x + Array.unsafe_get regs y))
+    fun _ regs ->
+      Array.unsafe_set regs r
+        (Array.unsafe_get regs x + Array.unsafe_get regs y)
   | Add, Image.Preg x, Image.Pimm n ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x + n))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x + n)
   | Add, Image.Pimm n, Image.Preg y ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r (n + Array.unsafe_get regs y))
+    fun _ regs -> Array.unsafe_set regs r (n + Array.unsafe_get regs y)
   | Sub, Image.Preg x, Image.Preg y ->
-    Cpure
-      (fun _ regs ->
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs x - Array.unsafe_get regs y))
+    fun _ regs ->
+      Array.unsafe_set regs r
+        (Array.unsafe_get regs x - Array.unsafe_get regs y)
   | Sub, Image.Preg x, Image.Pimm n ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x - n))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x - n)
   | Sub, Image.Pimm n, Image.Preg y ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r (n - Array.unsafe_get regs y))
+    fun _ regs -> Array.unsafe_set regs r (n - Array.unsafe_get regs y)
   | Mul, Image.Preg x, Image.Preg y ->
-    Cpure
-      (fun _ regs ->
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs x * Array.unsafe_get regs y))
+    fun _ regs ->
+      Array.unsafe_set regs r
+        (Array.unsafe_get regs x * Array.unsafe_get regs y)
   | Mul, Image.Preg x, Image.Pimm n ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x * n))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x * n)
   | Mul, Image.Pimm n, Image.Preg y ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r (n * Array.unsafe_get regs y))
+    fun _ regs -> Array.unsafe_set regs r (n * Array.unsafe_get regs y)
   | And, Image.Preg x, Image.Preg y ->
-    Cpure
-      (fun _ regs ->
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs x land Array.unsafe_get regs y))
+    fun _ regs ->
+      Array.unsafe_set regs r
+        (Array.unsafe_get regs x land Array.unsafe_get regs y)
   | And, Image.Preg x, Image.Pimm n ->
-    Cpure
-      (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x land n))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x land n)
   | Or, Image.Preg x, Image.Preg y ->
-    Cpure
-      (fun _ regs ->
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs x lor Array.unsafe_get regs y))
+    fun _ regs ->
+      Array.unsafe_set regs r
+        (Array.unsafe_get regs x lor Array.unsafe_get regs y)
   | Or, Image.Preg x, Image.Pimm n ->
-    Cpure
-      (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x lor n))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x lor n)
   | Xor, Image.Preg x, Image.Preg y ->
-    Cpure
-      (fun _ regs ->
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs x lxor Array.unsafe_get regs y))
+    fun _ regs ->
+      Array.unsafe_set regs r
+        (Array.unsafe_get regs x lxor Array.unsafe_get regs y)
   | Xor, Image.Preg x, Image.Pimm n ->
-    Cpure
-      (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x lxor n))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x lxor n)
   | Shl, Image.Preg x, Image.Pimm n ->
     let s = n land 63 in
-    Cpure
-      (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x lsl s))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x lsl s)
   | Shr, Image.Preg x, Image.Pimm n ->
     let s = n land 63 in
-    Cpure
-      (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x asr s))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs x asr s)
   | (Add | Sub | Mul | And | Or | Xor | Shl | Shr), _, _ -> (
     (* rare shapes: immediate-immediate folds to a constant move, the
        rest evaluate both operands generically *)
     match a, b with
     | Image.Pimm x, Image.Pimm y ->
       let v = eval_binop op x y in
-      Cpure (fun _ regs -> Array.unsafe_set regs r v)
+      fun _ regs -> Array.unsafe_set regs r v
     | _ ->
       let x = operand a and y = operand b in
-      Cpure
-        (fun _ regs -> Array.unsafe_set regs r (eval_binop op (x regs) (y regs))))
+      (fun _ regs -> Array.unsafe_set regs r (eval_binop op (x regs) (y regs))))
 
 let compile_insn (cfuncs : cfunc array) (globals : Image.global array)
-    (i : Image.pinsn) : comp =
+    (i : Image.pinsn) : code =
   match i with
-  | Image.Pnop -> Cnop
+  | Image.Pnop -> fun _ _ -> ()
   | Image.Pmov (r, Image.Pimm n) ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r n)
+    fun _ regs -> Array.unsafe_set regs r n
   | Image.Pmov (r, Image.Preg s) ->
-    Cpure (fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs s))
+    fun _ regs -> Array.unsafe_set regs r (Array.unsafe_get regs s)
   | Image.Punop (Mir.Insn.Neg, r, o) ->
     let x = operand o in
-    Cpure (fun _ regs -> Array.unsafe_set regs r (-x regs))
+    fun _ regs -> Array.unsafe_set regs r (-x regs)
   | Image.Punop (Mir.Insn.Not, r, o) ->
     let x = operand o in
-    Cpure (fun _ regs -> Array.unsafe_set regs r (if x regs = 0 then 1 else 0))
+    fun _ regs -> Array.unsafe_set regs r (if x regs = 0 then 1 else 0)
   | Image.Pbinop (op, r, a, b) -> compile_binop op r a b
   | Image.Pcmp (a, b) ->
     let x = operand a and y = operand b in
-    Cpure
-      (fun st regs ->
-        st.cc_a <- x regs;
-        st.cc_b <- y regs)
+    fun st regs ->
+      st.cc_a <- x regs;
+      st.cc_b <- y regs
   | Image.Pload (r, slot, idx) ->
     let name = globals.(slot).Image.g_name in
     let ix = operand idx in
-    Ceff
-      (fun st regs ->
-        st.counters.Counters.loads <- st.counters.Counters.loads + 1;
-        let arr = Array.unsafe_get st.memory slot in
-        let i = ix regs in
-        if i < 0 || i >= Array.length arr then
-          trap "out-of-bounds access %s[%d] (size %d)" name i (Array.length arr);
-        Array.unsafe_set regs r (Array.unsafe_get arr i))
+    fun st regs ->
+      st.counters.Counters.loads <- st.counters.Counters.loads + 1;
+      let arr = Array.unsafe_get st.memory slot in
+      let i = ix regs in
+      if i < 0 || i >= Array.length arr then
+        trap "out-of-bounds access %s[%d] (size %d)" name i (Array.length arr);
+      Array.unsafe_set regs r (Array.unsafe_get arr i)
   | Image.Pstore (slot, idx, v) ->
     let name = globals.(slot).Image.g_name in
     let ix = operand idx and ve = operand v in
-    Ceff
-      (fun st regs ->
-        st.counters.Counters.stores <- st.counters.Counters.stores + 1;
-        let arr = Array.unsafe_get st.memory slot in
-        let i = ix regs in
-        if i < 0 || i >= Array.length arr then
-          trap "out-of-bounds access %s[%d] (size %d)" name i (Array.length arr);
-        Array.unsafe_set arr i (ve regs))
+    fun st regs ->
+      st.counters.Counters.stores <- st.counters.Counters.stores + 1;
+      let arr = Array.unsafe_get st.memory slot in
+      let i = ix regs in
+      if i < 0 || i >= Array.length arr then
+        trap "out-of-bounds access %s[%d] (size %d)" name i (Array.length arr);
+      Array.unsafe_set arr i (ve regs)
   | Image.Pcall (dst, fid, args) ->
     let callee = cfuncs.(fid) in
     let nparams = Array.length callee.c_params in
     if Array.length args < nparams then
-      Ceff
-        (fun st _ ->
-          st.counters.Counters.calls <- st.counters.Counters.calls + 1;
-          if st.depth + 1 >= st.max_depth then
-            trap "call depth exceeded in %s" callee.c_name;
-          trap "too few arguments to %s" callee.c_name)
+      (fun st _ ->
+        st.counters.Counters.calls <- st.counters.Counters.calls + 1;
+        if st.depth + 1 >= st.max_depth then
+          trap "call depth exceeded in %s" callee.c_name;
+        trap "too few arguments to %s" callee.c_name)
     else begin
       (* bind the first nparams arguments straight into the callee's
          fresh register file; extra arguments are pure and unused *)
@@ -324,83 +294,76 @@ let compile_insn (cfuncs : cfunc array) (globals : Image.global array)
         Array.init nparams (fun i -> (callee.c_params.(i), operand args.(i)))
       in
       let nregs = max callee.c_nregs 1 in
-      Ceff
-        (fun st regs ->
-          st.counters.Counters.calls <- st.counters.Counters.calls + 1;
-          let d = st.depth + 1 in
-          if d >= st.max_depth then
-            trap "call depth exceeded in %s" callee.c_name;
-          let cregs = Array.make nregs 0 in
-          for i = 0 to nparams - 1 do
-            let slot, ev = Array.unsafe_get binds i in
-            Array.unsafe_set cregs slot (ev regs)
-          done;
-          st.depth <- d;
-          let v = run_blocks st callee.c_blocks cregs in
-          st.depth <- d - 1;
-          if dst >= 0 then Array.unsafe_set regs dst v)
+      fun st regs ->
+        st.counters.Counters.calls <- st.counters.Counters.calls + 1;
+        let d = st.depth + 1 in
+        if d >= st.max_depth then
+          trap "call depth exceeded in %s" callee.c_name;
+        let cregs = Array.make nregs 0 in
+        for i = 0 to nparams - 1 do
+          let slot, ev = Array.unsafe_get binds i in
+          Array.unsafe_set cregs slot (ev regs)
+        done;
+        st.depth <- d;
+        let v = run_blocks st callee.c_blocks cregs in
+        st.depth <- d - 1;
+        if dst >= 0 then Array.unsafe_set regs dst v
     end
   | Image.Pbuiltin (dst, b, args) -> (
     match b with
     | Image.Bgetchar ->
       if dst >= 0 then
-        Ceff
-          (fun st regs ->
-            st.counters.Counters.calls <- st.counters.Counters.calls + 1;
-            Array.unsafe_set regs dst (getchar st))
+        (fun st regs ->
+          st.counters.Counters.calls <- st.counters.Counters.calls + 1;
+          Array.unsafe_set regs dst (getchar st))
       else
-        Ceff
-          (fun st _ ->
-            st.counters.Counters.calls <- st.counters.Counters.calls + 1;
-            ignore (getchar st))
+        (fun st _ ->
+          st.counters.Counters.calls <- st.counters.Counters.calls + 1;
+          ignore (getchar st))
     | Image.Bputchar ->
       let ev = operand args.(0) in
-      Ceff
-        (fun st regs ->
-          st.counters.Counters.calls <- st.counters.Counters.calls + 1;
-          let c = ev regs in
-          Buffer.add_char st.out (Char.chr (c land 255));
-          if dst >= 0 then Array.unsafe_set regs dst c)
+      fun st regs ->
+        st.counters.Counters.calls <- st.counters.Counters.calls + 1;
+        let c = ev regs in
+        Buffer.add_char st.out (Char.chr (c land 255));
+        if dst >= 0 then Array.unsafe_set regs dst c
     | Image.Bprint_int ->
       let ev = operand args.(0) in
-      Ceff
-        (fun st regs ->
-          st.counters.Counters.calls <- st.counters.Counters.calls + 1;
-          Buffer.add_string st.out (string_of_int (ev regs));
-          if dst >= 0 then Array.unsafe_set regs dst 0)
+      fun st regs ->
+        st.counters.Counters.calls <- st.counters.Counters.calls + 1;
+        Buffer.add_string st.out (string_of_int (ev regs));
+        if dst >= 0 then Array.unsafe_set regs dst 0
     | Image.Bexit ->
       let ev = operand args.(0) in
-      Ceff
-        (fun st regs ->
-          st.counters.Counters.calls <- st.counters.Counters.calls + 1;
-          raise (Program_exit (ev regs))))
+      (fun st regs ->
+        st.counters.Counters.calls <- st.counters.Counters.calls + 1;
+        raise (Program_exit (ev regs))))
   | Image.Pprofile_range (id, r) ->
-    Cobs
-      (fun st regs ->
-        match st.profile with
-        | Some p -> Profile.record_range p id (Array.unsafe_get regs r)
-        | None -> ())
+    (fun st regs ->
+      match st.profile with
+      | Some p -> Profile.record_range p id (Array.unsafe_get regs r)
+      | None -> ())
   | Image.Pprofile_comb id ->
-    Cobs
-      (fun st regs ->
-        match st.profile with
-        | Some p ->
-          Profile.record_comb p id ~read_reg:(fun r ->
-              regs.(Mir.Reg.to_int r))
-        | None -> ())
+    (fun st regs ->
+      match st.profile with
+      | Some p ->
+        Profile.record_comb p id ~read_reg:(fun r ->
+            regs.(Mir.Reg.to_int r))
+      | None -> ())
   | Image.Ptrap_insn msg ->
     (* uncharged: a trap thunk raises before paying for itself *)
-    Cobs (fun _ _ -> raise (Trap msg))
+    fun _ _ -> raise (Trap msg)
 
 (* a delay-slot instruction executed standalone: it pays its own charge *)
 let compile_delay_insn cfuncs globals i : code =
-  match compile_insn cfuncs globals i with
-  | Cnop -> fun st _ -> charge_nop st
-  | Cpure c | Ceff c ->
+  match Image.batching i with
+  | Image.Bnop -> fun st _ -> charge_nop st
+  | Image.Bpure | Image.Beffect ->
+    let c = compile_insn cfuncs globals i in
     fun st regs ->
       charge st 1;
       c st regs
-  | Cobs c -> c
+  | Image.Bobserve -> compile_insn cfuncs globals i
 
 (* the delay slot of a non-annulled transfer: filled or a counted nop *)
 let compile_delay cfuncs globals = function
@@ -537,35 +500,17 @@ let compile_term cfuncs globals unknowns ~pending_i ~pending_n
 let compile_block cfuncs globals (f : Image.pfunc) (b : Image.pblock) :
     blockcode =
   let unknowns = f.Image.pf_unknown in
-  (* walk the body accumulating the pure charge batch; effectful
-     instructions force a flush of everything accumulated so far plus
-     their own charge *)
+  let plan = Image.plan b in
   let codes = ref [] in
-  let pending_i = ref 0 and pending_n = ref 0 in
-  Array.iter
-    (fun i ->
-      match compile_insn cfuncs globals i with
-      | Cnop ->
-        incr pending_i;
-        incr pending_n
-      | Cpure c ->
-        incr pending_i;
-        codes := c :: !codes
-      | Ceff c ->
-        codes := c :: flush_code (!pending_i + 1) !pending_n :: !codes;
-        pending_i := 0;
-        pending_n := 0
-      | Cobs c ->
-        if !pending_i > 0 || !pending_n > 0 then
-          codes := flush_code !pending_i !pending_n :: !codes;
-        codes := c :: !codes;
-        pending_i := 0;
-        pending_n := 0)
+  Array.iteri
+    (fun k i ->
+      let pi, pn = plan.Image.flushes.(k) in
+      if pi > 0 then codes := flush_code pi pn :: !codes;
+      if Image.batching i <> Image.Bnop then
+        codes := compile_insn cfuncs globals i :: !codes)
     b.Image.pb_insns;
-  let term =
-    compile_term cfuncs globals unknowns ~pending_i:!pending_i
-      ~pending_n:!pending_n b
-  in
+  let pending_i, pending_n = plan.Image.owed in
+  let term = compile_term cfuncs globals unknowns ~pending_i ~pending_n b in
   let fname = f.Image.pf_name in
   let label = b.Image.pb_label in
   match List.rev !codes with
@@ -608,23 +553,12 @@ let compile (img : Image.t) : t =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_memory (img : Image.t) =
-  Array.map
-    (fun (g : Image.global) ->
-      match g.Image.g_init with
-      | Some init ->
-        let arr = Array.make g.Image.g_size 0 in
-        Array.blit init 0 arr 0 (Array.length init);
-        arr
-      | None -> Array.make g.Image.g_size 0)
-    img.Image.globals
-
 let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
     ?on_block (ct : t) ~input =
   let img = ct.c_image in
   let st =
     {
-      memory = fresh_memory img;
+      memory = Image.fresh_memory img;
       counters = Counters.make ();
       out = Buffer.create 1024;
       input;
@@ -654,14 +588,3 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
     with Program_exit code -> code
   in
   { counters = st.counters; output = Buffer.contents st.out; exit_code }
-
-let run_image ?config ?profile ?on_branch ?on_block img ~input =
-  let sink =
-    match on_branch with
-    | Some f -> Predictor.Sink_fun f
-    | None -> Predictor.Sink_none
-  in
-  exec ?config ?profile ~sink ?on_block (compile img) ~input
-
-let run ?config ?profile ?on_branch ?on_block p ~input =
-  run_image ?config ?profile ?on_branch ?on_block (Image.build p) ~input

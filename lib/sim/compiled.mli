@@ -4,10 +4,10 @@
     once at compile time: operand shapes are resolved, builtins and
     callees are bound, immediate-only arithmetic is constant-folded,
     and there is no per-instruction [match] dispatch.  Counter and
-    fuel updates are charged in block-granular batches precomputed at
-    compile time, with a flush before every observable point so traps,
-    fuel exhaustion and the ten counters are byte-identical to the
-    reference interpreter and the native backend.
+    fuel updates are charged in the block-granular batches of
+    {!Image.plan}, so traps, fuel exhaustion and the ten counters are
+    byte-identical to the reference interpreter and the native
+    backend.
 
     Branch measurement is fused into the loop: conditional-branch
     terminators deliver their outcome straight to a {!Predictor.sink},
@@ -34,23 +34,3 @@ val exec :
 (** Run a compiled program.  [sink] defaults to {!Predictor.Sink_none};
     pass [Sink_bank] for allocation-free measurement or [Sink_fun] for
     the classic [on_branch] closure protocol. *)
-
-val run_image :
-  ?config:Runtime.config ->
-  ?profile:Profile.t ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
-  ?on_block:(func:string -> label:string -> unit) ->
-  Image.t ->
-  input:string ->
-  Runtime.result
-(** Compile and run in one step. *)
-
-val run :
-  ?config:Runtime.config ->
-  ?profile:Profile.t ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
-  ?on_block:(func:string -> label:string -> unit) ->
-  Mir.Program.t ->
-  input:string ->
-  Runtime.result
-(** Build, compile and run a program. *)

@@ -239,3 +239,54 @@ let site_of (t : t) ~func ~label =
       (fun b -> if String.equal b.pb_label label then site := b.pb_site)
       f.pf_blocks;
     if !site < 0 then None else Some !site
+
+let fresh_memory (t : t) =
+  Array.map
+    (fun g ->
+      match g.g_init with
+      | Some init ->
+        let arr = Array.make g.g_size 0 in
+        Array.blit init 0 arr 0 (Array.length init);
+        arr
+      | None -> Array.make g.g_size 0)
+    t.globals
+
+type batching = Bnop | Bpure | Beffect | Bobserve
+
+let batching = function
+  | Pnop -> Bnop
+  | Pmov _ | Punop _ | Pcmp _ -> Bpure
+  (* division and modulus by a register (or zero) can trap *)
+  | Pbinop ((Mir.Insn.Div | Mir.Insn.Rem), _, _, (Pimm 0 | Preg _)) -> Beffect
+  | Pbinop _ -> Bpure
+  | Pload _ | Pstore _ | Pcall _ | Pbuiltin _ -> Beffect
+  | Pprofile_range _ | Pprofile_comb _ | Ptrap_insn _ -> Bobserve
+
+type plan = { flushes : (int * int) array; owed : int * int }
+
+let plan (b : pblock) =
+  let pi = ref 0 and pn = ref 0 in
+  let flushes =
+    Array.map
+      (fun i ->
+        match batching i with
+        | Bnop ->
+          incr pi;
+          incr pn;
+          (0, 0)
+        | Bpure ->
+          incr pi;
+          (0, 0)
+        | Beffect ->
+          let f = (!pi + 1, !pn) in
+          pi := 0;
+          pn := 0;
+          f
+        | Bobserve ->
+          let f = (!pi, !pn) in
+          pi := 0;
+          pn := 0;
+          f)
+      b.pb_insns
+  in
+  { flushes; owed = (!pi, !pn) }

@@ -101,3 +101,44 @@ val find_func : t -> string -> pfunc option
 val site_of : t -> func:string -> label:string -> int option
 (** The site number of the branch terminating the given block, or
     [None] if the function or label does not exist. *)
+
+val fresh_memory : t -> int array array
+(** Zeroed global memory with initializers applied, indexed by slot:
+    the starting state of every fast-backend execution. *)
+
+(** {2 Charge batching}
+
+    Both fast backends charge the instruction counter and fuel in
+    block-granular batches rather than per instruction.  Exactness is
+    kept by flushing the pending batch before every point the outside
+    world can observe: instructions that can trap or perform I/O,
+    profile recordings, and every terminator.  Between two flush points
+    only pure register arithmetic runs, so moving its charges to the
+    flush is indistinguishable — the fuel trap fires under exactly the
+    conditions of the reference interpreter, with the same counters.
+    This section is the one place that decides where batches are
+    flushed; {!Compiled} and {!Native} both consume it. *)
+
+type batching =
+  | Bnop  (** a counted nop: joins the batch and runs no code *)
+  | Bpure  (** no observable effect: joins the batch *)
+  | Beffect
+      (** may trap or perform I/O: the batch and its own charge are
+          flushed before it runs *)
+  | Bobserve
+      (** observable but charges nothing (profile recordings, decode
+          traps): the batch is flushed before it runs *)
+
+val batching : pinsn -> batching
+
+type plan = {
+  flushes : (int * int) array;
+      (** per body instruction, the [(insns, nops)] batch charged just
+          before it runs — for a {!Beffect} this includes its own
+          instruction; [(0, 0)] where nothing is flushed *)
+  owed : int * int;
+      (** the [(insns, nops)] batch still pending when the terminator
+          is reached, which adds its own charge to it *)
+}
+
+val plan : pblock -> plan

@@ -348,5 +348,11 @@ let run ?config ?profile ?on_branch ?on_block ?(backend = `Compiled)
     (p : Mir.Program.t) ~input =
   match backend with
   | `Reference -> run_reference ?config ?profile ?on_branch ?on_block p ~input
-  | `Compiled -> Compiled.run ?config ?profile ?on_branch ?on_block p ~input
-  | `Native -> Native.run ?config ?profile ?on_branch ?on_block p ~input
+  | `Compiled ->
+    let sink = Option.map (fun f -> Predictor.Sink_fun f) on_branch in
+    Compiled.exec ?config ?profile ?sink ?on_block
+      (Compiled.compile (Image.build p))
+      ~input
+  | `Native ->
+    Native.run_image ?config ?profile ?on_branch ?on_block (Image.build p)
+      ~input

@@ -4,13 +4,12 @@
    that depends on the standard library only: each MIR function becomes
    one OCaml function whose basic blocks are mutually tail-recursive
    inner functions, registers are [let]-bound [ref] cells, and the
-   charge batching of {!Compiled} is replayed at code-generation time —
-   pure instructions run straight-line and their counter/fuel charges
-   are flushed, already folded into constants, before every observable
-   point (trapping instructions, I/O, profile recordings, every
-   terminator), so the fuel trap fires under exactly the same
-   conditions and with the same message as the other backends and the
-   ten counters are exact at every exit.
+   charge batching plan of {!Image.plan} is emitted at code-generation
+   time — pure instructions run straight-line and their counter/fuel
+   charges are flushed, already folded into constants, where the plan
+   says, so the fuel trap fires under exactly the same conditions and
+   with the same message as the other backends and the ten counters
+   are exact at every exit.
 
    The module is compiled out of process with [ocamlfind ocamlopt
    -shared] and loaded with [Dynlink.loadfile_private].  The plugin and
@@ -39,7 +38,7 @@
    Artifacts are cached on disk under one subdirectory per
    compiler/ABI fingerprint, one [.cmxs] per content hash of the
    generated source; loaded entry points are additionally memoized in
-   process.  Every failure mode of the toolchain (no ocamlfind, the
+   process, in a single-flight {!Artifact} cache.  Every failure mode of the toolchain (no ocamlfind, the
    compile fails, the artifact will not load) surfaces as [Error] /
    {!Unavailable}, never as a crash, so callers can degrade to the
    closure backend. *)
@@ -78,20 +77,12 @@ type stats = {
   quarantined : int;
 }
 
-let s_memo_hits = ref 0
-let s_disk_hits = ref 0
-let s_misses = ref 0
-let s_compiles = ref 0
-let s_memo_evictions = ref 0
-let s_quarantined = ref 0
-
-let reset_stats () =
-  s_memo_hits := 0;
-  s_disk_hits := 0;
-  s_misses := 0;
-  s_compiles := 0;
-  s_memo_evictions := 0;
-  s_quarantined := 0
+(* the memo's own hits, evictions and size are counted by its
+   {!Artifact} cache below *)
+let s_disk_hits = Atomic.make 0
+let s_misses = Atomic.make 0
+let s_compiles = Atomic.make 0
+let s_quarantined = Atomic.make 0
 
 (* ------------------------------------------------------------------ *)
 (* The host side of the plugin interface                               *)
@@ -170,27 +161,6 @@ let cond_op : Mir.Cond.t -> string = function
   | Mir.Cond.Le -> "<="
   | Mir.Cond.Gt -> ">"
   | Mir.Cond.Ge -> ">="
-
-(* how an instruction participates in charge batching; mirrors
-   {!Compiled.comp} *)
-type ikind =
-  | Knop
-  | Kpure
-  | Keff
-  | Kobs
-
-let classify (i : Image.pinsn) : ikind =
-  match i with
-  | Image.Pnop -> Knop
-  | Image.Pmov _ | Image.Punop _ | Image.Pcmp _ -> Kpure
-  | Image.Pbinop ((Mir.Insn.Div | Mir.Insn.Rem), _, _, b) -> (
-    match b with
-    | Image.Pimm 0 -> Keff  (* traps *)
-    | Image.Pimm _ -> Kpure
-    | Image.Preg _ -> Keff)
-  | Image.Pbinop _ -> Kpure
-  | Image.Pload _ | Image.Pstore _ | Image.Pcall _ | Image.Pbuiltin _ -> Keff
-  | Image.Pprofile_range _ | Image.Pprofile_comb _ | Image.Ptrap_insn _ -> Kobs
 
 let generate (img : Image.t) : string * exn array =
   let b = Buffer.create 16384 in
@@ -331,12 +301,12 @@ let generate (img : Image.t) : string * exn array =
     match i with
     | None -> pf "%snp ();\n" ind
     | Some i -> (
-      match classify i with
-      | Knop -> pf "%snp ();\n" ind
-      | Kpure | Keff ->
+      match Image.batching i with
+      | Image.Bnop -> pf "%snp ();\n" ind
+      | Image.Bpure | Image.Beffect ->
         pf "%sch 1;\n" ind;
         gen_insn ind i
-      | Kobs -> gen_insn ind i)
+      | Image.Bobserve -> gen_insn ind i)
   in
 
   let gen_func fid (f : Image.pfunc) =
@@ -443,31 +413,18 @@ let generate (img : Image.t) : string * exn array =
           pf "      if ublock then on_block %S %S;\n" f.Image.pf_name
             blk.Image.pb_label;
           let ind = "      " in
-          let pi = ref 0 and pn = ref 0 in
-          Array.iter
-            (fun i ->
-              match classify i with
-              | Knop ->
-                incr pi;
-                incr pn
-              | Kpure ->
-                incr pi;
-                gen_insn ind i
-              | Keff ->
-                gen_flush ind (!pi + 1) !pn;
-                pi := 0;
-                pn := 0;
-                gen_insn ind i
-              | Kobs ->
-                gen_flush ind !pi !pn;
-                pi := 0;
-                pn := 0;
-                gen_insn ind i)
+          let plan = Image.plan blk in
+          Array.iteri
+            (fun k i ->
+              let fi, fn = plan.Image.flushes.(k) in
+              gen_flush ind fi fn;
+              gen_insn ind i)
             blk.Image.pb_insns;
+          let pi, pn = plan.Image.owed in
           let site = blk.Image.pb_site in
           (match blk.Image.pb_term with
           | Image.Pbr (cond, t, nt, nt_falls) ->
-            gen_flush ind (!pi + 1) !pn;
+            gen_flush ind (pi + 1) pn;
             pf "      bump %d;\n" ix_cond;
             pf "      if !cc_a %s !cc_b then begin\n" (cond_op cond);
             pf "        bump %d;\n" ix_taken;
@@ -496,17 +453,17 @@ let generate (img : Image.t) : string * exn array =
               if t < 0 then
                 raise
                   (Unsupported "fall-through jump to an unknown label");
-              gen_flush ind !pi !pn;
+              gen_flush ind pi pn;
               pf "      b_%d ()\n" t
             end
             else begin
-              gen_flush ind (!pi + 1) !pn;
+              gen_flush ind (pi + 1) pn;
               pf "      bump %d;\n" ix_jumps;
               gen_delay ind blk.Image.pb_delay;
               pf "      %s\n" (target t)
             end
           | Image.Pjtab (r, table) ->
-            gen_flush ind (!pi + 1) !pn;
+            gen_flush ind (pi + 1) pn;
             pf "      bump %d;\n" ix_indirect;
             gen_delay ind blk.Image.pb_delay;
             pf "      let ix = !r%d in\n" r;
@@ -529,7 +486,7 @@ let generate (img : Image.t) : string * exn array =
               pf "       | _ -> %s)\n" (target table.(n - 1))
             end
           | Image.Pret v ->
-            gen_flush ind (!pi + 1) !pn;
+            gen_flush ind (pi + 1) pn;
             pf "      bump %d;\n" ix_returns;
             (* the delay slot runs before the return value is read *)
             gen_delay ind blk.Image.pb_delay;
@@ -538,10 +495,10 @@ let generate (img : Image.t) : string * exn array =
             | Some (Image.Pimm n) -> pf "      (%d)\n" n
             | Some (Image.Preg r) -> pf "      !r%d\n" r)
           | Image.Ptrap_term msg ->
-            gen_flush ind !pi !pn;
+            gen_flush ind pi pn;
             pf "      trap %S\n" msg
           | Image.Praise_term e ->
-            gen_flush ind !pi !pn;
+            gen_flush ind pi pn;
             pf "      raisek %d\n" (raise_slot e)))
         f.Image.pf_blocks;
       pf "    in\n";
@@ -695,7 +652,7 @@ type toolchain = { tc_ocamlfind : string; tc_version : string }
 (* once-per-process memos, by hand: OCaml [lazy] is not domain-safe
    (two domains forcing at once raise CamlinternalLazy.Undefined), and
    suite jobs reach these from every domain in the pool.  Each memo has
-   its own lock, taken strictly before the global [prepare] lock (the
+   its own lock, taken strictly before the locks {!prepare} takes (the
    probe runs a full prepare) and never the other way round. *)
 let memoize lock cell compute () =
   Mutex.lock lock;
@@ -834,7 +791,7 @@ let quarantine ~root cmxs =
   (try Sys.rename cmxs dest
    with _ -> ( try Sys.remove cmxs with _ -> ()));
   (try Sys.remove (sum_path cmxs) with _ -> ());
-  incr s_quarantined
+  Atomic.incr s_quarantined
 
 let remove_tree dir =
   let removed = ref 0 in
@@ -860,80 +817,60 @@ let remove_tree dir =
 (* Compilation and loading                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* serializes codegen-compile-load and the memo table: Dynlink is not
-   safe to call from several domains at once *)
-let lock = Mutex.create ()
-
-(* the in-process memo of loaded entry points, bounded by an LRU cap so
-   a long-running daemon serving an open-ended stream of programs does
-   not grow its table without limit.  Eviction drops the table's
-   reference to the entry closure (a later request reloads from the
-   on-disk store); the mapped plugin code itself is never unloaded —
+(* the in-process memo of loaded entry points, keyed like the on-disk
+   store.  Single-flight per key: concurrent requests for one cold image
+   wait for a single build while different images compile in parallel.
+   The LRU cap keeps a long-running daemon serving an open-ended stream
+   of programs from growing the memo without limit.  Eviction drops the
+   memo's reference to the entry closure (a later request reloads from
+   the on-disk store); the mapped plugin code itself is never unloaded —
    Dynlink cannot — so the cap bounds table growth, not address space
    already paid for. *)
-type memo_entry = { me_entry : ctx -> int; mutable me_tick : int }
-
-let memo : (string, memo_entry) Hashtbl.t = Hashtbl.create 16
-let memo_tick = ref 0
-
-let default_memo_capacity =
-  match Sys.getenv_opt "BROMC_NATIVE_MEMO_CAP" with
-  | Some s -> ( match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 512)
-  | None -> 512
-
-let memo_cap = ref default_memo_capacity
-
-(* caller holds [lock] *)
-let enforce_memo_cap_locked () =
-  if !memo_cap > 0 then
-    while Hashtbl.length memo > !memo_cap do
-      let victim = ref None in
-      Hashtbl.iter
-        (fun k (e : memo_entry) ->
-          match !victim with
-          | Some (_, t) when t <= e.me_tick -> ()
-          | _ -> victim := Some (k, e.me_tick))
-        memo;
-      match !victim with
-      | None -> assert false
-      | Some (k, _) ->
-        Hashtbl.remove memo k;
-        incr s_memo_evictions
-    done
+let memo : (ctx -> int) Artifact.t =
+  let capacity =
+    match
+      Option.bind (Sys.getenv_opt "BROMC_NATIVE_MEMO_CAP") int_of_string_opt
+    with
+    | Some n when n >= 0 -> n
+    | _ -> 512
+  in
+  Artifact.create ~capacity ~name:"native" ()
 
 let set_memo_capacity n =
   if n < 0 then invalid_arg "Native.set_memo_capacity: negative";
-  Mutex.lock lock;
-  memo_cap := n;
-  enforce_memo_cap_locked ();
-  Mutex.unlock lock
+  Artifact.set_capacity memo n
 
-let memo_capacity () = !memo_cap
+let memo_capacity () = (Artifact.stats memo).Artifact.a_capacity
+let clear_memo () = ignore (Artifact.clear memo)
 
 let stats () =
-  Mutex.lock lock;
-  let entries = Hashtbl.length memo in
-  Mutex.unlock lock;
+  let m = Artifact.stats memo in
   {
-    memo_hits = !s_memo_hits;
-    disk_hits = !s_disk_hits;
-    misses = !s_misses;
-    compiles = !s_compiles;
-    memo_evictions = !s_memo_evictions;
-    memo_entries = entries;
-    memo_capacity = !memo_cap;
-    quarantined = !s_quarantined;
+    memo_hits = m.Artifact.a_hits;
+    disk_hits = Atomic.get s_disk_hits;
+    misses = Atomic.get s_misses;
+    compiles = Atomic.get s_compiles;
+    memo_evictions = m.Artifact.a_evictions;
+    memo_entries = m.Artifact.a_entries;
+    memo_capacity = m.Artifact.a_capacity;
+    quarantined = Atomic.get s_quarantined;
   }
 
-let clear_memo () =
-  Mutex.lock lock;
-  Hashtbl.reset memo;
-  Mutex.unlock lock
+let reset_stats () =
+  Artifact.reset_stats memo;
+  List.iter
+    (fun c -> Atomic.set c 0)
+    [ s_disk_hits; s_misses; s_compiles; s_quarantined ]
+
+(* Dynlink is not safe to call from several domains at once.  This is
+   the only lock preparation takes of its own, and it is never held
+   across a compile *)
+let dynlink_lock = Mutex.create ()
 
 (* fish the entry closure out of the plugin's [Handoff] initializer
    exception (see the header comment) *)
 let load_entry path : (ctx -> int, string) Stdlib.result =
-  match Dynlink.loadfile_private path with
+  match Mutex.protect dynlink_lock (fun () -> Dynlink.loadfile_private path) with
   | () -> Error "plugin loaded but did not hand off an entry point"
   | exception Dynlink.Error (Dynlink.Library's_module_initializers_failed e)
     ->
@@ -963,7 +900,6 @@ type t = {
   n_image : Image.t;
   n_entry : ctx -> int;
   n_raises : exn array;
-  n_key : string;
 }
 
 let image t = t.n_image
@@ -989,7 +925,7 @@ let compile_and_load tc ~build_dir ~modname ~source ~install =
          excerpt)
   end
   else begin
-    incr s_compiles;
+    Atomic.incr s_compiles;
     let final =
       match install with
       | Some dest ->
@@ -1009,6 +945,8 @@ let compile_and_load tc ~build_dir ~modname ~source ~install =
     r
   end
 
+exception Load_failed of string
+
 let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
   if not !enabled_flag then Error "native backend disabled"
   else
@@ -1017,101 +955,69 @@ let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
     | source, n_raises -> (
       match toolchain () with
       | Error e -> Error e
-      | Ok tc ->
+      | Ok tc -> (
         let fpr = fingerprint_of tc in
         let key = Digest.to_hex (Digest.string (fpr ^ "\n" ^ source)) in
         let modname = "bromc_native_" ^ key in
-        let finish entry =
-          Ok { n_image = img; n_entry = entry; n_raises; n_key = key }
+        let load () =
+          let use_cache =
+            match use_cache with Some b -> b | None -> !default_use_cache
+          in
+          let root =
+            match cache_dir with Some d -> d | None -> default_cache_root ()
+          in
+          let cached =
+            Filename.concat (Filename.concat root fpr) (modname ^ ".cmxs")
+          in
+          let build () =
+            Atomic.incr s_misses;
+            let build_dir =
+              if use_cache then
+                Filename.concat root
+                  (Printf.sprintf "tmp-%d-%s" (Unix.getpid ()) key)
+              else
+                Filename.concat
+                  (Filename.get_temp_dir_name ())
+                  (Printf.sprintf "bromc-native-%d-%s" (Unix.getpid ()) key)
+            in
+            compile_and_load tc ~build_dir ~modname ~source
+              ~install:(if use_cache then Some cached else None)
+          in
+          let rebuild_after_quarantine () =
+            quarantine ~root cached;
+            build ()
+          in
+          let loaded =
+            if use_cache && Sys.file_exists cached then begin
+              match checksum_ok cached with
+              | Some false ->
+                (* bytes do not match the sidecar: the store is corrupt;
+                   move the artifact aside and rebuild *)
+                rebuild_after_quarantine ()
+              | (Some true | None) as verdict -> (
+                (* no sidecar = an artifact predating checksums: adopt it
+                   by writing one now *)
+                if verdict = None then write_sum cached;
+                match load_entry cached with
+                | Ok e ->
+                  Atomic.incr s_disk_hits;
+                  Ok e
+                | Error _ ->
+                  (* checksum fine but Dynlink rejects it (stale schema,
+                     ABI skew): same remedy *)
+                  rebuild_after_quarantine ())
+            end
+            else build ()
+          in
+          match loaded with Ok e -> e | Error e -> raise (Load_failed e)
         in
-        Mutex.lock lock;
-        let r =
-          match Hashtbl.find_opt memo key with
-          | Some me ->
-            incr s_memo_hits;
-            incr memo_tick;
-            me.me_tick <- !memo_tick;
-            finish me.me_entry
-          | None -> (
-            let use_cache =
-              match use_cache with
-              | Some b -> b
-              | None -> !default_use_cache
-            in
-            let root =
-              match cache_dir with
-              | Some d -> d
-              | None -> default_cache_root ()
-            in
-            let cached =
-              Filename.concat (Filename.concat root fpr) (modname ^ ".cmxs")
-            in
-            let build ~counted_miss =
-              if not counted_miss then incr s_misses;
-              let build_dir =
-                if use_cache then
-                  Filename.concat root
-                    (Printf.sprintf "tmp-%d-%s" (Unix.getpid ()) key)
-                else
-                  Filename.concat
-                    (Filename.get_temp_dir_name ())
-                    (Printf.sprintf "bromc-native-%d-%s" (Unix.getpid ()) key)
-              in
-              compile_and_load tc ~build_dir ~modname ~source
-                ~install:(if use_cache then Some cached else None)
-            in
-            let rebuild_after_quarantine () =
-              quarantine ~root cached;
-              incr s_misses;
-              build ~counted_miss:true
-            in
-            let loaded =
-              if use_cache && Sys.file_exists cached then begin
-                match checksum_ok cached with
-                | Some false ->
-                  (* bytes do not match the sidecar: the store is
-                     corrupt; move the artifact aside and rebuild *)
-                  rebuild_after_quarantine ()
-                | (Some true | None) as verdict -> (
-                  (* no sidecar = an artifact predating checksums:
-                     adopt it by writing one now *)
-                  if verdict = None then write_sum cached;
-                  match load_entry cached with
-                  | Ok e ->
-                    incr s_disk_hits;
-                    Ok e
-                  | Error _ ->
-                    (* checksum fine but Dynlink rejects it (stale
-                       schema, ABI skew): same remedy *)
-                    rebuild_after_quarantine ())
-              end
-              else build ~counted_miss:false
-            in
-            match loaded with
-            | Ok entry ->
-              incr memo_tick;
-              Hashtbl.replace memo key { me_entry = entry; me_tick = !memo_tick };
-              enforce_memo_cap_locked ();
-              finish entry
-            | Error e -> Error e)
-        in
-        Mutex.unlock lock;
-        r)
+        match Artifact.find_or_build memo key load with
+        | entry -> Ok { n_image = img; n_entry = entry; n_raises }
+        | exception Load_failed e -> Error e))
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let fresh_memory (img : Image.t) =
-  Array.map
-    (fun (g : Image.global) ->
-      match g.Image.g_init with
-      | Some init ->
-        let arr = Array.make g.Image.g_size 0 in
-        Array.blit init 0 arr 0 (Array.length init);
-        arr
-      | None -> Array.make g.Image.g_size 0)
-    img.Image.globals
 
 let no_sink_fun _ _ = ()
 let no_drain _ _ = ()
@@ -1140,7 +1046,7 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
   let raises = t.n_raises in
   let ctx =
     {
-      x_mem = fresh_memory t.n_image;
+      x_mem = Image.fresh_memory t.n_image;
       x_input = input;
       x_fuel = config.fuel;
       x_max_depth = config.max_depth;
@@ -1199,9 +1105,6 @@ let run_image ?config ?profile ?sink ?on_branch ?on_block ?cache_dir
   match prepare ?cache_dir ?use_cache img with
   | Error msg -> raise (Unavailable msg)
   | Ok t -> exec ?config ?profile ?sink ?on_block t ~input
-
-let run ?config ?profile ?on_branch ?on_block p ~input =
-  run_image ?config ?profile ?on_branch ?on_block (Image.build p) ~input
 
 (* ------------------------------------------------------------------ *)
 (* Availability probe                                                  *)

@@ -2,8 +2,9 @@
 
     Emits a {!Image.t} as OCaml source — basic blocks become mutually
     tail-recursive functions, registers become [let]-bound mutable
-    cells, counter/fuel charging and predictor-event delivery are
-    inlined at branch terminators — compiles it out of process with
+    cells, counter/fuel charging follows {!Image.plan} and predictor
+    events are delivered at branch terminators — compiles it out of
+    process with
     [ocamlfind ocamlopt -shared], loads the resulting [.cmxs] with
     [Dynlink.loadfile_private], and executes it with observable
     behaviour byte-identical to the other two backends (output, exit
@@ -14,7 +15,8 @@
     the generated source (which the image fully determines) plus a
     compiler/ABI fingerprint, so repeated runs of the same image pay
     code generation once per machine, and once per process thanks to an
-    in-memory table of loaded entry points.
+    in-memory table of loaded entry points: the {!Artifact} cache named
+    [native], single-flight per content key.
 
     Hosts without a working [ocamlfind]/native toolchain do not fail:
     {!prepare} returns [Error], {!run_image} raises {!Unavailable}, and
@@ -93,16 +95,6 @@ val run_image :
     repeated calls on equal images do not re-prepare).  Raises
     {!Unavailable} when the backend cannot run.  [on_branch] is
     shorthand for [~sink:(Sink_fun ...)]. *)
-
-val run :
-  ?config:Runtime.config ->
-  ?profile:Profile.t ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
-  ?on_block:(func:string -> label:string -> unit) ->
-  Mir.Program.t ->
-  input:string ->
-  Runtime.result
-(** [run_image] of {!Image.build}. *)
 
 val generate : Image.t -> string * exn array
 (** The generated plugin source and the table of decode-time exceptions

@@ -204,9 +204,106 @@ let test_watchdog_fires () =
       cancel = Some (fun () -> true);
     }
   in
-  match Sim.Native.run ~config prog ~input:"" with
+  match Sim.Native.run_image ~config (Sim.Image.build prog) ~input:"" with
   | _ -> Alcotest.fail "expected Cancelled"
   | exception Sim.Runtime.Cancelled -> ()
+
+(* Fuel-sweep parity: both fast backends charge in batches, so a fuel
+   trap is exact only if every batch is flushed where the reference
+   interpreter would have run out.  Sweep every budget from 0 to the
+   run's total + 2 and require the three engines to agree on what the
+   outside world sees: the trap message, or output, exit code and
+   counters; plus the branch events delivered and the profile counters
+   recorded up to that point.  Native joins when a toolchain exists. *)
+let fuel_sweep ~name ?profile prog ~input =
+  let image = Sim.Image.build prog in
+  let compiled = Sim.Compiled.compile image in
+  let observe run fuel =
+    let events = ref [] in
+    let on_branch ~site ~taken = events := (site, taken) :: !events in
+    let table = Option.map Sim.Profile.copy_shape profile in
+    let config = { Sim.Machine.default_config with Sim.Machine.fuel } in
+    let outcome =
+      match run ~config ~profile:table ~on_branch with
+      | (r : Sim.Machine.result) ->
+        Ok (r.Sim.Machine.output, r.Sim.Machine.exit_code,
+            counter_fields r.Sim.Machine.counters)
+      | exception Sim.Machine.Trap m -> Error m
+    in
+    (outcome, List.rev !events, Option.map Sim.Profile.counters table)
+  in
+  let reference ~config ~profile ~on_branch =
+    Sim.Machine.run_reference ~config ?profile ~on_branch prog ~input
+  in
+  let engines =
+    ("compiled", fun ~config ~profile ~on_branch ->
+        Sim.Compiled.exec ~config ?profile
+          ~sink:(Sim.Predictor.Sink_fun on_branch) compiled ~input)
+    ::
+    (if Sim.Native.available () then
+       match Sim.Native.prepare image with
+       | Ok t ->
+         [ ("native", fun ~config ~profile ~on_branch ->
+               Sim.Native.exec ~config ?profile
+                 ~sink:(Sim.Predictor.Sink_fun on_branch) t ~input) ]
+       | Error e -> Alcotest.failf "%s: native prepare: %s" name e
+     else [])
+  in
+  let total =
+    match observe reference max_int with
+    | Ok (_, _, counters), _, _ -> List.assoc "insns" counters
+    | Error m, _, _ -> Alcotest.failf "%s traps without a fuel limit: %s" name m
+  in
+  let show = function
+    | Ok (_, code, counters) ->
+      Printf.sprintf "exit %d, %d insns" code (List.assoc "insns" counters)
+    | Error m -> "trap: " ^ m
+  in
+  for fuel = 0 to total + 2 do
+    let expect = observe reference fuel in
+    List.iter
+      (fun (engine, run) ->
+        let outcome, events, counts = observe run fuel in
+        let want, want_events, want_counts = expect in
+        let diverges what =
+          Alcotest.failf "%s: %s %s diverge from reference at fuel %d" name
+            engine what fuel
+        in
+        if outcome <> want then
+          diverges
+            (Printf.sprintf "outcomes (%s vs %s)" (show outcome) (show want));
+        if events <> want_events then diverges "branch events";
+        if counts <> want_counts then diverges "profile counters")
+      engines
+  done
+
+let test_fuel_sweep () =
+  List.iter
+    (fun (hs : Mopt.Switch_lower.heuristic_set) ->
+      fuel_sweep
+        ~name:("torture/" ^ hs.Mopt.Switch_lower.hs_name)
+        (compile_final ~heuristic:hs torture_src)
+        ~input:"Hello, branch reordering world! 0123456789")
+    Mopt.Switch_lower.all_sets;
+  let w = Workloads.Registry.find "wc" in
+  let input = String.sub (Lazy.force w.Workloads.Spec.test_input) 0 200 in
+  let config = Driver.Config.default in
+  let r =
+    reorder_pipeline ~config ~training_input:input ~test_input:input
+      w.Workloads.Spec.source
+  in
+  check_bool "wc has reordered sequences" true
+    (Reorder.Pass.reordered_count r.Driver.Pipeline.r_report > 0);
+  fuel_sweep ~name:"wc reordered"
+    r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_program ~input;
+  (* the training clone records profile counts at every sequence head,
+     which are flush points of their own *)
+  let base = Driver.Pipeline.compile_base config w.Workloads.Spec.source in
+  let train, table =
+    Driver.Pipeline.instrument config base
+      (Driver.Pipeline.detect_seqs config base)
+  in
+  fuel_sweep ~name:"wc training clone" ~profile:table train ~input
 
 (* ------------------------------------------------------------------ *)
 (* The artifact store                                                  *)
@@ -523,6 +620,7 @@ let suite =
     slow_case "reordered pipeline output" test_reordered_version;
     case "trap messages identical" test_trap_messages;
     case "watchdog fires inside native code" test_watchdog_fires;
+    slow_case "fuel sweep: every budget, three engines agree" test_fuel_sweep;
     case "cache: miss, disk hit, memo hit, determinism"
       test_cache_hit_determinism;
     case "cache: use_cache:false leaves the store untouched"

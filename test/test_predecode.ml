@@ -242,13 +242,14 @@ let test_all_workloads () =
         Workloads.Registry.all)
     Mopt.Switch_lower.all_sets
 
-(* the prebuilt-image entry point must agree with run on a fresh build,
-   and one image must serve repeated runs unchanged *)
+(* a prebuilt image must agree with run on a fresh build, and one image
+   must serve repeated compilations and runs unchanged *)
 let test_run_image_reuse () =
   let prog = compile_final "int main() { print_int(42); return 3; }" in
   let image = Sim.Image.build prog in
-  let a = Sim.Compiled.run_image image ~input:"" in
-  let b = Sim.Compiled.run_image image ~input:"" in
+  let run () = Sim.Compiled.exec (Sim.Compiled.compile image) ~input:"" in
+  let a = run () in
+  let b = run () in
   let c = Sim.Machine.run prog ~input:"" in
   check_output "first" c.Sim.Machine.output a.Sim.Runtime.output;
   check_output "second (image reused)" c.Sim.Machine.output
