@@ -40,6 +40,8 @@ type artifact = {
   a_served : Mir.Program.t;  (* reordered + finalized *)
   a_image : Sim.Image.t;
   a_compiled : Sim.Compiled.t;
+  a_native : Sim.Native.t option Atomic.t;
+      (* prepared by this generation's first native request *)
 }
 
 type entry = {
@@ -59,6 +61,7 @@ type entry = {
 
 type t = {
   config : Config.t;
+  fingerprint : string;  (* [config_fingerprint config] *)
   policy : Guard.policy;
   pool : Pool.Workers.t;
   sample_every : int;
@@ -128,7 +131,7 @@ let config_fingerprint (c : Config.t) =
     (string_of_int c.Config.fuel)
 
 let content_key t source =
-  Digest.to_hex (Digest.string (config_fingerprint t.config ^ "\x00" ^ source))
+  Digest.to_hex (Digest.string (t.fingerprint ^ "\x00" ^ source))
 
 let gen_key key gen = Printf.sprintf "%s#g%d" key gen
 
@@ -163,6 +166,7 @@ let build_artifact t ~key ~generation ~signature served =
     a_served = served;
     a_image = image;
     a_compiled = compiled;
+    a_native = Atomic.make None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -379,6 +383,7 @@ let create ?(config = Config.default) ?policy ?domains ?(sample_every = 4)
   let t =
     {
       config;
+      fingerprint = config_fingerprint config;
       policy;
       pool;
       sample_every;
@@ -507,9 +512,22 @@ let exec_rung t (art : artifact) backend ~cancel ~input =
   let sc = sim_config ~cancel t in
   match backend with
   | `Native ->
-    Sim.Native.run_image ~config:sc
-      ?cache_dir:t.config.Config.native_cache_dir
-      ~use_cache:t.config.Config.native_cache art.a_image ~input
+    let n =
+      match Atomic.get art.a_native with
+      | Some n when Sim.Native.current n -> n
+      | _ -> (
+        (* lazily, inside the guarded request; a failure is not held,
+           so the next request tries again *)
+        match
+          Sim.Native.prepare ?cache_dir:t.config.Config.native_cache_dir
+            ~use_cache:t.config.Config.native_cache art.a_image
+        with
+        | Ok n ->
+          Atomic.set art.a_native (Some n);
+          n
+        | Error msg -> raise (Sim.Native.Unavailable msg))
+    in
+    Sim.Native.exec ~config:sc n ~input
   | `Compiled -> Sim.Compiled.exec ~config:sc art.a_compiled ~input
   | `Reference -> Sim.Machine.run_reference ~config:sc art.a_served ~input
 

@@ -841,7 +841,16 @@ let set_memo_capacity n =
   Artifact.set_capacity memo n
 
 let memo_capacity () = (Artifact.stats memo).Artifact.a_capacity
-let clear_memo () = ignore (Artifact.clear memo)
+
+(* bumped by [clear_memo].  Memo keys carry the epoch, so a load still
+   in flight when the memo is cleared lands under a dead key instead of
+   serving later requests, and a handle prepared under an older epoch
+   is retired: its holder prepares again *)
+let memo_epoch = Atomic.make 0
+
+let clear_memo () =
+  Atomic.incr memo_epoch;
+  ignore (Artifact.clear memo)
 
 let stats () =
   let m = Artifact.stats memo in
@@ -900,9 +909,11 @@ type t = {
   n_image : Image.t;
   n_entry : ctx -> int;
   n_raises : exn array;
+  n_epoch : int;  (* [memo_epoch] when preparation began *)
 }
 
 let image t = t.n_image
+let current t = t.n_epoch = Atomic.get memo_epoch
 
 let compile_and_load tc ~build_dir ~modname ~source ~install =
   mkdirs build_dir;
@@ -947,7 +958,10 @@ let compile_and_load tc ~build_dir ~modname ~source ~install =
 
 exception Load_failed of string
 
+let build_seq = Atomic.make 0
+
 let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
+  let n_epoch = Atomic.get memo_epoch in
   if not !enabled_flag then Error "native backend disabled"
   else
     match generate img with
@@ -971,14 +985,19 @@ let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
           in
           let build () =
             Atomic.incr s_misses;
+            (* a load left in flight by [clear_memo] may build the same
+               key beside its successor: one directory per build *)
+            let tag =
+              Printf.sprintf "%d-%d-%s" (Unix.getpid ())
+                (Atomic.fetch_and_add build_seq 1)
+                key
+            in
             let build_dir =
-              if use_cache then
-                Filename.concat root
-                  (Printf.sprintf "tmp-%d-%s" (Unix.getpid ()) key)
+              if use_cache then Filename.concat root ("tmp-" ^ tag)
               else
                 Filename.concat
                   (Filename.get_temp_dir_name ())
-                  (Printf.sprintf "bromc-native-%d-%s" (Unix.getpid ()) key)
+                  ("bromc-native-" ^ tag)
             in
             compile_and_load tc ~build_dir ~modname ~source
               ~install:(if use_cache then Some cached else None)
@@ -1011,8 +1030,12 @@ let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
           in
           match loaded with Ok e -> e | Error e -> raise (Load_failed e)
         in
-        match Artifact.find_or_build memo key load with
-        | entry -> Ok { n_image = img; n_entry = entry; n_raises }
+        match
+          Artifact.find_or_build memo
+            (Printf.sprintf "%s@%d" key n_epoch)
+            load
+        with
+        | entry -> Ok { n_image = img; n_entry = entry; n_raises; n_epoch }
         | exception Load_failed e -> Error e))
 
 (* ------------------------------------------------------------------ *)

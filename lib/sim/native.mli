@@ -59,6 +59,11 @@ type t
 
 val image : t -> Image.t
 
+val current : t -> bool
+(** [false] once {!clear_memo} has run since the handle was prepared.
+    A caller that holds a handle across requests checks this (one
+    atomic read) and prepares again when it is retired. *)
+
 val prepare :
   ?cache_dir:string -> ?use_cache:bool -> Image.t -> (t, string) result
 (** Generate, compile and load [img].  [Error] carries a diagnostic
@@ -91,10 +96,13 @@ val run_image :
   Image.t ->
   input:string ->
   Runtime.result
-(** {!prepare} + {!exec} (the prepared entry is memoized in-process, so
-    repeated calls on equal images do not re-prepare).  Raises
-    {!Unavailable} when the backend cannot run.  [on_branch] is
-    shorthand for [~sink:(Sink_fun ...)]. *)
+(** {!prepare} + {!exec}.  Every call prepares again: it regenerates
+    the plugin source, digests it and looks the digest up in the
+    in-process memo, which costs several times the execution of a
+    small program.  Only the compile and the load are memoized.  A
+    caller that runs one image many times should {!prepare} it once and
+    {!exec} the handle.  Raises {!Unavailable} when the backend cannot
+    run.  [on_branch] is shorthand for [~sink:(Sink_fun ...)]. *)
 
 val generate : Image.t -> string * exn array
 (** The generated plugin source and the table of decode-time exceptions
@@ -132,8 +140,11 @@ val memo_capacity : unit -> int
 val clear_memo : unit -> unit
 (** Drop the in-process table of loaded entry points (already-mapped
     plugins stay mapped); the next {!prepare} of a known image is
-    served from the on-disk store again.  For cache tests — production
-    code has no reason to call this. *)
+    served from the on-disk store again, even when a load of it was
+    still in flight at the clear.  It also retires every handle
+    already prepared ({!current} turns [false]), so a holder that
+    checks it reloads from the store too.  For cache tests and fault
+    injection — production code has no reason to call this. *)
 
 (** The on-disk artifact store.  Layout: one subdirectory per
     compiler/ABI fingerprint, one [.cmxs] per image content hash with a

@@ -509,6 +509,78 @@ let with_state_dir f =
   in
   Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
+(* Each generation prepares its native plugin once and later requests
+   run the held handle; [clear_memo] retires the handle, so the next
+   request reloads from the on-disk store. *)
+let test_server_native_prepare_per_generation () =
+  if not (Sim.Native.available ()) then Alcotest.skip ();
+  with_state_dir (fun dir ->
+      let config =
+        {
+          Driver.Config.default with
+          Driver.Config.backend = `Native;
+          native_cache_dir = Some dir;
+        }
+      in
+      let srv =
+        Driver.Server.create ~config ~domains:1 ~sample_every:1
+          ~merge_every:1 ~drift_min_execs:8 ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv)
+        (fun () ->
+          let source = Driver.Replay.drift_source in
+          let prepares () =
+            let s = Sim.Native.stats () in
+            s.Sim.Native.memo_hits + s.Sim.Native.disk_hits
+            + s.Sim.Native.misses
+          in
+          let submit phase seed =
+            let input = Driver.Replay.drift_input ~phase ~seed in
+            let r = Driver.Server.submit srv ~name:"drift" ~source ~input in
+            check_output "request ok" "ok" r.Driver.Server.rs_status;
+            check_output "served natively" "native" r.Driver.Server.rs_backend;
+            let out, code =
+              Driver.Server.oracle srv ~name:"drift" ~source ~input
+            in
+            check_output "output equals the oracle" out
+              r.Driver.Server.rs_output;
+            check_int "exit code equals the oracle" code
+              r.Driver.Server.rs_exit_code;
+            r.Driver.Server.rs_generation
+          in
+          let p0 = prepares () in
+          (* the input it trained on: the profile keeps its shape, so
+             no merge re-optimizes *)
+          for _ = 1 to 20 do
+            check_int "phase 0 stays on generation 1" 1 (submit 0 1)
+          done;
+          check_int "20 requests, one prepare" 1 (prepares () - p0);
+          (* the phase flip of the drift test re-optimizes; every new
+             generation served prepares exactly once *)
+          let p1 = prepares () in
+          let gens = Hashtbl.create 4 in
+          for s = 1 to 16 do
+            Hashtbl.replace gens (submit 1 s) ()
+          done;
+          Hashtbl.remove gens 1;
+          check_bool "the flip served a new generation" true
+            (Hashtbl.length gens >= 1);
+          check_int "one prepare per new generation" (Hashtbl.length gens)
+            (prepares () - p1);
+          (* the store still holds the plugin, so a retired handle is
+             reloaded from disk, not recompiled *)
+          let s0 = Sim.Native.stats () in
+          let p2 = prepares () in
+          Sim.Native.clear_memo ();
+          ignore (submit 1 17);
+          let s1 = Sim.Native.stats () in
+          check_int "after clear_memo: one disk hit" 1
+            (s1.Sim.Native.disk_hits - s0.Sim.Native.disk_hits);
+          check_int "after clear_memo: one prepare" 1 (prepares () - p2);
+          ignore (submit 1 18);
+          check_int "the reloaded handle is held" 1 (prepares () - p2)))
+
 (* Tentpole: a crash (no final flush) and restart resumes at the
    learned generation with the merged profile counters intact, and the
    restored server's responses stay byte-identical to the oracle. *)
@@ -731,6 +803,8 @@ let suite =
       test_restore_drops_on_config_change;
     case "server: queue cap sheds load as overloaded"
       test_overload_shedding;
+    slow_case "server: one native prepare per generation"
+      test_server_native_prepare_per_generation;
     slow_case "replay: mixed traffic, oracle-checked" test_replay_smoke;
     slow_case "replay: chaos matrix certified, zero escapes"
       test_replay_chaos_certification;
