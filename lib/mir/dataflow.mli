@@ -2,8 +2,8 @@
 
     One engine serves every analysis in the tree: {!Liveness} (backward
     may), [Analysis.Intervals] (forward with branch-edge refinement and
-    widening), [Analysis.Cc_live], [Analysis.Reaching].  A problem is a
-    first-class record — no functor ceremony — parameterized by the
+    widening) and [Analysis.Cc_live].  A problem is a first-class
+    record — no functor ceremony — parameterized by the
     lattice ([bottom]/[join]/[equal]), the block transfer function, an
     optional per-edge refinement (forward only: the fact flowing from a
     branch can be sharpened differently on the taken and the not-taken

@@ -8,9 +8,8 @@ let fixpoint_func fn =
     let c3 = Copy_prop.run_func fn in
     let c4 = Cse.run_func fn in
     let c5 = Global_const.run_func fn in
-    let c6 = Const_prop.run_func fn in
-    let c7 = Dead_code.run_func fn in
-    continue_ := c1 || c2 || c3 || c4 || c5 || c6 || c7
+    let c6 = Dead_code.run_func fn in
+    continue_ := c1 || c2 || c3 || c4 || c5 || c6
   done
 
 let run_func fn =

@@ -1,9 +1,10 @@
 (** The conventional-optimization pipeline ("all of vpo's conventional
     optimizations", paper Section 9), applied to a fixpoint:
 
-    branch chaining -> unreachable-code removal -> copy/constant
-    propagation (including the reaching-definitions pass
-    {!Const_prop}) -> dead-code elimination, then code repositioning.
+    branch chaining -> unreachable-code removal -> copy propagation ->
+    common-subexpression elimination -> global constant propagation
+    ({!Global_const}) -> dead-code elimination, then loop-invariant code
+    motion and code repositioning.
 
     {!finalize} additionally fills delay slots; it must run last (the
     paper applies reordering before delay slots are filled). *)

@@ -1,8 +1,7 @@
 (* The lib/analysis subsystem: the generic engine, the interval and
    exact-set domains, the derived analyses (intervals, cc liveness,
-   reaching definitions, purity), their consumers (lint, Explain,
-   Const_prop, dot annotations), and the analysis-strengthened detector
-   end to end on the awk fixture. *)
+   purity), their consumers (lint, Explain, dot annotations), and the
+   analysis-strengthened detector end to end on the awk fixture. *)
 
 open Helpers
 module Iv = Analysis.Iv
@@ -185,7 +184,7 @@ let test_intervals_widening_terminates () =
        (Iv.make min_int 999_999))
 
 (* ------------------------------------------------------------------ *)
-(* Cc liveness / reaching definitions / purity                         *)
+(* Cc liveness / purity                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_cc_live_through_forwarder () =
@@ -224,28 +223,6 @@ let test_cc_live_call_clobbers () =
   check_bool "consumer still needs cc" true (Analysis.Cc_live.live_in t "use");
   check_bool "call blocks the entry codes" false
     (Analysis.Cc_live.live_in t "mid")
-
-let test_reaching_const_oracle () =
-  let fn =
-    fn_of
-      [
-        ( "entry",
-          [ Mir.Insn.Mov (r 1, imm 7); Mir.Insn.Cmp (reg 0, imm 0) ],
-          Mir.Block.Br (Mir.Cond.Eq, "a", "b") );
-        ("a", [], Mir.Block.Jmp "join");
-        ("b", [ Mir.Insn.Mov (r 1, imm 7) ], Mir.Block.Jmp "join");
-        ("join", [], Mir.Block.Ret (Some (reg 1)));
-      ]
-  in
-  let t = Analysis.Reaching.analyze fn in
-  check_bool "same constant on both paths" true
-    (Analysis.Reaching.const_in t fn "join" (r 1) = Some 7);
-  check_bool "never-assigned register is the entry zero" true
-    (Analysis.Reaching.const_in t fn "join" (r 9) = Some 0);
-  check_bool "parameter is unknown" true
-    (Analysis.Reaching.const_in t fn "join" (r 0) = None);
-  check_bool "two sites reach the join" true
-    (List.length (Analysis.Reaching.sites_in t "join" (r 1)) = 2)
 
 let test_purity_interval_refutes_trap () =
   let fn =
@@ -377,7 +354,7 @@ let test_explain_names_the_blocker () =
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
 (* ------------------------------------------------------------------ *)
-(* Dot annotations / Const_prop                                        *)
+(* Dot annotations                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_dot_annotation_hook () =
@@ -391,30 +368,6 @@ let test_dot_annotation_hook () =
   check_bool "annotation rendered" true (contains_substring s "r0:[0,9]");
   check_bool "no hook, no annotation" false
     (contains_substring (Mir.Dot.func_to_string fn) "r0:[0,9]")
-
-let test_const_prop_entry_zero () =
-  let fn =
-    fn_of
-      [
-        ( "entry",
-          [
-            Mir.Insn.Mov (r 1, imm 3);
-            Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, reg 5);
-            Mir.Insn.Cmp (reg 1, imm 0);
-          ],
-          Mir.Block.Br (Mir.Cond.Eq, "a", "b") );
-        ("a", [], Mir.Block.Ret (Some (reg 2)));
-        ("b", [], Mir.Block.Ret (Some (reg 2)));
-      ]
-  in
-  check_bool "changed" true (Mopt.Const_prop.run_func fn);
-  (match (block fn "entry").Mir.Block.insns with
-  | [ _; Mir.Insn.Binop (Mir.Insn.Add, _, x, y); Mir.Insn.Cmp (c, _) ] ->
-    check_bool "defined constant folded" true (x = imm 3);
-    check_bool "never-assigned register folded to zero" true (y = imm 0);
-    check_bool "compares keep their register" true (c = reg 1)
-  | _ -> Alcotest.fail "unexpected block shape");
-  check_bool "fixpoint" false (Mopt.Const_prop.run_func fn)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis-strengthened detection on the awk fixture                  *)
@@ -486,7 +439,6 @@ let suite =
       test_intervals_widening_terminates;
     case "cc-live: jmp forwarder" test_cc_live_through_forwarder;
     case "cc-live: call clobbers" test_cc_live_call_clobbers;
-    case "reaching: whole-function constant oracle" test_reaching_const_oracle;
     case "purity: facts refute a division trap"
       test_purity_interval_refutes_trap;
     case "lint: unreachable arm and decided branch, json"
@@ -495,7 +447,6 @@ let suite =
     case "lint: clean program is clean" test_lint_clean_program;
     case "explain: lone test names its blocker" test_explain_names_the_blocker;
     case "dot: annotation hook" test_dot_annotation_hook;
-    case "const-prop: reaching-defs oracle" test_const_prop_entry_zero;
     slow_case "awk: facts admit strictly more, certified, byte-identical"
       test_awk_facts_admit_strictly_more;
   ]

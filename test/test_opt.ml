@@ -508,6 +508,45 @@ let test_global_const_behaviour () =
        "int main() { int a = 5; int b; if (getchar() == 'x') b = a * 4; else \
         b = a * 5; print_int(b); return 0; }")
 
+(* the cleanup fixpoint's one global constant propagator: a constant
+   defined in another block folds into arithmetic, the compare keeps its
+   register for the sequence detector, and a second run changes nothing *)
+let test_cleanup_folds_defined_constant () =
+  let fn = Mir.Func.make ~name:"f" ~params:[ r 0 ] in
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"entry" [ Mir.Insn.Mov (r 1, imm 3) ] (Mir.Block.Jmp "test"));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"test"
+       [ Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, reg 0); Mir.Insn.Cmp (reg 1, reg 0) ]
+       (Mir.Block.Br (Mir.Cond.Eq, "a", "b")));
+  Mir.Func.add_block fn (Mir.Block.make ~label:"a" [] (Mir.Block.Ret (Some (reg 2))));
+  Mir.Func.add_block fn (Mir.Block.make ~label:"b" [] (Mir.Block.Ret (Some (reg 0))));
+  Mopt.Cleanup.run_func fn;
+  let text = Format.asprintf "%a" Mir.Func.pp fn in
+  (match (Mir.Func.find_block fn "test").Mir.Block.insns with
+  | [ Mir.Insn.Binop (Mir.Insn.Add, _, x, _); Mir.Insn.Cmp (c, _) ] ->
+    check_bool "defined constant folded" true (x = imm 3);
+    check_bool "compares keep their register" true (c = reg 1)
+  | _ -> Alcotest.failf "unexpected test block:\n%s" text);
+  Mopt.Cleanup.run_func fn;
+  check_output "a second run changes nothing" text
+    (Format.asprintf "%a" Mir.Func.pp fn)
+
+(* the machine zero-initialises registers, but a register no path
+   assigns is varying to the cleanup, not the constant 0 *)
+let test_cleanup_keeps_unassigned_register () =
+  let fn = Mir.Func.make ~name:"f" ~params:[ r 0 ] in
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"entry"
+       [ Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 0, reg 5) ]
+       (Mir.Block.Ret (Some (reg 2))));
+  Mopt.Cleanup.run_func fn;
+  match (Mir.Func.entry fn).Mir.Block.insns with
+  | [ Mir.Insn.Binop (Mir.Insn.Add, _, _, y) ] ->
+    check_bool "never-assigned register not folded to 0" true (y = reg 5)
+  | _ ->
+    Alcotest.failf "unexpected entry block:\n%s" (Format.asprintf "%a" Mir.Func.pp fn)
+
 (* ------------------------------------------------------------------ *)
 (* Profile-guided layout                                                *)
 (* ------------------------------------------------------------------ *)
@@ -604,6 +643,10 @@ let suite =
     case "global const: agreeing join" test_global_const_agreeing_join;
     case "global const: loop-carried kill" test_global_const_loop_kill;
     case "global const: behaviour" test_global_const_behaviour;
+    case "cleanup: defined constant folds, compare keeps its register"
+      test_cleanup_folds_defined_constant;
+    case "cleanup: never-assigned register is not folded to 0"
+      test_cleanup_keeps_unassigned_register;
     case "profile layout: hot arm falls through"
       test_profile_layout_inverts_hot_branch;
     case "profile layout: pipeline integration" test_profile_layout_pipeline;
