@@ -83,7 +83,7 @@ let domains () =
 
 (* jobs are built in the parent so the lazy inputs are forced exactly
    once, before any domain fan-out *)
-let jobs_for config =
+let jobs_for ?(workloads = Workloads.Registry.all) config =
   List.map
     (fun (w : Workloads.Spec.t) ->
       Driver.Pipeline.job ~config ~name:w.Workloads.Spec.name
@@ -92,7 +92,34 @@ let jobs_for config =
           (truncate_input (Lazy.force w.Workloads.Spec.training_input))
         ~test_input:(truncate_input (Lazy.force w.Workloads.Spec.test_input))
         ())
-    Workloads.Registry.all
+    workloads
+
+(* every table's jobs run under the command line's watchdog and retry
+   budget, degrading down the backend ladder *)
+let run_guarded ?(domains = domains ()) jobs =
+  let policy =
+    {
+      Driver.Guard.default with
+      Driver.Guard.timeout_ms = !timeout_ms;
+      retries = !retries;
+      degrade = true;
+    }
+  in
+  Driver.Pipeline.run_jobs_guarded ~domains ~policy jobs
+
+(* a failed job is contained, not fatal: warn here, and the caller
+   prints its cells as `-' *)
+let result_or_warn ~what (o : Driver.Pipeline.job_outcome) =
+  match o.Driver.Pipeline.o_outcome with
+  | Driver.Pool.Ok r -> Some r
+  | out ->
+    Printf.eprintf
+      "[bench] WARNING: workload %s (%s) failed (%s: %s); its cells will be \
+       missing\n%!"
+      o.Driver.Pipeline.o_name what
+      (Driver.Pool.outcome_status out)
+      (Driver.Pool.outcome_message out);
+    None
 
 (* per heuristic set: rows + the wall clock of the whole matrix *)
 let matrix : (string, row list * float) Hashtbl.t = Hashtbl.create 4
@@ -120,35 +147,21 @@ let run_matrix hs ~domains =
   Printf.eprintf
     "[bench] running the 17 workloads under heuristic set %s on %d domain(s)...\n%!"
     hs.Mopt.Switch_lower.hs_name domains;
-  let policy =
-    {
-      Driver.Guard.default with
-      Driver.Guard.timeout_ms = !timeout_ms;
-      retries = !retries;
-      degrade = true;
-    }
-  in
   let t0 = Unix.gettimeofday () in
-  let outcomes = Driver.Pipeline.run_jobs_guarded ~domains ~policy jobs in
+  let outcomes = run_guarded ~domains jobs in
   let wall = Unix.gettimeofday () -. t0 in
   Hashtbl.replace outcomes_memo hs.Mopt.Switch_lower.hs_name outcomes;
-  (* failed workloads are contained, not fatal: their rows are dropped,
-     their section cells print `-', and the partial results stand *)
+  (* failed workloads are dropped from the rows, and the partial
+     results stand *)
+  let what = "set " ^ hs.Mopt.Switch_lower.hs_name in
   let rows =
     List.concat
       (List.map2
          (fun w (o : Driver.Pipeline.job_outcome) ->
-           match o.Driver.Pipeline.o_outcome with
-           | Driver.Pool.Ok result ->
+           match result_or_warn ~what o with
+           | Some result ->
              [ { workload = w; result; seconds = o.Driver.Pipeline.o_seconds } ]
-           | out ->
-             Printf.eprintf
-               "[bench] WARNING: workload %s (set %s) failed (%s: %s); its \
-                cells will be missing\n%!"
-               w.Workloads.Spec.name hs.Mopt.Switch_lower.hs_name
-               (Driver.Pool.outcome_status out)
-               (Driver.Pool.outcome_message out);
-             [])
+           | None -> [])
          Workloads.Registry.all outcomes)
   in
   (rows, wall)
@@ -556,6 +569,7 @@ let ablations () =
     ]
   in
   let chosen = [ "wc"; "sort"; "lex"; "cpp"; "grep" ] in
+  let workloads = List.map Workloads.Registry.find chosen in
   Printf.printf "%-38s" "Variant";
   List.iter (Printf.printf " %9s") chosen;
   print_newline ();
@@ -563,31 +577,20 @@ let ablations () =
   List.iter
     (fun (label, config) ->
       Printf.printf "%-38s%!" label;
-      let jobs =
-        List.map
-          (fun name ->
-            let w = Workloads.Registry.find name in
-            Driver.Pipeline.job ~config ~name:w.Workloads.Spec.name
-              ~source:w.Workloads.Spec.source
-              ~training_input:
-                (truncate_input (Lazy.force w.Workloads.Spec.training_input))
-              ~test_input:
-                (truncate_input (Lazy.force w.Workloads.Spec.test_input))
-              ())
-          chosen
-      in
-      let results = Driver.Pipeline.run_jobs ~domains:(domains ()) jobs in
       List.iter
-        (fun ((r : Driver.Pipeline.result), _) ->
-          let d =
-            pct
-              r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters
-                .Sim.Counters.insns
-              r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters
-                .Sim.Counters.insns
-          in
-          Printf.printf " %+8.2f%%" d)
-        results;
+        (fun o ->
+          match result_or_warn ~what:label o with
+          | Some r ->
+            let d =
+              pct
+                r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters
+                  .Sim.Counters.insns
+                r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters
+                  .Sim.Counters.insns
+            in
+            Printf.printf " %+8.2f%%" d
+          | None -> Printf.printf " %9s" "-")
+        (run_guarded (jobs_for ~workloads config));
       print_newline ())
     variants
 
@@ -606,10 +609,9 @@ let detect_counts (w : Workloads.Spec.t) hs =
   match Hashtbl.find_opt detect_memo key with
   | Some c -> c
   | None ->
+    let config = { Driver.Config.default with Driver.Config.heuristic = hs } in
+    let prog = Driver.Pipeline.compile_base config w.Workloads.Spec.source in
     let count facts =
-      let prog = Minic.Lower.compile w.Workloads.Spec.source in
-      Mopt.Switch_lower.lower_program hs prog;
-      Mopt.Cleanup.run prog;
       let seqs = Reorder.Detect.find_program ~facts prog in
       ( List.length seqs,
         List.fold_left (fun a s -> a + Reorder.Detect.items_count s) 0 seqs )
@@ -983,39 +985,19 @@ let profile_branch_rows profile =
   Printf.eprintf
     "[bench] running the 17 workloads with --profile=%s (set I)...\n%!"
     (Driver.Config.profile_name profile);
-  let policy =
-    {
-      Driver.Guard.default with
-      Driver.Guard.timeout_ms = !timeout_ms;
-      retries = !retries;
-      degrade = true;
-    }
-  in
-  let outcomes =
-    Driver.Pipeline.run_jobs_guarded ~domains:(domains ()) ~policy jobs
-  in
+  let what = "--profile=" ^ Driver.Config.profile_name profile in
   List.map2
-    (fun (w : Workloads.Spec.t) (o : Driver.Pipeline.job_outcome) ->
-      match o.Driver.Pipeline.o_outcome with
-      | Driver.Pool.Ok result ->
-        let ob =
-          result.Driver.Pipeline.r_original.Driver.Pipeline.v_counters
-            .Sim.Counters.cond_branches
-        in
-        let nb =
-          result.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters
-            .Sim.Counters.cond_branches
-        in
-        (w.Workloads.Spec.name, Some (ob, nb))
-      | out ->
-        Printf.eprintf
-          "[bench] WARNING: workload %s (--profile=%s) failed (%s: %s)\n%!"
-          w.Workloads.Spec.name
-          (Driver.Config.profile_name profile)
-          (Driver.Pool.outcome_status out)
-          (Driver.Pool.outcome_message out);
-        (w.Workloads.Spec.name, None))
-    Workloads.Registry.all outcomes
+    (fun (w : Workloads.Spec.t) o ->
+      ( w.Workloads.Spec.name,
+        Option.map
+          (fun (r : Driver.Pipeline.result) ->
+            let branches (v : Driver.Pipeline.version) =
+              v.Driver.Pipeline.v_counters.Sim.Counters.cond_branches
+            in
+            ( branches r.Driver.Pipeline.r_original,
+              branches r.Driver.Pipeline.r_reordered ))
+          (result_or_warn ~what o) ))
+    Workloads.Registry.all (run_guarded jobs)
 
 (* the paper-style comparison the static-prediction layer is judged by:
    dynamic conditional-branch reduction with a trained profile, with the

@@ -70,9 +70,9 @@ let load_program path hs =
     prog
   end
   else begin
-    let prog = Minic.Lower.compile (load_source path) in
-    Mopt.Switch_lower.lower_program hs prog;
-    ignore (Mopt.Cleanup.finalize prog);
+    let config = { Driver.Config.default with Driver.Config.heuristic = hs } in
+    let prog = Driver.Pipeline.compile_base config (load_source path) in
+    ignore (Mopt.Delay_slot.run prog);
     Mir.Validate.check prog;
     prog
   end
@@ -109,15 +109,8 @@ let compile_cmd =
     handle_errors (fun () ->
         let prog =
           if is_mir_file source then Mir.Parse.program (read_file source)
-          else begin
-            let prog = Minic.Lower.compile (load_source source) in
-            if not raw then begin
-              Mopt.Switch_lower.lower_program hs prog;
-              ignore (Mopt.Cleanup.finalize prog);
-              Mir.Validate.check prog
-            end;
-            prog
-          end
+          else if raw then Minic.Lower.compile (load_source source)
+          else load_program source hs
         in
         if dot then Format.printf "%a" (Mir.Dot.program ?annot:None) prog
         else begin

@@ -2,11 +2,6 @@ type t = {
   heuristic : Mopt.Switch_lower.heuristic_set;
   selector : [ `Greedy | `Exhaustive ];
   apply_options : Reorder.Apply.options;
-  reorder_enabled : bool;
-  analysis_facts : bool;
-      (** detect with interval facts ({!Analysis.Intervals}): admits
-          compare-not-last blocks, facts-constant register compares and
-          facts-narrowed ranges that the syntactic walk rejects *)
   common_succ : bool;
   profile : [ `Trained | `Static | `Both ];
       (** where the profile counts come from: a training run ([`Trained],
@@ -60,8 +55,6 @@ let default =
     heuristic = Mopt.Switch_lower.set_i;
     selector = `Greedy;
     apply_options = Reorder.Apply.default_options;
-    reorder_enabled = true;
-    analysis_facts = true;
     common_succ = false;
     profile = `Trained;
     keep_original_default = false;

@@ -6,13 +6,6 @@ type t = {
   selector : [ `Greedy | `Exhaustive ];
       (** ordering selection algorithm (Figure 8 vs full subset search) *)
   apply_options : Reorder.Apply.options;
-  reorder_enabled : bool;   (** false = measure the original only *)
-  analysis_facts : bool;
-      (** detect with interval facts ({!Analysis.Intervals}): admits
-          compare-not-last blocks, register compares whose other operand
-          the facts pin to a constant, and facts-narrowed overlapping
-          ranges — sequences the syntactic walk rejects (default
-          [true]; disable for the purely syntactic paper baseline) *)
   common_succ : bool;       (** also reorder common-successor runs (Sec. 10) *)
   profile : [ `Trained | `Static | `Both ];
       (** profile source (default [`Trained], the paper's baseline).
@@ -50,7 +43,7 @@ type t = {
           (default [`Compiled]; all three are observably identical, so
           this only changes wall-clock time — but [`Native] needs a
           working ocamlfind toolchain and otherwise degrades down the
-          {!Pipeline.run_guarded_job} ladder) *)
+          {!Guard.ladder}) *)
   native_cache_dir : string option;
       (** [.cmxs] artifact store for the native backend ([None] =
           {!Sim.Native.Cache.default_dir}) *)
@@ -71,8 +64,9 @@ val backend_name : Sim.Machine.backend -> string
 
 val rungs : t -> Sim.Machine.backend list
 (** The degradation ladder of the configured backend, fastest first:
-    native → compiled → reference, starting at [backend].  Both the
-    batch jobs ({!Pipeline.run_guarded_job}) and the server walk it. *)
+    native → compiled → reference, starting at [backend].  {!Guard.ladder}
+    walks it, for the batch jobs ({!Pipeline.run_guarded_job}) and the
+    server alike. *)
 
 val profile_name : [ `Trained | `Static | `Both ] -> string
 (** Stable machine-readable tag ("trained" / "static" / "both"). *)

@@ -84,3 +84,23 @@ let protect ?(index = 0) policy job =
       end
   in
   go 1 []
+
+(* the degradation ladder: traps and timeouts are properties of the
+   simulated program and the deadline, identical on every backend, so
+   degrading cannot help and they are final; crashes move down a rung *)
+let ladder ?index policy (config : Config.t) job =
+  let rungs =
+    if policy.degrade then Config.rungs config else [ config.Config.backend ]
+  in
+  let rec walk attempts errors = function
+    | [] -> assert false
+    | backend :: rest -> (
+      let outcome, meta = protect ?index policy (job ~backend) in
+      let attempts = attempts + meta.m_attempts in
+      let errors = errors @ meta.m_errors in
+      match outcome with
+      | Pool.Crash _ | Pool.Gave_up _ when rest <> [] ->
+        walk attempts errors rest
+      | _ -> (backend, outcome, { m_attempts = attempts; m_errors = errors }))
+  in
+  walk 0 [] rungs

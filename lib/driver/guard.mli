@@ -11,10 +11,11 @@
       seeded exponential backoff, then [Crash] (no retries configured)
       or [Gave_up] (retries exhausted)
 
-    Backend degradation (the [degrade] field) is interpreted one level
-    up, by {!Pipeline.run_jobs_guarded}, which walks the execution
-    backends from the requested one down to the reference interpreter
-    and calls {!protect} once per rung. *)
+    Backend degradation (the [degrade] field) is interpreted by
+    {!ladder}, which walks the execution backends from the requested
+    one down to the reference interpreter and calls {!protect} once per
+    rung.  Both the batch jobs ({!Pipeline.run_guarded_job}) and the
+    server ({!Server.handle}) run under it. *)
 
 type policy = {
   timeout_ms : int option;
@@ -24,7 +25,7 @@ type policy = {
                           seeded jitter of up to one unit; [0] = none *)
   seed : int;         (** jitter seed — retry schedules are reproducible *)
   degrade : bool;     (** walk the backend ladder on failure
-                          ({!Pipeline.run_jobs_guarded}) *)
+                          ({!ladder}) *)
 }
 
 val default : policy
@@ -51,3 +52,19 @@ val protect :
     failures.  The job receives the attempt number (1-based) and a fresh
     cancellation flag to thread into {!Sim.Runtime.config.cancel};
     [index] only seeds the backoff jitter. *)
+
+val ladder :
+  ?index:int ->
+  policy ->
+  Config.t ->
+  (backend:Sim.Machine.backend ->
+  attempt:int ->
+  cancel:(unit -> bool) option ->
+  'a) ->
+  Sim.Machine.backend * 'a Pool.outcome * meta
+(** [ladder policy config job] runs [job] under {!protect} on each rung
+    of [Config.rungs config] in turn ([config]'s backend alone when
+    [policy.degrade] is off) and returns the rung that produced the
+    final outcome.  [Ok], [Trap] and [Timeout] are final on any rung;
+    [Crash] and [Gave_up] move to the next rung while one is left.  The
+    returned meta sums attempts and errors over every rung walked. *)

@@ -156,10 +156,8 @@ let measure (config : Config.t) ?bank prog ~input =
    must not re-parse or re-detect), so the batch pipeline's stages are
    also exposed one at a time *)
 
-let detect_seqs (config : Config.t) base =
-  if config.Config.reorder_enabled then
-    Reorder.Detect.find_program ~facts:config.Config.analysis_facts base
-  else []
+let detect_seqs (_ : Config.t) base =
+  Reorder.Detect.find_program ~facts:true base
 
 let instrument (config : Config.t) base seqs =
   let train_prog = Mir.Clone.program base in
@@ -167,26 +165,55 @@ let instrument (config : Config.t) base seqs =
   if config.Config.validate then Mir.Validate.check train_prog;
   (train_prog, table)
 
-let reoptimize (config : Config.t) ~name base seqs table =
-  let reord = Mir.Clone.program base in
+(* pass 2: reorder a clone of the base under [table]'s counts.
+   Translation validation must look at the pass's output before any
+   later rewrite or cleanup reshapes the blocks. *)
+let reorder (config : Config.t) ~name base seqs table =
+  let prog = Mir.Clone.program base in
   let report =
     Reorder.Pass.run ~options:config.Config.apply_options
       ~selector:config.Config.selector
       ~keep_original_default:config.Config.keep_original_default
-      ?coalesce_machine:config.Config.coalesce_machine reord seqs table
+      ?coalesce_machine:config.Config.coalesce_machine prog seqs table
   in
-  if config.Config.verify then begin
-    let summary = Check.Verify.certify_report ~before:base ~after:reord report in
-    if not (Check.Verify.ok summary) then
-      failwith
-        (Printf.sprintf "%s: translation validation failed:\n  %s" name
-           (String.concat "\n  " (Check.Verify.all_errors summary)))
-  end;
-  ignore
-    (Mopt.Cleanup.finalize ~steal_delay_slots:config.Config.delay_fill_from_target
-       reord);
-  if config.Config.validate then Mir.Validate.check reord;
-  (reord, report)
+  let verify =
+    if config.Config.verify then begin
+      let summary =
+        Check.Verify.certify_report ~before:base ~after:prog report
+      in
+      if not (Check.Verify.ok summary) then
+        failwith
+          (Printf.sprintf "%s: translation validation failed:\n  %s" name
+             (String.concat "\n  " (Check.Verify.all_errors summary)));
+      Some summary
+    end
+    else None
+  in
+  (prog, report, verify)
+
+(* cleanup reinvocation and delay slots, then validation.  Profile
+   layout needs the training input, so only {!run} applies it; there the
+   frequency-driven placement must come after all cleanup (the static
+   repositioner would override it), followed only by delay-slot
+   filling *)
+let finalize (config : Config.t) ?training_input prog =
+  (match training_input with
+  | Some training_input when config.Config.profile_layout ->
+    Mopt.Cleanup.run prog;
+    Reorder.Profiles.strip prog;
+    apply_profile_layout config prog ~training_input;
+    ignore
+      (Mopt.Delay_slot.run ~steal:config.Config.delay_fill_from_target prog)
+  | _ ->
+    ignore
+      (Mopt.Cleanup.finalize
+         ~steal_delay_slots:config.Config.delay_fill_from_target prog));
+  if config.Config.validate then Mir.Validate.check prog
+
+let reoptimize config ~name base seqs table =
+  let prog, report, _ = reorder config ~name base seqs table in
+  finalize config prog;
+  (prog, report)
 
 let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
     ~test_input () =
@@ -217,7 +244,7 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
               s.Reorder.Detect.items)
           seqs;
         let combs =
-          if config.Config.reorder_enabled && config.Config.common_succ then
+          if config.Config.common_succ then
             Reorder.Common_succ.find_program
               ~exclude:(Hashtbl.mem seq_blocks)
               ~first_id:1_000_000 base
@@ -238,11 +265,13 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
           (* no training run at all: synthesize the counts from the CFG *)
           Reorder.Profiles.of_static base seqs
         | (`Trained | `Both) as mode ->
-          let train_prog = Mir.Clone.program base in
-          let table = Reorder.Profiles.instrument train_prog seqs in
-          Reorder.Common_succ.instrument train_prog combs table;
-          Reorder.Common_succ.instrument_pairs train_prog pairs table;
-          if config.Config.validate then Mir.Validate.check train_prog;
+          let train_prog, table = instrument config base seqs in
+          (* common-successor runs probe the same clone and table *)
+          if combs <> [] then begin
+            Reorder.Common_succ.instrument train_prog combs table;
+            Reorder.Common_succ.instrument_pairs train_prog pairs table;
+            if config.Config.validate then Mir.Validate.check train_prog
+          end;
           let _ =
             run_backend config ~profile:table train_prog ~input:training_input
           in
@@ -250,48 +279,9 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
           table)
   in
 
-  (* finalization: with profile layout enabled the frequency-driven
-     placement must come after all cleanup (the static repositioner
-     would override it), followed only by delay-slot filling *)
-  let finalize prog =
-    if config.Config.profile_layout then begin
-      Mopt.Cleanup.run prog;
-      Reorder.Profiles.strip prog;
-      apply_profile_layout config prog ~training_input;
-      ignore
-        (Mopt.Delay_slot.run ~steal:config.Config.delay_fill_from_target prog)
-    end
-    else
-      ignore
-        (Mopt.Cleanup.finalize
-           ~steal_delay_slots:config.Config.delay_fill_from_target prog)
-  in
-
-  (* pass 2: reorder a clone of the base *)
-  let reord = Mir.Clone.program base in
-  let report, verify, comb_outcomes, pair_outcomes =
+  let reord, report, verify, comb_outcomes, pair_outcomes =
     stage "reorder" (fun () ->
-        let report =
-          Reorder.Pass.run ~options:config.Config.apply_options
-            ~selector:config.Config.selector
-            ~keep_original_default:config.Config.keep_original_default
-            ?coalesce_machine:config.Config.coalesce_machine reord seqs table
-        in
-        (* translation validation must look at the pass's output before
-           the common-successor rewrites and cleanup reshape the blocks *)
-        let verify =
-          if config.Config.verify then begin
-            let summary =
-              Check.Verify.certify_report ~before:base ~after:reord report
-            in
-            if not (Check.Verify.ok summary) then
-              failwith
-                (Printf.sprintf "%s: translation validation failed:\n  %s" name
-                   (String.concat "\n  " (Check.Verify.all_errors summary)));
-            Some summary
-          end
-          else None
-        in
+        let reord, report, verify = reorder config ~name base seqs table in
         (* within-run permutations first (they re-emit each run's edges from
            the run record), then super-branch pair swaps, which relink those
            edges between the groups *)
@@ -303,17 +293,15 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
             (fun pr -> (pr, Reorder.Common_succ.apply_pair reord table pr))
             pairs
         in
-        (report, verify, comb_outcomes, pair_outcomes))
+        (reord, report, verify, comb_outcomes, pair_outcomes))
   in
 
   (* cleanup + finalization of both versions (the original is finalized
      from the same optimized base, untransformed) *)
   let orig = Mir.Clone.program base in
   stage "cleanup" (fun () ->
-      finalize orig;
-      if config.Config.validate then Mir.Validate.check orig;
-      finalize reord;
-      if config.Config.validate then Mir.Validate.check reord);
+      finalize config ~training_input orig;
+      finalize config ~training_input reord);
 
   let original, reordered =
     stage "measure" (fun () ->
@@ -363,12 +351,6 @@ let job ?(config = Config.default) ~name ~source ~training_input ~test_input ()
     job_test_input = test_input;
   }
 
-let run_job j =
-  run ~config:j.job_config ~name:j.job_name ~source:j.job_source
-    ~training_input:j.job_training_input ~test_input:j.job_test_input ()
-
-let run_jobs ?domains jobs = Pool.timed_map ?domains run_job jobs
-
 (* ------------------------------------------------------------------ *)
 (* Guarded execution: watchdogs, retries, backend degradation          *)
 (* ------------------------------------------------------------------ *)
@@ -403,17 +385,16 @@ let check_observables name r =
 
 let run_guarded_job ?fault ~index ~policy j =
   let requested = j.job_config.Config.backend in
-  let rungs =
-    if policy.Guard.degrade then Config.rungs j.job_config
-    else [ requested ]
-  in
   let injected =
     match fault with
     | Some (f : Inject.fault) -> Inject.kind_name f.Inject.i_kind
     | None -> ""
   in
   let t0 = Unix.gettimeofday () in
-  let attempt_job ~backend ~armed ~attempt ~cancel =
+  let attempt_job ~backend ~attempt ~cancel =
+    (* faults are armed only against the requested backend, so the
+       degradation ladder has a real recovery path *)
+    let armed = if backend = requested then fault else None in
     let config = { j.job_config with Config.backend; Config.cancel = cancel } in
     let config =
       match armed with
@@ -453,44 +434,21 @@ let run_guarded_job ?fault ~index ~policy j =
     in
     check_observables j.job_name r
   in
-  let finish backend outcome attempts errors =
-    {
-      o_index = index;
-      o_name = j.job_name;
-      o_outcome = outcome;
-      o_attempts = attempts;
-      o_retried = attempts - 1;
-      o_backend = Config.backend_name backend;
-      o_degraded = backend <> requested;
-      o_errors = errors;
-      o_injected = injected;
-      o_seconds = Unix.gettimeofday () -. t0;
-    }
+  let backend, outcome, meta =
+    Guard.ladder ~index policy j.job_config attempt_job
   in
-  let rec walk rungs attempts errors =
-    match rungs with
-    | [] -> assert false
-    | backend :: rest -> (
-      (* faults are armed only against the requested backend, so the
-         degradation ladder has a real recovery path *)
-      let armed = if backend = requested then fault else None in
-      let outcome, meta =
-        Guard.protect ~index policy (fun ~attempt ~cancel ->
-            attempt_job ~backend ~armed ~attempt ~cancel)
-      in
-      let attempts = attempts + meta.Guard.m_attempts in
-      let errors = errors @ meta.Guard.m_errors in
-      match outcome with
-      | Pool.Ok _ | Pool.Trap _ | Pool.Timeout _ ->
-        (* traps and timeouts are properties of the simulated program
-           and the deadline, identical on every backend: degrading
-           cannot help, so they are final *)
-        finish backend outcome attempts errors
-      | Pool.Crash _ | Pool.Gave_up _ ->
-        if rest = [] then finish backend outcome attempts errors
-        else walk rest attempts errors)
-  in
-  walk rungs 0 []
+  {
+    o_index = index;
+    o_name = j.job_name;
+    o_outcome = outcome;
+    o_attempts = meta.Guard.m_attempts;
+    o_retried = meta.Guard.m_attempts - 1;
+    o_backend = Config.backend_name backend;
+    o_degraded = backend <> requested;
+    o_errors = meta.Guard.m_errors;
+    o_injected = injected;
+    o_seconds = Unix.gettimeofday () -. t0;
+  }
 
 let run_jobs_guarded ?domains ?(policy = Guard.default) ?(inject = []) jobs =
   let indexed = List.mapi (fun i j -> (i, j)) jobs in

@@ -1,12 +1,16 @@
 (** The two-compilation-pass process of the paper's Figure 2.
 
     Pass 1: front end, switch lowering under the configured heuristic
-    set, conventional optimizations, sequence detection, profiling
-    instrumentation, and a training run.  Pass 2: reordering driven by
-    the profile, cleanup reinvocation, delay-slot filling.  The original
-    (non-reordered) version is finalized from the same optimized base and
-    both are measured on the test input, with every configured branch
-    predictor attached.
+    set, conventional optimizations ({!compile_base}), sequence
+    detection ({!detect_seqs}), profiling instrumentation
+    ({!instrument}), and a training run.  Pass 2: reordering driven by
+    the profile, then finalization: cleanup reinvocation, delay-slot
+    filling and validation.  {!run} and {!reoptimize} share one
+    reordering step (the pass plus its {!Check.Verify} certificate) and
+    one finalization step, so the server serves what the batch pipeline
+    measures.  The original (non-reordered) version is finalized from
+    the same optimized base and both are measured on the test input,
+    with every configured branch predictor attached.
 
     The outputs of the two versions are compared; a mismatch raises
     [Failure] (it would mean the transformation changed semantics). *)
@@ -51,8 +55,10 @@ val compile_base : Config.t -> string -> Mir.Program.t
     a time.  {!run} is built from the same pieces. *)
 
 val detect_seqs : Config.t -> Mir.Program.t -> Reorder.Detect.t list
-(** Sequence detection on an optimized base ([] when reordering is
-    disabled), honoring {!Config.t.analysis_facts}. *)
+(** Sequence detection on an optimized base, always with interval facts
+    ([Reorder.Detect.find_program ~facts:true]).  The purely syntactic
+    paper baseline is [Reorder.Detect.find_program ~facts:false], which
+    [bench/main.exe detection] compares against. *)
 
 val instrument : Config.t -> Mir.Program.t -> Reorder.Detect.t list ->
   Mir.Program.t * Sim.Profile.t
@@ -64,12 +70,16 @@ val instrument : Config.t -> Mir.Program.t -> Reorder.Detect.t list ->
 val reoptimize :
   Config.t -> name:string -> Mir.Program.t -> Reorder.Detect.t list ->
   Sim.Profile.t -> Mir.Program.t * Reorder.Pass.report
-(** Clone the base, run the reordering pass under [table]'s counts
-    (translation-validating when {!Config.t.verify} is set), finalize
-    (cleanup + delay slots) and validate.  Returns the servable program
-    and the pass report.  Unlike {!run} this performs no training run,
-    no measurement, and no common-successor rewrites: it is the
-    re-optimization step of a daemon that already owns live profiles. *)
+(** {!run}'s pass 2 without the training run: clone the base, run the
+    reordering pass under [table]'s counts (translation-validating when
+    {!Config.t.verify} is set), finalize (cleanup + delay slots) and
+    validate, with the same steps {!run} uses.  Returns the servable
+    program and the pass report.  It applies no common-successor
+    rewrites and no profile-guided layout, which need {!run}'s
+    detection and training input: it is the re-optimization step of a
+    daemon that already owns live profiles.  Under settings without
+    those two options its program equals {!run}'s [r_reordered] for the
+    same base, sequences and table. *)
 
 val measure :
   Config.t -> ?bank:Sim.Predictor.bank -> Mir.Program.t -> input:string ->
@@ -101,8 +111,8 @@ val pct : int -> int -> float
     A [job] is a self-contained, pure description of one pipeline run:
     inputs are plain strings (force lazies before building jobs) and the
     pipeline touches no global mutable state, so jobs can execute on any
-    domain.  [run_jobs] fans them out over a bounded {!Pool} and returns
-    results in job order with per-job wall-clock seconds. *)
+    domain.  {!run_jobs_guarded} fans them out over a bounded {!Pool}
+    and returns outcomes in job order. *)
 
 type job = {
   job_name : string;
@@ -121,15 +131,6 @@ val job :
   unit ->
   job
 
-val run_job : job -> result
-(** [run_job j] is {!run} on [j]'s fields, in the calling domain. *)
-
-val run_jobs : ?domains:int -> job list -> (result * float) list
-(** Deterministic: results are in job order whatever the schedule;
-    [domains] defaults to {!Pool.default_domains}.  Fail-fast: the first
-    failing job aborts the whole batch with {!Pool.Job_error} — use
-    {!run_jobs_guarded} to keep going. *)
-
 (** {2 Guarded execution}
 
     The fault-tolerant runner: every job ends in a structured
@@ -138,10 +139,10 @@ val run_jobs : ?domains:int -> job list -> (result * float) list
     backend graceful degradation — a job whose [`Native] attempts crash
     (including {!Sim.Native.Unavailable}: no ocamlfind, codegen or
     dynlink failure) is retried under [`Compiled] and finally
-    [`Reference] ({!Config.rungs}), and the divergence is recorded.  Traps
-    and timeouts are final: they are properties of the simulated
-    program and the deadline, identical on every backend, so degrading
-    cannot help. *)
+    [`Reference] ({!Guard.ladder}, the ladder the server walks too), and
+    the divergence is recorded.  Traps and timeouts are final: they are
+    properties of the simulated program and the deadline, identical on
+    every backend, so degrading cannot help. *)
 
 exception Wrong_result of string
 (** Raised (and contained by the guard as a retryable crash) when the
@@ -177,7 +178,9 @@ val run_jobs_guarded :
   job list ->
   job_outcome list
 (** Fan {!run_guarded_job} over a bounded {!Pool}; job order is
-    preserved and no job's failure can abort or disturb a sibling. *)
+    preserved whatever the schedule, [domains] defaults to
+    {!Pool.default_domains}, and no job's failure can abort or disturb
+    a sibling. *)
 
 val manifest_of_outcome : job_outcome -> Manifest.entry
 (** The failure-manifest row for one job outcome ([--failures-json]). *)

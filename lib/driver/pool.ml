@@ -107,15 +107,6 @@ let map_captured ?domains f xs =
 
 let default_label i _ = Printf.sprintf "job %d" i
 
-let map_result ?domains f xs =
-  List.map
-    (function
-      | Stdlib.Ok v -> Ok v
-      | Stdlib.Error (Sim.Runtime.Trap m, _) -> Trap m
-      | Stdlib.Error (e, bt) ->
-        Crash (exn_info ~backtrace:(Printexc.raw_backtrace_to_string bt) e))
-    (map_captured ?domains f xs)
-
 let map ?domains ?(label = default_label) f xs =
   let rec first i xs rs =
     match (xs, rs) with
@@ -129,25 +120,16 @@ let map ?domains ?(label = default_label) f xs =
   let rs = map_captured ?domains f xs in
   match first 0 xs rs with
   | Some (i, x, e, bt) ->
-    (* fail fast, but name the job: siblings' results are recoverable
-       through [map_result]; here the caller asked for all-or-nothing *)
+    (* fail fast, but name the job: the caller asked for all-or-nothing *)
     Printexc.raise_with_backtrace (Job_error (i, label i x, e)) bt
   | None ->
     List.map (function Stdlib.Ok r -> r | Stdlib.Error _ -> assert false) rs
-
-let timed_map ?domains ?label f xs =
-  map ?domains ?label
-    (fun x ->
-      let t0 = Unix.gettimeofday () in
-      let r = f x in
-      (r, Unix.gettimeofday () -. t0))
-    xs
 
 (* ------------------------------------------------------------------ *)
 (* Long-lived worker pool                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [map] and friends spawn domains per call, which is the right shape
+(* [map] spawns domains per call, which is the right shape
    for batch fan-out but not for a daemon taking an open-ended request
    stream: domain spawn is milliseconds, and per-domain state (profile
    shards) needs workers with stable identities.  [Workers] keeps [n]

@@ -4,11 +4,12 @@
     Work items are claimed from a shared atomic counter, results land in
     their input slot, and the caller receives them in input order — so
     output is deterministic regardless of scheduling.  Every job runs to
-    completion (or to a captured exception) whatever its siblings do:
-    {!map_result} returns a structured {!outcome} per job and never
-    loses a finished sibling to one crash, while {!map} is the thin
-    fail-fast wrapper that re-raises the first failure (in input order)
-    wrapped in {!Job_error} so the job is attributable.
+    completion (or to a captured exception) whatever its siblings do;
+    {!map} then re-raises the first failure (in input order) wrapped in
+    {!Job_error} so the job is attributable.  Callers that must keep
+    every sibling's result run total jobs: {!Guard.protect} folds each
+    job's failures into a structured {!outcome}, which is how
+    {!Pipeline.run_jobs_guarded} uses the pool.
 
     The pipeline has no global mutable state, so jobs are data-parallel;
     callers must only take care to force any [lazy] inputs *before*
@@ -51,9 +52,8 @@ val outcome_message : 'a outcome -> string
 
 exception Job_error of int * string * exn
 (** [Job_error (index, label, e)]: job [index] (0-based input position,
-    with its display [label]) raised [e].  Raised by {!map} and
-    {!timed_map}; the original exception and backtrace are preserved in
-    the payload. *)
+    with its display [label]) raised [e].  Raised by {!map}; the
+    original exception and backtrace are preserved in the payload. *)
 
 (** {2 Fan-out} *)
 
@@ -62,25 +62,11 @@ val map : ?domains:int -> ?label:(int -> 'a -> string) -> ('a -> 'b) -> 'a list 
     domains (never more than [List.length xs]; [domains <= 1] degrades
     to plain sequential application).  Results are in input order.
     Fail-fast: if any job raised, the first failure in input order is
-    re-raised as {!Job_error} (completed siblings are discarded — use
-    {!map_result} to keep them). *)
-
-val map_result : ?domains:int -> ('a -> 'b) -> 'a list -> 'b outcome list
-(** Like {!map} but total: each job's exception is captured in its own
-    slot ({!Trap} for simulator traps, {!Crash} otherwise) and every
-    other job's result is still returned.  Never raises on a job
-    failure.  {!Timeout} and {!Gave_up} are produced by the
-    deadline/retry layer ({!Guard}), not by the pool itself. *)
-
-val timed_map :
-  ?domains:int -> ?label:(int -> 'a -> string) -> ('a -> 'b) -> 'a list ->
-  ('b * float) list
-(** {!map} that also reports each item's wall-clock seconds, measured
-    inside the worker domain. *)
+    re-raised as {!Job_error} (completed siblings are discarded). *)
 
 (** {2 Long-lived worker pool}
 
-    {!map} and friends spawn fresh domains per call — right for batch
+    {!map} spawns fresh domains per call — right for batch
     fan-out, wrong for a daemon serving an open-ended request stream,
     which wants the spawn cost paid once and stable worker identities
     (per-domain profile shards are indexed by worker).  A {!Workers.t}

@@ -116,14 +116,15 @@ let config_fingerprint (c : Config.t) =
           | None -> "-"
           | Some (h, cbits, e) -> Printf.sprintf "%d.%d.%d" h cbits e)
   in
-  Printf.sprintf "%s|%s|%d.%s.%s|%s%s%s%s|%s|%s|%s"
+  (* the "tt" stands for two fields that no longer exist, both always
+     on now (reordering enabled, detection with interval facts); it is
+     kept so that state written by earlier versions still restores *)
+  Printf.sprintf "%s|%s|%d.%s.%s|tt%s%s|%s|%s|%s"
     c.Config.heuristic.Mopt.Switch_lower.hs_name
     (match c.Config.selector with `Greedy -> "greedy" | `Exhaustive -> "exhaustive")
     c.Config.apply_options.Reorder.Apply.tail_dup_limit
     (b c.Config.apply_options.Reorder.Apply.improve_cmp)
     (b c.Config.apply_options.Reorder.Apply.improve_form4)
-    (b c.Config.reorder_enabled)
-    (b c.Config.analysis_facts)
     (b c.Config.keep_original_default)
     (b c.Config.delay_fill_from_target)
     machine
@@ -558,7 +559,6 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
   let t0 = Unix.gettimeofday () in
   Atomic.incr t.requests;
   let key = content_key t source in
-  let requested = t.config.Config.backend in
   (* a per-request deadline tightens (never loosens) the policy's
      watchdog; it rides the same {!Sim.Runtime.watchdog} machinery *)
   let policy =
@@ -595,7 +595,7 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
       rs_status = "crash";
       rs_output = "";
       rs_exit_code = -1;
-      rs_backend = Config.backend_name requested;
+      rs_backend = Config.backend_name t.config.Config.backend;
       rs_generation = 0;
       rs_cold = !built;
       rs_message = Printexc.to_string e;
@@ -603,25 +603,11 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
     }
   | entry ->
     let art = Atomic.get entry.e_artifact in
-    let rungs =
-      if policy.Guard.degrade then Config.rungs t.config else [ requested ]
+    let backend, outcome, _meta =
+      Guard.ladder policy t.config (fun ~backend ~attempt:_ ~cancel ->
+          fire_inject ();
+          exec_rung t art backend ~cancel ~input)
     in
-    let rec walk rungs =
-      match rungs with
-      | [] -> assert false
-      | backend :: rest -> (
-        let outcome, _meta =
-          Guard.protect policy (fun ~attempt:_ ~cancel ->
-              fire_inject ();
-              exec_rung t art backend ~cancel ~input)
-        in
-        match outcome with
-        | Pool.Ok r -> (backend, Pool.Ok r)
-        | Pool.Trap _ | Pool.Timeout _ -> (backend, outcome)
-        | Pool.Crash _ | Pool.Gave_up _ ->
-          if rest = [] then (backend, outcome) else walk rest)
-    in
-    let backend, outcome = walk rungs in
     let response =
       match outcome with
       | Pool.Ok (r : Sim.Machine.result) ->

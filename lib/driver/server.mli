@@ -31,10 +31,10 @@
     generation key, and atomically swaps the served artifact.
     In-flight requests keep the generation they started with.
 
-    {b Resilience.}  Every request runs under the PR-5 {!Guard}
-    ladder: per-attempt watchdog, bounded seeded retries, and backend
-    degradation native → compiled → reference, each rung
-    served from its cached artifact.  One poisoned request cannot take
+    {b Resilience.}  Every request runs under {!Guard.ladder}, the
+    ladder batch jobs walk too: per-attempt watchdog, bounded seeded
+    retries, and backend degradation native → compiled → reference,
+    each rung served from its cached artifact.  One poisoned request cannot take
     the service down.
 
     {b Durability.}  With [state_dir] set, everything the online loop

@@ -123,14 +123,28 @@ let func ?(allow_switch = false) ?(check_init = false) f =
   if check_init && !errors = [] then check_init_regs errors f;
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
+(* the simulators allocate each global as an array of [size] words and
+   blit its initializer in *)
+let global_error (g : Program.global) =
+  match g.Program.init with
+  | _ when g.Program.size < 0 ->
+    Some (Printf.sprintf "global %s: negative size %d" g.Program.gname
+            g.Program.size)
+  | Some init when Array.length init > g.Program.size ->
+    Some
+      (Printf.sprintf "global %s: initializer of %d words exceeds size %d"
+         g.Program.gname (Array.length init) g.Program.size)
+  | _ -> None
+
 let program ?allow_switch ?check_init (p : Program.t) =
   let all_errors =
-    List.concat_map
-      (fun f ->
-        match func ?allow_switch ?check_init f with
-        | Ok () -> []
-        | Error es -> es)
-      p.Program.funcs
+    List.filter_map global_error p.Program.globals
+    @ List.concat_map
+        (fun f ->
+          match func ?allow_switch ?check_init f with
+          | Ok () -> []
+          | Error es -> es)
+        p.Program.funcs
   in
   match all_errors with [] -> Ok () | es -> Error es
 

@@ -10,6 +10,8 @@
       codes are set on all paths from the entry);
     - delay slots contain no [Cmp], call, or control transfer;
     - [Switch] pseudo terminators only appear when [allow_switch] is set;
+    - ({!program} only) no global has a negative size or an initializer
+      longer than its size;
     - when [check_init] is set, no register is read before being written
       (entry live-in must be a subset of the parameters). *)
 

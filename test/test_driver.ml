@@ -57,16 +57,6 @@ let test_cycles_orderable () =
              .Sim.Counters.insns))
     cycles
 
-let test_reorder_disabled () =
-  let config = { Driver.Config.default with Driver.Config.reorder_enabled = false } in
-  let r =
-    reorder_pipeline ~config ~training_input:"aab" ~test_input:"abab" simple_src
-  in
-  check_int "no sequences considered" 0 (List.length r.Driver.Pipeline.r_seqs);
-  check_int "identical instruction counts"
-    r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters.Sim.Counters.insns
-    r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters.Sim.Counters.insns
-
 let test_stats_aggregation () =
   let r =
     reorder_pipeline ~training_input:"aaaaabbbbbccccc" ~test_input:"cabcab"
@@ -106,6 +96,47 @@ let test_output_mismatch_detected () =
     r.Driver.Pipeline.r_original.Driver.Pipeline.v_output
     r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_output
 
+(* [reoptimize] is [run]'s pass 2 without the training run: on the same
+   base, sequences and trained table it yields the very MIR [run]
+   measures, so the server serves what the batch pipeline measures *)
+let test_reoptimize_equals_run () =
+  let trunc s = String.sub s 0 (min 2000 (String.length s)) in
+  let reordered = ref 0 in
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.find name in
+      let source = w.Workloads.Spec.source in
+      let training_input = trunc (Lazy.force w.Workloads.Spec.training_input) in
+      let test_input = trunc (Lazy.force w.Workloads.Spec.test_input) in
+      List.iter
+        (fun heuristic ->
+          let config = { Driver.Config.default with Driver.Config.heuristic } in
+          let r =
+            Driver.Pipeline.run ~config ~name ~source ~training_input
+              ~test_input ()
+          in
+          let base = Driver.Pipeline.compile_base config source in
+          let seqs = Driver.Pipeline.detect_seqs config base in
+          let train_prog, table = Driver.Pipeline.instrument config base seqs in
+          ignore
+            (Sim.Compiled.exec ~profile:table
+               (Sim.Compiled.compile (Sim.Image.build train_prog))
+               ~input:training_input);
+          let served, report =
+            Driver.Pipeline.reoptimize config ~name base seqs table
+          in
+          reordered := !reordered + Reorder.Pass.reordered_count report;
+          check_output
+            (Printf.sprintf "%s, set %s: reoptimize = run" name
+               heuristic.Mopt.Switch_lower.hs_name)
+            (Mir.Program.to_string
+               r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_program)
+            (Mir.Program.to_string served))
+        [ Mopt.Switch_lower.set_i; Mopt.Switch_lower.set_ii;
+          Mopt.Switch_lower.set_iii ])
+    [ "wc"; "grep"; "lex" ];
+  check_bool "some sequences were reordered" true (!reordered > 0)
+
 let suite =
   [
     case "driver: percentage arithmetic" test_pct;
@@ -113,8 +144,9 @@ let suite =
     case "driver: measurement fields" test_measure_fields;
     case "driver: predictor size wiring" test_predictor_monotone_entries;
     case "driver: cycle models bounded below by instructions" test_cycles_orderable;
-    case "driver: reordering can be disabled" test_reorder_disabled;
     case "driver: stats aggregation" test_stats_aggregation;
     case "driver: stats merge and histogram" test_stats_merge_and_histogram;
     case "driver: output equality guard" test_output_mismatch_detected;
+    case "driver: reoptimize serves run's reordered MIR"
+      test_reoptimize_equals_run;
   ]

@@ -62,52 +62,6 @@ let test_map_exception () =
     check_output "label" "item-1" label;
     check_output "trap message" "t" m
 
-let test_map_result_isolation () =
-  (* failing jobs become structured outcomes; every sibling's result is
-     preserved *)
-  let f x =
-    if x = 2 then raise (Boom 2)
-    else if x = 5 then raise (Sim.Machine.Trap "bad")
-    else x * 3
-  in
-  let outs = Driver.Pool.map_result ~domains:3 f (List.init 8 Fun.id) in
-  check_int "one outcome per job" 8 (List.length outs);
-  List.iteri
-    (fun i o ->
-      match (i, o) with
-      | 2, Driver.Pool.Crash info ->
-        check_bool "crash message mentions Boom" true
-          (contains_substring info.Driver.Pool.exn_message "Boom")
-      | 5, Driver.Pool.Trap m -> check_output "trap outcome" "bad" m
-      | _, Driver.Pool.Ok v -> check_int (Printf.sprintf "sibling %d" i) (i * 3) v
-      | _ -> Alcotest.failf "job %d: unexpected outcome" i)
-    outs
-
-let test_map_result_random_faults =
-  qcheck ~count:60 "random crash subsets never lose siblings"
-    QCheck.(pair small_nat (int_bound 3))
-    (fun (seed, extra_domains) ->
-      let n = 30 in
-      let faulty = Array.init n (fun i -> mix seed i mod 3 = 0) in
-      let f i = if faulty.(i) then raise (Boom i) else i * 7 in
-      let outs =
-        Driver.Pool.map_result ~domains:(1 + extra_domains) f
-          (List.init n Fun.id)
-      in
-      List.length outs = n
-      && List.for_all2
-           (fun expected_fault o ->
-             match o with
-             | Driver.Pool.Ok v -> (not expected_fault) && v mod 7 = 0
-             | Driver.Pool.Crash _ -> expected_fault
-             | _ -> false)
-           (Array.to_list faulty) outs)
-
-let test_timed_map () =
-  let ys = Driver.Pool.timed_map ~domains:3 (fun x -> x + 1) [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "results" [ 2; 3; 4 ] (List.map fst ys);
-  List.iter (fun (_, s) -> check_bool "non-negative time" true (s >= 0.0)) ys
-
 let test_default_domains_env () =
   let saved = Sys.getenv_opt "BROMC_DOMAINS" in
   Unix.putenv "BROMC_DOMAINS" "3";
@@ -348,6 +302,17 @@ let test_fault_containment_certification () =
 (* Backend degradation preserves observables on the real workloads      *)
 (* ------------------------------------------------------------------ *)
 
+(* the results of guarded jobs that must all succeed, in job order *)
+let run_all ~domains jobs =
+  List.map
+    (fun (o : Driver.Pipeline.job_outcome) ->
+      match o.Driver.Pipeline.o_outcome with
+      | Driver.Pool.Ok r -> r
+      | out ->
+        Alcotest.failf "%s: %s" o.Driver.Pipeline.o_name
+          (Driver.Pool.outcome_message out))
+    (Driver.Pipeline.run_jobs_guarded ~domains jobs)
+
 let test_backend_fallback_observables () =
   let trunc s = String.sub s 0 (min 3000 (String.length s)) in
   let jobs =
@@ -360,7 +325,7 @@ let test_backend_fallback_observables () =
           ())
       Workloads.Registry.all
   in
-  let clean = Driver.Pipeline.run_jobs ~domains:4 jobs in
+  let clean = run_all ~domains:4 jobs in
   (* corrupt every job's compiled-backend result: each must fall back to
      the reference interpreter and reproduce the clean observables *)
   let faults =
@@ -377,7 +342,7 @@ let test_backend_fallback_observables () =
     Driver.Pipeline.run_jobs_guarded ~domains:4 ~policy ~inject:faults jobs
   in
   List.iter2
-    (fun ((c : Driver.Pipeline.result), _) (o : Driver.Pipeline.job_outcome) ->
+    (fun (c : Driver.Pipeline.result) (o : Driver.Pipeline.job_outcome) ->
       match o.Driver.Pipeline.o_outcome with
       | Driver.Pool.Ok r ->
         check_bool (o.Driver.Pipeline.o_name ^ ": degraded") true
@@ -419,13 +384,13 @@ let test_run_jobs_deterministic () =
           ())
       workloads
   in
-  let seq = Driver.Pipeline.run_jobs ~domains:1 jobs in
-  let par = Driver.Pipeline.run_jobs ~domains:3 jobs in
+  let seq = run_all ~domains:1 jobs in
+  let par = run_all ~domains:3 jobs in
   Alcotest.(check (list string))
     "sequential order" workloads
-    (List.map (fun ((r : Driver.Pipeline.result), _) -> r.Driver.Pipeline.r_name) seq);
+    (List.map (fun (r : Driver.Pipeline.result) -> r.Driver.Pipeline.r_name) seq);
   List.iter2
-    (fun ((a : Driver.Pipeline.result), _) ((b : Driver.Pipeline.result), _) ->
+    (fun (a : Driver.Pipeline.result) (b : Driver.Pipeline.result) ->
       check_output "name" a.Driver.Pipeline.r_name b.Driver.Pipeline.r_name;
       check_int
         (a.Driver.Pipeline.r_name ^ ": reordered insns")
@@ -463,9 +428,6 @@ let suite =
     case "map keeps order under uneven work" test_map_uneven_work;
     case "map on empty and singleton lists" test_map_empty_and_singleton;
     case "map wraps the first error in Job_error" test_map_exception;
-    case "map_result isolates failures from siblings" test_map_result_isolation;
-    test_map_result_random_faults;
-    case "timed_map pairs results with durations" test_timed_map;
     case "BROMC_DOMAINS overrides the domain count" test_default_domains_env;
     case "guard retries are seeded-deterministic" test_guard_retry_determinism;
     case "guard retries are bounded; traps are final" test_guard_bounded_and_final;

@@ -423,6 +423,35 @@ let test_server_guard_contains_trap () =
       check_output "service alive after the trap" "ok"
         ok.Driver.Server.rs_status)
 
+(* the server's side of the one degradation ladder: a crash moves the
+   request down a rung, a trap is final on the first *)
+let test_server_ladder () =
+  let srv = Driver.Server.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.Server.shutdown srv)
+    (fun () ->
+      let input = wc_input () in
+      let r =
+        Driver.Server.submit srv
+          ~inject:(fun () -> failwith "injected crash")
+          ~name:"wc" ~source:wc_source ~input
+      in
+      check_output "crash recovered" "ok" r.Driver.Server.rs_status;
+      check_output "served by the next rung" "reference"
+        r.Driver.Server.rs_backend;
+      let out, code =
+        Driver.Server.oracle srv ~name:"wc" ~source:wc_source ~input
+      in
+      check_output "degraded output equals the oracle" out
+        r.Driver.Server.rs_output;
+      check_int "degraded exit code equals the oracle" code
+        r.Driver.Server.rs_exit_code;
+      let bad = "int main() { int x; x = 1 / 0; return x; }" in
+      let t = Driver.Server.submit srv ~name:"bad" ~source:bad ~input:"" in
+      check_output "trap is final" "trap" t.Driver.Server.rs_status;
+      check_output "trap stays on the first rung" "compiled"
+        t.Driver.Server.rs_backend)
+
 (* ---------------------------------------------------------------- *)
 (* Replay                                                            *)
 (* ---------------------------------------------------------------- *)
@@ -664,7 +693,10 @@ let test_restore_drops_on_config_change () =
       Driver.Server.sync srv;
       Driver.Server.shutdown ~crash:true srv;
       let config =
-        { Driver.Config.default with Driver.Config.reorder_enabled = false }
+        {
+          Driver.Config.default with
+          Driver.Config.heuristic = Mopt.Switch_lower.set_ii;
+        }
       in
       let srv2 =
         Driver.Server.create ~config ~domains:1 ~state_dir:dir ()
@@ -795,6 +827,8 @@ let suite =
       test_server_drift_reopt;
     case "server: trap contained by the guard ladder"
       test_server_guard_contains_trap;
+    case "server: crashes degrade a rung, traps stay final"
+      test_server_ladder;
     case "artifact: LRU eviction races single-flight builds"
       test_artifact_lru_race;
     slow_case "server: crash-restart resumes generation and counters"

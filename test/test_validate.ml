@@ -145,6 +145,32 @@ let program_check_raises () =
     check_bool "message names the label" true
       (contains_substring msg "nowhere")
 
+(* a one-block program carrying [g]: the function is well formed, so
+   any error is about the global *)
+let program_with_global gname size init =
+  let p = Mir.Program.make () in
+  Mir.Program.add_func p (func_of [ ret ]);
+  Mir.Program.add_global p { Mir.Program.gname; size; init };
+  p
+
+let negative_global_size () =
+  expect_invalid ~substr:"negative size"
+    (Mir.Validate.program (program_with_global "g" (-3) None))
+
+let global_init_too_long () =
+  expect_invalid ~substr:"exceeds size"
+    (Mir.Validate.program (program_with_global "g" 1 (Some [| 1; 2; 3 |])))
+
+let empty_global_accepted () =
+  (* positive control: a zero-sized global and an initializer exactly
+     filling its global are fine *)
+  let p = program_with_global "g" 0 None in
+  Mir.Program.add_global p
+    { Mir.Program.gname = "h"; size = 2; init = Some [| 1; 2 |] };
+  match Mir.Validate.program p with
+  | Ok () -> ()
+  | Error msgs -> Alcotest.failf "unexpected: %s" (String.concat " | " msgs)
+
 let suite =
   [
     case "duplicate label rejected" duplicate_label;
@@ -161,4 +187,8 @@ let suite =
     case "register read before written rejected" use_before_def;
     case "well-formed function accepted" well_formed_accepted;
     case "Validate.check raises with the message" program_check_raises;
+    case "negative global size rejected" negative_global_size;
+    case "global initializer longer than its size rejected"
+      global_init_too_long;
+    case "zero-sized global accepted" empty_global_accepted;
   ]
