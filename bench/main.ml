@@ -687,11 +687,11 @@ let backends_section () =
     Printf.eprintf
       "[bench] native backend unavailable on this host; racing two \
        engines\n%!";
-  let sweep config bank =
+  let sweep config =
     let t0 = Unix.gettimeofday () in
     let versions =
       List.map
-        (fun (_, prog, input) -> Driver.Pipeline.measure config ~bank prog ~input)
+        (fun (_, prog, input) -> Driver.Pipeline.measure config prog ~input)
         programs
     in
     (Unix.gettimeofday () -. t0, versions)
@@ -700,20 +700,17 @@ let backends_section () =
     let config = { Driver.Config.default with Driver.Config.backend } in
     Printf.eprintf "[bench] measuring %d programs under the %s backend...\n%!"
       (List.length programs) (Sim.Machine.backend_name backend);
-    (* one bank reused (reset) across the whole sweep, as the pipeline's
-       measure stage reuses one across its original/reordered pair *)
-    let bank = Sim.Predictor.bank Driver.Config.default.Driver.Config.predictors in
     (* the native engine's first sweep generates, compiles and dynlinks
        every image (or loads it from the artifact store); report that
        separately and keep it out of the steady-state timings *)
     if backend = `Native then begin
       Sim.Native.reset_stats ();
-      let codegen_wall, _ = sweep config bank in
+      let codegen_wall, _ = sweep config in
       native_codegen_seconds := Some codegen_wall
     end;
     let best = ref infinity and last = ref [] in
     for _ = 1 to runs_per_engine do
-      let wall, versions = sweep config bank in
+      let wall, versions = sweep config in
       if wall < !best then best := wall;
       last := versions
     done;

@@ -101,23 +101,31 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
   ignore (Mopt.Profile_layout.run prog tables)
 
 (* measure a finalized program on the test input with all predictors.
-   The predictors live in a prebuilt {!Sim.Predictor.bank}: the compiled
-   and native backends drive it through their fused sink (no allocation
-   per branch event), the reference interpreter through a single
-   closure.  Callers measuring several versions can pass one [bank] to
-   reuse across calls — it is reset here. *)
-let measure (config : Config.t) ?bank prog ~input =
+   With no history bits a predictor indexes its table by
+   [site land (entries - 1)], so every table of at least [nsites]
+   entries gives each site its own counter, and all such tables of one
+   counter width fold identical streams: only the first of them per
+   width is simulated, and its tallies are reported for the others. *)
+let measure (config : Config.t) prog ~input =
+  let image = Sim.Image.build prog in
+  let keys = config.Config.predictors in
+  let alias_free (h, _, e) = h = 0 && e >= image.Sim.Image.nsites in
+  let simulated ((_, c, _) as key) =
+    if alias_free key then
+      List.find (fun ((_, c', _) as k) -> c' = c && alias_free k) keys
+    else key
+  in
   let bank =
-    match bank with
-    | Some b ->
-      Sim.Predictor.bank_reset b;
-      b
-    | None -> Sim.Predictor.bank config.Config.predictors
+    Sim.Predictor.bank (List.sort_uniq compare (List.map simulated keys))
   in
   let result =
-    run_backend config ~sink:(Sim.Predictor.Sink_bank bank) prog ~input
+    run_backend config ~sink:(Sim.Predictor.Sink_bank bank) ~image prog
+      ~input
   in
-  let mispredicts = Sim.Predictor.bank_mispredicts bank in
+  let tallies = Sim.Predictor.bank_mispredicts bank in
+  let mispredicts =
+    List.map (fun key -> (key, List.assoc (simulated key) tallies)) keys
+  in
   let cycles =
     List.map
       (fun (m : Sim.Cycle_model.params) ->
@@ -305,10 +313,8 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
 
   let original, reordered =
     stage "measure" (fun () ->
-        (* one bank serves both versions (reset between runs) *)
-        let bank = Sim.Predictor.bank config.Config.predictors in
-        let original = measure config ~bank orig ~input:test_input in
-        let reordered = measure config ~bank reord ~input:test_input in
+        let original = measure config orig ~input:test_input in
+        let reordered = measure config reord ~input:test_input in
         (original, reordered))
   in
   if not (String.equal original.v_output reordered.v_output) then

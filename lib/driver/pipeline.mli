@@ -81,14 +81,15 @@ val reoptimize :
     those two options its program equals {!run}'s [r_reordered] for the
     same base, sequences and table. *)
 
-val measure :
-  Config.t -> ?bank:Sim.Predictor.bank -> Mir.Program.t -> input:string ->
-  version
+val measure : Config.t -> Mir.Program.t -> input:string -> version
 (** Measure one finalized program on an input under the configured
-    execution backend, driving every configured predictor through a
-    prebuilt {!Sim.Predictor.bank} (the compiled backend's fused sink —
-    no allocation per branch event).  Pass [bank] to reuse one bank
-    across several measurements; it is reset on entry. *)
+    execution backend and report every configured predictor, in
+    configured order.  The predictors run in one fresh
+    {!Sim.Predictor.bank}.  A predictor with no history bits and at
+    least {!Sim.Image.t.nsites} entries gives every branch site its own
+    counter, so all such predictors of one counter width have the same
+    tallies: only the first of them per width is simulated.  Predictors
+    with history bits, and smaller tables, are each simulated. *)
 
 val run :
   ?config:Config.t ->

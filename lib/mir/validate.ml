@@ -114,8 +114,38 @@ let check_init_regs errors (f : Func.t) =
         (String.concat ", "
            (List.map Reg.show (Reg.Set.elements undefined)))
 
+(* the simulators give each function a register file with one slot per
+   id up to the largest id used *)
+let check_regs errors (f : Func.t) =
+  let too_large = ref Reg.Set.empty in
+  let see r =
+    if Reg.to_int r >= Sys.max_array_length then
+      too_large := Reg.Set.add r !too_large
+  in
+  let see_insn i =
+    List.iter see (Insn.defs i);
+    List.iter see (Insn.uses i)
+  in
+  List.iter see f.Func.params;
+  List.iter
+    (fun b ->
+      List.iter see_insn b.Block.insns;
+      Option.iter see_insn b.Block.term.delay;
+      match b.Block.term.kind with
+      | Block.Switch (r, _, _)
+      | Block.Jtab (r, _)
+      | Block.Ret (Some (Operand.Reg r)) ->
+        see r
+      | Block.Br _ | Block.Jmp _ | Block.Ret _ -> ())
+    f.Func.blocks;
+  Reg.Set.iter
+    (fun r ->
+      err errors "%s: register id %s is too large" f.Func.name (Reg.show r))
+    !too_large
+
 let func ?(allow_switch = false) ?(check_init = false) f =
   let errors = ref [] in
+  check_regs errors f;
   check_labels errors f;
   check_switch errors allow_switch f;
   check_delay errors f;
@@ -129,6 +159,9 @@ let global_error (g : Program.global) =
   match g.Program.init with
   | _ when g.Program.size < 0 ->
     Some (Printf.sprintf "global %s: negative size %d" g.Program.gname
+            g.Program.size)
+  | _ when g.Program.size >= Sys.max_array_length ->
+    Some (Printf.sprintf "global %s: size %d is too large" g.Program.gname
             g.Program.size)
   | Some init when Array.length init > g.Program.size ->
     Some

@@ -15,9 +15,11 @@
    module only turns them into closures.
 
    Measurement is fused into the loop: branch terminators deliver their
-   outcome to a {!Predictor.sink} held in the run state — a prebuilt
-   predictor bank is swept with a flat array loop, so the measure stage
-   performs zero allocation per branch event. *)
+   outcome to a {!Predictor.sink} held in the run state.  A bank sink
+   appends the event to the bank's own buffer, which the bank folds one
+   predictor at a time when it fills or is read, so the measure stage
+   performs zero allocation and no predictor update per branch
+   event. *)
 
 open Runtime
 

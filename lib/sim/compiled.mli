@@ -10,9 +10,9 @@
     backend.
 
     Branch measurement is fused into the loop: conditional-branch
-    terminators deliver their outcome straight to a {!Predictor.sink},
-    so driving a prebuilt predictor bank allocates nothing per branch
-    event. *)
+    terminators deliver their outcome straight to a {!Predictor.sink};
+    a bank sink appends it to the bank's event buffer, which is folded
+    in batches and allocates nothing per branch event. *)
 
 type t
 (** A compiled program.  Compile once, execute many times — executions
@@ -32,5 +32,6 @@ val exec :
   input:string ->
   Runtime.result
 (** Run a compiled program.  [sink] defaults to {!Predictor.Sink_none};
-    pass [Sink_bank] for allocation-free measurement or [Sink_fun] for
+    pass [Sink_bank] for buffered, allocation-free measurement or
+    [Sink_fun] for
     the classic [on_branch] closure protocol. *)

@@ -27,13 +27,14 @@
 
    Branch events under [Sink_bank] are not delivered one closure call
    at a time: the generated code appends [(site lsl 1) lor taken] to an
-   event buffer at each branch terminator and folds full buffers into
-   the predictor bank with {!Predictor.bank_drain}, which sweeps one
-   predictor at a time over the batch.  Each predictor still folds its
-   event stream in order, so the final tables, lookup and mispredict
-   counts are byte-identical to streaming delivery — this is where most
-   of the backend's measure-loop speedup comes from, because the
-   per-event bank sweep dominates once interpretation overhead is gone.
+   event buffer of its own at each branch terminator and folds full
+   buffers into the predictor bank with {!Predictor.bank_drain}, which
+   sweeps one predictor at a time over the batch.  Each predictor still
+   folds its event stream in order, so the final tables, lookup and
+   mispredict counts are byte-identical to streaming delivery.  The
+   other engines batch too, through the bank's own buffer
+   ({!Predictor.bank_access}); the plugin keeps its buffer because the
+   buffer is part of the generated source and of the [ctx] schema.
 
    Artifacts are cached on disk under one subdirectory per
    compiler/ABI fingerprint, one [.cmxs] per content hash of the

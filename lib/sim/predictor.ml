@@ -59,29 +59,9 @@ let describe t =
   Printf.sprintf "(%d,%d)x%d" t.history_bits t.counter_bits t.entries
 
 (* ------------------------------------------------------------------ *)
-(* Predictor banks: a prebuilt flat array of predictors driven with no *)
-(* per-event allocation or list traversal.                             *)
+(* Predictor banks: a prebuilt flat array of predictors fed through an *)
+(* event buffer of their own.                                          *)
 (* ------------------------------------------------------------------ *)
-
-type bank = {
-  bank_keys : (int * int * int) array;
-  bank_preds : t array;
-}
-
-let bank keys =
-  let bank_keys = Array.of_list keys in
-  let bank_preds =
-    Array.map
-      (fun (h, c, e) -> make ~history_bits:h ~counter_bits:c ~entries:e)
-      bank_keys
-  in
-  { bank_keys; bank_preds }
-
-let bank_access b ~site ~taken =
-  let preds = b.bank_preds in
-  for i = 0 to Array.length preds - 1 do
-    access (Array.unsafe_get preds i) ~site ~taken
-  done
 
 (* Batched delivery: fold [n] packed events ([(site lsl 1) lor taken],
    oldest first) into one predictor.  Transposing the loop — one
@@ -146,17 +126,59 @@ let drain_pred (p : t) buf n =
   p.lookups <- p.lookups + n;
   p.mispredicts <- p.mispredicts + !misp
 
-let bank_drain b buf n =
-  let preds = b.bank_preds in
+let drain_all preds buf n =
   for i = 0 to Array.length preds - 1 do
     drain_pred (Array.unsafe_get preds i) buf n
   done
 
-let bank_reset b = Array.iter reset b.bank_preds
+let buffer_events = 8192
+
+(* [pending] events of [buf] are recorded but not yet folded: every
+   read below flushes them first, so no caller can tell a bank from one
+   fed event by event *)
+type bank = {
+  bank_keys : (int * int * int) array;
+  bank_preds : t array;
+  buf : int array;
+  mutable pending : int;
+}
+
+let bank keys =
+  let bank_keys = Array.of_list keys in
+  let bank_preds =
+    Array.map
+      (fun (h, c, e) -> make ~history_bits:h ~counter_bits:c ~entries:e)
+      bank_keys
+  in
+  { bank_keys; bank_preds; buf = Array.make buffer_events 0; pending = 0 }
+
+let flush b =
+  if b.pending > 0 then begin
+    drain_all b.bank_preds b.buf b.pending;
+    b.pending <- 0
+  end
+
+(* a full buffer is folded at once, so [pending] stays below
+   [buffer_events] between calls *)
+let bank_access b ~site ~taken =
+  let n = b.pending in
+  b.buf.(n) <- (site lsl 1) lor Bool.to_int taken;
+  b.pending <- n + 1;
+  if n + 1 = buffer_events then flush b
+
+let bank_drain b buf n =
+  flush b;
+  drain_all b.bank_preds buf n
+
+let bank_reset b =
+  b.pending <- 0;
+  Array.iter reset b.bank_preds
 
 let bank_absorb ~into src =
   if Array.length into.bank_keys <> Array.length src.bank_keys then
     invalid_arg "Predictor.bank_absorb: bank shapes differ";
+  flush into;
+  flush src;
   Array.iteri
     (fun i (sp : t) ->
       let dp = into.bank_preds.(i) in
@@ -171,6 +193,7 @@ let bank_absorb ~into src =
 let bank_add_tallies b tallies =
   if List.length tallies <> Array.length b.bank_keys then
     invalid_arg "Predictor.bank_add_tallies: bank shapes differ";
+  flush b;
   List.iteri
     (fun i (key, (lk, mis)) ->
       if b.bank_keys.(i) <> key then
@@ -185,12 +208,14 @@ let bank_add_tallies b tallies =
 let bank_size b = Array.length b.bank_preds
 
 let bank_mispredicts b =
+  flush b;
   Array.to_list
     (Array.map2
        (fun key p -> (key, mispredicts p))
        b.bank_keys b.bank_preds)
 
 let bank_lookups b =
+  flush b;
   Array.to_list
     (Array.map2 (fun key p -> (key, lookups p)) b.bank_keys b.bank_preds)
 

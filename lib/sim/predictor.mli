@@ -25,10 +25,23 @@ val describe : t -> string
 (** {2 Banks}
 
     A bank is a prebuilt array of predictors keyed by their
-    [(history_bits, counter_bits, entries)] configuration, updated for
-    every branch event with a flat array sweep — no allocation and no
-    assoc-list traversal per event.  The measure stage builds one bank
-    per run instead of dispatching over a [(key, predictor) list]. *)
+    [(history_bits, counter_bits, entries)] configuration, fed every
+    branch event through an event buffer of its own.  {!bank_access}
+    appends the packed event and, when the buffer holds 8192 events,
+    folds them into one predictor at a time: each predictor folds its
+    own stream in order, so its final table, history and counts equal
+    those of {!access} called event by event, and the sweep keeps one
+    table hot in cache instead of touching all of them per event.
+
+    Every read flushes the pending events first: {!bank_mispredicts},
+    {!bank_lookups}, {!bank_absorb} (both banks), {!bank_add_tallies}
+    and {!bank_drain}.  {!bank_reset} discards them.  So no read can
+    tell a bank from one fed event by event, including after a run
+    stopped mid-stream by a trap or fuel exhaustion.  A read is
+    therefore also a write: a caller that shares a bank between domains
+    must hold, around every read, the lock that guards its pushes
+    ([Server.merge_locked] holds each worker's bank lock while it
+    absorbs that worker's bank). *)
 
 type bank
 
@@ -36,18 +49,21 @@ val bank : (int * int * int) list -> bank
 (** [bank keys] makes one fresh predictor per [(m, n, entries)] key. *)
 
 val bank_access : bank -> site:int -> taken:bool -> unit
-(** Feed one branch outcome to every predictor in the bank. *)
+(** Record one branch outcome for every predictor in the bank (folded
+    when the buffer fills or at the next read). *)
 
 val bank_drain : bank -> int array -> int -> unit
-(** [bank_drain b buf n] feeds the first [n] packed events of [buf] —
+(** [bank_drain b buf n] flushes [b]'s pending events, then feeds the
+    first [n] packed events of [buf] —
     [(site lsl 1) lor (if taken then 1 else 0)], oldest first — to
     every predictor, sweeping one predictor at a time over the whole
-    batch.  Equivalent to [n] calls of {!bank_access} in order (each
-    predictor folds its own event stream in sequence either way), but
-    much cheaper when the bank is wide: the native backend buffers
-    branch events in generated code and drains here. *)
+    batch.  Equivalent to [n] calls of {!bank_access} in order: the
+    native backend buffers branch events in generated code and drains
+    here. *)
 
 val bank_reset : bank -> unit
+(** Restore every predictor to its initial state and discard the
+    pending events. *)
 
 val bank_absorb : into:bank -> bank -> unit
 (** [bank_absorb ~into shard] adds [shard]'s lookup and mispredict

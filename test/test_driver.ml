@@ -137,6 +137,70 @@ let test_reoptimize_equals_run () =
     [ "wc"; "grep"; "lex" ];
   check_bool "some sequences were reordered" true (!reordered > 0)
 
+(* [measure] simulates only one alias-free predictor per counter width;
+   every key must still read what its own predictor, fed event by
+   event, reads.  Per program, the keys are the largest table below its
+   site count [p], half of it, tables of at least [nsites] entries and
+   history-indexed ones, both counter widths.  wc (20 sites) and sed
+   (58) sit on both sides of 32, grep has exactly 32, and sed's
+   32-entry table aliases. *)
+let test_measure_collapse_exact () =
+  let aliased = ref false in
+  List.iter
+    (fun name ->
+      let w = Workloads.Registry.find name in
+      let input = String.sub (Lazy.force w.Workloads.Spec.test_input) 0 3000 in
+      let prog = compile_final w.Workloads.Spec.source in
+      let nsites = (Sim.Image.build prog).Sim.Image.nsites in
+      let rec below q = if 2 * q < nsites then below (2 * q) else q in
+      let p = below 1 in
+      let keys =
+        [ (0, 2, 2048); (0, 2, p); (0, 1, p); (0, 2, 2 * p); (2, 2, 2 * p);
+          (0, 1, p / 2); (0, 1, 2 * p); (0, 2, 4 * p); (4, 1, 4 * p);
+          (0, 1, 2048) ]
+      in
+      let config = { Driver.Config.default with Driver.Config.predictors = keys } in
+      let v = Driver.Pipeline.measure config prog ~input in
+      let oracle =
+        List.map
+          (fun (h, c, e) ->
+            Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
+          keys
+      in
+      let r =
+        Sim.Compiled.exec
+          ~sink:
+            (Sim.Predictor.Sink_fun
+               (fun ~site ~taken ->
+                 List.iter (fun p -> Sim.Predictor.access p ~site ~taken) oracle))
+          (Sim.Compiled.compile (Sim.Image.build prog))
+          ~input
+      in
+      let mispredicts =
+        List.map2 (fun k p -> (k, Sim.Predictor.mispredicts p)) keys oracle
+      in
+      if List.assoc (0, 2, p) mispredicts <> List.assoc (0, 2, 2048) mispredicts
+      then aliased := true;
+      let counters = r.Sim.Machine.counters in
+      let cycles =
+        List.map
+          (fun (m : Sim.Cycle_model.params) ->
+            let penalized =
+              match m.Sim.Cycle_model.predictor with
+              | Some key -> List.assoc key mispredicts
+              | None -> counters.Sim.Counters.taken_branches
+            in
+            ( m.Sim.Cycle_model.model_name,
+              Sim.Cycle_model.cycles m counters ~mispredicts:penalized ))
+          Sim.Cycle_model.all_machines
+      in
+      check_bool (name ^ ": mispredicts equal separate predictors") true
+        (v.Driver.Pipeline.v_mispredicts = mispredicts);
+      check_bool (name ^ ": cycles equal separate predictors") true
+        (v.Driver.Pipeline.v_cycles = cycles))
+    [ "wc"; "grep"; "sed" ];
+  check_bool "a table below the site count aliases" true !aliased
+
 let suite =
   [
     case "driver: percentage arithmetic" test_pct;
@@ -149,4 +213,6 @@ let suite =
     case "driver: output equality guard" test_output_mismatch_detected;
     case "driver: reoptimize serves run's reordered MIR"
       test_reoptimize_equals_run;
+    case "driver: measure collapses only alias-free predictors"
+      test_measure_collapse_exact;
   ]

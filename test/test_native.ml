@@ -578,7 +578,13 @@ let test_no_degrade_is_contained_crash () =
 
 let test_bank_drain_matches_streaming () =
   let keys = Driver.Config.paper_predictors @ [ (4, 2, 64); (2, 1, 32) ] in
-  let streamed = Sim.Predictor.bank keys in
+  (* the oracle: one separate predictor per key, fed event by event *)
+  let oracle =
+    List.map
+      (fun (h, c, e) ->
+        Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
+      keys
+  in
   let drained = Sim.Predictor.bank keys in
   let n = 5000 in
   let events =
@@ -588,7 +594,8 @@ let test_bank_drain_matches_streaming () =
         (site, taken))
   in
   Array.iter
-    (fun (site, taken) -> Sim.Predictor.bank_access streamed ~site ~taken)
+    (fun (site, taken) ->
+      List.iter (fun p -> Sim.Predictor.access p ~site ~taken) oracle)
     events;
   (* drain in uneven chunks to cover the partial-buffer path *)
   let buf = Array.make 257 0 in
@@ -604,10 +611,11 @@ let test_bank_drain_matches_streaming () =
     events;
   if !fill > 0 then Sim.Predictor.bank_drain drained buf !fill;
   check_bool "mispredicts identical" true
-    (Sim.Predictor.bank_mispredicts streamed
+    (List.map2 (fun k p -> (k, Sim.Predictor.mispredicts p)) keys oracle
     = Sim.Predictor.bank_mispredicts drained);
   check_bool "lookups identical" true
-    (Sim.Predictor.bank_lookups streamed = Sim.Predictor.bank_lookups drained)
+    (List.map2 (fun k p -> (k, Sim.Predictor.lookups p)) keys oracle
+    = Sim.Predictor.bank_lookups drained)
 
 let suite =
   [

@@ -320,6 +320,134 @@ let test_bank_equivalence () =
     preds
     (Sim.Predictor.bank_mispredicts bank)
 
+(* The bank buffers its events; every read must still see exactly
+   what separate predictors fed one event at a time see.  The oracle
+   tracks a shard's tallies as its predictors' counts minus what
+   earlier absorbs took. *)
+type bank_op = Read | Reset | Absorb
+
+let bank_keys = Driver.Config.paper_predictors @ [ (4, 2, 64); (2, 1, 32) ]
+
+let print_bank_run (seed, len, ops) =
+  Printf.sprintf "seed %d, %d events, ops [%s]" seed len
+    (String.concat "; "
+       (List.map
+          (fun (at, op) ->
+            Printf.sprintf "%s@%d"
+              (match op with
+              | Read -> "read"
+              | Reset -> "reset"
+              | Absorb -> "absorb")
+              at)
+          ops))
+
+let gen_bank_run =
+  let open QCheck2.Gen in
+  let* seed = nat in
+  let* len = int_range 0 (3 * 8192) in
+  let+ ops =
+    list_size (int_range 0 8)
+      (pair (int_bound len) (oneofl [ Read; Reset; Absorb ]))
+  in
+  (seed, len, List.stable_sort (fun (a, _) (b, _) -> compare a b) ops)
+
+let prop_bank_matches_oracle =
+  qcheck2 ~count:60 ~print:print_bank_run
+    "bank equals separate predictors under interleaved reads" gen_bank_run
+    (fun (seed, len, ops) ->
+      let oracle =
+        Array.of_list
+          (List.map
+             (fun (h, c, e) ->
+               Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
+             bank_keys)
+      in
+      let taken_lk = Array.make (Array.length oracle) 0 in
+      let taken_mis = Array.make (Array.length oracle) 0 in
+      let bank = Sim.Predictor.bank bank_keys in
+      let global = Sim.Predictor.bank bank_keys in
+      let expect tally absorbed =
+        List.mapi (fun i k -> (k, tally oracle.(i) - absorbed.(i))) bank_keys
+      in
+      let same () =
+        Sim.Predictor.bank_mispredicts bank
+        = expect Sim.Predictor.mispredicts taken_mis
+        && Sim.Predictor.bank_lookups bank
+           = expect Sim.Predictor.lookups taken_lk
+      in
+      let ok = ref true in
+      let apply = function
+        | Read -> ok := !ok && same ()
+        | Reset ->
+          Sim.Predictor.bank_reset bank;
+          Array.iter Sim.Predictor.reset oracle;
+          Array.fill taken_lk 0 (Array.length taken_lk) 0;
+          Array.fill taken_mis 0 (Array.length taken_mis) 0
+        | Absorb ->
+          Sim.Predictor.bank_absorb ~into:global bank;
+          Array.iteri
+            (fun i p ->
+              taken_lk.(i) <- Sim.Predictor.lookups p;
+              taken_mis.(i) <- Sim.Predictor.mispredicts p)
+            oracle
+      in
+      let ops = ref ops in
+      for i = 0 to len do
+        let rec due () =
+          match !ops with
+          | (at, op) :: rest when at = i ->
+            apply op;
+            ops := rest;
+            due ()
+          | _ -> ()
+        in
+        due ();
+        if i < len then begin
+          (* 300 sites: tables below 512 entries alias *)
+          let site = mix seed i mod 300 in
+          let taken = mix (seed + 1) (i * 7) land 4 <> 0 in
+          Sim.Predictor.bank_access bank ~site ~taken;
+          Array.iter (fun p -> Sim.Predictor.access p ~site ~taken) oracle
+        end
+      done;
+      !ok && same ())
+
+(* a run stopped by fuel leaves a partly filled buffer: the tallies read
+   after the trap must still equal separate predictors fed the same
+   events one at a time *)
+let test_bank_after_fuel_trap () =
+  let w = Workloads.Registry.find "grep" in
+  let prog = compile_final w.Workloads.Spec.source in
+  let input = Lazy.force w.Workloads.Spec.test_input in
+  let config = { Sim.Machine.default_config with Sim.Machine.fuel = 300_000 } in
+  let oracle =
+    List.map
+      (fun (h, c, e) ->
+        Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
+      bank_keys
+  in
+  let bank = Sim.Predictor.bank bank_keys in
+  let compiled = Sim.Compiled.compile (Sim.Image.build prog) in
+  let run sink =
+    match Sim.Compiled.exec ~config ~sink compiled ~input with
+    | _ -> Alcotest.fail "expected the run to run out of fuel"
+    | exception Sim.Machine.Trap _ -> ()
+  in
+  run
+    (Sim.Predictor.Sink_fun
+       (fun ~site ~taken ->
+         List.iter (fun p -> Sim.Predictor.access p ~site ~taken) oracle));
+  run (Sim.Predictor.Sink_bank bank);
+  let events = Sim.Predictor.lookups (List.hd oracle) in
+  check_bool "several buffers and a partial one" true
+    (events > 2 * 8192 && events mod 8192 <> 0);
+  check_bool "mispredicts equal the oracle" true
+    (Sim.Predictor.bank_mispredicts bank
+    = List.map2 (fun k p -> (k, Sim.Predictor.mispredicts p)) bank_keys oracle);
+  check_bool "lookups equal the oracle" true
+    (Sim.Predictor.bank_lookups bank
+    = List.map2 (fun k p -> (k, Sim.Predictor.lookups p)) bank_keys oracle)
+
 (* Machine.sites/site_of are now derived from the pre-decoded image;
    the numbering must round-trip and match the image's own tables *)
 let test_sites_roundtrip () =
@@ -351,6 +479,8 @@ let suite =
     case "image reuse across runs" test_run_image_reuse;
     case "compiled program reuse across runs" test_compiled_reuse;
     case "predictor bank equals closure dispatch" test_bank_equivalence;
+    prop_bank_matches_oracle;
+    case "bank after a fuel trap equals the oracle" test_bank_after_fuel_trap;
     case "site numbering round-trips through the image" test_sites_roundtrip;
     prop_differential;
     slow_case "all workloads agree across backends" test_all_workloads;

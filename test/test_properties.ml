@@ -169,6 +169,126 @@ let prop_mir_parser_total =
       | _ -> true
       | exception Mir.Parse.Error _ -> true)
 
+(* Totality past the parser: mutants of real MIR text either fail to
+   parse, fail validation, or run on both engines to a normal end or a
+   [Trap].  Anything else (an [Invalid_argument] from a register file
+   or a global's allocation, say) is a hole between what validation
+   accepts and what the engines can run. *)
+
+type mir_mutation =
+  | Delete_line of int
+  | Swap_lines of int * int
+  | Replace_number of int * int  (* which literal, index into [numbers] *)
+
+let mutant_numbers = [| 0; 1; 2; 7; 100; max_int; min_int; -1; -3 |]
+
+let print_mir_mutation = function
+  | Delete_line i -> Printf.sprintf "delete line %d" i
+  | Swap_lines (i, j) -> Printf.sprintf "swap lines %d %d" i j
+  | Replace_number (k, v) ->
+    Printf.sprintf "replace literal %d by %d" k
+      mutant_numbers.(v mod Array.length mutant_numbers)
+
+(* byte ranges of the decimal literals of [text], a leading '-' included *)
+let number_spans text =
+  let n = String.length text in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_digit text.[i] then begin
+      let j = ref i in
+      while !j < n && is_digit text.[!j] do incr j done;
+      let start = if i > 0 && text.[i - 1] = '-' then i - 1 else i in
+      go !j ((start, !j) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let mutate text = function
+  | Delete_line i ->
+    let lines = String.split_on_char '\n' text in
+    let i = i mod List.length lines in
+    String.concat "\n" (List.filteri (fun k _ -> k <> i) lines)
+  | Swap_lines (i, j) ->
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let n = Array.length lines in
+    let i = i mod n and j = j mod n in
+    let li = lines.(i) in
+    lines.(i) <- lines.(j);
+    lines.(j) <- li;
+    String.concat "\n" (Array.to_list lines)
+  | Replace_number (k, v) -> (
+    match number_spans text with
+    | [] -> text
+    | spans ->
+      let a, b = List.nth spans (k mod List.length spans) in
+      String.sub text 0 a
+      ^ string_of_int mutant_numbers.(v mod Array.length mutant_numbers)
+      ^ String.sub text b (String.length text - b))
+
+let mir_seeds =
+  lazy
+    (let corpus =
+       Sys.readdir "../corpus" |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".mir")
+       |> List.sort compare
+       |> List.map (fun f ->
+              In_channel.with_open_bin (Filename.concat "../corpus" f)
+                In_channel.input_all)
+     in
+     let dumps =
+       List.map
+         (fun w ->
+           let spec = Workloads.Registry.find w in
+           Mir.Program.to_string
+             (Driver.Pipeline.compile_base Driver.Config.default
+                spec.Workloads.Spec.source))
+         [ "wc"; "grep"; "cb" ]
+     in
+     Array.of_list (corpus @ dumps))
+
+let gen_mir_mutant =
+  let open QCheck2.Gen in
+  let mutation =
+    oneof
+      [
+        map (fun i -> Delete_line i) nat;
+        map2 (fun i j -> Swap_lines (i, j)) nat nat;
+        map2 (fun k v -> Replace_number (k, v)) nat nat;
+      ]
+  in
+  pair (int_bound 5) (list_size (int_range 1 3) mutation)
+
+let prop_mir_mutants_total =
+  qcheck2 ~count:5000
+    ~print:(fun (s, ms) ->
+      Printf.sprintf "seed %d: %s" s
+        (String.concat "; " (List.map print_mir_mutation ms)))
+    "mutated MIR parses, validates or runs to a trap" gen_mir_mutant
+    (fun (s, ms) ->
+      let seeds = Lazy.force mir_seeds in
+      let text = List.fold_left mutate seeds.(s mod Array.length seeds) ms in
+      match Mir.Parse.program text with
+      | exception Mir.Parse.Error _ -> true
+      | p -> (
+        match Mir.Validate.program p with
+        | Error _ -> true
+        | Ok () ->
+          let config =
+            { Sim.Machine.default_config with Sim.Machine.fuel = 2000 }
+          in
+          let input = "ab\ncd 12\n" in
+          let total run =
+            match run () with _ -> () | exception Sim.Machine.Trap _ -> ()
+          in
+          total (fun () -> Sim.Machine.run_reference ~config p ~input);
+          total (fun () ->
+              Sim.Compiled.exec ~config
+                (Sim.Compiled.compile (Sim.Image.build p))
+                ~input);
+          true))
+
 let suite =
   [
     prop_pipeline_preserves_semantics;
@@ -182,5 +302,6 @@ let suite =
     prop_lexer_total;
     prop_parser_total;
     prop_mir_parser_total;
+    prop_mir_mutants_total;
     prop_cfg_text_roundtrip;
   ]

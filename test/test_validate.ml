@@ -161,6 +161,25 @@ let global_init_too_long () =
   expect_invalid ~substr:"exceeds size"
     (Mir.Validate.program (program_with_global "g" 1 (Some [| 1; 2; 3 |])))
 
+(* both shapes parse, and before validation rejected them the engines
+   died with [Invalid_argument] (and the compiled one read past its
+   register file) *)
+let huge_register_id () =
+  let text =
+    Printf.sprintf "function main():\nmain.entry:\n  r%d = 1\n  ret r%d\n"
+      max_int max_int
+  in
+  expect_invalid ~substr:"is too large"
+    (Mir.Validate.program (Mir.Parse.program text))
+
+let huge_global_size () =
+  let text =
+    Printf.sprintf "global g[%d]\n\nfunction main():\nmain.entry:\n  ret 0\n"
+      max_int
+  in
+  expect_invalid ~substr:"is too large"
+    (Mir.Validate.program (Mir.Parse.program text))
+
 let empty_global_accepted () =
   (* positive control: a zero-sized global and an initializer exactly
      filling its global are fine *)
@@ -190,5 +209,7 @@ let suite =
     case "negative global size rejected" negative_global_size;
     case "global initializer longer than its size rejected"
       global_init_too_long;
+    case "register id at max_int rejected" huge_register_id;
+    case "global size at max_int rejected" huge_global_size;
     case "zero-sized global accepted" empty_global_accepted;
   ]
