@@ -74,6 +74,24 @@ let predecessors f =
 
 let iter_blocks f g = List.iter g f.blocks
 
+let iter_regs g f =
+  let insn i =
+    List.iter g (Insn.defs i);
+    List.iter g (Insn.uses i)
+  in
+  List.iter g f.params;
+  List.iter
+    (fun (b : Block.t) ->
+      List.iter insn b.Block.insns;
+      Option.iter insn b.Block.term.Block.delay;
+      match b.Block.term.Block.kind with
+      | Block.Switch (r, _, _)
+      | Block.Jtab (r, _)
+      | Block.Ret (Some (Operand.Reg r)) ->
+        g r
+      | Block.Br _ | Block.Jmp _ | Block.Ret _ -> ())
+    f.blocks
+
 let rec layout_counts acc = function
   | [] -> acc
   | [ b ] -> acc + Block.static_insn_count ~layout_next:None b

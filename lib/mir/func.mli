@@ -50,6 +50,11 @@ val predecessors : t -> (string, string list) Hashtbl.t
 
 val iter_blocks : t -> (Block.t -> unit) -> unit
 
+val iter_regs : (Reg.t -> unit) -> t -> unit
+(** Calls the function on every register the function names: its
+    parameters, the defs and uses of every instruction and delay slot,
+    and the registers of terminators (repeats included). *)
+
 val static_insn_count : t -> int
 (** Sum of {!Block.static_insn_count} over the layout. *)
 

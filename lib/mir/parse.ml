@@ -378,18 +378,9 @@ let program text =
     | Some fn ->
       (* advance the register counter past every referenced register so
          later fresh_reg allocations cannot collide *)
-      let bump r = fn.Func.next_reg <- max fn.Func.next_reg (Reg.to_int r + 1) in
-      List.iter bump fn.Func.params;
-      List.iter
-        (fun (b : Block.t) ->
-          let see_insn i =
-            List.iter bump (Insn.defs i);
-            List.iter bump (Insn.uses i)
-          in
-          List.iter see_insn b.Block.insns;
-          (match b.Block.term.Block.delay with Some i -> see_insn i | None -> ());
-          List.iter bump (Liveness.term_uses b.Block.term))
-        fn.Func.blocks;
+      Func.iter_regs
+        (fun r -> fn.Func.next_reg <- max fn.Func.next_reg (Reg.to_int r + 1))
+        fn;
       Program.add_func prog fn;
       current_fn := None
     | None -> ()

@@ -118,26 +118,11 @@ let check_init_regs errors (f : Func.t) =
    id up to the largest id used *)
 let check_regs errors (f : Func.t) =
   let too_large = ref Reg.Set.empty in
-  let see r =
-    if Reg.to_int r >= Sys.max_array_length then
-      too_large := Reg.Set.add r !too_large
-  in
-  let see_insn i =
-    List.iter see (Insn.defs i);
-    List.iter see (Insn.uses i)
-  in
-  List.iter see f.Func.params;
-  List.iter
-    (fun b ->
-      List.iter see_insn b.Block.insns;
-      Option.iter see_insn b.Block.term.delay;
-      match b.Block.term.kind with
-      | Block.Switch (r, _, _)
-      | Block.Jtab (r, _)
-      | Block.Ret (Some (Operand.Reg r)) ->
-        see r
-      | Block.Br _ | Block.Jmp _ | Block.Ret _ -> ())
-    f.Func.blocks;
+  Func.iter_regs
+    (fun r ->
+      if Reg.to_int r >= Sys.max_array_length then
+        too_large := Reg.Set.add r !too_large)
+    f;
   Reg.Set.iter
     (fun r ->
       err errors "%s: register id %s is too large" f.Func.name (Reg.show r))

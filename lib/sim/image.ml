@@ -60,23 +60,7 @@ type t = {
    hand-built functions whose [next_reg] counter was never advanced *)
 let max_reg_of (fn : Mir.Func.t) =
   let m = ref fn.Mir.Func.next_reg in
-  let see r = m := max !m (Mir.Reg.to_int r + 1) in
-  List.iter see fn.Mir.Func.params;
-  List.iter
-    (fun (b : Mir.Block.t) ->
-      let see_insn i =
-        List.iter see (Mir.Insn.defs i);
-        List.iter see (Mir.Insn.uses i)
-      in
-      List.iter see_insn b.Mir.Block.insns;
-      (match b.Mir.Block.term.Mir.Block.delay with
-      | Some i -> see_insn i
-      | None -> ());
-      match b.Mir.Block.term.Mir.Block.kind with
-      | Mir.Block.Switch (r, _, _) | Mir.Block.Jtab (r, _) -> see r
-      | Mir.Block.Ret (Some (Mir.Operand.Reg r)) -> see r
-      | Mir.Block.Br _ | Mir.Block.Jmp _ | Mir.Block.Ret _ -> ())
-    fn.Mir.Func.blocks;
+  Mir.Func.iter_regs (fun r -> m := max !m (Mir.Reg.to_int r + 1)) fn;
   !m
 
 let pop_of = function
