@@ -5,16 +5,22 @@
    value). *)
 type cc = Cc_top | Cc_cmp of Mir.Operand.t * Mir.Operand.t
 
-type st = { regs : Iv.t Mir.Reg.Map.t; cc : cc }
+(* A fact holds one interval per slot of the function's
+   [Mir.Reg_index]; registers the function never names read as 0.  An
+   array is written only while it is private to the function building
+   it: once it is a fact it is shared and never mutated. *)
+type st = { regs : Iv.t array; cc : cc }
 type state = Bot | St of st
 
-type t = state Mir.Dataflow.result
+type t = { index : Mir.Reg_index.t; facts : state Mir.Dataflow.result }
 
 let zero = Iv.const 0
 
-(* Registers absent from the map were never assigned on any path from the
-   entry; the simulator zero-initialises register files, so they hold 0. *)
-let get regs r = Option.value (Mir.Reg.Map.find_opt r regs) ~default:zero
+(* Registers never assigned on any path from the entry hold 0: the
+   simulator zero-initialises register files. *)
+let get index regs r =
+  let k = Mir.Reg_index.slot index r in
+  if k < 0 then zero else regs.(k)
 
 let cc_equal a b =
   match (a, b) with
@@ -23,46 +29,28 @@ let cc_equal a b =
     Mir.Operand.equal a1 a2 && Mir.Operand.equal b1 b2
   | _ -> false
 
-let regs_merge f a b =
-  Mir.Reg.Map.merge
-    (fun _ x y ->
-      Some
-        (f (Option.value x ~default:zero) (Option.value y ~default:zero)))
-    a b
-
-let join_state a b =
+let merge_state f a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
-  | St a, St b ->
-    St
-      {
-        regs = regs_merge Iv.join a.regs b.regs;
-        cc = (if cc_equal a.cc b.cc then a.cc else Cc_top);
-      }
+  | St sa, St sb ->
+    let regs = Mir.Reg_index.merge f sa.regs sb.regs in
+    let cc = if cc_equal sa.cc sb.cc then sa.cc else Cc_top in
+    if regs == sa.regs && cc == sa.cc then a else St { regs; cc }
 
-let widen_state old next =
-  match (old, next) with
-  | Bot, x | x, Bot -> x
-  | St o, St n ->
-    St
-      {
-        regs = regs_merge Iv.widen o.regs n.regs;
-        cc = (if cc_equal o.cc n.cc then o.cc else Cc_top);
-      }
+let join_state = merge_state Iv.join
+let widen_state = merge_state Iv.widen
 
 let equal_state a b =
   match (a, b) with
   | Bot, Bot -> true
-  | St a, St b ->
-    cc_equal a.cc b.cc
-    && Mir.Reg.Map.equal Iv.equal
-         (regs_merge (fun x _ -> x) a.regs b.regs)
-         (regs_merge (fun _ y -> y) a.regs b.regs)
+  | St sa, St sb ->
+    cc_equal sa.cc sb.cc
+    && (sa.regs == sb.regs || Array.for_all2 Iv.equal sa.regs sb.regs)
   | _ -> false
 
-let eval_op regs = function
+let eval_op index regs = function
   | Mir.Operand.Imm c -> Iv.const c
-  | Mir.Operand.Reg r -> get regs r
+  | Mir.Operand.Reg r -> get index regs r
 
 let mentions r = function
   | Mir.Operand.Reg s -> Mir.Reg.equal r s
@@ -72,14 +60,22 @@ let kill_cc r = function
   | Cc_cmp (a, b) when mentions r a || mentions r b -> Cc_top
   | cc -> cc
 
-let set r v st = { regs = Mir.Reg.Map.add r v st.regs; cc = kill_cc r st.cc }
+(* [regs] is private to the caller; a register the function does not
+   name has no slot, so the write is dropped *)
+let set index regs cc r v =
+  let k = Mir.Reg_index.slot index r in
+  if k >= 0 then regs.(k) <- v;
+  kill_cc r cc
 
-let apply_insn st insn =
-  let ev op = eval_op st.regs op in
+(* Execute one instruction in place on a private [regs]; returns the new
+   condition-code state. *)
+let exec index regs cc insn =
+  let ev op = eval_op index regs op in
+  let def r v = set index regs cc r v in
   match insn with
-  | Mir.Insn.Mov (r, op) -> set r (ev op) st
-  | Mir.Insn.Unop (Mir.Insn.Neg, r, op) -> set r (Iv.neg (ev op)) st
-  | Mir.Insn.Unop (Mir.Insn.Not, r, op) -> set r (Iv.logical_not (ev op)) st
+  | Mir.Insn.Mov (r, op) -> def r (ev op)
+  | Mir.Insn.Unop (Mir.Insn.Neg, r, op) -> def r (Iv.neg (ev op))
+  | Mir.Insn.Unop (Mir.Insn.Not, r, op) -> def r (Iv.logical_not (ev op))
   | Mir.Insn.Binop (op, r, a, b) ->
     let va = ev a and vb = ev b in
     let v =
@@ -96,19 +92,24 @@ let apply_insn st insn =
           with Division_by_zero -> Iv.bot)
         | _ -> Iv.top)
     in
-    set r v st
-  | Mir.Insn.Load (r, _, _) -> set r Iv.top st
-  | Mir.Insn.Store _ -> st
-  | Mir.Insn.Cmp (a, b) -> { st with cc = Cc_cmp (a, b) }
+    def r v
+  | Mir.Insn.Load (r, _, _) -> def r Iv.top
+  | Mir.Insn.Store _ -> cc
+  | Mir.Insn.Cmp (a, b) -> Cc_cmp (a, b)
   | Mir.Insn.Call (dst, _, _) -> (
-    let st = { st with cc = Cc_top } in
-    match dst with Some r -> set r Iv.top st | None -> st)
-  | Mir.Insn.Nop | Mir.Insn.Profile_range _ | Mir.Insn.Profile_comb _ -> st
+    match dst with Some r -> set index regs Cc_top r Iv.top | None -> Cc_top)
+  | Mir.Insn.Nop | Mir.Insn.Profile_range _ | Mir.Insn.Profile_comb _ -> cc
 
-let transfer b st =
-  match st with
-  | Bot -> Bot
-  | St st -> St (List.fold_left apply_insn st b.Mir.Block.insns)
+(* the state after [insns] from [st]: one copy of the registers *)
+let apply_insns index st insns =
+  let regs = Array.copy st.regs in
+  let cc = List.fold_left (exec index regs) st.cc insns in
+  { regs; cc }
+
+let transfer index b state =
+  match (state, b.Mir.Block.insns) with
+  | Bot, _ | St _, [] -> state
+  | St st, insns -> St (apply_insns index st insns)
 
 (* Values x with [exists y in b. x cond y], as an interval. *)
 let sat cond b =
@@ -136,135 +137,166 @@ let refine_against cond a b =
     | _ -> a)
   | _ -> Iv.meet a (sat cond b)
 
+(* [st] with register [r] narrowed to [v] (already met with its old
+   interval); [st] itself when nothing narrows *)
+let narrow index st r v =
+  let k = Mir.Reg_index.slot index r in
+  if k < 0 || Iv.equal st.regs.(k) v then st
+  else begin
+    let regs = Array.copy st.regs in
+    regs.(k) <- v;
+    { st with regs }
+  end
+
 (* Sharpen the compared registers knowing [a cond b] held. *)
-let refine_cc cond a_op b_op st =
-  let iva = eval_op st.regs a_op and ivb = eval_op st.regs b_op in
+let refine_cc index cond a_op b_op st =
+  let iva = eval_op index st.regs a_op and ivb = eval_op index st.regs b_op in
   let iva' = refine_against cond iva ivb in
   let ivb' = refine_against (Mir.Cond.swap cond) ivb iva in
   if Iv.is_bot iva' || Iv.is_bot ivb' then Bot
   else
     let upd op v st =
       match op with
-      | Mir.Operand.Reg r ->
-        { st with regs = Mir.Reg.Map.add r (Iv.meet (get st.regs r) v) st.regs }
+      | Mir.Operand.Reg r -> narrow index st r (Iv.meet (get index st.regs r) v)
       | Mir.Operand.Imm _ -> st
     in
     St (upd b_op ivb' (upd a_op iva' st))
 
-let refine_edge fn src dst st =
+let refine_edge index fn src dst st =
   match src.Mir.Block.term.Mir.Block.kind with
   | Mir.Block.Br (cond, taken, fall) ->
-    if taken = fall then St st (* both edges agree: direction tells nothing *)
+    (* both edges agree: direction tells nothing *)
+    if String.equal taken fall then St st
     else (
       match st.cc with
       | Cc_cmp (a, b) ->
-        refine_cc (if dst = taken then cond else Mir.Cond.negate cond) a b st
+        refine_cc index
+          (if String.equal dst taken then cond else Mir.Cond.negate cond)
+          a b st
       | Cc_top -> St st)
   | Mir.Block.Jtab (r, tbl) ->
     let targets = Mir.Func.jtab fn tbl in
     let lo = ref max_int and hi = ref min_int in
-    Array.iteri (fun i l -> if l = dst then (lo := min !lo i; hi := max !hi i)) targets;
+    Array.iteri
+      (fun i l ->
+        if String.equal l dst then begin
+          lo := Int.min !lo i;
+          hi := Int.max !hi i
+        end)
+      targets;
     if !lo > !hi then St st (* dst not in the table: edge can't exist *)
     else
-      let v = Iv.meet (get st.regs r) (Iv.make !lo !hi) in
-      if Iv.is_bot v then Bot
-      else St { st with regs = Mir.Reg.Map.add r v st.regs }
+      let v = Iv.meet (get index st.regs r) (Iv.make !lo !hi) in
+      if Iv.is_bot v then Bot else St (narrow index st r v)
   | Mir.Block.Switch (r, cases, default) ->
-    if dst = default then St st
+    if String.equal dst default then St st
     else
-      let vals = List.filter_map (fun (v, l) -> if l = dst then Some v else None) cases in
+      let vals =
+        List.filter_map
+          (fun (v, l) -> if String.equal l dst then Some v else None)
+          cases
+      in
       (match vals with
       | [] -> St st
       | v0 :: _ ->
-        let lo = List.fold_left min v0 vals and hi = List.fold_left max v0 vals in
-        let v = Iv.meet (get st.regs r) (Iv.make lo hi) in
-        if Iv.is_bot v then Bot
-        else St { st with regs = Mir.Reg.Map.add r v st.regs })
+        let lo = List.fold_left Int.min v0 vals
+        and hi = List.fold_left Int.max v0 vals in
+        let v = Iv.meet (get index st.regs r) (Iv.make lo hi) in
+        if Iv.is_bot v then Bot else St (narrow index st r v))
   | Mir.Block.Jmp _ | Mir.Block.Ret _ -> St st
 
 (* Delay slots execute after the branch decision, so on the edge: after
    refinement (which talks about values at decision time), before the
    successor.  An annulled slot runs on the taken path only. *)
-let apply_delay src dst st =
+let apply_delay index src dst st =
   match src.Mir.Block.term.Mir.Block.delay with
   | None -> St st
   | Some i ->
-    if not src.Mir.Block.term.Mir.Block.annul then St (apply_insn st i)
+    let run () = St (apply_insns index st [ i ]) in
+    if not src.Mir.Block.term.Mir.Block.annul then run ()
     else (
       match src.Mir.Block.term.Mir.Block.kind with
-      | Mir.Block.Br (_, taken, fall) when taken <> fall ->
-        if dst = taken then St (apply_insn st i) else St st
-      | _ -> join_state (St (apply_insn st i)) (St st))
+      | Mir.Block.Br (_, taken, fall) when not (String.equal taken fall) ->
+        if String.equal dst taken then run () else St st
+      | _ -> join_state (run ()) (St st))
 
-let edge fn src dst st =
-  match st with
+let edge index fn src dst state =
+  match state with
   | Bot -> Bot
   | St st -> (
-    match refine_edge fn src dst st with
+    match refine_edge index fn src dst st with
     | Bot -> Bot
-    | St st -> apply_delay src dst st)
+    | St st -> apply_delay index src dst st)
 
-let entry_state fn =
-  let regs =
-    List.fold_left
-      (fun m r -> Mir.Reg.Map.add r Iv.top m)
-      Mir.Reg.Map.empty fn.Mir.Func.params
-  in
+let entry_state index fn =
+  let regs = Array.make (Mir.Reg_index.size index) zero in
+  List.iter
+    (fun r -> regs.(Mir.Reg_index.slot index r) <- Iv.top)
+    fn.Mir.Func.params;
   St { regs; cc = Cc_top }
 
 let analyze fn =
-  Mir.Dataflow.solve
-    {
-      Mir.Dataflow.direction = Mir.Dataflow.Forward;
-      boundary = entry_state fn;
-      bottom = Bot;
-      join = join_state;
-      equal = equal_state;
-      transfer;
-      edge = Some (edge fn);
-      widen = Some widen_state;
-      widen_after = 8;
-    }
-    fn
+  let index = Mir.Reg_index.of_func fn in
+  let facts =
+    Mir.Dataflow.solve
+      {
+        Mir.Dataflow.direction = Mir.Dataflow.Forward;
+        boundary = entry_state index fn;
+        bottom = Bot;
+        join = join_state;
+        equal = equal_state;
+        transfer = transfer index;
+        edge = Some (edge index fn);
+        widen = Some widen_state;
+        widen_after = 8;
+      }
+      fn
+  in
+  { index; facts }
 
-let reachable t label = Mir.Dataflow.fact_in t label <> Bot
+let reachable t label =
+  match Mir.Dataflow.fact_in t.facts label with Bot -> false | St _ -> true
 
 let reg_in t label r =
-  match Mir.Dataflow.fact_in t label with
+  match Mir.Dataflow.fact_in t.facts label with
   | Bot -> Iv.Bot
-  | St st -> get st.regs r
+  | St st -> get t.index st.regs r
 
 let reg_before t b i r =
-  match Mir.Dataflow.fact_in t b.Mir.Block.label with
+  match Mir.Dataflow.fact_in t.facts b.Mir.Block.label with
   | Bot -> Iv.Bot
   | St st ->
-    let rec go st k = function
-      | insn :: rest when k < i -> go (apply_insn st insn) (k + 1) rest
-      | _ -> get st.regs r
+    let regs = Array.copy st.regs in
+    let rec go cc k = function
+      | insn :: rest when k < i -> go (exec t.index regs cc insn) (k + 1) rest
+      | _ -> ()
     in
-    go st 0 b.Mir.Block.insns
+    go st.cc 0 b.Mir.Block.insns;
+    get t.index regs r
 
 let cc_at_term t b =
-  match Mir.Dataflow.fact_out t b.Mir.Block.label with
+  match Mir.Dataflow.fact_out t.facts b.Mir.Block.label with
   | Bot -> None
   | St st -> (
     match st.cc with
     | Cc_top -> None
-    | Cc_cmp (a, b) -> Some (eval_op st.regs a, eval_op st.regs b))
+    | Cc_cmp (a, b) ->
+      Some (eval_op t.index st.regs a, eval_op t.index st.regs b))
 
 let branch_fate t b =
   match b.Mir.Block.term.Mir.Block.kind with
   | Mir.Block.Br (cond, _, _) -> (
-    match Mir.Dataflow.fact_out t b.Mir.Block.label with
+    match Mir.Dataflow.fact_out t.facts b.Mir.Block.label with
     | Bot -> `Unreachable
     | St st -> (
       match st.cc with
       | Cc_top -> `Unknown
       | Cc_cmp (a_op, b_op) ->
-        let a = eval_op st.regs a_op and bv = eval_op st.regs b_op in
+        let a = eval_op t.index st.regs a_op
+        and bv = eval_op t.index st.regs b_op in
         if Iv.always cond a bv then `Always_taken
         else if Iv.never cond a bv then `Never_taken
         else `Unknown))
   | _ -> `Unknown
 
-let iterations = Mir.Dataflow.iterations
+let iterations t = Mir.Dataflow.iterations t.facts

@@ -1,7 +1,9 @@
 (** Interval (value-range) analysis over a function's registers.
 
-    A forward dataflow on {!Mir.Dataflow} whose facts map every register
-    to an {!Iv.t}, with two features the rest of the tree leans on:
+    A forward dataflow on {!Mir.Dataflow} whose facts give every
+    register an {!Iv.t} — an array over the function's
+    {!Mir.Reg_index}, which the result carries — with two features the
+    rest of the tree leans on:
 
     - {b branch-edge refinement}: the analysis tracks the operands of
       the last executed [Cmp] (the condition-code state, killed by calls
@@ -35,7 +37,8 @@ val reg_in : t -> string -> Mir.Reg.t -> Iv.t
 val reg_before : t -> Mir.Block.t -> int -> Mir.Reg.t -> Iv.t
 (** [reg_before t b i r]: interval of [r] immediately before the [i]-th
     instruction of [b] (so [reg_before t b 0 r = reg_in t b.label r]).
-    [i] may be [List.length b.insns], meaning "at the terminator". *)
+    [i] may be [List.length b.insns], meaning "at the terminator".
+    [b] is a block of the analysed function. *)
 
 val cc_at_term : t -> Mir.Block.t -> (Iv.t * Iv.t) option
 (** Intervals of the condition-code operands live at the block's

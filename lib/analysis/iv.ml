@@ -7,10 +7,14 @@ let top = Iv (ninf, pinf)
 let bot = Bot
 let const c = Iv (c, c)
 let make lo hi = if lo > hi then Bot else Iv (lo, hi)
-let is_bot v = v = Bot
+let is_bot = function Bot -> true | Iv _ -> false
 let is_const = function Iv (lo, hi) when lo = hi -> Some lo | _ -> None
 let mem x = function Bot -> false | Iv (lo, hi) -> lo <= x && x <= hi
-let equal a b = a = b
+let equal a b =
+  match (a, b) with
+  | Bot, Bot -> true
+  | Iv (al, ah), Iv (bl, bh) -> al = bl && ah = bh
+  | _ -> false
 
 let subset a b =
   match (a, b) with
@@ -18,22 +22,28 @@ let subset a b =
   | _, Bot -> false
   | Iv (al, ah), Iv (bl, bh) -> bl <= al && ah <= bh
 
+(* join, meet and widen return their left operand itself when it is
+   already the result, so callers can tell "nothing moved" by [==] *)
 let join a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
-  | Iv (al, ah), Iv (bl, bh) -> Iv (min al bl, max ah bh)
+  | Iv (al, ah), Iv (bl, bh) ->
+    if al <= bl && bh <= ah then a else Iv (Int.min al bl, Int.max ah bh)
 
 let meet a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | Iv (al, ah), Iv (bl, bh) -> make (max al bl) (min ah bh)
+  | Iv (al, ah), Iv (bl, bh) ->
+    if bl <= al && ah <= bh then a else make (Int.max al bl) (Int.min ah bh)
 
 let widen old next =
   match (old, next) with
   | Bot, x -> x
   | x, Bot -> x
   | Iv (ol, oh), Iv (nl, nh) ->
-    Iv ((if nl < ol then ninf else nl), if nh > oh then pinf else nh)
+    let lo = if nl < ol then ninf else nl
+    and hi = if nh > oh then pinf else nh in
+    if lo = ol && hi = oh then old else Iv (lo, hi)
 
 (* bound arithmetic: the infinities absorb, finite sums saturate *)
 let add_bound a b =
@@ -68,7 +78,7 @@ let mul a b =
     if al = ninf || ah = pinf || bl = ninf || bh = pinf then top
     else begin
       let ps = [ mul_bound al bl; mul_bound al bh; mul_bound ah bl; mul_bound ah bh ] in
-      Iv (List.fold_left min pinf ps, List.fold_left max ninf ps)
+      Iv (List.fold_left Int.min pinf ps, List.fold_left Int.max ninf ps)
     end
 
 let rem a b =
@@ -107,7 +117,7 @@ let always cond a b =
   | Iv (al, ah), Iv (bl, bh) -> (
     match cond with
     | Mir.Cond.Eq -> al = ah && bl = bh && al = bl
-    | Mir.Cond.Ne -> meet a b = Bot
+    | Mir.Cond.Ne -> is_bot (meet a b)
     | Mir.Cond.Lt -> ah < bl
     | Mir.Cond.Le -> ah <= bl
     | Mir.Cond.Gt -> al > bh

@@ -13,142 +13,139 @@ type 'fact problem = {
 }
 
 type 'fact result = {
-  res_in : (string, 'fact) Hashtbl.t;
-  res_out : (string, 'fact) Hashtbl.t;
+  res_slot : (string, int) Hashtbl.t;
+  res_in : 'fact array;
+  res_out : 'fact array;
   res_bottom : 'fact;
   res_iterations : int;
 }
 
-let fact_in r label =
-  match Hashtbl.find_opt r.res_in label with
-  | Some f -> f
+let fact_at tab r label =
+  match Hashtbl.find_opt r.res_slot label with
+  | Some i -> tab.(i)
   | None -> r.res_bottom
 
-let fact_out r label =
-  match Hashtbl.find_opt r.res_out label with
-  | Some f -> f
-  | None -> r.res_bottom
-
+let fact_in r label = fact_at r.res_in r label
+let fact_out r label = fact_at r.res_out r label
 let iterations r = r.res_iterations
 
-(* a FIFO worklist with membership, so a block queued twice before being
-   processed is recomputed once; seeding and requeue order are
-   deterministic, making every analysis result reproducible *)
+(* A FIFO worklist of block indices with a membership bitmap, so a block
+   queued twice before being processed is recomputed once; seeding and
+   requeue order are deterministic, making every analysis result
+   reproducible. *)
 module Worklist = struct
-  type t = { q : string Queue.t; mem : (string, unit) Hashtbl.t }
+  type t = { q : int Queue.t; queued : Bytes.t }
 
-  let create () = { q = Queue.create (); mem = Hashtbl.create 64 }
+  let create n = { q = Queue.create (); queued = Bytes.make n '\000' }
 
-  let push t label =
-    if not (Hashtbl.mem t.mem label) then begin
-      Hashtbl.replace t.mem label ();
-      Queue.push label t.q
+  let push t i =
+    if Bytes.get t.queued i = '\000' then begin
+      Bytes.set t.queued i '\001';
+      Queue.push i t.q
     end
 
   let pop t =
-    match Queue.take_opt t.q with
-    | None -> None
-    | Some label ->
-      Hashtbl.remove t.mem label;
-      Some label
+    if Queue.is_empty t.q then -1
+    else begin
+      let i = Queue.pop t.q in
+      Bytes.set t.queued i '\000';
+      i
+    end
 end
 
 let solve (p : 'fact problem) (fn : Func.t) : 'fact result =
-  let blocks = fn.Func.blocks in
-  let by_label = Hashtbl.create 64 in
-  List.iter (fun (b : Block.t) -> Hashtbl.replace by_label b.Block.label b) blocks;
-  let succs = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Block.t) ->
-      Hashtbl.replace succs b.Block.label (Func.successors fn b))
+  let blocks = Array.of_list fn.Func.blocks in
+  let n = Array.length blocks in
+  (* Labels map to indices once.  A label that occurs twice (invalid
+     MIR) names its last block, which alone is ever processed. *)
+  let slot = Hashtbl.create (2 * n) in
+  Array.iteri
+    (fun i (b : Block.t) -> Hashtbl.replace slot b.Block.label i)
     blocks;
-  let preds = Func.predecessors fn in
-  let preds_of label =
-    match Hashtbl.find_opt preds label with Some l -> l | None -> []
+  let canon =
+    Array.map (fun (b : Block.t) -> Hashtbl.find slot b.Block.label) blocks
   in
-  let succs_of label =
-    match Hashtbl.find_opt succs label with Some l -> l | None -> []
+  (* successor labels outside the function are dropped from the index
+     lists: nothing flows to or from them *)
+  let succ_labels = Array.map (Func.successors fn) blocks in
+  let succs =
+    Array.map
+      (fun ls -> Array.of_list (List.filter_map (Hashtbl.find_opt slot) ls))
+      succ_labels
   in
-  let res_in = Hashtbl.create 64 in
-  let res_out = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Block.t) ->
-      Hashtbl.replace res_in b.Block.label p.bottom;
-      Hashtbl.replace res_out b.Block.label p.bottom)
-    blocks;
-  let visits = Hashtbl.create 64 in
+  let exits = Array.map (fun ls -> ls = []) succ_labels in
+  let pred_labels = Func.predecessors fn in
+  let preds =
+    Array.map
+      (fun (b : Block.t) ->
+        Array.of_list
+          (List.map (Hashtbl.find slot)
+             (Hashtbl.find pred_labels b.Block.label)))
+      blocks
+  in
+  let res_in = Array.make n p.bottom in
+  let res_out = Array.make n p.bottom in
+  let visits = Array.make n 0 in
   let iterations = ref 0 in
-  let wl = Worklist.create () in
-  let entry_label =
-    match blocks with [] -> None | b :: _ -> Some b.Block.label
+  let wl = Worklist.create n in
+  let entry = if n = 0 then -1 else canon.(0) in
+  let src_tab, dst_tab, requeue =
+    match p.direction with
+    | Forward -> (res_in, res_out, succs)
+    | Backward -> (res_out, res_in, preds)
   in
   (* flow-source fact for one block: join over the incoming directions,
      plus the boundary where the block touches the CFG's border *)
-  let source_fact label =
+  let source_fact i =
     match p.direction with
     | Forward ->
-      let base =
-        if Some label = entry_label then p.boundary else p.bottom
-      in
-      List.fold_left
-        (fun acc pl ->
-          match Hashtbl.find_opt by_label pl with
-          | None -> acc
-          | Some pb ->
-            let f = Hashtbl.find res_out pl in
-            let f = match p.edge with Some e -> e pb label f | None -> f in
-            p.join acc f)
-        base (preds_of label)
+      let acc = ref (if i = entry then p.boundary else p.bottom) in
+      let label = blocks.(i).Block.label in
+      Array.iter
+        (fun j ->
+          let f = res_out.(j) in
+          let f =
+            match p.edge with Some e -> e blocks.(j) label f | None -> f
+          in
+          acc := p.join !acc f)
+        preds.(i);
+      !acc
     | Backward ->
-      let ss = succs_of label in
-      let base = if ss = [] then p.boundary else p.bottom in
-      List.fold_left
-        (fun acc sl ->
-          match Hashtbl.find_opt res_in sl with
-          | None -> acc
-          | Some f -> p.join acc f)
-        base ss
+      let acc = ref (if exits.(i) then p.boundary else p.bottom) in
+      Array.iter (fun j -> acc := p.join !acc res_in.(j)) succs.(i);
+      !acc
   in
-  let process label =
-    match Hashtbl.find_opt by_label label with
-    | None -> ()
-    | Some b ->
-      incr iterations;
-      let n = (match Hashtbl.find_opt visits label with Some n -> n | None -> 0) + 1 in
-      Hashtbl.replace visits label n;
-      let fresh = source_fact label in
-      let src_tab, dst_tab, requeue =
-        match p.direction with
-        | Forward -> (res_in, res_out, succs_of)
-        | Backward -> (res_out, res_in, preds_of)
-      in
-      let old_src = Hashtbl.find src_tab label in
-      let src =
-        match p.widen with
-        | Some w when n > p.widen_after -> w old_src (p.join old_src fresh)
-        | _ -> p.join old_src fresh
-      in
-      Hashtbl.replace src_tab label src;
-      let dst = p.transfer b src in
-      let old_dst = Hashtbl.find dst_tab label in
-      if not (p.equal dst old_dst) || not (p.equal src old_src) then begin
-        Hashtbl.replace dst_tab label dst;
-        List.iter (Worklist.push wl) (requeue label)
-      end
+  let process i =
+    incr iterations;
+    visits.(i) <- visits.(i) + 1;
+    let fresh = source_fact i in
+    let old_src = src_tab.(i) in
+    let src =
+      match p.widen with
+      | Some w when visits.(i) > p.widen_after ->
+        w old_src (p.join old_src fresh)
+      | _ -> p.join old_src fresh
+    in
+    src_tab.(i) <- src;
+    let dst = p.transfer blocks.(i) src in
+    if not (p.equal dst dst_tab.(i)) || not (p.equal src old_src) then begin
+      dst_tab.(i) <- dst;
+      Array.iter (Worklist.push wl) requeue.(i)
+    end
   in
   (* seed in flow order so the common case converges in few sweeps *)
   let seed =
     match p.direction with
-    | Forward -> List.map (fun (b : Block.t) -> b.Block.label) blocks
-    | Backward -> List.rev_map (fun (b : Block.t) -> b.Block.label) blocks
+    | Forward -> canon
+    | Backward -> Array.of_list (List.rev (Array.to_list canon))
   in
-  List.iter (Worklist.push wl) seed;
+  Array.iter (Worklist.push wl) seed;
   let rec drain () =
-    match Worklist.pop wl with
-    | None -> ()
-    | Some label ->
-      process label;
+    let i = Worklist.pop wl in
+    if i >= 0 then begin
+      process i;
       drain ()
+    end
   in
   drain ();
   (* Widening overshoots inside loops: a block widened on the ascending
@@ -159,22 +156,20 @@ let solve (p : 'fact problem) (fn : Func.t) : 'fact result =
      the least fixpoint — two descending sweeps in flow order recover
      the lost precision (classic narrowing, bounded for trivial
      termination). *)
-  if p.widen <> None then
+  if Option.is_some p.widen then
     for _ = 1 to 2 do
-      List.iter
-        (fun label ->
-          match Hashtbl.find_opt by_label label with
-          | None -> ()
-          | Some b ->
-            incr iterations;
-            let src = source_fact label in
-            let src_tab, dst_tab =
-              match p.direction with
-              | Forward -> (res_in, res_out)
-              | Backward -> (res_out, res_in)
-            in
-            Hashtbl.replace src_tab label src;
-            Hashtbl.replace dst_tab label (p.transfer b src))
+      Array.iter
+        (fun i ->
+          incr iterations;
+          let src = source_fact i in
+          src_tab.(i) <- src;
+          dst_tab.(i) <- p.transfer blocks.(i) src)
         seed
     done;
-  { res_in; res_out; res_bottom = p.bottom; res_iterations = !iterations }
+  {
+    res_slot = slot;
+    res_in;
+    res_out;
+    res_bottom = p.bottom;
+    res_iterations = !iterations;
+  }

@@ -2,7 +2,10 @@
 
     One engine serves every analysis in the tree: {!Liveness} (backward
     may), [Analysis.Intervals] (forward with branch-edge refinement and
-    widening) and [Analysis.Cc_live].  A problem is a first-class
+    widening), [Analysis.Cc_live] and the optimizer's
+    [Mopt.Global_const] (forward must).  The solver maps labels to
+    block indices once and keeps edges, facts and visit counts in
+    arrays; the API stays in labels.  A problem is a first-class
     record — no functor ceremony — parameterized by the
     lattice ([bottom]/[join]/[equal]), the block transfer function, an
     optional per-edge refinement (forward only: the fact flowing from a

@@ -1,116 +1,105 @@
 (* lattice value per register *)
-type value =
-  | Unknown          (* no path reaches here yet (top) *)
-  | Const of int
-  | Varying          (* bottom *)
+type value = Const of int | Varying
 
-module RM = Mir.Reg.Map
+(* A block's in-state: [Unreached] until some path from the entry
+   reaches it, then one value per slot of the function's
+   [Mir.Reg_index].  Registers start Varying, parameters and
+   never-assigned registers alike: the machine zeroes registers, but
+   staying conservative keeps uninitialised reads unfolded.  As in
+   [Analysis.Intervals], an array is never written once it is a fact. *)
+type state = Unreached | Reached of value array
 
+(* the left operand itself when nothing moves, for [Reg_index.merge] *)
 let meet_value a b =
-  match a, b with
-  | Unknown, x | x, Unknown -> x
-  | Const x, Const y when x = y -> Const x
+  match (a, b) with
+  | Const x, Const y when x = y -> a
+  | Varying, _ -> a
   | _ -> Varying
 
-(* states are maps; a register absent from the map is Unknown before any
-   path defines it, but registers start as 0 in the machine; we stay
-   conservative and treat absent as Varying for soundness with respect
-   to uninitialised reads, except parameters which are Varying anyway *)
+let value_equal a b =
+  match (a, b) with
+  | Const x, Const y -> x = y
+  | Varying, Varying -> true
+  | _ -> false
+
 let meet_state a b =
-  RM.merge
-    (fun _ x y ->
-      match x, y with
-      | Some x, Some y -> Some (meet_value x y)
-      | Some _, None | None, Some _ -> Some Varying
-      | None, None -> None)
-    a b
+  match (a, b) with
+  | Unreached, x | x, Unreached -> x
+  | Reached va, Reached vb ->
+    let v = Mir.Reg_index.merge meet_value va vb in
+    if v == va then a else Reached v
 
-let lookup state r =
-  match RM.find_opt r state with Some v -> v | None -> Varying
+let equal_state a b =
+  match (a, b) with
+  | Unreached, Unreached -> true
+  | Reached va, Reached vb -> va == vb || Array.for_all2 value_equal va vb
+  | _ -> false
 
-let transfer_insn state insn =
-  let set r v = RM.add r v state in
-  let op_value = function
-    | Mir.Operand.Imm n -> Const n
-    | Mir.Operand.Reg r -> lookup state r
-  in
+let lookup index vals r =
+  let k = Mir.Reg_index.slot index r in
+  if k < 0 then Varying else vals.(k)
+
+let op_value index vals = function
+  | Mir.Operand.Imm n -> Const n
+  | Mir.Operand.Reg r -> lookup index vals r
+
+(* execute one instruction in place on a private [vals] *)
+let exec index vals insn =
+  let set r v = vals.(Mir.Reg_index.slot index r) <- v in
   match insn with
-  | Mir.Insn.Mov (r, o) -> set r (op_value o)
+  | Mir.Insn.Mov (r, o) -> set r (op_value index vals o)
   | Mir.Insn.Unop (u, r, o) -> (
-    match op_value o with
+    match op_value index vals o with
     | Const n -> set r (Const (Mir.Insn.eval_unop u n))
-    | v -> set r v)
+    | Varying -> set r Varying)
   | Mir.Insn.Binop (b, r, x, y) -> (
-    match op_value x, op_value y with
-    | Const a, Const c
-      when not ((b = Mir.Insn.Div || b = Mir.Insn.Rem) && c = 0) ->
-      set r (Const (Mir.Insn.eval_binop b a c))
-    | Unknown, _ | _, Unknown -> set r Unknown
+    match (op_value index vals x, op_value index vals y, b) with
+    | Const _, Const 0, (Mir.Insn.Div | Mir.Insn.Rem) -> set r Varying
+    | Const a, Const c, _ -> set r (Const (Mir.Insn.eval_binop b a c))
     | _ -> set r Varying)
   | Mir.Insn.Load (r, _, _) | Mir.Insn.Call (Some r, _, _) -> set r Varying
   | Mir.Insn.Store _ | Mir.Insn.Cmp _ | Mir.Insn.Call (None, _, _)
   | Mir.Insn.Nop | Mir.Insn.Profile_range _ | Mir.Insn.Profile_comb _ ->
-    state
+    ()
 
-let transfer_block state (b : Mir.Block.t) =
-  let state = List.fold_left transfer_insn state b.Mir.Block.insns in
-  match b.Mir.Block.term.Mir.Block.delay with
-  | Some i -> transfer_insn state i
-  | None -> state
+let transfer index (b : Mir.Block.t) state =
+  match (state, b.Mir.Block.insns, b.Mir.Block.term.Mir.Block.delay) with
+  | Unreached, _, _ | Reached _, [], None -> state
+  | Reached vals, insns, delay ->
+    let vals = Array.copy vals in
+    List.iter (exec index vals) insns;
+    Option.iter (exec index vals) delay;
+    Reached vals
 
-let equal_state a b =
-  RM.equal
-    (fun x y ->
-      match x, y with
-      | Unknown, Unknown | Varying, Varying -> true
-      | Const a, Const b -> a = b
-      | _ -> false)
-    a b
+(* Forward, bottom = unreached, no widening: the lattice has height 2
+   per register, so the engine's worklist order reaches the one maximal
+   fixpoint. *)
+let solve index fn =
+  Mir.Dataflow.solve
+    {
+      Mir.Dataflow.direction = Mir.Dataflow.Forward;
+      boundary = Reached (Array.make (Mir.Reg_index.size index) Varying);
+      bottom = Unreached;
+      join = meet_state;
+      equal = equal_state;
+      transfer = transfer index;
+      edge = None;
+      widen = None;
+      widen_after = 0;
+    }
+    fn
 
-let compute_in_states (fn : Mir.Func.t) =
-  let in_states = Hashtbl.create 32 in
-  (match fn.Mir.Func.blocks with
-  | entry :: _ ->
-    (* parameters (and everything else) start Varying: empty map *)
-    Hashtbl.replace in_states entry.Mir.Block.label RM.empty
-  | [] -> ());
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Mir.Block.t) ->
-        match Hashtbl.find_opt in_states b.Mir.Block.label with
-        | None -> ()
-        | Some in_state ->
-          let out = transfer_block in_state b in
-          List.iter
-            (fun s ->
-              let merged =
-                match Hashtbl.find_opt in_states s with
-                | None -> out
-                | Some existing -> meet_state existing out
-              in
-              match Hashtbl.find_opt in_states s with
-              | Some existing when equal_state existing merged -> ()
-              | _ ->
-                Hashtbl.replace in_states s merged;
-                changed := true)
-            (Mir.Func.successors fn b))
-      fn.Mir.Func.blocks
-  done;
-  in_states
-
-let rewrite_block in_state (b : Mir.Block.t) =
+let rewrite_block index in_vals (b : Mir.Block.t) =
   let changed = ref false in
-  let state = ref in_state in
+  let vals = Array.copy in_vals in
   let subst op =
     match op with
     | Mir.Operand.Reg r -> (
-      match lookup !state r with
+      match lookup index vals r with
       | Const n ->
         changed := true;
         Mir.Operand.Imm n
-      | Unknown | Varying -> op)
+      | Varying -> op)
     | Mir.Operand.Imm _ -> op
   in
   let rewrite insn =
@@ -128,19 +117,20 @@ let rewrite_block in_state (b : Mir.Block.t) =
         | Mir.Insn.Profile_comb _) as i ->
         i
     in
-    state := transfer_insn !state insn;
+    exec index vals insn;
     insn'
   in
   b.Mir.Block.insns <- List.map rewrite b.Mir.Block.insns;
   !changed
 
 let run_func (fn : Mir.Func.t) =
-  let in_states = compute_in_states fn in
+  let index = Mir.Reg_index.of_func fn in
+  let facts = solve index fn in
   List.fold_left
     (fun acc (b : Mir.Block.t) ->
-      match Hashtbl.find_opt in_states b.Mir.Block.label with
-      | Some in_state -> rewrite_block in_state b || acc
-      | None -> acc)
+      match Mir.Dataflow.fact_in facts b.Mir.Block.label with
+      | Reached vals -> rewrite_block index vals b || acc
+      | Unreached -> acc)
     false fn.Mir.Func.blocks
 
 let run (p : Mir.Program.t) =

@@ -131,3 +131,102 @@ let dom_matches_reference fn =
            (fun a -> Analysis.Dom.dominates dom a b = refdom a b)
            labels)
     labels
+
+(* the optimized base of every built-in workload under one heuristic
+   set, as the pipeline's detection sees it *)
+let workload_bases ?heuristic () =
+  List.map
+    (fun (w : Workloads.Spec.t) -> compile ?heuristic w.Workloads.Spec.source)
+    Workloads.Registry.all
+
+(* [fn] with register [from] renamed to [into] everywhere it occurs:
+   parameters, instructions, delay slots and terminators *)
+let rename_reg ~from ~into (fn : Mir.Func.t) =
+  let reg x = if Mir.Reg.equal x from then into else x in
+  let op = function
+    | Mir.Operand.Reg x -> Mir.Operand.Reg (reg x)
+    | Mir.Operand.Imm _ as o -> o
+  in
+  let insn = function
+    | Mir.Insn.Mov (d, a) -> Mir.Insn.Mov (reg d, op a)
+    | Mir.Insn.Unop (u, d, a) -> Mir.Insn.Unop (u, reg d, op a)
+    | Mir.Insn.Binop (b, d, x, y) -> Mir.Insn.Binop (b, reg d, op x, op y)
+    | Mir.Insn.Load (d, s, i) -> Mir.Insn.Load (reg d, s, op i)
+    | Mir.Insn.Store (s, i, v) -> Mir.Insn.Store (s, op i, op v)
+    | Mir.Insn.Cmp (a, b) -> Mir.Insn.Cmp (op a, op b)
+    | Mir.Insn.Call (d, f, args) ->
+      Mir.Insn.Call (Option.map reg d, f, List.map op args)
+    | Mir.Insn.Profile_range (k, x) -> Mir.Insn.Profile_range (k, reg x)
+    | (Mir.Insn.Nop | Mir.Insn.Profile_comb _) as i -> i
+  in
+  let kind = function
+    | Mir.Block.Switch (x, cases, d) -> Mir.Block.Switch (reg x, cases, d)
+    | Mir.Block.Jtab (x, t) -> Mir.Block.Jtab (reg x, t)
+    | Mir.Block.Ret (Some o) -> Mir.Block.Ret (Some (op o))
+    | (Mir.Block.Br _ | Mir.Block.Jmp _ | Mir.Block.Ret None) as k -> k
+  in
+  let g =
+    Mir.Func.make ~name:fn.Mir.Func.name
+      ~params:(List.map reg fn.Mir.Func.params)
+  in
+  g.Mir.Func.jtables <- fn.Mir.Func.jtables;
+  List.iter
+    (fun (b : Mir.Block.t) ->
+      let t = b.Mir.Block.term in
+      Mir.Func.add_block g
+        {
+          Mir.Block.label = b.Mir.Block.label;
+          insns = List.map insn b.Mir.Block.insns;
+          term =
+            {
+              Mir.Block.kind = kind t.Mir.Block.kind;
+              delay = Option.map insn t.Mir.Block.delay;
+              annul = t.Mir.Block.annul;
+            };
+        })
+    fn.Mir.Func.blocks;
+  g
+
+(* the distinct registers [fn] names, in register order *)
+let regs_of fn =
+  let s = ref Mir.Reg.Set.empty in
+  Mir.Func.iter_regs (fun r -> s := Mir.Reg.Set.add r !s) fn;
+  Mir.Reg.Set.elements !s
+
+(* Every interval fact of [fn] as text: the iteration count, and per
+   block its reachability, branch fate, cc operands at the terminator
+   and the interval of each register before every instruction.  [regs]
+   pairs the name a register is printed under with the register to
+   query, so two renamings of one function print alike. *)
+let interval_facts ~regs (fn : Mir.Func.t) =
+  let t = Analysis.Intervals.analyze fn in
+  let buf = Buffer.create 4096 in
+  let iv = Analysis.Iv.show in
+  Printf.bprintf buf "%s: %d iterations\n" fn.Mir.Func.name
+    (Analysis.Intervals.iterations t);
+  List.iter
+    (fun (b : Mir.Block.t) ->
+      let label = b.Mir.Block.label in
+      Printf.bprintf buf "%s reachable=%b fate=%s cc=%s\n" label
+        (Analysis.Intervals.reachable t label)
+        (match Analysis.Intervals.branch_fate t b with
+        | `Always_taken -> "always"
+        | `Never_taken -> "never"
+        | `Unknown -> "unknown"
+        | `Unreachable -> "unreachable")
+        (match Analysis.Intervals.cc_at_term t b with
+        | None -> "none"
+        | Some (x, y) -> iv x ^ "," ^ iv y);
+      for i = 0 to List.length b.Mir.Block.insns do
+        Printf.bprintf buf " @%d" i;
+        List.iter
+          (fun (name, r) ->
+            Printf.bprintf buf " %s=%s" name
+              (iv (Analysis.Intervals.reg_before t b i r)))
+          regs;
+        Buffer.add_char buf '\n'
+      done)
+    fn.Mir.Func.blocks;
+  Buffer.contents buf
+
+let own_regs fn = List.map (fun r -> (Mir.Reg.show r, r)) (regs_of fn)

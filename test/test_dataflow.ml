@@ -369,6 +369,58 @@ let test_dot_annotation_hook () =
   check_bool "no hook, no annotation" false
     (contains_substring (Mir.Dot.func_to_string fn) "r0:[0,9]")
 
+(* Facts are arrays over a per-function register index sized by the
+   registers used, not by the largest id: renaming one register of every
+   workload function to a sparse huge id changes no fact. *)
+let test_intervals_renaming_invariant () =
+  let into = r 50_000_000 in
+  List.iter
+    (fun (prog : Mir.Program.t) ->
+      List.iter
+        (fun (fn : Mir.Func.t) ->
+          match regs_of fn with
+          | [] -> ()
+          | from :: _ ->
+            let renamed = rename_reg ~from ~into fn in
+            let as_renamed =
+              List.map
+                (fun (name, x) ->
+                  (name, if Mir.Reg.equal x from then into else x))
+                (own_regs fn)
+            in
+            check_output
+              (Printf.sprintf "%s with %s as %s" fn.Mir.Func.name
+                 (Mir.Reg.show from) (Mir.Reg.show into))
+              (interval_facts ~regs:(own_regs fn) fn)
+              (interval_facts ~regs:as_renamed renamed))
+        prog.Mir.Program.funcs)
+    (workload_bases ())
+
+(* An analysis keeps its register index in its own result, never in a
+   global or domain-local table: the corpus analysed on two domains
+   gives the sequential facts and rewrites. *)
+let test_analyses_domain_safe () =
+  let bases = workload_bases () in
+  let analyse prog =
+    let prog = Mir.Clone.program prog in
+    String.concat ""
+      (List.map
+         (fun fn ->
+           let facts = interval_facts ~regs:(own_regs fn) fn in
+           let changed = Mopt.Global_const.run_func fn in
+           Format.asprintf "%s%b@
+%a" facts changed Mir.Func.pp fn)
+         prog.Mir.Program.funcs)
+  in
+  let sequential = List.map analyse bases in
+  let parallel = Driver.Pool.map ~domains:2 analyse bases in
+  List.iter2
+    (fun (w : Workloads.Spec.t) (s, p) ->
+      check_bool (w.Workloads.Spec.name ^ ": 2 domains = sequential") true
+        (String.equal s p))
+    Workloads.Registry.all
+    (List.combine sequential parallel)
+
 (* ------------------------------------------------------------------ *)
 (* Analysis-strengthened detection on the awk fixture                  *)
 (* ------------------------------------------------------------------ *)
@@ -447,6 +499,10 @@ let suite =
     case "lint: clean program is clean" test_lint_clean_program;
     case "explain: lone test names its blocker" test_explain_names_the_blocker;
     case "dot: annotation hook" test_dot_annotation_hook;
+    case "intervals: renaming a register to r50000000 changes no fact"
+      test_intervals_renaming_invariant;
+    case "intervals and global const: 2 domains = sequential"
+      test_analyses_domain_safe;
     slow_case "awk: facts admit strictly more, certified, byte-identical"
       test_awk_facts_admit_strictly_more;
   ]

@@ -508,6 +508,117 @@ let test_global_const_behaviour () =
        "int main() { int a = 5; int b; if (getchar() == 'x') b = a * 4; else \
         b = a * 5; print_int(b); return 0; }")
 
+let insns_of fn label = (Mir.Func.find_block fn label).Mir.Block.insns
+
+let check_insns what expected actual =
+  check_output what
+    (String.concat "; " (List.map Mir.Insn.show expected))
+    (String.concat "; " (List.map Mir.Insn.show actual))
+
+let test_global_const_back_edge_into_entry () =
+  (* the entry's in-state is the boundary (everything varying) met with
+     the back edge: r1 is not 9 on entry, but is 7 once the entry
+     assigns it *)
+  let fn = Mir.Func.make ~name:"f" ~params:[ r 0 ] in
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"entry"
+       [
+         Mir.Insn.Mov (r 3, reg 1);
+         Mir.Insn.Mov (r 1, imm 7);
+         Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, imm 1);
+         Mir.Insn.Cmp (reg 0, imm 0);
+       ]
+       (Mir.Block.Br (Mir.Cond.Eq, "body", "exit")));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"body" [ Mir.Insn.Mov (r 1, imm 9) ] (Mir.Block.Jmp "entry"));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"exit"
+       [ Mir.Insn.Mov (r 4, reg 2); Mir.Insn.Mov (r 5, reg 3) ]
+       (Mir.Block.Ret (Some (reg 4))));
+  check_bool "changed" true (Mopt.Global_const.run_func fn);
+  check_insns "entry"
+    [
+      Mir.Insn.Mov (r 3, reg 1);
+      Mir.Insn.Mov (r 1, imm 7);
+      Mir.Insn.Binop (Mir.Insn.Add, r 2, imm 7, imm 1);
+      Mir.Insn.Cmp (reg 0, imm 0);
+    ]
+    (insns_of fn "entry");
+  check_insns "exit: r2 is 8 on every path, r3 is not"
+    [ Mir.Insn.Mov (r 4, imm 8); Mir.Insn.Mov (r 5, reg 3) ]
+    (insns_of fn "exit")
+
+let test_global_const_unreachable_blocks () =
+  (* two unreached blocks, one a predecessor of the exit: they get no
+     in-state, are not rewritten, and do not spoil the exit's constant *)
+  let fn = Mir.Func.make ~name:"f" ~params:[] in
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"entry" [ Mir.Insn.Mov (r 1, imm 4) ] (Mir.Block.Jmp "exit"));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"island"
+       [ Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, imm 1) ]
+       (Mir.Block.Jmp "island2"));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"island2"
+       [ Mir.Insn.Mov (r 3, reg 1); Mir.Insn.Mov (r 1, imm 9) ]
+       (Mir.Block.Jmp "exit"));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"exit" [ Mir.Insn.Mov (r 5, reg 1) ] (Mir.Block.Ret (Some (reg 5))));
+  check_bool "changed" true (Mopt.Global_const.run_func fn);
+  check_insns "island untouched"
+    [ Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, imm 1) ]
+    (insns_of fn "island");
+  check_insns "island2 untouched"
+    [ Mir.Insn.Mov (r 3, reg 1); Mir.Insn.Mov (r 1, imm 9) ]
+    (insns_of fn "island2");
+  check_insns "exit folds the reachable constant" [ Mir.Insn.Mov (r 5, imm 4) ]
+    (insns_of fn "exit")
+
+let test_global_const_loop_carried_varying () =
+  (* r1 is 0 on loop entry and r1 + 1 around the back edge: varying at
+     the header, in the body and after the loop *)
+  let fn = Mir.Func.make ~name:"f" ~params:[] in
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"entry" [ Mir.Insn.Mov (r 1, imm 0) ] (Mir.Block.Jmp "head"));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"head"
+       [ Mir.Insn.Mov (r 3, reg 1); Mir.Insn.Cmp (reg 1, imm 10) ]
+       (Mir.Block.Br (Mir.Cond.Lt, "body", "exit")));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"body"
+       [ Mir.Insn.Binop (Mir.Insn.Add, r 1, reg 1, imm 1) ]
+       (Mir.Block.Jmp "head"));
+  Mir.Func.add_block fn
+    (Mir.Block.make ~label:"exit" [ Mir.Insn.Mov (r 4, reg 1) ] (Mir.Block.Ret (Some (reg 4))));
+  check_bool "nothing folds" false (Mopt.Global_const.run_func fn);
+  check_insns "head" [ Mir.Insn.Mov (r 3, reg 1); Mir.Insn.Cmp (reg 1, imm 10) ]
+    (insns_of fn "head");
+  check_insns "body" [ Mir.Insn.Binop (Mir.Insn.Add, r 1, reg 1, imm 1) ]
+    (insns_of fn "body");
+  check_insns "exit" [ Mir.Insn.Mov (r 4, reg 1) ] (insns_of fn "exit")
+
+(* states are arrays over the registers used, not indexed by register
+   id: renaming a register of every workload function to a sparse huge
+   id renames the output and changes nothing else *)
+let test_global_const_renaming_invariant () =
+  let into = r 50_000_000 in
+  let text fn = Format.asprintf "%a" Mir.Func.pp fn in
+  List.iter
+    (fun (prog : Mir.Program.t) ->
+      List.iter
+        (fun (fn : Mir.Func.t) ->
+          match regs_of fn with
+          | [] -> ()
+          | from :: _ ->
+            let plain = Mir.Clone.func fn and renamed = rename_reg ~from ~into fn in
+            let what = fn.Mir.Func.name ^ " with " ^ Mir.Reg.show from ^ " renamed" in
+            check_bool what
+              (Mopt.Global_const.run_func plain)
+              (Mopt.Global_const.run_func renamed);
+            check_output what (text (rename_reg ~from ~into plain)) (text renamed))
+        prog.Mir.Program.funcs)
+    (workload_bases ())
+
 (* the cleanup fixpoint's one global constant propagator: a constant
    defined in another block folds into arithmetic, the compare keeps its
    register for the sequence detector, and a second run changes nothing *)
@@ -643,6 +754,14 @@ let suite =
     case "global const: agreeing join" test_global_const_agreeing_join;
     case "global const: loop-carried kill" test_global_const_loop_kill;
     case "global const: behaviour" test_global_const_behaviour;
+    case "global const: back edge into the entry"
+      test_global_const_back_edge_into_entry;
+    case "global const: unreachable blocks keep no state"
+      test_global_const_unreachable_blocks;
+    case "global const: loop-carried register is varying"
+      test_global_const_loop_carried_varying;
+    case "global const: renaming a register to r50000000"
+      test_global_const_renaming_invariant;
     case "cleanup: defined constant folds, compare keeps its register"
       test_cleanup_folds_defined_constant;
     case "cleanup: never-assigned register is not folded to 0"
