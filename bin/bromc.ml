@@ -999,16 +999,11 @@ let dot_cmd =
             Some
               (fun (fn : Mir.Func.t) ->
                 let fx = Analysis.Intervals.analyze fn in
-                let regs =
-                  List.sort_uniq Mir.Reg.compare
-                    (fn.Mir.Func.params
-                    @ List.concat_map
-                        (fun (b : Mir.Block.t) ->
-                          List.concat_map
-                            (fun i -> Mir.Insn.defs i @ Mir.Insn.uses i)
-                            b.Mir.Block.insns)
-                        fn.Mir.Func.blocks)
-                in
+                let regs = ref Mir.Reg.Set.empty in
+                Mir.Func.iter_regs
+                  (fun r -> regs := Mir.Reg.Set.add r !regs)
+                  fn;
+                let regs = Mir.Reg.Set.elements !regs in
                 fun (b : Mir.Block.t) ->
                   if not (Analysis.Intervals.reachable fx b.Mir.Block.label)
                   then Some "unreachable"
