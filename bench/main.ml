@@ -17,7 +17,6 @@
      dune exec bench/main.exe -- detection    # syntactic vs facts walk
      dune exec bench/main.exe -- ablations    # design-choice ablations
      dune exec bench/main.exe -- static       # static vs trained profile
-                                              # (writes BENCH_PR9.json)
      dune exec bench/main.exe -- -j 8         # domain-pool width
      dune exec bench/main.exe -- --seq        # sequential harness
      dune exec bench/main.exe -- --verify     # translation-validate every
@@ -31,10 +30,11 @@
    and the `backends' section races the reference, closure-compiled and
    (when available) native execution engines over the suite's measure
    stage.
-   All wall times land in BENCH_PR6.json together with per-workload
-   dynamic counts, per-job outcome tallies (ok/retried/degraded/...)
-   and the detection-coverage comparison of the syntactic vs the
-   interval-facts sequence walk (`detection' section).
+
+   Every section prints text only.  CI diffs the deterministic ones
+   against bench/golden/ (the fast Tables 5-6 and the full-size static
+   section), ignoring the final wall-clock line; the speed of the system
+   itself is measured by bench/perf.
 
    Shapes, not absolute numbers, are the reproduction target; see
    EXPERIMENTS.md for the paper-vs-measured discussion. *)
@@ -43,8 +43,6 @@ let fast = ref false
 let sections = ref []
 let seq = ref false
 let jobs_flag = ref None
-let json_path = ref "BENCH_PR6.json"
-let no_json = ref false
 let timeout_ms = ref None
 let retries = ref 0
 
@@ -72,7 +70,6 @@ let want name =
 type row = {
   workload : Workloads.Spec.t;
   result : Driver.Pipeline.result;
-  seconds : float;  (* wall clock of this workload's pipeline run *)
 }
 
 let truncate_input s = if !fast then String.sub s 0 (min 6000 (String.length s)) else s
@@ -124,11 +121,6 @@ let result_or_warn ~what (o : Driver.Pipeline.job_outcome) =
 (* per heuristic set: rows + the wall clock of the whole matrix *)
 let matrix : (string, row list * float) Hashtbl.t = Hashtbl.create 4
 
-(* per heuristic set: every job's structured outcome, for the JSON
-   tallies and the missing-workload markers *)
-let outcomes_memo : (string, Driver.Pipeline.job_outcome list) Hashtbl.t =
-  Hashtbl.create 4
-
 let run_matrix hs ~domains =
   if domains = 1 && Domain.recommended_domain_count () > 1 && not !seq then
     Printf.eprintf
@@ -150,7 +142,6 @@ let run_matrix hs ~domains =
   let t0 = Unix.gettimeofday () in
   let outcomes = run_guarded ~domains jobs in
   let wall = Unix.gettimeofday () -. t0 in
-  Hashtbl.replace outcomes_memo hs.Mopt.Switch_lower.hs_name outcomes;
   (* failed workloads are dropped from the rows, and the partial
      results stand *)
   let what = "set " ^ hs.Mopt.Switch_lower.hs_name in
@@ -159,8 +150,7 @@ let run_matrix hs ~domains =
       (List.map2
          (fun w (o : Driver.Pipeline.job_outcome) ->
            match result_or_warn ~what o with
-           | Some result ->
-             [ { workload = w; result; seconds = o.Driver.Pipeline.o_seconds } ]
+           | Some result -> [ { workload = w; result } ]
            | None -> [])
          Workloads.Registry.all outcomes)
   in
@@ -599,27 +589,17 @@ let ablations () =
 (* ------------------------------------------------------------------ *)
 
 (* (workload, heuristic set) -> (syntactic seqs, syntactic tests,
-   facts seqs, facts tests); memoized because write_json wants the
-   set-I numbers whether or not the section ran *)
-let detect_memo : (string * string, int * int * int * int) Hashtbl.t =
-  Hashtbl.create 64
-
+   facts seqs, facts tests) *)
 let detect_counts (w : Workloads.Spec.t) hs =
-  let key = (w.Workloads.Spec.name, hs.Mopt.Switch_lower.hs_name) in
-  match Hashtbl.find_opt detect_memo key with
-  | Some c -> c
-  | None ->
-    let config = { Driver.Config.default with Driver.Config.heuristic = hs } in
-    let prog = Driver.Pipeline.compile_base config w.Workloads.Spec.source in
-    let count facts =
-      let seqs = Reorder.Detect.find_program ~facts prog in
-      ( List.length seqs,
-        List.fold_left (fun a s -> a + Reorder.Detect.items_count s) 0 seqs )
-    in
-    let ss, st = count false and fs, ft = count true in
-    let c = (ss, st, fs, ft) in
-    Hashtbl.replace detect_memo key c;
-    c
+  let config = { Driver.Config.default with Driver.Config.heuristic = hs } in
+  let prog = Driver.Pipeline.compile_base config w.Workloads.Spec.source in
+  let count facts =
+    let seqs = Reorder.Detect.find_program ~facts prog in
+    ( List.length seqs,
+      List.fold_left (fun a s -> a + Reorder.Detect.items_count s) 0 seqs )
+  in
+  let ss, st = count false and fs, ft = count true in
+  (ss, st, fs, ft)
 
 let detection () =
   section "Detection coverage: syntactic vs interval-facts walk";
@@ -642,15 +622,7 @@ let detection () =
 (* Execution backends: reference vs closure-compiled vs native         *)
 (* ------------------------------------------------------------------ *)
 
-(* (backend name, best-of-N measure-stage wall seconds), for the JSON *)
-let backend_results : (string * float) list ref = ref []
 let runs_per_engine = 3
-
-(* native backend extras for the JSON: first-sweep wall (codegen +
-   compile + load, paid once per machine thanks to the artifact store)
-   and the cache counters after the whole section *)
-let native_codegen_seconds : float option ref = ref None
-let native_cache_stats : Sim.Native.stats option ref = ref None
 
 (* Race the execution engines over the suite's measure stage: both
    finalized versions of every set-I workload, full predictor bank
@@ -660,8 +632,9 @@ let native_cache_stats : Sim.Native.stats option ref = ref None
    identical runs (1.10x in BENCH_PR2 vs 1.036x in BENCH_PR5), and the
    min is the standard noise-robust estimator for a deterministic
    workload.  The native engine pays code generation in an extra
-   untimed first sweep, reported separately: steady state is what the
-   "compile once, serve many" store delivers to every later process.
+   untimed first sweep, reported separately (with the artifact store's
+   counters after the whole section): steady state is what the "compile
+   once, serve many" store delivers to every later process.
    Every backend must agree on every observable — counters,
    mispredicts, output, exit code — or the section aborts. *)
 let backends_section () =
@@ -696,6 +669,7 @@ let backends_section () =
     in
     (Unix.gettimeofday () -. t0, versions)
   in
+  let native_codegen_seconds = ref None and native_cache_stats = ref None in
   let run_all backend =
     let config = { Driver.Config.default with Driver.Config.backend } in
     Printf.eprintf "[bench] measuring %d programs under the %s backend...\n%!"
@@ -748,9 +722,10 @@ let backends_section () =
           versions)
       rest
   | [] -> ());
-  backend_results :=
-    List.map (fun (b, w, _) -> (Sim.Machine.backend_name b, w)) timed;
-  let wall_of name = List.assoc name !backend_results in
+  let backend_results =
+    List.map (fun (b, w, _) -> (Sim.Machine.backend_name b, w)) timed
+  in
+  let wall_of name = List.assoc name backend_results in
   let compiled = wall_of "compiled" in
   Printf.printf "best of %d timed sweeps per engine\n" runs_per_engine;
   Printf.printf "%-12s %12s %14s\n" "backend" "measure wall" "vs compiled";
@@ -770,7 +745,7 @@ let backends_section () =
     Printf.printf
       "WARNING: compiled (%.3fs) did not beat reference (%.3fs) on this run\n"
       compiled refw;
-  match List.assoc_opt "native" !backend_results with
+  match List.assoc_opt "native" backend_results with
   | None -> ()
   | Some nat ->
     let speedup = refw /. Float.max 1e-9 nat in
@@ -799,9 +774,6 @@ let backends_section () =
 (* Harness speedup: domain fan-out vs sequential                       *)
 (* ------------------------------------------------------------------ *)
 
-(* (parallel wall, domains, sequential wall) of the set-I matrix *)
-let speedup_data : (float * int * float) option ref = ref None
-
 let speedup () =
   section "Harness: parallel (domains) vs sequential wall clock (set I)";
   let d = domains () in
@@ -812,7 +784,6 @@ let speedup () =
       rows_with_wall Mopt.Switch_lower.set_i
     else run_matrix Mopt.Switch_lower.set_i ~domains:1
   in
-  speedup_data := Some (par_wall, d, seq_wall);
   Printf.printf "cores (recommended domains): %d\n"
     (Domain.recommended_domain_count ());
   Printf.printf "parallel   (%2d domains): %8.2fs\n" d par_wall;
@@ -820,152 +791,8 @@ let speedup () =
   Printf.printf "speedup: %.2fx\n" (seq_wall /. Float.max 1e-9 par_wall)
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_PR2.json: the machine-readable perf trajectory record         *)
-(* ------------------------------------------------------------------ *)
-
-(* a float as the snapshots have always recorded it: to 3 decimals *)
-let f3 v = Json.Float (Float.round (v *. 1000.) /. 1000.)
-
-let write_file path j =
-  let oc = open_out path in
-  output_string oc (Json.to_string ~compact:false j);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "[bench] wrote %s\n" path
-
-let write_json ~harness_wall () =
-  match Hashtbl.find_opt matrix Mopt.Switch_lower.set_i.Mopt.Switch_lower.hs_name with
-  | None -> ()  (* no set-I rows were computed; nothing to record *)
-  | Some (rows, matrix_wall) ->
-    let speedup =
-      match !speedup_data with
-      | Some (par, d, seqw) ->
-        [
-          ("parallel_wall_seconds", f3 par);
-          ("parallel_domains", Json.Int d);
-          ("sequential_wall_seconds", f3 seqw);
-          ("speedup", f3 (seqw /. Float.max 1e-9 par));
-        ]
-      | None -> []
-    in
-    let outcomes =
-      match
-        Hashtbl.find_opt outcomes_memo
-          Mopt.Switch_lower.set_i.Mopt.Switch_lower.hs_name
-      with
-      | None -> []
-      | Some outcomes ->
-        let count p = Json.Int (List.length (List.filter p outcomes)) in
-        let status s (o : Driver.Pipeline.job_outcome) =
-          String.equal (Driver.Pool.outcome_status o.Driver.Pipeline.o_outcome) s
-        in
-        [
-          ( "outcomes",
-            Json.Obj
-              [
-                ("ok", count (status "ok"));
-                ( "retried",
-                  count (fun o ->
-                      status "ok" o && o.Driver.Pipeline.o_retried > 0) );
-                ("degraded", count (fun o -> o.Driver.Pipeline.o_degraded));
-                ("timeout", count (status "timeout"));
-                ("trap", count (status "trap"));
-                ("crash", count (status "crash"));
-                ("gave_up", count (status "gave_up"));
-              ] );
-          ( "missing",
-            Json.Arr
-              (List.filter_map
-                 (fun (o : Driver.Pipeline.job_outcome) ->
-                   if Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome then
-                     None
-                   else Some (Json.Str o.Driver.Pipeline.o_name))
-                 outcomes) );
-        ]
-    in
-    let backends =
-      match !backend_results with
-      | [] -> []
-      | l ->
-        let speedup engine key =
-          match (List.assoc_opt engine l, List.assoc_opt "reference" l) with
-          | Some w, Some refw -> [ (key, f3 (refw /. Float.max 1e-9 w)) ]
-          | _ -> []
-        in
-        let opt key render = function Some v -> [ (key, render v) ] | None -> [] in
-        let cache (st : Sim.Native.stats) =
-          Json.Obj
-            [
-              ("memo_hits", Json.Int st.memo_hits);
-              ("disk_hits", Json.Int st.disk_hits);
-              ("misses", Json.Int st.misses);
-              ("compiles", Json.Int st.compiles);
-            ]
-        in
-        let native =
-          match speedup "native" "native_vs_reference_speedup" with
-          | [] -> []
-          | s ->
-            s
-            @ opt "native_codegen_seconds" f3 !native_codegen_seconds
-            @ opt "native_cache" cache !native_cache_stats
-        in
-        [
-          ( "backends",
-            Json.Obj
-              ((("runs_per_engine", Json.Int runs_per_engine)
-               :: List.map (fun (name, w) -> (name ^ "_measure_seconds", f3 w)) l)
-              @ speedup "compiled" "compiled_vs_reference_speedup"
-              @ native
-              @ [ ("native_available", Json.Bool (Sim.Native.available ())) ])
-          );
-        ]
-    in
-    let workload r =
-      let o = counters_of (orig r) and n = counters_of (reord r) in
-      let ss, st, fs, ft = detect_counts r.workload Mopt.Switch_lower.set_i in
-      Json.Obj
-        [
-          ("name", Json.Str r.workload.Workloads.Spec.name);
-          ("orig_insns", Json.Int o.Sim.Counters.insns);
-          ("reord_insns", Json.Int n.Sim.Counters.insns);
-          ("insn_reduction_pct", f3 (pct o.Sim.Counters.insns n.Sim.Counters.insns));
-          ("orig_branches", Json.Int o.Sim.Counters.cond_branches);
-          ("reord_branches", Json.Int n.Sim.Counters.cond_branches);
-          ( "branch_reduction_pct",
-            f3 (pct o.Sim.Counters.cond_branches n.Sim.Counters.cond_branches) );
-          ("seqs_syntactic", Json.Int ss);
-          ("tests_syntactic", Json.Int st);
-          ("seqs_facts", Json.Int fs);
-          ("tests_facts", Json.Int ft);
-          ("extra_facts_seqs", Json.Int (fs - ss));
-          ( "reordered",
-            Json.Int (Reorder.Pass.reordered_count r.result.Driver.Pipeline.r_report) );
-          ("pipeline_seconds", f3 r.seconds);
-        ]
-    in
-    write_file !json_path
-      (Json.Obj
-         ([
-            ("pr", Json.Int 6);
-            ("heuristic_set", Json.Str "I");
-            ("fast", Json.Bool !fast);
-            ("cores", Json.Int (Domain.recommended_domain_count ()));
-            ("domains", Json.Int (domains ()));
-            ("recommended_domains", Json.Int (Domain.recommended_domain_count ()));
-            (* the pool never uses more domains than there are jobs *)
-            ("effective_domains", Json.Int (min (domains ()) (List.length rows)));
-            ("harness_wall_seconds", f3 harness_wall);
-            ("matrix_wall_seconds", f3 matrix_wall);
-          ]
-         @ speedup @ outcomes @ backends
-         @ [ ("workloads", Json.Arr (List.map workload rows)) ]))
-
-(* ------------------------------------------------------------------ *)
 (* Static profile: heuristic prediction vs the training run             *)
 (* ------------------------------------------------------------------ *)
-
-let static_json_path = ref "BENCH_PR9.json"
 
 (* per workload: (orig branches, reordered branches), [None] for a
    contained failure *)
@@ -1058,44 +885,7 @@ let static_profile_section () =
     (cell (agg static_rows)) (cell (agg both_rows));
   Printf.printf
     "\n%d of %d workloads reach >= 50%% of the trained reduction statically\n"
-    !at_half !compared;
-  if not !no_json then begin
-    let opt f = function Some v -> f v | None -> Json.Null in
-    let workload (w : Workloads.Spec.t) =
-      let name = w.Workloads.Spec.name in
-      let t = find name trained
-      and s = find name static_rows
-      and b = find name both_rows in
-      let ob =
-        match (t, s, b) with
-        | Some (o, _), _, _ | _, Some (o, _), _ | _, _, Some (o, _) -> Json.Int o
-        | _ -> Json.Null
-      in
-      let count = opt (fun (_, n) -> Json.Int n) and num = opt f3 in
-      Json.Obj
-        [
-          ("name", Json.Str name);
-          ("orig_branches", ob);
-          ("trained_branches", count t);
-          ("static_branches", count s);
-          ("both_branches", count b);
-          ("trained_reduction_pct", num (red t));
-          ("static_reduction_pct", num (red s));
-          ("both_reduction_pct", num (red b));
-        ]
-    in
-    write_file !static_json_path
-      (Json.Obj
-         [
-           ("bench", Json.Str "static_profile");
-           ("pr", Json.Int 9);
-           ("heuristic_set", Json.Str "I");
-           ("fast", Json.Bool !fast);
-           ("workloads_at_half_trained", Json.Int !at_half);
-           ("workloads_compared", Json.Int !compared);
-           ("workloads", Json.Arr (List.map workload Workloads.Registry.all));
-         ])
-  end
+    !at_half !compared
 
 (* ------------------------------------------------------------------ *)
 (* Serving-shaped load: warm artifact caches vs the cold pipeline       *)
@@ -1149,9 +939,6 @@ let parse_args () =
     | "--verify" :: rest ->
       verify := true;
       go rest
-    | "--no-json" :: rest ->
-      no_json := true;
-      go rest
     | ("-j" | "--jobs") :: n :: rest ->
       (match int_of_string_opt n with
       | Some n when n >= 1 -> jobs_flag := Some n
@@ -1173,12 +960,9 @@ let parse_args () =
         prerr_endline "bench: --retries expects a non-negative integer";
         exit 2);
       go rest
-    | "--json" :: path :: rest ->
-      json_path := path;
-      go rest
-    | "--static-json" :: path :: rest ->
-      static_json_path := path;
-      go rest
+    | s :: _ when String.length s > 0 && s.[0] = '-' ->
+      Printf.eprintf "bench: unknown option %s\n" s;
+      exit 2
     | s :: rest ->
       sections := s :: !sections;
       go rest
@@ -1204,6 +988,5 @@ let () =
   (* ablations are opt-in: they re-run the pipeline many times *)
   if List.mem "ablations" !sections then ablations ();
   let harness_wall = Unix.gettimeofday () -. t0 in
-  if not !no_json then write_json ~harness_wall ();
   Printf.printf "\n[bench] done in %.1fs on %d domain(s)\n" harness_wall
     (domains ())

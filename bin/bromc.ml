@@ -828,8 +828,7 @@ let fuzz_cmd =
       & info [ "corpus-dir" ] ~docv:"DIR"
           ~doc:
             "Freeze each shrunk counterexample as a $(b,.mir) repro under \
-             $(docv), ready for $(b,bromc bench corpus) to replay — the \
-             flywheel's minimization loop.")
+             $(docv), ready for $(b,bromc bench corpus) to replay.")
   in
   let quiet =
     Arg.(
@@ -1632,245 +1631,8 @@ let replay_cmd =
       $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)
-(* bench: the continuous benchmarking flywheel                          *)
+(* bench: replay the minimized-repro corpus                           *)
 (* ------------------------------------------------------------------ *)
-
-let history_arg =
-  Arg.(
-    value
-    & opt string "bench/history.jsonl"
-    & info [ "history" ] ~docv:"FILE"
-        ~doc:
-          "The normalized benchmark time series (JSONL, one schema-versioned \
-           record per line).")
-
-let load_history path =
-  match Bench_db.History.load path with
-  | Ok records -> records
-  | Error msg -> failwith msg
-
-let bench_import_cmd =
-  let run files history gate_wall seq label commit =
-    handle_errors (fun () ->
-        let outcomes =
-          match files with
-          | [ file ] when seq <> None || label <> None || commit <> None ->
-            (* single-snapshot import with explicit identity overrides *)
-            (match
-               Bench_db.Import.of_file ?seq ?label ?commit ~gate_wall file
-             with
-            | Error m -> [ (file, Bench_db.History.Failed m) ]
-            | Ok r ->
-              let existing = load_history history in
-              if Bench_db.History.mem existing ~label:r.Bench_db.Record.r_label
-              then
-                [ (file, Bench_db.History.Skipped r.Bench_db.Record.r_label) ]
-              else begin
-                Bench_db.History.append history r;
-                [ (file, Bench_db.History.Added r) ]
-              end)
-          | _ -> Bench_db.History.import_files ~gate_wall ~history files
-        in
-        let failed = ref 0 in
-        List.iter
-          (fun (path, outcome) ->
-            match outcome with
-            | Bench_db.History.Added r ->
-              Printf.printf "added   %s (%s, context %s, %d metrics)\n" path
-                r.Bench_db.Record.r_label r.Bench_db.Record.r_context
-                (List.length r.Bench_db.Record.r_metrics)
-            | Bench_db.History.Skipped label ->
-              Printf.printf "skipped %s (label %s already in history)\n" path
-                label
-            | Bench_db.History.Failed m ->
-              incr failed;
-              Printf.printf "FAILED  %s: %s\n" path m)
-          outcomes;
-        if !failed > 0 then exit 1)
-  in
-  let files =
-    Arg.(
-      non_empty & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:
-            "Benchmark snapshot files: suite matrices ($(b,bromc suite \
-             --json)), serve replays ($(b,bromc replay --json)) or fuzz \
-             summaries.  The historical $(b,BENCH_PR)$(i,N)$(b,.json) shapes \
-             are all understood.")
-  in
-  let gate_wall =
-    Arg.(
-      value & flag
-      & info [ "gate-wall" ]
-          ~doc:
-            "Also gate wall-clock metrics.  Off by default: checked-in \
-             snapshots come from different machines and workload scales, so \
-             only ratios and deterministic counts are comparable; turn this \
-             on for records produced and compared on one machine.")
-  in
-  let seq =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seq" ] ~docv:"N"
-          ~doc:
-            "Sequence number override (defaults to the $(b,pr) field or the \
-             $(b,BENCH_PR)$(i,N) filename).  Single-file imports only.")
-  in
-  let label =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "label" ] ~docv:"NAME"
-          ~doc:"Record label override (defaults to $(b,PR)$(i,seq)).")
-  in
-  let commit =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "commit" ] ~docv:"SHA" ~doc:"Commit hash to stamp the record.")
-  in
-  Cmd.v
-    (Cmd.info "import"
-       ~doc:
-         "Lift benchmark snapshots into the normalized time series.  \
-          Idempotent: labels already in the history are skipped, never \
-          rewritten.")
-    Term.(const run $ files $ history_arg $ gate_wall $ seq $ label $ commit)
-
-let bench_report_cmd =
-  let run history out =
-    handle_errors (fun () ->
-        let records = load_history history in
-        match out with
-        | None -> print_string (Bench_db.Report.to_markdown records)
-        | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          let write name data =
-            let path = Filename.concat dir name in
-            let oc = open_out path in
-            output_string oc data;
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-          in
-          write "report.md" (Bench_db.Report.to_markdown records);
-          write "report.html" (Bench_db.Report.to_html records))
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:
-            "Write $(b,report.md) and $(b,report.html) under $(docv) instead \
-             of printing markdown to stdout.")
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Render the history as a static trend report: per-context \
-          sparktables with one row per metric, one column per record, and \
-          the delta between the last two observations.  Deterministic in the \
-          history, so the output is diffable and CI-archivable.")
-    Term.(const run $ history_arg $ out)
-
-let bench_gate_cmd =
-  let run history against max_regress head_label quiet =
-    handle_errors (fun () ->
-        let records = load_history history in
-        if records = [] then failwith ("empty history: " ^ history);
-        let heads =
-          match head_label with
-          | Some l -> (
-            match
-              List.filter
-                (fun (r : Bench_db.Record.t) -> r.Bench_db.Record.r_label = l)
-                records
-            with
-            | [] -> failwith ("no record labelled " ^ l)
-            | rs -> rs)
-          | None ->
-            (* the latest record of every context; [records] is sorted by
-               seq, so replace keeps the newest *)
-            let by_ctx = Hashtbl.create 8 in
-            List.iter
-              (fun (r : Bench_db.Record.t) ->
-                Hashtbl.replace by_ctx r.Bench_db.Record.r_context r)
-              records;
-            Hashtbl.fold (fun _ r acc -> r :: acc) by_ctx []
-            |> List.sort (fun (a : Bench_db.Record.t) b ->
-                   compare a.Bench_db.Record.r_seq b.Bench_db.Record.r_seq)
-        in
-        let all =
-          List.concat_map
-            (fun (head : Bench_db.Record.t) ->
-              let verdicts =
-                Bench_db.Gate.check ?max_regress ?against ~head
-                  ~history:records ()
-              in
-              if not quiet then begin
-                Printf.printf "head %s (context %s, %d gated metrics):\n"
-                  head.Bench_db.Record.r_label head.Bench_db.Record.r_context
-                  (List.length verdicts);
-                Format.printf "%a" Bench_db.Gate.pp verdicts
-              end;
-              verdicts)
-            heads
-        in
-        match Bench_db.Gate.failures all with
-        | [] ->
-          Printf.printf "gate: OK (%d metrics within tolerance)\n"
-            (List.length all)
-        | fails ->
-          List.iter
-            (fun v -> Format.eprintf "gate: %a@." Bench_db.Gate.pp_verdict v)
-            fails;
-          Printf.eprintf "gate: %d metric(s) regressed beyond tolerance\n"
-            (List.length fails);
-          exit 1)
-  in
-  let against =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "against" ] ~docv:"LABEL"
-          ~doc:
-            "Compare against this record instead of the latest same-context \
-             predecessor of each metric.")
-  in
-  let max_regress =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-regress" ] ~docv:"PCT"
-          ~doc:
-            "Default regression tolerance in percent for metrics without \
-             their own (default 10).  Per-metric tolerances and noise floors \
-             from the records always win.")
-  in
-  let head_label =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "head" ] ~docv:"LABEL"
-          ~doc:
-            "Gate only this record (default: the latest record of every \
-             context).")
-  in
-  let quiet =
-    Arg.(
-      value & flag & info [ "quiet"; "q" ] ~doc:"Only print the verdict line.")
-  in
-  Cmd.v
-    (Cmd.info "gate"
-       ~doc:
-         "The regression gate: direction-aware comparison of the latest \
-          record(s) against their history, with per-metric tolerances and \
-          absolute noise floors.  Exits 0 when every gated metric is within \
-          tolerance, 1 naming each regressed metric otherwise — wire it \
-          straight into CI.")
-    Term.(
-      const run $ history_arg $ against $ max_regress $ head_label $ quiet)
 
 let bench_corpus_cmd =
   let run dir backend native profile mint_inject seed cases quiet =
@@ -1971,8 +1733,8 @@ let bench_corpus_cmd =
          "Replay every minimized $(b,.mir) repro in the corpus through the \
           full pipeline — validate, lower under the recorded heuristic set, \
           train, reorder, certify, lint cross-check, backend differential — \
-          and fail on any error.  The corpus is the regression suite the \
-          flywheel mints from caught counterexamples.  With \
+          and fail on any error.  The corpus is a regression suite minted \
+          from caught counterexamples.  With \
           $(b,--profile=static) the repros replay under the profile-free \
           prediction instead of their recorded training runs.")
     Term.(
@@ -1983,10 +1745,9 @@ let bench_cmd =
   Cmd.group
     (Cmd.info "bench"
        ~doc:
-         "The continuous benchmarking flywheel: import snapshots into a \
-          normalized time series, render trend reports, gate regressions, \
-          and replay the minimized-repro corpus.")
-    [ bench_import_cmd; bench_report_cmd; bench_gate_cmd; bench_corpus_cmd ]
+         "The minimized-repro corpus: mint repros from caught \
+          counterexamples and replay them through the full pipeline.")
+    [ bench_corpus_cmd ]
 
 let main =
   Cmd.group

@@ -1,9 +1,4 @@
 (* [Json] lives in its own dependency-free library; it is re-exported
    here so existing [Bench_db.Json] users keep compiling. *)
 module Json = Json
-module Record = Record
-module History = History
-module Import = Import
-module Gate = Gate
-module Report = Report
 module Corpus = Corpus

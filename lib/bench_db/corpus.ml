@@ -113,8 +113,15 @@ let of_text ~name text =
         ~none:(Printf.sprintf "unknown heuristic set %S" hname)
         (heuristic_index hname)
     in
-    let* facts = Result.map (( = ) "true") (require "facts") in
-    let* coalesce = Result.map (( = ) "true") (require "coalesce") in
+    let flag key =
+      let* v = require key in
+      match bool_of_string_opt v with
+      | Some b -> Ok b
+      | None ->
+        Error (Printf.sprintf "header field %S must be true or false" key)
+    in
+    let* facts = flag "facts" in
+    let* coalesce = flag "coalesce" in
     let* train = quoted "train" in
     let* test = quoted "test" in
     let* program =
@@ -150,10 +157,12 @@ let load_file path =
       (of_text ~name:(Filename.remove_extension (Filename.basename path)) text)
 
 let load_dir dir =
-  if not (Sys.file_exists dir) then Ok []
-  else begin
+  match Sys.readdir dir with
+  | exception Sys_error _ when not (Sys.file_exists dir) -> Ok []
+  | exception Sys_error m -> Error m
+  | entries ->
     let files =
-      Sys.readdir dir |> Array.to_list
+      Array.to_list entries
       |> List.filter (fun f -> Filename.check_suffix f ".mir")
       |> List.sort compare
     in
@@ -167,7 +176,6 @@ let load_dir dir =
           | Error _ as e -> e))
       (Ok []) files
     |> Result.map List.rev
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Replay and minting                                                  *)

@@ -38,8 +38,8 @@ val save : dir:string -> repro -> string
 val load_file : string -> (repro, string) result
 val load_dir : string -> (repro list, string) result
 (** Every [.mir] file under [dir], sorted by name; a missing directory
-    is an empty corpus.  The first malformed file is an error naming
-    it. *)
+    is an empty corpus.  A path that cannot be read as a directory, or
+    the first malformed file, is an error naming it. *)
 
 val replay :
   ?backends:Sim.Machine.backend list ->

@@ -26,6 +26,6 @@ let () =
       ("native", Test_native.suite);
       ("server", Test_server.suite);
       ("state", Test_state.suite);
-      ("bench-db", Test_bench_db.suite);
+      ("corpus", Test_corpus.suite);
       ("static", Test_static.suite);
     ]
