@@ -19,8 +19,9 @@ let heuristic_set = function
 let heuristic_index name =
   match name with "I" -> Some 0 | "II" -> Some 1 | "III" -> Some 2 | _ -> None
 
+(* header lines are read back trimmed, so the origin is stored that way *)
 let single_line s =
-  String.map (function '\n' | '\r' -> ' ' | c -> c) s
+  String.trim (String.map (function '\n' | '\r' -> ' ' | c -> c) s)
 
 let of_spec ~name ~origin ~facts ~coalesce (spec : Check.Gen.spec) =
   {
@@ -82,16 +83,16 @@ let of_text ~name text =
       in
       split [] rest
     in
+    (* [l] is trimmed, so an empty value has lost the space after ':' *)
     let field key =
-      let prefix = "; " ^ key ^ ": " in
+      let prefix = "; " ^ key ^ ":" in
       List.find_map
         (fun l ->
-          if String.length l >= String.length prefix
-             && String.sub l 0 (String.length prefix) = prefix
-          then
+          if String.starts_with ~prefix l then
             Some
-              (String.sub l (String.length prefix)
-                 (String.length l - String.length prefix))
+              (String.trim
+                 (String.sub l (String.length prefix)
+                    (String.length l - String.length prefix)))
           else None)
         header
     in

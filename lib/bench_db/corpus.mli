@@ -29,7 +29,8 @@ val heuristic_set : int -> Mopt.Switch_lower.heuristic_set
 val of_spec :
   name:string -> origin:string -> facts:bool -> coalesce:bool ->
   Check.Gen.spec -> repro
-(** Freeze a (typically shrunk) fuzz spec as a repro. *)
+(** Freeze a (typically shrunk) fuzz spec as a repro.  The origin is
+    folded onto one trimmed line, the form a header line reads back as. *)
 
 val save : dir:string -> repro -> string
 (** Write [dir/<name>.mir] (creating [dir] if needed); returns the

@@ -26,6 +26,7 @@ let () =
       ("native", Test_native.suite);
       ("server", Test_server.suite);
       ("state", Test_state.suite);
+      ("json", Test_json.suite);
       ("corpus", Test_corpus.suite);
       ("static", Test_static.suite);
     ]
