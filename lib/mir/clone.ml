@@ -5,15 +5,14 @@ let block (b : Block.t) =
     term = { b.Block.term with Block.kind = b.Block.term.Block.kind };
   }
 
+(* a fresh function, so the clone starts with an empty label index *)
 let func (f : Func.t) =
-  {
-    Func.name = f.Func.name;
-    params = f.Func.params;
-    blocks = List.map block f.Func.blocks;
-    jtables = List.map Array.copy f.Func.jtables;
-    next_reg = f.Func.next_reg;
-    next_label = f.Func.next_label;
-  }
+  let g = Func.make ~name:f.Func.name ~params:f.Func.params in
+  g.Func.blocks <- List.map block f.Func.blocks;
+  g.Func.jtables <- List.map Array.copy f.Func.jtables;
+  g.Func.next_reg <- f.Func.next_reg;
+  g.Func.next_label <- f.Func.next_label;
+  g
 
 let program (p : Program.t) =
   {

@@ -74,14 +74,14 @@ let solve (p : 'fact problem) (fn : Func.t) : 'fact result =
       succ_labels
   in
   let exits = Array.map (fun ls -> ls = []) succ_labels in
-  let pred_labels = Func.predecessors fn in
+  (* predecessors invert the successor index: each edge once, sources
+     in layout order (a block's successors are distinct) *)
   let preds =
-    Array.map
-      (fun (b : Block.t) ->
-        Array.of_list
-          (List.map (Hashtbl.find slot)
-             (Hashtbl.find pred_labels b.Block.label)))
-      blocks
+    let rev = Array.make n [] in
+    Array.iteri
+      (fun j ss -> Array.iter (fun k -> rev.(k) <- canon.(j) :: rev.(k)) ss)
+      succs;
+    Array.map (fun ps -> Array.of_list (List.rev ps)) rev
   in
   let res_in = Array.make n p.bottom in
   let res_out = Array.make n p.bottom in

@@ -1,3 +1,8 @@
+(* The label index of one block list.  It is never mutated once built,
+   and [over] is compared physically: a pass that edits the layout
+   assigns a new list, which invalidates the index. *)
+type index = { over : Block.t list; by_label : (string, Block.t) Hashtbl.t }
+
 type t = {
   name : string;
   params : Reg.t list;
@@ -5,13 +10,24 @@ type t = {
   mutable jtables : string array list;
   mutable next_reg : int;
   mutable next_label : int;
+  index : index Atomic.t;
 }
+
+let no_index = { over = []; by_label = Hashtbl.create 1 }
 
 let make ~name ~params =
   let max_param =
     List.fold_left (fun acc r -> max acc (Reg.to_int r + 1)) 0 params
   in
-  { name; params; blocks = []; jtables = []; next_reg = max_param; next_label = 0 }
+  {
+    name;
+    params;
+    blocks = [];
+    jtables = [];
+    next_reg = max_param;
+    next_label = 0;
+    index = Atomic.make no_index;
+  }
 
 let entry f =
   match f.blocks with
@@ -39,8 +55,25 @@ let insert_blocks_after f label blocks =
   in
   f.blocks <- go f.blocks
 
-let find_block_opt f label =
-  List.find_opt (fun b -> String.equal b.Block.label label) f.blocks
+(* The first block of a label wins, as with a search of the layout.  The
+   index is published whole through the atomic, so a domain that reads
+   it also reads its filled table. *)
+let index f =
+  let blocks = f.blocks in
+  let ix = Atomic.get f.index in
+  if ix.over == blocks then ix.by_label
+  else begin
+    let by_label = Hashtbl.create (List.length blocks) in
+    List.iter
+      (fun (b : Block.t) ->
+        if not (Hashtbl.mem by_label b.Block.label) then
+          Hashtbl.add by_label b.Block.label b)
+      blocks;
+    Atomic.set f.index { over = blocks; by_label };
+    by_label
+  end
+
+let find_block_opt f label = Hashtbl.find_opt (index f) label
 
 let find_block f label =
   match find_block_opt f label with
@@ -67,9 +100,10 @@ let predecessors f =
       List.iter
         (fun s ->
           let existing = try Hashtbl.find preds s with Not_found -> [] in
-          Hashtbl.replace preds s (existing @ [ b.Block.label ]))
+          Hashtbl.replace preds s (b.Block.label :: existing))
         (successors f b))
     f.blocks;
+  Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
   preds
 
 let iter_blocks f g = List.iter g f.blocks

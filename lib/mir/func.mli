@@ -2,7 +2,17 @@
 
     The first block is the entry.  Blocks are kept in layout order, which
     determines fall-throughs (see {!Block.static_insn_count}); passes that
-    change the order must keep the entry first. *)
+    change the order must keep the entry first.
+
+    A function keeps a label index for {!find_block_opt}, built on the
+    first lookup after its block list changes.  It relies on two facts:
+    a block's label never changes, and a pass edits the layout by
+    assigning [blocks] a new list, never by mutating one in place.  The
+    index records the list it was built from and is valid only while
+    [blocks] is physically that list. *)
+
+type index
+(** The label index of one block list. *)
 
 type t = {
   name : string;
@@ -12,9 +22,13 @@ type t = {
       (** jump tables, indexed by position (table 0 first) *)
   mutable next_reg : int;
   mutable next_label : int;
+  index : index Atomic.t;
+      (** cache behind {!find_block_opt}; published whole, so domains
+          that read one function concurrently stay safe *)
 }
 
 val make : name:string -> params:Reg.t list -> t
+(** An empty function with an empty label index. *)
 
 val entry : t -> Block.t
 (** Raises [Invalid_argument] on a function with no blocks. *)
@@ -35,6 +49,9 @@ val find_block : t -> string -> Block.t
 (** Raises [Not_found]. *)
 
 val find_block_opt : t -> string -> Block.t option
+(** The first block of the layout with this label.  O(1) while [blocks]
+    is unchanged; the first lookup after a change rebuilds the index in
+    one pass over the layout. *)
 
 val jtab : t -> int -> string array
 (** Resolve a jump-table id.  Raises [Invalid_argument] on a bad id. *)
@@ -46,7 +63,9 @@ val successors : t -> Block.t -> string list
 
 val predecessors : t -> (string, string list) Hashtbl.t
 (** Map from block label to predecessor labels, in layout order of the
-    predecessors.  Recomputed on demand; not cached. *)
+    predecessors.  Every label of the function has an entry, and so does
+    every successor label outside it.  Linear in the edges; recomputed
+    on demand, not cached. *)
 
 val iter_blocks : t -> (Block.t -> unit) -> unit
 

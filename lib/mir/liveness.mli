@@ -5,7 +5,9 @@
     treated as part of the terminator: their uses count, and their defs are
     visible to all successors. *)
 
-type t
+type t = Reg.Set.t Dataflow.result
+(** Per-block live sets; {!Dataflow.iterations} reads the solver's
+    work. *)
 
 val compute : Func.t -> t
 

@@ -42,13 +42,18 @@ let stealable insn =
   | Mir.Insn.Store _ ->
     true
 
-let steal_from_target fn ~layout_next (b : Mir.Block.t) =
+(* [preds] is the function's predecessor map: neither phase changes an
+   edge, so one map serves every block *)
+let steal_from_target fn preds ~layout_next (b : Mir.Block.t) =
   if b.Mir.Block.term.delay <> None || not (will_emit_transfer ~layout_next b)
   then false
   else begin
-    let preds = Mir.Func.predecessors fn in
+    (* a branch whose arms agree runs the target on both outcomes, so an
+       annulled slot would skip its first instruction when not taken *)
     let target_annul =
       match b.Mir.Block.term.kind with
+      | Mir.Block.Br (_, taken, not_taken) when String.equal taken not_taken ->
+        None
       | Mir.Block.Br (_, taken, _) -> Some (taken, true)
       | Mir.Block.Jmp l -> Some (l, false)
       | Mir.Block.Jtab _ | Mir.Block.Ret _ | Mir.Block.Switch _ -> None
@@ -88,8 +93,7 @@ let run_func ?(steal = true) (fn : Mir.Func.t) =
   in
   let above = fill fill_block in
   let stolen =
-    if steal then
-      fill (fun ~layout_next b -> steal_from_target fn ~layout_next b)
+    if steal then fill (steal_from_target fn (Mir.Func.predecessors fn))
     else 0
   in
   above + stolen

@@ -14,9 +14,11 @@
     instruction of a single-predecessor *taken target* is hoisted into
     the slot with the SPARC annul bit set (the instruction executes only
     when the branch is taken — exactly where it originally ran), and
-    jump targets are stolen from the same way without annulment.  This
-    is vpo's "fill from the successor", whose interaction with
-    reordering the paper discusses for hyphen.
+    jump targets are stolen from the same way without annulment.  A
+    branch whose two arms name the same block is not filled this way:
+    that block runs on both outcomes.  This is vpo's "fill from the
+    successor", whose interaction with reordering the paper discusses
+    for hyphen.
 
     Jumps that will fall through in the current layout assemble to
     nothing, so their slots are not filled; run this after

@@ -87,7 +87,9 @@ let preheader fn (loop : Analysis.Loops.loop) =
     fn.Mir.Func.blocks <- insert fn.Mir.Func.blocks;
     label
 
-let hoist_from_loop fn (loop : Analysis.Loops.loop) =
+(* [live] is the function's liveness, valid while the function is
+   unchanged: a loop that hoists nothing changes nothing *)
+let hoist_from_loop fn ~live (loop : Analysis.Loops.loop) =
   let insns = loop_insns fn loop in
   let loop_has_effects =
     List.exists
@@ -107,8 +109,9 @@ let hoist_from_loop fn (loop : Analysis.Loops.loop) =
         (Mir.Insn.defs i))
     insns;
   let defined_in_loop r = Hashtbl.mem def_count r in
-  let live = Mir.Liveness.compute fn in
-  let in_loop = Analysis.Loops.in_body loop in
+  let body = Hashtbl.create 16 in
+  List.iter (fun l -> Hashtbl.replace body l ()) loop.Analysis.Loops.l_body;
+  let in_loop = Hashtbl.mem body in
   (* registers live on entry to any block just outside the loop *)
   let exit_live =
     List.fold_left
@@ -163,11 +166,15 @@ let run_func (fn : Mir.Func.t) =
   let total = ref 0 in
   let continue_ = ref true in
   let rounds = ref 0 in
+  let live = ref (lazy (Mir.Liveness.compute fn)) in
   while !continue_ && !rounds < 10 do
     incr rounds;
     let n =
       List.fold_left
-        (fun acc loop -> acc + hoist_from_loop fn loop)
+        (fun acc loop ->
+          let k = hoist_from_loop fn ~live:(Lazy.force !live) loop in
+          if k > 0 then live := lazy (Mir.Liveness.compute fn);
+          acc + k)
         0
         (Analysis.Loops.loops (Analysis.Loops.analyze fn))
     in

@@ -31,6 +31,26 @@ let check_output = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* [actual] must equal the committed file [test/golden/<name>].  On a
+   difference the actual text is written to [<name>.actual] in the
+   test's working directory, ready to inspect or to commit. *)
+let check_golden name actual =
+  let expected =
+    In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+  in
+  if not (String.equal expected actual) then begin
+    let out = Filename.concat (Sys.getcwd ()) (name ^ ".actual") in
+    Out_channel.with_open_bin out (fun oc -> output_string oc actual);
+    let rec first_diff i = function
+      | e :: es, a :: as_ when String.equal e a -> first_diff (i + 1) (es, as_)
+      | _ -> i
+    in
+    Alcotest.failf "golden/%s differs from line %d on (actual text in %s)" name
+      (first_diff 1
+         (String.split_on_char '\n' expected, String.split_on_char '\n' actual))
+      out
+  end
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

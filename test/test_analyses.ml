@@ -218,6 +218,26 @@ let test_licm_skips_live_out () =
     @ [ Mir.Insn.Mov (r 4, imm 0) ];
   check_int "nothing hoisted" 0 (Mopt.Licm.run_func fn)
 
+let test_licm_liveness_after_a_hoist () =
+  (* Loop a (header first in layout) hoists r3 = 7 into a new preheader,
+     and loop b's exit is retargeted to it.  b's r2 = 1 is dead at b's
+     header but live across that exit, so it stays: the liveness b is
+     judged by must already know the preheader. *)
+  let p =
+    Mir.Parse.program
+      "function main():\nentry:\n  r0 = 0\n  jmp bh\nah:\n  cmp r2, 10\n\
+       \  bge -> done | abody\nabody:\n  r3 = 7\n  r2 = add r2, r3\n\
+       \  jmp ah\ndone:\n  ret r2\nbh:\n  r2 = 1\n  r0 = add r0, 1\n\
+       \  cmp r0, 3\n  bge -> ah | bh\n"
+  in
+  Mir.Validate.check p;
+  let fn = Mir.Program.find_func p "main" in
+  check_int "r3 = 7 hoisted" 1 (Mopt.Licm.run_func fn);
+  check_int "r2 = 1 stays in loop b" 3
+    (List.length (Mir.Func.find_block fn "bh").Mir.Block.insns);
+  Mir.Validate.check p;
+  check_int "behaviour" 15 (Sim.Machine.run p ~input:"").Sim.Machine.exit_code
+
 let test_licm_loads_blocked_by_stores () =
   let fn =
     loop_fn
@@ -269,6 +289,8 @@ let suite =
     case "licm: hoists invariant computation" test_licm_hoists_invariant;
     case "licm: keeps induction-dependent code" test_licm_skips_variant;
     case "licm: respects live-out registers" test_licm_skips_live_out;
+    case "licm: a loop's exit into a new preheader is live"
+      test_licm_liveness_after_a_hoist;
     case "licm: loops with stores keep loads" test_licm_loads_blocked_by_stores;
     case "licm: hoists loads from pure loops" test_licm_hoists_pure_load;
     case "licm: behaviour preserved" test_licm_behavioural;

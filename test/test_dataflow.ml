@@ -421,6 +421,29 @@ let test_analyses_domain_safe () =
     Workloads.Registry.all
     (List.combine sequential parallel)
 
+(* The solver's work is part of its contract: the seed and requeue
+   order fix how many blocks liveness and intervals recompute on every
+   function of the 51 bases (17 programs x 3 heuristic sets), pinned by
+   a golden. *)
+let test_iterations_golden () =
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun (hs : Mopt.Switch_lower.heuristic_set) ->
+      List.iter2
+        (fun (w : Workloads.Spec.t) (prog : Mir.Program.t) ->
+          List.iter
+            (fun (fn : Mir.Func.t) ->
+              Printf.bprintf buf "%s %s %s live=%d iv=%d\n"
+                w.Workloads.Spec.name hs.Mopt.Switch_lower.hs_name
+                fn.Mir.Func.name
+                (Mir.Dataflow.iterations (Mir.Liveness.compute fn))
+                (Analysis.Intervals.iterations (Analysis.Intervals.analyze fn)))
+            prog.Mir.Program.funcs)
+        Workloads.Registry.all
+        (workload_bases ~heuristic:hs ()))
+    Mopt.Switch_lower.all_sets;
+  check_golden "dataflow-iterations.txt" (Buffer.contents buf)
+
 (* ------------------------------------------------------------------ *)
 (* Analysis-strengthened detection on the awk fixture                  *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +526,8 @@ let suite =
       test_intervals_renaming_invariant;
     case "intervals and global const: 2 domains = sequential"
       test_analyses_domain_safe;
+    case "liveness and intervals: iterations match golden"
+      test_iterations_golden;
     slow_case "awk: facts admit strictly more, certified, byte-identical"
       test_awk_facts_admit_strictly_more;
   ]

@@ -178,6 +178,31 @@ let test_func_predecessors () =
     (Hashtbl.find preds "join");
   Alcotest.(check (list string)) "entry preds" [] (Hashtbl.find preds "entry")
 
+(* Predecessor lists follow the layout, one entry per edge source, also
+   where a switch or a jump table repeats a target or names a label
+   outside the function *)
+let test_func_predecessors_layout_order () =
+  let fn = Mir.Func.make ~name:"p" ~params:[ r 0 ] in
+  let tbl = Mir.Func.add_jtable fn [| "c"; "b"; "c"; "gone" |] in
+  List.iter (Mir.Func.add_block fn)
+    [ Mir.Block.make ~label:"entry" []
+        (Mir.Block.Switch (r 0, [ (1, "b"); (2, "a"); (3, "b") ], "out"));
+      Mir.Block.make ~label:"a" [] (Mir.Block.Jtab (r 0, tbl));
+      Mir.Block.make ~label:"b" [ Mir.Insn.Cmp (reg 0, imm 0) ]
+        (Mir.Block.Br (Mir.Cond.Eq, "c", "a"));
+      Mir.Block.make ~label:"c" [] (Mir.Block.Jmp "b");
+      Mir.Block.make ~label:"d" []
+        (Mir.Block.Switch (r 0, [ (1, "c"); (2, "c") ], "a")) ];
+  let preds = Mir.Func.predecessors fn in
+  List.iter
+    (fun (label, expected) ->
+      Alcotest.(check (list string)) (label ^ " preds") expected
+        (Hashtbl.find preds label))
+    [ ("entry", []); ("a", [ "entry"; "b"; "d" ]); ("b", [ "entry"; "a"; "c" ]);
+      ("c", [ "a"; "b"; "d" ]); ("d", []); ("out", [ "entry" ]);
+      ("gone", [ "a" ]) ];
+  check_int "one entry per label" 7 (Hashtbl.length preds)
+
 let test_func_reachable () =
   let fn = diamond () in
   Mir.Func.add_block fn (Mir.Block.make ~label:"dead" [] (Mir.Block.Jmp "join"));
@@ -383,6 +408,7 @@ let suite =
     case "block: successor computation" test_successors;
     case "func: lookup and fresh names" test_func_lookup_and_fresh;
     case "func: predecessors" test_func_predecessors;
+    case "func: predecessors in layout order" test_func_predecessors_layout_order;
     case "func: reachability" test_func_reachable;
     case "func: insert_blocks_after" test_insert_blocks_after;
     case "func: jump tables" test_jtables;

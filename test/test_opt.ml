@@ -329,6 +329,23 @@ let test_delay_slot_no_steal_multi_pred () =
   check_int "shared target keeps its instruction" 1
     (List.length (Mir.Func.find_block fn "shared").Mir.Block.insns)
 
+let test_delay_slot_equal_arms_not_stolen () =
+  (* both arms name t, so t has one predecessor, but the not-taken path
+     also runs t: an annulled slot would skip [r1 = 7] there *)
+  let p =
+    Mir.Parse.program
+      "function main():\nentry:\n  r1 = 5\n  cmp r1, 3\n  be -> t | t\n\
+       t:\n  r1 = 7\n  ret r1\n"
+  in
+  Mir.Validate.check p;
+  check_int "before the pass" 7 (run_prog p).Sim.Machine.exit_code;
+  ignore (Mopt.Delay_slot.run p);
+  check_int "after the pass" 7 (run_prog p).Sim.Machine.exit_code;
+  check_int "t keeps its instruction" 1
+    (List.length
+       (Mir.Func.find_block (Mir.Program.find_func p "main") "t")
+         .Mir.Block.insns)
+
 let test_annul_text_roundtrip () =
   let text =
     "function main():\nentry:\n  cmp 0, 0\n  be -> t | f  ; delay,a: r1 = 42\nf:\n\
@@ -712,6 +729,82 @@ let test_cleanup_preserves_semantics () =
   let raw_out = (Sim.Machine.run raw ~input).Sim.Machine.output in
   check_output "cleanup preserves output" raw_out (run_src ~input src)
 
+(* Cleanup keeps its CFG facts in each function, never in a global
+   table.  Clones of one shared set of bases are finalized on two
+   domains, each job first reading its shared base's label index; the
+   programs must equal a sequential run's. *)
+let test_finalize_domain_safe () =
+  let bases = workload_bases () in
+  let finalize base =
+    let reached =
+      List.map
+        (fun fn -> Hashtbl.length (Mir.Func.reachable fn))
+        base.Mir.Program.funcs
+    in
+    let prog = Mir.Clone.program base in
+    ignore (Mopt.Cleanup.finalize prog);
+    (reached, Mir.Program.to_string prog)
+  in
+  let jobs = bases @ bases in
+  let parallel = Driver.Pool.map ~domains:2 finalize jobs in
+  let sequential = List.map finalize jobs in
+  let names =
+    List.map (fun (w : Workloads.Spec.t) -> w.Workloads.Spec.name)
+      Workloads.Registry.all
+  in
+  List.iter2
+    (fun name (s, p) ->
+      check_bool (name ^ ": 2 domains = sequential") true (s = p))
+    (names @ names)
+    (List.combine sequential parallel)
+
+(* the first [n] bytes of [text], cut after its last newline there *)
+let prefix n text =
+  if String.length text <= n then text
+  else
+    match String.rindex_from_opt text (n - 1) '\n' with
+    | Some i when i > 0 -> String.sub text 0 (i + 1)
+    | _ -> String.sub text 0 n
+
+(* The finalized original and reordered programs of every (program,
+   heuristic set, trained/static) configuration, on inputs cut to 512
+   bytes: an MD5 of each program's text, pinned by a golden. *)
+let test_finalize_digests () =
+  let buf = Buffer.create 16384 in
+  List.iter
+    (fun profile ->
+      List.iter
+        (fun (hs : Mopt.Switch_lower.heuristic_set) ->
+          List.iter
+            (fun (w : Workloads.Spec.t) ->
+              let config =
+                { Driver.Config.default with
+                  Driver.Config.verify = true; heuristic = hs; profile }
+              in
+              let r =
+                Driver.Pipeline.run ~config ~name:w.Workloads.Spec.name
+                  ~source:w.Workloads.Spec.source
+                  ~training_input:
+                    (prefix 512 (Lazy.force w.Workloads.Spec.training_input))
+                  ~test_input:(prefix 512 (Lazy.force w.Workloads.Spec.test_input))
+                  ()
+              in
+              List.iter
+                (fun (tag, (v : Driver.Pipeline.version)) ->
+                  Printf.bprintf buf "%s %s %s %s %s\n" w.Workloads.Spec.name
+                    hs.Mopt.Switch_lower.hs_name
+                    (Driver.Config.profile_name profile)
+                    tag
+                    (Digest.to_hex
+                       (Digest.string
+                          (Mir.Program.to_string v.Driver.Pipeline.v_program))))
+                [ ("original", r.Driver.Pipeline.r_original);
+                  ("reordered", r.Driver.Pipeline.r_reordered) ])
+            Workloads.Registry.all)
+        Mopt.Switch_lower.all_sets)
+    [ `Trained; `Static ];
+  check_golden "finalize-digests.txt" (Buffer.contents buf)
+
 let suite =
   [
     case "branch chaining: collapses jump chains" test_chain_collapse;
@@ -743,12 +836,18 @@ let suite =
     case "delay slots: shared targets not stolen from"
       test_delay_slot_no_steal_multi_pred;
     case "delay slots: annul survives text round trip" test_annul_text_roundtrip;
+    case "delay slots: a branch with equal arms is not stolen into"
+      test_delay_slot_equal_arms_not_stolen;
     case "switch: heuristic set shapes (Table 2)" test_switch_shapes;
     case "switch: sparse cases avoid tables" test_switch_sparse_binary;
     case "switch: few cases stay linear" test_switch_small_linear;
     case "switch: all shapes equivalent" test_switch_equivalence;
     case "switch: empty and holey tables" test_switch_empty_and_holes;
     case "cleanup pipeline preserves semantics" test_cleanup_preserves_semantics;
+    slow_case "cleanup: finalize on 2 domains = sequential"
+      test_finalize_domain_safe;
+    slow_case "cleanup: finalized programs match golden digests"
+      test_finalize_digests;
     case "global const: flows across blocks" test_global_const_across_blocks;
     case "global const: conflicting join" test_global_const_meet;
     case "global const: agreeing join" test_global_const_agreeing_join;

@@ -289,6 +289,111 @@ let prop_mir_mutants_total =
                 ~input);
           true))
 
+(* ------------------------------------------------------------------ *)
+(* The label index under layout edits                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One edit of a function's layout; the ints pick blocks, loops and
+   orders modulo what the function has when the edit runs.  An odd pick
+   reuses an existing label, so lookups must keep returning the first
+   block of a label. *)
+type edit =
+  | Add of int
+  | Insert of int * int
+  | Filter of int
+  | Permute of int
+  | Preheader of int
+  | Reposition
+
+let print_edit = function
+  | Add a -> Printf.sprintf "add %d" a
+  | Insert (a, b) -> Printf.sprintf "insert %d %d" a b
+  | Filter a -> Printf.sprintf "filter %d" a
+  | Permute a -> Printf.sprintf "permute %d" a
+  | Preheader a -> Printf.sprintf "preheader %d" a
+  | Reposition -> "reposition"
+
+let gen_edit =
+  QCheck2.Gen.(
+    let pick = int_bound 1000 in
+    oneof
+      [ map (fun a -> Add a) pick; map2 (fun a b -> Insert (a, b)) pick pick;
+        map (fun a -> Filter a) pick; map (fun a -> Permute a) pick;
+        map (fun a -> Preheader a) pick; pure Reposition ])
+
+let labels_of fn = List.map (fun b -> b.Mir.Block.label) fn.Mir.Func.blocks
+
+let new_block fn pick =
+  let labels = labels_of fn in
+  let label =
+    if pick land 1 = 1 && labels <> [] then
+      List.nth labels (pick / 2 mod List.length labels)
+    else Mir.Func.fresh_label fn
+  in
+  Mir.Block.make ~label [] (Mir.Block.Ret None)
+
+let apply_edit fn edit =
+  let labels = labels_of fn in
+  (* the loop and layout passes assume distinct labels *)
+  let distinct =
+    List.length (List.sort_uniq String.compare labels) = List.length labels
+  in
+  match edit with
+  | Add a -> Mir.Func.add_block fn (new_block fn a)
+  | Insert (a, b) ->
+    if labels <> [] then
+      Mir.Func.insert_blocks_after fn
+        (List.nth labels (a mod List.length labels))
+        [ new_block fn b ]
+  | Filter a ->
+    fn.Mir.Func.blocks <-
+      List.filteri
+        (fun i _ -> i = 0 || (a lsr (i mod 10)) land 1 = 1)
+        fn.Mir.Func.blocks
+  | Permute a -> (
+    match fn.Mir.Func.blocks with
+    | entry :: rest ->
+      let keyed = List.mapi (fun i b -> (mix a i, b)) rest in
+      fn.Mir.Func.blocks <-
+        entry :: List.map snd (List.sort (fun (x, _) (y, _) -> compare x y) keyed)
+    | [] -> ())
+  | Preheader a -> (
+    if distinct then
+      match Analysis.Loops.loops (Analysis.Loops.analyze fn) with
+      | [] -> ()
+      | loops ->
+        ignore (Mopt.Licm.preheader fn (List.nth loops (a mod List.length loops))))
+  | Reposition -> if distinct then ignore (Mopt.Reposition.run_func fn)
+
+(* every label of the layout, and one it lacks, finds what a first-match
+   search of the layout finds: the same block, physically *)
+let index_agrees fn =
+  List.for_all
+    (fun l ->
+      match
+        ( Mir.Func.find_block_opt fn l,
+          List.find_opt (fun b -> String.equal b.Mir.Block.label l) fn.Mir.Func.blocks )
+      with
+      | Some x, Some y -> x == y
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+    ("absent" :: labels_of fn)
+
+let prop_label_index_tracks_edits =
+  qcheck2 ~count:300
+    ~print:(fun (cfg, edits) ->
+      Gen.print_cfg cfg ^ " then " ^ String.concat "; " (List.map print_edit edits))
+    "label index agrees with a layout search after every edit"
+    QCheck2.Gen.(pair Gen.gen_cfg (list_size (int_range 1 12) gen_edit))
+    (fun (cfg, edits) ->
+      let fn = Gen.build_cfg cfg in
+      index_agrees fn
+      && List.for_all
+           (fun e ->
+             apply_edit fn e;
+             index_agrees fn)
+           edits)
+
 let suite =
   [
     prop_pipeline_preserves_semantics;
@@ -304,4 +409,5 @@ let suite =
     prop_mir_parser_total;
     prop_mir_mutants_total;
     prop_cfg_text_roundtrip;
+    prop_label_index_tracks_edits;
   ]
