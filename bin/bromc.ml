@@ -904,7 +904,7 @@ let lint_cmd =
           in
           let sites = Sim.Machine.sites prog in
           let measured = Hashtbl.create 64 in
-          let on_branch ~site ~taken =
+          let count_branch ~site ~taken =
             let key = sites.(site) in
             let t, f =
               Option.value ~default:(0, 0) (Hashtbl.find_opt measured key)
@@ -914,8 +914,9 @@ let lint_cmd =
           in
           (try
              ignore
-               (Sim.Machine.run ~backend:`Reference ~on_branch prog
-                  ~input:run_input)
+               (Sim.Machine.run ~backend:`Reference
+                  ~sink:(Sim.Predictor.Sink_fun count_branch)
+                  prog ~input:run_input)
            with Sim.Machine.Trap _ -> ()
              (* branch counts up to a trap still count *));
           Analysis.Lint.divergence prog ~observed:(fun ~func ~label ->

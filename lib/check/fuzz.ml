@@ -217,10 +217,13 @@ type execution = {
 let capture ?(config = Sim.Machine.default_config) backend prog ~input =
   let branches = ref [] in
   let blocks = ref [] in
-  let on_branch ~site ~taken = branches := (site, taken) :: !branches in
+  let sink =
+    Sim.Predictor.Sink_fun
+      (fun ~site ~taken -> branches := (site, taken) :: !branches)
+  in
   let on_block ~func ~label = blocks := (func, label) :: !blocks in
   let result =
-    try Ok (Sim.Machine.run ~config ~backend ~on_branch ~on_block prog ~input)
+    try Ok (Sim.Machine.run ~config ~backend ~sink ~on_block prog ~input)
     with Sim.Machine.Trap m -> Error m
   in
   { x_result = result; x_branches = List.rev !branches; x_blocks = List.rev !blocks }
@@ -316,7 +319,7 @@ let lint_cross_errors ?(config = Sim.Machine.default_config) prog ~inputs =
     List.iter
       (fun input ->
         let on_block ~func ~label = Hashtbl.replace visited (func, label) () in
-        let on_branch ~site ~taken =
+        let record_branch ~site ~taken =
           let key = sites.(site) in
           let t, f =
             Option.value ~default:(false, false)
@@ -326,8 +329,8 @@ let lint_cross_errors ?(config = Sim.Machine.default_config) prog ~inputs =
         in
         try
           ignore
-            (Sim.Machine.run ~config ~backend:`Reference ~on_block ~on_branch
-               prog ~input)
+            (Sim.Machine.run ~config ~backend:`Reference ~on_block
+               ~sink:(Sim.Predictor.Sink_fun record_branch) prog ~input)
         with Sim.Machine.Trap _ -> ()
           (* observations up to a trap still count *))
       inputs;

@@ -39,32 +39,14 @@ let sim_config (config : Config.t) =
     Sim.Machine.cancel = config.Config.cancel;
   }
 
-(* run a program under the configured execution backend, delivering
-   branch events to [sink]; when the caller already holds the
-   pre-decoded image, the fast backends reuse it instead of lowering a
-   second time *)
-let run_backend (config : Config.t) ?profile ?(sink = Sim.Predictor.Sink_none)
-    ?image prog ~input =
-  let sc = sim_config config in
-  let image () = match image with Some i -> i | None -> Sim.Image.build prog in
-  match config.Config.backend with
-  | `Reference ->
-    let on_branch =
-      match sink with
-      | Sim.Predictor.Sink_none -> None
-      | Sim.Predictor.Sink_fun f -> Some f
-      | Sim.Predictor.Sink_bank bank ->
-        Some (fun ~site ~taken -> Sim.Predictor.bank_access bank ~site ~taken)
-    in
-    Sim.Machine.run_reference ~config:sc ?profile ?on_branch prog ~input
-  | `Compiled ->
-    Sim.Compiled.exec ~config:sc ?profile ~sink
-      (Sim.Compiled.compile (image ()))
-      ~input
-  | `Native ->
-    Sim.Native.run_image ~config:sc ?profile ~sink
-      ?cache_dir:config.Config.native_cache_dir
-      ~use_cache:config.Config.native_cache (image ()) ~input
+(* run a program under the configured execution backend; a caller that
+   already holds the program's image passes it, so the fast backends
+   do not lower a second time *)
+let run_backend (config : Config.t) ?profile ?sink ?image prog ~input =
+  Sim.Machine.run ~config:(sim_config config) ?profile ?sink ?image
+    ?cache_dir:config.Config.native_cache_dir
+    ~use_cache:config.Config.native_cache ~backend:config.Config.backend prog
+    ~input
 
 (* profile-guided layout: run the training input once more against this
    very binary (layouts need edge frequencies of the final CFG, which
@@ -78,7 +60,7 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
   let tables : (string, Mopt.Profile_layout.counts) Hashtbl.t =
     Hashtbl.create 8
   in
-  let on_branch ~site ~taken =
+  let count_branch ~site ~taken =
     let func, label = site_names.(site) in
     let counts =
       match Hashtbl.find_opt tables func with
@@ -95,7 +77,7 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
       (if taken then (t + 1, nt) else (t, nt + 1))
   in
   let _ =
-    run_backend config ~sink:(Sim.Predictor.Sink_fun on_branch) ~image prog
+    run_backend config ~sink:(Sim.Predictor.Sink_fun count_branch) ~image prog
       ~input:training_input
   in
   ignore (Mopt.Profile_layout.run prog tables)

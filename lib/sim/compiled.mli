@@ -33,5 +33,4 @@ val exec :
   Runtime.result
 (** Run a compiled program.  [sink] defaults to {!Predictor.Sink_none};
     pass [Sink_bank] for buffered, allocation-free measurement or
-    [Sink_fun] for
-    the classic [on_branch] closure protocol. *)
+    [Sink_fun] to call a closure per branch event. *)

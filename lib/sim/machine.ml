@@ -88,7 +88,7 @@ type state = {
   mutable fuel_left : int;
   config : config;
   profile : Profile.t option;
-  on_branch : (site:int -> taken:bool -> unit) option;
+  sink : Predictor.sink;
   on_block : (func:string -> label:string -> unit) option;
 }
 
@@ -247,9 +247,7 @@ and exec_blocks st depth fi regs start_index =
       if taken then
         st.counters.Counters.taken_branches <-
           st.counters.Counters.taken_branches + 1;
-      (match st.on_branch with
-      | Some f -> f ~site:fi.sites.(!block_index) ~taken
-      | None -> ());
+      Predictor.sink_event st.sink ~site:fi.sites.(!block_index) ~taken;
       (if term.Mir.Block.annul then
          match term.Mir.Block.delay with
          | Some i when taken -> exec_insn st depth regs i
@@ -294,8 +292,8 @@ and exec_blocks st depth fi regs start_index =
   done;
   match !return_value with Some v -> v | None -> 0
 
-let run_reference ?(config = default_config) ?profile ?on_branch ?on_block
-    (p : Mir.Program.t) ~input =
+let run_reference ?(config = default_config) ?profile
+    ?(sink = Predictor.Sink_none) ?on_block (p : Mir.Program.t) ~input =
   let image = build_image p in
   let memory = Hashtbl.create 64 in
   List.iter
@@ -322,7 +320,7 @@ let run_reference ?(config = default_config) ?profile ?on_branch ?on_block
       fuel_left = config.fuel;
       config;
       profile;
-      on_branch;
+      sink;
       on_block;
     }
   in
@@ -344,15 +342,15 @@ let backend_of_name = function
   | "native" -> Some `Native
   | _ -> None
 
-let run ?config ?profile ?on_branch ?on_block ?(backend = `Compiled)
-    (p : Mir.Program.t) ~input =
+let run ?config ?profile ?sink ?on_block ?image ?cache_dir ?use_cache
+    ?(backend = `Compiled) (p : Mir.Program.t) ~input =
+  let image () = match image with Some i -> i | None -> Image.build p in
   match backend with
-  | `Reference -> run_reference ?config ?profile ?on_branch ?on_block p ~input
+  | `Reference -> run_reference ?config ?profile ?sink ?on_block p ~input
   | `Compiled ->
-    let sink = Option.map (fun f -> Predictor.Sink_fun f) on_branch in
     Compiled.exec ?config ?profile ?sink ?on_block
-      (Compiled.compile (Image.build p))
+      (Compiled.compile (image ()))
       ~input
   | `Native ->
-    Native.run_image ?config ?profile ?on_branch ?on_block (Image.build p)
-      ~input
+    Native.run_image ?config ?profile ?sink ?on_block ?cache_dir ?use_cache
+      (image ()) ~input

@@ -53,17 +53,23 @@ val backend_of_name : string -> backend option
 val run :
   ?config:config ->
   ?profile:Profile.t ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
+  ?sink:Predictor.sink ->
   ?on_block:(func:string -> label:string -> unit) ->
+  ?image:Image.t ->
+  ?cache_dir:string ->
+  ?use_cache:bool ->
   ?backend:backend ->
   Mir.Program.t ->
   input:string ->
   result
-(** [run p ~input] executes [p] from [main].  [on_branch] is called for
-    every executed conditional branch with a stable site number (assigned
-    in program order) and the outcome; use it to drive {!Predictor}s.
-    [on_block] is called on entry to every basic block (a control-flow
-    trace).  Raises {!Trap} on runtime errors.
+(** [run p ~input] executes [p] from [main].  Every executed
+    conditional branch is delivered to [sink] (default
+    {!Predictor.Sink_none}) with a stable site number (assigned in
+    program order) and the outcome: [Sink_bank] drives {!Predictor}s,
+    [Sink_fun] calls a closure.  [on_block] is called on entry to every
+    basic block (a control-flow trace).  Raises {!Trap} on runtime
+    errors.  This is the one place that picks an engine for a one-shot
+    run.
 
     [backend] selects the execution engine (default [`Compiled]):
     [`Reference] walks the MIR directly and is kept as the oracle the
@@ -73,12 +79,17 @@ val run :
     dispatch; [`Native] generates OCaml source for the image, compiles
     it out of process and dynlinks the result ({!Native} — raises
     {!Native.Unavailable} when no toolchain is present, so callers that
-    cannot degrade should check {!Native.available} first). *)
+    cannot degrade should check {!Native.available} first).
+
+    [image] is [p]'s {!Image.build}, for a caller that already holds it;
+    the two fast engines run it instead of lowering [p] again.
+    [cache_dir] and [use_cache] are passed to {!Native.run_image}.  The
+    reference engine ignores all three. *)
 
 val run_reference :
   ?config:config ->
   ?profile:Profile.t ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
+  ?sink:Predictor.sink ->
   ?on_block:(func:string -> label:string -> unit) ->
   Mir.Program.t ->
   input:string ->
@@ -91,5 +102,5 @@ val site_of : Mir.Program.t -> func:string -> label:string -> int
 
 val sites : Mir.Program.t -> (string * string) array
 (** [(function, label)] for every block, indexed by site number — the
-    inverse of {!site_of}, for consumers of [on_branch] events that need
+    inverse of {!site_of}, for consumers of branch events that need
     to attribute counts to blocks (e.g. profile-guided layout). *)

@@ -25,16 +25,12 @@
    part of the generated source and therefore of the content hash, so a
    plugin built against an older schema can never be loaded.
 
-   Branch events under [Sink_bank] are not delivered one closure call
-   at a time: the generated code appends [(site lsl 1) lor taken] to an
-   event buffer of its own at each branch terminator and folds full
-   buffers into the predictor bank with {!Predictor.bank_drain}, which
-   sweeps one predictor at a time over the batch.  Each predictor still
-   folds its event stream in order, so the final tables, lookup and
-   mispredict counts are byte-identical to streaming delivery.  The
-   other engines batch too, through the bank's own buffer
-   ({!Predictor.bank_access}); the plugin keeps its buffer because the
-   buffer is part of the generated source and of the [ctx] schema.
+   Each branch terminator hands its site and outcome to the one
+   [x_sink] callback, guarded by [x_use_sink] as block entries are by
+   [x_use_on_block].  A [Sink_bank] sink is {!Predictor.bank_access},
+   which buffers the events in the bank and folds them in batches, as
+   for the other engines; the plugin keeps no buffer of its own, so a
+   run stopped by a trap leaves nothing to flush.
 
    Artifacts are cached on disk under one subdirectory per
    compiler/ABI fingerprint, one [.cmxs] per content hash of the
@@ -52,7 +48,7 @@ exception Unavailable of string
    not support (none are produced by {!Image.build}) *)
 exception Unsupported of string
 
-let schema_version = 1
+let schema_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Process-wide configuration and statistics                           *)
@@ -103,10 +99,8 @@ type ctx = {
   x_cancelled : unit -> int;  (* raises Cancelled; never returns *)
   x_poll : unit -> bool;
   x_use_poll : bool;
-  x_sink_mode : int;  (* 0 none, 1 streaming closure, 2 buffered bank *)
-  x_sink_fun : int -> bool -> unit;
-  x_ebuf : int array;
-  x_drain : int array -> int -> unit;
+  x_sink : int -> bool -> unit;
+  x_use_sink : bool;
   x_on_block : string -> string -> unit;
   x_use_on_block : bool;
   x_range : int -> int -> unit;
@@ -127,10 +121,8 @@ let ctx_decl =
   \  x_cancelled : unit -> int;\n\
   \  x_poll : unit -> bool;\n\
   \  x_use_poll : bool;\n\
-  \  x_sink_mode : int;\n\
-  \  x_sink_fun : int -> bool -> unit;\n\
-  \  x_ebuf : int array;\n\
-  \  x_drain : int array -> int -> unit;\n\
+  \  x_sink : int -> bool -> unit;\n\
+  \  x_use_sink : bool;\n\
   \  x_on_block : string -> string -> unit;\n\
   \  x_use_on_block : bool;\n\
   \  x_range : int -> int -> unit;\n\
@@ -429,7 +421,7 @@ let generate (img : Image.t) : string * exn array =
             pf "      bump %d;\n" ix_cond;
             pf "      if !cc_a %s !cc_b then begin\n" (cond_op cond);
             pf "        bump %d;\n" ix_taken;
-            pf "        snk %d true;\n" site;
+            pf "        if usink then sink %d true;\n" site;
             let d_taken, d_not_taken =
               if blk.Image.pb_annul then
                 match blk.Image.pb_delay with
@@ -441,7 +433,7 @@ let generate (img : Image.t) : string * exn array =
             pf "        %s\n" (target t);
             pf "      end\n";
             pf "      else begin\n";
-            pf "        snk %d false;\n" site;
+            pf "        if usink then sink %d false;\n" site;
             (match d_not_taken with
             | `Run -> gen_delay "        " blk.Image.pb_delay
             | `Nop -> gen_delay "        " None
@@ -523,11 +515,8 @@ let generate (img : Image.t) : string * exn array =
   pf "  let upoll = c.x_use_poll in\n";
   pf "  let poll = c.x_poll in\n";
   pf "  let cancelled = c.x_cancelled in\n";
-  pf "  let smode = c.x_sink_mode in\n";
-  pf "  let sfun = c.x_sink_fun in\n";
-  pf "  let ebuf = c.x_ebuf in\n";
-  pf "  let ecap = Array.length ebuf in\n";
-  pf "  let drain = c.x_drain in\n";
+  pf "  let usink = c.x_use_sink in\n";
+  pf "  let sink = c.x_sink in\n";
   pf "  let ublock = c.x_use_on_block in\n";
   pf "  let on_block = c.x_on_block in\n";
   pf "  let uprof = c.x_use_profile in\n";
@@ -542,7 +531,6 @@ let generate (img : Image.t) : string * exn array =
   pf "  let cc_a = ref 0 in\n";
   pf "  let cc_b = ref 0 in\n";
   pf "  let depth = ref 0 in\n";
-  pf "  let en = ref 0 in\n";
   pf "  let bump i = Array.unsafe_set k i (Array.unsafe_get k i + 1) in\n";
   pf "  let ch n =\n";
   pf "    Array.unsafe_set k 0 (Array.unsafe_get k 0 + n);\n";
@@ -559,17 +547,6 @@ let generate (img : Image.t) : string * exn array =
     "    ignore (trap (Printf.sprintf \"out-of-bounds access %%s[%%d] (size \
      %%d)\" nm i len))\n";
   pf "  in\n";
-  pf "  let snk site tk =\n";
-  pf "    if smode = 2 then begin\n";
-  pf "      Array.unsafe_set ebuf !en ((site lsl 1) lor (if tk then 1 else 0));\n";
-  pf "      incr en;\n";
-  pf "      if !en >= ecap then begin\n";
-  pf "        drain ebuf !en;\n";
-  pf "        en := 0\n";
-  pf "      end\n";
-  pf "    end\n";
-  pf "    else if smode = 1 then sfun site tk\n";
-  pf "  in\n";
   pf "  let getch () =\n";
   pf "    if !pos >= ilen then -1\n";
   pf "    else begin\n";
@@ -585,22 +562,18 @@ let generate (img : Image.t) : string * exn array =
     Array.iteri gen_func funcs;
     pf "  in\n"
   end;
-  pf "  Fun.protect\n";
-  pf
-    "    ~finally:(fun () -> if smode = 2 && !en > 0 then begin drain ebuf \
-     !en; en := 0 end)\n";
-  pf "    (fun () ->\n";
-  pf "      try\n";
-  (if img.Image.main_id < 0 then pf "        trap \"call to unknown function main\"\n"
+  pf "  try\n";
+  (if img.Image.main_id < 0 then
+     pf "    trap \"call to unknown function main\"\n"
    else begin
      let mf = funcs.(img.Image.main_id) in
-     pf "        if 0 >= max_depth then ignore (trap %S);\n"
+     pf "    if 0 >= max_depth then ignore (trap %S);\n"
        ("call depth exceeded in " ^ mf.Image.pf_name);
      if Array.length mf.Image.pf_params > 0 then
-       pf "        trap %S\n" ("too few arguments to " ^ mf.Image.pf_name)
-     else pf "        f_%d ()\n" img.Image.main_id
+       pf "    trap %S\n" ("too few arguments to " ^ mf.Image.pf_name)
+     else pf "    f_%d ()\n" img.Image.main_id
    end);
-  pf "      with Exitp code -> code)\n";
+  pf "  with Exitp code -> code\n";
   pf "let () = raise (Handoff entry)\n";
   (Buffer.contents b, Array.of_list (List.rev !raises))
 
@@ -1043,30 +1016,16 @@ let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let no_sink_fun _ _ = ()
-let no_drain _ _ = ()
+let no_sink _ _ = ()
 let no_block _ _ = ()
 let no_range _ _ = ()
 let no_comb _ _ = ()
 let never () = false
 
-let event_buffer_size = 8192
-
 let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
     ?on_block t ~input =
   let k = Array.make 10 0 in
   let out = Buffer.create 1024 in
-  let sink_mode, sink_fun, ebuf, drain =
-    match sink with
-    | Predictor.Sink_none -> (0, no_sink_fun, [||], no_drain)
-    | Predictor.Sink_fun f ->
-      (1, (fun site taken -> f ~site ~taken), [||], no_drain)
-    | Predictor.Sink_bank bank ->
-      ( 2,
-        no_sink_fun,
-        Array.make event_buffer_size 0,
-        fun buf n -> Predictor.bank_drain bank buf n )
-  in
   let raises = t.n_raises in
   let ctx =
     {
@@ -1080,10 +1039,13 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
       x_cancelled = (fun () -> raise Cancelled);
       x_poll = (match config.cancel with Some f -> f | None -> never);
       x_use_poll = config.cancel <> None;
-      x_sink_mode = sink_mode;
-      x_sink_fun = sink_fun;
-      x_ebuf = ebuf;
-      x_drain = drain;
+      x_sink =
+        (match sink with
+        | Predictor.Sink_none -> no_sink
+        | Predictor.Sink_fun f -> fun site taken -> f ~site ~taken
+        | Predictor.Sink_bank b ->
+          fun site taken -> Predictor.bank_access b ~site ~taken);
+      x_use_sink = (match sink with Predictor.Sink_none -> false | _ -> true);
       x_on_block =
         (match on_block with
         | Some f -> fun func label -> f ~func ~label
@@ -1118,14 +1080,8 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
   c.Counters.nops <- k.(ix_nops);
   { counters = c; output = Buffer.contents out; exit_code }
 
-let run_image ?config ?profile ?sink ?on_branch ?on_block ?cache_dir
-    ?use_cache img ~input =
-  let sink =
-    match (sink, on_branch) with
-    | Some s, _ -> Some s
-    | None, Some f -> Some (Predictor.Sink_fun f)
-    | None, None -> None
-  in
+let run_image ?config ?profile ?sink ?on_block ?cache_dir ?use_cache img
+    ~input =
   match prepare ?cache_dir ?use_cache img with
   | Error msg -> raise (Unavailable msg)
   | Ok t -> exec ?config ?profile ?sink ?on_block t ~input

@@ -78,18 +78,16 @@ val exec :
   t ->
   input:string ->
   Runtime.result
-(** Execute a prepared image; the mirror of {!Compiled.exec}.  With
-    [Sink_bank] the branch events are buffered in the generated code
-    and folded into the bank in batches ({!Predictor.bank_drain}) —
-    final bank state, lookups and mispredict counts are identical to
-    streaming delivery.  [Sink_fun] and [on_block] stream in execution
-    order, as everywhere else. *)
+(** Execute a prepared image; the mirror of {!Compiled.exec}.  The
+    generated code hands each branch event to [sink] in execution order
+    and each block entry to [on_block], as every engine does; a
+    [Sink_bank] buffers the events in the bank itself
+    ({!Predictor.bank_access}). *)
 
 val run_image :
   ?config:Runtime.config ->
   ?profile:Profile.t ->
   ?sink:Predictor.sink ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
   ?on_block:(func:string -> label:string -> unit) ->
   ?cache_dir:string ->
   ?use_cache:bool ->
@@ -102,7 +100,7 @@ val run_image :
     small program.  Only the compile and the load are memoized.  A
     caller that runs one image many times should {!prepare} it once and
     {!exec} the handle.  Raises {!Unavailable} when the backend cannot
-    run.  [on_branch] is shorthand for [~sink:(Sink_fun ...)]. *)
+    run. *)
 
 val generate : Image.t -> string * exn array
 (** The generated plugin source and the table of decode-time exceptions

@@ -126,11 +126,6 @@ let drain_pred (p : t) buf n =
   p.lookups <- p.lookups + n;
   p.mispredicts <- p.mispredicts + !misp
 
-let drain_all preds buf n =
-  for i = 0 to Array.length preds - 1 do
-    drain_pred (Array.unsafe_get preds i) buf n
-  done
-
 let buffer_events = 8192
 
 (* [pending] events of [buf] are recorded but not yet folded: every
@@ -154,7 +149,7 @@ let bank keys =
 
 let flush b =
   if b.pending > 0 then begin
-    drain_all b.bank_preds b.buf b.pending;
+    Array.iter (fun p -> drain_pred p b.buf b.pending) b.bank_preds;
     b.pending <- 0
   end
 
@@ -165,10 +160,6 @@ let bank_access b ~site ~taken =
   b.buf.(n) <- (site lsl 1) lor Bool.to_int taken;
   b.pending <- n + 1;
   if n + 1 = buffer_events then flush b
-
-let bank_drain b buf n =
-  flush b;
-  drain_all b.bank_preds buf n
 
 let bank_reset b =
   b.pending <- 0;
@@ -221,14 +212,12 @@ let bank_lookups b =
 
 (* Branch-event sink: what an execution backend feeds each conditional
    branch outcome into.  [Sink_bank] is the allocation-free fast path
-   the measure stage uses; [Sink_fun] keeps the old closure protocol
-   available for traces and profile-layout counting. *)
+   the measure stage uses; [Sink_fun] serves traces, profile-layout
+   counting and the differential tests. *)
 type sink =
   | Sink_none
   | Sink_bank of bank
   | Sink_fun of (site:int -> taken:bool -> unit)
-
-let sink_of_bank b = Sink_bank b
 
 let sink_event s ~site ~taken =
   match s with

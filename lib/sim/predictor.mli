@@ -34,8 +34,8 @@ val describe : t -> string
     table hot in cache instead of touching all of them per event.
 
     Every read flushes the pending events first: {!bank_mispredicts},
-    {!bank_lookups}, {!bank_absorb} (both banks), {!bank_add_tallies}
-    and {!bank_drain}.  {!bank_reset} discards them.  So no read can
+    {!bank_lookups}, {!bank_absorb} (both banks) and
+    {!bank_add_tallies}.  {!bank_reset} discards them.  So no read can
     tell a bank from one fed event by event, including after a run
     stopped mid-stream by a trap or fuel exhaustion.  A read is
     therefore also a write: a caller that shares a bank between domains
@@ -50,16 +50,8 @@ val bank : (int * int * int) list -> bank
 
 val bank_access : bank -> site:int -> taken:bool -> unit
 (** Record one branch outcome for every predictor in the bank (folded
-    when the buffer fills or at the next read). *)
-
-val bank_drain : bank -> int array -> int -> unit
-(** [bank_drain b buf n] flushes [b]'s pending events, then feeds the
-    first [n] packed events of [buf] —
-    [(site lsl 1) lor (if taken then 1 else 0)], oldest first — to
-    every predictor, sweeping one predictor at a time over the whole
-    batch.  Equivalent to [n] calls of {!bank_access} in order: the
-    native backend buffers branch events in generated code and drains
-    here. *)
+    when the buffer fills or at the next read).  All three execution
+    engines feed a [Sink_bank] through this. *)
 
 val bank_reset : bank -> unit
 (** Restore every predictor to its initial state and discard the
@@ -91,17 +83,16 @@ val bank_lookups : bank -> ((int * int * int) * int) list
 
 (** {2 Sinks}
 
-    The branch-event consumer an execution backend is run with.  The
-    closure-compiled backend threads the sink directly into its branch
-    terminators. *)
+    The one channel through which branch events leave an execution
+    engine: every engine takes a [?sink] and delivers each executed
+    conditional branch, in execution order, as a stable site number
+    and its outcome. *)
 
 type sink =
   | Sink_none              (** discard branch events *)
   | Sink_bank of bank      (** drive a predictor bank (allocation-free) *)
   | Sink_fun of (site:int -> taken:bool -> unit)
-      (** the classic [on_branch] closure protocol *)
-
-val sink_of_bank : bank -> sink
+      (** call a closure per event (traces, layout counts, tests) *)
 
 val sink_event : sink -> site:int -> taken:bool -> unit
-(** Deliver one event (what the compiled backend inlines per branch). *)
+(** Deliver one event ({!bank_access} for [Sink_bank]). *)

@@ -31,7 +31,8 @@ let capture ?config backend prog ~input =
   let on_branch ~site ~taken = branches := (site, taken) :: !branches in
   let on_block ~func ~label = blocks := (func, label) :: !blocks in
   let result =
-    Sim.Machine.run ?config ~backend ~on_branch ~on_block prog ~input
+    Sim.Machine.run ?config ~backend ~sink:(Sim.Predictor.Sink_fun on_branch)
+      ~on_block prog ~input
   in
   (result, List.rev !branches, List.rev !blocks)
 
@@ -47,7 +48,16 @@ let assert_native_matches_reference ?config ~name prog ~input =
     (counter_fields r_ref.Sim.Machine.counters)
     (counter_fields r_nat.Sim.Machine.counters);
   check_bool (name ^ " branch events") true (br_ref = br_nat);
-  check_bool (name ^ " block trace") true (bl_ref = bl_nat)
+  check_bool (name ^ " block trace") true (bl_ref = bl_nat);
+  let bank_tallies backend =
+    let bank = Sim.Predictor.bank Driver.Config.paper_predictors in
+    ignore
+      (Sim.Machine.run ?config ~backend ~sink:(Sim.Predictor.Sink_bank bank)
+         prog ~input);
+    (Sim.Predictor.bank_mispredicts bank, Sim.Predictor.bank_lookups bank)
+  in
+  check_bool (name ^ " bank tallies") true
+    (bank_tallies `Reference = bank_tallies `Native)
 
 (* a private store so cache tests never see artifacts from other runs;
    removed on exit *)
@@ -233,7 +243,8 @@ let fuel_sweep ~name ?profile prog ~input =
     (outcome, List.rev !events, Option.map Sim.Profile.counters table)
   in
   let reference ~config ~profile ~on_branch =
-    Sim.Machine.run_reference ~config ?profile ~on_branch prog ~input
+    Sim.Machine.run_reference ~config ?profile
+      ~sink:(Sim.Predictor.Sink_fun on_branch) prog ~input
   in
   let engines =
     ("compiled", fun ~config ~profile ~on_branch ->
@@ -572,56 +583,9 @@ let test_no_degrade_is_contained_crash () =
            (fun e -> contains_substring e "native backend unavailable")
            o.Driver.Pipeline.o_errors))
 
-(* ------------------------------------------------------------------ *)
-(* Batched predictor drain (pure; no toolchain needed)                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_bank_drain_matches_streaming () =
-  let keys = Driver.Config.paper_predictors @ [ (4, 2, 64); (2, 1, 32) ] in
-  (* the oracle: one separate predictor per key, fed event by event *)
-  let oracle =
-    List.map
-      (fun (h, c, e) ->
-        Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
-      keys
-  in
-  let drained = Sim.Predictor.bank keys in
-  let n = 5000 in
-  let events =
-    Array.init n (fun i ->
-        let site = mix 7 i mod 97 in
-        let taken = mix 13 (i * 3) land 1 = 1 in
-        (site, taken))
-  in
-  Array.iter
-    (fun (site, taken) ->
-      List.iter (fun p -> Sim.Predictor.access p ~site ~taken) oracle)
-    events;
-  (* drain in uneven chunks to cover the partial-buffer path *)
-  let buf = Array.make 257 0 in
-  let fill = ref 0 in
-  Array.iter
-    (fun (site, taken) ->
-      buf.(!fill) <- (site lsl 1) lor (if taken then 1 else 0);
-      incr fill;
-      if !fill = Array.length buf then begin
-        Sim.Predictor.bank_drain drained buf !fill;
-        fill := 0
-      end)
-    events;
-  if !fill > 0 then Sim.Predictor.bank_drain drained buf !fill;
-  check_bool "mispredicts identical" true
-    (List.map2 (fun k p -> (k, Sim.Predictor.mispredicts p)) keys oracle
-    = Sim.Predictor.bank_mispredicts drained);
-  check_bool "lookups identical" true
-    (List.map2 (fun k p -> (k, Sim.Predictor.lookups p)) keys oracle
-    = Sim.Predictor.bank_lookups drained)
-
 let suite =
   [
     case "generate is deterministic" test_generate_deterministic;
-    case "bank_drain matches streaming delivery"
-      test_bank_drain_matches_streaming;
     case "torture program x3 heuristic sets" test_torture_program;
     slow_case "17 workloads x 3 heuristic sets vs reference"
       test_workloads_all_sets;

@@ -28,7 +28,8 @@ let capture ?config backend prog ~input =
   let on_branch ~site ~taken = branches := (site, taken) :: !branches in
   let on_block ~func ~label = blocks := (func, label) :: !blocks in
   let result =
-    Sim.Machine.run ?config ~backend ~on_branch ~on_block prog ~input
+    Sim.Machine.run ?config ~backend ~sink:(Sim.Predictor.Sink_fun on_branch)
+      ~on_block prog ~input
   in
   (result, List.rev !branches, List.rev !blocks)
 
@@ -282,7 +283,7 @@ let test_bank_equivalence () =
   let prog = compile_final w.Workloads.Spec.source in
   let input = truncate 3000 (Lazy.force w.Workloads.Spec.test_input) in
   let keys = Driver.Config.paper_predictors in
-  (* old protocol: an assoc list of predictors behind an on_branch
+  (* old protocol: an assoc list of predictors behind a [Sink_fun]
      closure, List.iter-ed for every event, on the reference interpreter
      so the two protocols also run on two different engines *)
   let preds =
@@ -295,7 +296,10 @@ let test_bank_equivalence () =
   let on_branch ~site ~taken =
     List.iter (fun (_, p) -> Sim.Predictor.access p ~site ~taken) preds
   in
-  let _ = Sim.Machine.run ~backend:`Reference ~on_branch prog ~input in
+  let _ =
+    Sim.Machine.run ~backend:`Reference ~sink:(Sim.Predictor.Sink_fun on_branch)
+      prog ~input
+  in
   (* new protocol: a bank wired into the compiled branch terminators *)
   let bank = Sim.Predictor.bank keys in
   let compiled = Sim.Compiled.compile (Sim.Image.build prog) in
@@ -412,9 +416,9 @@ let prop_bank_matches_oracle =
       done;
       !ok && same ())
 
-(* a run stopped by fuel leaves a partly filled buffer: the tallies read
-   after the trap must still equal separate predictors fed the same
-   events one at a time *)
+(* a run stopped by fuel leaves a partly filled buffer: on every
+   engine, the tallies read after the trap must still equal separate
+   predictors fed the same events one at a time *)
 let test_bank_after_fuel_trap () =
   let w = Workloads.Registry.find "grep" in
   let prog = compile_final w.Workloads.Spec.source in
@@ -426,27 +430,35 @@ let test_bank_after_fuel_trap () =
         Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
       bank_keys
   in
-  let bank = Sim.Predictor.bank bank_keys in
-  let compiled = Sim.Compiled.compile (Sim.Image.build prog) in
-  let run sink =
-    match Sim.Compiled.exec ~config ~sink compiled ~input with
+  let image = Sim.Image.build prog in
+  let run backend sink =
+    match Sim.Machine.run ~config ~sink ~image ~backend prog ~input with
     | _ -> Alcotest.fail "expected the run to run out of fuel"
     | exception Sim.Machine.Trap _ -> ()
   in
-  run
+  run `Reference
     (Sim.Predictor.Sink_fun
        (fun ~site ~taken ->
          List.iter (fun p -> Sim.Predictor.access p ~site ~taken) oracle));
-  run (Sim.Predictor.Sink_bank bank);
   let events = Sim.Predictor.lookups (List.hd oracle) in
   check_bool "several buffers and a partial one" true
     (events > 2 * 8192 && events mod 8192 <> 0);
-  check_bool "mispredicts equal the oracle" true
-    (Sim.Predictor.bank_mispredicts bank
-    = List.map2 (fun k p -> (k, Sim.Predictor.mispredicts p)) bank_keys oracle);
-  check_bool "lookups equal the oracle" true
-    (Sim.Predictor.bank_lookups bank
-    = List.map2 (fun k p -> (k, Sim.Predictor.lookups p)) bank_keys oracle)
+  (* every engine leaves its pending events in the bank at the trap *)
+  List.iter
+    (fun backend ->
+      let name = Sim.Machine.backend_name backend in
+      let bank = Sim.Predictor.bank bank_keys in
+      run backend (Sim.Predictor.Sink_bank bank);
+      check_bool (name ^ ": mispredicts equal the oracle") true
+        (Sim.Predictor.bank_mispredicts bank
+        = List.map2
+            (fun k p -> (k, Sim.Predictor.mispredicts p))
+            bank_keys oracle);
+      check_bool (name ^ ": lookups equal the oracle") true
+        (Sim.Predictor.bank_lookups bank
+        = List.map2 (fun k p -> (k, Sim.Predictor.lookups p)) bank_keys oracle))
+    (`Reference :: `Compiled
+    :: (if Sim.Native.available () then [ `Native ] else []))
 
 (* Machine.sites/site_of are now derived from the pre-decoded image;
    the numbering must round-trip and match the image's own tables *)

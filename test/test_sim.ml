@@ -161,7 +161,9 @@ let test_on_branch_events () =
   in
   let events = ref [] in
   let _ =
-    Sim.Machine.run ~on_branch:(fun ~site ~taken -> events := (site, taken) :: !events)
+    Sim.Machine.run
+      ~sink:(Sim.Predictor.Sink_fun (fun ~site ~taken ->
+          events := (site, taken) :: !events))
       prog ~input:""
   in
   let total = List.length !events in
