@@ -393,6 +393,36 @@ let test_cache_disabled () =
       check_bool "store untouched with use_cache:false" true
         ((not (Sys.file_exists dir)) || Sys.readdir dir = [||]))
 
+(* [Machine.run] is the one-shot dispatcher: the store options it takes
+   must reach the native engine unchanged *)
+let test_machine_run_store_options () =
+  require_native ();
+  with_temp_store (fun dir ->
+      let prog = compile_final "int main() { return 43; }" in
+      let image = Sim.Image.build prog in
+      let run ?use_cache () =
+        let r =
+          Sim.Machine.run ~backend:`Native ~image ~cache_dir:dir ?use_cache
+            prog ~input:""
+        in
+        check_int "exit code" 43 r.Sim.Machine.exit_code
+      in
+      Sim.Native.clear_memo ();
+      Sim.Native.reset_stats ();
+      run ~use_cache:false ();
+      check_bool "store untouched with use_cache:false" true
+        ((not (Sys.file_exists dir)) || Sys.readdir dir = [||]);
+      Sim.Native.clear_memo ();
+      run ();
+      check_bool "artifact stored under cache_dir" true
+        (List.exists
+           (fun (e : Sim.Native.Cache.entry) -> e.Sim.Native.Cache.e_files > 0)
+           (Sim.Native.Cache.list ~dir ()));
+      Sim.Native.clear_memo ();
+      run ();
+      check_int "a fresh process-side run is a disk hit" 1
+        (Sim.Native.stats ()).Sim.Native.disk_hits)
+
 let test_cache_clear_and_evict () =
   require_native ();
   with_temp_store (fun dir ->
@@ -597,6 +627,8 @@ let suite =
       test_cache_hit_determinism;
     case "cache: use_cache:false leaves the store untouched"
       test_cache_disabled;
+    case "cache: Machine.run passes cache_dir and use_cache"
+      test_machine_run_store_options;
     case "cache: list, evict stale fingerprints, clear"
       test_cache_clear_and_evict;
     case "cache: checksum mismatch quarantined and rebuilt"

@@ -257,6 +257,20 @@ let test_run_image_reuse () =
     b.Sim.Runtime.output;
   check_int "exit" c.Sim.Machine.exit_code b.Sim.Runtime.exit_code
 
+(* [Machine.run ~image] runs the caller's image on the fast engines
+   instead of lowering the program again; the reference walks the MIR
+   and ignores it.  An image of another program makes that visible. *)
+let test_machine_run_given_image () =
+  let prog = compile_final "int main() { return 3; }" in
+  let image = Sim.Image.build (compile_final "int main() { return 7; }") in
+  let exit_code backend =
+    (Sim.Machine.run ~backend ~image prog ~input:"").Sim.Machine.exit_code
+  in
+  check_int "reference ignores the image" 3 (exit_code `Reference);
+  check_int "compiled runs the image" 7 (exit_code `Compiled);
+  if Sim.Native.available () then
+    check_int "native runs the image" 7 (exit_code `Native)
+
 (* a compiled program holds no run state: compile once, execute many
    times, each run starts from scratch *)
 let test_compiled_reuse () =
@@ -490,6 +504,8 @@ let suite =
     case "out-of-bounds load" test_out_of_bounds_load;
     case "image reuse across runs" test_run_image_reuse;
     case "compiled program reuse across runs" test_compiled_reuse;
+    case "Machine.run runs a given image on the fast engines"
+      test_machine_run_given_image;
     case "predictor bank equals closure dispatch" test_bank_equivalence;
     prop_bank_matches_oracle;
     case "bank after a fuel trap equals the oracle" test_bank_after_fuel_trap;
