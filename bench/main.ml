@@ -761,14 +761,7 @@ let backends_section () =
         st.Sim.Native.memo_hits st.Sim.Native.disk_hits st.Sim.Native.misses
         st.Sim.Native.compiles
     | None -> ());
-    if speedup >= 5.0 then
-      Printf.printf "native beats reference by %.2fx on the measure stage\n"
-        speedup
-    else
-      Printf.printf
-        "WARNING: native (%.3fs) is only %.2fx over reference (%.3fs), \
-         target is 5x\n"
-        nat speedup refw
+    Printf.printf "native vs reference on the measure stage: %.2fx\n" speedup
 
 (* ------------------------------------------------------------------ *)
 (* Harness speedup: domain fan-out vs sequential                       *)

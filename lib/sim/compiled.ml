@@ -14,10 +14,14 @@
    pays the batch still owed.  The plan decides where batches go; this
    module only turns them into closures.
 
+   A compare-and-branch block ([cmp reg, imm], a conditional branch and
+   an empty delay slot, the shape of a range-test sequence) compiles to
+   a single closure rather than a body chain and a terminator.
+
    Measurement is fused into the loop: branch terminators deliver their
    outcome to a {!Predictor.sink} held in the run state.  A bank sink
    appends the event to the bank's own buffer, which the bank folds one
-   predictor at a time when it fills or is read, so the measure stage
+   table size at a time when it fills or is read, so the measure stage
    performs zero allocation and no predictor update per branch
    event. *)
 
@@ -255,18 +259,36 @@ let compile_insn (cfuncs : cfunc array) (globals : Image.global array)
     let x = operand o in
     fun _ regs -> Array.unsafe_set regs r (if x regs = 0 then 1 else 0)
   | Image.Pbinop (op, r, a, b) -> compile_binop op r a b
-  | Image.Pcmp (a, b) ->
-    let x = operand a and y = operand b in
+  | Image.Pcmp (Image.Preg x, Image.Preg y) ->
     fun st regs ->
-      st.cc_a <- x regs;
-      st.cc_b <- y regs
-  | Image.Pload (r, slot, idx) ->
+      st.cc_a <- Array.unsafe_get regs x;
+      st.cc_b <- Array.unsafe_get regs y
+  | Image.Pcmp (Image.Preg x, Image.Pimm k) ->
+    fun st regs ->
+      st.cc_a <- Array.unsafe_get regs x;
+      st.cc_b <- k
+  | Image.Pcmp (Image.Pimm n, Image.Preg y) ->
+    fun st regs ->
+      st.cc_a <- n;
+      st.cc_b <- Array.unsafe_get regs y
+  | Image.Pcmp (Image.Pimm n, Image.Pimm k) ->
+    fun st _ ->
+      st.cc_a <- n;
+      st.cc_b <- k
+  | Image.Pload (r, slot, Image.Preg ix) ->
     let name = globals.(slot).Image.g_name in
-    let ix = operand idx in
     fun st regs ->
       st.counters.Counters.loads <- st.counters.Counters.loads + 1;
       let arr = Array.unsafe_get st.memory slot in
-      let i = ix regs in
+      let i = Array.unsafe_get regs ix in
+      if i < 0 || i >= Array.length arr then
+        trap "out-of-bounds access %s[%d] (size %d)" name i (Array.length arr);
+      Array.unsafe_set regs r (Array.unsafe_get arr i)
+  | Image.Pload (r, slot, Image.Pimm i) ->
+    let name = globals.(slot).Image.g_name in
+    fun st regs ->
+      st.counters.Counters.loads <- st.counters.Counters.loads + 1;
+      let arr = Array.unsafe_get st.memory slot in
       if i < 0 || i >= Array.length arr then
         trap "out-of-bounds access %s[%d] (size %d)" name i (Array.length arr);
       Array.unsafe_set regs r (Array.unsafe_get arr i)
@@ -380,14 +402,70 @@ let[@inline] resolve (unknowns : string array) target =
   if target >= 0 then target
   else trap "jump to unknown label %s" unknowns.(-target - 1)
 
-(* the condition, specialized to a direct comparison at compile time *)
-let compile_cond : Mir.Cond.t -> int -> int -> bool = function
-  | Mir.Cond.Eq -> fun a b -> a = b
-  | Mir.Cond.Ne -> fun a b -> a <> b
-  | Mir.Cond.Lt -> fun a b -> a < b
-  | Mir.Cond.Le -> fun a b -> a <= b
-  | Mir.Cond.Gt -> fun a b -> a > b
-  | Mir.Cond.Ge -> fun a b -> a >= b
+let[@inline] deliver st site taken =
+  match st.sink with
+  | Predictor.Sink_none -> ()
+  | Predictor.Sink_bank bk -> Predictor.bank_access bk ~site ~taken
+  | Predictor.Sink_fun f -> f ~site ~taken
+
+(* A conditional branch after its outcome is known.  Each branch
+   closure below tests its condition inline (one closure per
+   {!Mir.Cond.t}, chosen at compile time) and then runs this, so the
+   test costs no indirect call. *)
+let[@inline] branch st regs ~site ~taken ~t ~nt ~nt_falls ~unknowns
+    ~(delay_taken : code) ~(delay_not_taken : code) =
+  if taken then begin
+    st.counters.Counters.taken_branches <-
+      st.counters.Counters.taken_branches + 1;
+    deliver st site true;
+    delay_taken st regs;
+    resolve unknowns t
+  end
+  else begin
+    deliver st site false;
+    delay_not_taken st regs;
+    if not nt_falls then charge_layout_jump st;
+    resolve unknowns nt
+  end
+
+(* the batch owed up to and including the branch, then its count *)
+let[@inline] enter st chg pn =
+  flush st chg pn;
+  st.counters.Counters.cond_branches <- st.counters.Counters.cond_branches + 1
+
+let compile_br ~site ~t ~nt ~nt_falls ~unknowns ~delay_taken
+    ~delay_not_taken ~chg ~pn cond : blockcode =
+  match cond with
+  | Mir.Cond.Eq ->
+    fun st regs ->
+      enter st chg pn;
+      branch st regs ~site ~taken:(st.cc_a = st.cc_b) ~t ~nt ~nt_falls
+        ~unknowns ~delay_taken ~delay_not_taken
+  | Mir.Cond.Ne ->
+    fun st regs ->
+      enter st chg pn;
+      branch st regs ~site ~taken:(st.cc_a <> st.cc_b) ~t ~nt ~nt_falls
+        ~unknowns ~delay_taken ~delay_not_taken
+  | Mir.Cond.Lt ->
+    fun st regs ->
+      enter st chg pn;
+      branch st regs ~site ~taken:(st.cc_a < st.cc_b) ~t ~nt ~nt_falls
+        ~unknowns ~delay_taken ~delay_not_taken
+  | Mir.Cond.Le ->
+    fun st regs ->
+      enter st chg pn;
+      branch st regs ~site ~taken:(st.cc_a <= st.cc_b) ~t ~nt ~nt_falls
+        ~unknowns ~delay_taken ~delay_not_taken
+  | Mir.Cond.Gt ->
+    fun st regs ->
+      enter st chg pn;
+      branch st regs ~site ~taken:(st.cc_a > st.cc_b) ~t ~nt ~nt_falls
+        ~unknowns ~delay_taken ~delay_not_taken
+  | Mir.Cond.Ge ->
+    fun st regs ->
+      enter st chg pn;
+      branch st regs ~site ~taken:(st.cc_a >= st.cc_b) ~t ~nt ~nt_falls
+        ~unknowns ~delay_taken ~delay_not_taken
 
 (* pending = charge batch accumulated over the block body, owed before
    the terminator's own observable behaviour *)
@@ -397,9 +475,6 @@ let compile_term cfuncs globals unknowns ~pending_i ~pending_n
   let label = b.Image.pb_label in
   match b.Image.pb_term with
   | Image.Pbr (cond, t, nt, nt_falls) ->
-    let eval_cond = compile_cond cond in
-    let chg = pending_i + 1 in
-    let pn = pending_n in
     (* the delay slot behaves differently on the two arms when annulled *)
     let delay_taken, delay_not_taken =
       if b.Image.pb_annul then
@@ -413,29 +488,8 @@ let compile_term cfuncs globals unknowns ~pending_i ~pending_n
         let d = compile_delay cfuncs globals b.Image.pb_delay in
         (d, d)
     in
-    fun st regs ->
-      flush st chg pn;
-      let c = st.counters in
-      c.Counters.cond_branches <- c.Counters.cond_branches + 1;
-      let taken = eval_cond st.cc_a st.cc_b in
-      if taken then begin
-        c.Counters.taken_branches <- c.Counters.taken_branches + 1;
-        (match st.sink with
-        | Predictor.Sink_none -> ()
-        | Predictor.Sink_bank bk -> Predictor.bank_access bk ~site ~taken:true
-        | Predictor.Sink_fun f -> f ~site ~taken:true);
-        delay_taken st regs;
-        resolve unknowns t
-      end
-      else begin
-        (match st.sink with
-        | Predictor.Sink_none -> ()
-        | Predictor.Sink_bank bk -> Predictor.bank_access bk ~site ~taken:false
-        | Predictor.Sink_fun f -> f ~site ~taken:false);
-        delay_not_taken st regs;
-        if not nt_falls then charge_layout_jump st;
-        resolve unknowns nt
-      end
+    compile_br ~site ~t ~nt ~nt_falls ~unknowns ~delay_taken ~delay_not_taken
+      ~chg:(pending_i + 1) ~pn:pending_n cond
   | Image.Pjmp (target, falls) ->
     if falls then begin
       (* costs nothing; only the body's pending batch is owed *)
@@ -499,37 +553,103 @@ let compile_term cfuncs globals unknowns ~pending_i ~pending_n
 (* Block and program compilation                                       *)
 (* ------------------------------------------------------------------ *)
 
+let[@inline] note_block st fname label =
+  match st.on_block with
+  | Some f -> f ~func:fname ~label
+  | None -> ()
+
+(* A compare-and-branch block: [cmp reg, imm] followed by a conditional
+   branch with an empty delay slot, the block shape of a range-test
+   sequence and the commonest dynamic block.  One closure runs it all,
+   step for step in the order of the generic path below. *)
+let[@inline] cmp_enter st regs ~fname ~label ~x ~k ~chg ~pn =
+  note_block st fname label;
+  let a = Array.unsafe_get regs x in
+  (* successors may read the condition codes *)
+  st.cc_a <- a;
+  st.cc_b <- k;
+  enter st chg pn;
+  a
+
+let[@inline] cmp_branch st ~site ~taken ~t ~nt ~nt_falls ~unknowns =
+  if taken then begin
+    st.counters.Counters.taken_branches <-
+      st.counters.Counters.taken_branches + 1;
+    deliver st site true;
+    charge_nop st;
+    resolve unknowns t
+  end
+  else begin
+    deliver st site false;
+    charge_nop st;
+    if not nt_falls then charge_layout_jump st;
+    resolve unknowns nt
+  end
+
+let compile_cmp_br ~fname ~label ~x ~k ~site ~t ~nt ~nt_falls ~unknowns ~chg
+    ~pn cond : blockcode =
+  match cond with
+  | Mir.Cond.Eq ->
+    fun st regs ->
+      let a = cmp_enter st regs ~fname ~label ~x ~k ~chg ~pn in
+      cmp_branch st ~site ~taken:(a = k) ~t ~nt ~nt_falls ~unknowns
+  | Mir.Cond.Ne ->
+    fun st regs ->
+      let a = cmp_enter st regs ~fname ~label ~x ~k ~chg ~pn in
+      cmp_branch st ~site ~taken:(a <> k) ~t ~nt ~nt_falls ~unknowns
+  | Mir.Cond.Lt ->
+    fun st regs ->
+      let a = cmp_enter st regs ~fname ~label ~x ~k ~chg ~pn in
+      cmp_branch st ~site ~taken:(a < k) ~t ~nt ~nt_falls ~unknowns
+  | Mir.Cond.Le ->
+    fun st regs ->
+      let a = cmp_enter st regs ~fname ~label ~x ~k ~chg ~pn in
+      cmp_branch st ~site ~taken:(a <= k) ~t ~nt ~nt_falls ~unknowns
+  | Mir.Cond.Gt ->
+    fun st regs ->
+      let a = cmp_enter st regs ~fname ~label ~x ~k ~chg ~pn in
+      cmp_branch st ~site ~taken:(a > k) ~t ~nt ~nt_falls ~unknowns
+  | Mir.Cond.Ge ->
+    fun st regs ->
+      let a = cmp_enter st regs ~fname ~label ~x ~k ~chg ~pn in
+      cmp_branch st ~site ~taken:(a >= k) ~t ~nt ~nt_falls ~unknowns
+
 let compile_block cfuncs globals (f : Image.pfunc) (b : Image.pblock) :
     blockcode =
   let unknowns = f.Image.pf_unknown in
   let plan = Image.plan b in
-  let codes = ref [] in
-  Array.iteri
-    (fun k i ->
-      let pi, pn = plan.Image.flushes.(k) in
-      if pi > 0 then codes := flush_code pi pn :: !codes;
-      if Image.batching i <> Image.Bnop then
-        codes := compile_insn cfuncs globals i :: !codes)
-    b.Image.pb_insns;
-  let pending_i, pending_n = plan.Image.owed in
-  let term = compile_term cfuncs globals unknowns ~pending_i ~pending_n b in
   let fname = f.Image.pf_name in
   let label = b.Image.pb_label in
-  match List.rev !codes with
-  | [] ->
-    fun st regs ->
-      (match st.on_block with
-      | Some f -> f ~func:fname ~label
-      | None -> ());
-      term st regs
-  | codes ->
-    let body = seq codes in
-    fun st regs ->
-      (match st.on_block with
-      | Some f -> f ~func:fname ~label
-      | None -> ());
-      body st regs;
-      term st regs
+  match b.Image.pb_insns, b.Image.pb_term, b.Image.pb_delay with
+  | ( [| Image.Pcmp (Image.Preg x, Image.Pimm k) |],
+      Image.Pbr (cond, t, nt, nt_falls),
+      None )
+    when plan.Image.flushes.(0) = (0, 0) ->
+    let pending_i, pn = plan.Image.owed in
+    compile_cmp_br ~fname ~label ~x ~k ~site:b.Image.pb_site ~t ~nt ~nt_falls
+      ~unknowns ~chg:(pending_i + 1) ~pn cond
+  | _ -> (
+    let codes = ref [] in
+    Array.iteri
+      (fun k i ->
+        let pi, pn = plan.Image.flushes.(k) in
+        if pi > 0 then codes := flush_code pi pn :: !codes;
+        if Image.batching i <> Image.Bnop then
+          codes := compile_insn cfuncs globals i :: !codes)
+      b.Image.pb_insns;
+    let pending_i, pending_n = plan.Image.owed in
+    let term = compile_term cfuncs globals unknowns ~pending_i ~pending_n b in
+    match List.rev !codes with
+    | [] ->
+      fun st regs ->
+        note_block st fname label;
+        term st regs
+    | codes ->
+      let body = seq codes in
+      fun st regs ->
+        note_block st fname label;
+        body st regs;
+        term st regs)
 
 let compile (img : Image.t) : t =
   let cfuncs =

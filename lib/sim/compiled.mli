@@ -7,7 +7,8 @@
     fuel updates are charged in the block-granular batches of
     {!Image.plan}, so traps, fuel exhaustion and the ten counters are
     byte-identical to the reference interpreter and the native
-    backend.
+    backend.  A block that is one [cmp reg, imm] and a conditional
+    branch with an empty delay slot runs as a single closure.
 
     Branch measurement is fused into the loop: conditional-branch
     terminators deliver their outcome straight to a {!Predictor.sink};

@@ -126,7 +126,39 @@ let drain_pred (p : t) buf n =
   p.lookups <- p.lookups + n;
   p.mispredicts <- p.mispredicts + !misp
 
+(* the 2-bit saturating update, indexed by [(counter lsl 1) lor taken] *)
+let next_2bit = [| 0; 1; 0; 2; 1; 3; 2; 3 |]
+
+(* Fold [n] events into a (0,1) and a (0,2) predictor of the same size
+   in one pass: both tables share the event load and the index.  Each
+   predictor still sees its own stream in order, so the result equals
+   two {!drain_pred} calls. *)
+let drain_pair (p1 : t) (p2 : t) buf n =
+  let mask = p1.entries - 1 in
+  let t1 = p1.table and t2 = p2.table in
+  let misp1 = ref 0 and misp2 = ref 0 in
+  for j = 0 to n - 1 do
+    let e = Array.unsafe_get buf j in
+    let taken = e land 1 in
+    let index = (e lsr 1) land mask in
+    let c1 = Array.unsafe_get t1 index in
+    misp1 := !misp1 + (c1 lxor taken);
+    Array.unsafe_set t1 index taken;
+    let c2 = Array.unsafe_get t2 index in
+    misp2 := !misp2 + ((c2 lsr 1) lxor taken);
+    Array.unsafe_set t2 index
+      (Array.unsafe_get next_2bit ((c2 lsl 1) lor taken))
+  done;
+  p1.lookups <- p1.lookups + n;
+  p1.mispredicts <- p1.mispredicts + !misp1;
+  p2.lookups <- p2.lookups + n;
+  p2.mispredicts <- p2.mispredicts + !misp2
+
 let buffer_events = 8192
+
+(* one fold of the bank: a (0,1) and a (0,2) predictor of one table
+   size in one pass, or any other predictor on its own *)
+type fold = Pair of t * t | Single of t
 
 (* [pending] events of [buf] are recorded but not yet folded: every
    read below flushes them first, so no caller can tell a bank from one
@@ -134,9 +166,37 @@ let buffer_events = 8192
 type bank = {
   bank_keys : (int * int * int) array;
   bank_preds : t array;
+  folds : fold array;
   buf : int array;
   mutable pending : int;
 }
+
+(* pair each (0,1,E) predictor with the first unpaired (0,2,E) one *)
+let folds_of keys preds =
+  let n = Array.length keys in
+  let paired = Array.make n false in
+  let folds = ref [] in
+  let rec partner e j =
+    if j >= n then None
+    else if (not paired.(j)) && keys.(j) = (0, 2, e) then Some j
+    else partner e (j + 1)
+  in
+  Array.iteri
+    (fun i key ->
+      match key with
+      | 0, 1, e -> (
+        match partner e 0 with
+        | Some j ->
+          paired.(i) <- true;
+          paired.(j) <- true;
+          folds := Pair (preds.(i), preds.(j)) :: !folds
+        | None -> ())
+      | _ -> ())
+    keys;
+  Array.iteri
+    (fun i p -> if not paired.(i) then folds := Single p :: !folds)
+    preds;
+  Array.of_list (List.rev !folds)
 
 let bank keys =
   let bank_keys = Array.of_list keys in
@@ -145,11 +205,21 @@ let bank keys =
       (fun (h, c, e) -> make ~history_bits:h ~counter_bits:c ~entries:e)
       bank_keys
   in
-  { bank_keys; bank_preds; buf = Array.make buffer_events 0; pending = 0 }
+  {
+    bank_keys;
+    bank_preds;
+    folds = folds_of bank_keys bank_preds;
+    buf = Array.make buffer_events 0;
+    pending = 0;
+  }
 
 let flush b =
   if b.pending > 0 then begin
-    Array.iter (fun p -> drain_pred p b.buf b.pending) b.bank_preds;
+    Array.iter
+      (function
+        | Pair (p1, p2) -> drain_pair p1 p2 b.buf b.pending
+        | Single p -> drain_pred p b.buf b.pending)
+      b.folds;
     b.pending <- 0
   end
 

@@ -28,10 +28,12 @@ val describe : t -> string
     [(history_bits, counter_bits, entries)] configuration, fed every
     branch event through an event buffer of its own.  {!bank_access}
     appends the packed event and, when the buffer holds 8192 events,
-    folds them into one predictor at a time: each predictor folds its
-    own stream in order, so its final table, history and counts equal
-    those of {!access} called event by event, and the sweep keeps one
-    table hot in cache instead of touching all of them per event.
+    folds them one table size at a time: a [(0,1,E)] predictor and a
+    [(0,2,E)] partner fold together in one pass over the events, any
+    other predictor alone.  Each predictor folds its own stream in
+    order, so its final table, history and counts equal those of
+    {!access} called event by event, and the sweep keeps one or two
+    tables hot in cache instead of touching all of them per event.
 
     Every read flushes the pending events first: {!bank_mispredicts},
     {!bank_lookups}, {!bank_absorb} (both banks) and

@@ -10,19 +10,40 @@ type comb_seq = {
   mutable comb_executions : int;
 }
 
+(* range sequences are indexed by their id: detection numbers them
+   densely from 0, and [record_range] runs once per sequence execution *)
 type t = {
-  range_seqs : (int, range_seq) Hashtbl.t;
+  mutable range_seqs : range_seq option array;
   comb_seqs : (int, comb_seq) Hashtbl.t;
 }
 
-let make () = { range_seqs = Hashtbl.create 16; comb_seqs = Hashtbl.create 16 }
+let make () = { range_seqs = [||]; comb_seqs = Hashtbl.create 16 }
+
+let find_range_seq t id =
+  if id >= 0 && id < Array.length t.range_seqs then
+    Array.unsafe_get t.range_seqs id
+  else None
 
 let register_range_seq t id bounds =
+  if id < 0 then
+    invalid_arg (Printf.sprintf "Profile.register_range_seq: negative id %d" id);
+  let n = Array.length t.range_seqs in
+  if id >= n then begin
+    let grown = Array.make (max (id + 1) (2 * n)) None in
+    Array.blit t.range_seqs 0 grown 0 n;
+    t.range_seqs <- grown
+  end;
   let seq =
     { bounds; counts = Array.make (Array.length bounds) 0; executions = 0 }
   in
-  Hashtbl.replace t.range_seqs id seq;
+  t.range_seqs.(id) <- Some seq;
   seq
+
+(* the registered range sequences with their ids, in id order *)
+let iter_ranges f t =
+  Array.iteri
+    (fun id -> function Some s -> f id s | None -> ())
+    t.range_seqs
 
 let register_comb_seq t id conds =
   if Array.length conds > 16 then
@@ -37,7 +58,6 @@ let register_comb_seq t id conds =
   Hashtbl.replace t.comb_seqs id seq;
   seq
 
-let find_range_seq t id = Hashtbl.find_opt t.range_seqs id
 let find_comb_seq t id = Hashtbl.find_opt t.comb_seqs id
 
 (* binary search for the range containing v *)
@@ -54,7 +74,7 @@ let range_index bounds v =
   !found
 
 let record_range t id v =
-  match Hashtbl.find_opt t.range_seqs id with
+  match find_range_seq t id with
   | None -> invalid_arg (Printf.sprintf "Profile.record_range: unknown id %d" id)
   | Some seq ->
     let idx = range_index seq.bounds v in
@@ -68,15 +88,15 @@ let record_range t id v =
    are immutable and safe to alias) but gets private zeroed counters *)
 let copy_shape src =
   let t = make () in
-  Hashtbl.iter
-    (fun id (s : range_seq) ->
-      Hashtbl.replace t.range_seqs id
-        {
-          bounds = s.bounds;
-          counts = Array.make (Array.length s.counts) 0;
-          executions = 0;
-        })
-    src.range_seqs;
+  t.range_seqs <-
+    Array.map
+      (Option.map (fun (s : range_seq) ->
+           {
+             bounds = s.bounds;
+             counts = Array.make (Array.length s.counts) 0;
+             executions = 0;
+           }))
+      src.range_seqs;
   Hashtbl.iter
     (fun id (s : comb_seq) ->
       Hashtbl.replace t.comb_seqs id
@@ -90,9 +110,9 @@ let copy_shape src =
 
 let absorb ~into src =
   let moved = ref 0 in
-  Hashtbl.iter
+  iter_ranges
     (fun id (s : range_seq) ->
-      match Hashtbl.find_opt into.range_seqs id with
+      match find_range_seq into id with
       | None -> ()
       | Some dst ->
         Array.iteri
@@ -105,7 +125,7 @@ let absorb ~into src =
           s.counts;
         dst.executions <- dst.executions + s.executions;
         s.executions <- 0)
-    src.range_seqs;
+    src;
   Hashtbl.iter
     (fun id (s : comb_seq) ->
       match Hashtbl.find_opt into.comb_seqs id with
@@ -125,7 +145,9 @@ let absorb ~into src =
   !moved
 
 let total_executions t =
-  Hashtbl.fold (fun _ (s : range_seq) acc -> acc + s.executions) t.range_seqs 0
+  let ranges = ref 0 in
+  iter_ranges (fun _ (s : range_seq) -> ranges := !ranges + s.executions) t;
+  !ranges
   + Hashtbl.fold
       (fun _ (s : comb_seq) acc -> acc + s.comb_executions)
       t.comb_seqs 0
@@ -134,13 +156,12 @@ let total_executions t =
    by sequence id and re-registers descriptors by re-detecting the
    program, so only the counters travel *)
 let counters t =
-  let ranges =
-    Hashtbl.fold
-      (fun id (s : range_seq) acc ->
-        (id, Array.copy s.counts, s.executions) :: acc)
-      t.range_seqs []
-    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-  in
+  let ranges = ref [] in
+  iter_ranges
+    (fun id (s : range_seq) ->
+      ranges := (id, Array.copy s.counts, s.executions) :: !ranges)
+    t;
+  let ranges = List.rev !ranges in
   let combs =
     Hashtbl.fold
       (fun id (s : comb_seq) acc ->
@@ -154,7 +175,7 @@ let set_counters t ~ranges ~combs =
   let applied = ref 0 in
   List.iter
     (fun (id, counts, executions) ->
-      match Hashtbl.find_opt t.range_seqs id with
+      match find_range_seq t id with
       | Some dst when Array.length dst.counts = Array.length counts ->
         Array.blit counts 0 dst.counts 0 (Array.length counts);
         dst.executions <- executions;

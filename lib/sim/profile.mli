@@ -27,7 +27,13 @@ type comb_seq = {
 type t
 
 val make : unit -> t
+
 val register_range_seq : t -> int -> (int * int) array -> range_seq
+(** [register_range_seq t id bounds] registers (or replaces) range
+    sequence [id].  Range sequences are held in an array indexed by id,
+    so ids should be dense from 0, as sequence detection numbers them.
+    Raises [Invalid_argument] on a negative id. *)
+
 val register_comb_seq :
   t -> int -> (Mir.Cond.t * Mir.Operand.t * Mir.Operand.t) array -> comb_seq
 

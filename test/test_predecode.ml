@@ -338,8 +338,10 @@ let test_bank_equivalence () =
     preds
     (Sim.Predictor.bank_mispredicts bank)
 
-(* The bank buffers its events; every read must still see exactly
-   what separate predictors fed one event at a time see.  The oracle
+(* The bank buffers its events and folds each (0,1,E) predictor with a
+   (0,2,E) partner in one pass; every read must still see exactly what
+   separate predictors fed one event at a time see, over any key list
+   (duplicates, partnerless keys, history keys, any order).  The oracle
    tracks a shard's tallies as its predictors' counts minus what
    earlier absorbs took. *)
 type bank_op = Read | Reset | Absorb
@@ -369,23 +371,42 @@ let gen_bank_run =
   in
   (seed, len, List.stable_sort (fun (a, _) (b, _) -> compare a b) ops)
 
+let gen_bank_keys =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (1, return bank_keys);
+      ( 3,
+        list_size (int_range 1 10)
+          (oneofl
+             (Driver.Config.paper_predictors
+             @ [ (4, 2, 64); (2, 1, 32); (1, 2, 32); (3, 1, 128) ])) );
+    ]
+
+let print_keys keys =
+  String.concat "; "
+    (List.map (fun (h, c, e) -> Printf.sprintf "(%d,%d,%d)" h c e) keys)
+
 let prop_bank_matches_oracle =
-  qcheck2 ~count:60 ~print:print_bank_run
-    "bank equals separate predictors under interleaved reads" gen_bank_run
-    (fun (seed, len, ops) ->
+  qcheck2 ~count:80
+    ~print:(fun (keys, run) ->
+      Printf.sprintf "keys [%s], %s" (print_keys keys) (print_bank_run run))
+    "bank equals separate predictors under interleaved reads"
+    (QCheck2.Gen.pair gen_bank_keys gen_bank_run)
+    (fun (keys, (seed, len, ops)) ->
       let oracle =
         Array.of_list
           (List.map
              (fun (h, c, e) ->
                Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
-             bank_keys)
+             keys)
       in
       let taken_lk = Array.make (Array.length oracle) 0 in
       let taken_mis = Array.make (Array.length oracle) 0 in
-      let bank = Sim.Predictor.bank bank_keys in
-      let global = Sim.Predictor.bank bank_keys in
+      let bank = Sim.Predictor.bank keys in
+      let global = Sim.Predictor.bank keys in
       let expect tally absorbed =
-        List.mapi (fun i k -> (k, tally oracle.(i) - absorbed.(i))) bank_keys
+        List.mapi (fun i k -> (k, tally oracle.(i) - absorbed.(i))) keys
       in
       let same () =
         Sim.Predictor.bank_mispredicts bank
@@ -474,6 +495,67 @@ let test_bank_after_fuel_trap () =
     (`Reference :: `Compiled
     :: (if Sim.Native.available () then [ `Native ] else []))
 
+(* Every fuel value from 1 to a range-test program's full instruction
+   count stops it at a different instruction, fused compare-and-branch
+   blocks included: the trap, the events delivered before it and the
+   predictor tallies must equal the reference's at each. *)
+let test_fuel_sweep_range_tests () =
+  let w = Workloads.Registry.find "wc" in
+  let input = "ab cd\n\tef  g\nh i\n" in
+  let r =
+    reorder_pipeline ~training_input:input ~test_input:input
+      w.Workloads.Spec.source
+  in
+  let prog = r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_program in
+  let image = Sim.Image.build prog in
+  (* the sweep must cover the fused block shape *)
+  let fused =
+    Array.exists
+      (fun (f : Sim.Image.pfunc) ->
+        Array.exists
+          (fun (b : Sim.Image.pblock) ->
+            match b.Sim.Image.pb_insns, b.Sim.Image.pb_term, b.Sim.Image.pb_delay with
+            | [| Sim.Image.Pcmp (Sim.Image.Preg _, Sim.Image.Pimm _) |],
+              Sim.Image.Pbr _, None -> true
+            | _ -> false)
+          f.Sim.Image.pf_blocks)
+      image.Sim.Image.funcs
+  in
+  check_bool "program has compare-and-branch blocks" true fused;
+  let full =
+    (Sim.Machine.run ~image prog ~input).Sim.Machine.counters.Sim.Counters.insns
+  in
+  let run backend fuel =
+    let config = { Sim.Machine.default_config with Sim.Machine.fuel } in
+    let events = ref [] in
+    let outcome sink =
+      match Sim.Machine.run ~config ~sink ~image ~backend prog ~input with
+      | res -> Ok res.Sim.Machine.exit_code
+      | exception Sim.Machine.Trap msg -> Error msg
+    in
+    let o =
+      outcome
+        (Sim.Predictor.Sink_fun
+           (fun ~site ~taken -> events := (site, taken) :: !events))
+    in
+    let bank = Sim.Predictor.bank Driver.Config.paper_predictors in
+    ignore (outcome (Sim.Predictor.Sink_bank bank));
+    (o, List.rev !events, Sim.Predictor.bank_mispredicts bank,
+     Sim.Predictor.bank_lookups bank)
+  in
+  for fuel = 1 to full do
+    let ro, rev, rmis, rlk = run `Reference fuel in
+    let co, cev, cmis, clk = run `Compiled fuel in
+    let name what = Printf.sprintf "fuel %d: %s" fuel what in
+    Alcotest.(check (result int string)) (name "outcome") ro co;
+    Alcotest.(check (list (pair int bool))) (name "events") rev cev;
+    check_bool (name "mispredicts") true (rmis = cmis);
+    check_bool (name "lookups") true (rlk = clk)
+  done;
+  match run `Reference full with
+  | Ok _, _, _, _ -> ()
+  | Error msg, _, _, _ -> Alcotest.failf "full fuel still traps: %s" msg
+
 (* Machine.sites/site_of are now derived from the pre-decoded image;
    the numbering must round-trip and match the image's own tables *)
 let test_sites_roundtrip () =
@@ -509,6 +591,7 @@ let suite =
     case "predictor bank equals closure dispatch" test_bank_equivalence;
     prop_bank_matches_oracle;
     case "bank after a fuel trap equals the oracle" test_bank_after_fuel_trap;
+    case "fuel sweep over compare-and-branch blocks" test_fuel_sweep_range_tests;
     case "site numbering round-trips through the image" test_sites_roundtrip;
     prop_differential;
     slow_case "all workloads agree across backends" test_all_workloads;

@@ -271,6 +271,69 @@ let test_profile_range_counting () =
   check_int "low count" 1 seq.Sim.Profile.counts.(0);
   check_int "letters" 2 seq.Sim.Profile.counts.(4)
 
+(* range sequences live in an array indexed by id: registration order,
+   gaps and growth must not show through any read *)
+let test_profile_range_ids () =
+  let t = Sim.Profile.make () in
+  let halves = [| (min_int / 4, 0); (1, max_int / 4) |] in
+  List.iter
+    (fun id -> ignore (Sim.Profile.register_range_seq t id halves))
+    [ 5; 0; 17; 2 ];
+  List.iter
+    (fun (id, v) -> Sim.Profile.record_range t id v)
+    [ (17, 3); (0, -1); (5, 9); (17, 0); (2, 1); (17, 8) ];
+  let counts id =
+    match Sim.Profile.find_range_seq t id with
+    | Some s -> (Array.to_list s.Sim.Profile.counts, s.Sim.Profile.executions)
+    | None -> Alcotest.failf "sequence %d not registered" id
+  in
+  let cnt = Alcotest.(pair (list int) int) in
+  Alcotest.check cnt "seq 0" ([ 1; 0 ], 1) (counts 0);
+  Alcotest.check cnt "seq 2" ([ 0; 1 ], 1) (counts 2);
+  Alcotest.check cnt "seq 5" ([ 0; 1 ], 1) (counts 5);
+  Alcotest.check cnt "seq 17" ([ 1; 2 ], 3) (counts 17);
+  List.iter
+    (fun id ->
+      check_bool (Printf.sprintf "id %d unregistered" id) true
+        (Sim.Profile.find_range_seq t id = None))
+    [ -1; 1; 3; 16; 18; 1000 ];
+  (* unknown ids and uncovered values are errors, not silent drops *)
+  let rejects what id v =
+    match Sim.Profile.record_range t id v with
+    | () -> Alcotest.failf "recording %d into seq %d was accepted" v id
+    | exception Invalid_argument m ->
+      check_bool (Printf.sprintf "seq %d: %s" id m) true
+        (contains_substring m what)
+  in
+  List.iter (fun id -> rejects "unknown id" id 0) [ -1; 1; 18; 1000 ];
+  ignore (Sim.Profile.register_range_seq t 3 [| (0, 9) |]);
+  rejects "not covered" 3 10;
+  (match Sim.Profile.register_range_seq t (-1) halves with
+  | _ -> Alcotest.fail "a negative id was registered"
+  | exception Invalid_argument _ -> ());
+  check_int "total executions" 6 (Sim.Profile.total_executions t);
+  (* a shard has every id, zeroed; absorbing moves its counts back *)
+  let shard = Sim.Profile.copy_shape t in
+  let ranges, _ = Sim.Profile.counters shard in
+  Alcotest.(check (list int)) "shard ids, sorted" [ 0; 2; 3; 5; 17 ]
+    (List.map (fun (id, _, _) -> id) ranges);
+  check_int "shard zeroed" 0 (Sim.Profile.total_executions shard);
+  Sim.Profile.record_range shard 17 5;
+  Sim.Profile.record_range shard 3 4;
+  check_int "moved" 2 (Sim.Profile.absorb ~into:t shard);
+  check_int "shard emptied" 0 (Sim.Profile.total_executions shard);
+  Alcotest.check cnt "seq 17 after absorb" ([ 1; 3 ], 4) (counts 17);
+  (* counters and set_counters round-trip onto a same-shape table *)
+  let ranges, combs = Sim.Profile.counters t in
+  let copy = Sim.Profile.copy_shape t in
+  check_int "applied" 5 (Sim.Profile.set_counters copy ~ranges ~combs);
+  check_bool "round trip" true (Sim.Profile.counters copy = (ranges, combs));
+  (* ids the table does not know are skipped, not registered *)
+  check_int "unknown id skipped" 0
+    (Sim.Profile.set_counters copy ~ranges:[ (9, [| 1; 1 |], 2) ] ~combs:[]);
+  check_bool "9 still unregistered" true
+    (Sim.Profile.find_range_seq copy 9 = None)
+
 let test_profile_comb_counting () =
   let t = Sim.Profile.make () in
   let conds =
@@ -327,6 +390,7 @@ let suite =
     case "predictor: reset and describe" test_predictor_reset_and_describe;
     case "cycle model: parameters" test_cycle_model;
     case "profile: range counters" test_profile_range_counting;
+    case "profile: range sequences by id" test_profile_range_ids;
     case "profile: combination counters" test_profile_comb_counting;
     case "profile: end-to-end through the machine" test_profile_through_machine;
   ]
