@@ -199,7 +199,7 @@ let profile_arg =
            $(b,both) (train, then backfill sequences the training input \
            never exercised with the static prediction).")
 
-(* native artifact-store options, shared by every command that can select
+(* native artifact-store option, shared by every command that can select
    --backend=native; applied both process-wide (for Sim.Native callers
    that do not thread a Config) and onto the driver Config *)
 let native_cache_dir_arg =
@@ -212,18 +212,8 @@ let native_cache_dir_arg =
            (default: $(b,BROMC_NATIVE_CACHE), else \
            \\$XDG_CACHE_HOME/bromc/native).")
 
-let no_native_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-native-cache" ]
-        ~doc:
-          "Do not read or write the on-disk artifact store; native code is \
-           rebuilt in a temporary directory and discarded (the in-process \
-           memo still applies).")
-
-let apply_native_opts dir no_cache =
-  (match dir with Some _ -> Sim.Native.set_default_cache_dir dir | None -> ());
-  if no_cache then Sim.Native.set_default_use_cache false
+let apply_native_opts dir =
+  match dir with Some _ -> Sim.Native.set_default_cache_dir dir | None -> ()
 
 (* resolve `Native for ungraded commands: warn and degrade to `Compiled
    when the toolchain cannot deliver, instead of dying on Unavailable *)
@@ -247,10 +237,9 @@ let verify_arg =
            after the reordering pass; a rejected rewrite aborts the run.")
 
 let run_cmd =
-  let run source hs input trace backend timings ncache_dir
-      no_ncache =
+  let run source hs input trace backend timings ncache_dir =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
+        apply_native_opts ncache_dir;
         let stage label f =
           if not timings then f ()
           else begin
@@ -285,14 +274,13 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Compile and execute a MiniC program on the simulator.")
     Term.(
       const run $ source_arg "run" $ heuristic_arg $ input_arg $ trace
-      $ backend_arg `Compiled $ timings_arg
-      $ native_cache_dir_arg $ no_native_cache_arg)
+      $ backend_arg `Compiled $ timings_arg $ native_cache_dir_arg)
 
 let reorder_cmd =
   let run source hs train test exhaustive common_succ coalesce profile_layout
-      profile backend timings verify ncache_dir no_ncache =
+      profile backend timings verify ncache_dir =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
+        apply_native_opts ncache_dir;
         let backend = resolve_backend backend in
         let name = source in
         let src = load_source source in
@@ -318,7 +306,6 @@ let reorder_cmd =
             profile;
             backend;
             native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
             verify;
             coalesce_machine =
               (match coalesce with
@@ -406,8 +393,7 @@ let reorder_cmd =
     Term.(
       const run $ source_arg "reorder" $ heuristic_arg $ train $ test
       $ exhaustive $ common_succ $ coalesce $ profile_layout $ profile_arg
-      $ backend_arg `Compiled $ timings_arg $ verify_arg
-      $ native_cache_dir_arg $ no_native_cache_arg)
+      $ backend_arg `Compiled $ timings_arg $ verify_arg $ native_cache_dir_arg)
 
 (* flags shared by the fault-tolerant commands (suite, fuzz, bench) *)
 let timeout_ms_arg =
@@ -439,9 +425,9 @@ let failures_json_arg =
 
 let suite_cmd =
   let run hs jobs backend verify profile names timeout_ms retries
-      failures_json inject_n inject_seed no_degrade ncache_dir no_ncache =
+      failures_json inject_n inject_seed no_degrade ncache_dir =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
+        apply_native_opts ncache_dir;
         let workloads =
           match names with
           | [] -> Workloads.Registry.all
@@ -453,7 +439,6 @@ let suite_cmd =
             Driver.Config.heuristic = hs;
             backend;
             native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
             verify;
             profile;
           }
@@ -655,7 +640,7 @@ let suite_cmd =
       const run $ heuristic_arg $ jobs $ backend_arg `Compiled $ verify_arg
       $ profile_arg $ names $ timeout_ms_arg $ retries_arg
       $ failures_json_arg $ inject_n $ inject_seed $ no_degrade
-      $ native_cache_dir_arg $ no_native_cache_arg)
+      $ native_cache_dir_arg)
 
 (* trained/static only: `Both is a pipeline notion (train + backfill);
    the per-case fuzz and corpus harnesses have exactly one counts
@@ -1118,15 +1103,13 @@ let cache_cmd =
         in
         if verify then begin
           let r = Sim.Native.Cache.verify ~dir () in
-          Printf.printf
-            "verified %d artifact(s) in %s: %d ok, %d adopted (checksum \
-             written), %d quarantined\n"
+          Printf.printf "verified %d artifact(s) in %s: %d ok, %d quarantined\n"
             r.Sim.Native.Cache.v_checked dir r.Sim.Native.Cache.v_ok
-            r.Sim.Native.Cache.v_healed r.Sim.Native.Cache.v_quarantined;
+            r.Sim.Native.Cache.v_quarantined;
           if r.Sim.Native.Cache.v_quarantined > 0 then begin
-            (* corrupted artifacts were moved aside; the next request
-               for them rebuilds from source.  Non-zero exit so CI
-               sweeps notice the store was unhealthy *)
+            (* corrupt or sidecar-less artifacts were moved aside; the
+               next request for them rebuilds from source.  Non-zero
+               exit so CI sweeps notice the store was unhealthy *)
             Printf.printf
               "quarantined artifacts moved to %s; they will be rebuilt on \
                next use\n"
@@ -1136,11 +1119,7 @@ let cache_cmd =
         end
         else if clear then begin
           let n = Sim.Native.Cache.clear ~dir () in
-          let dropped = Sim.Artifact.clear_registered () in
-          Printf.printf "cleared %d file(s) from %s" n dir;
-          if dropped > 0 then
-            Printf.printf " and %d in-process artifact(s)" dropped;
-          print_newline ()
+          Printf.printf "cleared %d file(s) from %s\n" n dir
         end
         else if evict_stale then begin
           match Sim.Native.Cache.fingerprint () with
@@ -1169,21 +1148,7 @@ let cache_cmd =
                   e.Sim.Native.Cache.e_fingerprint e.Sim.Native.Cache.e_files
                   e.Sim.Native.Cache.e_bytes
                   (if e.Sim.Native.Cache.e_current then "  (current)" else ""))
-              entries;
-          (* the in-process artifact caches: the native memo of loaded
-             plugins and, in a serving daemon, the MIR / image / closure
-             caches (the serve protocol's [stats] request reports a
-             running daemon's live numbers) *)
-          List.iter
-            (fun (s : Sim.Artifact.stats) ->
-              Printf.printf
-                "artifacts:   %-8s %4d entry(ies) cap %d, %d hit(s), %d \
-                 miss(es), %d build(s), %d eviction(s)\n"
-                s.Sim.Artifact.a_name s.Sim.Artifact.a_entries
-                s.Sim.Artifact.a_capacity s.Sim.Artifact.a_hits
-                s.Sim.Artifact.a_misses s.Sim.Artifact.a_builds
-                s.Sim.Artifact.a_evictions)
-            (Sim.Artifact.registered_stats ())
+              entries
         end)
   in
   let dir =
@@ -1213,9 +1178,9 @@ let cache_cmd =
       & info [ "verify" ]
           ~doc:
             "Digest every cached artifact against its $(b,.sum) checksum \
-             sidecar; mismatches are quarantined (rebuilt on next use) and \
-             reported with a non-zero exit, artifacts predating checksums \
-             get a sidecar written.")
+             sidecar; mismatching and sidecar-less artifacts are \
+             quarantined (rebuilt on next use) and reported with a \
+             non-zero exit.")
   in
   Cmd.v
     (Cmd.info "cache"
@@ -1289,9 +1254,9 @@ let snapshot_every_arg =
 
 let serve_cmd =
   let run domains sample_every merge_every drift_min_execs backend profile
-      ncache_dir no_ncache state_dir queue_cap snapshot_every =
+      ncache_dir state_dir queue_cap snapshot_every =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
+        apply_native_opts ncache_dir;
         let backend = resolve_backend backend in
         let config =
           {
@@ -1299,7 +1264,6 @@ let serve_cmd =
             Driver.Config.backend;
             profile;
             native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
           }
         in
         let srv =
@@ -1439,7 +1403,7 @@ let serve_cmd =
     Term.(
       const run $ domains_arg $ sample_every_arg $ merge_every_arg
       $ drift_min_execs_arg 32 $ backend_arg `Compiled $ profile_arg
-      $ native_cache_dir_arg $ no_native_cache_arg $ state_dir_arg
+      $ native_cache_dir_arg $ state_dir_arg
       $ queue_cap_arg $ snapshot_every_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1449,16 +1413,15 @@ let serve_cmd =
 let replay_cmd =
   let run requests concurrency workloads seed no_drift sample_every
       merge_every drift_min_execs check_every json_path quiet backend
-      ncache_dir no_ncache chaos chaos_seed state_dir =
+      ncache_dir chaos chaos_seed state_dir =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
+        apply_native_opts ncache_dir;
         let backend = resolve_backend backend in
         let config =
           {
             Driver.Config.default with
             Driver.Config.backend;
             native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
           }
         in
         let workloads =
@@ -1628,8 +1591,7 @@ let replay_cmd =
       const run $ requests $ concurrency $ workloads $ seed $ no_drift
       $ sample_every_arg $ merge_every_arg $ drift_min_execs_arg 64
       $ check_every $ json_path $ quiet $ backend_arg `Compiled
-      $ native_cache_dir_arg $ no_native_cache_arg $ chaos $ chaos_seed
-      $ state_dir_arg)
+      $ native_cache_dir_arg $ chaos $ chaos_seed $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench: replay the minimized-repro corpus                           *)

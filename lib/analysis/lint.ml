@@ -170,7 +170,12 @@ let check_program p =
    one, and the diagnostic flags two-way branches where they firmly
    disagree.  It never feeds the fuzzer's trace cross-check. *)
 
-let divergence ?(min_count = 8) ?(margin = 0.1) (p : Mir.Program.t) ~observed =
+(* fewest observations a branch needs, and how far both probabilities
+   must sit from the coin flip *)
+let min_count = 8
+let margin = 0.1
+
+let divergence (p : Mir.Program.t) ~observed =
   List.concat_map
     (fun (fn : Mir.Func.t) ->
       let heur = Heur.analyze fn in

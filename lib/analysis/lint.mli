@@ -47,8 +47,6 @@ val check_program : Mir.Program.t -> diag list
     order. *)
 
 val divergence :
-  ?min_count:int ->
-  ?margin:float ->
   Mir.Program.t ->
   observed:(func:string -> label:string -> (int * int) option) ->
   diag list
@@ -56,9 +54,9 @@ val divergence :
     static prediction and an observed (taken, not-taken) count pair
     firmly point in opposite directions.  [observed] supplies the
     trained counts per branch block ([None] = unobserved); branches with
-    fewer than [min_count] observations (default 8) are skipped, and
-    both the predicted and the measured probability must sit at least
-    [margin] (default 0.1) away from the coin flip. *)
+    fewer than 8 observations are skipped, and both the predicted and
+    the measured probability must sit at least 0.1 away from the coin
+    flip. *)
 
 val pp_diag : Format.formatter -> diag -> unit
 val to_json : diag list -> string

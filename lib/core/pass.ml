@@ -70,10 +70,12 @@ let choose ?(selector = `Greedy) ?(keep_original_default = false) fn
     if List.length input > 14 then Select.greedy ~compatible ~total input
     else Select.exhaustive ~compatible ~max_items:14 ~total input
 
+(* widest value range an indirect-jump table may cover *)
+let coalesce_max_span = 512
+
 let run ?(options = Apply.default_options) ?(selector = `Greedy)
-    ?(keep_original_default = false) ?coalesce_machine
-    ?(coalesce_max_span = 512) (p : Mir.Program.t) (seqs : Detect.t list)
-    profile_table =
+    ?(keep_original_default = false) ?coalesce_machine (p : Mir.Program.t)
+    (seqs : Detect.t list) profile_table =
   let reports =
     List.map
       (fun (seq : Detect.t) ->

@@ -50,7 +50,6 @@ val run :
   ?selector:[ `Greedy | `Exhaustive ] ->
   ?keep_original_default:bool ->
   ?coalesce_machine:Sim.Cycle_model.params ->
-  ?coalesce_max_span:int ->
   Mir.Program.t ->
   Detect.t list ->
   Sim.Profile.t ->

@@ -19,7 +19,6 @@ type t = {
   fuel : int;
   backend : Sim.Machine.backend;
   native_cache_dir : string option;
-  native_cache : bool;
   cancel : (unit -> bool) option;
 }
 
@@ -67,6 +66,5 @@ let default =
     fuel = 500_000_000;
     backend = `Compiled;
     native_cache_dir = None;
-    native_cache = true;
     cancel = None;
   }

@@ -47,8 +47,6 @@ type t = {
   native_cache_dir : string option;
       (** [.cmxs] artifact store for the native backend ([None] =
           {!Sim.Native.Cache.default_dir}) *)
-  native_cache : bool;
-      (** disable to rebuild native artifacts in a throwaway temp dir *)
   cancel : (unit -> bool) option;
       (** cooperative cancellation flag threaded into every simulator
           run (polled once per basic block); typically a

@@ -44,9 +44,8 @@ let sim_config (config : Config.t) =
    do not lower a second time *)
 let run_backend (config : Config.t) ?profile ?sink ?image prog ~input =
   Sim.Machine.run ~config:(sim_config config) ?profile ?sink ?image
-    ?cache_dir:config.Config.native_cache_dir
-    ~use_cache:config.Config.native_cache ~backend:config.Config.backend prog
-    ~input
+    ?cache_dir:config.Config.native_cache_dir ~backend:config.Config.backend
+    prog ~input
 
 (* profile-guided layout: run the training input once more against this
    very binary (layouts need edge frequencies of the final CFG, which

@@ -106,11 +106,11 @@ let drift_input ~phase ~seed =
 (* Request inputs                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let input_slice ?(max_bytes = 2048) ~seed text =
+let input_slice ~seed text =
   let len = String.length text in
   if len = 0 then ""
   else begin
-    let window = min len max_bytes in
+    let window = min len 2048 in
     let target = max 1 (window * (1 + (abs seed mod 4)) / 4) in
     let cut =
       match String.rindex_from_opt text (target - 1) '\n' with

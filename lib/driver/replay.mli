@@ -77,9 +77,9 @@ val drift_input : phase:int -> seed:int -> string
     lowercase-heavy, phase 1 digit-heavy and longer (so the accumulated
     counts overtake the first phase's). *)
 
-val input_slice : ?max_bytes:int -> seed:int -> string -> string
+val input_slice : seed:int -> string -> string
 (** A newline-aligned prefix slice of [text] whose length varies with
-    [seed] (capped at [max_bytes], default 2048); [""] stays [""]. *)
+    [seed] (capped at 2048 bytes); [""] stays [""]. *)
 
 val run :
   ?config:Config.t ->

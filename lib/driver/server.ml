@@ -62,7 +62,6 @@ type entry = {
 type t = {
   config : Config.t;
   fingerprint : string;  (* [config_fingerprint config] *)
-  policy : Guard.policy;
   pool : Pool.Workers.t;
   sample_every : int;
   merge_every : int;
@@ -130,6 +129,10 @@ let config_fingerprint (c : Config.t) =
     machine
     (Config.profile_name c.Config.profile)
     (string_of_int c.Config.fuel)
+
+(* the guard every request runs under: no watchdog unless the request
+   sets a deadline, no retries, degradation down the backend ladder *)
+let policy = { Guard.default with Guard.degrade = true }
 
 let content_key t source =
   Digest.to_hex (Digest.string (t.fingerprint ^ "\x00" ^ source))
@@ -216,37 +219,40 @@ let snapshot_due t =
   | None -> false
   | Some w -> State.appended w - Atomic.get t.snap_mark >= t.snapshot_every
 
-(* write a full snapshot and truncate the journal.  Takes each entry's
-   [e_merge] one at a time — callers must hold NO [e_merge] (the merge
-   paths signal "due" and snapshot after unlocking), so two concurrent
-   snapshotters cannot deadlock; [snap_lock]'s try_lock makes the loser
-   skip rather than queue.  A merge that lands between record collection
-   and the journal truncation loses only its journal record, and only
-   until that program's next merge re-journals it (records are
+(* [f e] for every entry, each under its [e_merge] taken one at a
+   time: callers must hold NO [e_merge] *)
+let map_entries_locked t f =
+  Mutex.lock t.entries_lock;
+  let es = !(t.entries) in
+  Mutex.unlock t.entries_lock;
+  List.map
+    (fun e ->
+      Mutex.lock e.e_merge;
+      Fun.protect ~finally:(fun () -> Mutex.unlock e.e_merge) (fun () -> f e))
+    es
+
+(* write a full snapshot and truncate the journal; caller holds
+   [snap_lock] and NO [e_merge].  A merge that lands between record
+   collection and the journal truncation loses only its journal record,
+   and only until that program's next merge re-journals it (records are
    absolute). *)
-let snapshot t =
+let write_snapshot_locked t =
   match (t.state_dir, t.journal) with
   | Some dir, Some w ->
-    if Mutex.try_lock t.snap_lock then
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.snap_lock)
-        (fun () ->
-          Mutex.lock t.entries_lock;
-          let es = !(t.entries) in
-          Mutex.unlock t.entries_lock;
-          let records =
-            List.map
-              (fun e ->
-                Mutex.lock e.e_merge;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock e.e_merge)
-                  (fun () -> program_record e))
-              es
-          in
-          State.write_snapshot ~dir records (bank_record t);
-          State.truncate_journal ~dir;
-          Atomic.set t.snap_mark (State.appended w))
+    State.write_snapshot ~dir (map_entries_locked t program_record)
+      (bank_record t);
+    State.truncate_journal ~dir;
+    Atomic.set t.snap_mark (State.appended w)
   | _ -> ()
+
+(* the merge paths signal "due" and snapshot after unlocking their
+   [e_merge], so two concurrent snapshotters cannot deadlock;
+   [snap_lock]'s try_lock makes the loser skip rather than queue *)
+let snapshot t =
+  if Mutex.try_lock t.snap_lock then
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.snap_lock)
+      (fun () -> write_snapshot_locked t)
 
 (* the one entry constructor: parse + optimize the base once (through
    [mir_cache]), detect, instrument, let [fill] give the fresh table its
@@ -363,17 +369,12 @@ let restore_state t dir =
        (fun () -> Sim.Predictor.bank_add_tallies t.bank_global r.State.r_bank)
    with Invalid_argument _ -> ())
 
-let create ?(config = Config.default) ?policy ?domains ?(sample_every = 4)
+let create ?(config = Config.default) ?domains ?(sample_every = 4)
     ?(merge_every = 8) ?(drift_min_execs = 32) ?state_dir ?queue_cap
     ?(snapshot_every = 64) () =
   if sample_every < 1 then invalid_arg "Server.create: sample_every < 1";
   if merge_every < 1 then invalid_arg "Server.create: merge_every < 1";
   if snapshot_every < 1 then invalid_arg "Server.create: snapshot_every < 1";
-  let policy =
-    match policy with
-    | Some p -> p
-    | None -> { Guard.default with Guard.degrade = true }
-  in
   let pool = Pool.Workers.create ?domains ?queue_cap () in
   let n = Pool.Workers.size pool in
   let journal =
@@ -385,7 +386,6 @@ let create ?(config = Config.default) ?policy ?domains ?(sample_every = 4)
     {
       config;
       fingerprint = config_fingerprint config;
-      policy;
       pool;
       sample_every;
       merge_every;
@@ -492,17 +492,10 @@ let try_merge t e =
     if snapshot_due t then snapshot t
   end
 
+let merge_all t = ignore (map_entries_locked t (merge_locked t))
+
 let sync t =
-  Mutex.lock t.entries_lock;
-  let es = !(t.entries) in
-  Mutex.unlock t.entries_lock;
-  List.iter
-    (fun e ->
-      Mutex.lock e.e_merge;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock e.e_merge)
-        (fun () -> merge_locked t e))
-    es;
+  merge_all t;
   if snapshot_due t then snapshot t
 
 (* ------------------------------------------------------------------ *)
@@ -521,7 +514,7 @@ let exec_rung t (art : artifact) backend ~cancel ~input =
            so the next request tries again *)
         match
           Sim.Native.prepare ?cache_dir:t.config.Config.native_cache_dir
-            ~use_cache:t.config.Config.native_cache art.a_image
+            art.a_image
         with
         | Ok n ->
           Atomic.set art.a_native (Some n);
@@ -559,19 +552,9 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
   let t0 = Unix.gettimeofday () in
   Atomic.incr t.requests;
   let key = content_key t source in
-  (* a per-request deadline tightens (never loosens) the policy's
-     watchdog; it rides the same {!Sim.Runtime.watchdog} machinery *)
-  let policy =
-    match deadline_ms with
-    | None -> t.policy
-    | Some ms ->
-      let ms =
-        match t.policy.Guard.timeout_ms with
-        | Some p -> min p ms
-        | None -> ms
-      in
-      { t.policy with Guard.timeout_ms = Some ms }
-  in
+  (* a per-request deadline arms the guard's watchdog; it rides the
+     same {!Sim.Runtime.watchdog} machinery *)
+  let policy = { policy with Guard.timeout_ms = deadline_ms } in
   (* chaos hook: fires inside the guarded closure exactly once, on the
      first attempt of the first rung, so an injected crash exercises
      the real recovery path (degradation to the next rung) *)
@@ -786,30 +769,8 @@ let shutdown ?(crash = false) t =
          straggling shard, then leave a fresh snapshot and an empty
          journal for the next boot *)
       Pool.Workers.shutdown t.pool;
-      Mutex.lock t.entries_lock;
-      let es = !(t.entries) in
-      Mutex.unlock t.entries_lock;
-      List.iter
-        (fun e ->
-          Mutex.lock e.e_merge;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock e.e_merge)
-            (fun () -> merge_locked t e))
-        es;
-      (match t.state_dir with
-      | Some dir when t.journal <> None ->
-        let records =
-          List.map
-            (fun e ->
-              Mutex.lock e.e_merge;
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock e.e_merge)
-                (fun () -> program_record e))
-            es
-        in
-        State.write_snapshot ~dir records (bank_record t);
-        State.truncate_journal ~dir
-      | _ -> ())
+      merge_all t;
+      Mutex.protect t.snap_lock (fun () -> write_snapshot_locked t)
     end;
     match t.journal with
     | Some w -> State.close_journal w

@@ -94,7 +94,6 @@ type stats = {
 
 val create :
   ?config:Config.t ->
-  ?policy:Guard.policy ->
   ?domains:int ->
   ?sample_every:int ->
   ?merge_every:int ->
@@ -111,7 +110,7 @@ val create :
     32): new profile executions required after the last
     (re-)optimization before the drift check may fire — the damper
     that keeps a handful of unusual requests from thrashing the
-    artifacts.  [policy] defaults to {!Guard.default} with degradation
+    artifacts.  Requests run under {!Guard.default} with degradation
     enabled.
 
     [state_dir] makes the server durable: learned state is journaled
@@ -135,14 +134,13 @@ val submit :
     request's input, reordered and cached; every later request (any
     worker) reuses the artifacts.
 
-    [deadline_ms] tightens the guard policy's watchdog for this
-    request only (it never loosens a stricter policy timeout); on
+    [deadline_ms] arms the guard's watchdog for this request only; on
     expiry the response status is ["timeout"].  When admission control
     sheds the request the response status is ["overloaded"] — no
     exception escapes.  [inject] is the chaos hook: it runs {e inside}
     the guarded closure on the first execution attempt, so a raised
-    fault exercises the real recovery path (retry, degradation to the
-    next rung); test/fault-drill use only. *)
+    fault exercises the real recovery path (degradation to the next
+    rung); test/fault-drill use only. *)
 
 val post :
   ?deadline_ms:int ->

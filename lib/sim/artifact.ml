@@ -29,11 +29,6 @@ type 'a t = {
   mutable failures : int;
 }
 
-(* process-local registry: stats/clear thunks, creation order *)
-let registry : (unit -> stats) list ref = ref []
-let registry_clear : (unit -> int) list ref = ref []
-let registry_lock = Mutex.create ()
-
 let stats_locked t =
   let entries =
     Hashtbl.fold
@@ -75,26 +70,19 @@ let clear t =
   !dropped
 
 let create ?(capacity = 0) ~name () =
-  let t =
-    {
-      name;
-      capacity;
-      table = Hashtbl.create 16;
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      tick = 0;
-      hits = 0;
-      misses = 0;
-      builds = 0;
-      evictions = 0;
-      failures = 0;
-    }
-  in
-  Mutex.lock registry_lock;
-  registry := !registry @ [ (fun () -> stats t) ];
-  registry_clear := !registry_clear @ [ (fun () -> clear t) ];
-  Mutex.unlock registry_lock;
-  t
+  {
+    name;
+    capacity;
+    table = Hashtbl.create 16;
+    lock = Mutex.create ();
+    cond = Condition.create ();
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    builds = 0;
+    evictions = 0;
+    failures = 0;
+  }
 
 let touch (t : 'a t) (e : 'a entry) =
   t.tick <- t.tick + 1;
@@ -206,15 +194,3 @@ let find_or_build t key build =
       Condition.broadcast t.cond;
       Mutex.unlock t.lock;
       raise e)
-
-let registered_stats () =
-  Mutex.lock registry_lock;
-  let fs = !registry in
-  Mutex.unlock registry_lock;
-  List.map (fun f -> f ()) fs
-
-let clear_registered () =
-  Mutex.lock registry_lock;
-  let fs = !registry_clear in
-  Mutex.unlock registry_lock;
-  List.fold_left (fun acc f -> acc + f ()) 0 fs

@@ -11,12 +11,9 @@
 
     Entries are kept under an optional LRU capacity; eviction drops the
     cache's reference to the artifact (the GC reclaims it once the last
-    user lets go) and is counted in {!stats}.
-
-    Every cache created with {!create} is also registered in a global
-    process-local registry so diagnostic surfaces ([bromc cache stats],
-    the serve protocol's [stats] request) can enumerate the caches that
-    exist in this process without threading handles around. *)
+    user lets go) and is counted in {!stats}.  Nothing outside the
+    handle refers to a cache, so dropping the last handle frees it and
+    every artifact it holds. *)
 
 type 'a t
 
@@ -34,9 +31,9 @@ type stats = {
 }
 
 val create : ?capacity:int -> name:string -> unit -> 'a t
-(** [create ~name ()] makes an empty cache and registers it for
-    {!registered_stats}.  [capacity] bounds resident entries (least
-    recently used evicted first); 0 (the default) means unbounded. *)
+(** [create ~name ()] makes an empty cache.  [capacity] bounds resident
+    entries (least recently used evicted first); 0 (the default) means
+    unbounded. *)
 
 val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
 (** [find_or_build t key build] returns the artifact under [key],
@@ -66,9 +63,3 @@ val reset_stats : 'a t -> unit
 
 val stats : 'a t -> stats
 val name : 'a t -> string
-
-val registered_stats : unit -> stats list
-(** Stats for every cache created in this process, in creation order. *)
-
-val clear_registered : unit -> int
-(** {!clear} every registered cache; returns total artifacts dropped. *)

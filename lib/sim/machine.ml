@@ -342,7 +342,7 @@ let backend_of_name = function
   | "native" -> Some `Native
   | _ -> None
 
-let run ?config ?profile ?sink ?on_block ?image ?cache_dir ?use_cache
+let run ?config ?profile ?sink ?on_block ?image ?cache_dir
     ?(backend = `Compiled) (p : Mir.Program.t) ~input =
   let image () = match image with Some i -> i | None -> Image.build p in
   match backend with
@@ -352,5 +352,5 @@ let run ?config ?profile ?sink ?on_block ?image ?cache_dir ?use_cache
       (Compiled.compile (image ()))
       ~input
   | `Native ->
-    Native.run_image ?config ?profile ?sink ?on_block ?cache_dir ?use_cache
-      (image ()) ~input
+    Native.run_image ?config ?profile ?sink ?on_block ?cache_dir (image ())
+      ~input

@@ -57,7 +57,6 @@ val run :
   ?on_block:(func:string -> label:string -> unit) ->
   ?image:Image.t ->
   ?cache_dir:string ->
-  ?use_cache:bool ->
   ?backend:backend ->
   Mir.Program.t ->
   input:string ->
@@ -83,8 +82,8 @@ val run :
 
     [image] is [p]'s {!Image.build}, for a caller that already holds it;
     the two fast engines run it instead of lowering [p] again.
-    [cache_dir] and [use_cache] are passed to {!Native.run_image}.  The
-    reference engine ignores all three. *)
+    [cache_dir] is passed to {!Native.run_image}.  The reference engine
+    ignores both. *)
 
 val run_reference :
   ?config:config ->

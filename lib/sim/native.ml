@@ -60,8 +60,6 @@ let enabled () = !enabled_flag
 
 let default_cache_dir_override = ref (None : string option)
 let set_default_cache_dir d = default_cache_dir_override := d
-let default_use_cache = ref true
-let set_default_use_cache b = default_use_cache := b
 
 type stats = {
   memo_hits : int;
@@ -714,21 +712,25 @@ let rec mkdirs d =
    bytes, verified before every disk-hit load.  Dynlink's own interface
    CRCs catch ABI skew but happily map a bit-flipped artifact whose
    tables still parse; the sidecar catches silent disk corruption
-   before the code is executed.  A mismatching artifact is not deleted —
-   it is moved aside into [root/quarantine/] (forensics beat erasure)
-   and rebuilt from source as if it had never existed. *)
+   before the code is executed.  A mismatching or sidecar-less artifact
+   is not deleted — it is moved aside into [root/quarantine/]
+   (forensics beat erasure) and rebuilt from source as if it had never
+   existed. *)
 
 let sum_path cmxs = cmxs ^ ".sum"
 
 let file_digest path =
   try Some (Digest.to_hex (Digest.file path)) with _ -> None
 
-let write_sum cmxs =
-  match file_digest cmxs with
+(* the sidecar of [dest] holds the digest of [bytes], the build output
+   about to be renamed onto [dest]: written first, so a store [.cmxs]
+   is never seen without one *)
+let write_sum ~bytes dest =
+  match file_digest bytes with
   | None -> ()
   | Some d -> (
     try
-      let oc = open_out_bin (sum_path cmxs) in
+      let oc = open_out_bin (sum_path dest) in
       output_string oc d;
       close_out oc
     with _ -> ())
@@ -741,14 +743,10 @@ let read_sum cmxs =
     if String.length s = 32 then Some s else None
   with _ -> None
 
-(* [None] = no sidecar (an artifact predating checksums); [Some ok] *)
 let checksum_ok cmxs =
-  match read_sum cmxs with
-  | None -> None
-  | Some expect -> (
-    match file_digest cmxs with
-    | Some actual -> Some (String.equal actual expect)
-    | None -> Some false)
+  match (read_sum cmxs, file_digest cmxs) with
+  | Some expect, Some actual -> String.equal actual expect
+  | _ -> false
 
 let quarantine_dir_name = "quarantine"
 
@@ -911,22 +909,12 @@ let compile_and_load tc ~build_dir ~modname ~source ~install =
   end
   else begin
     Atomic.incr s_compiles;
-    let final =
-      match install with
-      | Some dest ->
-        mkdirs (Filename.dirname dest);
-        (try Sys.rename out dest with _ -> ());
-        if Sys.file_exists dest then begin
-          write_sum dest;
-          dest
-        end
-        else out
-      | None -> out
-    in
-    let r = load_entry final in
+    mkdirs (Filename.dirname install);
+    write_sum ~bytes:out install;
+    (try Sys.rename out install with _ -> ());
+    let r = load_entry (if Sys.file_exists install then install else out) in
     (* the object file can be unlinked once mapped *)
-    if install = None || final <> Filename.concat build_dir (modname ^ ".cmxs")
-    then ignore (remove_tree build_dir);
+    ignore (remove_tree build_dir);
     r
   end
 
@@ -934,7 +922,7 @@ exception Load_failed of string
 
 let build_seq = Atomic.make 0
 
-let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
+let prepare ?cache_dir img : (t, string) Stdlib.result =
   let n_epoch = Atomic.get memo_epoch in
   if not !enabled_flag then Error "native backend disabled"
   else
@@ -948,9 +936,6 @@ let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
         let key = Digest.to_hex (Digest.string (fpr ^ "\n" ^ source)) in
         let modname = "bromc_native_" ^ key in
         let load () =
-          let use_cache =
-            match use_cache with Some b -> b | None -> !default_use_cache
-          in
           let root =
             match cache_dir with Some d -> d | None -> default_cache_root ()
           in
@@ -966,41 +951,29 @@ let prepare ?cache_dir ?use_cache img : (t, string) Stdlib.result =
                 (Atomic.fetch_and_add build_seq 1)
                 key
             in
-            let build_dir =
-              if use_cache then Filename.concat root ("tmp-" ^ tag)
-              else
-                Filename.concat
-                  (Filename.get_temp_dir_name ())
-                  ("bromc-native-" ^ tag)
-            in
-            compile_and_load tc ~build_dir ~modname ~source
-              ~install:(if use_cache then Some cached else None)
+            compile_and_load tc
+              ~build_dir:(Filename.concat root ("tmp-" ^ tag))
+              ~modname ~source ~install:cached
           in
           let rebuild_after_quarantine () =
             quarantine ~root cached;
             build ()
           in
           let loaded =
-            if use_cache && Sys.file_exists cached then begin
-              match checksum_ok cached with
-              | Some false ->
-                (* bytes do not match the sidecar: the store is corrupt;
-                   move the artifact aside and rebuild *)
+            if not (Sys.file_exists cached) then build ()
+            else if not (checksum_ok cached) then
+              (* bytes do not match the sidecar, or it is missing: the
+                 store is corrupt; move the artifact aside and rebuild *)
+              rebuild_after_quarantine ()
+            else
+              match load_entry cached with
+              | Ok e ->
+                Atomic.incr s_disk_hits;
+                Ok e
+              | Error _ ->
+                (* checksum fine but Dynlink rejects it (stale schema,
+                   ABI skew): same remedy *)
                 rebuild_after_quarantine ()
-              | (Some true | None) as verdict -> (
-                (* no sidecar = an artifact predating checksums: adopt it
-                   by writing one now *)
-                if verdict = None then write_sum cached;
-                match load_entry cached with
-                | Ok e ->
-                  Atomic.incr s_disk_hits;
-                  Ok e
-                | Error _ ->
-                  (* checksum fine but Dynlink rejects it (stale schema,
-                     ABI skew): same remedy *)
-                  rebuild_after_quarantine ())
-            end
-            else build ()
           in
           match loaded with Ok e -> e | Error e -> raise (Load_failed e)
         in
@@ -1080,9 +1053,8 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
   c.Counters.nops <- k.(ix_nops);
   { counters = c; output = Buffer.contents out; exit_code }
 
-let run_image ?config ?profile ?sink ?on_block ?cache_dir ?use_cache img
-    ~input =
-  match prepare ?cache_dir ?use_cache img with
+let run_image ?config ?profile ?sink ?on_block ?cache_dir img ~input =
+  match prepare ?cache_dir img with
   | Error msg -> raise (Unavailable msg)
   | Ok t -> exec ?config ?profile ?sink ?on_block t ~input
 
@@ -1224,7 +1196,6 @@ module Cache = struct
   type verify_report = {
     v_checked : int;
     v_ok : int;
-    v_healed : int;  (* legacy artifacts adopted by writing a sidecar *)
     v_quarantined : int;
   }
 
@@ -1233,8 +1204,7 @@ module Cache = struct
      [bromc cache --verify] (and the chaos CI job). *)
   let verify ?dir () =
     let root = match dir with Some d -> d | None -> default_cache_root () in
-    let checked = ref 0 and ok = ref 0 and healed = ref 0 in
-    let quarantined = ref 0 in
+    let checked = ref 0 and ok = ref 0 and quarantined = ref 0 in
     (match Sys.readdir root with
     | exception _ -> ()
     | entries ->
@@ -1250,21 +1220,13 @@ module Cache = struct
                   if Filename.check_suffix f ".cmxs" then begin
                     let cmxs = Filename.concat d f in
                     incr checked;
-                    match checksum_ok cmxs with
-                    | Some true -> incr ok
-                    | None ->
-                      write_sum cmxs;
-                      incr healed
-                    | Some false ->
+                    if checksum_ok cmxs then incr ok
+                    else begin
                       quarantine ~root cmxs;
                       incr quarantined
+                    end
                   end)
                 fs)
         entries);
-    {
-      v_checked = !checked;
-      v_ok = !ok;
-      v_healed = !healed;
-      v_quarantined = !quarantined;
-    }
+    { v_checked = !checked; v_ok = !ok; v_quarantined = !quarantined }
   end

@@ -48,11 +48,6 @@ val set_default_cache_dir : string option -> unit
     [BROMC_NATIVE_CACHE] environment variable, else
     [$XDG_CACHE_HOME/bromc/native], else [~/.cache/bromc/native]). *)
 
-val set_default_use_cache : bool -> unit
-(** Disable the on-disk store for calls that do not pass [~use_cache];
-    artifacts are then built in a temporary directory and deleted after
-    loading.  The in-memory table of loaded entry points still applies. *)
-
 type t
 (** A loaded image: generated, compiled (or fetched from the cache) and
     dynlinked, ready to execute any number of times. *)
@@ -64,8 +59,7 @@ val current : t -> bool
     A caller that holds a handle across requests checks this (one
     atomic read) and prepares again when it is retired. *)
 
-val prepare :
-  ?cache_dir:string -> ?use_cache:bool -> Image.t -> (t, string) result
+val prepare : ?cache_dir:string -> Image.t -> (t, string) result
 (** Generate, compile and load [img].  [Error] carries a diagnostic
     (toolchain missing, compiler output, ...) and leaves the caller
     free to degrade to another backend. *)
@@ -90,7 +84,6 @@ val run_image :
   ?sink:Predictor.sink ->
   ?on_block:(func:string -> label:string -> unit) ->
   ?cache_dir:string ->
-  ?use_cache:bool ->
   Image.t ->
   input:string ->
   Runtime.result
@@ -146,9 +139,10 @@ val clear_memo : unit -> unit
 
 (** The on-disk artifact store.  Layout: one subdirectory per
     compiler/ABI fingerprint, one [.cmxs] per image content hash with a
-    [.sum] sidecar holding the MD5 of its bytes.  The sidecar is
-    verified before every disk-hit load; an artifact that fails the
-    check (or that [Dynlink] rejects) is moved aside into a
+    [.sum] sidecar holding the MD5 of its bytes, written before the
+    artifact is renamed into place.  The sidecar is verified before
+    every disk-hit load; an artifact that fails the check, has no
+    sidecar, or that [Dynlink] rejects is moved aside into a
     [quarantine/] subdirectory — never silently deleted — and rebuilt
     from source. *)
 module Cache : sig
@@ -180,14 +174,14 @@ module Cache : sig
   type verify_report = {
     v_checked : int;  (** artifacts digested *)
     v_ok : int;  (** sidecar present and matching *)
-    v_healed : int;  (** pre-checksum artifacts adopted (sidecar written) *)
-    v_quarantined : int;  (** mismatches moved to [quarantine/] *)
+    v_quarantined : int;
+        (** mismatching or sidecar-less artifacts moved to
+            [quarantine/] *)
   }
 
   val verify : ?dir:string -> unit -> verify_report
   (** Proactive integrity sweep: digest every cached [.cmxs] against
       its [.sum] sidecar without waiting for a load to trip over the
-      corruption.  Mismatches are quarantined (the next request
-      rebuilds them); artifacts predating checksums get a sidecar
-      written from their current bytes. *)
+      corruption.  Mismatching and sidecar-less artifacts are
+      quarantined (the next request rebuilds them). *)
 end

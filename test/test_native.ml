@@ -380,39 +380,21 @@ let test_cache_hit_determinism () =
       let s3 = Sim.Native.stats () in
       check_int "third prepare is a memo hit" 1 s3.Sim.Native.memo_hits)
 
-let test_cache_disabled () =
-  require_native ();
-  with_temp_store (fun dir ->
-      let img = Sim.Image.build (compile_final "int main() { return 41; }") in
-      Sim.Native.clear_memo ();
-      (match Sim.Native.prepare ~cache_dir:dir ~use_cache:false img with
-      | Ok t ->
-        let r = Sim.Native.exec t ~input:"" in
-        check_int "exit code" 41 r.Sim.Machine.exit_code
-      | Error e -> Alcotest.failf "prepare: %s" e);
-      check_bool "store untouched with use_cache:false" true
-        ((not (Sys.file_exists dir)) || Sys.readdir dir = [||]))
-
-(* [Machine.run] is the one-shot dispatcher: the store options it takes
-   must reach the native engine unchanged *)
-let test_machine_run_store_options () =
+(* [Machine.run] is the one-shot dispatcher: the store directory it
+   takes must reach the native engine unchanged *)
+let test_machine_run_cache_dir () =
   require_native ();
   with_temp_store (fun dir ->
       let prog = compile_final "int main() { return 43; }" in
       let image = Sim.Image.build prog in
-      let run ?use_cache () =
+      let run () =
         let r =
-          Sim.Machine.run ~backend:`Native ~image ~cache_dir:dir ?use_cache
-            prog ~input:""
+          Sim.Machine.run ~backend:`Native ~image ~cache_dir:dir prog ~input:""
         in
         check_int "exit code" 43 r.Sim.Machine.exit_code
       in
       Sim.Native.clear_memo ();
       Sim.Native.reset_stats ();
-      run ~use_cache:false ();
-      check_bool "store untouched with use_cache:false" true
-        ((not (Sys.file_exists dir)) || Sys.readdir dir = [||]);
-      Sim.Native.clear_memo ();
       run ();
       check_bool "artifact stored under cache_dir" true
         (List.exists
@@ -537,12 +519,32 @@ let test_checksum_quarantine () =
       let s = Sim.Native.stats () in
       check_int "load path quarantined the damage" 1 s.Sim.Native.quarantined;
       check_int "and recompiled" 1 s.Sim.Native.compiles;
-      (* legacy adoption: strip the sidecar, verify writes one back *)
+      (* a sidecar-less artifact is trusted no more than a mismatching
+         one: verify quarantines it, and so does the load path *)
       Sys.remove (cmxs ^ ".sum");
       let v = Sim.Native.Cache.verify ~dir () in
-      check_int "verify: sidecar-less artifact adopted" 1
-        v.Sim.Native.Cache.v_healed;
-      check_bool "sidecar rewritten" true (Sys.file_exists (cmxs ^ ".sum")))
+      check_int "verify: sidecar-less artifact quarantined" 1
+        v.Sim.Native.Cache.v_quarantined;
+      check_bool "verify: store slot is free" false (Sys.file_exists cmxs);
+      Sim.Native.clear_memo ();
+      (match Sim.Native.prepare ~cache_dir:dir img with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "prepare after verify: %s" e);
+      Sys.remove (cmxs ^ ".sum");
+      Sim.Native.clear_memo ();
+      Sim.Native.reset_stats ();
+      (match Sim.Native.prepare ~cache_dir:dir img with
+      | Ok t ->
+        let r = Sim.Native.exec t ~input:"" in
+        check_int "sidecar-less artifact rebuilt, still correct" 7
+          r.Sim.Machine.exit_code
+      | Error e -> Alcotest.failf "sidecar-less prepare: %s" e);
+      let s = Sim.Native.stats () in
+      check_int "load path quarantined the sidecar-less artifact" 1
+        s.Sim.Native.quarantined;
+      check_int "and recompiled" 1 s.Sim.Native.compiles;
+      check_bool "rebuild wrote a sidecar" true
+        (Sys.file_exists (cmxs ^ ".sum")))
 
 (* ------------------------------------------------------------------ *)
 (* Degradation                                                         *)
@@ -625,10 +627,7 @@ let suite =
     slow_case "fuel sweep: every budget, three engines agree" test_fuel_sweep;
     case "cache: miss, disk hit, memo hit, determinism"
       test_cache_hit_determinism;
-    case "cache: use_cache:false leaves the store untouched"
-      test_cache_disabled;
-    case "cache: Machine.run passes cache_dir and use_cache"
-      test_machine_run_store_options;
+    case "cache: Machine.run passes cache_dir" test_machine_run_cache_dir;
     case "cache: list, evict stale fingerprints, clear"
       test_cache_clear_and_evict;
     case "cache: checksum mismatch quarantined and rebuilt"

@@ -67,6 +67,21 @@ let test_artifact_failed_build_retries () =
   check_int "successful build counted" 1 s.Sim.Artifact.a_builds;
   check_int "both attempts were misses" 2 s.Sim.Artifact.a_misses
 
+(* fill a cache, keep only a weak pointer to what it holds, and let the
+   cache go out of scope with the frame *)
+let[@inline never] dropped_cache_artifact () =
+  let cache : bytes Sim.Artifact.t = Sim.Artifact.create ~name:"t-drop" () in
+  let held = Weak.create 1 in
+  Weak.set held 0
+    (Some (Sim.Artifact.find_or_build cache "k" (fun () -> Bytes.make 64 'a')));
+  held
+
+let test_artifact_dropped_cache_collected () =
+  let held = dropped_cache_artifact () in
+  Gc.full_major ();
+  check_bool "artifact of a dropped cache is collected" false
+    (Weak.check held 0)
+
 (* ---------------------------------------------------------------- *)
 (* Profile shards and predictor banks                                *)
 (* ---------------------------------------------------------------- *)
@@ -815,6 +830,8 @@ let suite =
     case "artifact: single-flight across domains" test_artifact_single_flight;
     case "artifact: LRU eviction under capacity" test_artifact_lru_eviction;
     case "artifact: failed build leaves key cold" test_artifact_failed_build_retries;
+    case "artifact: a dropped cache frees its artifacts"
+      test_artifact_dropped_cache_collected;
     case "profile: shard absorb moves counts once" test_profile_shard_absorb;
     case "predictor: bank absorb merges telemetry" test_bank_absorb;
     case "pool: workers run, drain, shut down" test_workers_run_and_shutdown;
