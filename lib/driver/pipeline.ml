@@ -56,7 +56,7 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
   (* one lowering serves both the site names and the run itself *)
   let image = Sim.Image.build prog in
   let site_names = Sim.Image.sites image in
-  let tables : (string, Mopt.Profile_layout.counts) Hashtbl.t =
+  let tables : (string, Mopt.Reposition.counts) Hashtbl.t =
     Hashtbl.create 8
   in
   let count_branch ~site ~taken =
@@ -79,7 +79,7 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
     run_backend config ~sink:(Sim.Predictor.Sink_fun count_branch) ~image prog
       ~input:training_input
   in
-  ignore (Mopt.Profile_layout.run prog tables)
+  ignore (Mopt.Reposition.run_profiled prog tables)
 
 (* measure a finalized program on the test input with all predictors.
    With no history bits a predictor indexes its table by

@@ -63,78 +63,15 @@ let outcome_message = function
 exception Job_error of int * string * exn
 
 (* ------------------------------------------------------------------ *)
-(* The domain pool                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* the core fan-out: every item's [f] runs to completion (or to a
-   captured exception); nothing a single job does can discard another
-   job's slot *)
-let map_captured ?domains f xs =
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let d =
-    max 1 (min n (match domains with Some d -> d | None -> default_domains ()))
-  in
-  if d <= 1 then
-    List.map
-      (fun x ->
-        try Stdlib.Ok (f x)
-        with e -> Stdlib.Error (e, Printexc.get_raw_backtrace ()))
-      xs
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    (* each domain claims the next unstarted index; distinct slots, so
-       the plain writes are race-free, and [Domain.join] publishes them *)
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false
-        else
-          results.(i) <-
-            Some
-              (try Stdlib.Ok (f items.(i))
-               with e -> Stdlib.Error (e, Printexc.get_raw_backtrace ()))
-      done
-    in
-    let spawned = List.init (d - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.to_list results
-    |> List.map (function Some r -> r | None -> assert false)
-  end
-
-let default_label i _ = Printf.sprintf "job %d" i
-
-let map ?domains ?(label = default_label) f xs =
-  let rec first i xs rs =
-    match (xs, rs) with
-    | _, [] -> None
-    | [], _ -> None
-    | x :: xs, r :: rs -> (
-      match r with
-      | Stdlib.Ok _ -> first (i + 1) xs rs
-      | Stdlib.Error (e, bt) -> Some (i, x, e, bt))
-  in
-  let rs = map_captured ?domains f xs in
-  match first 0 xs rs with
-  | Some (i, x, e, bt) ->
-    (* fail fast, but name the job: the caller asked for all-or-nothing *)
-    Printexc.raise_with_backtrace (Job_error (i, label i x, e)) bt
-  | None ->
-    List.map (function Stdlib.Ok r -> r | Stdlib.Error _ -> assert false) rs
-
-(* ------------------------------------------------------------------ *)
 (* Long-lived worker pool                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* [map] spawns domains per call, which is the right shape
-   for batch fan-out but not for a daemon taking an open-ended request
-   stream: domain spawn is milliseconds, and per-domain state (profile
-   shards) needs workers with stable identities.  [Workers] keeps [n]
-   domains alive pulling tasks off one queue; every task learns the
-   index of the worker running it. *)
+(* a daemon taking an open-ended request stream wants the domain spawn
+   (milliseconds) paid once, and per-domain state (profile shards) needs
+   workers with stable identities.  [Workers] keeps [n] domains alive
+   pulling tasks off one queue; every task learns the index of the
+   worker running it.  Batch fan-out ([map] below) is one pool per
+   call, shut down when its queue drains. *)
 module Workers = struct
   exception Overloaded of { depth : int; cap : int }
 
@@ -269,3 +206,42 @@ module Workers = struct
     Mutex.unlock t.w_lock;
     List.iter Domain.join ds
 end
+
+(* ------------------------------------------------------------------ *)
+(* Fan-out                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let default_label i _ = Printf.sprintf "job %d" i
+
+(* every item's [f] runs to completion (or to a captured exception) on a
+   [Workers] pool of at most one domain per item; nothing a single job
+   does can discard another job's slot.  Distinct slots, so the plain
+   writes are race-free, and [Workers.shutdown]'s joins publish them *)
+let map ?domains ?(label = default_label) f xs =
+  let captured x =
+    try Stdlib.Ok (f x) with e -> Stdlib.Error (e, Printexc.get_raw_backtrace ())
+  in
+  let n = List.length xs in
+  let d = min n (match domains with Some d -> d | None -> default_domains ()) in
+  let rs =
+    if d <= 1 then List.map captured xs
+    else begin
+      let results = Array.make n None in
+      let pool = Workers.create ~domains:d () in
+      List.iteri
+        (fun i x -> Workers.post pool (fun ~worker:_ -> results.(i) <- Some (captured x)))
+        xs;
+      Workers.shutdown pool;
+      Array.to_list results |> List.map Option.get
+    end
+  in
+  (* fail fast, but name the first failed job in input order: the caller
+     asked for all-or-nothing *)
+  List.iteri
+    (fun i (x, r) ->
+      match r with
+      | Stdlib.Ok _ -> ()
+      | Stdlib.Error (e, bt) ->
+        Printexc.raise_with_backtrace (Job_error (i, label i x, e)) bt)
+    (List.combine xs rs);
+  List.map (function Stdlib.Ok r -> r | Stdlib.Error _ -> assert false) rs

@@ -1,8 +1,8 @@
 (** A bounded pool of OCaml 5 domains for fanning out independent
     measurement jobs (one {!Pipeline} run per workload).
 
-    Work items are claimed from a shared atomic counter, results land in
-    their input slot, and the caller receives them in input order — so
+    {!map} posts one task per item to a {!Workers} pool made for the
+    call, results land in their input slot, and the caller receives them in input order — so
     output is deterministic regardless of scheduling.  Every job runs to
     completion (or to a captured exception) whatever its siblings do;
     {!map} then re-raises the first failure (in input order) wrapped in
@@ -66,12 +66,11 @@ val map : ?domains:int -> ?label:(int -> 'a -> string) -> ('a -> 'b) -> 'a list 
 
 (** {2 Long-lived worker pool}
 
-    {!map} spawns fresh domains per call — right for batch
-    fan-out, wrong for a daemon serving an open-ended request stream,
-    which wants the spawn cost paid once and stable worker identities
-    (per-domain profile shards are indexed by worker).  A {!Workers.t}
-    keeps [n] domains alive pulling tasks off one queue until
-    {!Workers.shutdown} drains and joins them. *)
+    A daemon serving an open-ended request stream wants the domain spawn
+    cost paid once and stable worker identities (per-domain profile
+    shards are indexed by worker).  A {!Workers.t} keeps [n] domains
+    alive pulling tasks off one queue until {!Workers.shutdown} drains
+    and joins them; {!map} is one such pool per call. *)
 module Workers : sig
   type t
 

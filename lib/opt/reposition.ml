@@ -1,11 +1,26 @@
-let preferred_fallthrough (b : Mir.Block.t) =
-  match b.Mir.Block.term.kind with
-  | Mir.Block.Br (_, _, not_taken) -> Some not_taken
+type counts = (string, int * int) Hashtbl.t
+
+(* the successor we want placed next: the branch arm executed more often
+   (a branch whose taken arm ran more is inverted so that arm falls
+   through), the not-taken arm when no counts say otherwise, the jump
+   target, or the switch default *)
+let preferred_fallthrough counts (b : Mir.Block.t) =
+  match b.Mir.Block.term.Mir.Block.kind with
+  | Mir.Block.Br (cond, taken, not_taken) -> (
+    match Option.bind counts (fun c -> Hashtbl.find_opt c b.Mir.Block.label) with
+    | Some (t, nt) when t > nt ->
+      b.Mir.Block.term <-
+        {
+          b.Mir.Block.term with
+          Mir.Block.kind = Mir.Block.Br (Mir.Cond.negate cond, not_taken, taken);
+        };
+      Some taken
+    | _ -> Some not_taken)
   | Mir.Block.Jmp l -> Some l
   | Mir.Block.Switch (_, _, default) -> Some default
   | Mir.Block.Jtab _ | Mir.Block.Ret _ -> None
 
-let run_func (fn : Mir.Func.t) =
+let run_func ?counts (fn : Mir.Func.t) =
   match fn.Mir.Func.blocks with
   | [] -> false
   | original ->
@@ -15,13 +30,10 @@ let run_func (fn : Mir.Func.t) =
       original;
     let placed = Hashtbl.create 64 in
     let order = ref [] in
-    let place (b : Mir.Block.t) =
-      Hashtbl.replace placed b.Mir.Block.label ();
-      order := b :: !order
-    in
     let rec chain (b : Mir.Block.t) =
-      place b;
-      match preferred_fallthrough b with
+      Hashtbl.replace placed b.Mir.Block.label ();
+      order := b :: !order;
+      match preferred_fallthrough counts b with
       | Some next when not (Hashtbl.mem placed next) -> (
         match Hashtbl.find_opt by_label next with
         | Some nb -> chain nb
@@ -44,5 +56,10 @@ let run_func (fn : Mir.Func.t) =
     fn.Mir.Func.blocks <- new_order;
     changed
 
-let run (p : Mir.Program.t) =
-  List.fold_left (fun acc fn -> run_func fn || acc) false p.Mir.Program.funcs
+let run_profiled (p : Mir.Program.t) tables =
+  List.fold_left
+    (fun acc (fn : Mir.Func.t) ->
+      match Hashtbl.find_opt tables fn.Mir.Func.name with
+      | Some counts -> run_func ~counts fn || acc
+      | None -> acc)
+    false p.Mir.Program.funcs

@@ -687,9 +687,9 @@ let test_profile_layout_inverts_hot_branch () =
        (Mir.Block.Br (Mir.Cond.Eq, "hot", "cold")));
   Mir.Func.add_block fn (Mir.Block.make ~label:"cold" [] (Mir.Block.Ret None));
   Mir.Func.add_block fn (Mir.Block.make ~label:"hot" [] (Mir.Block.Ret None));
-  let counts : Mopt.Profile_layout.counts = Hashtbl.create 4 in
+  let counts : Mopt.Reposition.counts = Hashtbl.create 4 in
   Hashtbl.replace counts "entry" (90, 10);
-  check_bool "changed" true (Mopt.Profile_layout.run_func fn counts);
+  check_bool "changed" true (Mopt.Reposition.run_func ~counts fn);
   (* the branch is inverted so the hot arm falls through *)
   (match (Mir.Func.entry fn).Mir.Block.term.Mir.Block.kind with
   | Mir.Block.Br (Mir.Cond.Ne, "cold", "hot") -> ()
@@ -768,8 +768,8 @@ let prefix n text =
 
 (* The finalized original and reordered programs of every (program,
    heuristic set, trained/static) configuration, on inputs cut to 512
-   bytes: an MD5 of each program's text, pinned by a golden. *)
-let test_finalize_digests () =
+   bytes: an MD5 of each program's text, pinned by [golden]. *)
+let check_digests ~golden ~profile_layout =
   let buf = Buffer.create 16384 in
   List.iter
     (fun profile ->
@@ -779,7 +779,8 @@ let test_finalize_digests () =
             (fun (w : Workloads.Spec.t) ->
               let config =
                 { Driver.Config.default with
-                  Driver.Config.verify = true; heuristic = hs; profile }
+                  Driver.Config.verify = true; heuristic = hs; profile;
+                  profile_layout }
               in
               let r =
                 Driver.Pipeline.run ~config ~name:w.Workloads.Spec.name
@@ -803,7 +804,14 @@ let test_finalize_digests () =
             Workloads.Registry.all)
         Mopt.Switch_lower.all_sets)
     [ `Trained; `Static ];
-  check_golden "finalize-digests.txt" (Buffer.contents buf)
+  check_golden golden (Buffer.contents buf)
+
+let test_finalize_digests () =
+  check_digests ~golden:"finalize-digests.txt" ~profile_layout:false
+
+(* the same configurations with profile-guided layout after reordering *)
+let test_profile_layout_digests () =
+  check_digests ~golden:"profile-layout-digests.txt" ~profile_layout:true
 
 let suite =
   [
@@ -868,4 +876,6 @@ let suite =
     case "profile layout: hot arm falls through"
       test_profile_layout_inverts_hot_branch;
     case "profile layout: pipeline integration" test_profile_layout_pipeline;
+    slow_case "profile layout: programs match golden digests"
+      test_profile_layout_digests;
   ]
