@@ -42,6 +42,10 @@ type result = {
   r_reordered : version;
 }
 
+val sim_config : Config.t -> Sim.Machine.config
+(** The simulator settings a config runs under: its [fuel] and
+    [cancel], every other field at {!Sim.Machine.default_config}. *)
+
 val compile_base : Config.t -> string -> Mir.Program.t
 (** Front end + switch lowering + conventional optimizations (no
     reordering, no delay slots). *)

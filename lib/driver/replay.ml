@@ -134,29 +134,6 @@ let percentile sorted p =
 (* Chaos: environment fault application                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* where the server's native rung keeps its .cmxs artifacts *)
-let native_store_dir (config : Config.t) =
-  let root =
-    match config.Config.native_cache_dir with
-    | Some d -> d
-    | None -> Sim.Native.Cache.default_dir ()
-  in
-  match Sim.Native.Cache.fingerprint () with
-  | None -> None
-  | Some fpr -> Some (Filename.concat root fpr)
-
-let list_artifacts config =
-  match native_store_dir config with
-  | None -> []
-  | Some dir -> (
-    match Sys.readdir dir with
-    | files ->
-      Array.to_list files
-      |> List.filter (fun f -> Filename.check_suffix f ".cmxs")
-      |> List.sort compare
-      |> List.map (Filename.concat dir)
-    | exception Sys_error _ -> [])
-
 (* Damage an artifact by writing the damaged bytes to a sibling file
    and renaming it over the original — never in place: the original
    inode may be dlopen-mmapped by this very process (a loaded plugin),
@@ -205,7 +182,7 @@ let truncate_file path =
    in-process memo so the next native request must reload from disk
    and trip over the damage *)
 let apply_artifact_fault config ~request kind =
-  match list_artifacts config with
+  match Sim.Native.Cache.artifacts ?dir:config.Config.native_cache_dir () with
   | [] -> false
   | artifacts ->
     let victim = List.nth artifacts (request mod List.length artifacts) in

@@ -66,12 +66,9 @@ type t = {
   sample_every : int;
   merge_every : int;
   drift_min_execs : int;
-  programs : entry Sim.Artifact.t;
-  mir_cache : Mir.Program.t Sim.Artifact.t;
+  programs : entry Sim.Artifact.t;  (* unbounded: every program served *)
   image_cache : Sim.Image.t Sim.Artifact.t;
   closure_cache : Sim.Compiled.t Sim.Artifact.t;
-  entries : entry list ref;  (* for sync/stats iteration *)
-  entries_lock : Mutex.t;
   ticks : int array;  (* per-worker request count (worker-private slot) *)
   banks : Sim.Predictor.bank array;  (* per-worker shadow telemetry *)
   bank_locks : Mutex.t array;
@@ -138,13 +135,6 @@ let content_key t source =
   Digest.to_hex (Digest.string (t.fingerprint ^ "\x00" ^ source))
 
 let gen_key key gen = Printf.sprintf "%s#g%d" key gen
-
-let sim_config ?(cancel = None) t =
-  {
-    Sim.Machine.default_config with
-    Sim.Machine.fuel = t.config.Config.fuel;
-    Sim.Machine.cancel = cancel;
-  }
 
 let signature_of t base seqs table =
   Reorder.Drift.signature ~selector:t.config.Config.selector
@@ -219,17 +209,20 @@ let snapshot_due t =
   | None -> false
   | Some w -> State.appended w - Atomic.get t.snap_mark >= t.snapshot_every
 
+(* every built program, by name (content key among equal names) *)
+let entries t =
+  List.stable_sort
+    (fun a b -> String.compare a.e_name b.e_name)
+    (Sim.Artifact.ready t.programs)
+
 (* [f e] for every entry, each under its [e_merge] taken one at a
    time: callers must hold NO [e_merge] *)
 let map_entries_locked t f =
-  Mutex.lock t.entries_lock;
-  let es = !(t.entries) in
-  Mutex.unlock t.entries_lock;
   List.map
     (fun e ->
       Mutex.lock e.e_merge;
       Fun.protect ~finally:(fun () -> Mutex.unlock e.e_merge) (fun () -> f e))
-    es
+    (entries t)
 
 (* write a full snapshot and truncate the journal; caller holds
    [snap_lock] and NO [e_merge].  A merge that lands between record
@@ -254,16 +247,13 @@ let snapshot t =
       ~finally:(fun () -> Mutex.unlock t.snap_lock)
       (fun () -> write_snapshot_locked t)
 
-(* the one entry constructor: parse + optimize the base once (through
-   [mir_cache]), detect, instrument, let [fill] give the fresh table its
+(* the one entry constructor: parse + optimize the base, detect,
+   instrument, let [fill] give the fresh table its
    counts, reoptimize under them and pre-build every serving artifact
    of [generation].  [last_opt] defaults to the filled table's
    executions *)
 let make_entry t ~name ~key ~source ~generation ?last_opt fill =
-  let base =
-    Sim.Artifact.find_or_build t.mir_cache key (fun () ->
-        Pipeline.compile_base t.config source)
-  in
+  let base = Pipeline.compile_base t.config source in
   let seqs = Pipeline.detect_seqs t.config base in
   let train_prog, table = Pipeline.instrument t.config base seqs in
   let train_compiled = Sim.Compiled.compile (Sim.Image.build train_prog) in
@@ -310,14 +300,11 @@ let build_entry t ~name ~key ~source ~input =
              caller *)
           (try
              ignore
-               (Sim.Compiled.exec ~config:(sim_config t) ~profile:table
-                  train_compiled ~input)
+               (Sim.Compiled.exec ~config:(Pipeline.sim_config t.config)
+                  ~profile:table train_compiled ~input)
            with _ -> ());
           if mode = `Both then Reorder.Profiles.add_static base seqs table)
   in
-  Mutex.lock t.entries_lock;
-  t.entries := !(t.entries) @ [ entry ];
-  Mutex.unlock t.entries_lock;
   (* journal the newborn entry: a crash before its first merge must
      still find the program (training counts included) on restart *)
   (match t.journal with
@@ -355,11 +342,7 @@ let restore_state t dir =
           Sim.Artifact.find_or_build t.programs p.State.p_key (fun () ->
               restore_entry t p)
         with
-        | entry ->
-          Mutex.lock t.entries_lock;
-          t.entries := !(t.entries) @ [ entry ];
-          Mutex.unlock t.entries_lock;
-          Atomic.incr t.restored
+        | _ -> Atomic.incr t.restored
         | exception _ -> ())
     r.State.r_programs;
   (try
@@ -391,11 +374,8 @@ let create ?(config = Config.default) ?domains ?(sample_every = 4)
       merge_every;
       drift_min_execs;
       programs = Sim.Artifact.create ~name:"programs" ();
-      mir_cache = Sim.Artifact.create ~name:"mir" ();
       image_cache = Sim.Artifact.create ~name:"image" ();
       closure_cache = Sim.Artifact.create ~name:"closure" ();
-      entries = ref [];
-      entries_lock = Mutex.create ();
       ticks = Array.make n 0;
       banks = Array.init n (fun _ -> Sim.Predictor.bank config.Config.predictors);
       bank_locks = Array.init n (fun _ -> Mutex.create ());
@@ -503,7 +483,7 @@ let sync t =
 (* ------------------------------------------------------------------ *)
 
 let exec_rung t (art : artifact) backend ~cancel ~input =
-  let sc = sim_config ~cancel t in
+  let sc = Pipeline.sim_config { t.config with Config.cancel } in
   match backend with
   | `Native ->
     let n =
@@ -535,8 +515,8 @@ let shadow_run t (e : entry) ~worker ~input =
   Mutex.lock t.bank_locks.(worker);
   (try
      ignore
-       (Sim.Compiled.exec ~config:(sim_config t) ~profile:shard
-          ~sink:(Sim.Predictor.Sink_bank t.banks.(worker))
+       (Sim.Compiled.exec ~config:(Pipeline.sim_config t.config)
+          ~profile:shard ~sink:(Sim.Predictor.Sink_bank t.banks.(worker))
           e.e_train_compiled ~input)
    with _ -> ());
   Mutex.unlock t.bank_locks.(worker);
@@ -671,7 +651,8 @@ let oracle t ~name ~source ~input =
         build_entry t ~name ~key ~source ~input)
   in
   let r =
-    Sim.Machine.run_reference ~config:(sim_config t) entry.e_base ~input
+    Sim.Machine.run_reference ~config:(Pipeline.sim_config t.config)
+      entry.e_base ~input
   in
   (r.Sim.Machine.output, r.Sim.Machine.exit_code)
 
@@ -686,7 +667,6 @@ let stats t =
     st_caches =
       [
         Sim.Artifact.stats t.programs;
-        Sim.Artifact.stats t.mir_cache;
         Sim.Artifact.stats t.image_cache;
         Sim.Artifact.stats t.closure_cache;
       ];
@@ -695,15 +675,12 @@ let stats t =
     st_overloaded = Pool.Workers.shed t.pool;
     st_restored = Atomic.get t.restored;
     st_programs =
-      (Mutex.lock t.entries_lock;
-       let es = !(t.entries) in
-       Mutex.unlock t.entries_lock;
-       List.map
-         (fun e ->
-           ( e.e_name,
-             (Atomic.get e.e_artifact).a_generation,
-             Sim.Profile.total_executions e.e_global ))
-         es);
+      List.map
+        (fun e ->
+          ( e.e_name,
+            (Atomic.get e.e_artifact).a_generation,
+            Sim.Profile.total_executions e.e_global ))
+        (entries t);
   }
 
 let stats_json st =

@@ -2,8 +2,9 @@
 
     A server owns a {!Pool.Workers} pool and fans run requests across
     it.  In front of the engines sit three content-hash
-    {!Sim.Artifact} caches — parsed MIR, pre-decoded {!Sim.Image}s and
-    compiled closure programs (the native rung additionally reuses
+    {!Sim.Artifact} caches — program entries (the optimized base, its
+    training clone, profiles and served generation), pre-decoded
+    {!Sim.Image}s and compiled closure programs (the native rung additionally reuses
     {!Sim.Native}'s on-disk [.cmxs] store and in-process memo) — so
     each distinct program is parsed, trained, reordered, pre-decoded
     and compiled {e once} and then served from warm artifacts, with
@@ -81,7 +82,8 @@ type stats = {
   st_merges : int;  (** shard-merge passes *)
   st_reopts : int;  (** drift-triggered re-optimizations *)
   st_domains : int;
-  st_caches : Sim.Artifact.stats list;  (** program/MIR/image/closure *)
+  st_caches : Sim.Artifact.stats list;
+      (** the [programs], [image] and [closure] caches, in that order *)
   st_native : Sim.Native.stats;
   st_mispredicts : ((int * int * int) * (int * int)) list;
       (** merged shadow-run telemetry per predictor key:
@@ -89,7 +91,8 @@ type stats = {
   st_overloaded : int;  (** requests shed by admission control *)
   st_restored : int;  (** programs warm-started from [state_dir] *)
   st_programs : (string * int * int) list;
-      (** per program: (name, served generation, profile executions) *)
+      (** per program, ordered by name: (name, served generation,
+          profile executions) *)
 }
 
 val create :

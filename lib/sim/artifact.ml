@@ -52,7 +52,16 @@ let stats t =
   Mutex.unlock t.lock;
   s
 
-let name t = t.name
+let ready t =
+  Mutex.lock t.lock;
+  let rs =
+    Hashtbl.fold
+      (fun k slot acc ->
+        match slot with Ready e -> (k, e.value) :: acc | Building -> acc)
+      t.table []
+  in
+  Mutex.unlock t.lock;
+  List.map snd (List.sort (fun (a, _) (b, _) -> String.compare a b) rs)
 
 let clear t =
   Mutex.lock t.lock;

@@ -61,5 +61,9 @@ val reset_stats : 'a t -> unit
 (** Zero the event counters (hits, misses, builds, evictions,
     failures); resident artifacts and the capacity are kept. *)
 
+val ready : 'a t -> 'a list
+(** Every resident artifact, in key order; in-flight builds are left
+    out.  Counts neither a hit nor a miss and does not touch the LRU
+    order. *)
+
 val stats : 'a t -> stats
-val name : 'a t -> string

@@ -698,6 +698,8 @@ let default_cache_root () =
       in
       Filename.concat (Filename.concat base "bromc") "native"))
 
+let cache_root dir = match dir with Some d -> d | None -> default_cache_root ()
+
 let rec mkdirs d =
   if not (Sys.file_exists d) then begin
     mkdirs (Filename.dirname d);
@@ -936,9 +938,7 @@ let prepare ?cache_dir img : (t, string) Stdlib.result =
         let key = Digest.to_hex (Digest.string (fpr ^ "\n" ^ source)) in
         let modname = "bromc_native_" ^ key in
         let load () =
-          let root =
-            match cache_dir with Some d -> d | None -> default_cache_root ()
-          in
+          let root = cache_root cache_dir in
           let cached =
             Filename.concat (Filename.concat root fpr) (modname ^ ".cmxs")
           in
@@ -1126,42 +1126,52 @@ module Cache = struct
     e_current : bool;
   }
 
-  let list ?dir () =
-    let root = match dir with Some d -> d | None -> default_cache_root () in
-    let current = fingerprint () in
+  (* the [.cmxs] artifacts of one fingerprint directory, sorted *)
+  let artifacts_in d =
+    match Sys.readdir d with
+    | exception Sys_error _ -> []
+    | fs ->
+      Array.to_list fs
+      |> List.filter (fun f -> Filename.check_suffix f ".cmxs")
+      |> List.sort compare
+      |> List.map (Filename.concat d)
+
+  (* the one walk of the store: every directory under the root but the
+     quarantine, by name, with its artifacts *)
+  let walk root =
     match Sys.readdir root with
-    | exception _ -> []
-    | entries ->
-      Array.to_list entries
+    | exception Sys_error _ -> []
+    | names ->
+      Array.to_list names
+      |> List.sort compare
       |> List.filter_map (fun name ->
              let d = Filename.concat root name in
              if name = quarantine_dir_name || not (Sys.is_directory d) then None
-             else
-               let files = ref 0 and bytes = ref 0 in
-               (match Sys.readdir d with
-               | fs ->
-                 Array.iter
-                   (fun f ->
-                     if Filename.check_suffix f ".cmxs" then begin
-                       incr files;
-                       bytes :=
-                         !bytes
-                         + (try (Unix.stat (Filename.concat d f)).Unix.st_size
-                            with _ -> 0)
-                     end)
-                   fs
-               | exception _ -> ());
-               Some
-                 {
-                   e_fingerprint = name;
-                   e_files = !files;
-                   e_bytes = !bytes;
-                   e_current = current = Some name;
-                 })
-      |> List.sort compare
+             else Some (name, d))
+
+  let artifacts ?dir () =
+    match fingerprint () with
+    | None -> []
+    | Some fpr -> artifacts_in (Filename.concat (cache_root dir) fpr)
+
+  let list ?dir () =
+    let current = fingerprint () in
+    List.map
+      (fun (name, d) ->
+        let files = artifacts_in d in
+        {
+          e_fingerprint = name;
+          e_files = List.length files;
+          e_bytes =
+            List.fold_left
+              (fun acc f -> acc + (try (Unix.stat f).Unix.st_size with _ -> 0))
+              0 files;
+          e_current = current = Some name;
+        })
+      (walk (cache_root dir))
 
   let clear ?dir () =
-    let root = match dir with Some d -> d | None -> default_cache_root () in
+    let root = cache_root dir in
     match Sys.readdir root with
     | exception _ -> 0
     | entries ->
@@ -1176,22 +1186,12 @@ module Cache = struct
         0 entries
 
   let evict_stale ?dir () =
-    let root = match dir with Some d -> d | None -> default_cache_root () in
     match fingerprint () with
     | None -> 0
-    | Some current -> (
-      match Sys.readdir root with
-      | exception _ -> 0
-      | entries ->
-        Array.fold_left
-          (fun acc name ->
-            let d = Filename.concat root name in
-            if
-              Sys.is_directory d && name <> current
-              && name <> quarantine_dir_name
-            then acc + remove_tree d
-            else acc)
-          0 entries)
+    | Some current ->
+      List.fold_left
+        (fun acc (name, d) -> if name <> current then acc + remove_tree d else acc)
+        0 (walk (cache_root dir))
 
   type verify_report = {
     v_checked : int;
@@ -1203,30 +1203,19 @@ module Cache = struct
      without waiting for a request to trip over the corruption.  Run by
      [bromc cache --verify] (and the chaos CI job). *)
   let verify ?dir () =
-    let root = match dir with Some d -> d | None -> default_cache_root () in
+    let root = cache_root dir in
     let checked = ref 0 and ok = ref 0 and quarantined = ref 0 in
-    (match Sys.readdir root with
-    | exception _ -> ()
-    | entries ->
-      Array.iter
-        (fun name ->
-          let d = Filename.concat root name in
-          if name <> quarantine_dir_name && Sys.is_directory d then
-            match Sys.readdir d with
-            | exception _ -> ()
-            | fs ->
-              Array.iter
-                (fun f ->
-                  if Filename.check_suffix f ".cmxs" then begin
-                    let cmxs = Filename.concat d f in
-                    incr checked;
-                    if checksum_ok cmxs then incr ok
-                    else begin
-                      quarantine ~root cmxs;
-                      incr quarantined
-                    end
-                  end)
-                fs)
-        entries);
+    List.iter
+      (fun (_, d) ->
+        List.iter
+          (fun cmxs ->
+            incr checked;
+            if checksum_ok cmxs then incr ok
+            else begin
+              quarantine ~root cmxs;
+              incr quarantined
+            end)
+          (artifacts_in d))
+      (walk root);
     { v_checked = !checked; v_ok = !ok; v_quarantined = !quarantined }
   end

@@ -160,6 +160,12 @@ module Cache : sig
   }
 
   val list : ?dir:string -> unit -> entry list
+  (** One entry per fingerprint directory (the [quarantine/]
+      subdirectory left out), by name. *)
+
+  val artifacts : ?dir:string -> unit -> string list
+  (** The paths of the current toolchain's [.cmxs] artifacts, sorted;
+      [[]] when no compiler is available. *)
 
   val clear : ?dir:string -> unit -> int
   (** Remove every cached artifact; returns the number of files

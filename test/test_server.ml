@@ -290,8 +290,6 @@ let test_server_cold_then_warm () =
       check_int "one cold" 1 st.Driver.Server.st_cold;
       check_int "program built once" 1
         (cache_stat st "programs").Sim.Artifact.a_builds;
-      check_int "MIR parsed once" 1
-        (cache_stat st "mir").Sim.Artifact.a_builds;
       (* the one JSON rendering: round-trips, and carries the union of
          the fields the serve line and the replay record used to print *)
       let j = Json.parse (Json.to_string (Driver.Server.stats_json st)) in
@@ -363,8 +361,6 @@ let test_server_concurrent_single_flight () =
       check_int "exactly one cold request" 1 st.Driver.Server.st_cold;
       check_int "single-flight: program pipeline ran once" 1
         (cache_stat st "programs").Sim.Artifact.a_builds;
-      check_int "single-flight: MIR parsed once" 1
-        (cache_stat st "mir").Sim.Artifact.a_builds;
       let out, _ = Driver.Server.oracle srv ~name:"wc" ~source:wc_source ~input in
       check_output "all of them match the oracle" out
         first.Driver.Server.rs_output)
