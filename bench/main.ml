@@ -881,44 +881,6 @@ let static_profile_section () =
     !at_half !compared
 
 (* ------------------------------------------------------------------ *)
-(* Serving-shaped load: warm artifact caches vs the cold pipeline       *)
-(* ------------------------------------------------------------------ *)
-
-let serve_section () =
-  section "Serve: warm-cache replay vs per-request pipeline";
-  let requests = if !fast then 150 else 500 in
-  let workloads =
-    if !fast then Some [ "wc"; "grep"; "sort"; "awk" ] else None
-  in
-  let o =
-    Driver.Replay.run ?workloads ~requests ~concurrency:(domains ())
-      ~check_every:25
-      ~progress:(fun m -> Printf.eprintf "[serve] %s\n%!" m)
-      ()
-  in
-  Printf.printf "%-28s %d ok / %d failed on %d domain(s)\n" "requests"
-    o.Driver.Replay.ro_ok o.Driver.Replay.ro_failed
-    o.Driver.Replay.ro_stats.Driver.Server.st_domains;
-  Printf.printf "%-28s %.1f req/s (p50 %.3f ms, p99 %.3f ms)\n"
-    "warm throughput" o.Driver.Replay.ro_throughput_rps
-    o.Driver.Replay.ro_p50_ms o.Driver.Replay.ro_p99_ms;
-  Printf.printf "%-28s %.2f ms/request (%.1f req/s)\n" "cold pipeline"
-    o.Driver.Replay.ro_cold_ms o.Driver.Replay.ro_cold_rps;
-  Printf.printf "%-28s %.1fx\n" "warm vs cold" o.Driver.Replay.ro_warm_ratio;
-  List.iter
-    (fun (s : Sim.Artifact.stats) ->
-      let total = s.Sim.Artifact.a_hits + s.Sim.Artifact.a_misses in
-      Printf.printf "%-28s %d/%d hit(s) (%.1f%%)\n"
-        ("cache " ^ s.Sim.Artifact.a_name)
-        s.Sim.Artifact.a_hits total
-        (if total = 0 then 0.
-         else 100. *. float_of_int s.Sim.Artifact.a_hits /. float_of_int total))
-    o.Driver.Replay.ro_stats.Driver.Server.st_caches;
-  Printf.printf "%-28s %d (checked %d, mismatches %d)\n" "drift re-opts"
-    o.Driver.Replay.ro_reopts o.Driver.Replay.ro_checked
-    o.Driver.Replay.ro_mismatches
-
-(* ------------------------------------------------------------------ *)
 
 let parse_args () =
   let rec go = function
@@ -976,7 +938,6 @@ let () =
   if want "detection" then detection ();
   if want "backends" then backends_section ();
   if want "speedup" && not !seq then speedup ();
-  if want "serve" then serve_section ();
   if want "static" then static_profile_section ();
   (* ablations are opt-in: they re-run the pipeline many times *)
   if List.mem "ablations" !sections then ablations ();

@@ -63,11 +63,6 @@ let of_cond cond c =
 
 let as_interval = function [ (lo, hi) ] -> Some (lo, hi) | _ -> None
 
-let to_iv s =
-  match (s, List.rev s) with
-  | [], _ | _, [] -> Iv.Bot
-  | (lo, _) :: _, (_, hi) :: _ -> Iv.Iv (lo, hi)
-
 let pp ppf s =
   let one ppf (lo, hi) =
     let b ppf x =

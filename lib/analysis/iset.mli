@@ -33,8 +33,6 @@ val of_cond : Mir.Cond.t -> int -> t
 val as_interval : t -> (int * int) option
 (** [Some (lo, hi)] when the set is one contiguous interval. *)
 
-val to_iv : t -> Iv.t
-(** Smallest interval covering the set ([Bot] when empty). *)
 
 val pp : Format.formatter -> t -> unit
 val show : t -> string

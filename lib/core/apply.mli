@@ -58,5 +58,10 @@ val compatible_for :
     this predicate many times per sequence); it is computed on the fly
     when absent. *)
 
+val strip_last_cmp : Mir.Block.t -> bool
+(** Remove the block's last compare wherever it sits, keeping the
+    instructions after it; [false] (and the block untouched) when it has
+    none. *)
+
 val apply_seq :
   Mir.Func.t -> Detect.t -> Select.choice -> options -> outcome

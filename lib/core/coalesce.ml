@@ -4,17 +4,6 @@ type plan = {
   targets : string array;
 }
 
-let has_cmp (b : Mir.Block.t) =
-  List.exists (function Mir.Insn.Cmp _ -> true | _ -> false) b.Mir.Block.insns
-
-let cc_needing fn label =
-  match Mir.Func.find_block_opt fn label with
-  | Some b -> (
-    match b.Mir.Block.term.Mir.Block.kind with
-    | Mir.Block.Br _ -> not (has_cmp b)
-    | _ -> false)
-  | None -> false
-
 let coalescible fn (seq : Detect.t) ~max_span =
   let items = seq.Detect.items in
   let pure = List.for_all (fun (it : Detect.item) -> it.Detect.sides = []) items in
@@ -25,11 +14,14 @@ let coalescible fn (seq : Detect.t) ~max_span =
         && Range.hi it.Detect.range < Range.max_value)
       items
   in
+  (* the table leaves the bounds compare's codes behind, so no target
+     may read the sequence's, also through a jump forwarder *)
   let targets_ok =
+    let ccl = Analysis.Cc_live.analyze fn in
     List.for_all
-      (fun (it : Detect.item) -> not (cc_needing fn it.Detect.target))
-      items
-    && not (cc_needing fn seq.Detect.default_target)
+      (fun target -> not (Analysis.Cc_live.live_in ccl target))
+      (seq.Detect.default_target
+      :: List.map (fun (it : Detect.item) -> it.Detect.target) items)
   in
   if not (pure && bounded && targets_ok && items <> []) then None
   else begin
@@ -68,22 +60,11 @@ let decide ~machine ~total ~reorder_cost plan =
   ignore plan;
   total * indirect_cost_per_execution machine < reorder_cost
 
-(* the sequence compare a facts-admitted head branches on may be
-   followed by further instructions: remove the last compare wherever it
-   sits (detection guarantees nothing after it redefines the variable,
-   so appending the table-bounds compare at the end stays correct) *)
-let strip_last_cmp (b : Mir.Block.t) =
-  let rec go post = function
-    | Mir.Insn.Cmp _ :: rev_pre ->
-      b.Mir.Block.insns <- List.rev_append rev_pre post
-    | i :: rest -> go (i :: post) rest
-    | [] -> ()
-  in
-  go [] (List.rev b.Mir.Block.insns)
-
 let apply fn (seq : Detect.t) plan =
   let head = Mir.Func.find_block fn seq.Detect.head in
-  strip_last_cmp head;
+  (* detection guarantees nothing after the sequence compare redefines
+     the variable, so the bounds compare can go at the end *)
+  ignore (Apply.strip_last_cmp head);
   let var = Mir.Operand.Reg seq.Detect.var in
   let tid = Mir.Func.add_jtable fn plan.targets in
   let idx = Mir.Func.fresh_reg fn in

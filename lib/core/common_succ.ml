@@ -357,23 +357,12 @@ let pair_cost ~counts ~first ~second ~swapped =
     counts;
   !total
 
-let retarget_term (t : Mir.Block.term) ~from ~into =
-  let swap l = if String.equal l from then into else l in
-  let kind =
-    match t.Mir.Block.kind with
-    | Mir.Block.Br (c, a, b) -> Mir.Block.Br (c, swap a, swap b)
-    | Mir.Block.Jmp l -> Mir.Block.Jmp (swap l)
-    | Mir.Block.Switch (r, cases, d) ->
-      Mir.Block.Switch (r, List.map (fun (v, l) -> (v, swap l)) cases, swap d)
-    | (Mir.Block.Jtab _ | Mir.Block.Ret _) as k -> k
-  in
-  { t with Mir.Block.kind }
-
 let retarget_run fn r ~from ~into =
   List.iter
     (fun l ->
       match Mir.Func.find_block_opt fn l with
-      | Some b -> b.Mir.Block.term <- retarget_term b.Mir.Block.term ~from ~into
+      | Some b ->
+        b.Mir.Block.term <- Mir.Block.retarget_term b.Mir.Block.term ~from ~into
       | None -> ())
     r.labels
 
@@ -427,7 +416,7 @@ let apply_pair (p : Mir.Program.t) (table : Sim.Profile.t) pr =
                 && not (List.mem b.Mir.Block.label pr.pr_second.labels)
               then
                 b.Mir.Block.term <-
-                  retarget_term b.Mir.Block.term ~from:h1 ~into:h2)
+                  Mir.Block.retarget_term b.Mir.Block.term ~from:h1 ~into:h2)
             fn.Mir.Func.blocks;
           List.iter
             (fun (jt : string array) ->

@@ -55,6 +55,21 @@ type t = {
   default_cc_const : int option; (** condition codes on the default edge *)
 }
 
+val in_bounds : int -> bool
+(** A compare constant strictly inside the representable range, so
+    both of a relational branch's ranges are non-empty. *)
+
+val defines_var : Mir.Reg.t -> Mir.Insn.t -> bool
+
+val split_last_cmp :
+  Mir.Insn.t list ->
+  (Mir.Insn.t list * Mir.Operand.t * Mir.Operand.t * Mir.Insn.t list) option
+(** Split at the last compare whose condition codes reach the
+    terminator: [Some (pre, a, b, post)], [None] when there is none or a
+    call after it clobbers the codes. *)
+
+val has_call : Mir.Block.t -> bool
+
 val items_count : t -> int
 val branches : t -> int
 (** Conditional branches the original sequence contains. *)

@@ -1,23 +1,6 @@
 module Iv = Analysis.Iv
 module Lint = Analysis.Lint
 
-let in_bounds c = c > Range.min_value && c < Range.max_value
-let defines_var var insn = List.exists (Mir.Reg.equal var) (Mir.Insn.defs insn)
-
-let has_call (b : Mir.Block.t) =
-  List.exists (function Mir.Insn.Call _ -> true | _ -> false) b.Mir.Block.insns
-
-(* same split as Detect: the last compare whose codes reach the
-   terminator, [None] when a call clobbers them first *)
-let split_last_cmp insns =
-  let rec go post = function
-    | Mir.Insn.Cmp (a, b) :: rev_pre -> Some (List.rev rev_pre, a, b, post)
-    | Mir.Insn.Call _ :: _ -> None
-    | i :: rest -> go (i :: post) rest
-    | [] -> None
-  in
-  go [] (List.rev insns)
-
 let block_effects ?intervals b =
   match Analysis.Purity.effects ?intervals b with
   | [] -> ""
@@ -46,9 +29,9 @@ let stop_reason fn fx (seq : Detect.t) ~member =
     | Mir.Block.Ret _ ->
       Format.asprintf "its continuation %s returns" stop
     | Mir.Block.Br _ -> (
-      match split_last_cmp sb.Mir.Block.insns with
+      match Detect.split_last_cmp sb.Mir.Block.insns with
       | None ->
-        if has_call sb then
+        if Detect.has_call sb then
           Format.asprintf
             "a call in %s clobbers the condition codes before its branch%s"
             stop
@@ -62,7 +45,7 @@ let stop_reason fn fx (seq : Detect.t) ~member =
       | Some (pre, a, cb, post) -> (
         let sides_bad insns =
           List.exists
-            (fun i -> defines_var var i || Mir.Insn.is_profile i)
+            (fun i -> Detect.defines_var var i || Mir.Insn.is_profile i)
             insns
         in
         match (a, cb) with
@@ -72,7 +55,7 @@ let stop_reason fn fx (seq : Detect.t) ~member =
             Format.asprintf
               "its continuation %s tests %a, not the sequence variable %a"
               stop Mir.Reg.pp r Mir.Reg.pp var
-          else if not (in_bounds c) then
+          else if not (Detect.in_bounds c) then
             Format.asprintf
               "the compare constant %d in %s is at the edge of the \
                representable range"
@@ -82,7 +65,7 @@ let stop_reason fn fx (seq : Detect.t) ~member =
               "instructions follow the compare in %s; interval-facts \
                detection would consider it"
               stop
-          else if List.exists (defines_var var) post then
+          else if List.exists (Detect.defines_var var) post then
             Format.asprintf
               "instructions between the compare and the branch in %s \
                redefine %a"

@@ -102,10 +102,6 @@ let server_kind_name = function
 
 type server_fault = { sv_request : int; sv_kind : server_kind }
 
-let pp_server_fault ppf f =
-  Format.fprintf ppf "request %d: %s" f.sv_request
-    (server_kind_name f.sv_kind)
-
 let server_plan ~seed ~requests ~count =
   if requests <= 0 then []
   else begin

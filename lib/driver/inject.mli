@@ -71,8 +71,6 @@ val server_kind_name : server_kind -> string
 
 type server_fault = { sv_request : int; sv_kind : server_kind }
 
-val pp_server_fault : Format.formatter -> server_fault -> unit
-
 val server_plan : seed:int -> requests:int -> count:int -> server_fault list
 (** [min count requests] faults against distinct victim requests,
     deterministic in [seed], kinds cycled in {!all_server_kinds} order

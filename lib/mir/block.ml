@@ -32,6 +32,18 @@ let successors ~jtab b =
     Array.to_list (jtab id) |> List.sort_uniq String.compare
   | Ret _ -> []
 
+let retarget_term t ~from ~into =
+  let swap l = if String.equal l from then into else l in
+  let kind =
+    match t.kind with
+    | Br (c, a, b) -> Br (c, swap a, swap b)
+    | Jmp l -> Jmp (swap l)
+    | Switch (r, cases, d) ->
+      Switch (r, List.map (fun (v, l) -> (v, swap l)) cases, swap d)
+    | (Jtab _ | Ret _) as k -> k
+  in
+  { t with kind }
+
 let equal_term_kind a b =
   match a, b with
   | Br (c1, t1, f1), Br (c2, t2, f2) ->

@@ -45,6 +45,10 @@ val successors : jtab:(int -> string array) -> t -> string list
 (** Successor labels in deterministic order (taken before not-taken);
     [jtab] resolves jump-table ids to their target arrays. *)
 
+val retarget_term : term -> from:string -> into:string -> term
+(** The terminator with every edge to [from] sent to [into] instead
+    (a jump table's targets are left alone). *)
+
 val equal_term_kind : term_kind -> term_kind -> bool
 val pp_term : Format.formatter -> term -> unit
 val pp : Format.formatter -> t -> unit

@@ -23,4 +23,3 @@ let show o = Format.asprintf "%a" pp o
 let reg n = Reg (Reg.of_int n)
 let imm i = Imm i
 let as_reg = function Reg r -> Some r | Imm _ -> None
-let as_imm = function Imm i -> Some i | Reg _ -> None

@@ -15,4 +15,3 @@ val reg : int -> t
 val imm : int -> t
 
 val as_reg : t -> Reg.t option
-val as_imm : t -> int option

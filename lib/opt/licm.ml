@@ -24,18 +24,6 @@ let hoistable_kind ~loop_has_effects insn =
   | Mir.Insn.Profile_range _ | Mir.Insn.Profile_comb _ ->
     false
 
-let retarget_term (t : Mir.Block.term) ~from ~into =
-  let swap l = if String.equal l from then into else l in
-  let kind =
-    match t.Mir.Block.kind with
-    | Mir.Block.Br (c, a, b) -> Mir.Block.Br (c, swap a, swap b)
-    | Mir.Block.Jmp l -> Mir.Block.Jmp (swap l)
-    | Mir.Block.Switch (r, cases, d) ->
-      Mir.Block.Switch (r, List.map (fun (v, l) -> (v, swap l)) cases, swap d)
-    | (Mir.Block.Jtab _ | Mir.Block.Ret _) as k -> k
-  in
-  { t with Mir.Block.kind }
-
 let preheader fn (loop : Analysis.Loops.loop) =
   let header = loop.Analysis.Loops.l_header in
   let preds = Mir.Func.predecessors fn in
@@ -63,7 +51,7 @@ let preheader fn (loop : Analysis.Loops.loop) =
         match Mir.Func.find_block_opt fn p with
         | Some pb -> (
           pb.Mir.Block.term <-
-            retarget_term pb.Mir.Block.term ~from:header ~into:label;
+            Mir.Block.retarget_term pb.Mir.Block.term ~from:header ~into:label;
           match pb.Mir.Block.term.Mir.Block.kind with
           | Mir.Block.Jtab (_, id) ->
             let table = Mir.Func.jtab fn id in

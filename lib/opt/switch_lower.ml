@@ -33,11 +33,6 @@ let set_ii =
 let set_iii = { hs_name = "III"; choose = (fun ~ncases:_ ~span:_ -> Linear) }
 let all_sets = [ set_i; set_ii; set_iii ]
 
-let strategy_name = function
-  | Indirect -> "indirect"
-  | Binary_search -> "binary"
-  | Linear -> "linear"
-
 (* ------------------------------------------------------------------ *)
 
 let rop r = Mir.Operand.Reg r

@@ -34,7 +34,6 @@ val set_i : heuristic_set
 val set_ii : heuristic_set
 val set_iii : heuristic_set
 val all_sets : heuristic_set list
-val strategy_name : strategy -> string
 
 val lower_func : heuristic_set -> Mir.Func.t -> unit
 val lower_program : heuristic_set -> Mir.Program.t -> unit

@@ -101,6 +101,49 @@ let test_apply_semantics () =
   check_bool "indirect jumps executed" true
     (coalesced.Sim.Machine.counters.Sim.Counters.indirect_jumps > 0)
 
+(* [f.x0] consumes the sequence's condition codes through a jump
+   forwarder: [f.u] branches on them without a compare of its own *)
+let cc_forwarder_src u_insns =
+  Printf.sprintf
+    "function f(r0):\n\
+     f.c0:\n  cmp r0, 39\n  be -> f.x0 | f.c1\n\
+     f.c1:\n  cmp r0, 40\n  be -> f.x1 | f.d\n\
+     f.x0:\n  r5 = 7\n  jmp f.u\n\
+     f.u:\n%s  bl -> f.a | f.b\n\
+     f.a:\n  ret r5\n\
+     f.b:\n  ret 1\n\
+     f.x1:\n  ret 2\n\
+     f.d:\n  ret 0\n\n\
+     function main():\n\
+     main.entry:\n  r1 = call getchar()\n  r2 = call f(r1)\n\
+    \  call print_int(r2)\n  ret 0\n"
+    u_insns
+
+let test_cc_through_forwarder () =
+  let seq_of_text text =
+    let prog = Mir.Parse.program text in
+    Mir.Validate.check prog;
+    let fn = Mir.Program.find_func prog "f" in
+    let seq =
+      List.find
+        (fun s -> String.equal s.Reorder.Detect.func_name "f")
+        (Reorder.Detect.find_program prog)
+    in
+    (prog, fn, seq)
+  in
+  let prog, fn, seq = seq_of_text (cc_forwarder_src "") in
+  check_bool "f.x0 needs the condition codes" true
+    (Analysis.Cc_live.live_in (Analysis.Cc_live.analyze fn) "f.x0");
+  check_output "reference output on input 39" "1"
+    (Sim.Machine.run_reference prog ~input:"\039").Sim.Machine.output;
+  check_bool "a target reading the codes through a jump blocks coalescing"
+    true
+    (Reorder.Coalesce.coalescible fn seq ~max_span:512 = None);
+  (* the control: with its own compare [f.u] no longer reads them *)
+  let _, fn, seq = seq_of_text (cc_forwarder_src "  cmp r0, 50\n") in
+  check_bool "coalescible once the target sets its own codes" true
+    (Reorder.Coalesce.coalescible fn seq ~max_span:512 <> None)
+
 let test_pipeline_coalescing_ipc () =
   (* under set III the chain stays a long linear search; with IPC-model
      coalescing enabled and a uniform profile the table should win *)
@@ -186,6 +229,8 @@ let suite =
     case "coalesce: span limit" test_span_limit;
     case "coalesce: machine flips the decision" test_decision_flips_with_machine;
     case "coalesce: apply preserves semantics" test_apply_semantics;
+    case "coalesce: a target reading codes through a jump blocks it"
+      test_cc_through_forwarder;
     case "coalesce: pipeline coalesces uniform chains (IPC)"
       test_pipeline_coalescing_ipc;
     case "coalesce: skewed profiles keep reordering" test_pipeline_coalescing_respects_skew;
