@@ -213,13 +213,15 @@ end
 
 let default_label i _ = Printf.sprintf "job %d" i
 
-(* every item's [f] runs to completion (or to a captured exception) on a
-   [Workers] pool of at most one domain per item; nothing a single job
-   does can discard another job's slot.  Distinct slots, so the plain
-   writes are race-free, and [Workers.shutdown]'s joins publish them *)
+(* every item's [f] runs to completion (or to a captured exception), on
+   the caller's domain when one domain is asked for, else on a [Workers]
+   pool of at most one domain per item; nothing a single job does can
+   discard another job's slot.  Distinct slots, so the plain writes are
+   race-free, and [Workers.shutdown]'s joins publish them *)
 let map ?domains ?(label = default_label) f xs =
   let captured x =
-    try Stdlib.Ok (f x) with e -> Stdlib.Error (e, Printexc.get_raw_backtrace ())
+    try Stdlib.Ok (f x)
+    with e -> Stdlib.Error (e, Printexc.get_raw_backtrace ())
   in
   let n = List.length xs in
   let d = min n (match domains with Some d -> d | None -> default_domains ()) in
@@ -229,7 +231,8 @@ let map ?domains ?(label = default_label) f xs =
       let results = Array.make n None in
       let pool = Workers.create ~domains:d () in
       List.iteri
-        (fun i x -> Workers.post pool (fun ~worker:_ -> results.(i) <- Some (captured x)))
+        (fun i x ->
+          Workers.post pool (fun ~worker:_ -> results.(i) <- Some (captured x)))
         xs;
       Workers.shutdown pool;
       Array.to_list results |> List.map Option.get

@@ -248,10 +248,9 @@ let snapshot t =
       (fun () -> write_snapshot_locked t)
 
 (* the one entry constructor: parse + optimize the base, detect,
-   instrument, let [fill] give the fresh table its
-   counts, reoptimize under them and pre-build every serving artifact
-   of [generation].  [last_opt] defaults to the filled table's
-   executions *)
+   instrument, let [fill] give the fresh table its counts, reoptimize
+   under them and pre-build every serving artifact of [generation].
+   [last_opt] defaults to the filled table's executions *)
 let make_entry t ~name ~key ~source ~generation ?last_opt fill =
   let base = Pipeline.compile_base t.config source in
   let seqs = Pipeline.detect_seqs t.config base in

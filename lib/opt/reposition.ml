@@ -7,7 +7,8 @@ type counts = (string, int * int) Hashtbl.t
 let preferred_fallthrough counts (b : Mir.Block.t) =
   match b.Mir.Block.term.Mir.Block.kind with
   | Mir.Block.Br (cond, taken, not_taken) -> (
-    match Option.bind counts (fun c -> Hashtbl.find_opt c b.Mir.Block.label) with
+    let label = b.Mir.Block.label in
+    match Option.bind counts (fun c -> Hashtbl.find_opt c label) with
     | Some (t, nt) when t > nt ->
       b.Mir.Block.term <-
         {

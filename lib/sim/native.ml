@@ -1136,8 +1136,8 @@ module Cache = struct
       |> List.sort compare
       |> List.map (Filename.concat d)
 
-  (* the one walk of the store: every directory under the root but the
-     quarantine, by name, with its artifacts *)
+  (* the one walk of the store: [(name, path)] of every directory under
+     the root but the quarantine, by name *)
   let walk root =
     match Sys.readdir root with
     | exception Sys_error _ -> []
@@ -1190,7 +1190,8 @@ module Cache = struct
     | None -> 0
     | Some current ->
       List.fold_left
-        (fun acc (name, d) -> if name <> current then acc + remove_tree d else acc)
+        (fun acc (name, d) ->
+          if name <> current then acc + remove_tree d else acc)
         0 (walk (cache_root dir))
 
   type verify_report = {
