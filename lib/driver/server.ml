@@ -211,8 +211,8 @@ let snapshot_due t =
 
 (* every built program, by name (content key among equal names) *)
 let entries t =
-  List.stable_sort
-    (fun a b -> String.compare a.e_name b.e_name)
+  List.sort
+    (fun a b -> compare (a.e_name, a.e_key) (b.e_name, b.e_key))
     (Sim.Artifact.ready t.programs)
 
 (* [f e] for every entry, each under its [e_merge] taken one at a

@@ -54,14 +54,14 @@ let stats t =
 
 let ready t =
   Mutex.lock t.lock;
-  let rs =
+  let vs =
     Hashtbl.fold
-      (fun k slot acc ->
-        match slot with Ready e -> (k, e.value) :: acc | Building -> acc)
+      (fun _ slot acc ->
+        match slot with Ready e -> e.value :: acc | Building -> acc)
       t.table []
   in
   Mutex.unlock t.lock;
-  List.map snd (List.sort (fun (a, _) (b, _) -> String.compare a b) rs)
+  vs
 
 let clear t =
   Mutex.lock t.lock;

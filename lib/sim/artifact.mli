@@ -62,8 +62,8 @@ val reset_stats : 'a t -> unit
     failures); resident artifacts and the capacity are kept. *)
 
 val ready : 'a t -> 'a list
-(** Every resident artifact, in key order; in-flight builds are left
-    out.  Counts neither a hit nor a miss and does not touch the LRU
-    order. *)
+(** Every resident artifact, in no particular order; in-flight builds
+    are left out.  Counts neither a hit nor a miss and does not touch
+    the LRU order. *)
 
 val stats : 'a t -> stats
