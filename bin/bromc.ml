@@ -1231,9 +1231,9 @@ let state_dir_arg =
     & opt (some string) None
     & info [ "state-dir" ] ~docv:"DIR"
         ~doc:
-          "Durable state directory: journal + snapshots of merged profiles, \
-           predictor tallies and drift generations.  Existing state found \
-           there is restored on startup (crash-safe warm start).")
+          "Durable state directory: journal + snapshots of merged profiles \
+           and drift generations.  Existing state found there is restored \
+           on startup (crash-safe warm start).")
 
 let queue_cap_arg =
   Arg.(
@@ -1244,17 +1244,9 @@ let queue_cap_arg =
           "Admission control: shed requests with an $(b,overloaded) \
            response once N tasks are waiting (default: unbounded).")
 
-let snapshot_every_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "snapshot-every" ] ~docv:"N"
-        ~doc:
-          "Journal records between snapshot compactions (with \
-           $(b,--state-dir)).")
-
 let serve_cmd =
   let run domains sample_every merge_every drift_min_execs backend profile
-      ncache_dir state_dir queue_cap snapshot_every =
+      ncache_dir state_dir queue_cap =
     handle_errors (fun () ->
         apply_native_opts ncache_dir;
         let backend = resolve_backend backend in
@@ -1268,7 +1260,7 @@ let serve_cmd =
         in
         let srv =
           Driver.Server.create ~config ?domains ~sample_every ~merge_every
-            ~drift_min_execs ?state_dir ?queue_cap ~snapshot_every ()
+            ~drift_min_execs ?state_dir ?queue_cap ()
         in
         let out_lock = Mutex.create () in
         let print_line s =
@@ -1396,7 +1388,7 @@ let serve_cmd =
           training run and serve on the static prediction; the online \
           shard profiles and the drift check re-optimize as real counts \
           diverge from it.  With $(b,--state-dir) the daemon is crash-safe: \
-          learned profiles, predictor tallies and drift generations are \
+          learned profiles and drift generations are \
           journaled and snapshotted there, and a restart warm-starts every \
           persisted program at its learned generation.  $(b,run) accepts an \
           optional third argument, a per-request deadline in milliseconds.")
@@ -1404,7 +1396,7 @@ let serve_cmd =
       const run $ domains_arg $ sample_every_arg $ merge_every_arg
       $ drift_min_execs_arg 32 $ backend_arg `Compiled $ profile_arg
       $ native_cache_dir_arg $ state_dir_arg
-      $ queue_cap_arg $ snapshot_every_arg)
+      $ queue_cap_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay: simulated production traffic against a server               *)

@@ -102,8 +102,6 @@ module Workers = struct
     Mutex.unlock t.w_lock;
     d
 
-  let queue_cap t = t.w_queue_cap
-
   let shed t =
     Mutex.lock t.w_lock;
     let n = t.w_shed in

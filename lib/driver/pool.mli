@@ -93,8 +93,6 @@ module Workers : sig
   val depth : t -> int
   (** Tasks currently waiting in the queue. *)
 
-  val queue_cap : t -> int
-
   val shed : t -> int
   (** Posts refused by admission control so far. *)
 

@@ -178,14 +178,14 @@ let truncate_file path =
   | None | Some "" -> false
   | Some s -> replace_with path (String.sub s 0 (max 1 (String.length s / 2)))
 
-(* pick the victim artifact deterministically, damage it, and drop the
-   in-process memo so the next native request must reload from disk
-   and trip over the damage *)
-let apply_artifact_fault config ~request kind =
-  match Sim.Native.Cache.artifacts ?dir:config.Config.native_cache_dir () with
-  | [] -> false
-  | artifacts ->
-    let victim = List.nth artifacts (request mod List.length artifacts) in
+(* damage the plugin the victim request's program is served from, and
+   drop the in-process memo so that request must reload it from disk
+   and trip over the damage.  [false] (vacuous) when that plugin is not
+   in the store: other files there may belong to no served program *)
+let apply_artifact_fault srv ~source kind =
+  match Server.native_artifact srv ~source with
+  | None -> false
+  | Some victim ->
     let applied =
       match kind with
       | Inject.S_corrupt_artifact -> corrupt_file victim
@@ -311,7 +311,7 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
       (match fault with
       | Some { Inject.sv_kind = (Inject.S_corrupt_artifact
                                 | Inject.S_truncate_artifact) as k; _ } ->
-        if not (apply_artifact_fault config ~request:i k) then
+        if not (apply_artifact_fault srv ~source:q.q_source k) then
           Hashtbl.replace vacuous i ()
       | Some { Inject.sv_kind = Inject.S_tear_journal; _ } ->
         let torn =

@@ -26,7 +26,6 @@ type stats = {
   st_domains : int;
   st_caches : Sim.Artifact.stats list;
   st_native : Sim.Native.stats;
-  st_mispredicts : ((int * int * int) * (int * int)) list;
   st_overloaded : int;
   st_restored : int;
   st_programs : (string * int * int) list;
@@ -70,10 +69,6 @@ type t = {
   image_cache : Sim.Image.t Sim.Artifact.t;
   closure_cache : Sim.Compiled.t Sim.Artifact.t;
   ticks : int array;  (* per-worker request count (worker-private slot) *)
-  banks : Sim.Predictor.bank array;  (* per-worker shadow telemetry *)
-  bank_locks : Mutex.t array;
-  bank_global : Sim.Predictor.bank;
-  bank_global_lock : Mutex.t;
   requests : int Atomic.t;
   cold : int Atomic.t;
   shadow_runs : int Atomic.t;
@@ -85,7 +80,6 @@ type t = {
      snapshots.  [None] = ephemeral server (the default) *)
   state_dir : string option;
   journal : State.writer option;
-  snapshot_every : int;
   snap_mark : int Atomic.t;  (* journal records at the last snapshot *)
   snap_lock : Mutex.t;  (* one snapshot writer at a time *)
   restored : int Atomic.t;  (* programs warm-started from disk *)
@@ -185,29 +179,19 @@ let program_record (e : entry) =
     p_combs = combs;
   }
 
-let bank_record t : State.bank =
-  Mutex.lock t.bank_global_lock;
-  let lookups = Sim.Predictor.bank_lookups t.bank_global in
-  let mis = Sim.Predictor.bank_mispredicts t.bank_global in
-  Mutex.unlock t.bank_global_lock;
-  List.map2
-    (fun (k, l) (k', m) ->
-      assert (k = k');
-      (k, (l, m)))
-    lookups mis
-
 (* caller holds [e_merge] *)
 let journal_entry t e =
   match t.journal with
   | None -> ()
-  | Some w ->
-    State.journal_program w (program_record e);
-    State.journal_bank w (bank_record t)
+  | Some w -> State.journal_program w (program_record e)
+
+(* journal records between snapshot compactions *)
+let snapshot_every = 64
 
 let snapshot_due t =
   match t.journal with
   | None -> false
-  | Some w -> State.appended w - Atomic.get t.snap_mark >= t.snapshot_every
+  | Some w -> State.appended w - Atomic.get t.snap_mark >= snapshot_every
 
 (* every built program, by name (content key among equal names) *)
 let entries t =
@@ -232,8 +216,7 @@ let map_entries_locked t f =
 let write_snapshot_locked t =
   match (t.state_dir, t.journal) with
   | Some dir, Some w ->
-    State.write_snapshot ~dir (map_entries_locked t program_record)
-      (bank_record t);
+    State.write_snapshot ~dir (map_entries_locked t program_record);
     State.truncate_journal ~dir;
     Atomic.set t.snap_mark (State.appended w)
   | _ -> ()
@@ -343,20 +326,12 @@ let restore_state t dir =
         with
         | _ -> Atomic.incr t.restored
         | exception _ -> ())
-    r.State.r_programs;
-  (try
-     Mutex.lock t.bank_global_lock;
-     Fun.protect
-       ~finally:(fun () -> Mutex.unlock t.bank_global_lock)
-       (fun () -> Sim.Predictor.bank_add_tallies t.bank_global r.State.r_bank)
-   with Invalid_argument _ -> ())
+    r.State.r_programs
 
 let create ?(config = Config.default) ?domains ?(sample_every = 4)
-    ?(merge_every = 8) ?(drift_min_execs = 32) ?state_dir ?queue_cap
-    ?(snapshot_every = 64) () =
+    ?(merge_every = 8) ?(drift_min_execs = 32) ?state_dir ?queue_cap () =
   if sample_every < 1 then invalid_arg "Server.create: sample_every < 1";
   if merge_every < 1 then invalid_arg "Server.create: merge_every < 1";
-  if snapshot_every < 1 then invalid_arg "Server.create: snapshot_every < 1";
   let pool = Pool.Workers.create ?domains ?queue_cap () in
   let n = Pool.Workers.size pool in
   let journal =
@@ -376,10 +351,6 @@ let create ?(config = Config.default) ?domains ?(sample_every = 4)
       image_cache = Sim.Artifact.create ~name:"image" ();
       closure_cache = Sim.Artifact.create ~name:"closure" ();
       ticks = Array.make n 0;
-      banks = Array.init n (fun _ -> Sim.Predictor.bank config.Config.predictors);
-      bank_locks = Array.init n (fun _ -> Mutex.create ());
-      bank_global = Sim.Predictor.bank config.Config.predictors;
-      bank_global_lock = Mutex.create ();
       requests = Atomic.make 0;
       cold = Atomic.make 0;
       shadow_runs = Atomic.make 0;
@@ -389,7 +360,6 @@ let create ?(config = Config.default) ?domains ?(sample_every = 4)
       events_lock = Mutex.create ();
       state_dir;
       journal;
-      snapshot_every;
       snap_mark = Atomic.make 0;
       snap_lock = Mutex.create ();
       restored = Atomic.make 0;
@@ -419,15 +389,6 @@ let merge_locked t (e : entry) =
       Mutex.unlock m)
     e.e_shards;
   Atomic.incr t.merges;
-  (* fold the per-worker predictor banks into the global summary *)
-  Array.iteri
-    (fun w bank ->
-      Mutex.lock t.bank_locks.(w);
-      Mutex.lock t.bank_global_lock;
-      Sim.Predictor.bank_absorb ~into:t.bank_global bank;
-      Mutex.unlock t.bank_global_lock;
-      Mutex.unlock t.bank_locks.(w))
-    t.banks;
   let execs = Sim.Profile.total_executions e.e_global in
   if execs - e.e_last_opt_execs >= t.drift_min_execs then begin
     let art = Atomic.get e.e_artifact in
@@ -505,20 +466,17 @@ let exec_rung t (art : artifact) backend ~cancel ~input =
   | `Reference -> Sim.Machine.run_reference ~config:sc art.a_served ~input
 
 (* the sampled profiling shadow: run the instrumented training clone on
-   this request's input, recording into this worker's private shard and
-   predictor bank.  Failures are swallowed — the shadow is telemetry,
-   not the response *)
+   this request's input, recording into this worker's private shard.
+   Failures are swallowed — the shadow feeds the profile, not the
+   response *)
 let shadow_run t (e : entry) ~worker ~input =
   let m, shard = e.e_shards.(worker) in
   Mutex.lock m;
-  Mutex.lock t.bank_locks.(worker);
   (try
      ignore
        (Sim.Compiled.exec ~config:(Pipeline.sim_config t.config)
-          ~profile:shard ~sink:(Sim.Predictor.Sink_bank t.banks.(worker))
-          e.e_train_compiled ~input)
+          ~profile:shard e.e_train_compiled ~input)
    with _ -> ());
-  Mutex.unlock t.bank_locks.(worker);
   Mutex.unlock m;
   Atomic.incr t.shadow_runs;
   let pending = 1 + Atomic.fetch_and_add e.e_pending 1 in
@@ -655,6 +613,19 @@ let oracle t ~name ~source ~input =
   in
   (r.Sim.Machine.output, r.Sim.Machine.exit_code)
 
+(* [ready], not [find]: the lookup must not count in the cache stats *)
+let native_artifact t ~source =
+  let key = content_key t source in
+  match
+    List.find_opt
+      (fun e -> String.equal e.e_key key)
+      (Sim.Artifact.ready t.programs)
+  with
+  | None -> None
+  | Some e ->
+    Sim.Native.store_path ?cache_dir:t.config.Config.native_cache_dir
+      (Atomic.get e.e_artifact).a_image
+
 let stats t =
   {
     st_requests = Atomic.get t.requests;
@@ -670,7 +641,6 @@ let stats t =
         Sim.Artifact.stats t.closure_cache;
       ];
     st_native = Sim.Native.stats ();
-    st_mispredicts = bank_record t;
     st_overloaded = Pool.Workers.shed t.pool;
     st_restored = Atomic.get t.restored;
     st_programs =

@@ -16,11 +16,10 @@
     touches no shared counter).  Instead every [sample_every]-th
     request per worker also executes the cached {e instrumented
     training clone} on the request's input, recording into that
-    worker's private profile shard ({!Sim.Profile.copy_shape}) and
-    per-worker predictor bank.  Shards are merged asynchronously into
-    the program's global profile — opportunistically after enough
-    samples accumulate (a [try_lock]; nobody blocks), or forced by
-    {!sync}.
+    worker's private profile shard ({!Sim.Profile.copy_shape}).
+    Shards are merged asynchronously into the program's global
+    profile — opportunistically after enough samples accumulate (a
+    [try_lock]; nobody blocks), or forced by {!sync}.
 
     {b Drift-triggered re-optimization.}  After a merge, if enough new
     executions accumulated, the server recomputes the Eq. 1–4
@@ -40,10 +39,9 @@
 
     {b Durability.}  With [state_dir] set, everything the online loop
     learns is persisted through {!State}: every merge appends an
-    absolute per-program journal record (plus the predictor-bank
-    tallies), a snapshot compacts the journal every [snapshot_every]
-    records, and graceful {!shutdown} drains, merges and leaves a
-    fresh snapshot.  A restarting server warm-starts each persisted
+    absolute per-program journal record, a snapshot compacts the
+    journal every 64 records, and graceful {!shutdown} drains, merges
+    and leaves a fresh snapshot.  A restarting server warm-starts each persisted
     program at its learned drift generation with its merged profile
     counters intact — no retraining, no generation reset — and drops
     records whose content key no longer matches (config change).
@@ -85,9 +83,6 @@ type stats = {
   st_caches : Sim.Artifact.stats list;
       (** the [programs], [image] and [closure] caches, in that order *)
   st_native : Sim.Native.stats;
-  st_mispredicts : ((int * int * int) * (int * int)) list;
-      (** merged shadow-run telemetry per predictor key:
-          (lookups, mispredicts) *)
   st_overloaded : int;  (** requests shed by admission control *)
   st_restored : int;  (** programs warm-started from [state_dir] *)
   st_programs : (string * int * int) list;
@@ -103,7 +98,6 @@ val create :
   ?drift_min_execs:int ->
   ?state_dir:string ->
   ?queue_cap:int ->
-  ?snapshot_every:int ->
   unit ->
   t
 (** Spawn the worker pool and empty caches.  [sample_every] (default
@@ -122,8 +116,7 @@ val create :
     program warm-starts at its persisted drift generation with its
     merged profile counters.  [queue_cap] (default unbounded) bounds
     the pool's waiting queue; excess requests are shed with an
-    ["overloaded"] response.  [snapshot_every] (default 64): journal
-    records between snapshot compactions. *)
+    ["overloaded"] response. *)
 
 val submit :
   ?deadline_ms:int ->
@@ -163,6 +156,12 @@ val oracle : t -> name:string -> source:string -> input:string -> string * int
     cold.  Runs on the calling thread; intended for differential
     checks in tests and replay, not the hot path. *)
 
+val native_artifact : t -> source:string -> string option
+(** The store path the native rung loads the plugin of [source]'s
+    served generation from ({!Sim.Native.store_path}), whether or not
+    it has been built yet.  [None] when the program has no entry yet or
+    no native plugin can exist.  The chaos replay damages this file. *)
+
 val sync : t -> unit
 (** Block until every program's shards are merged and the drift check
     has run (re-optimizing where drifted).  Deterministic alternative
@@ -176,7 +175,7 @@ val stats_json : stats -> Json.t
 (** The one JSON rendering of {!stats}, shared by [bromc serve]'s
     [stats] line and {!Replay.write_json}: counters, every cache's full
     {!Sim.Artifact.stats}, the full {!Sim.Native.stats}, and per-program
-    generations.  [st_mispredicts] is not rendered. *)
+    generations. *)
 
 val reopt_events : t -> reopt_event list
 (** Re-optimizations so far, oldest first. *)

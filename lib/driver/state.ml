@@ -1,12 +1,12 @@
 (* Durable serving state: a write-ahead journal plus periodic snapshots.
 
    Everything the online-profiling loop learns — merged profile
-   counters, predictor-bank tallies, drift generations — is
-   re-creatable absolute state, so the format is deliberately dumb:
-   every record carries the *whole* current state of one program (or
-   the whole bank), one CRC-framed flat-JSON line each, and restore is
-   last-record-wins over snapshot-then-journal.  No deltas, no
-   compaction logic beyond "snapshot, then truncate the journal".
+   counters and drift generations — is re-creatable absolute state, so
+   the format is deliberately dumb: every record carries the *whole*
+   current state of one program, one CRC-framed flat-JSON line each,
+   and restore is last-record-wins over snapshot-then-journal.  No
+   deltas, no compaction logic beyond "snapshot, then truncate the
+   journal".
 
    Frame: "crc32hex payload\n" where payload is one flat JSON object
    written and read through {!Json}.  The CRC makes torn tails and mid-file
@@ -27,11 +27,8 @@ type program = {
   p_combs : (int * int array * int) list;
 }
 
-type bank = ((int * int * int) * (int * int)) list
-
 type restore = {
   r_programs : program list;  (* unique keys, journal beats snapshot *)
-  r_bank : bank;
   r_records : int;  (* valid frames consumed *)
   r_skipped : int;  (* frames dropped by the CRC or the parser *)
 }
@@ -112,38 +109,6 @@ let decode_counters s =
       Some (List.map Option.get parts)
     else None
 
-let encode_bank (b : bank) =
-  String.concat ";"
-    (List.map
-       (fun ((h, c, e), (lk, mis)) ->
-         Printf.sprintf "%d.%d.%d:%d:%d" h c e lk mis)
-       b)
-
-let decode_bank s : bank option =
-  if String.equal s "" then Some []
-  else
-    let parse_one part =
-      match String.split_on_char ':' part with
-      | [ key; lk; mis ] -> (
-        match
-          ( String.split_on_char '.' key,
-            int_of_string_opt lk,
-            int_of_string_opt mis )
-        with
-        | [ h; c; e ], Some lk, Some mis -> (
-          match
-            (int_of_string_opt h, int_of_string_opt c, int_of_string_opt e)
-          with
-          | Some h, Some c, Some e -> Some ((h, c, e), (lk, mis))
-          | _ -> None)
-        | _ -> None)
-      | _ -> None
-    in
-    let parts = List.map parse_one (String.split_on_char ';' s) in
-    if List.for_all Option.is_some parts then
-      Some (List.map Option.get parts)
-    else None
-
 let program_payload p =
   Json.to_string
     (Json.Obj
@@ -162,16 +127,9 @@ let program_payload p =
          ("combs", Json.Str (encode_counters p.p_combs));
        ])
 
-let bank_payload (b : bank) =
-  Json.to_string
-    (Json.Obj
-       [
-         ("t", Json.Str "bank");
-         ("v", Json.Int version);
-         ("tallies", Json.Str (encode_bank b));
-       ])
-
-type record = Program of program | Bank of bank
+(* earlier versions also wrote ["t":"bank"] records of predictor
+   tallies; they are valid frames whose content is no longer kept *)
+type record = Program of program | Legacy_bank
 
 let record_of_payload payload =
   match Json.parse payload with
@@ -206,7 +164,7 @@ let record_of_payload payload =
                  p_combs = combs;
                })
         | _ -> None)
-      | "bank" -> Option.map (fun b -> Bank b) (decode_bank (str "tallies"))
+      | "bank" -> Some Legacy_bank
       | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -247,7 +205,6 @@ let append w payload =
       w.w_appended)
 
 let journal_program w p = ignore (append w (program_payload p))
-let journal_bank w b = ignore (append w (bank_payload b))
 let appended w = w.w_appended
 
 let close_journal w =
@@ -265,7 +222,7 @@ let fsync_out oc =
    only after the rename: a crash between the two leaves journal
    records that duplicate the snapshot, which last-record-wins replay
    absorbs for free *)
-let write_snapshot ~dir programs (b : bank) =
+let write_snapshot ~dir programs =
   mkdirs dir;
   let tmp = snapshot_path ~dir ^ ".tmp" in
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
@@ -275,8 +232,6 @@ let write_snapshot ~dir programs (b : bank) =
          output_string oc (frame (program_payload p));
          output_char oc '\n')
        programs;
-     output_string oc (frame (bank_payload b));
-     output_char oc '\n';
      fsync_out oc;
      close_out oc
    with e ->
@@ -323,7 +278,6 @@ let load ~dir =
   let jour, n2, s2 = read_file (journal_path ~dir) in
   let programs : (string, program) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
-  let bank = ref [] in
   List.iter
     (fun r ->
       match r with
@@ -331,12 +285,11 @@ let load ~dir =
         if not (Hashtbl.mem programs p.p_key) then
           order := p.p_key :: !order;
         Hashtbl.replace programs p.p_key p
-      | Bank b -> bank := b)
+      | Legacy_bank -> ())
     (snap @ jour);
   {
     r_programs =
       List.rev_map (fun k -> Hashtbl.find programs k) !order;
-    r_bank = !bank;
     r_records = n1 + n2;
     r_skipped = s1 + s2;
   }

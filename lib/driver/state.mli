@@ -1,13 +1,14 @@
 (** Durable serving state: write-ahead journal + periodic snapshots.
 
     The crash-safety substrate under {!Server}.  Everything the online
-    profiling loop learns — merged {!Sim.Profile} counters, predictor
-    bank tallies, {!Reorder.Drift} generations and signatures — is
-    persisted as {e absolute} per-program records, one CRC-framed flat
-    JSON line each (a {!Json} object under a [crc32hex ] prefix).  The journal is appended and flushed record by record; a
-    snapshot rewrites the whole state atomically (tmp-then-rename) and
-    truncates the journal.  Restore replays snapshot then journal with
-    last-record-wins, so duplicated or superseded records are free.
+    profiling loop learns — merged {!Sim.Profile} counters,
+    {!Reorder.Drift} generations and signatures — is persisted as
+    {e absolute} per-program records, one CRC-framed flat JSON line
+    each (a {!Json} object under a [crc32hex ] prefix).  The journal is
+    appended and flushed record by record; a snapshot rewrites the
+    whole state atomically (tmp-then-rename) and truncates the journal.
+    Restore replays snapshot then journal with last-record-wins, so
+    duplicated or superseded records are free.
 
     The reader is torn-tail and corruption tolerant: a frame that fails
     its CRC or does not parse — the partial final line of an
@@ -32,15 +33,12 @@ type program = {
   p_combs : (int * int array * int) list;
 }
 
-type bank = ((int * int * int) * (int * int)) list
-(** Predictor-bank tallies: [(key, (lookups, mispredicts))] per
-    configured predictor, as {!Sim.Predictor.bank_lookups} /
-    [bank_mispredicts] report them. *)
-
 type restore = {
   r_programs : program list;  (** unique keys; journal beats snapshot *)
-  r_bank : bank;  (** [[]] when no bank record survived *)
-  r_records : int;  (** valid frames consumed across both files *)
+  r_records : int;
+      (** valid frames consumed across both files, including the
+          predictor-bank records earlier versions wrote, which are read
+          and dropped *)
   r_skipped : int;  (** frames dropped by the CRC check or the parser *)
 }
 
@@ -64,7 +62,6 @@ val open_journal : dir:string -> writer
     serialized by an internal lock and flushed per record. *)
 
 val journal_program : writer -> program -> unit
-val journal_bank : writer -> bank -> unit
 
 val appended : writer -> int
 (** Records appended through this writer so far (the snapshot-cadence
@@ -74,7 +71,7 @@ val close_journal : writer -> unit
 
 (** {2 Snapshots} *)
 
-val write_snapshot : dir:string -> program list -> bank -> unit
+val write_snapshot : dir:string -> program list -> unit
 (** Write the complete state to [snapshot.tmp], fsync, and rename over
     the snapshot — readers see the old state or the new state, never a
     partial file.  Does {e not} truncate the journal; call

@@ -924,6 +924,26 @@ exception Load_failed of string
 
 let build_seq = Atomic.make 0
 
+(* the memo and store key of generated [source], and the module name
+   of its plugin *)
+let plugin_key tc source =
+  let key = Digest.to_hex (Digest.string (fingerprint_of tc ^ "\n" ^ source)) in
+  (key, "bromc_native_" ^ key)
+
+(* where the plugin [modname] lives in the store under [root] *)
+let plugin_path tc ~root modname =
+  Filename.concat (Filename.concat root (fingerprint_of tc)) (modname ^ ".cmxs")
+
+let store_path ?cache_dir img =
+  match (!enabled_flag, toolchain ()) with
+  | true, Ok tc -> (
+    match generate img with
+    | exception Unsupported _ -> None
+    | source, _ ->
+      let _, modname = plugin_key tc source in
+      Some (plugin_path tc ~root:(cache_root cache_dir) modname))
+  | _ -> None
+
 let prepare ?cache_dir img : (t, string) Stdlib.result =
   let n_epoch = Atomic.get memo_epoch in
   if not !enabled_flag then Error "native backend disabled"
@@ -934,14 +954,10 @@ let prepare ?cache_dir img : (t, string) Stdlib.result =
       match toolchain () with
       | Error e -> Error e
       | Ok tc -> (
-        let fpr = fingerprint_of tc in
-        let key = Digest.to_hex (Digest.string (fpr ^ "\n" ^ source)) in
-        let modname = "bromc_native_" ^ key in
+        let key, modname = plugin_key tc source in
         let load () =
           let root = cache_root cache_dir in
-          let cached =
-            Filename.concat (Filename.concat root fpr) (modname ^ ".cmxs")
-          in
+          let cached = plugin_path tc ~root modname in
           let build () =
             Atomic.incr s_misses;
             (* a load left in flight by [clear_memo] may build the same
@@ -1148,11 +1164,6 @@ module Cache = struct
              let d = Filename.concat root name in
              if name = quarantine_dir_name || not (Sys.is_directory d) then None
              else Some (name, d))
-
-  let artifacts ?dir () =
-    match fingerprint () with
-    | None -> []
-    | Some fpr -> artifacts_in (Filename.concat (cache_root dir) fpr)
 
   let list ?dir () =
     let current = fingerprint () in

@@ -64,6 +64,11 @@ val prepare : ?cache_dir:string -> Image.t -> (t, string) result
     (toolchain missing, compiler output, ...) and leaves the caller
     free to degrade to another backend. *)
 
+val store_path : ?cache_dir:string -> Image.t -> string option
+(** The path {!prepare} loads [img]'s plugin from in the on-disk store,
+    whether or not it has been built yet; [None] when the backend is
+    disabled, no compiler is available or [img] has no native code. *)
+
 val exec :
   ?config:Runtime.config ->
   ?profile:Profile.t ->
@@ -162,10 +167,6 @@ module Cache : sig
   val list : ?dir:string -> unit -> entry list
   (** One entry per fingerprint directory (the [quarantine/]
       subdirectory left out), by name. *)
-
-  val artifacts : ?dir:string -> unit -> string list
-  (** The paths of the current toolchain's [.cmxs] artifacts, sorted;
-      [[]] when no compiler is available. *)
 
   val clear : ?dir:string -> unit -> int
   (** Remove every cached artifact; returns the number of files

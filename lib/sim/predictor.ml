@@ -235,37 +235,6 @@ let bank_reset b =
   b.pending <- 0;
   Array.iter reset b.bank_preds
 
-let bank_absorb ~into src =
-  if Array.length into.bank_keys <> Array.length src.bank_keys then
-    invalid_arg "Predictor.bank_absorb: bank shapes differ";
-  flush into;
-  flush src;
-  Array.iteri
-    (fun i (sp : t) ->
-      let dp = into.bank_preds.(i) in
-      if into.bank_keys.(i) <> src.bank_keys.(i) then
-        invalid_arg "Predictor.bank_absorb: bank keys differ";
-      dp.lookups <- dp.lookups + sp.lookups;
-      dp.mispredicts <- dp.mispredicts + sp.mispredicts;
-      sp.lookups <- 0;
-      sp.mispredicts <- 0)
-    src.bank_preds
-
-let bank_add_tallies b tallies =
-  if List.length tallies <> Array.length b.bank_keys then
-    invalid_arg "Predictor.bank_add_tallies: bank shapes differ";
-  flush b;
-  List.iteri
-    (fun i (key, (lk, mis)) ->
-      if b.bank_keys.(i) <> key then
-        invalid_arg "Predictor.bank_add_tallies: bank keys differ";
-      if lk < 0 || mis < 0 then
-        invalid_arg "Predictor.bank_add_tallies: negative tally";
-      let p = b.bank_preds.(i) in
-      p.lookups <- p.lookups + lk;
-      p.mispredicts <- p.mispredicts + mis)
-    tallies
-
 let bank_size b = Array.length b.bank_preds
 
 let bank_mispredicts b =

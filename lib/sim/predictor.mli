@@ -35,15 +35,12 @@ val describe : t -> string
     {!access} called event by event, and the sweep keeps one or two
     tables hot in cache instead of touching all of them per event.
 
-    Every read flushes the pending events first: {!bank_mispredicts},
-    {!bank_lookups}, {!bank_absorb} (both banks) and
-    {!bank_add_tallies}.  {!bank_reset} discards them.  So no read can
-    tell a bank from one fed event by event, including after a run
+    Every read ({!bank_mispredicts}, {!bank_lookups}) flushes the
+    pending events first, and {!bank_reset} discards them.  So no read
+    can tell a bank from one fed event by event, including after a run
     stopped mid-stream by a trap or fuel exhaustion.  A read is
-    therefore also a write: a caller that shares a bank between domains
-    must hold, around every read, the lock that guards its pushes
-    ([Server.merge_locked] holds each worker's bank lock while it
-    absorbs that worker's bank). *)
+    therefore also a write: a bank shared between domains needs one
+    lock around its pushes and its reads alike. *)
 
 type bank
 
@@ -58,23 +55,6 @@ val bank_access : bank -> site:int -> taken:bool -> unit
 val bank_reset : bank -> unit
 (** Restore every predictor to its initial state and discard the
     pending events. *)
-
-val bank_absorb : into:bank -> bank -> unit
-(** [bank_absorb ~into shard] adds [shard]'s lookup and mispredict
-    tallies into [into] (same key list, checked) and zeroes them in
-    [shard], so per-domain banks can be merged into a global summary
-    without double counting.  Prediction state (history registers,
-    counter tables) stays in the shard: it is inherently per-stream and
-    is not transferred.  Raises [Invalid_argument] on shape mismatch. *)
-
-val bank_add_tallies : bank -> ((int * int * int) * (int * int)) list -> unit
-(** [bank_add_tallies b tallies] adds persisted [(lookups, mispredicts)]
-    tallies (as returned by {!bank_lookups} zipped with
-    {!bank_mispredicts}) into [b] — the restore half of durable shadow
-    telemetry: a restarted daemon folds the tallies its predecessor
-    accumulated into its fresh global bank.  The key list must match the
-    bank's exactly.  Raises [Invalid_argument] on shape mismatch or a
-    negative tally. *)
 
 val bank_size : bank -> int
 

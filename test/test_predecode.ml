@@ -341,10 +341,8 @@ let test_bank_equivalence () =
 (* The bank buffers its events and folds each (0,1,E) predictor with a
    (0,2,E) partner in one pass; every read must still see exactly what
    separate predictors fed one event at a time see, over any key list
-   (duplicates, partnerless keys, history keys, any order).  The oracle
-   tracks a shard's tallies as its predictors' counts minus what
-   earlier absorbs took. *)
-type bank_op = Read | Reset | Absorb
+   (duplicates, partnerless keys, history keys, any order). *)
+type bank_op = Read | Reset
 
 let bank_keys = Driver.Config.paper_predictors @ [ (4, 2, 64); (2, 1, 32) ]
 
@@ -354,10 +352,7 @@ let print_bank_run (seed, len, ops) =
        (List.map
           (fun (at, op) ->
             Printf.sprintf "%s@%d"
-              (match op with
-              | Read -> "read"
-              | Reset -> "reset"
-              | Absorb -> "absorb")
+              (match op with Read -> "read" | Reset -> "reset")
               at)
           ops))
 
@@ -367,7 +362,7 @@ let gen_bank_run =
   let* len = int_range 0 (3 * 8192) in
   let+ ops =
     list_size (int_range 0 8)
-      (pair (int_bound len) (oneofl [ Read; Reset; Absorb ]))
+      (pair (int_bound len) (oneofl [ Read; Reset ]))
   in
   (seed, len, List.stable_sort (fun (a, _) (b, _) -> compare a b) ops)
 
@@ -401,34 +396,18 @@ let prop_bank_matches_oracle =
                Sim.Predictor.make ~history_bits:h ~counter_bits:c ~entries:e)
              keys)
       in
-      let taken_lk = Array.make (Array.length oracle) 0 in
-      let taken_mis = Array.make (Array.length oracle) 0 in
       let bank = Sim.Predictor.bank keys in
-      let global = Sim.Predictor.bank keys in
-      let expect tally absorbed =
-        List.mapi (fun i k -> (k, tally oracle.(i) - absorbed.(i))) keys
-      in
+      let expect tally = List.mapi (fun i k -> (k, tally oracle.(i))) keys in
       let same () =
-        Sim.Predictor.bank_mispredicts bank
-        = expect Sim.Predictor.mispredicts taken_mis
-        && Sim.Predictor.bank_lookups bank
-           = expect Sim.Predictor.lookups taken_lk
+        Sim.Predictor.bank_mispredicts bank = expect Sim.Predictor.mispredicts
+        && Sim.Predictor.bank_lookups bank = expect Sim.Predictor.lookups
       in
       let ok = ref true in
       let apply = function
         | Read -> ok := !ok && same ()
         | Reset ->
           Sim.Predictor.bank_reset bank;
-          Array.iter Sim.Predictor.reset oracle;
-          Array.fill taken_lk 0 (Array.length taken_lk) 0;
-          Array.fill taken_mis 0 (Array.length taken_mis) 0
-        | Absorb ->
-          Sim.Predictor.bank_absorb ~into:global bank;
-          Array.iteri
-            (fun i p ->
-              taken_lk.(i) <- Sim.Predictor.lookups p;
-              taken_mis.(i) <- Sim.Predictor.mispredicts p)
-            oracle
+          Array.iter Sim.Predictor.reset oracle
       in
       let ops = ref ops in
       for i = 0 to len do

@@ -83,7 +83,7 @@ let test_artifact_dropped_cache_collected () =
     (Weak.check held 0)
 
 (* ---------------------------------------------------------------- *)
-(* Profile shards and predictor banks                                *)
+(* Profile shards                                                    *)
 (* ---------------------------------------------------------------- *)
 
 let drift_config = Driver.Config.default
@@ -112,39 +112,6 @@ let test_profile_shard_absorb () =
     (Sim.Profile.total_executions table);
   check_int "shard zeroed" 0 (Sim.Profile.total_executions shard);
   check_int "re-absorb moves nothing" 0 (Sim.Profile.absorb ~into:table shard)
-
-let test_bank_absorb () =
-  let keys = [ (0, 2, 64); (2, 2, 128) ] in
-  let global = Sim.Predictor.bank keys in
-  let shard = Sim.Predictor.bank keys in
-  for i = 0 to 99 do
-    Sim.Predictor.bank_access shard ~site:(i mod 7) ~taken:(i mod 3 = 0)
-  done;
-  let shard_lookups = Sim.Predictor.bank_lookups shard in
-  List.iter
-    (fun (_, n) -> check_int "shard recorded the events" 100 n)
-    shard_lookups;
-  let shard_miss = Sim.Predictor.bank_mispredicts shard in
-  Sim.Predictor.bank_absorb ~into:global shard;
-  check_bool "tallies moved to the global bank" true
-    (Sim.Predictor.bank_lookups global = shard_lookups
-    && Sim.Predictor.bank_mispredicts global = shard_miss);
-  List.iter
-    (fun (_, n) -> check_int "shard lookups zeroed" 0 n)
-    (Sim.Predictor.bank_lookups shard);
-  List.iter
-    (fun (_, n) -> check_int "shard mispredicts zeroed" 0 n)
-    (Sim.Predictor.bank_mispredicts shard);
-  (match
-     Sim.Predictor.bank_absorb ~into:global
-       (Sim.Predictor.bank [ (0, 1, 32) ])
-   with
-  | () -> Alcotest.fail "shape mismatch must raise"
-  | exception Invalid_argument _ -> ());
-  (* double absorb did not happen: global still holds exactly one move *)
-  List.iter
-    (fun (_, n) -> check_int "no double counting" 100 n)
-    (Sim.Predictor.bank_lookups global)
 
 (* ---------------------------------------------------------------- *)
 (* Worker pool                                                       *)
@@ -690,6 +657,63 @@ let test_server_crash_restart_resumes () =
           check_bool "drift serves at its resumed generation" true
             (rd.Driver.Server.rs_generation >= 2)))
 
+(* a merge journals the program record and nothing else: every frame
+   the journal holds after [sync] is a program record, and a restart
+   from it alone restores every program exactly *)
+let test_journal_holds_programs_only () =
+  with_state_dir (fun dir ->
+      let make () =
+        Driver.Server.create ~domains:1 ~sample_every:1 ~merge_every:2
+          ~state_dir:dir ()
+      in
+      let srv = make () in
+      let input = wc_input () in
+      for _ = 1 to 6 do
+        ignore (Driver.Server.submit srv ~name:"wc" ~source:wc_source ~input);
+        ignore
+          (Driver.Server.submit srv ~name:"drift"
+             ~source:Driver.Replay.drift_source
+             ~input:(Driver.Replay.drift_input ~phase:0 ~seed:3))
+      done;
+      Driver.Server.sync srv;
+      let pre = (Driver.Server.stats srv).Driver.Server.st_programs in
+      Driver.Server.shutdown ~crash:true srv;
+      let ic = open_in_bin (Driver.State.journal_path ~dir) in
+      let lines =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () ->
+            let rec go acc =
+              match input_line ic with
+              | l -> go (l :: acc)
+              | exception End_of_file -> List.rev acc
+            in
+            go [])
+      in
+      check_bool "the merges journaled records" true (List.length lines > 2);
+      List.iter
+        (fun line ->
+          let kind =
+            match Driver.State.unframe line with
+            | None -> "damaged"
+            | Some payload ->
+              Option.value ~default:"?"
+                (Option.bind
+                   (Json.member "t" (Json.parse payload))
+                   Json.str)
+          in
+          check_output "every journal frame is a program record" "program"
+            kind)
+        lines;
+      let srv2 = make () in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv2)
+        (fun () ->
+          let post = Driver.Server.stats srv2 in
+          check_int "both programs restored" 2 post.Driver.Server.st_restored;
+          check_bool "programs restored exactly" true
+            (post.Driver.Server.st_programs = pre)))
+
 (* a config change must not resurrect stale state: the content key
    embeds the config fingerprint, so restore drops every record *)
 let test_restore_drops_on_config_change () =
@@ -808,6 +832,59 @@ let test_replay_chaos_certification () =
         (outcome.Driver.Replay.ro_failed
         <= outcome.Driver.Replay.ro_chaos_failed))
 
+(* An artifact fault damages the plugin the victim request's program is
+   served from, never a file in the store that no served program loads:
+   with foreign plugins in the store, each artifact fault either
+   quarantines (the served program reloads the damaged file) or is
+   vacuous. *)
+let test_replay_artifact_fault_hits_served_plugin () =
+  if not (Sim.Native.available ()) then Alcotest.skip ();
+  with_state_dir (fun dir ->
+      (* plugins of programs the replay never serves *)
+      List.iter
+        (fun k ->
+          let src = Printf.sprintf "int main() { return %d; }" k in
+          match
+            Sim.Native.prepare ~cache_dir:dir
+              (Sim.Image.build (compile_final src))
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e)
+        [ 1; 2; 3; 4; 5; 6 ];
+      Sim.Native.clear_memo ();
+      let config =
+        {
+          Driver.Config.default with
+          Driver.Config.backend = `Native;
+          native_cache_dir = Some dir;
+        }
+      in
+      let q0 = (Sim.Native.stats ()).Sim.Native.quarantined in
+      let outcome =
+        Driver.Replay.run ~config ~workloads:[ "wc" ] ~requests:40
+          ~concurrency:1 ~seed:11 ~drift:false ~check_every:8 ~chaos:5
+          ~chaos_seed:13 ()
+      in
+      let quarantined = (Sim.Native.stats ()).Sim.Native.quarantined - q0 in
+      let artifact_faults =
+        List.filter
+          (fun f ->
+            List.mem f.Driver.Replay.rf_kind
+              [ "corrupt_artifact"; "truncate_artifact" ])
+          outcome.Driver.Replay.ro_chaos_faults
+      in
+      check_int "both artifact faults planned" 2 (List.length artifact_faults);
+      let struck =
+        List.filter
+          (fun f -> f.Driver.Replay.rf_outcome <> "vacuous")
+          artifact_faults
+      in
+      check_bool "the served plugin was on disk to damage" true (struck <> []);
+      check_int "every fault that struck was quarantined" (List.length struck)
+        quarantined;
+      check_int "zero escapes" 0 outcome.Driver.Replay.ro_chaos_escapes;
+      check_int "zero oracle mismatches" 0 outcome.Driver.Replay.ro_mismatches)
+
 let test_input_slice () =
   check_output "empty stays empty" "" (Driver.Replay.input_slice ~seed:1 "");
   let text = String.concat "\n" (List.init 200 string_of_int) ^ "\n" in
@@ -829,7 +906,6 @@ let suite =
     case "artifact: a dropped cache frees its artifacts"
       test_artifact_dropped_cache_collected;
     case "profile: shard absorb moves counts once" test_profile_shard_absorb;
-    case "predictor: bank absorb merges telemetry" test_bank_absorb;
     case "pool: workers run, drain, shut down" test_workers_run_and_shutdown;
     case "drift: signature flips with the input mix" test_drift_signature_flips;
     case "native: memo LRU bounded, refill from disk" test_native_memo_lru;
@@ -846,6 +922,8 @@ let suite =
       test_artifact_lru_race;
     slow_case "server: crash-restart resumes generation and counters"
       test_server_crash_restart_resumes;
+    case "server: journal holds program records only, restart exact"
+      test_journal_holds_programs_only;
     case "server: restore drops state on config change"
       test_restore_drops_on_config_change;
     case "server: queue cap sheds load as overloaded"
@@ -855,6 +933,8 @@ let suite =
     slow_case "replay: mixed traffic, oracle-checked" test_replay_smoke;
     slow_case "replay: chaos matrix certified, zero escapes"
       test_replay_chaos_certification;
+    slow_case "replay: artifact faults hit the served plugin"
+      test_replay_artifact_fault_hits_served_plugin;
     case "replay: unknown workload rejected" test_replay_rejects_unknown_workload;
     case "replay: input slices" test_input_slice;
   ]

@@ -39,9 +39,6 @@ let program ~key ~name ?(generation = 1) ?(executions = 100)
     p_combs = [ (0, [| 4 |], 4) ];
   }
 
-let bank : Driver.State.bank =
-  [ ((2, 2, 64), (1000, 37)); ((0, 2, 2048), (1000, 12)) ]
-
 (* ---------------------------------------------------------------- *)
 (* CRC framing                                                       *)
 (* ---------------------------------------------------------------- *)
@@ -80,18 +77,16 @@ let test_journal_roundtrip () =
       let p2 = program ~key:"k2" ~name:"beta" ~generation:3 () in
       Driver.State.journal_program w p1;
       Driver.State.journal_program w p2;
-      Driver.State.journal_bank w bank;
       (* a newer absolute record for k1 supersedes the first *)
       let p1' = program ~key:"k1" ~name:"alpha" ~generation:2 ~executions:500 () in
       Driver.State.journal_program w p1';
-      Alcotest.(check int) "appended counts records" 4 (Driver.State.appended w);
+      Alcotest.(check int) "appended counts records" 3 (Driver.State.appended w);
       Driver.State.close_journal w;
       check_bool "state exists now" true (Driver.State.exists ~dir);
       let r = Driver.State.load ~dir in
       Alcotest.(check int) "no frames skipped" 0 r.Driver.State.r_skipped;
       Alcotest.(check int) "two distinct programs" 2
         (List.length r.Driver.State.r_programs);
-      check_bool "bank restored" true (r.Driver.State.r_bank = bank);
       let k1 =
         List.find
           (fun p -> p.Driver.State.p_key = "k1")
@@ -164,11 +159,10 @@ let test_snapshot_compacts_journal () =
   with_dir (fun dir ->
       let w = Driver.State.open_journal ~dir in
       Driver.State.journal_program w (program ~key:"k1" ~name:"alpha" ());
-      Driver.State.journal_bank w bank;
       Driver.State.close_journal w;
       (* snapshot the superseding state, then truncate the journal *)
       let p1' = program ~key:"k1" ~name:"alpha" ~generation:5 ~executions:777 () in
-      Driver.State.write_snapshot ~dir [ p1' ] bank;
+      Driver.State.write_snapshot ~dir [ p1' ];
       (* before the truncate, load sees snapshot then stale journal:
          the journal's k1 record is older but still *absolute*, so the
          snapshot must not lose to it only when the journal is empty.
@@ -182,7 +176,6 @@ let test_snapshot_compacts_journal () =
         k1.Driver.State.p_generation;
       Alcotest.(check int) "snapshot executions restored" 777
         k1.Driver.State.p_executions;
-      check_bool "bank in the snapshot" true (r.Driver.State.r_bank = bank);
       (* journal records appended after the snapshot win over it *)
       let w = Driver.State.open_journal ~dir in
       Driver.State.journal_program w
@@ -336,6 +329,8 @@ let test_legacy_lines_read_back () =
       close_out oc;
       let r = Driver.State.load ~dir in
       check_int "no legacy frame skipped" 0 r.Driver.State.r_skipped;
+      check_int "the bank frame is read and dropped" 2
+        r.Driver.State.r_records;
       check_bool "legacy program record reads back exactly" true
         (r.Driver.State.r_programs
         = [
@@ -343,9 +338,7 @@ let test_legacy_lines_read_back () =
               (program ~key:"k1" ~name:"alpha" ~generation:3 ()) with
               Driver.State.p_source = "int main() {\n\tputs(\"a\\\\b\");\n}";
             };
-          ]);
-      check_bool "legacy bank record reads back exactly" true
-        (r.Driver.State.r_bank = [ ((2, 2, 64), (1000, 37)) ]))
+          ]))
 
 (* ---------------------------------------------------------------- *)
 (* Chaos plans                                                       *)
