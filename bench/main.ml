@@ -24,12 +24,11 @@
 
    The 17-workload matrix of each heuristic set is fanned out across
    OCaml 5 domains (Driver.Pool) under the guarded runner: a workload
-   that crashes or times out is contained (with --timeout-ms/--retries
-   honoured), its section cells print `-', and the partial results
-   stand.  The `speedup' section re-runs the set-I matrix sequentially,
-   and the `backends' section races the reference, closure-compiled and
-   (when available) native execution engines over the suite's measure
-   stage.
+   that crashes or times out is contained (with --timeout-ms honoured),
+   its section cells print `-', and the partial results stand.  The
+   `speedup' section re-runs the set-I matrix sequentially, and the
+   `backends' section races the reference, closure-compiled and (when
+   available) native execution engines over the suite's measure stage.
 
    Every section prints text only.  CI diffs the deterministic ones
    against bench/golden/ (the fast Tables 5-6 and the full-size static
@@ -44,7 +43,6 @@ let sections = ref []
 let seq = ref false
 let jobs_flag = ref None
 let timeout_ms = ref None
-let retries = ref 0
 
 (* --verify: run the translation validator inside every matrix pipeline
    (Pipeline.run fails the job on any rejection), so a bench run
@@ -91,17 +89,10 @@ let jobs_for ?(workloads = Workloads.Registry.all) config =
         ())
     workloads
 
-(* every table's jobs run under the command line's watchdog and retry
-   budget, degrading down the backend ladder *)
+(* every table's jobs run under the command line's watchdog, degrading
+   down the backend ladder *)
 let run_guarded ?(domains = domains ()) jobs =
-  let policy =
-    {
-      Driver.Guard.default with
-      Driver.Guard.timeout_ms = !timeout_ms;
-      retries = !retries;
-      degrade = true;
-    }
-  in
+  let policy = { Driver.Guard.timeout_ms = !timeout_ms; degrade = true } in
   Driver.Pipeline.run_jobs_guarded ~domains ~policy jobs
 
 (* a failed job is contained, not fatal: warn here, and the caller
@@ -906,13 +897,6 @@ let parse_args () =
       | Some n when n >= 1 -> timeout_ms := Some n
       | _ ->
         prerr_endline "bench: --timeout-ms expects a positive integer";
-        exit 2);
-      go rest
-    | "--retries" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 0 -> retries := n
-      | _ ->
-        prerr_endline "bench: --retries expects a non-negative integer";
         exit 2);
       go rest
     | s :: _ when String.length s > 0 && s.[0] = '-' ->

@@ -82,13 +82,6 @@ let handle_errors f =
   | Minic.Srcloc.Error (loc, msg) ->
     Printf.eprintf "error: %s\n" (Minic.Srcloc.error_to_string loc msg);
     exit 1
-  | Driver.Pool.Job_error (i, label, e) ->
-    Printf.eprintf "error: job %d (%s) failed: %s\n" i label
-      (match e with
-      | Sim.Machine.Trap m -> "runtime trap: " ^ m
-      | Failure m -> m
-      | e -> Printexc.to_string e);
-    exit 1
   | Sim.Machine.Trap msg ->
     Printf.eprintf "runtime trap: %s\n" msg;
     exit 1
@@ -105,24 +98,16 @@ let handle_errors f =
 (* ------------------------------------------------------------------ *)
 
 let compile_cmd =
-  let run source hs raw dot =
+  let run source hs raw =
     handle_errors (fun () ->
         let prog =
           if is_mir_file source then Mir.Parse.program (read_file source)
           else if raw then Minic.Lower.compile (load_source source)
           else load_program source hs
         in
-        if dot then Format.printf "%a" (Mir.Dot.program ?annot:None) prog
-        else begin
-          print_string (Mir.Program.to_string prog);
-          Printf.printf "\n; static instructions: %d\n"
-            (Mir.Program.static_insn_count prog)
-        end)
-  in
-  let dot =
-    Arg.(
-      value & flag
-      & info [ "dot" ] ~doc:"Emit Graphviz CFGs instead of textual MIR.")
+        print_string (Mir.Program.to_string prog);
+        Printf.printf "\n; static instructions: %d\n"
+          (Mir.Program.static_insn_count prog))
   in
   let raw =
     Arg.(
@@ -131,7 +116,7 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile MiniC and dump the optimized MIR.")
-    Term.(const run $ source_arg "compile" $ heuristic_arg $ raw $ dot)
+    Term.(const run $ source_arg "compile" $ heuristic_arg $ raw)
 
 let input_arg =
   Arg.(
@@ -405,15 +390,6 @@ let timeout_ms_arg =
           "Per-attempt wall-clock watchdog: a run exceeding $(docv) is \
            cancelled at the next basic block and reported as a timeout.")
 
-let retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Retry a crashed job up to $(docv) extra times with seeded \
-           exponential backoff before giving up (traps and timeouts are \
-           deterministic and never retried).")
-
 let failures_json_arg =
   Arg.(
     value
@@ -424,8 +400,8 @@ let failures_json_arg =
            flushed incrementally) recording every job's outcome to $(docv).")
 
 let suite_cmd =
-  let run hs jobs backend verify profile names timeout_ms retries
-      failures_json inject_n inject_seed no_degrade ncache_dir =
+  let run hs jobs backend verify profile names timeout_ms failures_json
+      inject_n inject_seed no_degrade ncache_dir =
     handle_errors (fun () ->
         apply_native_opts ncache_dir;
         let workloads =
@@ -463,13 +439,7 @@ let suite_cmd =
         (* guarded: every job runs to a structured outcome, and failures
            cannot abort or disturb siblings *)
         let policy =
-          {
-            Driver.Guard.default with
-            Driver.Guard.timeout_ms;
-            retries;
-            seed = inject_seed;
-            degrade = not no_degrade;
-          }
+          { Driver.Guard.timeout_ms; degrade = not no_degrade }
         in
         let faults =
           if inject_n > 0 then
@@ -519,16 +489,10 @@ let suite_cmd =
           Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome
         in
         let failed = count (fun o -> not (is_ok o)) in
-        let retried =
-          count (fun o -> is_ok o && o.Driver.Pipeline.o_retried > 0)
-        in
         let degraded = count (fun o -> o.Driver.Pipeline.o_degraded) in
         Printf.printf
-          "total: %.2fs on %d domain(s); %d ok (%d retried, %d degraded), \
-           %d failed\n"
-          wall domains
-          (count is_ok)
-          retried degraded failed;
+          "total: %.2fs on %d domain(s); %d ok (%d degraded), %d failed\n"
+          wall domains (count is_ok) degraded failed;
         (match failures_json with
         | Some path ->
           Driver.Manifest.write path
@@ -543,11 +507,7 @@ let suite_cmd =
             List.filter_map
               (fun (f : Driver.Inject.fault) ->
                 let o = List.nth outcomes f.Driver.Inject.i_job in
-                if
-                  is_ok o
-                  && o.Driver.Pipeline.o_retried = 0
-                  && not o.Driver.Pipeline.o_degraded
-                then
+                if is_ok o && not o.Driver.Pipeline.o_degraded then
                   Some
                     (Format.asprintf "%a: fault left no trace (escape)"
                        Driver.Inject.pp_fault f)
@@ -609,7 +569,7 @@ let suite_cmd =
             "Fault-injection self-test: plant $(docv) seeded faults (worker \
              exceptions, traps, fuel and deadline exhaustion, wrong-result \
              corruption) into distinct jobs and require every one to be \
-             contained — recovered by retry/degradation or attributed in the \
+             contained — recovered by degradation or attributed in the \
              outcome — with all sibling results intact.  Exits nonzero on \
              any escape.")
   in
@@ -617,7 +577,7 @@ let suite_cmd =
     Arg.(
       value & opt int 0
       & info [ "inject-seed" ] ~docv:"S"
-          ~doc:"Seed for the fault plan and retry backoff jitter.")
+          ~doc:"Seed for the fault plan.")
   in
   let no_degrade =
     Arg.(
@@ -625,7 +585,7 @@ let suite_cmd =
       & info [ "no-degrade" ]
           ~doc:
             "Disable backend graceful degradation (by default a job whose \
-             attempts crash on the requested backend is retried down the \
+             attempt crashes on the requested backend runs again down the \
              native > compiled > reference ladder; a missing \
              native toolchain counts as a crash of the native rung).")
   in
@@ -635,11 +595,10 @@ let suite_cmd =
          "Run the reordering pipeline over many workloads in parallel and \
           print the per-workload instruction reductions.  Jobs are guarded: \
           crashes, traps and timeouts are contained per job and reported \
-          together (see $(b,--timeout-ms), $(b,--retries), $(b,--inject)).")
+          together (see $(b,--timeout-ms), $(b,--inject)).")
     Term.(
       const run $ heuristic_arg $ jobs $ backend_arg `Compiled $ verify_arg
-      $ profile_arg $ names $ timeout_ms_arg $ retries_arg
-      $ failures_json_arg $ inject_n $ inject_seed $ no_degrade
+      $ profile_arg $ names $ timeout_ms_arg $ failures_json_arg $ inject_n $ inject_seed $ no_degrade
       $ native_cache_dir_arg)
 
 (* trained/static only: `Both is a pipeline notion (train + backfill);

@@ -55,7 +55,10 @@ let () =
     (List.length result.Driver.Pipeline.r_pairs);
   List.iter
     (fun (run, outcome) ->
-      print_string (Format.asprintf "%a\n" Reorder.Common_succ.pp_run run);
+      Printf.printf "comb #%d in %s: [%s] -> %s else %s\n"
+        run.Reorder.Common_succ.cs_id run.Reorder.Common_succ.cs_func
+        (String.concat "; " run.Reorder.Common_succ.labels)
+        run.Reorder.Common_succ.common_succ run.Reorder.Common_succ.final_fail;
       match outcome with
       | Reorder.Common_succ.Reordered order ->
         Printf.printf "  reordered: tests now run in original positions [%s]\n"

@@ -10,11 +10,6 @@ type run = {
 
 let max_run_length = 7
 
-let pp_run ppf r =
-  Format.fprintf ppf "comb #%d in %s: [%s] -> %s else %s" r.cs_id r.cs_func
-    (String.concat "; " r.labels)
-    r.common_succ r.final_fail
-
 (* a chain link: pure compare + branch.  Non-head links must be exactly
    one compare (they are permuted wholesale); the head may carry leading
    instructions, which stay put in front of the permuted chain. *)

@@ -89,5 +89,3 @@ val apply : Mir.Program.t -> Sim.Profile.t -> run -> outcome
 (** Permutes the run's blocks in place when the best order differs from
     the original.  Requires every non-head block to have a single
     predecessor (checked; otherwise skipped). *)
-
-val pp_run : Format.formatter -> run -> unit

@@ -1,11 +1,11 @@
 (* Seeded fault injection for certifying job isolation.
 
    A plan assigns at most one fault to each victim job; the guarded
-   runner ({!Pipeline.run_jobs_guarded}) arms the fault only on attempts
-   against the job's originally-requested backend, so the retry and
-   degradation machinery has something real to recover from.  Every
-   fault must end up contained: attributed to its job in the outcome
-   list (and failure manifest) without disturbing any sibling. *)
+   runner ({!Pipeline.run_jobs_guarded}) arms the fault only on the
+   job's originally-requested backend, so the degradation ladder has
+   something real to recover from.  Every fault must end up contained:
+   attributed to its job in the outcome list (and failure manifest)
+   without disturbing any sibling. *)
 
 type kind =
   | Raise      (* an exception thrown inside the worker *)
@@ -23,51 +23,39 @@ let kind_name = function
   | Deadline -> "deadline"
   | Corrupt -> "corrupt"
 
-type fault = {
-  i_job : int;
-  i_kind : kind;
-  i_transient : bool;
-      (* only the first attempt faults; a retry on the same backend
-         succeeds (models a transient failure) *)
-}
+type fault = { i_job : int; i_kind : kind }
 
 exception Injected of int
 (* the [Raise] fault, carrying the victim job id *)
 
 let pp_fault ppf f =
-  Format.fprintf ppf "job %d: %s%s" f.i_job (kind_name f.i_kind)
-    (if f.i_transient then " (transient)" else "")
+  Format.fprintf ppf "job %d: %s" f.i_job (kind_name f.i_kind)
+
+(* [min count n] distinct victims among [0 .. n-1], in draw order: the
+   prefix of a Fisher-Yates shuffle driven by an LCG seeded from [seed]
+   and a per-plan [salt], each victim paired with the next kind of
+   [kinds] in turn, so every kind appears whenever [count] reaches the
+   number of kinds, whatever the seed *)
+let draw ~salt ~seed ~n ~count kinds =
+  let count = max 0 (min count n) in
+  let state = ref (((seed * 2_654_435_761) lxor salt) land 0x3FFF_FFFF) in
+  let next () =
+    state := ((!state * 1_103_515_245) + 12345) land 0x3FFF_FFFF;
+    !state
+  in
+  let ids = Array.init (max 0 n) Fun.id in
+  for i = 0 to count - 1 do
+    let j = i + (next () mod (n - i)) in
+    let t = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- t
+  done;
+  let kinds = Array.of_list kinds in
+  List.init count (fun i -> (ids.(i), kinds.(i mod Array.length kinds)))
 
 let plan ~seed ~jobs ~count =
-  if jobs <= 0 then []
-  else begin
-    let count = min count jobs in
-    let state = ref (((seed * 2_654_435_761) lxor 0x5DEECE6D) land 0x3FFF_FFFF) in
-    let next () =
-      state := ((!state * 1_103_515_245) + 12345) land 0x3FFF_FFFF;
-      !state
-    in
-    (* seeded Fisher-Yates prefix: distinct victim jobs *)
-    let ids = Array.init jobs Fun.id in
-    for i = 0 to count - 1 do
-      let j = i + (next () mod (jobs - i)) in
-      let t = ids.(i) in
-      ids.(i) <- ids.(j);
-      ids.(j) <- t
-    done;
-    let kinds = Array.of_list all_kinds in
-    List.init count (fun i ->
-        (* cycle the kinds so every fault class is exercised whenever
-           count >= 5, whatever the seed *)
-        let kind = kinds.(i mod Array.length kinds) in
-        {
-          i_job = ids.(i);
-          i_kind = kind;
-          (* only [Raise] models a transient failure the retry loop can
-             beat; the other kinds persist for the whole rung *)
-          i_transient = (match kind with Raise -> next () mod 2 = 0 | _ -> false);
-        })
-  end
+  draw ~salt:0x5DEECE6D ~seed ~n:jobs ~count all_kinds
+  |> List.map (fun (i_job, i_kind) -> { i_job; i_kind })
 
 let find plans ~job = List.find_opt (fun f -> f.i_job = job) plans
 
@@ -103,26 +91,9 @@ let server_kind_name = function
 type server_fault = { sv_request : int; sv_kind : server_kind }
 
 let server_plan ~seed ~requests ~count =
-  if requests <= 0 then []
-  else begin
-    let count = min count requests in
-    let state = ref (((seed * 2_654_435_761) lxor 0x2545F491) land 0x3FFF_FFFF) in
-    let next () =
-      state := ((!state * 1_103_515_245) + 12345) land 0x3FFF_FFFF;
-      !state
-    in
-    let ids = Array.init requests Fun.id in
-    for i = 0 to count - 1 do
-      let j = i + (next () mod (requests - i)) in
-      let t = ids.(i) in
-      ids.(i) <- ids.(j);
-      ids.(j) <- t
-    done;
-    let kinds = Array.of_list all_server_kinds in
-    List.init count (fun i ->
-        { sv_request = ids.(i); sv_kind = kinds.(i mod Array.length kinds) })
-    |> List.sort (fun a b -> compare a.sv_request b.sv_request)
-  end
+  draw ~salt:0x2545F491 ~seed ~n:requests ~count all_server_kinds
+  |> List.map (fun (sv_request, sv_kind) -> { sv_request; sv_kind })
+  |> List.sort (fun a b -> compare a.sv_request b.sv_request)
 
 let server_find plans ~request =
   List.find_opt (fun f -> f.sv_request = request) plans

@@ -3,9 +3,8 @@
     {!plan} draws a deterministic set of faults (distinct victim jobs,
     all five kinds cycled) for a run of [jobs] jobs;
     {!Pipeline.run_jobs_guarded} arms each fault on its victim's
-    attempts against the originally-requested backend only, so retries
-    (transient raises) and backend degradation (persistent faults) have
-    a real recovery path.  The tests and the CI smoke job assert that
+    originally-requested backend only, so backend degradation has a
+    real recovery path.  The tests and the CI smoke job assert that
     every planted fault is contained: attributed to its job id in the
     outcome list and failure manifest, with every sibling's result
     intact. *)
@@ -26,9 +25,6 @@ val kind_name : kind -> string
 type fault = {
   i_job : int;          (** victim job index *)
   i_kind : kind;
-  i_transient : bool;
-      (** fault only the first attempt on the requested backend, so a
-          bounded retry recovers (only ever set for {!Raise}) *)
 }
 
 exception Injected of int
@@ -49,8 +45,8 @@ val find : fault list -> job:int -> fault option
     The serving counterpart of {!plan}: seeded faults against a
     {!Server} under {!Replay} traffic.  {!S_kill_worker} and {!S_stall}
     strike {e inside} the victim request's guarded closure (via
-    {!Server.submit}'s [inject] hook), so the retry/degradation ladder
-    recovers them; the other three damage the environment — artifact
+    {!Server.submit}'s [inject] hook), so the degradation ladder
+    recovers a kill and the deadline fails a stall; the other three damage the environment — artifact
     store bytes, the durability journal's tail — just before the victim
     request fires, so the self-healing store and the torn-tail-tolerant
     {!State} reader recover under live load.  The certification bar is

@@ -339,7 +339,7 @@ let job ?(config = Config.default) ~name ~source ~training_input ~test_input ()
   }
 
 (* ------------------------------------------------------------------ *)
-(* Guarded execution: watchdogs, retries, backend degradation          *)
+(* Guarded execution: watchdogs, backend degradation                   *)
 (* ------------------------------------------------------------------ *)
 
 exception Wrong_result of string
@@ -378,7 +378,7 @@ let run_guarded_job ?fault ~index ~policy j =
     | None -> ""
   in
   let t0 = Unix.gettimeofday () in
-  let attempt_job ~backend ~attempt ~cancel =
+  let attempt_job ~backend ~cancel =
     (* faults are armed only against the requested backend, so the
        degradation ladder has a real recovery path *)
     let armed = if backend = requested then fault else None in
@@ -388,12 +388,7 @@ let run_guarded_job ?fault ~index ~policy j =
       | None -> config
       | Some (f : Inject.fault) -> (
         match f.Inject.i_kind with
-        | Inject.Raise ->
-          (* transient raises fault only the first attempt, giving the
-             bounded-retry loop something it can actually beat *)
-          if (not f.Inject.i_transient) || attempt = 1 then
-            raise (Inject.Injected index);
-          config
+        | Inject.Raise -> raise (Inject.Injected index)
         | Inject.Trap ->
           raise
             (Sim.Runtime.Trap (Printf.sprintf "injected trap (job %d)" index))
@@ -421,9 +416,7 @@ let run_guarded_job ?fault ~index ~policy j =
     in
     check_observables j.job_name r
   in
-  let backend, outcome, meta =
-    Guard.ladder ~index policy j.job_config attempt_job
-  in
+  let backend, outcome, meta = Guard.ladder policy j.job_config attempt_job in
   {
     o_index = index;
     o_name = j.job_name;
@@ -440,7 +433,6 @@ let run_guarded_job ?fault ~index ~policy j =
 let run_jobs_guarded ?domains ?(policy = Guard.default) ?(inject = []) jobs =
   let indexed = List.mapi (fun i j -> (i, j)) jobs in
   Pool.map ?domains
-    ~label:(fun _ (_, j) -> j.job_name)
     (fun (i, j) ->
       run_guarded_job ?fault:(Inject.find inject ~job:i) ~index:i ~policy j)
     indexed

@@ -139,18 +139,19 @@ val job :
 (** {2 Guarded execution}
 
     The fault-tolerant runner: every job ends in a structured
-    {!job_outcome} (never an exception), under a {!Guard.policy} of
-    per-attempt watchdog deadlines and bounded seeded retries, plus
-    backend graceful degradation — a job whose [`Native] attempts crash
-    (including {!Sim.Native.Unavailable}: no ocamlfind, codegen or
-    dynlink failure) is retried under [`Compiled] and finally
-    [`Reference] ({!Guard.ladder}, the ladder the server walks too), and
-    the divergence is recorded.  Traps and timeouts are final: they are
+    {!job_outcome} (never an exception), under a {!Guard.policy} of a
+    per-attempt watchdog deadline plus backend graceful degradation —
+    a job whose [`Native] attempt crashes (including
+    {!Sim.Native.Unavailable}: no ocamlfind, codegen or dynlink
+    failure) is run again under [`Compiled] and finally [`Reference]
+    ({!Guard.ladder}, the ladder the server walks too), and the
+    divergence is recorded.  Runs are deterministic, so a rung is never
+    tried twice.  Traps and timeouts are final: they are
     properties of the simulated program and the deadline, identical on
     every backend, so degrading cannot help. *)
 
 exception Wrong_result of string
-(** Raised (and contained by the guard as a retryable crash) when the
+(** Raised (and contained by the guard as a crash of its rung) when the
     post-run observables re-check fails: the reordered version's output
     or exit code diverged from the original's outside the pipeline's own
     internal comparison.  This is the detection layer for wrong-result
@@ -160,21 +161,21 @@ type job_outcome = {
   o_index : int;       (** 0-based position in the submitted job list *)
   o_name : string;
   o_outcome : result Pool.outcome;
-  o_attempts : int;    (** total attempts across all backend rungs *)
-  o_retried : int;     (** [o_attempts - 1] *)
+  o_attempts : int;    (** backend rungs tried, one attempt each *)
+  o_retried : int;     (** [o_attempts - 1]: rungs walked past the first *)
   o_backend : string;  (** backend that produced the final outcome *)
   o_degraded : bool;   (** served by a lower rung than requested *)
   o_errors : string list;  (** one line per failed attempt, oldest first *)
   o_injected : string; (** {!Inject.kind_name} of a planted fault; [""] *)
-  o_seconds : float;   (** wall clock including retries and backoff *)
+  o_seconds : float;   (** wall clock across every rung tried *)
 }
 
 val run_guarded_job :
   ?fault:Inject.fault -> index:int -> policy:Guard.policy -> job -> job_outcome
 (** Run one job in the calling domain under the full containment stack.
-    [fault] (tests and the [--inject] harness) is armed only on attempts
-    against the job's requested backend, so degradation recovers from
-    persistent kinds and retries recover from transient ones. *)
+    [fault] (tests and the [--inject] harness) is armed only on the
+    job's requested backend, so degradation recovers a [Raise] or
+    [Corrupt] fault on the next rung. *)
 
 val run_jobs_guarded :
   ?domains:int ->

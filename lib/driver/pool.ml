@@ -39,7 +39,6 @@ type 'a outcome =
   | Trap of string
   | Timeout of int
   | Crash of exn_info
-  | Gave_up of { attempts : int; last : exn_info }
 
 let outcome_ok = function Ok _ -> true | _ -> false
 
@@ -48,7 +47,6 @@ let outcome_status = function
   | Trap _ -> "trap"
   | Timeout _ -> "timeout"
   | Crash _ -> "crash"
-  | Gave_up _ -> "gave_up"
 
 let outcome_message = function
   | Ok _ -> ""
@@ -57,10 +55,6 @@ let outcome_message = function
     if ms > 0 then Printf.sprintf "deadline of %d ms exceeded" ms
     else "run cancelled by watchdog"
   | Crash i -> i.exn_message
-  | Gave_up { attempts; last } ->
-    Printf.sprintf "gave up after %d attempts: %s" attempts last.exn_message
-
-exception Job_error of int * string * exn
 
 (* ------------------------------------------------------------------ *)
 (* Long-lived worker pool                                              *)
@@ -209,14 +203,12 @@ end
 (* Fan-out                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let default_label i _ = Printf.sprintf "job %d" i
-
 (* every item's [f] runs to completion (or to a captured exception), on
    the caller's domain when one domain is asked for, else on a [Workers]
    pool of at most one domain per item; nothing a single job does can
    discard another job's slot.  Distinct slots, so the plain writes are
    race-free, and [Workers.shutdown]'s joins publish them *)
-let map ?domains ?(label = default_label) f xs =
+let map ?domains f xs =
   let captured x =
     try Stdlib.Ok (f x)
     with e -> Stdlib.Error (e, Printexc.get_raw_backtrace ())
@@ -236,13 +228,9 @@ let map ?domains ?(label = default_label) f xs =
       Array.to_list results |> List.map Option.get
     end
   in
-  (* fail fast, but name the first failed job in input order: the caller
-     asked for all-or-nothing *)
-  List.iteri
-    (fun i (x, r) ->
-      match r with
-      | Stdlib.Ok _ -> ()
-      | Stdlib.Error (e, bt) ->
-        Printexc.raise_with_backtrace (Job_error (i, label i x, e)) bt)
-    (List.combine xs rs);
-  List.map (function Stdlib.Ok r -> r | Stdlib.Error _ -> assert false) rs
+  (* the first failure in input order, whatever the schedule *)
+  List.map
+    (function
+      | Stdlib.Ok r -> r
+      | Stdlib.Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    rs

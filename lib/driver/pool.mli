@@ -2,13 +2,13 @@
     measurement jobs (one {!Pipeline} run per workload).
 
     {!map} posts one task per item to a {!Workers} pool made for the
-    call, results land in their input slot, and the caller receives them in input order — so
-    output is deterministic regardless of scheduling.  Every job runs to
-    completion (or to a captured exception) whatever its siblings do;
-    {!map} then re-raises the first failure (in input order) wrapped in
-    {!Job_error} so the job is attributable.  Callers that must keep
-    every sibling's result run total jobs: {!Guard.protect} folds each
-    job's failures into a structured {!outcome}, which is how
+    call, results land in their input slot, and the caller receives
+    them in input order — so output is deterministic regardless of
+    scheduling.  Every job runs to completion (or to a captured
+    exception) whatever its siblings do; {!map} then re-raises the
+    first failure in input order.  Callers that must keep every
+    sibling's result run total jobs: {!Guard.ladder} folds each job's
+    failures into a structured {!outcome}, which is how
     {!Pipeline.run_jobs_guarded} uses the pool.
 
     The pipeline has no global mutable state, so jobs are data-parallel;
@@ -38,31 +38,24 @@ type 'a outcome =
   | Trap of string             (** the simulated program trapped *)
   | Timeout of int             (** watchdog deadline (ms) expired *)
   | Crash of exn_info          (** the job raised any other exception *)
-  | Gave_up of { attempts : int; last : exn_info }
-      (** retries exhausted on a persistently-crashing job *)
 
 val outcome_ok : 'a outcome -> bool
 
 val outcome_status : 'a outcome -> string
-(** ["ok" | "trap" | "timeout" | "crash" | "gave_up"] — the stable
+(** ["ok" | "trap" | "timeout" | "crash"] — the stable
     machine-readable tag used by failure manifests. *)
 
 val outcome_message : 'a outcome -> string
 (** Human-readable failure description; [""] for {!Ok}. *)
 
-exception Job_error of int * string * exn
-(** [Job_error (index, label, e)]: job [index] (0-based input position,
-    with its display [label]) raised [e].  Raised by {!map}; the
-    original exception and backtrace are preserved in the payload. *)
-
 (** {2 Fan-out} *)
 
-val map : ?domains:int -> ?label:(int -> 'a -> string) -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] applies [f] to every element, running up to [domains]
     domains (never more than [List.length xs]; [domains <= 1] degrades
-    to plain sequential application).  Results are in input order.
-    Fail-fast: if any job raised, the first failure in input order is
-    re-raised as {!Job_error} (completed siblings are discarded). *)
+    to plain sequential application).  Results are in input order.  If
+    any job raised, the first failure in input order is re-raised,
+    unwrapped, with its backtrace (completed siblings are discarded). *)
 
 (** {2 Long-lived worker pool}
 

@@ -327,7 +327,8 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
           (None, Some (fun () -> raise (Inject.Injected i)))
         | Some { Inject.sv_kind = Inject.S_stall; _ } ->
           (* the stall outlives the request deadline, so the watchdog
-             must fire; the retry (the stall fires once) recovers *)
+             fires and the request ends as a timeout: timeouts are
+             final on every rung *)
           (Some 100, Some (fun () -> Unix.sleepf 0.25))
         | _ -> (None, None)
       in

@@ -122,7 +122,7 @@ let config_fingerprint (c : Config.t) =
     (string_of_int c.Config.fuel)
 
 (* the guard every request runs under: no watchdog unless the request
-   sets a deadline, no retries, degradation down the backend ladder *)
+   sets a deadline, degradation down the backend ladder *)
 let policy = { Guard.default with Guard.degrade = true }
 
 let content_key t source =
@@ -493,8 +493,8 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
      same {!Sim.Runtime.watchdog} machinery *)
   let policy = { policy with Guard.timeout_ms = deadline_ms } in
   (* chaos hook: fires inside the guarded closure exactly once, on the
-     first attempt of the first rung, so an injected crash exercises
-     the real recovery path (degradation to the next rung) *)
+     first rung, so an injected crash exercises the real recovery path
+     (degradation to the next rung) *)
   let injected = ref false in
   let fire_inject () =
     if not !injected then begin
@@ -524,7 +524,7 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
   | entry ->
     let art = Atomic.get entry.e_artifact in
     let backend, outcome, _meta =
-      Guard.ladder policy t.config (fun ~backend ~attempt:_ ~cancel ->
+      Guard.ladder policy t.config (fun ~backend ~cancel ->
           fire_inject ();
           exec_rung t art backend ~cancel ~input)
     in

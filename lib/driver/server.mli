@@ -32,10 +32,10 @@
     In-flight requests keep the generation they started with.
 
     {b Resilience.}  Every request runs under {!Guard.ladder}, the
-    ladder batch jobs walk too: per-attempt watchdog, bounded seeded
-    retries, and backend degradation native → compiled → reference,
-    each rung served from its cached artifact.  One poisoned request cannot take
-    the service down.
+    ladder batch jobs walk too: a per-request watchdog and backend
+    degradation native → compiled → reference, each rung served from
+    its cached artifact.  One poisoned request cannot take the service
+    down.
 
     {b Durability.}  With [state_dir] set, everything the online loop
     learns is persisted through {!State}: every merge appends an

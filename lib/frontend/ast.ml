@@ -98,8 +98,6 @@ let binop_name = function
 
 let unop_name = function Neg -> "-" | LNot -> "!" | BNot -> "~"
 
-let pp_binop ppf op = Format.pp_print_string ppf (binop_name op)
-
 let rec pp_lvalue ppf = function
   | Lvar v -> Format.pp_print_string ppf v
   | Lindex (a, e) -> Format.fprintf ppf "%s[%a]" a pp_expr e
@@ -128,77 +126,3 @@ and pp_expr ppf e =
     else Format.fprintf ppf "%a%s" pp_lvalue lv op
   | Ternary (c, t, f) ->
     Format.fprintf ppf "(%a ? %a : %a)" pp_expr c pp_expr t pp_expr f
-
-let rec pp_stmt ppf s =
-  match s.sdesc with
-  | Sexpr e -> Format.fprintf ppf "%a;" pp_expr e
-  | Sif (c, t, None) -> Format.fprintf ppf "if (%a) %a" pp_expr c pp_stmt t
-  | Sif (c, t, Some f) ->
-    Format.fprintf ppf "if (%a) %a else %a" pp_expr c pp_stmt t pp_stmt f
-  | Swhile (c, b) -> Format.fprintf ppf "while (%a) %a" pp_expr c pp_stmt b
-  | Sdo (b, c) -> Format.fprintf ppf "do %a while (%a);" pp_stmt b pp_expr c
-  | Sfor (init, cond, step, b) ->
-    let pp_opt ppf = function
-      | None -> ()
-      | Some e -> pp_expr ppf e
-    in
-    Format.fprintf ppf "for (%a; %a; %a) %a" pp_opt init pp_opt cond pp_opt
-      step pp_stmt b
-  | Sswitch (e, groups) ->
-    Format.fprintf ppf "switch (%a) {@\n" pp_expr e;
-    List.iter
-      (fun g ->
-        List.iter
-          (function
-            | Case c -> Format.fprintf ppf "case %a:@\n" pp_expr c
-            | Default -> Format.fprintf ppf "default:@\n")
-          g.labels;
-        List.iter (fun s -> Format.fprintf ppf "  %a@\n" pp_stmt s) g.body)
-      groups;
-    Format.fprintf ppf "}"
-  | Sbreak -> Format.fprintf ppf "break;"
-  | Scontinue -> Format.fprintf ppf "continue;"
-  | Sreturn None -> Format.fprintf ppf "return;"
-  | Sreturn (Some e) -> Format.fprintf ppf "return %a;" pp_expr e
-  | Sblock items ->
-    Format.fprintf ppf "{@\n";
-    List.iter (fun item -> Format.fprintf ppf "  %a@\n" pp_block_item item) items;
-    Format.fprintf ppf "}"
-
-and pp_block_item ppf = function
-  | Local { lname; linit = None; _ } -> Format.fprintf ppf "int %s;" lname
-  | Local { lname; linit = Some e; _ } ->
-    Format.fprintf ppf "int %s = %a;" lname pp_expr e
-  | Stmt s -> pp_stmt ppf s
-
-let pp_decl ppf = function
-  | Func f ->
-    Format.fprintf ppf "%s %s(%s) %a"
-      (if f.fret_void then "void" else "int")
-      f.fname
-      (String.concat ", " (List.map (fun p -> "int " ^ p) f.fparams))
-      pp_stmt
-      { sdesc = Sblock f.fbody; sloc = f.floc }
-  | Global g ->
-    let array =
-      match g.garray with
-      | None -> ""
-      | Some None -> "[]"
-      | Some (Some e) -> Format.asprintf "[%a]" pp_expr e
-    in
-    let init =
-      match g.ginit with
-      | None -> ""
-      | Some (Gscalar e) -> Format.asprintf " = %a" pp_expr e
-      | Some (Gstring s) -> Format.asprintf " = %S" s
-      | Some (Glist es) ->
-        Format.asprintf " = {%a}"
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-             pp_expr)
-          es
-    in
-    Format.fprintf ppf "int %s%s%s;" g.gname array init
-
-let pp_program ppf p =
-  List.iter (fun d -> Format.fprintf ppf "%a@\n@\n" pp_decl d) p

@@ -101,7 +101,4 @@ type decl =
 
 type program = decl list
 
-val pp_binop : Format.formatter -> binop -> unit
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_program : Format.formatter -> program -> unit

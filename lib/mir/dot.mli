@@ -1,5 +1,5 @@
 (** Graphviz rendering of CFGs (for papersmithing and debugging; the CLI
-    exposes it as [bromc compile --dot]). *)
+    exposes it as [bromc dot]). *)
 
 val func :
   ?annot:(Block.t -> string option) -> Format.formatter -> Func.t -> unit

@@ -581,8 +581,7 @@ let test_degrades_to_compiled () =
       let o =
         Driver.Pipeline.run_guarded_job ~index:0
           ~policy:
-            { Driver.Guard.default with Driver.Guard.degrade = true;
-              backoff_ms = 0 }
+            { Driver.Guard.default with Driver.Guard.degrade = true }
           job
       in
       check_bool "job succeeded" true
@@ -603,8 +602,7 @@ let test_no_degrade_is_contained_crash () =
       let o =
         Driver.Pipeline.run_guarded_job ~index:0
           ~policy:
-            { Driver.Guard.default with Driver.Guard.degrade = false;
-              backoff_ms = 0 }
+            { Driver.Guard.default with Driver.Guard.degrade = false }
           job
       in
       check_bool "outcome is a failure" false

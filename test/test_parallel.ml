@@ -1,9 +1,9 @@
 (* The bounded domain pool and the fault-tolerant execution layer:
    results must come back in input order whatever the schedule, a
    failing job must be attributable without discarding its siblings,
-   watchdogs must contain runaway runs, retries must be bounded and
-   seeded-deterministic, backend degradation must preserve observables,
-   and every injected fault must be contained. *)
+   watchdogs must contain runaway runs, a crash must be final on its
+   rung, backend degradation must preserve observables, and every
+   injected fault must be contained. *)
 
 open Helpers
 
@@ -40,27 +40,20 @@ let test_map_empty_and_singleton () =
 exception Boom of int
 
 let test_map_exception () =
-  (* several items fail; the first failure in input order is re-raised,
-     wrapped so the job is attributable *)
+  (* several items fail; the first failure in input order is re-raised
+     as it was raised, whatever the schedule *)
   let f x = if x mod 10 = 3 then raise (Boom x) else x in
   (match Driver.Pool.map ~domains:4 f (List.init 50 Fun.id) with
-  | _ -> Alcotest.fail "expected Job_error"
-  | exception Driver.Pool.Job_error (i, _, Boom n) ->
-    check_int "first failing index" 3 i;
-    check_int "original exception payload" 3 n);
-  (* the trap exception type used by the simulator survives inside the
-     wrapper too *)
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom n -> check_int "first failing item" 3 n);
+  (* the trap exception type used by the simulator comes back as is *)
   match
     Driver.Pool.map ~domains:2
-      ~label:(fun i _ -> Printf.sprintf "item-%d" i)
       (fun x -> if x = 1 then raise (Sim.Machine.Trap "t") else x)
       [ 0; 1 ]
   with
-  | _ -> Alcotest.fail "expected Job_error"
-  | exception Driver.Pool.Job_error (i, label, Sim.Machine.Trap m) ->
-    check_int "failing index" 1 i;
-    check_output "label" "item-1" label;
-    check_output "trap message" "t" m
+  | _ -> Alcotest.fail "expected Trap"
+  | exception Sim.Machine.Trap m -> check_output "trap message" "t" m
 
 let test_default_domains_env () =
   let saved = Sys.getenv_opt "BROMC_DOMAINS" in
@@ -73,75 +66,56 @@ let test_default_domains_env () =
   Unix.putenv "BROMC_DOMAINS" (match saved with Some s -> s | None -> "")
 
 (* ------------------------------------------------------------------ *)
-(* Guard: retries, backoff determinism, classification                 *)
+(* Guard: classification and the ladder                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_guard_retry_determinism () =
-  let policy =
-    { Driver.Guard.default with Driver.Guard.retries = 3; backoff_ms = 5;
-      seed = 42 }
+let test_guard_crash_and_trap_final () =
+  let config =
+    { Driver.Config.default with Driver.Config.backend = `Compiled }
   in
-  let schedule () =
-    List.init 3 (fun a ->
-        Driver.Guard.backoff_ms policy ~index:7 ~attempt:(a + 1))
+  let run policy f =
+    let calls = ref 0 in
+    let backend, out, meta =
+      Driver.Guard.ladder policy config (fun ~backend:_ ~cancel:_ ->
+          incr calls;
+          f ())
+    in
+    (Sim.Machine.backend_name backend, out, meta, !calls)
   in
-  Alcotest.(check (list int))
-    "same seed, same backoff schedule" (schedule ()) (schedule ());
-  (match schedule () with
-  | [ a; b; c ] ->
-    check_bool "exponential growth" true (a < b && b < c);
-    check_bool "jitter bounded by one base unit" true
-      (a >= 5 && a < 10 && b >= 10 && b < 15 && c >= 20 && c < 25)
-  | _ -> Alcotest.fail "expected three delays");
-  (* a transiently-failing job recovers within the retry budget *)
-  let calls = ref 0 in
-  let out, meta =
-    Driver.Guard.protect ~index:3 policy (fun ~attempt ~cancel:_ ->
-        incr calls;
-        if attempt <= 2 then raise (Boom attempt) else 99)
-  in
-  (match out with
-  | Driver.Pool.Ok v -> check_int "recovered value" 99 v
-  | _ -> Alcotest.fail "expected recovery");
-  check_int "three attempts" 3 meta.Driver.Guard.m_attempts;
-  check_int "job called once per attempt" 3 !calls;
-  check_int "one error line per failed attempt" 2
-    (List.length meta.Driver.Guard.m_errors)
-
-let test_guard_bounded_and_final () =
-  let policy =
-    { Driver.Guard.default with Driver.Guard.retries = 2; backoff_ms = 0 }
-  in
-  (* a persistent crash exhausts the budget: retries + 1 attempts *)
-  let out, meta =
-    Driver.Guard.protect policy (fun ~attempt ~cancel:_ -> raise (Boom attempt))
-  in
-  (match out with
-  | Driver.Pool.Gave_up { attempts; _ } -> check_int "gave up after" 3 attempts
-  | _ -> Alcotest.fail "expected Gave_up");
-  check_int "attempts bounded" 3 meta.Driver.Guard.m_attempts;
-  (* a crash with no retry budget is a plain Crash *)
-  let out, meta =
-    Driver.Guard.protect
-      { policy with Driver.Guard.retries = 0 }
-      (fun ~attempt:_ ~cancel:_ -> raise (Boom 0))
+  (* without degradation a crash is final on its rung: one attempt *)
+  let backend, out, meta, calls =
+    run Driver.Guard.default (fun () -> raise (Boom 0))
   in
   (match out with
   | Driver.Pool.Crash _ -> ()
   | _ -> Alcotest.fail "expected Crash");
+  check_output "rung kept" "compiled" backend;
   check_int "single attempt" 1 meta.Driver.Guard.m_attempts;
-  (* traps are deterministic: never retried, whatever the budget *)
-  let calls = ref 0 in
-  let out, meta =
-    Driver.Guard.protect policy (fun ~attempt:_ ~cancel:_ ->
-        incr calls;
-        raise (Sim.Runtime.Trap "deterministic"))
+  check_int "job ran once" 1 calls;
+  check_int "one error line" 1 (List.length meta.Driver.Guard.m_errors);
+  (* with degradation a crash moves down a rung, once per rung *)
+  let degrade = { Driver.Guard.default with Driver.Guard.degrade = true } in
+  let backend, out, meta, calls = run degrade (fun () -> raise (Boom 0)) in
+  (match out with
+  | Driver.Pool.Crash _ -> ()
+  | _ -> Alcotest.fail "expected Crash");
+  check_output "last rung" "reference" backend;
+  check_int "one attempt per rung" 2 meta.Driver.Guard.m_attempts;
+  check_int "job ran once per rung" 2 calls;
+  Alcotest.(check (list bool))
+    "error lines name their rung" [ true; true ]
+    (List.map2 contains_substring meta.Driver.Guard.m_errors
+       [ "(compiled)"; "(reference)" ]);
+  (* traps are deterministic: final on the first rung, whatever is left *)
+  let backend, out, meta, calls =
+    run degrade (fun () -> raise (Sim.Runtime.Trap "deterministic"))
   in
   (match out with
   | Driver.Pool.Trap m -> check_output "trap kept" "deterministic" m
   | _ -> Alcotest.fail "expected Trap");
+  check_output "trap not degraded" "compiled" backend;
   check_int "trap not retried" 1 meta.Driver.Guard.m_attempts;
-  check_int "job ran once" 1 !calls
+  check_int "job ran once" 1 calls
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog: a runaway job is cancelled and classified as a timeout     *)
@@ -223,6 +197,55 @@ let test_inject_plan () =
   check_int "no jobs, no faults" 0
     (List.length (Driver.Inject.plan ~seed:5 ~jobs:0 ~count:3))
 
+(* the exact victims and kinds of three plans: CI's injection smoke and
+   chaos replay are seeded, so a change to the draw moves their faults *)
+let test_inject_plans_pinned () =
+  let pairs p =
+    List.map
+      (fun f ->
+        ( f.Driver.Inject.i_job,
+          Driver.Inject.kind_name f.Driver.Inject.i_kind ))
+      p
+  in
+  Alcotest.(check (list (pair int string)))
+    "plan seed 42, 7 of 7"
+    [ (4, "raise"); (2, "trap"); (0, "fuel"); (6, "deadline"); (1, "corrupt");
+      (3, "raise"); (5, "trap") ]
+    (pairs (Driver.Inject.plan ~seed:42 ~jobs:7 ~count:7));
+  let p = Driver.Inject.plan ~seed:11 ~jobs:220 ~count:200 in
+  Alcotest.(check (list int))
+    "plan seed 11, 200 of 220: victims"
+    [
+      107; 97; 27; 58; 103; 181; 25; 40; 195; 139; 79; 71; 4; 105; 41; 142;
+      91; 61; 1; 39; 63; 121; 113; 186; 11; 147; 101; 30; 151; 179; 209; 167;
+      99; 20; 141; 55; 95; 174; 34; 70; 219; 190; 89; 0; 183; 85; 45; 17; 29;
+      163; 123; 54; 111; 146; 137; 192; 10; 56; 211; 177; 44; 102; 193; 42;
+      171; 98; 127; 191; 31; 200; 161; 33; 48; 159; 49; 104; 199; 57; 24;
+      148; 74; 188; 72; 96; 135; 87; 189; 198; 60; 184; 187; 15; 28; 175;
+      165; 208; 3; 90; 59; 130; 92; 82; 67; 201; 203; 18; 65; 86; 68; 125;
+      50; 160; 84; 22; 64; 152; 66; 133; 119; 172; 83; 131; 73; 214; 100; 37;
+      12; 169; 80; 126; 38; 120; 122; 176; 185; 129; 207; 215; 145; 210; 88;
+      156; 47; 8; 16; 140; 173; 182; 136; 134; 26; 166; 76; 164; 13; 150; 51;
+      114; 116; 112; 7; 212; 53; 14; 32; 149; 155; 204; 143; 205; 115; 216;
+      153; 94; 132; 117; 138; 162; 217; 197; 118; 93; 43; 69; 180; 52; 124;
+      194; 78; 213; 178; 77; 144; 106; 128; 6; 81; 36; 168; 157;
+    ]
+    (List.map (fun f -> f.Driver.Inject.i_job) p);
+  Alcotest.(check (list string))
+    "plan seed 11, 200 of 220: kinds cycled"
+    (List.init 200 (fun i ->
+         Driver.Inject.kind_name (List.nth Driver.Inject.all_kinds (i mod 5))))
+    (List.map snd (pairs p));
+  Alcotest.(check (list (pair int string)))
+    "server plan seed 7, 5 of 200"
+    [ (3, "stall"); (23, "tear_journal"); (105, "corrupt_artifact");
+      (119, "kill_worker"); (134, "truncate_artifact") ]
+    (List.map
+       (fun f ->
+         ( f.Driver.Inject.sv_request,
+           Driver.Inject.server_kind_name f.Driver.Inject.sv_kind ))
+       (Driver.Inject.server_plan ~seed:7 ~requests:200 ~count:5))
+
 (* ------------------------------------------------------------------ *)
 (* Containment certification: >= 200 seeded faults, zero escapes        *)
 (* ------------------------------------------------------------------ *)
@@ -245,10 +268,7 @@ let test_fault_containment_certification () =
   in
   let faults = Driver.Inject.plan ~seed:11 ~jobs:n ~count:faults_n in
   check_int "fault budget" faults_n (List.length faults);
-  let policy =
-    { Driver.Guard.default with Driver.Guard.retries = 2; backoff_ms = 0;
-      degrade = true }
-  in
+  let policy = { Driver.Guard.default with Driver.Guard.degrade = true } in
   let outcomes =
     Driver.Pipeline.run_jobs_guarded ~domains:4 ~policy ~inject:faults jobs
   in
@@ -270,7 +290,7 @@ let test_fault_containment_certification () =
         | _ -> ());
         check_output "sibling not attributed" "" o.Driver.Pipeline.o_injected
       | Some f ->
-        (* victim: the fault must leave a trace — recovery evidence or a
+        (* victim: the fault must leave a trace — degradation or a
            non-ok outcome attributed to this job in the manifest *)
         incr contained;
         check_output "victim attributed"
@@ -281,10 +301,11 @@ let test_fault_containment_certification () =
         check_bool "manifest attribution" true
           (e.Driver.Manifest.e_injected <> "");
         if ok then begin
-          (if o.Driver.Pipeline.o_retried = 0 && not o.Driver.Pipeline.o_degraded
-           then
-             escapes :=
-               Printf.sprintf "fault on %d left no trace" i :: !escapes);
+          if not o.Driver.Pipeline.o_degraded then
+            escapes := Printf.sprintf "fault on %d left no trace" i :: !escapes;
+          (* the ladder is the one recovery path: down to the oracle *)
+          check_output "recovered on the last rung" "reference"
+            o.Driver.Pipeline.o_backend;
           (* recovered jobs still produce the right answer *)
           match o.Driver.Pipeline.o_outcome with
           | Driver.Pool.Ok r ->
@@ -331,13 +352,10 @@ let test_backend_fallback_observables () =
   let faults =
     List.mapi
       (fun i _ ->
-        { Driver.Inject.i_job = i; i_kind = Driver.Inject.Corrupt;
-          i_transient = false })
+        { Driver.Inject.i_job = i; i_kind = Driver.Inject.Corrupt })
       jobs
   in
-  let policy =
-    { Driver.Guard.default with Driver.Guard.backoff_ms = 0; degrade = true }
-  in
+  let policy = { Driver.Guard.default with Driver.Guard.degrade = true } in
   let outcomes =
     Driver.Pipeline.run_jobs_guarded ~domains:4 ~policy ~inject:faults jobs
   in
@@ -427,12 +445,13 @@ let suite =
     case "map keeps input order" test_map_ordering;
     case "map keeps order under uneven work" test_map_uneven_work;
     case "map on empty and singleton lists" test_map_empty_and_singleton;
-    case "map wraps the first error in Job_error" test_map_exception;
+    case "map re-raises the first error in input order" test_map_exception;
     case "BROMC_DOMAINS overrides the domain count" test_default_domains_env;
-    case "guard retries are seeded-deterministic" test_guard_retry_determinism;
-    case "guard retries are bounded; traps are final" test_guard_bounded_and_final;
+    case "a crash is final on its rung; traps are final"
+      test_guard_crash_and_trap_final;
     case "manifest JSON-lines round trip" test_manifest_roundtrip;
     case "fault plans are seeded and cover all kinds" test_inject_plan;
+    case "fault plans match their recorded draws" test_inject_plans_pinned;
     slow_case "watchdog cancels a runaway job as a timeout" test_watchdog_timeout;
     slow_case "200 injected faults, zero escapes, siblings intact"
       test_fault_containment_certification;
