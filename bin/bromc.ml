@@ -553,7 +553,8 @@ let suite_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Number of domains to fan pipelines across (default: the \
-             machine's recommended domain count, or \\$(b,BROMC_DOMAINS)).")
+             machine's recommended domain count, or \\$(b,BROMC_DOMAINS)); \
+             each pipeline measures its original on one more domain.")
   in
   let names =
     Arg.(

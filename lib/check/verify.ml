@@ -528,9 +528,15 @@ let certify_coalesced ~fn_before ~fn_after (seq : Detect.t)
     items_arr;
   let var = seq.Detect.var in
   let default = seq.Detect.default_target in
+  (* the table leaves the bounds compare's codes behind, so no target
+     of the sequence may read them, also through a jump forwarder *)
   let ccl = Analysis.Cc_live.analyze fn_before in
-  if cc_needing ccl default then
-    err "coalesced default target %s consumes condition codes" default;
+  List.iter
+    (fun target ->
+      if cc_needing ccl target then
+        err "coalesced target %s consumes condition codes" target)
+    (List.sort_uniq String.compare
+       (default :: List.map (fun it -> it.Detect.target) seq.Detect.items));
   (match
      ( Mir.Func.find_block_opt fn_before seq.Detect.head,
        Mir.Func.find_block_opt fn_after seq.Detect.head )

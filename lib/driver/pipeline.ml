@@ -199,6 +199,27 @@ let finalize (config : Config.t) ?training_input prog =
          ~steal_delay_slots:config.Config.delay_fill_from_target prog));
   if config.Config.validate then Mir.Validate.check prog
 
+(* pass 1: profile — a training run over an instrumented clone, a pure
+   static prediction, or training backfilled by prediction *)
+let train (config : Config.t) base seqs combs pairs ~training_input =
+  match config.Config.profile with
+  | `Static ->
+    (* no training run at all: synthesize the counts from the CFG *)
+    Reorder.Profiles.of_static base seqs
+  | (`Trained | `Both) as mode ->
+    let train_prog, table = instrument config base seqs in
+    (* common-successor runs probe the same clone and table *)
+    if combs <> [] then begin
+      Reorder.Common_succ.instrument train_prog combs table;
+      Reorder.Common_succ.instrument_pairs train_prog pairs table;
+      if config.Config.validate then Mir.Validate.check train_prog
+    end;
+    let _ =
+      run_backend config ~profile:table train_prog ~input:training_input
+    in
+    if mode = `Both then Reorder.Profiles.add_static base seqs table;
+    table
+
 let reoptimize config ~name base seqs table =
   let prog, report, _ = reorder config ~name base seqs table in
   finalize config prog;
@@ -245,58 +266,73 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
         (seqs, combs, pairs))
   in
 
-  (* pass 1: profile — a training run over an instrumented clone, a
-     pure static prediction, or training backfilled by prediction *)
-  let table =
-    stage "train" (fun () ->
-        match config.Config.profile with
-        | `Static ->
-          (* no training run at all: synthesize the counts from the CFG *)
-          Reorder.Profiles.of_static base seqs
-        | (`Trained | `Both) as mode ->
-          let train_prog, table = instrument config base seqs in
-          (* common-successor runs probe the same clone and table *)
-          if combs <> [] then begin
-            Reorder.Common_succ.instrument train_prog combs table;
-            Reorder.Common_succ.instrument_pairs train_prog pairs table;
-            if config.Config.validate then Mir.Validate.check train_prog
-          end;
-          let _ =
-            run_backend config ~profile:table train_prog ~input:training_input
-          in
-          if mode = `Both then Reorder.Profiles.add_static base seqs table;
-          table)
-  in
-
-  let reord, report, verify, comb_outcomes, pair_outcomes =
-    stage "reorder" (fun () ->
-        let reord, report, verify = reorder config ~name base seqs table in
-        (* within-run permutations first (they re-emit each run's edges from
-           the run record), then super-branch pair swaps, which relink those
-           edges between the groups *)
-        let comb_outcomes =
-          List.map (fun r -> (r, Reorder.Common_succ.apply reord table r)) combs
-        in
-        let pair_outcomes =
-          List.map
-            (fun pr -> (pr, Reorder.Common_succ.apply_pair reord table pr))
-            pairs
-        in
-        (reord, report, verify, comb_outcomes, pair_outcomes))
-  in
-
-  (* cleanup + finalization of both versions (the original is finalized
-     from the same optimized base, untransformed) *)
+  (* The original depends only on the base: it is cloned here, then
+     finalized and measured on a second domain while this one trains,
+     reorders, finalizes and measures the reordered clone.  A step
+     failing after the fork is kept as a value with its rank in the
+     sequential order (finalize original, finalize reordered, measure
+     original, measure reordered), so the failure a sequential run would
+     have met first is the one raised; training and reordering come
+     before all four and raise straight through {!Pool.both}. *)
   let orig = Mir.Clone.program base in
-  stage "cleanup" (fun () ->
-      finalize config ~training_input orig;
-      finalize config ~training_input reord);
-
+  let step rank f =
+    match f () with
+    | v -> Ok v
+    | exception e -> Error (rank, e, Printexc.get_raw_backtrace ())
+  in
+  let measure_original () =
+    Result.bind
+      (step 0 (fun () -> finalize config ~training_input orig))
+      (fun () -> step 2 (fun () -> measure config orig ~input:test_input))
+  in
+  let reorder_and_measure () =
+    let table =
+      stage "train" (fun () ->
+          train config base seqs combs pairs ~training_input)
+    in
+    let reord, report, verify, comb_outcomes, pair_outcomes =
+      stage "reorder" (fun () ->
+          let reord, report, verify = reorder config ~name base seqs table in
+          (* within-run permutations first (they re-emit each run's edges
+             from the run record), then super-branch pair swaps, which
+             relink those edges between the groups *)
+          let comb_outcomes =
+            List.map
+              (fun r -> (r, Reorder.Common_succ.apply reord table r))
+              combs
+          in
+          let pair_outcomes =
+            List.map
+              (fun pr -> (pr, Reorder.Common_succ.apply_pair reord table pr))
+              pairs
+          in
+          (reord, report, verify, comb_outcomes, pair_outcomes))
+    in
+    let measured =
+      Result.bind
+        (step 1 (fun () ->
+             stage "cleanup" (fun () -> finalize config ~training_input reord)))
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          Result.map
+            (fun v -> (v, t0))
+            (step 3 (fun () -> measure config reord ~input:test_input)))
+    in
+    (report, verify, comb_outcomes, pair_outcomes, measured)
+  in
+  let original, (report, verify, comb_outcomes, pair_outcomes, measured) =
+    Pool.both measure_original reorder_and_measure
+  in
   let original, reordered =
-    stage "measure" (fun () ->
-        let original = measure config orig ~input:test_input in
-        let reordered = measure config reord ~input:test_input in
-        (original, reordered))
+    match (original, measured) with
+    | Ok o, Ok (r, t0) ->
+      (* the measure stage ends at the join *)
+      Option.iter (fun f -> f "measure" (Unix.gettimeofday () -. t0)) on_stage;
+      (o, r)
+    | Error (i, e, bt), Error (j, _, _) when i < j ->
+      Printexc.raise_with_backtrace e bt
+    | _, Error (_, e, bt) -> Printexc.raise_with_backtrace e bt
+    | Error (_, e, bt), Ok _ -> Printexc.raise_with_backtrace e bt
   in
   if not (String.equal original.v_output reordered.v_output) then
     failwith

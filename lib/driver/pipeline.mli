@@ -12,6 +12,14 @@
     the same optimized base and both are measured on the test input,
     with every configured branch predictor attached.
 
+    The original depends on nothing after detection, so {!run} clones
+    it then and finalizes and measures it on a second domain
+    ({!Pool.both}) while the calling domain trains, reorders, finalizes
+    and measures the reordered version.  Results are those of the
+    sequential order, and a failed job reports the failure a sequential
+    run meets first: train, reorder, finalize original, finalize
+    reordered, measure original, measure reordered.
+
     The outputs of the two versions are compared; a mismatch raises
     [Failure] (it would mean the transformation changed semantics). *)
 
@@ -106,7 +114,11 @@ val run :
   result
 (** [on_stage] is called after each pipeline stage with its name
     ([compile], [detect], [train], [reorder], [cleanup], [measure]) and
-    its wall-clock duration in seconds (the [bromc --timings] hook). *)
+    its wall-clock duration in seconds (the [bromc --timings] hook).  It
+    is only called from the calling domain, and the times are that
+    domain's: [cleanup] finalizes the reordered version, and [measure]
+    runs from the start of its measurement to the join with the domain
+    measuring the original, so it includes any wait for it. *)
 
 val pct : int -> int -> float
 (** [pct original changed] is the percentage change, e.g. [-7.91]. *)

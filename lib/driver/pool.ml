@@ -203,6 +203,18 @@ end
 (* Fan-out                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* one job split in two: [f] on a fresh domain, [g] on the caller's.
+   The join comes before any exception leaves, so no domain outlives
+   the call *)
+let both f g =
+  let d = Domain.spawn f in
+  match g () with
+  | b -> (Domain.join d, b)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try ignore (Domain.join d) with _ -> ());
+    Printexc.raise_with_backtrace e bt
+
 (* every item's [f] runs to completion (or to a captured exception), on
    the caller's domain when one domain is asked for, else on a [Workers]
    pool of at most one domain per item; nothing a single job does can

@@ -11,6 +11,12 @@
     failures into a structured {!outcome}, which is how
     {!Pipeline.run_jobs_guarded} uses the pool.
 
+    {!both} splits one job in two: a freshly spawned domain runs one
+    half while the caller runs the other, and the domain is joined
+    before either result or exception leaves.  {!Pipeline.run} uses it
+    to measure the original while the reordered version trains, so
+    [map] over [d] domains runs up to [2d] at once.
+
     The pipeline has no global mutable state, so jobs are data-parallel;
     callers must only take care to force any [lazy] inputs *before*
     submitting (concurrently forcing one lazy from two domains raises
@@ -56,6 +62,14 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     to plain sequential application).  Results are in input order.  If
     any job raised, the first failure in input order is re-raised,
     unwrapped, with its backtrace (completed siblings are discarded). *)
+
+val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+(** [both f g] runs [f] on a freshly spawned domain while the calling
+    domain runs [g], joins, and returns both results.  The spawned
+    domain is joined on every path: if [g] raises, its exception is
+    re-raised after the join and [f]'s outcome is dropped; otherwise an
+    exception of [f] is re-raised by the join.  Callers that need both
+    outcomes make [f] and [g] total. *)
 
 (** {2 Long-lived worker pool}
 

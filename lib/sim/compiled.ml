@@ -37,6 +37,7 @@ type state = {
   mutable cc_b : int;
   mutable fuel_left : int;
   mutable depth : int;       (* depth of the currently-running frame *)
+  mutable frames : int array array;  (* register file per call depth *)
   mutable ret : int;         (* return value of the innermost frame *)
   fuel : int;                (* config.fuel, for the trap message *)
   max_depth : int;
@@ -66,6 +67,30 @@ type t = {
 }
 
 let image t = t.c_image
+
+(* The register file of call depth [d], with its first [nregs] slots
+   zeroed: what a fresh [Array.make nregs 0] gives, without allocating
+   one per call.  Calls nest, so depth [d]'s file is free whenever a
+   frame at depth [d] is entered.  A file only grows; slots past
+   [nregs] are never read. *)
+let frame st d nregs =
+  if d >= Array.length st.frames then begin
+    let bigger = Array.make (max (d + 1) (2 * Array.length st.frames)) [||] in
+    Array.blit st.frames 0 bigger 0 (Array.length st.frames);
+    st.frames <- bigger
+  end;
+  let f = Array.unsafe_get st.frames d in
+  if Array.length f < nregs then begin
+    let f = Array.make nregs 0 in
+    Array.unsafe_set st.frames d f;
+    f
+  end
+  else begin
+    for i = 0 to nregs - 1 do
+      Array.unsafe_set f i 0
+    done;
+    f
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Charging                                                            *)
@@ -313,7 +338,7 @@ let compile_insn (cfuncs : cfunc array) (globals : Image.global array)
         trap "too few arguments to %s" callee.c_name)
     else begin
       (* bind the first nparams arguments straight into the callee's
-         fresh register file; extra arguments are pure and unused *)
+         zeroed register file; extra arguments are pure and unused *)
       let binds =
         Array.init nparams (fun i -> (callee.c_params.(i), operand args.(i)))
       in
@@ -323,7 +348,7 @@ let compile_insn (cfuncs : cfunc array) (globals : Image.global array)
         let d = st.depth + 1 in
         if d >= st.max_depth then
           trap "call depth exceeded in %s" callee.c_name;
-        let cregs = Array.make nregs 0 in
+        let cregs = frame st d nregs in
         for i = 0 to nparams - 1 do
           let slot, ev = Array.unsafe_get binds i in
           Array.unsafe_set cregs slot (ev regs)
@@ -689,6 +714,7 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
       cc_b = 0;
       fuel_left = config.fuel;
       depth = 0;
+      frames = Array.make 16 [||];
       ret = 0;
       fuel = config.fuel;
       max_depth = config.max_depth;
@@ -706,7 +732,7 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
         trap "call depth exceeded in %s" mf.c_name;
       if Array.length mf.c_params > 0 then
         trap "too few arguments to %s" mf.c_name;
-      run_blocks st mf.c_blocks (Array.make (max mf.c_nregs 1) 0)
+      run_blocks st mf.c_blocks (frame st 0 (max mf.c_nregs 1))
     with Program_exit code -> code
   in
   { counters = st.counters; output = Buffer.contents st.out; exit_code }

@@ -23,19 +23,22 @@ let default_config = { fuel = 2_000_000_000; max_depth = 10_000; cancel = None }
    polled once per executed basic block, so the clock read is amortized
    over a window of polls; once expired it latches, making every later
    poll (including from subsequent runs sharing the flag) cancel
-   immediately. *)
+   immediately.  One flag may be polled from several domains at once
+   (a pipeline job measures its original on a second domain): the latch
+   is atomic, so an expiry seen by one is seen by all; the tick count is
+   only a sampling rate, and a lost increment just delays a clock read. *)
 let watchdog ~ms =
   let deadline = Unix.gettimeofday () +. (float_of_int ms /. 1000.0) in
   let ticks = ref 0 in
-  let expired = ref false in
+  let expired = Atomic.make false in
   fun () ->
-    !expired
+    Atomic.get expired
     ||
     begin
       incr ticks;
       if !ticks land 2047 = 0 && Unix.gettimeofday () > deadline then
-        expired := true;
-      !expired
+        Atomic.set expired true;
+      Atomic.get expired
     end
 
 type result = {

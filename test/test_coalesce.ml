@@ -144,6 +144,59 @@ let test_cc_through_forwarder () =
   check_bool "coalescible once the target sets its own codes" true
     (Reorder.Coalesce.coalescible fn seq ~max_span:512 <> None)
 
+(* the certificate's side of the same case: coalesce [f] by hand, past
+   [coalescible]'s refusal, and the coalesced certificate must reject
+   the table because item target [f.x0] reads the codes through [f.u] *)
+let test_certificate_cc_through_forwarder () =
+  let coalesce_by_hand u_insns =
+    let prog = Mir.Parse.program (cc_forwarder_src u_insns) in
+    let before = Mir.Clone.program prog in
+    let seq =
+      List.find
+        (fun s -> String.equal s.Reorder.Detect.func_name "f")
+        (Reorder.Detect.find_program prog)
+    in
+    let plan =
+      {
+        Reorder.Coalesce.table_lo = 39;
+        table_hi = 40;
+        targets = [| "f.x0"; "f.x1" |];
+      }
+    in
+    Reorder.Coalesce.apply (Mir.Program.find_func prog "f") seq plan;
+    let report =
+      {
+        Reorder.Pass.seq_reports =
+          [
+            {
+              Reorder.Pass.sr_seq = seq;
+              sr_total = 1;
+              sr_choice = None;
+              sr_outcome = Reorder.Pass.Coalesced plan;
+              sr_orig_branches = 2;
+              sr_final_branches = 2;
+            };
+          ];
+      }
+    in
+    (before, prog, Check.Verify.certify_report ~before ~after:prog report)
+  in
+  let before, after, summary = coalesce_by_hand "" in
+  let out p = (Sim.Machine.run_reference p ~input:"\039").Sim.Machine.output in
+  check_output "the original prints 1 on input 39" "1" (out before);
+  check_output "the coalesced program prints 7" "7" (out after);
+  check_bool "the certificate rejects the table" false
+    (Check.Verify.ok summary);
+  check_bool "and names the item target" true
+    (List.exists
+       (fun e ->
+         contains_substring e "coalesced target f.x0 consumes condition codes")
+       (Check.Verify.all_errors summary));
+  (* the control: with its own compare [f.u] no longer reads them *)
+  let _, _, summary = coalesce_by_hand "  cmp r0, 50\n" in
+  check_bool "certified once the target sets its own codes" true
+    (Check.Verify.ok summary)
+
 let test_pipeline_coalescing_ipc () =
   (* under set III the chain stays a long linear search; with IPC-model
      coalescing enabled and a uniform profile the table should win *)
@@ -231,6 +284,8 @@ let suite =
     case "coalesce: apply preserves semantics" test_apply_semantics;
     case "coalesce: a target reading codes through a jump blocks it"
       test_cc_through_forwarder;
+    case "coalesce: certificate rejects an item target reading codes"
+      test_certificate_cc_through_forwarder;
     case "coalesce: pipeline coalesces uniform chains (IPC)"
       test_pipeline_coalescing_ipc;
     case "coalesce: skewed profiles keep reordering" test_pipeline_coalescing_respects_skew;

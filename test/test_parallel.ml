@@ -55,6 +55,29 @@ let test_map_exception () =
   | _ -> Alcotest.fail "expected Trap"
   | exception Sim.Machine.Trap m -> check_output "trap message" "t" m
 
+let test_both_joins () =
+  let finished = Atomic.make false in
+  let slow () =
+    let acc = ref 0 in
+    for i = 1 to 2_000_000 do
+      acc := (!acc + i) land 0xFFFF
+    done;
+    Atomic.set finished true;
+    !acc land 0
+  in
+  Alcotest.(check (pair int string))
+    "both results" (0, "g")
+    (Driver.Pool.both slow (fun () -> "g"));
+  Atomic.set finished false;
+  (match Driver.Pool.both slow (fun () -> raise (Boom 1)) with
+  | _ -> Alcotest.fail "the caller's exception was lost"
+  | exception Boom 1 -> ());
+  check_bool "joined before the caller's exception left" true
+    (Atomic.get finished);
+  match Driver.Pool.both (fun () -> raise (Boom 2)) (fun () -> ()) with
+  | _ -> Alcotest.fail "the spawned domain's exception was lost"
+  | exception Boom 2 -> ()
+
 let test_default_domains_env () =
   let saved = Sys.getenv_opt "BROMC_DOMAINS" in
   Unix.putenv "BROMC_DOMAINS" "3";
@@ -141,6 +164,139 @@ let test_watchdog_timeout () =
   check_int "one attempt (timeouts are final)" 1 o.Driver.Pipeline.o_attempts;
   check_bool "not degraded (timeouts are backend-independent)" false
     o.Driver.Pipeline.o_degraded
+
+(* A job measures its original on a second domain, and both domains
+   poll the job's one watchdog.  The program spins only on the test
+   input, so training ends and both measurements spin: the job must end
+   as a timeout well before the fuel would run out, which needs both
+   domains to stop, and the process must still run a job after it. *)
+let spin_on_t_src =
+  "int main() { int c = getchar(); int i = 0; if (c == 116) { while (i >= \
+   0) { i = i + 1; if (i > 100000) { i = 1; } } } print_int(c); return 0; }"
+
+let test_watchdog_stops_both_domains () =
+  let config =
+    { Driver.Config.default with Driver.Config.fuel = 2_000_000_000 }
+  in
+  let job test_input =
+    Driver.Pipeline.job ~config ~name:"spin" ~source:spin_on_t_src
+      ~training_input:"" ~test_input ()
+  in
+  let policy =
+    { Driver.Guard.default with Driver.Guard.timeout_ms = Some 50 }
+  in
+  let o = Driver.Pipeline.run_guarded_job ~index:0 ~policy (job "t") in
+  (match o.Driver.Pipeline.o_outcome with
+  | Driver.Pool.Timeout ms -> check_int "deadline reported" 50 ms
+  | out ->
+    Alcotest.failf "expected Timeout, got %s" (Driver.Pool.outcome_status out));
+  (* 2e9 instructions take seconds on either domain *)
+  check_bool "both domains stopped at the deadline" true
+    (o.Driver.Pipeline.o_seconds < 1.0);
+  let policy =
+    { Driver.Guard.default with Driver.Guard.timeout_ms = Some 30_000 }
+  in
+  let o = Driver.Pipeline.run_guarded_job ~index:1 ~policy (job "x") in
+  match o.Driver.Pipeline.o_outcome with
+  | Driver.Pool.Ok r ->
+    check_output "the next job runs" "120"
+      r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_output
+  | out ->
+    Alcotest.failf "expected the next job to succeed, got %s: %s"
+      (Driver.Pool.outcome_status out)
+      (Driver.Pool.outcome_message out)
+
+(* ------------------------------------------------------------------ *)
+(* Failure precedence across the pipeline's two domains                 *)
+(* ------------------------------------------------------------------ *)
+
+(* after a loop (longer than the 64 instructions of a [Fuel] fault) it
+   divides by zero on a first byte of [d] and reads out of bounds on
+   [t]; any other input ends cleanly *)
+let trap_src =
+  "int a[2]; int main() { int c = getchar(); int s = 0; int i = 0; while \
+   (i < 50) { s = s + i; i = i + 1; } print_int(s); if (c == 116) return \
+   a[c]; return 100 / (c - 100); }"
+
+(* The first failure in sequential order wins, whichever domain meets
+   it: each row is (status, message, attempts, error lines) of
+   [run_guarded_job] as recorded with the original measured after the
+   reordered version's training, on the same domain. *)
+let test_failure_precedence () =
+  let job ~training_input ~test_input =
+    Driver.Pipeline.job ~name:"traps" ~source:trap_src ~training_input
+      ~test_input ()
+  in
+  let clean = job ~training_input:"x" ~test_input:"y" in
+  let rows =
+    [
+      ( "the original traps on its test input",
+        job ~training_input:"x" ~test_input:"t",
+        None,
+        ( "trap",
+          "out-of-bounds access a[116] (size 2)",
+          1,
+          [ "attempt 1 (compiled): trap: out-of-bounds access a[116] (size 2)" ]
+        ) );
+      ( "training and the original trap: training wins",
+        job ~training_input:"d" ~test_input:"t",
+        None,
+        ( "trap",
+          "division by zero",
+          1,
+          [ "attempt 1 (compiled): trap: division by zero" ] ) );
+    ]
+    @ List.map
+        (fun kind ->
+          ( "injected " ^ Driver.Inject.kind_name kind,
+            clean,
+            Some { Driver.Inject.i_job = 0; i_kind = kind },
+            match kind with
+            | Driver.Inject.Raise ->
+              ( "ok",
+                "",
+                2,
+                [ "attempt 1 (compiled): Driver.Inject.Injected(0)" ] )
+            | Driver.Inject.Trap ->
+              ( "trap",
+                "injected trap (job 0)",
+                1,
+                [ "attempt 1 (compiled): trap: injected trap (job 0)" ] )
+            | Driver.Inject.Fuel ->
+              ( "trap",
+                "fuel exhausted (64 instructions)",
+                1,
+                [
+                  "attempt 1 (compiled): trap: fuel exhausted (64 \
+                   instructions)";
+                ] )
+            | Driver.Inject.Deadline ->
+              ( "timeout",
+                "run cancelled by watchdog",
+                1,
+                [ "attempt 1 (compiled): run cancelled by watchdog" ] )
+            | Driver.Inject.Corrupt ->
+              ( "ok",
+                "",
+                2,
+                [
+                  "attempt 1 (compiled): Driver.Pipeline.Wrong_result(\"traps: \
+                   reordered observables diverge from original\")";
+                ] ) ))
+        Driver.Inject.all_kinds
+  in
+  let policy = { Driver.Guard.default with Driver.Guard.degrade = true } in
+  List.iter
+    (fun (label, j, fault, (status, message, attempts, errors)) ->
+      let o = Driver.Pipeline.run_guarded_job ?fault ~index:0 ~policy j in
+      check_output (label ^ ": status") status
+        (Driver.Pool.outcome_status o.Driver.Pipeline.o_outcome);
+      check_output (label ^ ": message") message
+        (Driver.Pool.outcome_message o.Driver.Pipeline.o_outcome);
+      check_int (label ^ ": attempts") attempts o.Driver.Pipeline.o_attempts;
+      Alcotest.(check (list string))
+        (label ^ ": errors") errors o.Driver.Pipeline.o_errors)
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Manifest: JSON-lines write/read round trip                           *)
@@ -446,6 +602,7 @@ let suite =
     case "map keeps order under uneven work" test_map_uneven_work;
     case "map on empty and singleton lists" test_map_empty_and_singleton;
     case "map re-raises the first error in input order" test_map_exception;
+    case "both joins its domain on every path" test_both_joins;
     case "BROMC_DOMAINS overrides the domain count" test_default_domains_env;
     case "a crash is final on its rung; traps are final"
       test_guard_crash_and_trap_final;
@@ -453,6 +610,9 @@ let suite =
     case "fault plans are seeded and cover all kinds" test_inject_plan;
     case "fault plans match their recorded draws" test_inject_plans_pinned;
     slow_case "watchdog cancels a runaway job as a timeout" test_watchdog_timeout;
+    slow_case "one watchdog stops both of a job's domains"
+      test_watchdog_stops_both_domains;
+    case "the first failure in sequential order wins" test_failure_precedence;
     slow_case "200 injected faults, zero escapes, siblings intact"
       test_fault_containment_certification;
     slow_case "backend fallback preserves workload observables"

@@ -137,6 +137,53 @@ let test_depth_exhaustion () =
   let p = compile_final src in
   assert_trap_parity ~name:"call depth" p ~input:""
 
+(* the closure backend reuses one register file per call depth: [h]
+   runs in the frame [g] just left at the same depth, and reads [r1],
+   which it never assigns and [g] set to 12.  A fresh frame reads 0. *)
+let test_reused_frame_reads_zero () =
+  let p =
+    Mir.Parse.program
+      "function g(r0):\n\
+       g.entry:\n  r1 = add r0, 5\n  ret r1\n\n\
+       function h(r0):\n\
+       h.entry:\n  ret r1\n\n\
+       function k(r0):\n\
+       k.entry:\n  r1 = call g(r0)\n  r2 = call h(0)\n  r3 = add r1, r2\n\
+      \  ret r3\n\n\
+       function main():\n\
+       main.entry:\n  r1 = call g(7)\n  call print_int(r1)\n\
+      \  r2 = call h(0)\n  call print_int(r2)\n  r3 = call k(1)\n\
+      \  call print_int(r3)\n  ret 0\n"
+  in
+  Mir.Validate.check p;
+  (* depth 1 ([g], then [h]) and depth 2 (under [k]) *)
+  check_output "never-assigned registers read 0" "1206"
+    (Sim.Machine.run ~backend:`Compiled p ~input:"").Sim.Machine.output;
+  assert_backends_agree ~name:"reused frame" p ~input:""
+
+(* recursion one call short of the depth limit runs; one more traps
+   with the same message on every backend *)
+let test_recursion_to_depth_limit () =
+  let limit = Sim.Machine.default_config.Sim.Machine.max_depth in
+  (* [main] runs at depth 0 and [rec(n)] reaches depth [n + 1] *)
+  let src n =
+    Printf.sprintf
+      "int rec(int n) { if (n == 0) return 0; return rec(n - 1) + 1; }\n\
+       int main() { print_int(rec(%d)); return 0; }"
+      n
+  in
+  let deepest = compile_final (src (limit - 2)) in
+  check_output "deepest allowed recursion"
+    (string_of_int (limit - 2))
+    (Sim.Machine.run ~backend:`Compiled deepest ~input:"").Sim.Machine.output;
+  assert_backends_agree ~name:"deepest recursion" deepest ~input:"";
+  let over = compile_final (src (limit - 1)) in
+  Alcotest.(check (result int string))
+    "one call past the limit"
+    (Error "call depth exceeded in rec")
+    (trap_outcome `Compiled over ~input:"");
+  assert_trap_parity ~name:"one call past the limit" over ~input:""
+
 let test_too_few_args () =
   let callee = Mir.Func.make ~name:"two" ~params:[ r 1; r 2 ] in
   Mir.Func.add_block callee
@@ -561,6 +608,9 @@ let suite =
     case "fuel exhaustion" test_fuel_exhaustion;
     case "call depth exhaustion" test_depth_exhaustion;
     case "too few call arguments" test_too_few_args;
+    case "a reused frame reads never-assigned registers as 0"
+      test_reused_frame_reads_zero;
+    case "recursion to the depth limit" test_recursion_to_depth_limit;
     case "builtin arity mismatch" test_builtin_wrong_arity;
     case "out-of-bounds load" test_out_of_bounds_load;
     case "image reuse across runs" test_run_image_reuse;
