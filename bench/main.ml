@@ -5,20 +5,19 @@
      Table 4      dynamic instruction/branch changes per heuristic set
      Table 5      (0,2) 2048-entry branch prediction measurements
      Table 6      predictor sweep ((0,1),(0,2) x 32..2048 entries)
-     Table 7      execution time (cycle model) + Bechamel wall-clock
+     Table 7      execution time (cycle model)
      Table 8      static measurements
      Figures 11-13  sequence length distributions per heuristic set
 
    Usage:
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # everything but ablations
      dune exec bench/main.exe -- --fast       # smaller inputs
      dune exec bench/main.exe -- table4 figs  # selected sections
-     dune exec bench/main.exe -- backends     # execution-backend race
+     dune exec bench/main.exe -- backends     # engine cross-check
      dune exec bench/main.exe -- detection    # syntactic vs facts walk
      dune exec bench/main.exe -- ablations    # design-choice ablations
      dune exec bench/main.exe -- static       # static vs trained profile
      dune exec bench/main.exe -- -j 8         # domain-pool width
-     dune exec bench/main.exe -- --seq        # sequential harness
      dune exec bench/main.exe -- --verify     # translation-validate every
                                               # matrix pipeline (lib/check)
 
@@ -26,21 +25,21 @@
    OCaml 5 domains (Driver.Pool) under the guarded runner: a workload
    that crashes or times out is contained (with --timeout-ms honoured),
    its section cells print `-', and the partial results stand.  The
-   `speedup' section re-runs the set-I matrix sequentially, and the
-   `backends' section races the reference, closure-compiled and (when
-   available) native execution engines over the suite's measure stage.
+   `backends' section runs both finalized versions of every set-I
+   program through the closure-compiled and (when available) native
+   engines and fails unless each agrees with the reference.
 
-   Every section prints text only.  CI diffs the deterministic ones
-   against bench/golden/ (the fast Tables 5-6 and the full-size static
-   section), ignoring the final wall-clock line; the speed of the system
-   itself is measured by bench/perf.
+   Every section prints text only, and its stdout is a function of the
+   code and the inputs alone: no wall clock, and the same bytes at any
+   -j.  CI diffs the paper's tables, the fast Tables 5-6 and the static
+   section against bench/golden/; the speed of the system itself is
+   measured by bench/perf.
 
    Shapes, not absolute numbers, are the reproduction target; see
    EXPERIMENTS.md for the paper-vs-measured discussion. *)
 
 let fast = ref false
 let sections = ref []
-let seq = ref false
 let jobs_flag = ref None
 let timeout_ms = ref None
 
@@ -48,18 +47,6 @@ let timeout_ms = ref None
    (Pipeline.run fails the job on any rejection), so a bench run
    self-certifies the numbers it reports *)
 let verify = ref false
-
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i =
-    if i + n > h then false
-    else if String.sub haystack i n = needle then true
-    else go (i + 1)
-  in
-  n = 0 || go 0
-
-let want name =
-  !sections = [] || List.mem name !sections
 
 (* ------------------------------------------------------------------ *)
 (* Running the pipeline over the workload matrix                       *)
@@ -73,8 +60,7 @@ type row = {
 let truncate_input s = if !fast then String.sub s 0 (min 6000 (String.length s)) else s
 
 let domains () =
-  if !seq then 1
-  else match !jobs_flag with Some n -> n | None -> Driver.Pool.default_domains ()
+  match !jobs_flag with Some n -> n | None -> Driver.Pool.default_domains ()
 
 (* jobs are built in the parent so the lazy inputs are forced exactly
    once, before any domain fan-out *)
@@ -91,9 +77,9 @@ let jobs_for ?(workloads = Workloads.Registry.all) config =
 
 (* every table's jobs run under the command line's watchdog, degrading
    down the backend ladder *)
-let run_guarded ?(domains = domains ()) jobs =
+let run_guarded jobs =
   let policy = { Driver.Guard.timeout_ms = !timeout_ms; degrade = true } in
-  Driver.Pipeline.run_jobs_guarded ~domains ~policy jobs
+  Driver.Pipeline.run_jobs_guarded ~domains:(domains ()) ~policy jobs
 
 (* a failed job is contained, not fatal: warn here, and the caller
    prints its cells as `-' *)
@@ -109,53 +95,36 @@ let result_or_warn ~what (o : Driver.Pipeline.job_outcome) =
       (Driver.Pool.outcome_message out);
     None
 
-(* per heuristic set: rows + the wall clock of the whole matrix *)
-let matrix : (string, row list * float) Hashtbl.t = Hashtbl.create 4
-
-let run_matrix hs ~domains =
-  if domains = 1 && Domain.recommended_domain_count () > 1 && not !seq then
-    Printf.eprintf
-      "[bench] WARNING: the domain pool is effectively sequential (1 domain \
-       on a machine with %d recommended); wall-clock numbers will not show \
-       fan-out\n%!"
-      (Domain.recommended_domain_count ());
-  let config =
-    {
-      Driver.Config.default with
-      Driver.Config.heuristic = hs;
-      Driver.Config.verify = !verify;
-    }
-  in
-  let jobs = jobs_for config in
+(* the 17 workloads under [config] (and --verify), each paired with its
+   result, [None] for a contained failure *)
+let run_workloads ~what config =
   Printf.eprintf
-    "[bench] running the 17 workloads under heuristic set %s on %d domain(s)...\n%!"
-    hs.Mopt.Switch_lower.hs_name domains;
-  let t0 = Unix.gettimeofday () in
-  let outcomes = run_guarded ~domains jobs in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* failed workloads are dropped from the rows, and the partial
-     results stand *)
-  let what = "set " ^ hs.Mopt.Switch_lower.hs_name in
-  let rows =
-    List.concat
-      (List.map2
-         (fun w (o : Driver.Pipeline.job_outcome) ->
-           match result_or_warn ~what o with
-           | Some result -> [ { workload = w; result } ]
-           | None -> [])
-         Workloads.Registry.all outcomes)
-  in
-  (rows, wall)
+    "[bench] running the 17 workloads under %s on %d domain(s)...\n%!" what
+    (domains ());
+  let config = { config with Driver.Config.verify = !verify } in
+  List.map2
+    (fun w o -> (w, result_or_warn ~what o))
+    Workloads.Registry.all
+    (run_guarded (jobs_for config))
 
-let rows_with_wall hs =
+(* per heuristic set: the rows, run once and shared by every section;
+   failed workloads are dropped, and the partial results stand *)
+let matrix : (string, row list) Hashtbl.t = Hashtbl.create 4
+
+let run_matrix hs =
+  List.filter_map
+    (fun (workload, r) -> Option.map (fun result -> { workload; result }) r)
+    (run_workloads
+       ~what:("set " ^ hs.Mopt.Switch_lower.hs_name)
+       { Driver.Config.default with Driver.Config.heuristic = hs })
+
+let rows_for hs =
   match Hashtbl.find_opt matrix hs.Mopt.Switch_lower.hs_name with
-  | Some rw -> rw
+  | Some rows -> rows
   | None ->
-    let rw = run_matrix hs ~domains:(domains ()) in
-    Hashtbl.replace matrix hs.Mopt.Switch_lower.hs_name rw;
-    rw
-
-let rows_for hs = fst (rows_with_wall hs)
+    let rows = run_matrix hs in
+    Hashtbl.replace matrix hs.Mopt.Switch_lower.hs_name rows;
+    rows
 
 let counters_of (v : Driver.Pipeline.version) = v.Driver.Pipeline.v_counters
 let orig r = r.result.Driver.Pipeline.r_original
@@ -341,77 +310,6 @@ let table7 () =
   Printf.printf "%-8s" "average";
   Array.iter (fun ds -> Printf.printf " %+18.2f%%" (average ds)) averages;
   print_newline ()
-
-(* Bechamel wall-clock companion to Table 7: the simulator's real run
-   time is proportional to the dynamic instruction count, so timing the
-   simulation of the original vs the reordered binary is this
-   reproduction's analogue of the paper's `times()' measurements. *)
-let bechamel_table7 () =
-  section "Table 7 (companion): Bechamel wall-clock of simulated runs (set I)";
-  let rows = rows_for Mopt.Switch_lower.set_i in
-  let chosen = [ "wc"; "grep"; "sort"; "lex" ] in
-  let tests =
-    List.concat_map
-      (fun r ->
-        if not (List.mem r.workload.Workloads.Spec.name chosen) then []
-        else begin
-          let input =
-            truncate_input (Lazy.force r.workload.Workloads.Spec.test_input)
-          in
-          let make label prog =
-            (* compile once so lowering and closure compilation are
-               amortized and the measured quantity is the pure
-               simulation loop *)
-            let compiled = Sim.Compiled.compile (Sim.Image.build prog) in
-            Bechamel.Test.make
-              ~name:(r.workload.Workloads.Spec.name ^ "/" ^ label)
-              (Bechamel.Staged.stage (fun () ->
-                   ignore (Sim.Compiled.exec compiled ~input)))
-          in
-          [ make "original" (orig r).Driver.Pipeline.v_program;
-            make "reordered" (reord r).Driver.Pipeline.v_program ]
-        end)
-      rows
-  in
-  let cfg =
-    Bechamel.Benchmark.cfg ~limit:50
-      ~quota:(Bechamel.Time.second (if !fast then 0.2 else 0.5))
-      ~kde:None ()
-  in
-  let raw =
-    Bechamel.Benchmark.all cfg
-      [ Bechamel.Toolkit.Instance.monotonic_clock ]
-      (Bechamel.Test.make_grouped ~name:"table7" tests)
-  in
-  let ols =
-    Bechamel.Analyze.all
-      (Bechamel.Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |])
-      Bechamel.Toolkit.Instance.monotonic_clock raw
-  in
-  let time_of name =
-    Hashtbl.fold
-      (fun key v acc ->
-        if contains key name then
-          match Bechamel.Analyze.OLS.estimates v with
-          | Some (t :: _) -> Some t
-          | _ -> acc
-        else acc)
-      ols None
-  in
-  Printf.printf "%-8s %15s %15s %10s\n" "Program" "original (ms)"
-    "reordered (ms)" "change";
-  line 52;
-  List.iter
-    (fun name ->
-      match
-        ( time_of (name ^ "/original"),
-          time_of (name ^ "/reordered") )
-      with
-      | Some o, Some n ->
-        Printf.printf "%-8s %15.3f %15.3f %+9.2f%%\n" name (o /. 1e6) (n /. 1e6)
-          (100.0 *. (n -. o) /. o)
-      | _ -> Printf.printf "%-8s (no estimate)\n" name)
-    chosen
 
 (* ------------------------------------------------------------------ *)
 (* Table 8: static measurements                                        *)
@@ -610,26 +508,19 @@ let detection () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Execution backends: reference vs closure-compiled vs native         *)
+(* Execution backends: compiled and native vs the reference            *)
 (* ------------------------------------------------------------------ *)
 
-let runs_per_engine = 3
-
-(* Race the execution engines over the suite's measure stage: both
-   finalized versions of every set-I workload, full predictor bank
-   attached, exactly what `Pipeline.run's measure stage does.  Each
-   engine runs the sweep [runs_per_engine] times and reports the min —
-   single-shot walls drifted by several percent between otherwise
-   identical runs (1.10x in BENCH_PR2 vs 1.036x in BENCH_PR5), and the
-   min is the standard noise-robust estimator for a deterministic
-   workload.  The native engine pays code generation in an extra
-   untimed first sweep, reported separately (with the artifact store's
-   counters after the whole section): steady state is what the "compile
-   once, serve many" store delivers to every later process.
-   Every backend must agree on every observable — counters,
-   mispredicts, output, exit code — or the section aborts. *)
+(* The engine differential on full inputs (unless --fast): both
+   finalized versions of every set-I workload run through the suite's
+   measure stage (full predictor bank attached) once per engine, and
+   every engine must agree with the reference on every observable —
+   counters, each predictor's mispredicts, output, exit code — or the
+   section fails naming the program.  The tests cut their inputs to a
+   few thousand bytes, so this is the only full-size differential.
+   Engine speed is bench/perf's to measure. *)
 let backends_section () =
-  section "Execution backends: suite measure-stage wall clock (set I)";
+  section "Execution backends: compiled and native vs the reference (set I)";
   let rows = rows_for Mopt.Switch_lower.set_i in
   let programs =
     List.concat_map
@@ -643,169 +534,65 @@ let backends_section () =
            (reord r).Driver.Pipeline.v_program, input) ])
       rows
   in
-  let engines =
-    [ `Reference; `Compiled ]
-    @ (if Sim.Native.available () then [ `Native ] else [])
-  in
   if not (Sim.Native.available ()) then
     Printf.eprintf
-      "[bench] native backend unavailable on this host; racing two \
-       engines\n%!";
-  let sweep config =
-    let t0 = Unix.gettimeofday () in
-    let versions =
-      List.map
-        (fun (_, prog, input) -> Driver.Pipeline.measure config prog ~input)
-        programs
-    in
-    (Unix.gettimeofday () -. t0, versions)
-  in
-  let native_codegen_seconds = ref None and native_cache_stats = ref None in
-  let run_all backend =
+      "[bench] native backend unavailable on this host; checking the \
+       compiled engine only\n%!";
+  let sweep backend =
     let config = { Driver.Config.default with Driver.Config.backend } in
     Printf.eprintf "[bench] measuring %d programs under the %s backend...\n%!"
       (List.length programs) (Sim.Machine.backend_name backend);
-    (* the native engine's first sweep generates, compiles and dynlinks
-       every image (or loads it from the artifact store); report that
-       separately and keep it out of the steady-state timings *)
-    if backend = `Native then begin
-      Sim.Native.reset_stats ();
-      let codegen_wall, _ = sweep config in
-      native_codegen_seconds := Some codegen_wall
-    end;
-    let best = ref infinity and last = ref [] in
-    for _ = 1 to runs_per_engine do
-      let wall, versions = sweep config in
-      if wall < !best then best := wall;
-      last := versions
-    done;
-    if backend = `Native then native_cache_stats := Some (Sim.Native.stats ());
-    (!best, !last)
-  in
-  let timed =
     List.map
-      (fun b ->
-        let wall, versions = run_all b in
-        (b, wall, versions))
-      engines
+      (fun (_, prog, input) -> Driver.Pipeline.measure config prog ~input)
+      programs
   in
-  (* cross-check the fast backends against the reference sweep *)
-  (match timed with
-  | (_, _, oracle) :: rest ->
-    List.iter
-      (fun (b, _, versions) ->
-        List.iteri
-          (fun i (v : Driver.Pipeline.version) ->
-            let o = List.nth oracle i in
-            let name, _, _ = List.nth programs i in
-            if
-              v.Driver.Pipeline.v_counters <> o.Driver.Pipeline.v_counters
-              || v.Driver.Pipeline.v_mispredicts
-                 <> o.Driver.Pipeline.v_mispredicts
-              || (not
-                    (String.equal v.Driver.Pipeline.v_output
-                       o.Driver.Pipeline.v_output))
-              || v.Driver.Pipeline.v_exit_code <> o.Driver.Pipeline.v_exit_code
-            then
-              failwith
-                (Printf.sprintf "backend %s disagrees with reference on %s"
-                   (Sim.Machine.backend_name b) name))
-          versions)
-      rest
-  | [] -> ());
-  let backend_results =
-    List.map (fun (b, w, _) -> (Sim.Machine.backend_name b, w)) timed
-  in
-  let wall_of name = List.assoc name backend_results in
-  let compiled = wall_of "compiled" in
-  Printf.printf "best of %d timed sweeps per engine\n" runs_per_engine;
-  Printf.printf "%-12s %12s %14s\n" "backend" "measure wall" "vs compiled";
-  line 40;
+  let oracle = sweep `Reference in
   List.iter
-    (fun (b, w, _) ->
-      Printf.printf "%-12s %11.3fs %13.2fx\n" (Sim.Machine.backend_name b) w
-        (w /. Float.max 1e-9 compiled))
-    timed;
-  line 40;
-  let refw = wall_of "reference" in
-  if compiled < refw then
-    Printf.printf
-      "compiled beats reference by %.2fx on the suite measure stage\n"
-      (refw /. Float.max 1e-9 compiled)
-  else
-    Printf.printf
-      "WARNING: compiled (%.3fs) did not beat reference (%.3fs) on this run\n"
-      compiled refw;
-  match List.assoc_opt "native" backend_results with
-  | None -> ()
-  | Some nat ->
-    let speedup = refw /. Float.max 1e-9 nat in
-    (match !native_codegen_seconds with
-    | Some c ->
-      Printf.printf "native codegen+load sweep (excluded): %.3fs\n" c
-    | None -> ());
-    (match !native_cache_stats with
-    | Some st ->
-      Printf.printf
-        "native cache: %d memo hit(s), %d disk hit(s), %d miss(es), %d \
-         compile(s)\n"
-        st.Sim.Native.memo_hits st.Sim.Native.disk_hits st.Sim.Native.misses
-        st.Sim.Native.compiles
-    | None -> ());
-    Printf.printf "native vs reference on the measure stage: %.2fx\n" speedup
-
-(* ------------------------------------------------------------------ *)
-(* Harness speedup: domain fan-out vs sequential                       *)
-(* ------------------------------------------------------------------ *)
-
-let speedup () =
-  section "Harness: parallel (domains) vs sequential wall clock (set I)";
-  let d = domains () in
-  let _, par_wall = rows_with_wall Mopt.Switch_lower.set_i in
-  let _, seq_wall =
-    if d = 1 then
-      (* the matrix already ran on one domain; don't run it twice *)
-      rows_with_wall Mopt.Switch_lower.set_i
-    else run_matrix Mopt.Switch_lower.set_i ~domains:1
-  in
-  Printf.printf "cores (recommended domains): %d\n"
-    (Domain.recommended_domain_count ());
-  Printf.printf "parallel   (%2d domains): %8.2fs\n" d par_wall;
-  Printf.printf "sequential ( 1 domain ): %8.2fs\n" seq_wall;
-  Printf.printf "speedup: %.2fx\n" (seq_wall /. Float.max 1e-9 par_wall)
+    (fun backend ->
+      List.iter2
+        (fun (name, _, _) ((v : Driver.Pipeline.version), o) ->
+          if
+            v.Driver.Pipeline.v_counters <> o.Driver.Pipeline.v_counters
+            || v.Driver.Pipeline.v_mispredicts <> o.Driver.Pipeline.v_mispredicts
+            || (not
+                  (String.equal v.Driver.Pipeline.v_output
+                     o.Driver.Pipeline.v_output))
+            || v.Driver.Pipeline.v_exit_code <> o.Driver.Pipeline.v_exit_code
+          then
+            failwith
+              (Printf.sprintf "backend %s disagrees with reference on %s"
+                 (Sim.Machine.backend_name backend) name))
+        programs
+        (List.combine (sweep backend) oracle);
+      Printf.printf "%-9s agrees with reference on %d programs\n"
+        (Sim.Machine.backend_name backend) (List.length programs))
+    (`Compiled :: (if Sim.Native.available () then [ `Native ] else []))
 
 (* ------------------------------------------------------------------ *)
 (* Static profile: heuristic prediction vs the training run             *)
 (* ------------------------------------------------------------------ *)
 
+let branches (v : Driver.Pipeline.version) =
+  v.Driver.Pipeline.v_counters.Sim.Counters.cond_branches
+
 (* per workload: (orig branches, reordered branches), [None] for a
    contained failure *)
 let profile_branch_rows profile =
-  let config =
-    {
-      Driver.Config.default with
-      Driver.Config.heuristic = Mopt.Switch_lower.set_i;
-      Driver.Config.verify = !verify;
-      Driver.Config.profile;
-    }
-  in
-  let jobs = jobs_for config in
-  Printf.eprintf
-    "[bench] running the 17 workloads with --profile=%s (set I)...\n%!"
-    (Driver.Config.profile_name profile);
-  let what = "--profile=" ^ Driver.Config.profile_name profile in
-  List.map2
-    (fun (w : Workloads.Spec.t) o ->
+  List.map
+    (fun ((w : Workloads.Spec.t), r) ->
       ( w.Workloads.Spec.name,
         Option.map
           (fun (r : Driver.Pipeline.result) ->
-            let branches (v : Driver.Pipeline.version) =
-              v.Driver.Pipeline.v_counters.Sim.Counters.cond_branches
-            in
-            ( branches r.Driver.Pipeline.r_original,
-              branches r.Driver.Pipeline.r_reordered ))
-          (result_or_warn ~what o) ))
-    Workloads.Registry.all (run_guarded jobs)
+            (branches r.Driver.Pipeline.r_original,
+             branches r.Driver.Pipeline.r_reordered))
+          r ))
+    (run_workloads
+       ~what:("--profile=" ^ Driver.Config.profile_name profile ^ " (set I)")
+       {
+         Driver.Config.default with
+         Driver.Config.heuristic = Mopt.Switch_lower.set_i;
+         Driver.Config.profile;
+       })
 
 (* the paper-style comparison the static-prediction layer is judged by:
    dynamic conditional-branch reduction with a trained profile, with the
@@ -818,9 +605,7 @@ let static_profile_section () =
     List.map
       (fun r ->
         ( r.workload.Workloads.Spec.name,
-          Some
-            ( (counters_of (orig r)).Sim.Counters.cond_branches,
-              (counters_of (reord r)).Sim.Counters.cond_branches ) ))
+          Some (branches (orig r), branches (reord r)) ))
       (rows_for Mopt.Switch_lower.set_i)
   in
   let static_rows = profile_branch_rows `Static in
@@ -873,14 +658,26 @@ let static_profile_section () =
 
 (* ------------------------------------------------------------------ *)
 
+(* every section in print order; [false] marks the ablations, which
+   re-run the pipeline many times and so run only when named *)
+let all_sections =
+  [ ("table3", true, table3);
+    ("table4", true, table4);
+    ("table5", true, table5);
+    ("table6", true, table6);
+    ("table7", true, table7);
+    ("table8", true, table8);
+    ("figs", true, figures);
+    ("detection", true, detection);
+    ("backends", true, backends_section);
+    ("static", true, static_profile_section);
+    ("ablations", false, ablations) ]
+
 let parse_args () =
   let rec go = function
     | [] -> ()
     | "--fast" :: rest ->
       fast := true;
-      go rest
-    | "--seq" :: rest ->
-      seq := true;
       go rest
     | "--verify" :: rest ->
       verify := true;
@@ -902,29 +699,19 @@ let parse_args () =
     | s :: _ when String.length s > 0 && s.[0] = '-' ->
       Printf.eprintf "bench: unknown option %s\n" s;
       exit 2
-    | s :: rest ->
+    | s :: rest when List.exists (fun (name, _, _) -> name = s) all_sections ->
       sections := s :: !sections;
       go rest
+    | s :: _ ->
+      Printf.eprintf "bench: unknown section %s (sections: %s)\n" s
+        (String.concat " " (List.map (fun (name, _, _) -> name) all_sections));
+      exit 2
   in
   go (List.tl (Array.to_list Sys.argv))
 
 let () =
   parse_args ();
-  let t0 = Unix.gettimeofday () in
-  if want "table3" then table3 ();
-  if want "table4" then table4 ();
-  if want "table5" then table5 ();
-  if want "table6" then table6 ();
-  if want "table7" then table7 ();
-  if want "bechamel" || want "table7" then bechamel_table7 ();
-  if want "table8" then table8 ();
-  if want "figs" || want "figures" then figures ();
-  if want "detection" then detection ();
-  if want "backends" then backends_section ();
-  if want "speedup" && not !seq then speedup ();
-  if want "static" then static_profile_section ();
-  (* ablations are opt-in: they re-run the pipeline many times *)
-  if List.mem "ablations" !sections then ablations ();
-  let harness_wall = Unix.gettimeofday () -. t0 in
-  Printf.printf "\n[bench] done in %.1fs on %d domain(s)\n" harness_wall
-    (domains ())
+  List.iter
+    (fun (name, by_default, run) ->
+      if (!sections = [] && by_default) || List.mem name !sections then run ())
+    all_sections

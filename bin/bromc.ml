@@ -553,7 +553,7 @@ let suite_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Number of domains to fan pipelines across (default: the \
-             machine's recommended domain count, or \\$(b,BROMC_DOMAINS)); \
+             machine's recommended domain count, or $(b,BROMC_DOMAINS)); \
              each pipeline measures its original on one more domain.")
   in
   let names =
@@ -713,9 +713,9 @@ let fuzz_cmd =
             (* freeze each shrunk counterexample as a replayable repro *)
             List.iter
               (fun f ->
-                let r = Bench_db.Corpus.mint_from_failure ~seed f in
+                let r = Check.Corpus.mint_from_failure ~seed f in
                 Printf.eprintf "repro written to %s\n"
-                  (Bench_db.Corpus.save ~dir r))
+                  (Check.Corpus.save ~dir r))
               stats.Check.Fuzz.st_failures
           | None -> ());
           exit 1
@@ -1561,15 +1561,15 @@ let bench_corpus_cmd =
         (match mint_inject with
         | Some n ->
           let repros =
-            Bench_db.Corpus.mint_from_inject ~seed ~cases ~max:n ()
+            Check.Corpus.mint_from_inject ~seed ~cases ~max:n ()
           in
           List.iter
             (fun r ->
-              Printf.printf "minted %s\n" (Bench_db.Corpus.save ~dir r))
+              Printf.printf "minted %s\n" (Check.Corpus.save ~dir r))
             repros
         | None -> ());
         let repros =
-          match Bench_db.Corpus.load_dir dir with
+          match Check.Corpus.load_dir dir with
           | Ok rs -> rs
           | Error m -> failwith m
         in
@@ -1577,17 +1577,17 @@ let bench_corpus_cmd =
         else begin
           let failed = ref 0 in
           List.iter
-            (fun (r : Bench_db.Corpus.repro) ->
-              let out = Bench_db.Corpus.replay ~backends ~profile r in
+            (fun (r : Check.Corpus.repro) ->
+              let out = Check.Corpus.replay ~backends ~profile r in
               if out.Check.Fuzz.co_errors <> [] then begin
                 incr failed;
-                Printf.printf "FAIL %s (%s)\n" r.Bench_db.Corpus.rp_name
-                  r.Bench_db.Corpus.rp_origin;
+                Printf.printf "FAIL %s (%s)\n" r.Check.Corpus.rp_name
+                  r.Check.Corpus.rp_origin;
                 List.iter (Printf.printf "  %s\n") out.Check.Fuzz.co_errors
               end
               else if not quiet then
                 Printf.printf "ok   %s (%d reordered, %d pieces certified)\n"
-                  r.Bench_db.Corpus.rp_name out.Check.Fuzz.co_reordered
+                  r.Check.Corpus.rp_name out.Check.Fuzz.co_reordered
                   out.Check.Fuzz.co_pieces)
             repros;
           Printf.printf "corpus: %d repros, %d failed (%d backends)\n"

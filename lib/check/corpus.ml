@@ -23,16 +23,16 @@ let heuristic_index name =
 let single_line s =
   String.trim (String.map (function '\n' | '\r' -> ' ' | c -> c) s)
 
-let of_spec ~name ~origin ~facts ~coalesce (spec : Check.Gen.spec) =
+let of_spec ~name ~origin ~facts ~coalesce (spec : Gen.spec) =
   {
     rp_name = name;
     rp_origin = single_line origin;
-    rp_heuristic = spec.Check.Gen.sp_heuristic;
+    rp_heuristic = spec.Gen.sp_heuristic;
     rp_facts = facts;
     rp_coalesce = coalesce;
-    rp_train = spec.Check.Gen.sp_train;
-    rp_test = spec.Check.Gen.sp_test;
-    rp_program = Check.Gen.to_program spec;
+    rp_train = spec.Gen.sp_train;
+    rp_test = spec.Gen.sp_test;
+    rp_program = Gen.to_program spec;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -183,26 +183,26 @@ let load_dir dir =
 (* ------------------------------------------------------------------ *)
 
 let replay ?backends ?profile r =
-  Check.Fuzz.run_program ?backends ?profile
+  Fuzz.run_program ?backends ?profile
     ~facts:r.rp_facts ~coalesce:r.rp_coalesce
     ~heuristic:(heuristic_set r.rp_heuristic)
     ~train:r.rp_train ~test:r.rp_test r.rp_program
 
-let mint_from_inject ?(backends = Check.Fuzz.default_backends) ~seed ~cases
+let mint_from_inject ?(backends = Fuzz.default_backends) ~seed ~cases
     ~max () =
   let repros = ref [] in
   let minted = ref 0 in
   let case = ref 0 in
   while !minted < max && !case < cases do
     let c = !case in
-    let spec = Check.Fuzz.spec_of_case ~seed ~case:c in
-    let out = Check.Fuzz.run_case ~backends ~inject:true ~case:c spec in
-    if out.Check.Fuzz.co_caught then begin
+    let spec = Fuzz.spec_of_case ~seed ~case:c in
+    let out = Fuzz.run_case ~backends ~inject:true ~case:c spec in
+    if out.Fuzz.co_caught then begin
       let keep s =
-        (Check.Fuzz.run_case ~backends ~inject:true ~case:c s)
-          .Check.Fuzz.co_caught
+        (Fuzz.run_case ~backends ~inject:true ~case:c s)
+          .Fuzz.co_caught
       in
-      let shrunk = Check.Gen.shrink_spec ~keep spec in
+      let shrunk = Gen.shrink_spec ~keep spec in
       incr minted;
       repros :=
         of_spec
@@ -212,8 +212,8 @@ let mint_from_inject ?(backends = Check.Fuzz.default_backends) ~seed ~cases
                "fuzz --inject seed=%d case=%d: verifier rejected a planted \
                 wrong default target; spec shrunk while the catch held"
                seed c)
-          ~facts:(Check.Fuzz.case_facts c)
-          ~coalesce:(Check.Fuzz.case_coalesce c)
+          ~facts:(Fuzz.case_facts c)
+          ~coalesce:(Fuzz.case_coalesce c)
           shrunk
         :: !repros
     end;
@@ -221,12 +221,12 @@ let mint_from_inject ?(backends = Check.Fuzz.default_backends) ~seed ~cases
   done;
   List.rev !repros
 
-let mint_from_failure ~seed (f : Check.Fuzz.failure) =
+let mint_from_failure ~seed (f : Fuzz.failure) =
   of_spec
-    ~name:(Printf.sprintf "fuzz-failure-s%d-c%03d" seed f.Check.Fuzz.f_case)
+    ~name:(Printf.sprintf "fuzz-failure-s%d-c%03d" seed f.Fuzz.f_case)
     ~origin:
-      (Printf.sprintf "fuzz seed=%d case=%d: %s" seed f.Check.Fuzz.f_case
-         (match f.Check.Fuzz.f_errors with e :: _ -> e | [] -> "failure"))
-    ~facts:(Check.Fuzz.case_facts f.Check.Fuzz.f_case)
-    ~coalesce:(Check.Fuzz.case_coalesce f.Check.Fuzz.f_case)
-    f.Check.Fuzz.f_shrunk
+      (Printf.sprintf "fuzz seed=%d case=%d: %s" seed f.Fuzz.f_case
+         (match f.Fuzz.f_errors with e :: _ -> e | [] -> "failure"))
+    ~facts:(Fuzz.case_facts f.Fuzz.f_case)
+    ~coalesce:(Fuzz.case_coalesce f.Fuzz.f_case)
+    f.Fuzz.f_shrunk

@@ -6,7 +6,7 @@
     header carrying everything the replay needs: the originating event,
     the switch-lowering heuristic set, the detector/coalescing choices,
     and the training and test inputs.  Replay runs the exact fuzz-case
-    stages ({!Check.Fuzz.run_program}): validate → lower → train →
+    stages ({!Fuzz.run_program}): validate → lower → train →
     reorder → certify → lint cross-check → backend differential.  A
     repro minted from a caught injected bug (or a fixed real bug)
     replays {e green} — the corpus is a regression suite, pinning the
@@ -28,7 +28,7 @@ val heuristic_set : int -> Mopt.Switch_lower.heuristic_set
 
 val of_spec :
   name:string -> origin:string -> facts:bool -> coalesce:bool ->
-  Check.Gen.spec -> repro
+  Gen.spec -> repro
 (** Freeze a (typically shrunk) fuzz spec as a repro.  The origin is
     folded onto one trimmed line, the form a header line reads back as. *)
 
@@ -46,9 +46,9 @@ val replay :
   ?backends:Sim.Machine.backend list ->
   ?profile:[ `Trained | `Static ] ->
   repro ->
-  Check.Fuzz.case_out
-(** One repro through {!Check.Fuzz.run_program} under its recorded
-    choices.  [backends] defaults to {!Check.Fuzz.default_backends};
+  Fuzz.case_out
+(** One repro through {!Fuzz.run_program} under its recorded
+    choices.  [backends] defaults to {!Fuzz.default_backends};
     [profile] (default [`Trained]) replays the repro under the static
     prediction instead of its recorded training run. *)
 
@@ -56,11 +56,11 @@ val mint_from_inject :
   ?backends:Sim.Machine.backend list ->
   seed:int -> cases:int -> max:int -> unit -> repro list
 (** Recreate inject-mode fuzz cases, shrink each caught one with
-    {!Check.Gen.shrink_spec} while the verifier still catches the
+    {!Gen.shrink_spec} while the verifier still catches the
     planted bug, and freeze the first [max] distinct shrunk specs as
     repros — the corpus seeding path. *)
 
 val mint_from_failure :
-  seed:int -> Check.Fuzz.failure -> repro
+  seed:int -> Fuzz.failure -> repro
 (** Freeze a real fuzz failure's shrunk counterexample, naming the
     first error in the origin line ([bromc fuzz --corpus-dir]). *)

@@ -75,7 +75,7 @@ val pp_failure : Format.formatter -> failure -> unit
 (** {2 Single-case replay}
 
     The per-case machinery, exposed for the repro corpus
-    ([Bench_db.Corpus]): minting a repro shrinks a spec under
+    ([Check.Corpus]): minting a repro shrinks a spec under
     {!run_case} with a caller-chosen predicate, and replaying a saved
     [.mir] repro feeds the parsed program through {!run_program} — the
     same stages as a fuzz case, without a generator in the loop. *)

@@ -1,7 +1,7 @@
 (* The minimized-repro corpus: the repro file format, its strict header
    reader, and the committed repros replaying green. *)
 
-module C = Bench_db.Corpus
+module C = Check.Corpus
 
 let read_file path =
   let ic = open_in_bin path in

@@ -307,19 +307,19 @@ let test_dom_fuzz_corpus () =
     (Check.Gen.sample ~seed:7 ~n:25 Check.Gen.gen_spec)
 
 let test_dom_repro_corpus () =
-  match Bench_db.Corpus.load_dir "../corpus" with
+  match Check.Corpus.load_dir "../corpus" with
   | Error e -> Alcotest.fail e
   | Ok repros ->
     Alcotest.(check bool) "corpus is seeded" true (List.length repros >= 2);
     List.iter
-      (fun (r : Bench_db.Corpus.repro) ->
+      (fun (r : Check.Corpus.repro) ->
         List.iter
           (fun fn ->
             Alcotest.(check bool)
               (Printf.sprintf "dominators match the reference on %s/%s"
-                 r.Bench_db.Corpus.rp_name fn.Mir.Func.name)
+                 r.Check.Corpus.rp_name fn.Mir.Func.name)
               true (dom_matches_reference fn))
-          r.Bench_db.Corpus.rp_program.Mir.Program.funcs)
+          r.Check.Corpus.rp_program.Mir.Program.funcs)
       repros
 
 let test_postdom () =
