@@ -1162,28 +1162,31 @@ let domains_arg =
 
 let sample_every_arg =
   Arg.(
-    value & opt int 4
+    value
+    & opt (some int) None
     & info [ "sample-every" ] ~docv:"N"
         ~doc:
           "Run the instrumented profiling shadow on every N-th request per \
-           worker (the served artifact is never instrumented).")
+           worker (the served artifact is never instrumented; default 4).")
 
 let merge_every_arg =
   Arg.(
-    value & opt int 8
+    value
+    & opt (some int) None
     & info [ "merge-every" ] ~docv:"N"
         ~doc:
           "Shadow runs accumulated across workers before an opportunistic \
-           shard merge into the global profile.")
+           shard merge into the global profile (default 8).")
 
-let drift_min_execs_arg default =
+let drift_min_execs_arg =
   Arg.(
-    value & opt int default
+    value
+    & opt (some int) None
     & info [ "drift-min-execs" ] ~docv:"N"
         ~doc:
           "New profile executions required after the last (re-)optimization \
            before the drift check may re-optimize — damping against \
-           artifact thrash.")
+           artifact thrash (default 32).")
 
 let state_dir_arg =
   Arg.(
@@ -1219,8 +1222,8 @@ let serve_cmd =
           }
         in
         let srv =
-          Driver.Server.create ~config ?domains ~sample_every ~merge_every
-            ~drift_min_execs ?state_dir ?queue_cap ()
+          Driver.Server.create ~config ?domains ?sample_every ?merge_every
+            ?drift_min_execs ?state_dir ?queue_cap ()
         in
         let out_lock = Mutex.create () in
         let print_line s =
@@ -1354,7 +1357,7 @@ let serve_cmd =
           optional third argument, a per-request deadline in milliseconds.")
     Term.(
       const run $ domains_arg $ sample_every_arg $ merge_every_arg
-      $ drift_min_execs_arg 32 $ backend_arg `Compiled $ profile_arg
+      $ drift_min_execs_arg $ backend_arg `Compiled $ profile_arg
       $ native_cache_dir_arg $ state_dir_arg
       $ queue_cap_arg)
 
@@ -1364,8 +1367,8 @@ let serve_cmd =
 
 let replay_cmd =
   let run requests concurrency workloads seed no_drift sample_every
-      merge_every drift_min_execs check_every json_path quiet backend
-      ncache_dir chaos chaos_seed state_dir =
+      merge_every drift_min_execs quiet backend ncache_dir chaos chaos_seed
+      state_dir =
     handle_errors (fun () ->
         apply_native_opts ncache_dir;
         let backend = resolve_backend backend in
@@ -1387,70 +1390,10 @@ let replay_cmd =
         let progress = if quiet then None else Some prerr_endline in
         let o =
           Driver.Replay.run ~config ?workloads ~requests ?concurrency ~seed
-            ~drift:(not no_drift) ~sample_every ~merge_every ~drift_min_execs
-            ~check_every ~chaos ~chaos_seed ?state_dir ?progress ()
+            ~drift:(not no_drift) ?sample_every ?merge_every ?drift_min_execs
+            ~chaos ~chaos_seed ?state_dir ?progress ()
         in
-        Printf.printf "requests:    %d ok, %d failed (%d domains)\n"
-          o.Driver.Replay.ro_ok o.Driver.Replay.ro_failed
-          o.Driver.Replay.ro_stats.Driver.Server.st_domains;
-        Printf.printf "throughput:  %.1f req/s over %.2fs\n"
-          o.Driver.Replay.ro_throughput_rps o.Driver.Replay.ro_elapsed_s;
-        Printf.printf "latency:     p50 %.3f ms, p99 %.3f ms\n"
-          o.Driver.Replay.ro_p50_ms o.Driver.Replay.ro_p99_ms;
-        Printf.printf "cold:        %.2f ms/request (%.1f req/s)\n"
-          o.Driver.Replay.ro_cold_ms o.Driver.Replay.ro_cold_rps;
-        Printf.printf "warm/cold:   %.1fx\n" o.Driver.Replay.ro_warm_ratio;
-        List.iter
-          (fun (s : Sim.Artifact.stats) ->
-            let total = s.Sim.Artifact.a_hits + s.Sim.Artifact.a_misses in
-            Printf.printf
-              "cache %-9s %d hit(s) / %d request(s) (%.1f%%), %d build(s)\n"
-              (s.Sim.Artifact.a_name ^ ":")
-              s.Sim.Artifact.a_hits total
-              (if total = 0 then 0.
-               else 100. *. float_of_int s.Sim.Artifact.a_hits /. float_of_int total)
-              s.Sim.Artifact.a_builds)
-          o.Driver.Replay.ro_stats.Driver.Server.st_caches;
-        Printf.printf "profiles:    %d shadow run(s), %d merge(s)\n"
-          o.Driver.Replay.ro_stats.Driver.Server.st_shadow_runs
-          o.Driver.Replay.ro_stats.Driver.Server.st_merges;
-        Printf.printf "re-opts:     %d\n" o.Driver.Replay.ro_reopts;
-        List.iter
-          (fun (e : Driver.Server.reopt_event) ->
-            Printf.printf
-              "  %s: generation %d at %d profiled execution(s)\n"
-              e.Driver.Server.re_program e.Driver.Server.re_generation
-              e.Driver.Server.re_executions)
-          o.Driver.Replay.ro_events;
-        Printf.printf "checked:     %d against the reference oracle, %d \
-                       mismatch(es)\n"
-          o.Driver.Replay.ro_checked o.Driver.Replay.ro_mismatches;
-        if o.Driver.Replay.ro_chaos_planned > 0 then begin
-          Printf.printf
-            "chaos:       %d fault(s): %d ok, %d failed cleanly, %d \
-             vacuous, %d escape(s)\n"
-            o.Driver.Replay.ro_chaos_planned o.Driver.Replay.ro_chaos_ok
-            o.Driver.Replay.ro_chaos_failed o.Driver.Replay.ro_chaos_vacuous
-            o.Driver.Replay.ro_chaos_escapes;
-          List.iter
-            (fun (f : Driver.Replay.fault_report) ->
-              Printf.printf "  request %d: %s -> %s\n"
-                f.Driver.Replay.rf_request f.Driver.Replay.rf_kind
-                f.Driver.Replay.rf_outcome)
-            o.Driver.Replay.ro_chaos_faults
-        end;
-        if o.Driver.Replay.ro_crash_restarts > 0 then
-          Printf.printf
-            "durability:  %d crash-restart(s), %d program(s) restored, \
-             restore %s\n"
-            o.Driver.Replay.ro_crash_restarts o.Driver.Replay.ro_restored
-            (if o.Driver.Replay.ro_restore_exact then "exact"
-             else "NOT exact");
-        (match json_path with
-        | Some path ->
-          Driver.Replay.write_json ~path o;
-          Printf.printf "wrote %s\n" path
-        | None -> ());
+        print_string (Driver.Replay.report o);
         if
           o.Driver.Replay.ro_mismatches > 0
           || o.Driver.Replay.ro_failed > o.Driver.Replay.ro_chaos_failed
@@ -1462,7 +1405,7 @@ let replay_cmd =
   let requests =
     Arg.(
       value & opt int 1000
-      & info [ "requests"; "n" ] ~docv:"N" ~doc:"Timed requests to fire.")
+      & info [ "requests"; "n" ] ~docv:"N" ~doc:"Requests to fire.")
   in
   let concurrency =
     Arg.(
@@ -1493,21 +1436,6 @@ let replay_cmd =
             "Leave the synthetic drifting workload out of the mix (no \
              mid-stream re-optimization demo).")
   in
-  let check_every =
-    Arg.(
-      value & opt int 16
-      & info [ "check-every" ] ~docv:"N"
-          ~doc:
-            "Differentially check every N-th response against the \
-             reference-interpreter oracle (0 disables).")
-  in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the machine-readable benchmark record here.")
-  in
   let quiet =
     Arg.(
       value & flag
@@ -1520,8 +1448,8 @@ let replay_cmd =
           ~doc:
             "Plant N seeded faults across the request stream (worker \
              kills, stalls, artifact corruption/truncation, journal \
-             tears) and certify containment: every victim is checked \
-             against the oracle and any escape fails the run.")
+             tears) and certify containment: a victim served with a \
+             wrong result or lost is an escape and fails the run.")
   in
   let chaos_seed =
     Arg.(
@@ -1533,16 +1461,20 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:
          "Fire a mixed stream of workload requests at an in-process \
-          optimization server and report throughput, p50/p99 latency, \
-          cache hit rates and drift re-optimizations (exits nonzero on \
-          any unplanned failure, oracle mismatch, chaos escape or \
-          inexact restore).  With $(b,--state-dir) the server is \
-          durable and a crash-restart cycle is certified between the \
-          waves; with $(b,--chaos) seeded faults strike mid-stream.")
+          optimization server, check every successful response against \
+          the reference interpreter, and report cache hit rates, profile \
+          merges and drift re-optimizations (exits nonzero on any \
+          unplanned failure, oracle mismatch, chaos escape or inexact \
+          restore).  The report holds no wall-clock number: at \
+          $(b,-j 1) it is the same on every run.  With $(b,--state-dir) \
+          the server is durable and a crash-restart cycle is certified \
+          between the waves; with $(b,--chaos) seeded faults strike \
+          mid-stream.  Under $(b,--backend native) a $(b,native:) line \
+          counts plugin compiles, disk hits and quarantined artifacts.")
     Term.(
       const run $ requests $ concurrency $ workloads $ seed $ no_drift
-      $ sample_every_arg $ merge_every_arg $ drift_min_execs_arg 64
-      $ check_every $ json_path $ quiet $ backend_arg `Compiled
+      $ sample_every_arg $ merge_every_arg $ drift_min_execs_arg
+      $ quiet $ backend_arg `Compiled
       $ native_cache_dir_arg $ chaos $ chaos_seed $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -8,13 +8,6 @@ type outcome = {
   ro_requests : int;
   ro_ok : int;
   ro_failed : int;
-  ro_elapsed_s : float;
-  ro_throughput_rps : float;
-  ro_p50_ms : float;
-  ro_p99_ms : float;
-  ro_cold_ms : float;
-  ro_cold_rps : float;
-  ro_warm_ratio : float;
   ro_checked : int;
   ro_mismatches : int;
   ro_reopts : int;
@@ -29,6 +22,7 @@ type outcome = {
   ro_crash_restarts : int;
   ro_restored : int;
   ro_restore_exact : bool;
+  ro_backend : Sim.Machine.backend;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -124,11 +118,12 @@ let input_slice ~seed text =
 (* The replay                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type req = { q_name : string; q_source : string; q_input : string }
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0 else sorted.(min (n - 1) (n * p / 100))
+type req = {
+  q_name : string;
+  q_source : string;
+  q_input : string;
+  q_base : Mir.Program.t;  (* the oracle's unreordered base *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: environment fault application                                 *)
@@ -195,9 +190,8 @@ let apply_artifact_fault srv ~source kind =
     applied
 
 let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
-    ?concurrency ?(seed = 42) ?(drift = true) ?(sample_every = 2)
-    ?(merge_every = 8) ?(drift_min_execs = 64) ?(check_every = 16)
-    ?(chaos = 0) ?(chaos_seed = 7) ?state_dir
+    ?concurrency ?(seed = 42) ?(drift = true) ?sample_every ?merge_every
+    ?drift_min_execs ?(chaos = 0) ?(chaos_seed = 7) ?state_dir
     ?(progress = fun _ -> ()) () =
   let names =
     match workloads with [] -> Workloads.Registry.names | ns -> ns
@@ -210,74 +204,53 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
         | exception Not_found -> failwith ("replay: unknown workload " ^ n))
       names
   in
-  (* force lazies on this domain before any fan-out *)
+  (* one slot per distinct program: its oracle base, compiled here and
+     never looked up in the server's caches, and its input generator.
+     Lazies are forced on this domain before any fan-out. *)
+  let slot name source input =
+    (name, source, Pipeline.compile_base config source, input)
+  in
   let mix =
-    List.map
-      (fun (s : Workloads.Spec.t) ->
-        (s.Workloads.Spec.name, s.Workloads.Spec.source,
-         Lazy.force s.Workloads.Spec.test_input))
-      specs
+    Array.of_list
+      (List.map
+         (fun (s : Workloads.Spec.t) ->
+           let text = Lazy.force s.Workloads.Spec.test_input in
+           slot s.Workloads.Spec.name s.Workloads.Spec.source
+             (fun ~phase:_ ~seed -> input_slice ~seed text))
+         specs
+      @ if drift then [ slot drift_name drift_source drift_input ] else [])
   in
-  let mix = Array.of_list mix in
-  let n_mix = Array.length mix + if drift then 1 else 0 in
+  let n_mix = Array.length mix in
   let half = requests / 2 in
-  let request i =
-    let slot = i mod n_mix in
-    if drift && slot = n_mix - 1 then
-      let phase = if i < half then 0 else 1 in
-      {
-        q_name = drift_name;
-        q_source = drift_source;
-        q_input = drift_input ~phase ~seed:(seed + i);
-      }
-    else
-      let name, source, test_input = mix.(slot) in
-      { q_name = name; q_source = source;
-        q_input = input_slice ~seed:(seed + i) test_input }
+  let request ~phase ~seed k =
+    let name, source, base, input = mix.(k) in
+    { q_name = name; q_source = source; q_input = input ~phase ~seed;
+      q_base = base }
   in
-  let reqs = Array.init requests request in
-
-  (* cold baseline: one request per distinct program against a fresh
-     single-domain server with empty caches — every request pays
-     parse + detect + train + reorder + predecode + compile *)
-  progress "cold baseline (fresh server per program)";
-  let distinct =
-    Array.to_list (Array.map (fun (n, s, t) -> (n, s, input_slice ~seed t)) mix)
-    @ (if drift then
-         [ (drift_name, drift_source, drift_input ~phase:0 ~seed) ]
-       else [])
+  let reqs =
+    Array.init requests (fun i ->
+        request ~phase:(if i < half then 0 else 1) ~seed:(seed + i)
+          (i mod n_mix))
   in
-  let cold_total = ref 0.0 in
-  List.iter
-    (fun (name, source, input) ->
-      let srv = Server.create ~config ~domains:1 ~sample_every:1_000_000 () in
-      let t0 = Unix.gettimeofday () in
-      let r = Server.submit srv ~name ~source ~input in
-      cold_total := !cold_total +. (Unix.gettimeofday () -. t0);
-      if r.Server.rs_status <> "ok" then
-        failwith
-          (Printf.sprintf "replay: cold request for %s failed: %s %s" name
-             r.Server.rs_status r.Server.rs_message);
-      Server.shutdown srv)
-    distinct;
-  let cold_ms = !cold_total /. float_of_int (List.length distinct) *. 1000.0 in
 
-  (* warm service: one long-lived server; warm every program up
-     (untimed), then fire the two timed waves with a sync between.
-     With [state_dir] the server is durable, and a crash-restart cycle
-     is certified between the waves. *)
+  (* one long-lived server: warm every program up, then fire the two
+     waves with a sync between.  With [state_dir] the server is
+     durable, and a crash-restart cycle is certified between the
+     waves. *)
   let make_server () =
-    Server.create ~config ?domains:concurrency ~sample_every ~merge_every
-      ~drift_min_execs ?state_dir ()
+    Server.create ~config ?domains:concurrency ?sample_every ?merge_every
+      ?drift_min_execs ?state_dir ()
   in
   let server = ref (make_server ()) in
   progress
-    (Printf.sprintf "warmup (%d programs, %d domains)" (List.length distinct)
+    (Printf.sprintf "warmup (%d programs, %d domains)" n_mix
        (Server.domains !server));
-  List.iter
-    (fun (name, source, input) ->
-      ignore (Server.submit !server ~name ~source ~input))
-    distinct;
+  for k = 0 to n_mix - 1 do
+    let q = request ~phase:0 ~seed k in
+    ignore
+      (Server.submit !server ~name:q.q_name ~source:q.q_source
+         ~input:q.q_input)
+  done;
 
   let faults =
     if chaos > 0 then
@@ -348,7 +321,6 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
     Mutex.unlock m
   in
   progress (Printf.sprintf "wave 1: requests 0..%d" (half - 1));
-  let t0 = Unix.gettimeofday () in
   fire 0 half;
   Server.sync !server;
 
@@ -359,13 +331,11 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
      exact even if a tear fault struck the journal earlier *)
   let crash_restarts = ref 0 and restored = ref 0 in
   let restore_exact = ref true in
-  let restart_s = ref 0.0 in
   let pre_crash_events = ref [] in
   let pre_crash_reopts = ref 0 in
   (match state_dir with
   | Some _ ->
     progress "crash (no final snapshot) and restart from the state dir";
-    let r0 = Unix.gettimeofday () in
     let pre_stats = Server.stats !server in
     let pre = List.sort compare pre_stats.Server.st_programs in
     pre_crash_events := Server.reopt_events !server;
@@ -377,44 +347,39 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
     incr crash_restarts;
     let st = Server.stats !server in
     restored := st.Server.st_restored;
-    restore_exact := List.sort compare st.Server.st_programs = pre;
-    restart_s := Unix.gettimeofday () -. r0
+    restore_exact := List.sort compare st.Server.st_programs = pre
   | None -> ());
 
   progress (Printf.sprintf "wave 2: requests %d..%d" half (requests - 1));
   fire half requests;
   Server.sync !server;
-  let elapsed = Unix.gettimeofday () -. t0 -. !restart_s in
 
-  (* differential check against the reference oracle: the usual every
-     [check_every]-th sample, plus every chaos victim (a fault must
-     never produce a wrong result) *)
-  let checked = ref 0 and mismatches = ref 0 in
+  (* differential check of every ok response against the reference
+     interpreter on the unreordered base: a fault, chaos-planned or
+     not, must never produce a wrong result *)
+  progress "differential check against the reference interpreter";
+  let sim_config = Pipeline.sim_config config in
+  let ok = ref 0 and checked = ref 0 and mismatches = ref 0 in
   let mis = Array.make requests false in
-  let victim = Array.make requests false in
-  List.iter (fun (f : Inject.server_fault) -> victim.(f.Inject.sv_request) <- true) faults;
-  if check_every > 0 || faults <> [] then begin
-    progress "differential check against the reference interpreter";
-    for i = 0 to requests - 1 do
-      if (check_every > 0 && i mod check_every = 0) || victim.(i) then
-        match responses.(i) with
-        | Some r when r.Server.rs_status = "ok" ->
-          let q = reqs.(i) in
-          let out, code =
-            Server.oracle !server ~name:q.q_name ~source:q.q_source
-              ~input:q.q_input
-          in
-          incr checked;
-          if
-            (not (String.equal out r.Server.rs_output))
-            || code <> r.Server.rs_exit_code
-          then begin
-            mis.(i) <- true;
-            incr mismatches
-          end
-        | _ -> ()
-    done
-  end;
+  Array.iteri
+    (fun i -> function
+      | Some (r : Server.response) when r.Server.rs_status = "ok" ->
+        incr ok;
+        let q = reqs.(i) in
+        let o =
+          Sim.Machine.run_reference ~config:sim_config q.q_base
+            ~input:q.q_input
+        in
+        incr checked;
+        if
+          (not (String.equal o.Sim.Machine.output r.Server.rs_output))
+          || o.Sim.Machine.exit_code <> r.Server.rs_exit_code
+        then begin
+          mis.(i) <- true;
+          incr mismatches
+        end
+      | _ -> ())
+    responses;
 
   (* chaos verdicts *)
   let fault_reports =
@@ -454,36 +419,10 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
   let events = !pre_crash_events @ Server.reopt_events !server in
   let reopts = !pre_crash_reopts + stats.Server.st_reopts in
   Server.shutdown !server;
-
-  let ok = ref 0 and failed = ref 0 in
-  let lats = ref [] in
-  Array.iter
-    (function
-      | Some (r : Server.response) ->
-        if r.Server.rs_status = "ok" then begin
-          incr ok;
-          lats := r.Server.rs_wall_ms :: !lats
-        end
-        else incr failed
-      | None -> incr failed)
-    responses;
-  let sorted = Array.of_list !lats in
-  Array.sort compare sorted;
-  let throughput =
-    if elapsed > 0.0 then float_of_int !ok /. elapsed else 0.0
-  in
-  let cold_rps = if cold_ms > 0.0 then 1000.0 /. cold_ms else 0.0 in
   {
     ro_requests = requests;
     ro_ok = !ok;
-    ro_failed = !failed;
-    ro_elapsed_s = elapsed;
-    ro_throughput_rps = throughput;
-    ro_p50_ms = percentile sorted 50;
-    ro_p99_ms = percentile sorted 99;
-    ro_cold_ms = cold_ms;
-    ro_cold_rps = cold_rps;
-    ro_warm_ratio = (if cold_rps > 0.0 then throughput /. cold_rps else 0.0);
+    ro_failed = requests - !ok;
     ro_checked = !checked;
     ro_mismatches = !mismatches;
     ro_reopts = reopts;
@@ -498,83 +437,58 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
     ro_crash_restarts = !crash_restarts;
     ro_restored = !restored;
     ro_restore_exact = !restore_exact;
+    ro_backend = config.Config.backend;
   }
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_PR7.json                                                      *)
+(* The report                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let write_json ~path (o : outcome) =
-  let st = Server.stats_json o.ro_stats in
-  let from_stats k = (k, Option.value ~default:Json.Null (Json.member k st)) in
-  let ints = List.map (fun (k, n) -> (k, Json.Int n)) in
-  (* 4 decimals: 0.1 us on the millisecond fields, far below the noise *)
-  let floats =
-    List.map (fun (k, f) -> (k, Json.Float (Float.round (f *. 1e4) /. 1e4)))
-  in
-  let fault f =
-    Json.Obj
-      [
-        ("request", Json.Int f.rf_request);
-        ("kind", Json.Str f.rf_kind);
-        ("outcome", Json.Str f.rf_outcome);
-      ]
-  in
-  let event (e : Server.reopt_event) =
-    Json.Obj
-      [
-        ("program", Json.Str e.re_program);
-        ("generation", Json.Int e.re_generation);
-        ("executions", Json.Int e.re_executions);
-        ("signature", Json.Str e.re_signature);
-      ]
-  in
-  let j =
-    Json.Obj
-      ((("bench", Json.Str "serve_replay")
-       :: ints
-            [
-              ("requests", o.ro_requests); ("ok", o.ro_ok);
-              ("failed", o.ro_failed); ("domains", o.ro_stats.st_domains);
-            ])
-      @ floats
-          [
-            ("elapsed_s", o.ro_elapsed_s);
-            ("throughput_rps", o.ro_throughput_rps);
-            ("p50_ms", o.ro_p50_ms); ("p99_ms", o.ro_p99_ms);
-            ("cold_ms_per_request", o.ro_cold_ms); ("cold_rps", o.ro_cold_rps);
-            ("warm_vs_cold_ratio", o.ro_warm_ratio);
-          ]
-      @ ints [ ("checked", o.ro_checked); ("mismatches", o.ro_mismatches) ]
-      @ [
-          ( "server",
-            Json.Obj
-              (List.map from_stats
-                 [ "requests"; "cold"; "shadow_runs"; "merges"; "reopts" ]) );
-          from_stats "caches";
-          from_stats "native";
-          ( "chaos",
-            Json.Obj
-              (ints
-                 [
-                   ("planned", o.ro_chaos_planned); ("ok", o.ro_chaos_ok);
-                   ("failed", o.ro_chaos_failed);
-                   ("vacuous", o.ro_chaos_vacuous);
-                   ("escapes", o.ro_chaos_escapes);
-                 ]
-              @ [ ("faults", Json.Arr (List.map fault o.ro_chaos_faults)) ]) );
-          ( "durability",
-            Json.Obj
-              (ints
-                 [
-                   ("crash_restarts", o.ro_crash_restarts);
-                   ("restored", o.ro_restored);
-                 ]
-              @ [ ("restore_exact", Json.Bool o.ro_restore_exact) ]) );
-          ("reopt_events", Json.Arr (List.map event o.ro_events));
-        ])
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~compact:false j);
-  output_char oc '\n';
-  close_out oc
+let report o =
+  let b = Buffer.create 1024 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let st = o.ro_stats in
+  line "requests:    %d ok, %d failed (%d domains)" o.ro_ok o.ro_failed
+    st.Server.st_domains;
+  List.iter
+    (fun (s : Sim.Artifact.stats) ->
+      let total = s.Sim.Artifact.a_hits + s.Sim.Artifact.a_misses in
+      line "cache %-9s %d hit(s) / %d request(s) (%.1f%%), %d build(s)"
+        (s.Sim.Artifact.a_name ^ ":")
+        s.Sim.Artifact.a_hits total
+        (if total = 0 then 0.
+         else 100. *. float_of_int s.Sim.Artifact.a_hits /. float_of_int total)
+        s.Sim.Artifact.a_builds)
+    st.Server.st_caches;
+  (* the native counters are process-global: shown only when this
+     replay's server could be the one that moved them *)
+  if o.ro_backend = `Native then begin
+    let ns = st.Server.st_native in
+    line "native:      %d compile(s), %d disk hit(s), %d quarantined"
+      ns.Sim.Native.compiles ns.Sim.Native.disk_hits ns.Sim.Native.quarantined
+  end;
+  line "profiles:    %d shadow run(s), %d merge(s)" st.Server.st_shadow_runs
+    st.Server.st_merges;
+  line "re-opts:     %d" o.ro_reopts;
+  List.iter
+    (fun (e : Server.reopt_event) ->
+      line "  %s: generation %d at %d profiled execution(s)" e.Server.re_program
+        e.Server.re_generation e.Server.re_executions)
+    o.ro_events;
+  line "checked:     %d against the reference oracle, %d mismatch(es)"
+    o.ro_checked o.ro_mismatches;
+  if o.ro_chaos_planned > 0 then begin
+    line
+      "chaos:       %d fault(s): %d ok, %d failed cleanly, %d vacuous, %d \
+       escape(s)"
+      o.ro_chaos_planned o.ro_chaos_ok o.ro_chaos_failed o.ro_chaos_vacuous
+      o.ro_chaos_escapes;
+    List.iter
+      (fun f -> line "  request %d: %s -> %s" f.rf_request f.rf_kind f.rf_outcome)
+      o.ro_chaos_faults
+  end;
+  if o.ro_crash_restarts > 0 then
+    line "durability:  %d crash-restart(s), %d program(s) restored, restore %s"
+      o.ro_crash_restarts o.ro_restored
+      (if o.ro_restore_exact then "exact" else "NOT exact");
+  Buffer.contents b

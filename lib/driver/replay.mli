@@ -1,10 +1,12 @@
 (** Replay driver: simulated production traffic for {!Server}.
 
-    [bromc replay] (and the CI daemon smoke job) fire thousands of
-    mixed workload requests at a {!Server} at a configurable
-    concurrency and record steady-state throughput, p50/p99 service
-    latency, cache hit rates and re-optimization counts — the
-    serving-shaped counterpart of the batch bench.
+    [bromc replay] (and the CI daemon smoke job) fire mixed workload
+    requests at a {!Server} at a configurable concurrency and certify
+    the answers: every [ok] response is checked against the reference
+    interpreter, and the report counts cache hits, shard merges and
+    re-optimizations.  It measures no time — serving speed is
+    [bench/perf]'s — so at one domain the report is a function of the
+    code and the seed.
 
     The request mix cycles over the paper's 17 workloads (or a chosen
     subset), each request taking a seeded newline-aligned slice of the
@@ -17,9 +19,10 @@
 
     The replay runs in two waves with a {!Server.sync} between them
     (so shard merges and the drift check happen deterministically even
-    at low request counts), and differentially checks a sample of
-    responses against {!Server.oracle} — the reference interpreter on
-    the unreordered base — which must match byte for byte. *)
+    at low request counts).  The oracle is the reference interpreter
+    on the unreordered base, compiled by the replay itself for each
+    distinct program, so checks never touch the server's caches; every
+    response must match it byte for byte. *)
 
 type fault_report = {
   rf_request : int;  (** victim request index *)
@@ -33,20 +36,10 @@ type fault_report = {
 }
 
 type outcome = {
-  ro_requests : int;  (** timed requests fired *)
+  ro_requests : int;  (** requests fired *)
   ro_ok : int;
   ro_failed : int;  (** non-[ok] responses (trap/timeout/crash) *)
-  ro_elapsed_s : float;  (** wall clock of the timed warm phase *)
-  ro_throughput_rps : float;  (** ok requests / elapsed *)
-  ro_p50_ms : float;  (** median in-worker service time *)
-  ro_p99_ms : float;
-  ro_cold_ms : float;
-      (** mean per-request wall on a fresh single-domain server with
-          empty caches — the parse+train+reorder+compile-every-time
-          baseline, one request per distinct program in the mix *)
-  ro_cold_rps : float;
-  ro_warm_ratio : float;  (** [ro_throughput_rps /. ro_cold_rps] *)
-  ro_checked : int;  (** responses differentially checked *)
+  ro_checked : int;  (** responses checked: every [ok] one *)
   ro_mismatches : int;  (** byte differences against the oracle (0!) *)
   ro_reopts : int;  (** across the crash when one was simulated *)
   ro_events : Server.reopt_event list;
@@ -62,6 +55,7 @@ type outcome = {
   ro_restore_exact : bool;
       (** restored (name, generation, executions) set matched the
           pre-crash server exactly *)
+  ro_backend : Sim.Machine.backend;  (** the configured first rung *)
 }
 
 val drift_name : string
@@ -91,7 +85,6 @@ val run :
   ?sample_every:int ->
   ?merge_every:int ->
   ?drift_min_execs:int ->
-  ?check_every:int ->
   ?chaos:int ->
   ?chaos_seed:int ->
   ?state_dir:string ->
@@ -99,9 +92,9 @@ val run :
   unit ->
   outcome
 (** Run the replay.  Defaults: all 17 workloads, 1000 requests,
-    {!Pool.default_domains} concurrency, seed 42, drift on,
-    [sample_every] 2, [merge_every] 8, [drift_min_execs] 64,
-    [check_every] 16 (0 disables the differential sample).
+    {!Pool.default_domains} concurrency, seed 42, drift on;
+    [sample_every], [merge_every] and [drift_min_execs] are passed to
+    {!Server.create}, whose defaults apply when they are absent.
     [progress] receives one-line phase messages.  Raises [Failure] on
     an unknown workload name.
 
@@ -109,19 +102,20 @@ val run :
     (seeded by [chaos_seed], default 7) across the request stream:
     worker kills and stalls strike inside the victim's guarded
     closure; artifact corruption/truncation and journal tears damage
-    the environment just before the victim fires.  Every victim is
-    differentially checked; the certification bar is
+    the environment just before the victim fires.  A victim served
+    [ok] with a wrong result is an escape; the certification bar is
     [ro_chaos_escapes = 0].
 
     [state_dir] makes the server durable and adds a crash-restart
     cycle between the waves: after wave 1's sync the server is killed
     with {e no} final flush, a fresh server restores from the state
     dir (certified exact in [ro_restore_exact]), and wave 2 resumes on
-    it.  Restart time is excluded from [ro_elapsed_s]. *)
+    it. *)
 
-val write_json : path:string -> outcome -> unit
-(** Write the bench record ([BENCH_PR7.json], [BENCH_PR10.json]):
-    parameters, throughput and latency, per-cache
-    hit/miss/build/eviction counters, native store counters, chaos and
-    durability verdicts, re-optimization events, differential-check
-    tally. *)
+val report : outcome -> string
+(** The text [bromc replay] prints: requests, cache counters, profile
+    merges, re-optimization events, the oracle tally, chaos verdicts
+    and the durability verdict, one fact per line.  Holds no wall-clock
+    number.  A [native:] line (compiles, disk hits, quarantined) is
+    included only when [ro_backend] is [`Native], since
+    {!Sim.Native.stats} counts for the whole process. *)

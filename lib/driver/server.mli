@@ -172,8 +172,8 @@ val sync : t -> unit
 val stats : t -> stats
 
 val stats_json : stats -> Json.t
-(** The one JSON rendering of {!stats}, shared by [bromc serve]'s
-    [stats] line and {!Replay.write_json}: counters, every cache's full
+(** The one JSON rendering of {!stats}, printed by [bromc serve]'s
+    [stats] line: counters, every cache's full
     {!Sim.Artifact.stats}, the full {!Sim.Native.stats}, and per-program
     generations. *)
 
