@@ -1160,34 +1160,6 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:"Worker domains (default: the machine's recommended count).")
 
-let sample_every_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "sample-every" ] ~docv:"N"
-        ~doc:
-          "Run the instrumented profiling shadow on every N-th request per \
-           worker (the served artifact is never instrumented; default 4).")
-
-let merge_every_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "merge-every" ] ~docv:"N"
-        ~doc:
-          "Shadow runs accumulated across workers before an opportunistic \
-           shard merge into the global profile (default 8).")
-
-let drift_min_execs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "drift-min-execs" ] ~docv:"N"
-        ~doc:
-          "New profile executions required after the last (re-)optimization \
-           before the drift check may re-optimize — damping against \
-           artifact thrash (default 32).")
-
 let state_dir_arg =
   Arg.(
     value
@@ -1198,18 +1170,8 @@ let state_dir_arg =
            and drift generations.  Existing state found there is restored \
            on startup (crash-safe warm start).")
 
-let queue_cap_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "queue-cap" ] ~docv:"N"
-        ~doc:
-          "Admission control: shed requests with an $(b,overloaded) \
-           response once N tasks are waiting (default: unbounded).")
-
 let serve_cmd =
-  let run domains sample_every merge_every drift_min_execs backend profile
-      ncache_dir state_dir queue_cap =
+  let run domains backend profile ncache_dir state_dir =
     handle_errors (fun () ->
         apply_native_opts ncache_dir;
         let backend = resolve_backend backend in
@@ -1221,10 +1183,7 @@ let serve_cmd =
             native_cache_dir = ncache_dir;
           }
         in
-        let srv =
-          Driver.Server.create ~config ?domains ?sample_every ?merge_every
-            ?drift_min_execs ?state_dir ?queue_cap ()
-        in
+        let srv = Driver.Server.create ~config ?domains ?state_dir () in
         let out_lock = Mutex.create () in
         let print_line s =
           Mutex.lock out_lock;
@@ -1346,8 +1305,11 @@ let serve_cmd =
           arrive as they finish, tagged $(b,resp ID ...); the built-in \
           $(b,drift) workload maps even seeds to phase-0 and odd seeds to \
           phase-1 inputs), $(b,sync) (drain, merge shards, run the drift \
-          check), $(b,stats) (one JSON line), $(b,quit).  With \
-          $(b,--profile=static) cold requests skip the first-request \
+          check), $(b,stats) (one JSON line), $(b,quit).  Every 4th \
+          successful request per worker also runs the profiling shadow, \
+          shards merge after 8 shadow runs, and the drift check waits for \
+          32 new profiled executions.  With $(b,--profile=static) cold \
+          requests skip the first-request \
           training run and serve on the static prediction; the online \
           shard profiles and the drift check re-optimize as real counts \
           diverge from it.  With $(b,--state-dir) the daemon is crash-safe: \
@@ -1356,19 +1318,16 @@ let serve_cmd =
           persisted program at its learned generation.  $(b,run) accepts an \
           optional third argument, a per-request deadline in milliseconds.")
     Term.(
-      const run $ domains_arg $ sample_every_arg $ merge_every_arg
-      $ drift_min_execs_arg $ backend_arg `Compiled $ profile_arg
-      $ native_cache_dir_arg $ state_dir_arg
-      $ queue_cap_arg)
+      const run $ domains_arg $ backend_arg `Compiled $ profile_arg
+      $ native_cache_dir_arg $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay: simulated production traffic against a server               *)
 (* ------------------------------------------------------------------ *)
 
 let replay_cmd =
-  let run requests concurrency workloads seed no_drift sample_every
-      merge_every drift_min_execs quiet backend ncache_dir chaos chaos_seed
-      state_dir =
+  let run requests concurrency workloads seed no_drift quiet backend
+      ncache_dir chaos chaos_seed state_dir =
     handle_errors (fun () ->
         apply_native_opts ncache_dir;
         let backend = resolve_backend backend in
@@ -1390,8 +1349,7 @@ let replay_cmd =
         let progress = if quiet then None else Some prerr_endline in
         let o =
           Driver.Replay.run ~config ?workloads ~requests ?concurrency ~seed
-            ~drift:(not no_drift) ?sample_every ?merge_every ?drift_min_execs
-            ~chaos ~chaos_seed ?state_dir ?progress ()
+            ~drift:(not no_drift) ~chaos ~chaos_seed ?state_dir ?progress ()
         in
         print_string (Driver.Replay.report o);
         if
@@ -1469,11 +1427,11 @@ let replay_cmd =
           $(b,-j 1) it is the same on every run.  With $(b,--state-dir) \
           the server is durable and a crash-restart cycle is certified \
           between the waves; with $(b,--chaos) seeded faults strike \
-          mid-stream.  Under $(b,--backend native) a $(b,native:) line \
+          mid-stream.  The server runs at $(b,serve)'s fixed profiling \
+          rates.  Under $(b,--backend native) a $(b,native:) line \
           counts plugin compiles, disk hits and quarantined artifacts.")
     Term.(
       const run $ requests $ concurrency $ workloads $ seed $ no_drift
-      $ sample_every_arg $ merge_every_arg $ drift_min_execs_arg
       $ quiet $ backend_arg `Compiled
       $ native_cache_dir_arg $ chaos $ chaos_seed $ state_dir_arg)
 

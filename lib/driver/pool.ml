@@ -67,16 +67,6 @@ let outcome_message = function
    worker running it.  Batch fan-out ([map] below) is one pool per
    call, shut down when its queue drains. *)
 module Workers = struct
-  exception Overloaded of { depth : int; cap : int }
-
-  let () =
-    Printexc.register_printer (function
-      | Overloaded { depth; cap } ->
-        Some
-          (Printf.sprintf "Pool.Workers.Overloaded (queue depth %d, cap %d)"
-             depth cap)
-      | _ -> None)
-
   type t = {
     mutable w_domains : unit Domain.t list;
     w_queue : (worker:int -> unit) Queue.t;
@@ -84,23 +74,9 @@ module Workers = struct
     w_nonempty : Condition.t;
     mutable w_stopping : bool;
     w_size : int;
-    w_queue_cap : int;  (* 0 = unbounded *)
-    mutable w_shed : int;  (* posts refused at the high-watermark *)
   }
 
   let size t = t.w_size
-
-  let depth t =
-    Mutex.lock t.w_lock;
-    let d = Queue.length t.w_queue in
-    Mutex.unlock t.w_lock;
-    d
-
-  let shed t =
-    Mutex.lock t.w_lock;
-    let n = t.w_shed in
-    Mutex.unlock t.w_lock;
-    n
 
   let worker_loop t w =
     let continue = ref true in
@@ -126,8 +102,7 @@ module Workers = struct
       end
     done
 
-  let create ?domains ?(queue_cap = 0) () =
-    if queue_cap < 0 then invalid_arg "Pool.Workers.create: negative queue_cap";
+  let create ?domains () =
     let d =
       max 1 (match domains with Some d -> d | None -> default_domains ())
     in
@@ -139,28 +114,16 @@ module Workers = struct
         w_nonempty = Condition.create ();
         w_stopping = false;
         w_size = d;
-        w_queue_cap = queue_cap;
-        w_shed = 0;
       }
     in
     t.w_domains <- List.init d (fun w -> Domain.spawn (fun () -> worker_loop t w));
     t
 
-  (* admission control: a bounded queue sheds load at its
-     high-watermark instead of letting latency grow without limit.
-     The cap bounds *waiting* tasks, not in-flight ones — [d] workers
-     plus [queue_cap] queued is the system's capacity *)
   let post t task =
     Mutex.lock t.w_lock;
     if t.w_stopping then begin
       Mutex.unlock t.w_lock;
       invalid_arg "Pool.Workers.post: pool is shut down"
-    end;
-    let d = Queue.length t.w_queue in
-    if t.w_queue_cap > 0 && d >= t.w_queue_cap then begin
-      t.w_shed <- t.w_shed + 1;
-      Mutex.unlock t.w_lock;
-      raise (Overloaded { depth = d; cap = t.w_queue_cap })
     end;
     Queue.push task t.w_queue;
     Condition.signal t.w_nonempty;

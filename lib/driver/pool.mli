@@ -81,34 +81,18 @@ val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 module Workers : sig
   type t
 
-  exception Overloaded of { depth : int; cap : int }
-  (** Raised by {!post} (and {!run}) when the queue is at its
-      high-watermark: admission control sheds the request instead of
-      letting queueing delay grow without bound.  [depth] is the queue
-      length observed, [cap] the configured bound. *)
-
-  val create : ?domains:int -> ?queue_cap:int -> unit -> t
+  val create : ?domains:int -> unit -> t
   (** Spawn the worker domains now ({!default_domains} when [?domains]
-      is omitted; always at least 1).  [queue_cap] bounds {e waiting}
-      tasks (in-flight tasks are not counted): a {!post} that would
-      push the queue past the cap raises {!Overloaded} instead.  0 (the
-      default) means unbounded. *)
+      is omitted; always at least 1).  The task queue is unbounded. *)
 
   val size : t -> int
   (** Number of worker domains; worker indices are [0 .. size-1]. *)
-
-  val depth : t -> int
-  (** Tasks currently waiting in the queue. *)
-
-  val shed : t -> int
-  (** Posts refused by admission control so far. *)
 
   val post : t -> (worker:int -> unit) -> unit
   (** Enqueue a task, return immediately.  Tasks run in FIFO claim
       order on whichever worker frees up first.  A task that escapes
       with an exception is reported on stderr and its worker keeps
-      going.  Raises [Invalid_argument] after {!shutdown} and
-      {!Overloaded} past the queue cap. *)
+      going.  Raises [Invalid_argument] after {!shutdown}. *)
 
   val run : t -> (worker:int -> 'a) -> 'a
   (** Enqueue a task and block until it finishes, returning its result

@@ -10,7 +10,6 @@ type outcome = {
   ro_failed : int;
   ro_checked : int;
   ro_mismatches : int;
-  ro_reopts : int;
   ro_events : Server.reopt_event list;
   ro_stats : Server.stats;
   ro_chaos_planned : int;
@@ -189,10 +188,34 @@ let apply_artifact_fault srv ~source kind =
     if applied then Sim.Native.clear_memo ();
     applied
 
+(* the counters of a server restarted after a crash, plus those of the
+   server it replaced, so a durable replay reports its whole stream.
+   Resident entries, restored programs and generations are the
+   restarted server's own; the native counters are process-global and
+   already span both *)
+let add_stats (pre : Server.stats) (st : Server.stats) =
+  let cache (p : Sim.Artifact.stats) (s : Sim.Artifact.stats) =
+    {
+      s with
+      Sim.Artifact.a_hits = p.Sim.Artifact.a_hits + s.Sim.Artifact.a_hits;
+      a_misses = p.Sim.Artifact.a_misses + s.Sim.Artifact.a_misses;
+      a_builds = p.Sim.Artifact.a_builds + s.Sim.Artifact.a_builds;
+      a_failures = p.Sim.Artifact.a_failures + s.Sim.Artifact.a_failures;
+    }
+  in
+  {
+    st with
+    Server.st_requests = pre.Server.st_requests + st.Server.st_requests;
+    st_cold = pre.Server.st_cold + st.Server.st_cold;
+    st_shadow_runs = pre.Server.st_shadow_runs + st.Server.st_shadow_runs;
+    st_merges = pre.Server.st_merges + st.Server.st_merges;
+    st_reopts = pre.Server.st_reopts + st.Server.st_reopts;
+    st_caches = List.map2 cache pre.Server.st_caches st.Server.st_caches;
+  }
+
 let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
-    ?concurrency ?(seed = 42) ?(drift = true) ?sample_every ?merge_every
-    ?drift_min_execs ?(chaos = 0) ?(chaos_seed = 7) ?state_dir
-    ?(progress = fun _ -> ()) () =
+    ?concurrency ?(seed = 42) ?(drift = true) ?(chaos = 0) ?(chaos_seed = 7)
+    ?state_dir ?(progress = fun _ -> ()) () =
   let names =
     match workloads with [] -> Workloads.Registry.names | ns -> ns
   in
@@ -238,8 +261,7 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
      durable, and a crash-restart cycle is certified between the
      waves. *)
   let make_server () =
-    Server.create ~config ?domains:concurrency ?sample_every ?merge_every
-      ?drift_min_execs ?state_dir ()
+    Server.create ~config ?domains:concurrency ?state_dir ()
   in
   let server = ref (make_server ()) in
   progress
@@ -332,14 +354,14 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
   let crash_restarts = ref 0 and restored = ref 0 in
   let restore_exact = ref true in
   let pre_crash_events = ref [] in
-  let pre_crash_reopts = ref 0 in
+  let pre_crash_stats = ref None in
   (match state_dir with
   | Some _ ->
     progress "crash (no final snapshot) and restart from the state dir";
     let pre_stats = Server.stats !server in
     let pre = List.sort compare pre_stats.Server.st_programs in
     pre_crash_events := Server.reopt_events !server;
-    pre_crash_reopts := pre_stats.Server.st_reopts;
+    pre_crash_stats := Some pre_stats;
     Server.shutdown ~crash:true !server;
     (* a real restart is a fresh process: drop the in-memory plugin memo *)
     Sim.Native.clear_memo ();
@@ -413,11 +435,13 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
                     && String.sub r.rf_outcome 0 7 = "failed:")
   in
 
-  let stats = Server.stats !server in
-  (* events and reopt counts span the crash: pre-crash history survives
-     in the outcome even though the counters restart from zero *)
+  (* events and counters span the crash: pre-crash history survives in
+     the outcome even though the restarted server counts from zero *)
+  let stats =
+    let st = Server.stats !server in
+    match !pre_crash_stats with None -> st | Some pre -> add_stats pre st
+  in
   let events = !pre_crash_events @ Server.reopt_events !server in
-  let reopts = !pre_crash_reopts + stats.Server.st_reopts in
   Server.shutdown !server;
   {
     ro_requests = requests;
@@ -425,7 +449,6 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
     ro_failed = requests - !ok;
     ro_checked = !checked;
     ro_mismatches = !mismatches;
-    ro_reopts = reopts;
     ro_events = events;
     ro_stats = stats;
     ro_chaos_planned = List.length faults;
@@ -469,7 +492,7 @@ let report o =
   end;
   line "profiles:    %d shadow run(s), %d merge(s)" st.Server.st_shadow_runs
     st.Server.st_merges;
-  line "re-opts:     %d" o.ro_reopts;
+  line "re-opts:     %d" st.Server.st_reopts;
   List.iter
     (fun (e : Server.reopt_event) ->
       line "  %s: generation %d at %d profiled execution(s)" e.Server.re_program

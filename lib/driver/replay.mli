@@ -41,9 +41,11 @@ type outcome = {
   ro_failed : int;  (** non-[ok] responses (trap/timeout/crash) *)
   ro_checked : int;  (** responses checked: every [ok] one *)
   ro_mismatches : int;  (** byte differences against the oracle (0!) *)
-  ro_reopts : int;  (** across the crash when one was simulated *)
   ro_events : Server.reopt_event list;
-  ro_stats : Server.stats;  (** server counters at shutdown *)
+  ro_stats : Server.stats;
+      (** server counters at shutdown; with a crash-restart, the event
+          counters (requests, cold, shadow runs, merges, re-opts, cache
+          hits/misses/builds/failures) sum both servers' *)
   ro_chaos_planned : int;  (** faults drawn from the chaos plan *)
   ro_chaos_ok : int;  (** victims still served correctly *)
   ro_chaos_failed : int;  (** victims with a clean failure response *)
@@ -82,9 +84,6 @@ val run :
   ?concurrency:int ->
   ?seed:int ->
   ?drift:bool ->
-  ?sample_every:int ->
-  ?merge_every:int ->
-  ?drift_min_execs:int ->
   ?chaos:int ->
   ?chaos_seed:int ->
   ?state_dir:string ->
@@ -92,9 +91,7 @@ val run :
   unit ->
   outcome
 (** Run the replay.  Defaults: all 17 workloads, 1000 requests,
-    {!Pool.default_domains} concurrency, seed 42, drift on;
-    [sample_every], [merge_every] and [drift_min_execs] are passed to
-    {!Server.create}, whose defaults apply when they are absent.
+    {!Pool.default_domains} concurrency, seed 42, drift on.
     [progress] receives one-line phase messages.  Raises [Failure] on
     an unknown workload name.
 

@@ -26,7 +26,6 @@ type stats = {
   st_domains : int;
   st_caches : Sim.Artifact.stats list;
   st_native : Sim.Native.stats;
-  st_overloaded : int;
   st_restored : int;
   st_programs : (string * int * int) list;
 }
@@ -62,9 +61,6 @@ type t = {
   config : Config.t;
   fingerprint : string;  (* [config_fingerprint config] *)
   pool : Pool.Workers.t;
-  sample_every : int;
-  merge_every : int;
-  drift_min_execs : int;
   programs : entry Sim.Artifact.t;  (* unbounded: every program served *)
   image_cache : Sim.Image.t Sim.Artifact.t;
   closure_cache : Sim.Compiled.t Sim.Artifact.t;
@@ -187,6 +183,17 @@ let journal_entry t e =
 
 (* journal records between snapshot compactions *)
 let snapshot_every = 64
+
+(* every n-th successful request per worker runs the profiling shadow *)
+let sample_every = 4
+
+(* shadow runs accumulated across workers before an opportunistic merge *)
+let merge_every = 8
+
+(* new profile executions since the last (re-)optimization before the
+   drift check may fire: the damper that keeps a handful of unusual
+   requests from thrashing the artifacts *)
+let drift_min_execs = 32
 
 let snapshot_due t =
   match t.journal with
@@ -328,11 +335,8 @@ let restore_state t dir =
         | exception _ -> ())
     r.State.r_programs
 
-let create ?(config = Config.default) ?domains ?(sample_every = 4)
-    ?(merge_every = 8) ?(drift_min_execs = 32) ?state_dir ?queue_cap () =
-  if sample_every < 1 then invalid_arg "Server.create: sample_every < 1";
-  if merge_every < 1 then invalid_arg "Server.create: merge_every < 1";
-  let pool = Pool.Workers.create ?domains ?queue_cap () in
+let create ?(config = Config.default) ?domains ?state_dir () =
+  let pool = Pool.Workers.create ?domains () in
   let n = Pool.Workers.size pool in
   let journal =
     match state_dir with
@@ -344,9 +348,6 @@ let create ?(config = Config.default) ?domains ?(sample_every = 4)
       config;
       fingerprint = config_fingerprint config;
       pool;
-      sample_every;
-      merge_every;
-      drift_min_execs;
       programs = Sim.Artifact.create ~name:"programs" ();
       image_cache = Sim.Artifact.create ~name:"image" ();
       closure_cache = Sim.Artifact.create ~name:"closure" ();
@@ -390,7 +391,7 @@ let merge_locked t (e : entry) =
     e.e_shards;
   Atomic.incr t.merges;
   let execs = Sim.Profile.total_executions e.e_global in
-  if execs - e.e_last_opt_execs >= t.drift_min_execs then begin
+  if execs - e.e_last_opt_execs >= drift_min_execs then begin
     let art = Atomic.get e.e_artifact in
     let current = signature_of t e.e_base e.e_seqs e.e_global in
     if Reorder.Drift.drifted ~served:art.a_signature ~current then begin
@@ -480,7 +481,7 @@ let shadow_run t (e : entry) ~worker ~input =
   Mutex.unlock m;
   Atomic.incr t.shadow_runs;
   let pending = 1 + Atomic.fetch_and_add e.e_pending 1 in
-  if pending >= t.merge_every then begin
+  if pending >= merge_every then begin
     Atomic.set e.e_pending 0;
     try_merge t e
   end
@@ -558,48 +559,18 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
     (* profiling shadow on a sampling of successful requests *)
     (if response.rs_status = "ok" && entry.e_seqs <> [] then begin
        t.ticks.(worker) <- t.ticks.(worker) + 1;
-       if t.ticks.(worker) mod t.sample_every = 0 then
+       if t.ticks.(worker) mod sample_every = 0 then
          shadow_run t entry ~worker ~input
      end);
     response
 
-(* an admission-control rejection is a first-class response, not an
-   exception: the server is healthy, it is just refusing to let the
-   queue (and so tail latency) grow without bound *)
-let overloaded_response ~name (o : Pool.Workers.t) depth cap =
-  {
-    rs_program = name;
-    rs_status = "overloaded";
-    rs_output = "";
-    rs_exit_code = -1;
-    rs_backend = "";
-    rs_generation = 0;
-    rs_cold = false;
-    rs_message =
-      Printf.sprintf "queue at capacity (%d waiting, cap %d, %d shed so far)"
-        depth cap (Pool.Workers.shed o);
-    rs_wall_ms = 0.0;
-  }
-
 let submit ?deadline_ms ?inject t ~name ~source ~input =
-  match
-    Pool.Workers.run t.pool (fun ~worker ->
-        handle ?deadline_ms ?inject t ~worker ~name ~source ~input)
-  with
-  | r -> r
-  | exception Pool.Workers.Overloaded { depth; cap } ->
-    overloaded_response ~name t.pool depth cap
+  Pool.Workers.run t.pool (fun ~worker ->
+      handle ?deadline_ms ?inject t ~worker ~name ~source ~input)
 
 let post ?deadline_ms ?inject t ~name ~source ~input k =
-  match
-    Pool.Workers.post t.pool (fun ~worker ->
-        k (handle ?deadline_ms ?inject t ~worker ~name ~source ~input))
-  with
-  | () -> ()
-  | exception Pool.Workers.Overloaded { depth; cap } ->
-    (* shed on the caller's thread; the callback still fires so drivers
-       tracking in-flight counts never leak a slot *)
-    k (overloaded_response ~name t.pool depth cap)
+  Pool.Workers.post t.pool (fun ~worker ->
+      k (handle ?deadline_ms ?inject t ~worker ~name ~source ~input))
 
 let oracle t ~name ~source ~input =
   let key = content_key t source in
@@ -641,7 +612,6 @@ let stats t =
         Sim.Artifact.stats t.closure_cache;
       ];
     st_native = Sim.Native.stats ();
-    st_overloaded = Pool.Workers.shed t.pool;
     st_restored = Atomic.get t.restored;
     st_programs =
       List.map
@@ -659,9 +629,8 @@ let stats_json st =
       (("name", Json.Str c.a_name)
       :: ints
            [
-             ("entries", c.a_entries); ("capacity", c.a_capacity);
-             ("hits", c.a_hits); ("misses", c.a_misses);
-             ("builds", c.a_builds); ("evictions", c.a_evictions);
+             ("entries", c.a_entries); ("hits", c.a_hits);
+             ("misses", c.a_misses); ("builds", c.a_builds);
              ("failures", c.a_failures);
            ])
   in
@@ -686,13 +655,11 @@ let stats_json st =
                [
                  ("memo_hits", ns.memo_hits); ("disk_hits", ns.disk_hits);
                  ("misses", ns.misses); ("compiles", ns.compiles);
-                 ("memo_evictions", ns.memo_evictions);
                  ("memo_entries", ns.memo_entries);
-                 ("memo_capacity", ns.memo_capacity);
                  ("quarantined", ns.quarantined);
                ]) );
       ]
-    @ ints [ ("overloaded", st.st_overloaded); ("restored", st.st_restored) ]
+    @ ints [ ("restored", st.st_restored) ]
     @ [ ("programs", Json.Arr (List.map program st.st_programs)) ])
 
 let reopt_events t =

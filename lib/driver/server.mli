@@ -13,16 +13,18 @@
 
     {b Online profiles.}  The served artifact is never instrumented
     (responses stay byte-identical to a batch run, and the hot path
-    touches no shared counter).  Instead every [sample_every]-th
-    request per worker also executes the cached {e instrumented
-    training clone} on the request's input, recording into that
-    worker's private profile shard ({!Sim.Profile.copy_shape}).
-    Shards are merged asynchronously into the program's global
-    profile — opportunistically after enough samples accumulate (a
-    [try_lock]; nobody blocks), or forced by {!sync}.
+    touches no shared counter).  Instead every 4th successful request
+    per worker also executes the cached {e instrumented training clone}
+    on the request's input, recording into that worker's private
+    profile shard ({!Sim.Profile.copy_shape}).  Shards are merged
+    asynchronously into the program's global profile —
+    opportunistically once 8 shadow runs accumulate (a [try_lock];
+    nobody blocks), or forced by {!sync}.
 
-    {b Drift-triggered re-optimization.}  After a merge, if enough new
-    executions accumulated, the server recomputes the Eq. 1–4
+    {b Drift-triggered re-optimization.}  After a merge, if at least 32
+    new executions accumulated since the last (re-)optimization (the
+    damper that keeps a handful of unusual requests from thrashing the
+    artifacts), the server recomputes the Eq. 1–4
     selection signature ({!Reorder.Drift}) under the merged counts.  A
     changed signature means live traffic now justifies a different
     ordering for at least one sequence: the server re-optimizes from
@@ -46,11 +48,9 @@
     counters intact — no retraining, no generation reset — and drops
     records whose content key no longer matches (config change).
 
-    {b Admission control.}  With [queue_cap] set, a request arriving
-    while [queue_cap] tasks wait is shed with an ["overloaded"]
-    response instead of growing the queue (and tail latency) without
-    bound.  Per-request deadlines ([deadline_ms]) tighten the
-    watchdog for that request only. *)
+    {b Deadlines.}  The request queue is unbounded.  A per-request
+    deadline ([deadline_ms]) tightens the watchdog for that request
+    only. *)
 
 type t
 
@@ -83,40 +83,22 @@ type stats = {
   st_caches : Sim.Artifact.stats list;
       (** the [programs], [image] and [closure] caches, in that order *)
   st_native : Sim.Native.stats;
-  st_overloaded : int;  (** requests shed by admission control *)
   st_restored : int;  (** programs warm-started from [state_dir] *)
   st_programs : (string * int * int) list;
       (** per program, ordered by name: (name, served generation,
           profile executions) *)
 }
 
-val create :
-  ?config:Config.t ->
-  ?domains:int ->
-  ?sample_every:int ->
-  ?merge_every:int ->
-  ?drift_min_execs:int ->
-  ?state_dir:string ->
-  ?queue_cap:int ->
-  unit ->
-  t
-(** Spawn the worker pool and empty caches.  [sample_every] (default
-    4): every n-th request per worker runs the profiling shadow.
-    [merge_every] (default 8): shadow runs accumulated across workers
-    before an opportunistic merge attempt.  [drift_min_execs] (default
-    32): new profile executions required after the last
-    (re-)optimization before the drift check may fire — the damper
-    that keeps a handful of unusual requests from thrashing the
-    artifacts.  Requests run under {!Guard.default} with degradation
-    enabled.
+val create : ?config:Config.t -> ?domains:int -> ?state_dir:string -> unit -> t
+(** Spawn the worker pool and empty caches.  Requests run under
+    {!Guard.default} with degradation enabled; sampling, merging and
+    the drift damper run at the fixed rates above.
 
     [state_dir] makes the server durable: learned state is journaled
     and snapshotted there ({!State}), and existing state found in the
     directory is restored before the first request — each surviving
     program warm-starts at its persisted drift generation with its
-    merged profile counters.  [queue_cap] (default unbounded) bounds
-    the pool's waiting queue; excess requests are shed with an
-    ["overloaded"] response. *)
+    merged profile counters. *)
 
 val submit :
   ?deadline_ms:int ->
@@ -131,9 +113,8 @@ val submit :
     worker) reuses the artifacts.
 
     [deadline_ms] arms the guard's watchdog for this request only; on
-    expiry the response status is ["timeout"].  When admission control
-    sheds the request the response status is ["overloaded"] — no
-    exception escapes.  [inject] is the chaos hook: it runs {e inside}
+    expiry the response status is ["timeout"].  [inject] is the chaos
+    hook: it runs {e inside}
     the guarded closure on the first execution attempt, so a raised
     fault exercises the real recovery path (degradation to the next
     rung); test/fault-drill use only. *)
@@ -144,10 +125,7 @@ val post :
   t -> name:string -> source:string -> input:string ->
   (response -> unit) -> unit
 (** Fire-and-forget {!submit}: enqueue the request and return; the
-    callback runs on the worker that served it — except for a shed
-    request, whose ["overloaded"] response is delivered on the
-    {e calling} thread, so drivers tracking in-flight counts never
-    leak a slot. *)
+    callback runs on the worker that served it. *)
 
 val oracle : t -> name:string -> source:string -> input:string -> string * int
 (** [(output, exit_code)] of the {e reference interpreter} on the

@@ -183,21 +183,40 @@ let mkdirs dir =
 type writer = { w_oc : out_channel; w_lock : Mutex.t; mutable w_appended : int }
 
 (* O_APPEND, so every flush lands at the file's current end even after
-   a concurrent snapshot truncated it under us *)
+   a concurrent snapshot truncated it under us; readable, so [append]
+   can look at the last byte *)
 let open_journal ~dir =
   mkdirs dir;
-  let oc =
-    open_out_gen
-      [ Open_append; Open_creat; Open_binary ]
-      0o644 (journal_path ~dir)
+  let fd =
+    Unix.openfile (journal_path ~dir)
+      [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ]
+      0o644
   in
-  { w_oc = oc; w_lock = Mutex.create (); w_appended = 0 }
+  {
+    w_oc = Unix.out_channel_of_descr fd;
+    w_lock = Mutex.create ();
+    w_appended = 0;
+  }
+
+(* does the file end without a newline, as a crash mid-append (or a
+   chaos tear) leaves it?  A record appended there would be glued to
+   the torn fragment and fail its CRC with it *)
+let ends_torn oc =
+  let fd = Unix.descr_of_out_channel oc in
+  match Unix.lseek fd (-1) Unix.SEEK_END with
+  | exception Unix.Unix_error _ -> false (* empty *)
+  | _ ->
+    let b = Bytes.create 1 in
+    Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n'
 
 let append w payload =
   Mutex.lock w.w_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.w_lock)
     (fun () ->
+      (* start on a line of our own: the torn fragment becomes one
+         skipped frame and this record survives *)
+      if ends_torn w.w_oc then output_char w.w_oc '\n';
       output_string w.w_oc (frame payload);
       output_char w.w_oc '\n';
       flush w.w_oc;

@@ -59,7 +59,9 @@ val open_journal : dir:string -> writer
 (** Create [dir] as needed and open the journal for appending
     ([O_APPEND]: records land at the current end of file even if a
     concurrent snapshot truncates the journal underneath).  Writes are
-    serialized by an internal lock and flushed per record. *)
+    serialized by an internal lock and flushed per record.  A record
+    appended after a torn tail starts on a fresh line, so only the torn
+    fragment is lost. *)
 
 val journal_program : writer -> program -> unit
 

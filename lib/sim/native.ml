@@ -66,13 +66,11 @@ type stats = {
   disk_hits : int;
   misses : int;
   compiles : int;
-  memo_evictions : int;
   memo_entries : int;
-  memo_capacity : int;
   quarantined : int;
 }
 
-(* the memo's own hits, evictions and size are counted by its
+(* the memo's own hits and size are counted by its
    {!Artifact} cache below *)
 let s_disk_hits = Atomic.make 0
 let s_misses = Atomic.make 0
@@ -794,27 +792,10 @@ let remove_tree dir =
 (* the in-process memo of loaded entry points, keyed like the on-disk
    store.  Single-flight per key: concurrent requests for one cold image
    wait for a single build while different images compile in parallel.
-   The LRU cap keeps a long-running daemon serving an open-ended stream
-   of programs from growing the memo without limit.  Eviction drops the
-   memo's reference to the entry closure (a later request reloads from
-   the on-disk store); the mapped plugin code itself is never unloaded —
-   Dynlink cannot — so the cap bounds table growth, not address space
-   already paid for. *)
-let memo : (ctx -> int) Artifact.t =
-  let capacity =
-    match
-      Option.bind (Sys.getenv_opt "BROMC_NATIVE_MEMO_CAP") int_of_string_opt
-    with
-    | Some n when n >= 0 -> n
-    | _ -> 512
-  in
-  Artifact.create ~capacity ~name:"native" ()
-
-let set_memo_capacity n =
-  if n < 0 then invalid_arg "Native.set_memo_capacity: negative";
-  Artifact.set_capacity memo n
-
-let memo_capacity () = (Artifact.stats memo).Artifact.a_capacity
+   Entries are never evicted: the mapped plugin code cannot be unloaded
+   (Dynlink cannot), so dropping a loaded entry would only force a
+   reload of the same image that maps it a second time. *)
+let memo : (ctx -> int) Artifact.t = Artifact.create ~name:"native" ()
 
 (* bumped by [clear_memo].  Memo keys carry the epoch, so a load still
    in flight when the memo is cleared lands under a dead key instead of
@@ -824,7 +805,7 @@ let memo_epoch = Atomic.make 0
 
 let clear_memo () =
   Atomic.incr memo_epoch;
-  ignore (Artifact.clear memo)
+  Artifact.clear memo
 
 let stats () =
   let m = Artifact.stats memo in
@@ -833,9 +814,7 @@ let stats () =
     disk_hits = Atomic.get s_disk_hits;
     misses = Atomic.get s_misses;
     compiles = Atomic.get s_compiles;
-    memo_evictions = m.Artifact.a_evictions;
     memo_entries = m.Artifact.a_entries;
-    memo_capacity = m.Artifact.a_capacity;
     quarantined = Atomic.get s_quarantined;
   }
 

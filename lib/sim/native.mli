@@ -111,27 +111,17 @@ type stats = {
   disk_hits : int;  (** [.cmxs] served from the on-disk store *)
   misses : int;  (** artifact absent: the compiler had to run *)
   compiles : int;  (** successful out-of-process compilations *)
-  memo_evictions : int;  (** entries dropped by the LRU cap *)
-  memo_entries : int;  (** entry points currently in the memo table *)
-  memo_capacity : int;  (** LRU cap; 0 = unbounded *)
+  memo_entries : int;
+      (** entry points currently in the memo table; it has no cap, as
+          mapped plugins cannot be unloaded *)
   quarantined : int;
       (** artifacts moved aside after a checksum or load failure *)
 }
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
-(** Resets the event counters (hits/misses/compiles/evictions); the
-    memo table itself and its capacity are left alone. *)
-
-val set_memo_capacity : int -> unit
-(** Bound the in-process memo of loaded entry points to [n] entries,
-    evicting least-recently-used entries immediately if over; 0 removes
-    the bound.  Default 512, overridable with [BROMC_NATIVE_MEMO_CAP].
-    Eviction only drops the table's reference — mapped plugin code
-    cannot be unloaded — so this bounds table growth in a long-running
-    daemon, and a re-request is served from the on-disk store. *)
-
-val memo_capacity : unit -> int
+(** Resets the event counters (hits/misses/compiles/quarantined); the
+    memo table itself is left alone. *)
 
 val clear_memo : unit -> unit
 (** Drop the in-process table of loaded entry points (already-mapped

@@ -35,23 +35,6 @@ let test_artifact_single_flight () =
   check_int "one build" 1 s.Sim.Artifact.a_builds;
   check_int "one entry resident" 1 s.Sim.Artifact.a_entries
 
-let test_artifact_lru_eviction () =
-  let cache : string Sim.Artifact.t =
-    Sim.Artifact.create ~capacity:2 ~name:"t-lru" ()
-  in
-  let build v () = v in
-  ignore (Sim.Artifact.find_or_build cache "a" (build "A"));
-  ignore (Sim.Artifact.find_or_build cache "b" (build "B"));
-  (* touch [a] so [b] is the least recently used *)
-  check_bool "a resident" true (Sim.Artifact.find cache "a" <> None);
-  ignore (Sim.Artifact.find_or_build cache "c" (build "C"));
-  let s = Sim.Artifact.stats cache in
-  check_int "capacity enforced" 2 s.Sim.Artifact.a_entries;
-  check_int "one eviction" 1 s.Sim.Artifact.a_evictions;
-  check_bool "LRU victim was b" true (Sim.Artifact.find cache "b" = None);
-  check_bool "a survived" true (Sim.Artifact.find cache "a" <> None);
-  check_bool "c resident" true (Sim.Artifact.find cache "c" <> None)
-
 let test_artifact_failed_build_retries () =
   let cache : int Sim.Artifact.t = Sim.Artifact.create ~name:"t-fail" () in
   (match Sim.Artifact.find_or_build cache "k" (fun () -> failwith "boom") with
@@ -66,6 +49,26 @@ let test_artifact_failed_build_retries () =
   let s = Sim.Artifact.stats cache in
   check_int "successful build counted" 1 s.Sim.Artifact.a_builds;
   check_int "both attempts were misses" 2 s.Sim.Artifact.a_misses
+
+(* no capacity bound: more keys than the old native memo cap (512)
+   all stay resident, and a second pass over them builds nothing *)
+let test_artifact_every_entry_stays () =
+  let cache : int Sim.Artifact.t = Sim.Artifact.create ~name:"t-unbounded" () in
+  let n = 600 in
+  let pass () =
+    for k = 0 to n - 1 do
+      check_int "each key yields its own artifact" k
+        (Sim.Artifact.find_or_build cache (string_of_int k) (fun () -> k))
+    done
+  in
+  pass ();
+  pass ();
+  let s = Sim.Artifact.stats cache in
+  check_int "one build per key" n s.Sim.Artifact.a_builds;
+  check_int "the second pass is all hits" n s.Sim.Artifact.a_hits;
+  check_int "every entry resident" n s.Sim.Artifact.a_entries;
+  check_int "ready lists every entry" n
+    (List.length (Sim.Artifact.ready cache))
 
 (* fill a cache, keep only a weak pointer to what it holds, and let the
    cache go out of scope with the frame *)
@@ -165,58 +168,6 @@ let test_drift_signature_flips () =
     (String.length (Reorder.Drift.signature base seqs empty) > 0)
 
 (* ---------------------------------------------------------------- *)
-(* Native memo LRU (satellite: bounded in-process memo)              *)
-(* ---------------------------------------------------------------- *)
-
-let test_native_memo_lru () =
-  if not (Sim.Native.available ()) then
-    Alcotest.skip ();
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bromc-test-server-native-%d" (Unix.getpid ()))
-  in
-  let rec rm d =
-    if Sys.file_exists d then
-      if Sys.is_directory d then begin
-        Array.iter (fun e -> rm (Filename.concat d e)) (Sys.readdir d);
-        try Unix.rmdir d with _ -> ()
-      end
-      else try Sys.remove d with _ -> ()
-  in
-  let saved_cap = Sim.Native.memo_capacity () in
-  Fun.protect
-    ~finally:(fun () ->
-      Sim.Native.set_memo_capacity saved_cap;
-      rm dir)
-    (fun () ->
-      Sim.Native.clear_memo ();
-      Sim.Native.reset_stats ();
-      Sim.Native.set_memo_capacity 2;
-      check_int "capacity readable" 2 (Sim.Native.memo_capacity ());
-      let img i =
-        Sim.Image.build
-          (compile_final (Printf.sprintf "int main() { return %d; }" i))
-      in
-      for i = 1 to 3 do
-        match Sim.Native.prepare ~cache_dir:dir (img i) with
-        | Ok _ -> ()
-        | Error m -> Alcotest.failf "prepare %d failed: %s" i m
-      done;
-      let s = Sim.Native.stats () in
-      check_int "memo bounded" 2 s.Sim.Native.memo_entries;
-      check_int "one eviction" 1 s.Sim.Native.memo_evictions;
-      (* the evicted image is served from the on-disk store, not
-         recompiled *)
-      (match Sim.Native.prepare ~cache_dir:dir (img 1) with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "re-prepare failed: %s" m);
-      let s = Sim.Native.stats () in
-      check_bool "re-request hit the disk store" true
-        (s.Sim.Native.disk_hits >= 1);
-      check_int "no extra compile" 3 s.Sim.Native.compiles)
-
-(* ---------------------------------------------------------------- *)
 (* The server                                                        *)
 (* ---------------------------------------------------------------- *)
 
@@ -274,14 +225,13 @@ let test_server_cold_then_warm () =
         (fun k ->
           check_bool ("cache field " ^ k) true
             (Option.bind (Json.member k programs_cache) Json.int <> None))
-        [ "entries"; "capacity"; "hits"; "misses"; "builds"; "evictions";
-          "failures" ];
+        [ "entries"; "hits"; "misses"; "builds"; "failures" ];
       List.iter
         (fun k ->
           check_bool ("native field " ^ k) true
             (Option.bind (get [ "native"; k ]) Json.int <> None))
-        [ "memo_hits"; "disk_hits"; "misses"; "compiles"; "memo_evictions";
-          "memo_entries"; "memo_capacity"; "quarantined" ])
+        [ "memo_hits"; "disk_hits"; "misses"; "compiles"; "memo_entries";
+          "quarantined" ])
 
 (* Satellite: N domains requesting the same cold program concurrently
    compile it exactly once, and every response is byte-identical. *)
@@ -335,10 +285,7 @@ let test_server_concurrent_single_flight () =
 (* Satellite: profile drift mid-stream re-optimizes and atomically
    swaps the artifact; observables stay byte-identical throughout. *)
 let test_server_drift_reopt () =
-  let srv =
-    Driver.Server.create ~domains:2 ~sample_every:1 ~merge_every:1
-      ~drift_min_execs:8 ()
-  in
+  let srv = Driver.Server.create ~domains:2 () in
   Fun.protect
     ~finally:(fun () -> Driver.Server.shutdown srv)
     (fun () ->
@@ -359,8 +306,11 @@ let test_server_drift_reopt () =
       done;
       Driver.Server.sync srv;
       let before = List.length (Driver.Server.reopt_events srv) in
-      (* phase 1: digit-heavy traffic; accumulated counts flip Eq. 1-4 *)
-      for s = 1 to 6 do
+      (* phase 1: digit-heavy traffic; accumulated counts flip Eq. 1-4.
+         A worker shadows every 4th request, so two workers can take at
+         most 6 more without one: 8 requests sample phase 1 at least
+         once, and one phase-1 shadow outweighs the few phase-0 ones *)
+      for s = 1 to 8 do
         ignore (submit 1 s)
       done;
       Driver.Server.sync srv;
@@ -438,8 +388,7 @@ let test_replay_smoke () =
   let outcome =
     Driver.Replay.run
       ~workloads:[ "wc"; "grep" ]
-      ~requests:36 ~concurrency:2 ~seed:7 ~drift:true ~sample_every:1
-      ~merge_every:2 ~drift_min_execs:8 ()
+      ~requests:36 ~concurrency:2 ~seed:7 ~drift:true ()
   in
   check_int "every request was fired" 36 outcome.Driver.Replay.ro_requests;
   check_int "every request succeeded" 36 outcome.Driver.Replay.ro_ok;
@@ -448,51 +397,54 @@ let test_replay_smoke () =
     outcome.Driver.Replay.ro_checked;
   check_int "zero oracle mismatches" 0 outcome.Driver.Replay.ro_mismatches;
   check_bool "drift re-optimization fired" true
-    (outcome.Driver.Replay.ro_reopts >= 1);
+    (outcome.Driver.Replay.ro_stats.Driver.Server.st_reopts >= 1);
   let st = outcome.Driver.Replay.ro_stats in
   check_bool "warm requests dominated" true
     (st.Driver.Server.st_requests > st.Driver.Server.st_cold)
 
-(* Satellite: LRU eviction racing single-flight builds.  Domains hammer
-   a capacity-1 cache with interleaved keys, so entries are evicted
-   while other domains are mid-build or mid-wait on them; every lookup
-   must still come back with its own key's artifact. *)
-let test_artifact_lru_race () =
+(* Domains hammer one cache with many keys on a shared schedule, so
+   every key is requested by several domains at once (waiters on
+   in-flight builds) while others build their neighbours: every lookup
+   comes back with its own key's artifact, and each key builds once. *)
+let test_artifact_many_key_single_flight () =
   let cache : string Sim.Artifact.t =
-    Sim.Artifact.create ~capacity:1 ~name:"t-lru-race" ()
+    Sim.Artifact.create ~name:"t-many-keys" ()
   in
-  let keys = [| "a"; "b"; "c"; "d" |] in
-  (* a resident re-request is a deterministic hit before the storm *)
-  ignore (Sim.Artifact.find_or_build cache "a" (fun () -> "v-a"));
-  ignore (Sim.Artifact.find_or_build cache "a" (fun () -> "v-a"));
+  let n_keys = 32 and n_domains = 4 and rounds = 200 in
+  let builds = Array.init n_keys (fun _ -> Atomic.make 0) in
   let wrong = Atomic.make 0 in
   let worker () =
-    for i = 0 to 199 do
-      (* all domains share the schedule, so the same key is requested
-         concurrently (waiters on in-flight builds) while domains that
-         drifted ahead evict it with the next key *)
-      let k = keys.((i / 8) mod Array.length keys) in
+    for i = 0 to rounds - 1 do
+      let k = i / 4 mod n_keys in
+      let key = "k" ^ string_of_int k in
       let v =
-        Sim.Artifact.find_or_build cache k (fun () ->
-            (* widen the in-flight window so evictions land inside it *)
-            if i land 15 = 0 then Domain.cpu_relax ();
-            "v-" ^ k)
+        Sim.Artifact.find_or_build cache key (fun () ->
+            Atomic.incr builds.(k);
+            (* widen the in-flight window so waiters pile up on it *)
+            for _ = 1 to 1000 do
+              Domain.cpu_relax ()
+            done;
+            "v-" ^ key)
       in
-      if not (String.equal v ("v-" ^ k)) then Atomic.incr wrong
+      if not (String.equal v ("v-" ^ key)) then Atomic.incr wrong
     done
   in
-  let doms = List.init 4 (fun _ -> Domain.spawn worker) in
+  let doms = List.init n_domains (fun _ -> Domain.spawn worker) in
   List.iter Domain.join doms;
   check_int "every lookup got its own key's artifact" 0 (Atomic.get wrong);
+  Array.iteri
+    (fun k b -> check_int (Printf.sprintf "key %d built once" k) 1 (Atomic.get b))
+    builds;
   let s = Sim.Artifact.stats cache in
-  check_int "capacity held under the race" 1 s.Sim.Artifact.a_entries;
-  check_bool "evictions actually happened" true
-    (s.Sim.Artifact.a_evictions > 0);
-  check_bool "hits and misses both occurred" true
-    (s.Sim.Artifact.a_hits > 0 && s.Sim.Artifact.a_misses > 0)
+  check_int "every key resident" n_keys s.Sim.Artifact.a_entries;
+  check_int "one build per key" n_keys s.Sim.Artifact.a_builds;
+  check_int "one miss per key" n_keys s.Sim.Artifact.a_misses;
+  check_int "every other lookup a hit"
+    ((n_domains * rounds) - n_keys)
+    s.Sim.Artifact.a_hits
 
 (* ---------------------------------------------------------------- *)
-(* Durability and admission control                                  *)
+(* Durability                                                        *)
 (* ---------------------------------------------------------------- *)
 
 let with_state_dir f =
@@ -523,10 +475,7 @@ let test_server_native_prepare_per_generation () =
           native_cache_dir = Some dir;
         }
       in
-      let srv =
-        Driver.Server.create ~config ~domains:1 ~sample_every:1
-          ~merge_every:1 ~drift_min_execs:8 ()
-      in
+      let srv = Driver.Server.create ~config ~domains:1 () in
       Fun.protect
         ~finally:(fun () -> Driver.Server.shutdown srv)
         (fun () ->
@@ -562,7 +511,10 @@ let test_server_native_prepare_per_generation () =
           let p1 = prepares () in
           let gens = Hashtbl.create 4 in
           for s = 1 to 16 do
-            Hashtbl.replace gens (submit 1 s) ()
+            Hashtbl.replace gens (submit 1 s) ();
+            (* merge the phase-1 shadow runs so far: the flip lands
+               mid-loop whatever the merge cadence *)
+            if s = 8 then Driver.Server.sync srv
           done;
           Hashtbl.remove gens 1;
           check_bool "the flip served a new generation" true
@@ -588,8 +540,7 @@ let test_server_native_prepare_per_generation () =
 let test_server_crash_restart_resumes () =
   with_state_dir (fun dir ->
       let make () =
-        Driver.Server.create ~domains:2 ~sample_every:1 ~merge_every:1
-          ~drift_min_execs:8 ~state_dir:dir ()
+        Driver.Server.create ~domains:2 ~state_dir:dir ()
       in
       let srv = make () in
       let input = wc_input () in
@@ -606,6 +557,8 @@ let test_server_crash_restart_resumes () =
              ~source:Driver.Replay.drift_source ~input:d0)
       done;
       Driver.Server.sync srv;
+      (* two workers shadowing every 4th request take at most 6 more
+         without a shadow run: 8 sample phase 1 at least once *)
       for _ = 1 to 8 do
         ignore
           (Driver.Server.submit srv ~name:"drift"
@@ -657,8 +610,7 @@ let test_server_crash_restart_resumes () =
 let test_journal_holds_programs_only () =
   with_state_dir (fun dir ->
       let make () =
-        Driver.Server.create ~domains:1 ~sample_every:1 ~merge_every:2
-          ~state_dir:dir ()
+        Driver.Server.create ~domains:1 ~state_dir:dir ()
       in
       let srv = make () in
       let input = wc_input () in
@@ -712,10 +664,7 @@ let test_journal_holds_programs_only () =
    embeds the config fingerprint, so restore drops every record *)
 let test_restore_drops_on_config_change () =
   with_state_dir (fun dir ->
-      let srv =
-        Driver.Server.create ~domains:1 ~sample_every:1 ~merge_every:1
-          ~state_dir:dir ()
-      in
+      let srv = Driver.Server.create ~domains:1 ~state_dir:dir () in
       ignore
         (Driver.Server.submit srv ~name:"wc" ~source:wc_source
            ~input:(wc_input ()));
@@ -736,61 +685,6 @@ let test_restore_drops_on_config_change () =
           check_int "mismatched config restores nothing" 0
             (Driver.Server.stats srv2).Driver.Server.st_restored))
 
-(* Tentpole: admission control sheds excess load with an explicit
-   overloaded response instead of queueing without bound. *)
-let test_overload_shedding () =
-  let srv = Driver.Server.create ~domains:1 ~queue_cap:2 () in
-  Fun.protect
-    ~finally:(fun () -> Driver.Server.shutdown srv)
-    (fun () ->
-      let input = wc_input () in
-      (* warm the program so queued requests are pure service time *)
-      ignore (Driver.Server.submit srv ~name:"wc" ~source:wc_source ~input);
-      let n = 16 in
-      let lock = Mutex.create () in
-      let cond = Condition.create () in
-      let pending = ref n in
-      let responses = Array.make n None in
-      for i = 0 to n - 1 do
-        (* each in-flight request stalls 30ms, so the single worker
-           saturates and the queue hits its cap *)
-        Driver.Server.post srv
-          ~inject:(fun () -> Unix.sleepf 0.03)
-          ~name:"wc" ~source:wc_source ~input
-          (fun r ->
-            Mutex.lock lock;
-            responses.(i) <- Some r;
-            decr pending;
-            if !pending = 0 then Condition.broadcast cond;
-            Mutex.unlock lock)
-      done;
-      Mutex.lock lock;
-      while !pending > 0 do
-        Condition.wait cond lock
-      done;
-      Mutex.unlock lock;
-      let shed, served =
-        Array.fold_left
-          (fun (shed, served) r ->
-            match r with
-            | Some r when String.equal r.Driver.Server.rs_status "overloaded"
-              ->
-              check_bool "shed response carries a diagnostic" true
-                (String.length r.Driver.Server.rs_message > 0);
-              (shed + 1, served)
-            | Some r ->
-              check_output "admitted requests still succeed" "ok"
-                r.Driver.Server.rs_status;
-              (shed, served + 1)
-            | None -> Alcotest.fail "response lost")
-          (0, 0) responses
-      in
-      check_bool "some requests were shed" true (shed > 0);
-      check_bool "some requests were served" true (served > 0);
-      let st = Driver.Server.stats srv in
-      check_int "shed count surfaces in stats" shed
-        st.Driver.Server.st_overloaded)
-
 let test_replay_rejects_unknown_workload () =
   match Driver.Replay.run ~workloads:[ "no-such" ] ~requests:1 () with
   | _ -> Alcotest.fail "unknown workload must be rejected"
@@ -806,11 +700,14 @@ let test_replay_chaos_certification () =
       let outcome =
         Driver.Replay.run
           ~workloads:[ "wc" ]
-          ~requests:40 ~concurrency:2 ~seed:11 ~drift:true ~sample_every:1
-          ~merge_every:2 ~drift_min_execs:8 ~chaos:5 ~chaos_seed:13
-          ~state_dir:dir ()
+          ~requests:40 ~concurrency:2 ~seed:11 ~drift:true ~chaos:5
+          ~chaos_seed:13 ~state_dir:dir ()
       in
       check_int "five faults planned" 5 outcome.Driver.Replay.ro_chaos_planned;
+      (* the counters span the crash: 40 requests plus one warm-up per
+         program (wc and the drift workload) *)
+      check_int "requests counted across the crash" 42
+        outcome.Driver.Replay.ro_stats.Driver.Server.st_requests;
       check_int "every ok response was checked" outcome.Driver.Replay.ro_ok
         outcome.Driver.Replay.ro_checked;
       check_int "zero escapes" 0 outcome.Driver.Replay.ro_chaos_escapes;
@@ -827,6 +724,40 @@ let test_replay_chaos_certification () =
       check_bool "failures are bounded by the planned faults" true
         (outcome.Driver.Replay.ro_failed
         <= outcome.Driver.Replay.ro_chaos_failed))
+
+(* a durable replay counts both waves: against the same replay without
+   a state dir it serves the same requests from the same cache hits,
+   and its only extra misses are the restore's *)
+let test_replay_durable_counts_both_waves () =
+  let replay ?state_dir () =
+    Driver.Replay.run ~workloads:[ "wc" ] ~requests:20 ~concurrency:1 ~seed:5
+      ~drift:false ?state_dir ()
+  in
+  let plain = (replay ()).Driver.Replay.ro_stats in
+  with_state_dir (fun dir ->
+      let outcome = replay ~state_dir:dir () in
+      let durable = outcome.Driver.Replay.ro_stats in
+      check_int "one crash-restart cycle" 1
+        outcome.Driver.Replay.ro_crash_restarts;
+      (* 20 requests plus the one warm-up, on either side of the crash *)
+      check_int "requests counted across the crash" 21
+        durable.Driver.Server.st_requests;
+      check_int "as many requests as the plain replay"
+        plain.Driver.Server.st_requests durable.Driver.Server.st_requests;
+      let programs (st : Driver.Server.stats) =
+        List.find
+          (fun c -> c.Sim.Artifact.a_name = "programs")
+          st.Driver.Server.st_caches
+      in
+      let p = programs plain and d = programs durable in
+      let restored = outcome.Driver.Replay.ro_restored in
+      check_bool "the restart restored the program" true (restored > 0);
+      check_int "cache hits of both waves" p.Sim.Artifact.a_hits
+        d.Sim.Artifact.a_hits;
+      check_int "the restore adds one miss per restored program"
+        (p.Sim.Artifact.a_misses + restored) d.Sim.Artifact.a_misses;
+      check_int "and one build per restored program"
+        (p.Sim.Artifact.a_builds + restored) d.Sim.Artifact.a_builds)
 
 (* An artifact fault damages the plugin the victim request's program is
    served from, never a file in the store that no served program loads:
@@ -911,14 +842,14 @@ let test_input_slice () =
 let suite =
   [
     case "artifact: single-flight across domains" test_artifact_single_flight;
-    case "artifact: LRU eviction under capacity" test_artifact_lru_eviction;
     case "artifact: failed build leaves key cold" test_artifact_failed_build_retries;
+    case "artifact: no capacity bound, every entry stays"
+      test_artifact_every_entry_stays;
     case "artifact: a dropped cache frees its artifacts"
       test_artifact_dropped_cache_collected;
     case "profile: shard absorb moves counts once" test_profile_shard_absorb;
     case "pool: workers run, drain, shut down" test_workers_run_and_shutdown;
     case "drift: signature flips with the input mix" test_drift_signature_flips;
-    case "native: memo LRU bounded, refill from disk" test_native_memo_lru;
     case "server: cold build then warm hits" test_server_cold_then_warm;
     case "server: N domains, one compile, identical bytes"
       test_server_concurrent_single_flight;
@@ -928,21 +859,21 @@ let suite =
       test_server_guard_contains_trap;
     case "server: crashes degrade a rung, traps stay final"
       test_server_ladder;
-    case "artifact: LRU eviction races single-flight builds"
-      test_artifact_lru_race;
+    case "artifact: many contended keys, one build each"
+      test_artifact_many_key_single_flight;
     slow_case "server: crash-restart resumes generation and counters"
       test_server_crash_restart_resumes;
     case "server: journal holds program records only, restart exact"
       test_journal_holds_programs_only;
     case "server: restore drops state on config change"
       test_restore_drops_on_config_change;
-    case "server: queue cap sheds load as overloaded"
-      test_overload_shedding;
     slow_case "server: one native prepare per generation"
       test_server_native_prepare_per_generation;
     slow_case "replay: mixed traffic, oracle-checked" test_replay_smoke;
     slow_case "replay: chaos matrix certified, zero escapes"
       test_replay_chaos_certification;
+    slow_case "replay: durable report counts both waves"
+      test_replay_durable_counts_both_waves;
     slow_case "replay: artifact faults hit the served plugin"
       test_replay_artifact_fault_hits_served_plugin;
     slow_case "replay: one-domain chaos report matches golden"

@@ -123,6 +123,24 @@ let test_torn_tail_tolerated () =
       check_output "the surviving record is the first" "k1"
         (List.hd r.Driver.State.r_programs).Driver.State.p_key)
 
+(* the writer that tore (a live server's, in the chaos replay) keeps
+   appending: its next record must not be glued to the torn fragment *)
+let test_append_after_torn_tail () =
+  with_dir (fun dir ->
+      let w = Driver.State.open_journal ~dir in
+      Driver.State.journal_program w (program ~key:"k1" ~name:"alpha" ());
+      Driver.State.journal_program w (program ~key:"k2" ~name:"beta" ());
+      check_bool "tear applies" true (Driver.State.tear_journal ~dir);
+      Driver.State.journal_program w
+        (program ~key:"k3" ~name:"gamma" ~generation:2 ());
+      Driver.State.close_journal w;
+      let r = Driver.State.load ~dir in
+      Alcotest.(check int) "only the torn frame is skipped" 1
+        r.Driver.State.r_skipped;
+      check_bool "the records around the tear survive" true
+        (List.map (fun p -> p.Driver.State.p_key) r.Driver.State.r_programs
+        = [ "k1"; "k3" ]))
+
 let test_garbage_never_raises () =
   with_dir (fun dir ->
       (* hole torn mid-file: garbage between two valid records *)
@@ -374,6 +392,8 @@ let suite =
       test_crc_frame_roundtrip;
     case "state: journal roundtrip, last record wins" test_journal_roundtrip;
     case "state: torn tail dropped, prefix survives" test_torn_tail_tolerated;
+    case "state: a record appended after a tear survives"
+      test_append_after_torn_tail;
     case "state: damaged frames and junk snapshots never raise"
       test_garbage_never_raises;
     case "state: snapshot compacts, journal beats snapshot"
