@@ -14,26 +14,49 @@
      workloads list the built-in benchmark programs
      cache     inspect/prune the native artifact store and caches
      serve     long-running optimization service (line protocol)
-     replay    simulated production traffic against a server *)
+     replay    simulated production traffic against a server
+
+   This file parses arguments and prints; the work is the libraries'.
+   The serve line protocol (parser, request inputs, reply lines) is in
+   Driver.Replay, the suite --inject verdict is
+   Driver.Pipeline.containment, and lint --divergence's branch tally is
+   Sim.Machine.branch_counts. *)
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let heuristic_of_string = function
-  | "I" | "i" | "1" -> Ok Mopt.Switch_lower.set_i
-  | "II" | "ii" | "2" -> Ok Mopt.Switch_lower.set_ii
-  | "III" | "iii" | "3" -> Ok Mopt.Switch_lower.set_iii
-  | s -> Error (`Msg (Printf.sprintf "unknown heuristic set %S (use I, II or III)" s))
+let flag names doc = Arg.(value & flag & info names ~doc)
+
+(* an option without a default: [None] when absent *)
+let maybe c names ~docv doc =
+  Arg.(value & opt (some c) None & info names ~docv ~doc)
+
+(* a converter over a closed set of names; [names] lists them in the
+   error for any other *)
+let named_conv ~what ~names of_name to_name =
+  let parse s =
+    match of_name s with
+    | Some v -> Ok v
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown %s %S (use %s)" what s names))
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (to_name v))
+
+(* [of_name] over a (name, value) list, [to_name] its inverse *)
+let assoc_conv ~what ~names pairs =
+  named_conv ~what ~names
+    (fun s -> List.assoc_opt s pairs)
+    (fun v -> fst (List.find (fun (_, v') -> v' == v) pairs))
 
 let heuristic_conv =
-  Arg.conv
-    ( heuristic_of_string,
-      fun ppf hs -> Format.pp_print_string ppf hs.Mopt.Switch_lower.hs_name )
+  named_conv ~what:"heuristic set" ~names:"I, II or III"
+    (function
+      | "I" | "i" | "1" -> Some Mopt.Switch_lower.set_i
+      | "II" | "ii" | "2" -> Some Mopt.Switch_lower.set_ii
+      | "III" | "iii" | "3" -> Some Mopt.Switch_lower.set_iii
+      | _ -> None)
+    (fun hs -> hs.Mopt.Switch_lower.hs_name)
 
 let heuristic_arg =
   Arg.(
@@ -53,47 +76,55 @@ let source_arg kind =
               with '@' (e.g. @wc)."
              kind))
 
-let load_source path =
-  if String.length path > 1 && path.[0] = '@' then
-    let name = String.sub path 1 (String.length path - 1) in
-    (Workloads.Registry.find name).Workloads.Spec.source
-  else read_file path
+(* the built-in workload a SOURCE of the form @name names *)
+let workload source =
+  if String.length source > 1 && source.[0] = '@' then
+    Some
+      (Workloads.Registry.find
+         (String.sub source 1 (String.length source - 1)))
+  else None
 
-let is_mir_file path =
-  String.length path > 4 && String.sub path (String.length path - 4) 4 = ".mir"
+let load_source source =
+  match workload source with
+  | Some w -> w.Workloads.Spec.source
+  | None -> read_file source
+
+(* an input FILE, else the input [default] picks from the workload an
+   @-SOURCE names, else empty *)
+let read_input ?default source file =
+  match (file, default, workload source) with
+  | Some f, _, _ -> read_file f
+  | None, Some pick, Some w -> Lazy.force (pick w)
+  | None, _, _ -> ""
+
+let is_mir_file path = Filename.check_suffix path ".mir"
 
 (* a source path is either MiniC (compiled) or textual MIR (parsed) *)
 let load_program path hs =
-  if is_mir_file path then begin
-    let prog = Mir.Parse.program (read_file path) in
-    Mir.Validate.check prog;
-    prog
-  end
-  else begin
-    let config = { Driver.Config.default with Driver.Config.heuristic = hs } in
-    let prog = Driver.Pipeline.compile_base config (load_source path) in
-    ignore (Mopt.Delay_slot.run prog);
-    Mir.Validate.check prog;
-    prog
-  end
+  let prog =
+    if is_mir_file path then Mir.Parse.program (read_file path)
+    else begin
+      let config = { Driver.Config.default with Driver.Config.heuristic = hs } in
+      let prog = Driver.Pipeline.compile_base config (load_source path) in
+      ignore (Mopt.Delay_slot.run prog);
+      prog
+    end
+  in
+  Mir.Validate.check prog;
+  prog
 
-let handle_errors f =
+(* every command's failure path: one line on stderr, then exit [code] *)
+let handle_errors ?(code = 1) f =
+  let fail fmt =
+    Printf.ksprintf (fun msg -> prerr_endline msg; exit code) fmt
+  in
   try f () with
   | Minic.Srcloc.Error (loc, msg) ->
-    Printf.eprintf "error: %s\n" (Minic.Srcloc.error_to_string loc msg);
-    exit 1
-  | Sim.Machine.Trap msg ->
-    Printf.eprintf "runtime trap: %s\n" msg;
-    exit 1
-  | Mir.Parse.Error (line, msg) ->
-    Printf.eprintf "error: line %d: %s\n" line msg;
-    exit 1
-  | Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 1
-  | Not_found ->
-    Printf.eprintf "error: no such file or workload\n";
-    exit 1
+    fail "error: %s" (Minic.Srcloc.error_to_string loc msg)
+  | Sim.Machine.Trap msg -> fail "runtime trap: %s" msg
+  | Mir.Parse.Error (line, msg) -> fail "error: line %d: %s" line msg
+  | Failure msg | Sys_error msg -> fail "error: %s" msg
+  | Not_found -> fail "error: no such file or workload"
 
 (* ------------------------------------------------------------------ *)
 
@@ -110,44 +141,27 @@ let compile_cmd =
           (Mir.Program.static_insn_count prog))
   in
   let raw =
-    Arg.(
-      value & flag
-      & info [ "raw" ] ~doc:"Dump the front end's output without optimization.")
+    flag [ "raw" ] "Dump the front end's output without optimization."
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile MiniC and dump the optimized MIR.")
     Term.(const run $ source_arg "compile" $ heuristic_arg $ raw)
 
 let input_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "input"; "i" ] ~docv:"FILE"
-        ~doc:"Input file fed to the simulated program (default: empty).")
+  maybe Arg.string [ "input"; "i" ] ~docv:"FILE"
+    "Input file fed to the simulated program (default: empty)."
 
 let timings_arg =
-  Arg.(
-    value & flag
-    & info [ "timings" ]
-        ~doc:"Report per-stage wall-clock times on stderr.")
+  flag [ "timings" ] "Report per-stage wall-clock times on stderr."
 
 let backend_conv =
-  let parse s =
-    match Sim.Machine.backend_of_name s with
-    | Some b -> Ok b
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "unknown backend %S (use reference, compiled or native)" s))
-  in
-  let print ppf b = Format.pp_print_string ppf (Sim.Machine.backend_name b) in
-  Arg.conv (parse, print)
+  named_conv ~what:"backend" ~names:"reference, compiled or native"
+    Sim.Machine.backend_of_name Sim.Machine.backend_name
 
-let backend_arg default =
+let backend_arg =
   Arg.(
     value
-    & opt backend_conv default
+    & opt backend_conv `Compiled
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Execution engine: $(b,reference) (MIR-walking oracle), \
@@ -157,19 +171,8 @@ let backend_arg default =
            identical.")
 
 let profile_conv =
-  let parse s =
-    match Driver.Config.profile_of_name s with
-    | Some p -> Ok p
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "unknown profile source %S (use trained, static or both)" s))
-  in
-  let print ppf p =
-    Format.pp_print_string ppf (Driver.Config.profile_name p)
-  in
-  Arg.conv (parse, print)
+  named_conv ~what:"profile source" ~names:"trained, static or both"
+    Driver.Config.profile_of_name Driver.Config.profile_name
 
 let profile_arg =
   Arg.(
@@ -184,47 +187,42 @@ let profile_arg =
            $(b,both) (train, then backfill sequences the training input \
            never exercised with the static prediction).")
 
-(* native artifact-store option, shared by every command that can select
-   --backend=native; applied both process-wide (for Sim.Native callers
-   that do not thread a Config) and onto the driver Config *)
 let native_cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "native-cache" ] ~docv:"DIR"
-        ~doc:
-          "Directory of the native backend's compiled-artifact store \
-           (default: $(b,BROMC_NATIVE_CACHE), else \
-           \\$XDG_CACHE_HOME/bromc/native).")
+  maybe Arg.string [ "native-cache" ] ~docv:"DIR"
+    "Directory of the native backend's compiled-artifact store \
+     (default: $(b,BROMC_NATIVE_CACHE), else \
+     \\$XDG_CACHE_HOME/bromc/native)."
 
-let apply_native_opts dir =
-  match dir with Some _ -> Sim.Native.set_default_cache_dir dir | None -> ()
-
-(* resolve `Native for ungraded commands: warn and degrade to `Compiled
-   when the toolchain cannot deliver, instead of dying on Unavailable *)
-let resolve_backend backend =
-  match backend with
-  | `Native when not (Sim.Native.available ()) ->
-    Printf.eprintf
-      "warning: native backend unavailable (no working ocamlfind/Dynlink \
-       toolchain); falling back to compiled\n%!";
-    `Compiled
-  | b -> b
+(* --backend with --native-cache.  The directory becomes Sim.Native's
+   process default, which every native run without its own cache
+   directory reads.  Without [ladder] a native backend the toolchain
+   cannot deliver is reported and replaced by the compiled one; with it,
+   the guard's degradation ladder handles that per job *)
+let backend_term ?(ladder = false) () =
+  let resolve backend dir =
+    if Option.is_some dir then Sim.Native.set_default_cache_dir dir;
+    match backend with
+    | `Native when (not ladder) && not (Sim.Native.available ()) ->
+      prerr_endline
+        "warning: native backend unavailable (no working ocamlfind/Dynlink \
+         toolchain); falling back to compiled";
+      `Compiled
+    | b -> b
+  in
+  Term.(const resolve $ backend_arg $ native_cache_dir_arg)
 
 let report_stage label seconds = Printf.eprintf "[time] %-8s %7.3fs\n" label seconds
 
 let verify_arg =
-  Arg.(
-    value & flag
-    & info [ "verify" ]
-        ~doc:
-          "Translation-validate every sequence rewrite (Check.Verify) right \
-           after the reordering pass; a rejected rewrite aborts the run.")
+  flag [ "verify" ]
+    "Translation-validate every sequence rewrite (Check.Verify) right \
+     after the reordering pass; a rejected rewrite aborts the run."
+
+let quiet_arg = flag [ "quiet"; "q" ] "Suppress progress lines on stderr."
 
 let run_cmd =
-  let run source hs input trace backend timings ncache_dir =
+  let run source hs input trace backend timings =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir;
         let stage label f =
           if not timings then f ()
           else begin
@@ -235,13 +233,12 @@ let run_cmd =
           end
         in
         let prog = stage "compile" (fun () -> load_program source hs) in
-        let input = match input with Some f -> read_file f | None -> "" in
+        let input = read_input source input in
         let on_block =
           if trace then
             Some (fun ~func ~label -> Printf.eprintf "[trace] %s:%s\n" func label)
           else None
         in
-        let backend = resolve_backend backend in
         let result =
           stage "measure" (fun () -> Sim.Machine.run ~backend ?on_block prog ~input)
         in
@@ -250,36 +247,26 @@ let run_cmd =
         Format.eprintf "%a@." Sim.Counters.pp result.Sim.Machine.counters)
   in
   let trace =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:"Print every basic block executed to stderr (control-flow trace).")
+    flag [ "trace" ]
+      "Print every basic block executed to stderr (control-flow trace)."
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute a MiniC program on the simulator.")
     Term.(
       const run $ source_arg "run" $ heuristic_arg $ input_arg $ trace
-      $ backend_arg `Compiled $ timings_arg $ native_cache_dir_arg)
+      $ backend_term () $ timings_arg)
 
 let reorder_cmd =
   let run source hs train test exhaustive common_succ coalesce profile_layout
-      profile backend timings verify ncache_dir =
+      profile backend timings verify =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir;
-        let backend = resolve_backend backend in
-        let name = source in
         let src = load_source source in
         let training_input, test_input =
-          match source.[0], train, test with
-          | '@', None, None ->
-            let w =
-              Workloads.Registry.find (String.sub source 1 (String.length source - 1))
-            in
+          match (workload source, train, test) with
+          | Some w, None, None ->
             ( Lazy.force w.Workloads.Spec.training_input,
               Lazy.force w.Workloads.Spec.test_input )
-          | _, train, test ->
-            ( (match train with Some f -> read_file f | None -> ""),
-              match test with Some f -> read_file f | None -> "" )
+          | _ -> (read_input source train, read_input source test)
         in
         let config =
           {
@@ -290,23 +277,13 @@ let reorder_cmd =
             profile_layout;
             profile;
             backend;
-            native_cache_dir = ncache_dir;
             verify;
-            coalesce_machine =
-              (match coalesce with
-              | Some "ipc" -> Some Sim.Cycle_model.sparc_ipc
-              | Some "ss20" -> Some Sim.Cycle_model.sparc_20
-              | Some "ultra" -> Some Sim.Cycle_model.sparc_ultra1
-              | Some other ->
-                failwith
-                  (Printf.sprintf "unknown machine %S (use ipc, ss20 or ultra)"
-                     other)
-              | None -> None);
+            coalesce_machine = coalesce;
           }
         in
         let on_stage = if timings then Some report_stage else None in
         let r =
-          Driver.Pipeline.run ~config ?on_stage ~name ~source:src
+          Driver.Pipeline.run ~config ?on_stage ~name:source ~source:src
             ~training_input ~test_input ()
         in
         (match r.Driver.Pipeline.r_verify with
@@ -334,43 +311,32 @@ let reorder_cmd =
              r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_static_insns))
   in
   let train =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "train" ] ~docv:"FILE" ~doc:"Training input (profiling run).")
+    maybe Arg.string [ "train" ] ~docv:"FILE" "Training input (profiling run)."
   in
   let test =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "test" ] ~docv:"FILE" ~doc:"Test input (measurement runs).")
+    maybe Arg.string [ "test" ] ~docv:"FILE" "Test input (measurement runs)."
   in
   let exhaustive =
-    Arg.(
-      value & flag
-      & info [ "exhaustive" ]
-          ~doc:"Use the exhaustive ordering search instead of Figure 8's greedy.")
+    flag [ "exhaustive" ]
+      "Use the exhaustive ordering search instead of Figure 8's greedy."
   in
   let common_succ =
-    Arg.(
-      value & flag
-      & info [ "common-succ" ]
-          ~doc:"Also reorder common-successor branch runs (paper Section 10).")
+    flag [ "common-succ" ]
+      "Also reorder common-successor branch runs (paper Section 10)."
   in
   let coalesce =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "coalesce" ] ~docv:"MACHINE"
-          ~doc:
-            "Let the profile choose between reordering and an indirect jump \
-             under this machine's cost model (ipc, ss20 or ultra).")
+    let machines =
+      assoc_conv ~what:"machine" ~names:"ipc, ss20 or ultra"
+        Sim.Cycle_model.
+          [ ("ipc", sparc_ipc); ("ss20", sparc_20); ("ultra", sparc_ultra1) ]
+    in
+    maybe machines [ "coalesce" ] ~docv:"MACHINE"
+      "Let the profile choose between reordering and an indirect jump \
+       under this machine's cost model (ipc, ss20 or ultra)."
   in
   let profile_layout =
-    Arg.(
-      value & flag
-      & info [ "profile-layout" ]
-          ~doc:"Also lay blocks out with training-run branch frequencies.")
+    flag [ "profile-layout" ]
+      "Also lay blocks out with training-run branch frequencies."
   in
   Cmd.v
     (Cmd.info "reorder"
@@ -378,32 +344,23 @@ let reorder_cmd =
     Term.(
       const run $ source_arg "reorder" $ heuristic_arg $ train $ test
       $ exhaustive $ common_succ $ coalesce $ profile_layout $ profile_arg
-      $ backend_arg `Compiled $ timings_arg $ verify_arg $ native_cache_dir_arg)
+      $ backend_term () $ timings_arg $ verify_arg)
 
 (* flags shared by the fault-tolerant commands (suite, fuzz, bench) *)
 let timeout_ms_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeout-ms" ] ~docv:"MS"
-        ~doc:
-          "Per-attempt wall-clock watchdog: a run exceeding $(docv) is \
-           cancelled at the next basic block and reported as a timeout.")
+  maybe Arg.int [ "timeout-ms" ] ~docv:"MS"
+    "Per-attempt wall-clock watchdog: a run exceeding $(docv) is \
+     cancelled at the next basic block and reported as a timeout."
 
 let failures_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "failures-json" ] ~docv:"FILE"
-        ~doc:
-          "Write a machine-readable manifest (one JSON object per line, \
-           flushed incrementally) recording every job's outcome to $(docv).")
+  maybe Arg.string [ "failures-json" ] ~docv:"FILE"
+    "Write a machine-readable manifest (one JSON object per line, \
+     flushed incrementally) recording every job's outcome to $(docv)."
 
 let suite_cmd =
   let run hs jobs backend verify profile names timeout_ms failures_json
-      inject_n inject_seed no_degrade ncache_dir =
+      inject_n inject_seed no_degrade =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir;
         let workloads =
           match names with
           | [] -> Workloads.Registry.all
@@ -414,7 +371,6 @@ let suite_cmd =
             Driver.Config.default with
             Driver.Config.heuristic = hs;
             backend;
-            native_cache_dir = ncache_dir;
             verify;
             profile;
           }
@@ -500,61 +456,27 @@ let suite_cmd =
           Printf.eprintf "failure manifest written to %s\n" path
         | None -> ());
         if faults <> [] then begin
-          (* containment certification: every planted fault must have
-             bitten and been either recovered or attributed; no
-             non-victim job may fail *)
-          let escapes =
-            List.filter_map
-              (fun (f : Driver.Inject.fault) ->
-                let o = List.nth outcomes f.Driver.Inject.i_job in
-                if is_ok o && not o.Driver.Pipeline.o_degraded then
-                  Some
-                    (Format.asprintf "%a: fault left no trace (escape)"
-                       Driver.Inject.pp_fault f)
-                else None)
-              faults
-          in
-          let collateral =
-            List.filter_map
-              (fun (o : Driver.Pipeline.job_outcome) ->
-                if o.Driver.Pipeline.o_injected = "" && not (is_ok o) then
-                  Some
-                    (Printf.sprintf "job %d (%s) failed without a fault: %s"
-                       o.Driver.Pipeline.o_index o.Driver.Pipeline.o_name
-                       (Driver.Pool.outcome_message
-                          o.Driver.Pipeline.o_outcome))
-                else None)
-              outcomes
+          let c = Driver.Pipeline.containment faults outcomes in
+          let lost =
+            c.Driver.Pipeline.c_escapes @ c.Driver.Pipeline.c_collateral
           in
           Printf.printf
             "injection: %d faults planted, %d recovered, %d contained \
              failures, %d escapes, %d collateral\n"
-            (List.length faults)
-            (List.length
-               (List.filter
-                  (fun (f : Driver.Inject.fault) ->
-                    is_ok (List.nth outcomes f.Driver.Inject.i_job))
-                  faults))
-            (List.length
-               (List.filter
-                  (fun (f : Driver.Inject.fault) ->
-                    not (is_ok (List.nth outcomes f.Driver.Inject.i_job)))
-                  faults))
-            (List.length escapes) (List.length collateral);
-          List.iter (Printf.eprintf "error: %s\n") (escapes @ collateral);
-          if escapes <> [] || collateral <> [] then exit 1
+            c.Driver.Pipeline.c_planted c.Driver.Pipeline.c_recovered
+            c.Driver.Pipeline.c_contained
+            (List.length c.Driver.Pipeline.c_escapes)
+            (List.length c.Driver.Pipeline.c_collateral);
+          List.iter (Printf.eprintf "error: %s\n") lost;
+          if lost <> [] then exit 1
         end
         else if failed > 0 then exit 1)
   in
   let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Number of domains to fan pipelines across (default: the \
-             machine's recommended domain count, or $(b,BROMC_DOMAINS)); \
-             each pipeline measures its original on one more domain.")
+    maybe Arg.int [ "j"; "jobs" ] ~docv:"N"
+      "Number of domains to fan pipelines across (default: the \
+       machine's recommended domain count, or $(b,BROMC_DOMAINS)); \
+       each pipeline measures its original on one more domain."
   in
   let names =
     Arg.(
@@ -581,14 +503,11 @@ let suite_cmd =
           ~doc:"Seed for the fault plan.")
   in
   let no_degrade =
-    Arg.(
-      value & flag
-      & info [ "no-degrade" ]
-          ~doc:
-            "Disable backend graceful degradation (by default a job whose \
-             attempt crashes on the requested backend runs again down the \
-             native > compiled > reference ladder; a missing \
-             native toolchain counts as a crash of the native rung).")
+    flag [ "no-degrade" ]
+      "Disable backend graceful degradation (by default a job whose \
+       attempt crashes on the requested backend runs again down the \
+       native > compiled > reference ladder; a missing \
+       native toolchain counts as a crash of the native rung)."
   in
   Cmd.v
     (Cmd.info "suite"
@@ -598,28 +517,42 @@ let suite_cmd =
           crashes, traps and timeouts are contained per job and reported \
           together (see $(b,--timeout-ms), $(b,--inject)).")
     Term.(
-      const run $ heuristic_arg $ jobs $ backend_arg `Compiled $ verify_arg
-      $ profile_arg $ names $ timeout_ms_arg $ failures_json_arg $ inject_n $ inject_seed $ no_degrade
-      $ native_cache_dir_arg)
+      const run $ heuristic_arg $ jobs $ backend_term ~ladder:true ()
+      $ verify_arg $ profile_arg $ names $ timeout_ms_arg $ failures_json_arg
+      $ inject_n $ inject_seed $ no_degrade)
 
 (* trained/static only: `Both is a pipeline notion (train + backfill);
    the per-case fuzz and corpus harnesses have exactly one counts
    source *)
 let profile2_conv =
-  let parse = function
-    | "trained" -> Ok `Trained
-    | "static" -> Ok `Static
-    | s ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown profile source %S (use trained or static)"
-             s))
+  named_conv ~what:"profile source" ~names:"trained or static"
+    (fun s ->
+      match Driver.Config.profile_of_name s with
+      | Some ((`Trained | `Static) as p) -> Some p
+      | Some `Both | None -> None)
+    (fun p -> Driver.Config.profile_name (p :> [ `Trained | `Static | `Both ]))
+
+(* the engines of a fuzz or corpus differential: --backend alone, else
+   reference and compiled, with --native also native *)
+let backends_term =
+  let pick backend native =
+    match (backend, native) with
+    | Some b, _ -> [ b ]
+    | None, true -> Check.Fuzz.all_backends ()
+    | None, false -> Check.Fuzz.default_backends
   in
-  let print ppf p =
-    Format.pp_print_string ppf
-      (match p with `Trained -> "trained" | `Static -> "static")
+  let backend =
+    maybe backend_conv [ "backend" ] ~docv:"BACKEND"
+      "Run the differential on this engine alone (default: race the \
+       reference and compiled engines against each other)."
   in
-  Arg.conv (parse, print)
+  let native =
+    flag [ "native" ]
+      "Also race the native backend (slow: one out-of-process compile \
+       per program; skipped with a note when no toolchain is \
+       available)."
+  in
+  Term.(const pick $ backend $ native)
 
 let profile2_arg =
   Arg.(
@@ -632,15 +565,9 @@ let profile2_arg =
            heuristic prediction; no training run).")
 
 let fuzz_cmd =
-  let run cases seed backend native inject profile save_failure corpus_dir
-      quiet failures_json resume timeout_ms =
+  let run cases seed backends inject profile save_failure corpus_dir quiet
+      failures_json resume timeout_ms =
     handle_errors (fun () ->
-        let backends =
-          match (backend, native) with
-          | Some b, _ -> [ b ]
-          | None, true -> Check.Fuzz.all_backends ()
-          | None, false -> Check.Fuzz.default_backends
-        in
         let log = if quiet then ignore else fun m -> Printf.eprintf "%s\n%!" m in
         (* resume: cases already green in a previous (possibly killed)
            run's manifest are skipped, and their entries carried forward *)
@@ -732,65 +659,28 @@ let fuzz_cmd =
       & info [ "seed" ] ~docv:"S"
           ~doc:"PRNG seed; runs are deterministic in the seed.")
   in
-  let backend_opt =
-    Arg.(
-      value
-      & opt (some backend_conv) None
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Restrict differential execution to one engine (default: race \
-             reference and compiled against each other).")
-  in
-  let native =
-    Arg.(
-      value & flag
-      & info [ "native" ]
-          ~doc:
-            "Also race the native backend in every differential (slow: one \
-             out-of-process compile per generated program; skipped with a \
-             note when no toolchain is available).")
-  in
   let inject =
-    Arg.(
-      value & flag
-      & info [ "inject" ]
-          ~doc:
-            "Plant a wrong-default-target bug into every reordered result and \
-             require Check.Verify to reject each one (self-test of the \
-             verifier; fails if any planted bug goes unnoticed).")
+    flag [ "inject" ]
+      "Plant a wrong-default-target bug into every reordered result and \
+       require Check.Verify to reject each one (self-test of the \
+       verifier; fails if any planted bug goes unnoticed)."
   in
   let save_failure =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-failure" ] ~docv:"FILE"
-          ~doc:"Write shrunk counterexamples of failing cases to $(docv).")
+    maybe Arg.string [ "save-failure" ] ~docv:"FILE"
+      "Write shrunk counterexamples of failing cases to $(docv)."
   in
   let corpus_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "corpus-dir" ] ~docv:"DIR"
-          ~doc:
-            "Freeze each shrunk counterexample as a $(b,.mir) repro under \
-             $(docv), ready for $(b,bromc bench corpus) to replay.")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet"; "q" ] ~doc:"Suppress progress lines on stderr.")
+    maybe Arg.string [ "corpus-dir" ] ~docv:"DIR"
+      "Freeze each shrunk counterexample as a $(b,.mir) repro under \
+       $(docv), ready for $(b,bromc bench corpus) to replay."
   in
   let resume =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Resume from a checkpoint manifest written by a previous \
-             $(b,--failures-json) run (killed or complete): cases it already \
-             proved green are skipped, and their entries carried forward into \
-             this run's manifest.  Sound because the corpus is deterministic \
-             in $(b,--seed).")
+    maybe Arg.string [ "resume" ] ~docv:"FILE"
+      "Resume from a checkpoint manifest written by a previous \
+       $(b,--failures-json) run (killed or complete): cases it already \
+       proved green are skipped, and their entries carried forward into \
+       this run's manifest.  Sound because the corpus is deterministic \
+       in $(b,--seed)."
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -803,92 +693,52 @@ let fuzz_cmd =
           an earlier manifest already proved green; $(b,--timeout-ms) arms a \
           per-case watchdog.")
     Term.(
-      const run $ cases $ seed $ backend_opt $ native $ inject $ profile2_arg
-      $ save_failure $ corpus_dir $ quiet $ failures_json_arg $ resume
+      const run $ cases $ seed $ backends_term $ inject $ profile2_arg
+      $ save_failure $ corpus_dir $ quiet_arg $ failures_json_arg $ resume
       $ timeout_ms_arg)
 
 let lint_cmd =
   let run source hs json no_explain facts divergence input =
-    (* exit-code contract: 0 = clean, 1 = diagnostics, 2 = error.  The
-       shared [handle_errors] exits 1, which here means "diagnostics
-       found", so lint handles its own failures. *)
-    let fail msg =
-      Printf.eprintf "error: %s\n" msg;
-      exit 2
-    in
-    let prog =
-      try load_program source hs with
-      | Minic.Srcloc.Error (loc, msg) ->
-        fail (Minic.Srcloc.error_to_string loc msg)
-      | Mir.Parse.Error (line, msg) ->
-        fail (Printf.sprintf "line %d: %s" line msg)
-      | Failure msg -> fail msg
-      | Sys_error msg -> fail msg
-      | Not_found -> fail "no such file or workload"
-    in
-    let diags =
-      try
-        Analysis.Lint.check_program prog
-        @ (if no_explain then []
-           else Reorder.Explain.explain_program ~facts prog)
-        @
-        if not divergence then []
-        else begin
-          (* measure the branches on a reference run, then flag the ones
-             where the static prediction sits on the wrong side of 0.5 *)
-          let run_input =
-            match input with
-            | Some f -> read_file f
-            | None ->
-              if String.length source > 0 && source.[0] = '@' then
-                Lazy.force
-                  (Workloads.Registry.find
-                     (String.sub source 1 (String.length source - 1)))
-                    .Workloads.Spec.training_input
-              else ""
-          in
-          let sites = Sim.Machine.sites prog in
-          let measured = Hashtbl.create 64 in
-          let count_branch ~site ~taken =
-            let key = sites.(site) in
-            let t, f =
-              Option.value ~default:(0, 0) (Hashtbl.find_opt measured key)
+    (* exit-code contract: 0 = clean, 1 = diagnostics, 2 = error *)
+    handle_errors ~code:2 (fun () ->
+        let prog = load_program source hs in
+        let diags =
+          Analysis.Lint.check_program prog
+          @ (if no_explain then []
+             else Reorder.Explain.explain_program ~facts prog)
+          @
+          if not divergence then []
+          else begin
+            (* measure the branches on a reference run, then flag the
+               ones where the static prediction sits on the wrong side
+               of 0.5 *)
+            let input =
+              read_input source input
+                ~default:(fun w -> w.Workloads.Spec.training_input)
             in
-            Hashtbl.replace measured key
-              (if taken then (t + 1, f) else (t, f + 1))
-          in
-          (try
-             ignore
-               (Sim.Machine.run ~backend:`Reference
-                  ~sink:(Sim.Predictor.Sink_fun count_branch)
-                  prog ~input:run_input)
-           with Sim.Machine.Trap _ -> ()
-             (* branch counts up to a trap still count *));
-          Analysis.Lint.divergence prog ~observed:(fun ~func ~label ->
-              Hashtbl.find_opt measured (func, label))
-        end
-      with Failure msg -> fail msg
-    in
-    if json then print_string (Analysis.Lint.to_json diags)
-    else
-      List.iter
-        (fun d -> Format.printf "%a@\n" Analysis.Lint.pp_diag d)
-        diags;
-    exit (if diags = [] then 0 else 1)
+            let counts =
+              Sim.Machine.branch_counts ~config:Sim.Machine.default_config
+                ~on_block:(fun ~func:_ ~label:_ -> ())
+                prog ~inputs:[ input ]
+            in
+            Analysis.Lint.divergence prog ~observed:(fun ~func ~label ->
+                Hashtbl.find_opt counts (func, label))
+          end
+        in
+        if json then print_string (Analysis.Lint.to_json diags)
+        else
+          List.iter
+            (fun d -> Format.printf "%a@\n" Analysis.Lint.pp_diag d)
+            diags;
+        exit (if diags = [] then 0 else 1))
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the diagnostics as a JSON array on stdout.")
+    flag [ "json" ] "Emit the diagnostics as a JSON array on stdout."
   in
   let no_explain =
-    Arg.(
-      value & flag
-      & info [ "no-explain" ]
-          ~doc:
-            "Suppress the not-reorderable explanations for lone range \
-             tests; report only the interval-fact diagnostics.")
+    flag [ "no-explain" ]
+      "Suppress the not-reorderable explanations for lone range \
+       tests; report only the interval-fact diagnostics."
   in
   let facts =
     Arg.(
@@ -901,25 +751,18 @@ let lint_cmd =
              strengthened detection cannot admit.")
   in
   let divergence =
-    Arg.(
-      value & flag
-      & info [ "divergence" ]
-          ~doc:
-            "Also run the program on the reference interpreter and report \
-             every branch whose static heuristic prediction and measured \
-             behaviour sit on opposite sides of 50% — where \
-             $(b,--profile=static) and $(b,--profile=trained) would \
-             reorder differently.  Advisory: predictions are heuristic, \
-             not proved.")
+    flag [ "divergence" ]
+      "Also run the program on the reference interpreter and report \
+       every branch whose static heuristic prediction and measured \
+       behaviour sit on opposite sides of 50% — where \
+       $(b,--profile=static) and $(b,--profile=trained) would \
+       reorder differently.  Advisory: predictions are heuristic, \
+       not proved."
   in
   let input =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "input" ; "i" ] ~docv:"FILE"
-          ~doc:
-            "Input for the $(b,--divergence) measurement run (default: the \
-             workload's training input for $(b,@)-sources, else empty).")
+    maybe Arg.string [ "input" ; "i" ] ~docv:"FILE"
+      "Input for the $(b,--divergence) measurement run (default: the \
+       workload's training input for $(b,@)-sources, else empty)."
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1008,33 +851,15 @@ let dot_cmd =
   in
   let facts =
     let facts_conv =
-      Arg.conv
-        ( (function
-          | "intervals" -> Ok `Intervals
-          | "live" -> Ok `Live
-          | "freq" -> Ok `Freq
-          | s ->
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "unknown facts %S (use intervals, live or freq)" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with
-              | `Intervals -> "intervals"
-              | `Live -> "live"
-              | `Freq -> "freq") )
+      assoc_conv ~what:"facts" ~names:"intervals, live or freq"
+        [ ("intervals", `Intervals); ("live", `Live); ("freq", `Freq) ]
     in
-    Arg.(
-      value
-      & opt (some facts_conv) None
-      & info [ "facts" ] ~docv:"KIND"
-          ~doc:
-            "Annotate each block with dataflow facts: $(b,intervals) \
-             (value ranges at block entry), $(b,live) (registers live \
-             at block entry) or $(b,freq) (predicted execution frequency \
-             and heuristic branch probabilities — what \
-             $(b,--profile=static) feeds the reorderer).")
+    maybe facts_conv [ "facts" ] ~docv:"KIND"
+      "Annotate each block with dataflow facts: $(b,intervals) \
+       (value ranges at block entry), $(b,live) (registers live \
+       at block entry) or $(b,freq) (predicted execution frequency \
+       and heuristic branch probabilities — what \
+       $(b,--profile=static) feeds the reorderer)."
   in
   Cmd.v
     (Cmd.info "dot"
@@ -1112,35 +937,24 @@ let cache_cmd =
         end)
   in
   let dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Operate on this store instead of the default one.")
+    maybe Arg.string [ "dir" ] ~docv:"DIR"
+      "Operate on this store instead of the default one."
   in
   let clear =
-    Arg.(
-      value & flag
-      & info [ "clear" ] ~doc:"Remove every cached artifact in the store.")
+    flag [ "clear" ] "Remove every cached artifact in the store."
   in
   let evict_stale =
-    Arg.(
-      value & flag
-      & info [ "evict-stale" ]
-          ~doc:
-            "Remove artifacts built by a different compiler/ABI fingerprint \
-             than the current toolchain's (left behind by switches or \
-             upgrades); the current fingerprint's artifacts are kept.")
+    flag [ "evict-stale" ]
+      "Remove artifacts built by a different compiler/ABI fingerprint \
+       than the current toolchain's (left behind by switches or \
+       upgrades); the current fingerprint's artifacts are kept."
   in
   let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:
-            "Digest every cached artifact against its $(b,.sum) checksum \
-             sidecar; mismatching and sidecar-less artifacts are \
-             quarantined (rebuilt on next use) and reported with a \
-             non-zero exit.")
+    flag [ "verify" ]
+      "Digest every cached artifact against its $(b,.sum) checksum \
+       sidecar; mismatching and sidecar-less artifacts are \
+       quarantined (rebuilt on next use) and reported with a \
+       non-zero exit."
   in
   Cmd.v
     (Cmd.info "cache"
@@ -1154,144 +968,61 @@ let cache_cmd =
 (* ------------------------------------------------------------------ *)
 
 let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Worker domains (default: the machine's recommended count).")
+  maybe Arg.int [ "domains" ] ~docv:"N"
+    "Worker domains (default: the machine's recommended count)."
 
 let state_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "state-dir" ] ~docv:"DIR"
-        ~doc:
-          "Durable state directory: journal + snapshots of merged profiles \
-           and drift generations.  Existing state found there is restored \
-           on startup (crash-safe warm start).")
+  maybe Arg.string [ "state-dir" ] ~docv:"DIR"
+    "Durable state directory: journal + snapshots of merged profiles \
+     and drift generations.  Existing state found there is restored \
+     on startup (crash-safe warm start)."
 
 let serve_cmd =
-  let run domains backend profile ncache_dir state_dir =
+  let run domains backend profile state_dir =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir;
-        let backend = resolve_backend backend in
         let config =
-          {
-            Driver.Config.default with
-            Driver.Config.backend;
-            profile;
-            native_cache_dir = ncache_dir;
-          }
+          { Driver.Config.default with Driver.Config.backend; profile }
         in
         let srv = Driver.Server.create ~config ?domains ?state_dir () in
         let out_lock = Mutex.create () in
-        let print_line s =
-          Mutex.lock out_lock;
-          print_string s;
-          print_newline ();
-          flush stdout;
-          Mutex.unlock out_lock
-        in
-        let pend_lock = Mutex.create () in
-        let pend_cond = Condition.create () in
-        let pending = ref 0 in
-        let drain () =
-          Mutex.lock pend_lock;
-          while !pending > 0 do
-            Condition.wait pend_cond pend_lock
-          done;
-          Mutex.unlock pend_lock
-        in
-        let request_for name seed =
-          if String.equal name Driver.Replay.drift_name then
-            ( Driver.Replay.drift_source,
-              Driver.Replay.drift_input ~phase:(abs seed land 1) ~seed )
-          else
-            let w = Workloads.Registry.find name in
-            ( w.Workloads.Spec.source,
-              Driver.Replay.input_slice ~seed
-                (Lazy.force w.Workloads.Spec.test_input) )
-        in
-        let render id (r : Driver.Server.response) =
-          if String.equal r.Driver.Server.rs_status "ok" then
-            Printf.sprintf
-              "resp %d ok program=%s gen=%d cold=%b backend=%s exit=%d \
-               ms=%.3f bytes=%d md5=%s"
-              id r.Driver.Server.rs_program r.Driver.Server.rs_generation
-              r.Driver.Server.rs_cold r.Driver.Server.rs_backend
-              r.Driver.Server.rs_exit_code r.Driver.Server.rs_wall_ms
-              (String.length r.Driver.Server.rs_output)
-              (Digest.to_hex (Digest.string r.Driver.Server.rs_output))
-          else
-            Printf.sprintf "resp %d %s program=%s msg=%S" id
-              r.Driver.Server.rs_status r.Driver.Server.rs_program
-              r.Driver.Server.rs_message
-        in
-        let restored =
-          (Driver.Server.stats srv).Driver.Server.st_restored
-        in
+        let print_line s = Mutex.protect out_lock (fun () -> print_endline s) in
+        let inflight = Driver.Pool.Inflight.create () in
         print_line
           (Printf.sprintf "ready domains=%d backend=%s restored=%d"
              (Driver.Server.domains srv)
              (Driver.Config.backend_name backend)
-             restored);
+             (Driver.Server.stats srv).Driver.Server.st_restored);
         let next_id = ref 0 in
         let quit = ref false in
         while not !quit do
           match input_line stdin with
           | exception End_of_file -> quit := true
           | line -> (
-            let words =
-              String.split_on_char ' ' (String.trim line)
-              |> List.filter (fun s -> not (String.equal s ""))
-            in
-            match words with
-            | [] -> ()
-            | [ "quit" ] | [ "exit" ] -> quit := true
-            | [ "sync" ] ->
-              drain ();
+            match Driver.Replay.parse_command line with
+            | Driver.Replay.Blank -> ()
+            | Quit -> quit := true
+            | Sync ->
+              Driver.Pool.Inflight.wait inflight;
               Driver.Server.sync srv;
               print_line "synced"
-            | [ "stats" ] ->
+            | Stats ->
               print_line
                 ("stats "
                 ^ Json.to_string
                     (Driver.Server.stats_json (Driver.Server.stats srv)))
-            | "run" :: name :: rest -> (
-              let seed =
-                match rest with
-                | [] -> 0
-                | s :: _ -> ( try int_of_string s with _ -> 0)
-              in
-              (* optional third word: a per-request deadline in ms *)
-              let deadline_ms =
-                match rest with
-                | _ :: d :: _ -> (
-                  match int_of_string_opt d with
-                  | Some ms when ms > 0 -> Some ms
-                  | _ -> None)
-                | _ -> None
-              in
+            | Invalid reply -> print_line reply
+            | Run { name; seed; deadline_ms } -> (
               incr next_id;
               let id = !next_id in
-              match request_for name seed with
-              | exception Not_found ->
-                print_line
-                  (Printf.sprintf "resp %d err unknown workload %S" id name)
-              | source, input ->
-                Mutex.lock pend_lock;
-                incr pending;
-                Mutex.unlock pend_lock;
+              match Driver.Replay.request name ~seed with
+              | Error _ as refused ->
+                print_line (Driver.Replay.render id refused)
+              | Ok (source, input) ->
                 Driver.Server.post ?deadline_ms srv ~name ~source ~input
-                  (fun r ->
-                    print_line (render id r);
-                    Mutex.lock pend_lock;
-                    decr pending;
-                    if !pending = 0 then Condition.broadcast pend_cond;
-                    Mutex.unlock pend_lock))
-            | _ -> print_line (Printf.sprintf "err unknown command %S" line))
+                  (Driver.Pool.Inflight.track inflight (fun r ->
+                       print_line (Driver.Replay.render id (Ok r))))))
         done;
-        drain ();
+        Driver.Pool.Inflight.wait inflight;
         Driver.Server.shutdown srv;
         print_line "bye")
   in
@@ -1306,7 +1037,7 @@ let serve_cmd =
           $(b,drift) workload maps even seeds to phase-0 and odd seeds to \
           phase-1 inputs), $(b,sync) (drain, merge shards, run the drift \
           check), $(b,stats) (one JSON line), $(b,quit).  Every 4th \
-          successful request per worker also runs the profiling shadow, \
+          successful request of each program also runs the profiling shadow, \
           shards merge after 8 shadow runs, and the drift check waits for \
           32 new profiled executions.  With $(b,--profile=static) cold \
           requests skip the first-request \
@@ -1318,26 +1049,17 @@ let serve_cmd =
           persisted program at its learned generation.  $(b,run) accepts an \
           optional third argument, a per-request deadline in milliseconds.")
     Term.(
-      const run $ domains_arg $ backend_arg `Compiled $ profile_arg
-      $ native_cache_dir_arg $ state_dir_arg)
+      const run $ domains_arg $ backend_term () $ profile_arg $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay: simulated production traffic against a server               *)
 (* ------------------------------------------------------------------ *)
 
 let replay_cmd =
-  let run requests concurrency workloads seed no_drift quiet backend
-      ncache_dir chaos chaos_seed state_dir =
+  let run requests concurrency workloads seed no_drift quiet backend chaos
+      chaos_seed state_dir =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir;
-        let backend = resolve_backend backend in
-        let config =
-          {
-            Driver.Config.default with
-            Driver.Config.backend;
-            native_cache_dir = ncache_dir;
-          }
-        in
+        let config = { Driver.Config.default with Driver.Config.backend } in
         let workloads =
           Option.map
             (fun s ->
@@ -1366,20 +1088,13 @@ let replay_cmd =
       & info [ "requests"; "n" ] ~docv:"N" ~doc:"Requests to fire.")
   in
   let concurrency =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "concurrency"; "j" ] ~docv:"N"
-          ~doc:"Worker domains / requests in flight (default: recommended).")
+    maybe Arg.int [ "concurrency"; "j" ] ~docv:"N"
+      "Worker domains / requests in flight (default: recommended)."
   in
   let workloads =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workloads" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated workload subset for the request mix (default: \
-             all 17 built-ins).")
+    maybe Arg.string [ "workloads" ] ~docv:"NAMES"
+      "Comma-separated workload subset for the request mix (default: \
+       all 17 built-ins)."
   in
   let seed =
     Arg.(
@@ -1387,17 +1102,9 @@ let replay_cmd =
       & info [ "seed" ] ~docv:"N" ~doc:"Deterministic input-slice seed.")
   in
   let no_drift =
-    Arg.(
-      value & flag
-      & info [ "no-drift" ]
-          ~doc:
-            "Leave the synthetic drifting workload out of the mix (no \
-             mid-stream re-optimization demo).")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet"; "q" ] ~doc:"Suppress phase progress on stderr.")
+    flag [ "no-drift" ]
+      "Leave the synthetic drifting workload out of the mix (no \
+       mid-stream re-optimization demo)."
   in
   let chaos =
     Arg.(
@@ -1432,22 +1139,15 @@ let replay_cmd =
           counts plugin compiles, disk hits and quarantined artifacts.")
     Term.(
       const run $ requests $ concurrency $ workloads $ seed $ no_drift
-      $ quiet $ backend_arg `Compiled
-      $ native_cache_dir_arg $ chaos $ chaos_seed $ state_dir_arg)
+      $ quiet_arg $ backend_term () $ chaos $ chaos_seed $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench: replay the minimized-repro corpus                           *)
 (* ------------------------------------------------------------------ *)
 
 let bench_corpus_cmd =
-  let run dir backend native profile mint_inject seed cases quiet =
+  let run dir backends profile mint_inject seed cases quiet =
     handle_errors (fun () ->
-        let backends =
-          match (backend, native) with
-          | Some b, _ -> [ b ]
-          | None, true -> Check.Fuzz.all_backends ()
-          | None, false -> Check.Fuzz.default_backends
-        in
         (match mint_inject with
         | Some n ->
           let repros =
@@ -1490,31 +1190,11 @@ let bench_corpus_cmd =
       value & opt string "corpus"
       & info [ "dir" ] ~docv:"DIR" ~doc:"The repro corpus directory.")
   in
-  let backend_opt =
-    Arg.(
-      value
-      & opt (some backend_conv) None
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Replay under one engine only (default: race the two \
-                in-process engines).")
-  in
-  let native =
-    Arg.(
-      value & flag
-      & info [ "native" ]
-          ~doc:
-            "Also race the native backend (skipped when no toolchain is \
-             available).")
-  in
   let mint_inject =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "mint-inject" ] ~docv:"N"
-          ~doc:
-            "Before replaying, recreate inject-mode fuzz cases, shrink the \
-             first $(docv) caught counterexamples and save them into the \
-             corpus (the seeding path).")
+    maybe Arg.int [ "mint-inject" ] ~docv:"N"
+      "Before replaying, recreate inject-mode fuzz cases, shrink the \
+       first $(docv) caught counterexamples and save them into the \
+       corpus (the seeding path)."
   in
   let seed =
     Arg.(
@@ -1528,9 +1208,7 @@ let bench_corpus_cmd =
           ~doc:"Case budget for $(b,--mint-inject).")
   in
   let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet"; "q" ] ~doc:"Only print failures and the summary.")
+    flag [ "quiet"; "q" ] "Only print failures and the summary."
   in
   Cmd.v
     (Cmd.info "corpus"
@@ -1543,7 +1221,7 @@ let bench_corpus_cmd =
           $(b,--profile=static) the repros replay under the profile-free \
           prediction instead of their recorded training runs.")
     Term.(
-      const run $ dir $ backend_opt $ native $ profile2_arg $ mint_inject
+      const run $ dir $ backends_term $ profile2_arg $ mint_inject
       $ seed $ cases $ quiet)
 
 let bench_cmd =

@@ -313,34 +313,19 @@ let lint_cross_errors ?(config = Sim.Machine.default_config) prog ~inputs =
   let diags = Analysis.Lint.check_program prog in
   if diags = [] then ([], 0)
   else begin
-    let sites = Sim.Machine.sites prog in
     let visited = Hashtbl.create 64 in
-    let outcomes = Hashtbl.create 64 in
-    List.iter
-      (fun input ->
-        let on_block ~func ~label = Hashtbl.replace visited (func, label) () in
-        let record_branch ~site ~taken =
-          let key = sites.(site) in
-          let t, f =
-            Option.value ~default:(false, false)
-              (Hashtbl.find_opt outcomes key)
-          in
-          Hashtbl.replace outcomes key (t || taken, f || not taken)
-        in
-        try
-          ignore
-            (Sim.Machine.run ~config ~backend:`Reference ~on_block
-               ~sink:(Sim.Predictor.Sink_fun record_branch) prog ~input)
-        with Sim.Machine.Trap _ -> ()
-          (* observations up to a trap still count *))
-      inputs;
+    let outcomes =
+      Sim.Machine.branch_counts ~config
+        ~on_block:(fun ~func ~label -> Hashtbl.replace visited (func, label) ())
+        prog ~inputs
+    in
     let errors =
       List.filter_map
         (fun (d : Analysis.Lint.diag) ->
           let key = (d.Analysis.Lint.func, d.Analysis.Lint.label) in
-          let observed = Hashtbl.find_opt outcomes key in
-          let seen_taken = match observed with Some (t, _) -> t | None -> false in
-          let seen_fall = match observed with Some (_, f) -> f | None -> false in
+          let taken, fell =
+            Option.value ~default:(0, 0) (Hashtbl.find_opt outcomes key)
+          in
           let contradiction what =
             Some
               (Format.asprintf
@@ -352,9 +337,9 @@ let lint_cross_errors ?(config = Sim.Machine.default_config) prog ~inputs =
             if Hashtbl.mem visited key then contradiction "entered the block"
             else None
           | Analysis.Lint.Branch_always_taken ->
-            if seen_fall then contradiction "fell through the branch" else None
+            if fell > 0 then contradiction "fell through the branch" else None
           | Analysis.Lint.Branch_never_taken | Analysis.Lint.Subsumed_arm ->
-            if seen_taken then contradiction "took the branch" else None
+            if taken > 0 then contradiction "took the branch" else None
           | Analysis.Lint.Overlapping_arms | Analysis.Lint.Not_reorderable
           | Analysis.Lint.Prediction_diverges ->
             None (* not a trace-refutable verdict *))

@@ -480,3 +480,42 @@ let manifest_of_outcome o =
     ~degraded:o.o_degraded ~injected:o.o_injected
     ~wall_ms:(o.o_seconds *. 1000.0) ~id:o.o_index
     ~status:(Pool.outcome_status o.o_outcome) ()
+
+type containment = {
+  c_planted : int;
+  c_recovered : int;
+  c_contained : int;
+  c_escapes : string list;
+  c_collateral : string list;
+}
+
+let containment faults outcomes =
+  let ok o = Pool.outcome_ok o.o_outcome in
+  let victims =
+    List.map (fun (f : Inject.fault) -> (f, List.nth outcomes f.Inject.i_job))
+      faults
+  in
+  let recovered = List.filter (fun (_, o) -> ok o) victims in
+  {
+    c_planted = List.length victims;
+    c_recovered = List.length recovered;
+    c_contained = List.length victims - List.length recovered;
+    c_escapes =
+      List.filter_map
+        (fun (f, o) ->
+          if o.o_degraded then None
+          else
+            Some
+              (Format.asprintf "%a: fault left no trace (escape)"
+                 Inject.pp_fault f))
+        recovered;
+    c_collateral =
+      List.filter_map
+        (fun o ->
+          if o.o_injected = "" && not (ok o) then
+            Some
+              (Printf.sprintf "job %d (%s) failed without a fault: %s"
+                 o.o_index o.o_name (Pool.outcome_message o.o_outcome))
+          else None)
+        outcomes;
+  }

@@ -202,3 +202,16 @@ val run_jobs_guarded :
 
 val manifest_of_outcome : job_outcome -> Manifest.entry
 (** The failure-manifest row for one job outcome ([--failures-json]). *)
+
+type containment = {
+  c_planted : int;
+  c_recovered : int;  (** victims that still ended [ok] *)
+  c_contained : int;  (** victims that did not *)
+  c_escapes : string list;  (** victims [ok] but not degraded: no trace *)
+  c_collateral : string list;  (** non-victims that did not end [ok] *)
+}
+
+val containment : Inject.fault list -> job_outcome list -> containment
+(** The verdict on a fault-injected run ([suite --inject]), from its
+    faults and its outcomes in job order: contained when [c_escapes] and
+    [c_collateral] are empty. *)

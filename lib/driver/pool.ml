@@ -162,6 +162,28 @@ module Workers = struct
     List.iter Domain.join ds
 end
 
+module Inflight = struct
+  type t = { m : Mutex.t; c : Condition.t; mutable n : int }
+
+  let create () = { m = Mutex.create (); c = Condition.create (); n = 0 }
+
+  let track t k =
+    Mutex.protect t.m (fun () -> t.n <- t.n + 1);
+    fun x ->
+      Fun.protect
+        (fun () -> k x)
+        ~finally:(fun () ->
+          Mutex.protect t.m (fun () ->
+              t.n <- t.n - 1;
+              if t.n = 0 then Condition.broadcast t.c))
+
+  let wait t =
+    Mutex.protect t.m (fun () ->
+        while t.n > 0 do
+          Condition.wait t.c t.m
+        done)
+end
+
 (* ------------------------------------------------------------------ *)
 (* Fan-out                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -104,3 +104,15 @@ module Workers : sig
   (** Stop accepting tasks, let the queue drain, join every worker.
       Idempotent. *)
 end
+
+(** Posted tasks still to answer, for a caller that waits for every
+    answer: [track t k] counts one more task now and returns its
+    completion callback, [k] and then one fewer (also when [k] raises);
+    [wait t] blocks until none is left. *)
+module Inflight : sig
+  type t
+
+  val create : unit -> t
+  val track : t -> ('a -> unit) -> 'a -> unit
+  val wait : t -> unit
+end

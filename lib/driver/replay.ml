@@ -114,6 +114,71 @@ let input_slice ~seed text =
   end
 
 (* ------------------------------------------------------------------ *)
+(* The serve line protocol                                             *)
+(* ------------------------------------------------------------------ *)
+
+type command =
+  | Blank
+  | Quit
+  | Sync
+  | Stats
+  | Run of { name : string; seed : int; deadline_ms : int option }
+  | Invalid of string
+
+let parse_command line =
+  let words =
+    String.split_on_char ' ' (String.trim line)
+    |> List.filter (fun s -> not (String.equal s ""))
+  in
+  match words with
+  | [] -> Blank
+  | [ "quit" ] | [ "exit" ] -> Quit
+  | [ "sync" ] -> Sync
+  | [ "stats" ] -> Stats
+  | "run" :: name :: rest ->
+    let int_at i = Option.bind (List.nth_opt rest i) int_of_string_opt in
+    Run
+      {
+        name;
+        seed = Option.value (int_at 0) ~default:0;
+        deadline_ms =
+          Option.bind (int_at 1) (fun ms -> if ms > 0 then Some ms else None);
+      }
+  | _ -> Invalid (Printf.sprintf "err unknown command %S" line)
+
+(* a servable program's source and input generator: a built-in
+   workload's seeded slices of its test input (forced here, on the
+   caller's domain), or the drift program's phased inputs *)
+let program name =
+  if String.equal name drift_name then Some (drift_source, drift_input)
+  else
+    match Workloads.Registry.find name with
+    | w ->
+      let text = Lazy.force w.Workloads.Spec.test_input in
+      Some
+        (w.Workloads.Spec.source, fun ~phase:_ ~seed -> input_slice ~seed text)
+    | exception Not_found -> None
+
+let request name ~seed =
+  match program name with
+  | Some (source, input) -> Ok (source, input ~phase:(abs seed land 1) ~seed)
+  | None -> Error (Printf.sprintf "unknown workload %S" name)
+
+let render id = function
+  | Error msg -> Printf.sprintf "resp %d err %s" id msg
+  | Ok (r : Server.response) when String.equal r.Server.rs_status "ok" ->
+    Printf.sprintf
+      "resp %d ok program=%s gen=%d cold=%b backend=%s exit=%d ms=%.3f \
+       bytes=%d md5=%s"
+      id r.Server.rs_program r.Server.rs_generation r.Server.rs_cold
+      r.Server.rs_backend r.Server.rs_exit_code r.Server.rs_wall_ms
+      (String.length r.Server.rs_output)
+      (Digest.to_hex (Digest.string r.Server.rs_output))
+  | Ok r ->
+    Printf.sprintf "resp %d %s program=%s msg=%S" id r.Server.rs_status
+      r.Server.rs_program r.Server.rs_message
+
+(* ------------------------------------------------------------------ *)
 (* The replay                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -217,31 +282,20 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
     ?concurrency ?(seed = 42) ?(drift = true) ?(chaos = 0) ?(chaos_seed = 7)
     ?state_dir ?(progress = fun _ -> ()) () =
   let names =
-    match workloads with [] -> Workloads.Registry.names | ns -> ns
-  in
-  let specs =
-    List.map
-      (fun n ->
-        match Workloads.Registry.find n with
-        | s -> s
-        | exception Not_found -> failwith ("replay: unknown workload " ^ n))
-      names
+    (match workloads with [] -> Workloads.Registry.names | ns -> ns)
+    @ if drift then [ drift_name ] else []
   in
   (* one slot per distinct program: its oracle base, compiled here and
-     never looked up in the server's caches, and its input generator.
-     Lazies are forced on this domain before any fan-out. *)
-  let slot name source input =
-    (name, source, Pipeline.compile_base config source, input)
-  in
+     never looked up in the server's caches, and its input generator *)
   let mix =
     Array.of_list
       (List.map
-         (fun (s : Workloads.Spec.t) ->
-           let text = Lazy.force s.Workloads.Spec.test_input in
-           slot s.Workloads.Spec.name s.Workloads.Spec.source
-             (fun ~phase:_ ~seed -> input_slice ~seed text))
-         specs
-      @ if drift then [ slot drift_name drift_source drift_input ] else [])
+         (fun name ->
+           match program name with
+           | Some (source, input) ->
+             (name, source, Pipeline.compile_base config source, input)
+           | None -> failwith ("replay: unknown workload " ^ name))
+         names)
   in
   let n_mix = Array.length mix in
   let half = requests / 2 in
@@ -295,9 +349,7 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
   let responses : Server.response option array = Array.make requests None in
   let fire lo hi =
     let srv = !server in
-    let m = Mutex.create () in
-    let c = Condition.create () in
-    let pending = ref (hi - lo) in
+    let inflight = Pool.Inflight.create () in
     for i = lo to hi - 1 do
       let q = reqs.(i) in
       let fault = Inject.server_find faults ~request:i in
@@ -329,18 +381,9 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
       in
       Server.post ?deadline_ms ?inject srv ~name:q.q_name ~source:q.q_source
         ~input:q.q_input
-        (fun r ->
-          responses.(i) <- Some r;
-          Mutex.lock m;
-          decr pending;
-          if !pending = 0 then Condition.signal c;
-          Mutex.unlock m)
+        (Pool.Inflight.track inflight (fun r -> responses.(i) <- Some r))
     done;
-    Mutex.lock m;
-    while !pending > 0 do
-      Condition.wait c m
-    done;
-    Mutex.unlock m
+    Pool.Inflight.wait inflight
   in
   progress (Printf.sprintf "wave 1: requests 0..%d" (half - 1));
   fire 0 half;

@@ -77,6 +77,37 @@ val input_slice : seed:int -> string -> string
 (** A newline-aligned prefix slice of [text] whose length varies with
     [seed] (capped at 2048 bytes); [""] stays [""]. *)
 
+(** {1 The serve line protocol}
+
+    [bromc serve] reads one command per line on stdin and answers on
+    stdout; these are its parser and its reply lines. *)
+
+type command =
+  | Blank  (** no word: no reply *)
+  | Quit  (** [quit] or [exit] *)
+  | Sync  (** [sync] *)
+  | Stats  (** [stats] *)
+  | Run of { name : string; seed : int; deadline_ms : int option }
+      (** [run NAME [SEED [DEADLINE_MS]]]: a SEED that is not an [int]
+          reads as 0, a DEADLINE_MS that is not a positive [int] as no
+          deadline, and later words are ignored *)
+  | Invalid of string  (** anything else; the reply line *)
+
+val parse_command : string -> command
+(** Parse one line, split into words on spaces after trimming.  Total:
+    any bytes parse to a command. *)
+
+val request : string -> seed:int -> (string * string, string) result
+(** The (source, input) a [run NAME SEED] request serves: a built-in
+    workload on its test input's {!input_slice} for [seed], or the
+    {!drift_name} program on {!drift_input}, phase 0 for an even seed
+    and 1 for an odd one.  [Error] names an unknown workload. *)
+
+val render : int -> (Server.response, string) result -> string
+(** The reply line to request [id]: [resp ID ok ...] with the output's
+    length and MD5, [resp ID STATUS ...] for a failed response, or
+    [resp ID err MSG] for a request {!request} refused. *)
+
 val run :
   ?config:Config.t ->
   ?workloads:string list ->

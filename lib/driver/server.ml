@@ -55,6 +55,7 @@ type entry = {
   e_merge : Mutex.t;  (* serializes merge + drift check + re-opt *)
   mutable e_last_opt_execs : int;  (* under e_merge *)
   e_pending : int Atomic.t;  (* shadow runs since last merge attempt *)
+  e_served : int Atomic.t;  (* successful requests, for the sampler *)
 }
 
 type t = {
@@ -64,7 +65,6 @@ type t = {
   programs : entry Sim.Artifact.t;  (* unbounded: every program served *)
   image_cache : Sim.Image.t Sim.Artifact.t;
   closure_cache : Sim.Compiled.t Sim.Artifact.t;
-  ticks : int array;  (* per-worker request count (worker-private slot) *)
   requests : int Atomic.t;
   cold : int Atomic.t;
   shadow_runs : int Atomic.t;
@@ -184,7 +184,8 @@ let journal_entry t e =
 (* journal records between snapshot compactions *)
 let snapshot_every = 64
 
-(* every n-th successful request per worker runs the profiling shadow *)
+(* every n-th successful request of a program runs the profiling
+   shadow *)
 let sample_every = 4
 
 (* shadow runs accumulated across workers before an opportunistic merge *)
@@ -267,6 +268,7 @@ let make_entry t ~name ~key ~source ~generation ?last_opt fill =
     e_last_opt_execs =
       Option.value last_opt ~default:(Sim.Profile.total_executions table);
     e_pending = Atomic.make 0;
+    e_served = Atomic.make 0;
   }
 
 (* cold path, single-flighted by the [programs] cache: train on this
@@ -337,7 +339,6 @@ let restore_state t dir =
 
 let create ?(config = Config.default) ?domains ?state_dir () =
   let pool = Pool.Workers.create ?domains () in
-  let n = Pool.Workers.size pool in
   let journal =
     match state_dir with
     | None -> None
@@ -351,7 +352,6 @@ let create ?(config = Config.default) ?domains ?state_dir () =
       programs = Sim.Artifact.create ~name:"programs" ();
       image_cache = Sim.Artifact.create ~name:"image" ();
       closure_cache = Sim.Artifact.create ~name:"closure" ();
-      ticks = Array.make n 0;
       requests = Atomic.make 0;
       cold = Atomic.make 0;
       shadow_runs = Atomic.make 0;
@@ -557,11 +557,11 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
         }
     in
     (* profiling shadow on a sampling of successful requests *)
-    (if response.rs_status = "ok" && entry.e_seqs <> [] then begin
-       t.ticks.(worker) <- t.ticks.(worker) + 1;
-       if t.ticks.(worker) mod sample_every = 0 then
-         shadow_run t entry ~worker ~input
-     end);
+    if
+      response.rs_status = "ok"
+      && entry.e_seqs <> []
+      && (1 + Atomic.fetch_and_add entry.e_served 1) mod sample_every = 0
+    then shadow_run t entry ~worker ~input;
     response
 
 let submit ?deadline_ms ?inject t ~name ~source ~input =

@@ -13,8 +13,8 @@
 
     {b Online profiles.}  The served artifact is never instrumented
     (responses stay byte-identical to a batch run, and the hot path
-    touches no shared counter).  Instead every 4th successful request
-    per worker also executes the cached {e instrumented training clone}
+    touches one atomic counter of its program).  Instead every 4th
+    successful request of each program also executes the cached {e instrumented training clone}
     on the request's input, recording into that worker's private
     profile shard ({!Sim.Profile.copy_shape}).  Shards are merged
     asynchronously into the program's global profile —

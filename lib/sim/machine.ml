@@ -354,3 +354,21 @@ let run ?config ?profile ?sink ?on_block ?image ?cache_dir
   | `Native ->
     Native.run_image ?config ?profile ?sink ?on_block ?cache_dir (image ())
       ~input
+
+let branch_counts ~config ~on_block p ~inputs =
+  let sites = sites p in
+  let counts = Hashtbl.create 64 in
+  let count ~site ~taken =
+    let key = sites.(site) in
+    let t, f = Option.value ~default:(0, 0) (Hashtbl.find_opt counts key) in
+    Hashtbl.replace counts key (if taken then (t + 1, f) else (t, f + 1))
+  in
+  List.iter
+    (fun input ->
+      try
+        ignore
+          (run_reference ~config ~on_block ~sink:(Predictor.Sink_fun count) p
+             ~input)
+      with Trap _ -> () (* counts up to a trap still count *))
+    inputs;
+  counts

@@ -103,3 +103,16 @@ val sites : Mir.Program.t -> (string * string) array
 (** [(function, label)] for every block, indexed by site number — the
     inverse of {!site_of}, for consumers of branch events that need
     to attribute counts to blocks (e.g. profile-guided layout). *)
+
+val branch_counts :
+  config:config ->
+  on_block:(func:string -> label:string -> unit) ->
+  Mir.Program.t ->
+  inputs:string list ->
+  (string * string, int * int) Hashtbl.t
+(** Run [p] on the reference interpreter over each input in turn and
+    tally every conditional branch's (taken, fall-through) outcomes by
+    the [(function, label)] of the block it ends.  A trap ends that
+    input's run; the outcomes up to it stay counted.  [on_block] sees
+    every block entered, as in {!run}.  Used by [bromc lint
+    --divergence] and by the fuzz harness's lint cross-check. *)

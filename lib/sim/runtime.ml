@@ -20,8 +20,10 @@ type config = {
 let default_config = { fuel = 2_000_000_000; max_depth = 10_000; cancel = None }
 
 (* Deadline-based cancellation flag for [config.cancel].  The flag is
-   polled once per executed basic block, so the clock read is amortized
-   over a window of polls; once expired it latches, making every later
+   polled once per executed basic block, so the clock is read on the
+   first poll (a run shorter than the window still sees a deadline that
+   passed before it started) and then once per window of polls; once
+   expired it latches, making every later
    poll (including from subsequent runs sharing the flag) cancel
    immediately.  One flag may be polled from several domains at once
    (a pipeline job measures its original on a second domain): the latch
@@ -36,7 +38,9 @@ let watchdog ~ms =
     ||
     begin
       incr ticks;
-      if !ticks land 2047 = 0 && Unix.gettimeofday () > deadline then
+      if (!ticks land 2047 = 0 || !ticks = 1)
+         && Unix.gettimeofday () > deadline
+      then
         Atomic.set expired true;
       Atomic.get expired
     end

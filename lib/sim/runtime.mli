@@ -37,8 +37,8 @@ val default_config : config
 val watchdog : ms:int -> unit -> bool
 (** [watchdog ~ms] is a fresh cancellation flag for {!config.cancel}
     that starts returning [true] once [ms] milliseconds of wall clock
-    have elapsed since its creation.  Clock reads are amortized (one
-    every 2048 polls), and expiry latches: all later polls cancel
+    have elapsed since its creation.  Clock reads are amortized (the
+    first poll, then one every 2048 polls), and expiry latches: all later polls cancel
     immediately, so one flag can cover several consecutive runs of the
     same job (e.g. a pipeline's training and measurement runs) under a
     single deadline. *)

@@ -429,7 +429,7 @@ let test_fault_containment_certification () =
     Driver.Pipeline.run_jobs_guarded ~domains:4 ~policy ~inject:faults jobs
   in
   check_int "no outcome lost" n (List.length outcomes);
-  let escapes = ref [] and contained = ref 0 in
+  let contained = ref 0 in
   List.iteri
     (fun i (o : Driver.Pipeline.job_outcome) ->
       check_int "outcomes in job order" i o.Driver.Pipeline.o_index;
@@ -437,8 +437,6 @@ let test_fault_containment_certification () =
       match Driver.Inject.find faults ~job:i with
       | None ->
         (* sibling of 200 faults: must be untouched *)
-        if not ok then
-          escapes := Printf.sprintf "sibling %d lost" i :: !escapes;
         (match o.Driver.Pipeline.o_outcome with
         | Driver.Pool.Ok r ->
           check_output "sibling output intact" tiny_output
@@ -457,8 +455,6 @@ let test_fault_containment_certification () =
         check_bool "manifest attribution" true
           (e.Driver.Manifest.e_injected <> "");
         if ok then begin
-          if not o.Driver.Pipeline.o_degraded then
-            escapes := Printf.sprintf "fault on %d left no trace" i :: !escapes;
           (* the ladder is the one recovery path: down to the oracle *)
           check_output "recovered on the last rung" "reference"
             o.Driver.Pipeline.o_backend;
@@ -471,9 +467,11 @@ let test_fault_containment_certification () =
         end)
     outcomes;
   check_int "every fault accounted for" faults_n !contained;
-  if !escapes <> [] then
-    Alcotest.failf "%d escapes: %s" (List.length !escapes)
-      (String.concat "; " !escapes)
+  let c = Driver.Pipeline.containment faults outcomes in
+  match c.Driver.Pipeline.c_escapes @ c.Driver.Pipeline.c_collateral with
+  | [] -> ()
+  | lost ->
+    Alcotest.failf "%d escapes: %s" (List.length lost) (String.concat "; " lost)
 
 (* ------------------------------------------------------------------ *)
 (* Backend degradation preserves observables on the real workloads      *)

@@ -839,6 +839,146 @@ let test_input_slice () =
   check_bool "newline-aligned" true
     (String.length s1 = 0 || s1.[String.length s1 - 1] = '\n')
 
+(* the shadow sampler counts per program: in a round-robin mix of six
+   programs, whose period shares a factor with the sampling interval of
+   4, every program still gets every 4th of its own successful requests
+   profiled, so 8 rounds give each exactly two shadow runs.  One fixed
+   input per program, so each run adds the same profile executions *)
+let test_sampler_per_program () =
+  let names = [ "wc"; "grep"; "sort"; "awk"; "cb"; "pr" ] in
+  let reqs =
+    List.map
+      (fun name ->
+        (name, Result.get_ok (Driver.Replay.request name ~seed:1)))
+      names
+  in
+  let srv = Driver.Server.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.Server.shutdown srv)
+    (fun () ->
+      let rounds n =
+        for _ = 1 to n do
+          List.iter
+            (fun (name, (source, input)) ->
+              check_output (name ^ " served") "ok"
+                (Driver.Server.submit srv ~name ~source ~input)
+                  .Driver.Server.rs_status)
+            reqs
+        done;
+        Driver.Server.sync srv;
+        List.map
+          (fun (name, _, executions) -> (name, executions))
+          (Driver.Server.stats srv).Driver.Server.st_programs
+      in
+      let trained = rounds 3 in
+      let once = rounds 1 in
+      let twice = rounds 4 in
+      check_int "shadow runs" 12
+        (Driver.Server.stats srv).Driver.Server.st_shadow_runs;
+      List.iter
+        (fun name ->
+          let e0 = List.assoc name trained in
+          let run = List.assoc name once - e0 in
+          check_bool (name ^ " profiled online") true (run > 0);
+          check_int (name ^ ": two shadow runs") (2 * run)
+            (List.assoc name twice - e0))
+        names)
+
+(* the serve line protocol: total on arbitrary bytes, and today's
+   replies pinned *)
+let protocol_line =
+  let open QCheck.Gen in
+  let word =
+    frequency
+      [
+        ( 3,
+          oneofl
+            [ "run"; "quit"; "exit"; "sync"; "stats"; "wc"; "drift"; "nosuch";
+              "99999999999999999999"; "-99999999999999999999"; "-5"; "0";
+              "7"; "0x1f"; "\000"; "\r"; "\xff\xfe\xc0" ] );
+        (1, string_size ~gen:char (0 -- 8));
+      ]
+  in
+  let sep = oneofl [ " "; "  "; "\t"; "\r"; "" ] in
+  map2
+    (fun first rest ->
+      String.concat "" (first :: List.map (fun (w, s) -> s ^ w) rest))
+    (frequency [ (2, return "run"); (1, word) ])
+    (list_size (0 -- 5) (pair word sep))
+
+let prop_protocol_total line =
+  match Driver.Replay.parse_command line with
+  | Driver.Replay.Run { name; seed; deadline_ms } ->
+    (match deadline_ms with Some ms -> ms > 0 | None -> true)
+    && (match Driver.Replay.request name ~seed with Ok _ | Error _ -> true)
+  | Invalid reply -> String.starts_with ~prefix:"err unknown command " reply
+  | Blank | Quit | Sync | Stats -> true
+
+let test_protocol_replies () =
+  let run line =
+    match Driver.Replay.parse_command line with
+    | Driver.Replay.Run { name; seed; deadline_ms } -> (name, seed, deadline_ms)
+    | _ -> Alcotest.failf "%S is not a run request" line
+  in
+  let check_run what (name, seed, deadline) line =
+    let n, s, d = run line in
+    check_output (what ^ ": name") name n;
+    check_int (what ^ ": seed") seed s;
+    check_bool (what ^ ": deadline") true (d = deadline)
+  in
+  check_run "negative deadline is none" ("wc", 1, None) "run wc 1 -5";
+  check_run "oversized seed is 0" ("wc", 0, None)
+    "run wc 99999999999999999999";
+  check_run "extra words ignored" ("wc", 2, Some 50) " run  wc 2 50 extra\r";
+  check_run "no seed is 0" ("drift", 0, None) "run drift";
+  check_bool "blank" true (Driver.Replay.parse_command " \t" = Blank);
+  check_bool "exit" true (Driver.Replay.parse_command "exit" = Quit);
+  check_bool "sync" true (Driver.Replay.parse_command "sync\r" = Sync);
+  check_bool "bogus" true
+    (Driver.Replay.parse_command "bogus"
+    = Invalid "err unknown command \"bogus\"");
+  (match Driver.Replay.request "nosuch" ~seed:3 with
+  | Error _ as refused ->
+    check_output "unknown workload" "resp 3 err unknown workload \"nosuch\""
+      (Driver.Replay.render 3 refused)
+  | Ok _ -> Alcotest.fail "an unknown workload was served");
+  let response =
+    {
+      Driver.Server.rs_program = "wc";
+      rs_status = "ok";
+      rs_output = "hi\n";
+      rs_exit_code = 0;
+      rs_backend = "compiled";
+      rs_generation = 2;
+      rs_cold = false;
+      rs_message = "";
+      rs_wall_ms = 0.25;
+    }
+  in
+  check_output "ok reply"
+    "resp 7 ok program=wc gen=2 cold=false backend=compiled exit=0 \
+     ms=0.250 bytes=3 md5=764efa883dda1e11db47671c4a3bbd9e"
+    (Driver.Replay.render 7 (Ok response));
+  check_output "failed reply"
+    "resp 8 timeout program=wc msg=\"deadline\""
+    (Driver.Replay.render 8
+       (Ok { response with rs_status = "timeout"; rs_message = "deadline" }));
+  (* the inputs a request serves: wc on seeds 1 and 0 answer as they did
+     when serve built its own inputs (11 and 9 bytes) *)
+  List.iter
+    (fun (seed, bytes, md5) ->
+      let source, input = Result.get_ok (Driver.Replay.request "wc" ~seed) in
+      let r =
+        Sim.Machine.run_reference
+          (Driver.Pipeline.compile_base Driver.Config.default source)
+          ~input
+      in
+      check_int "output bytes" bytes (String.length r.Sim.Machine.output);
+      check_output "output md5" md5
+        (Digest.to_hex (Digest.string r.Sim.Machine.output)))
+    [ (1, 11, "eabdf465db6fb67c171d2b34ab0c908d");
+      (0, 9, "3894b322de877c54be73d70542170bab") ]
+
 let suite =
   [
     case "artifact: single-flight across domains" test_artifact_single_flight;
@@ -880,4 +1020,9 @@ let suite =
       test_replay_report_golden;
     case "replay: unknown workload rejected" test_replay_rejects_unknown_workload;
     case "replay: input slices" test_input_slice;
+    case "server: shadow sampler counts per program" test_sampler_per_program;
+    qcheck "serve protocol: any bytes parse to a command"
+      (QCheck.make ~print:(Printf.sprintf "%S") protocol_line)
+      prop_protocol_total;
+    case "serve protocol: replies pinned" test_protocol_replies;
   ]

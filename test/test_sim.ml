@@ -113,6 +113,28 @@ let test_trap_fuel () =
   | exception Sim.Machine.Trap _ -> ()
   | _ -> Alcotest.fail "expected fuel trap"
 
+(* a deadline that passed before the run started cancels every backend,
+   even on a run far shorter than the watchdog's 2048-poll clock window *)
+let test_watchdog_short_run () =
+  let prog = compile_final "int main() { print_int(7); return 0; }" in
+  let backends =
+    [ `Reference; `Compiled ] @ if Sim.Native.available () then [ `Native ] else []
+  in
+  List.iter
+    (fun backend ->
+      let cancel = Sim.Runtime.watchdog ~ms:1 in
+      Unix.sleepf 0.01;
+      match
+        Sim.Machine.run ~backend
+          ~config:{ Sim.Machine.default_config with Sim.Machine.cancel = Some cancel }
+          prog ~input:""
+      with
+      | exception Sim.Machine.Cancelled -> ()
+      | _ ->
+        Alcotest.failf "%s: a run past its deadline was not cancelled"
+          (Sim.Machine.backend_name backend))
+    backends
+
 let test_trap_depth () =
   let prog =
     compile_final "int f(int n) { return f(n + 1); } int main() { return f(0); }"
@@ -376,6 +398,8 @@ let suite =
     case "machine: trap on division by zero" test_trap_div_by_zero;
     case "machine: trap on out-of-bounds" test_trap_oob;
     case "machine: trap on fuel exhaustion" test_trap_fuel;
+    case "machine: watchdog cancels a short run past its deadline"
+      test_watchdog_short_run;
     case "machine: trap on runaway recursion" test_trap_depth;
     case "machine: trap on unknown function" test_trap_unknown_function;
     case "machine: trap on unlowered switch" test_trap_unlowered_switch;
