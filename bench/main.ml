@@ -23,11 +23,11 @@
 
    The 17-workload matrix of each heuristic set is fanned out across
    OCaml 5 domains (Driver.Pool) under the guarded runner: a workload
-   that crashes or times out is contained (with --timeout-ms honoured),
-   its section cells print `-', and the partial results stand.  The
-   `backends' section runs both finalized versions of every set-I
-   program through the closure-compiled and (when available) native
-   engines and fails unless each agrees with the reference.
+   that crashes is contained, its section cells print `-', and the
+   partial results stand.  The `backends' section runs both finalized
+   versions of every set-I program through the closure-compiled and
+   (when available) native engines and fails unless each agrees with
+   the reference.
 
    Every section prints text only, and its stdout is a function of the
    code and the inputs alone: no wall clock, and the same bytes at any
@@ -41,7 +41,6 @@
 let fast = ref false
 let sections = ref []
 let jobs_flag = ref None
-let timeout_ms = ref None
 
 (* --verify: run the translation validator inside every matrix pipeline
    (Pipeline.run fails the job on any rejection), so a bench run
@@ -75,10 +74,9 @@ let jobs_for ?(workloads = Workloads.Registry.all) config =
         ())
     workloads
 
-(* every table's jobs run under the command line's watchdog, degrading
-   down the backend ladder *)
+(* every table's jobs run guarded, degrading down the backend ladder *)
 let run_guarded jobs =
-  let policy = { Driver.Guard.timeout_ms = !timeout_ms; degrade = true } in
+  let policy = { Driver.Guard.default with Driver.Guard.degrade = true } in
   Driver.Pipeline.run_jobs_guarded ~domains:(domains ()) ~policy jobs
 
 (* a failed job is contained, not fatal: warn here, and the caller
@@ -687,13 +685,6 @@ let parse_args () =
       | Some n when n >= 1 -> jobs_flag := Some n
       | _ ->
         prerr_endline "bench: -j expects a positive integer";
-        exit 2);
-      go rest
-    | "--timeout-ms" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> timeout_ms := Some n
-      | _ ->
-        prerr_endline "bench: --timeout-ms expects a positive integer";
         exit 2);
       go rest
     | s :: _ when String.length s > 0 && s.[0] = '-' ->

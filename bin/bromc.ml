@@ -346,20 +346,9 @@ let reorder_cmd =
       $ exhaustive $ common_succ $ coalesce $ profile_layout $ profile_arg
       $ backend_term () $ timings_arg $ verify_arg)
 
-(* flags shared by the fault-tolerant commands (suite, fuzz, bench) *)
-let timeout_ms_arg =
-  maybe Arg.int [ "timeout-ms" ] ~docv:"MS"
-    "Per-attempt wall-clock watchdog: a run exceeding $(docv) is \
-     cancelled at the next basic block and reported as a timeout."
-
-let failures_json_arg =
-  maybe Arg.string [ "failures-json" ] ~docv:"FILE"
-    "Write a machine-readable manifest (one JSON object per line, \
-     flushed incrementally) recording every job's outcome to $(docv)."
-
 let suite_cmd =
-  let run hs jobs backend verify profile names timeout_ms failures_json
-      inject_n inject_seed no_degrade =
+  let run hs jobs backend verify profile names timeout_ms inject_n inject_seed
+      no_degrade =
     handle_errors (fun () ->
         let workloads =
           match names with
@@ -449,12 +438,6 @@ let suite_cmd =
         Printf.printf
           "total: %.2fs on %d domain(s); %d ok (%d degraded), %d failed\n"
           wall domains (count is_ok) degraded failed;
-        (match failures_json with
-        | Some path ->
-          Driver.Manifest.write path
-            (List.map Driver.Pipeline.manifest_of_outcome outcomes);
-          Printf.eprintf "failure manifest written to %s\n" path
-        | None -> ());
         if faults <> [] then begin
           let c = Driver.Pipeline.containment faults outcomes in
           let lost =
@@ -483,6 +466,11 @@ let suite_cmd =
       value & pos_all string []
       & info [] ~docv:"WORKLOAD"
           ~doc:"Workloads to run (default: all built-ins).")
+  in
+  let timeout_ms =
+    maybe Arg.int [ "timeout-ms" ] ~docv:"MS"
+      "Per-attempt wall-clock watchdog: a run exceeding $(docv) is \
+       cancelled at the next basic block and reported as a timeout."
   in
   let inject_n =
     Arg.(
@@ -518,8 +506,8 @@ let suite_cmd =
           together (see $(b,--timeout-ms), $(b,--inject)).")
     Term.(
       const run $ heuristic_arg $ jobs $ backend_term ~ladder:true ()
-      $ verify_arg $ profile_arg $ names $ timeout_ms_arg $ failures_json_arg
-      $ inject_n $ inject_seed $ no_degrade)
+      $ verify_arg $ profile_arg $ names $ timeout_ms $ inject_n $ inject_seed
+      $ no_degrade)
 
 (* trained/static only: `Both is a pipeline notion (train + backfill);
    the per-case fuzz and corpus harnesses have exactly one counts
@@ -565,50 +553,11 @@ let profile2_arg =
            heuristic prediction; no training run).")
 
 let fuzz_cmd =
-  let run cases seed backends inject profile save_failure corpus_dir quiet
-      failures_json resume timeout_ms =
+  let run cases seed backends inject profile save_failure corpus_dir quiet =
     handle_errors (fun () ->
         let log = if quiet then ignore else fun m -> Printf.eprintf "%s\n%!" m in
-        (* resume: cases already green in a previous (possibly killed)
-           run's manifest are skipped, and their entries carried forward *)
-        let green =
-          match resume with
-          | None -> []
-          | Some path ->
-            List.filter
-              (fun (e : Driver.Manifest.entry) ->
-                Driver.Manifest.ok e && e.Driver.Manifest.e_id < cases)
-              (Driver.Manifest.read path)
-        in
-        let green_ids = Hashtbl.create 64 in
-        List.iter
-          (fun (e : Driver.Manifest.entry) ->
-            Hashtbl.replace green_ids e.Driver.Manifest.e_id ())
-          green;
-        let writer = Option.map Driver.Manifest.create failures_json in
-        (match writer with
-        | Some w -> List.iter (Driver.Manifest.add w) green
-        | None -> ());
-        let on_case =
-          Option.map
-            (fun w case status ->
-              Driver.Manifest.add w
-                (Driver.Manifest.entry
-                   ~label:(Printf.sprintf "case-%d" case)
-                   ~id:case ~status ()))
-            writer
-        in
-        let skip =
-          if Hashtbl.length green_ids = 0 then None
-          else Some (Hashtbl.mem green_ids)
-        in
         let stats =
-          Fun.protect
-            ~finally:(fun () ->
-              match writer with Some w -> Driver.Manifest.close w | None -> ())
-            (fun () ->
-              Check.Fuzz.run ~backends ~inject ~log ~profile ?skip ?on_case
-                ?deadline_ms:timeout_ms ~cases ~seed ())
+          Check.Fuzz.run ~backends ~inject ~log ~profile ~cases ~seed ()
         in
         print_string (Format.asprintf "%a" Check.Fuzz.pp_stats stats);
         if inject && stats.Check.Fuzz.st_injected = 0 then begin
@@ -674,28 +623,17 @@ let fuzz_cmd =
       "Freeze each shrunk counterexample as a $(b,.mir) repro under \
        $(docv), ready for $(b,bromc bench corpus) to replay."
   in
-  let resume =
-    maybe Arg.string [ "resume" ] ~docv:"FILE"
-      "Resume from a checkpoint manifest written by a previous \
-       $(b,--failures-json) run (killed or complete): cases it already \
-       proved green are skipped, and their entries carried forward into \
-       this run's manifest.  Sound because the corpus is deterministic \
-       in $(b,--seed)."
-  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
          "Fuzz the reordering pipeline: random programs through generate → \
           train → reorder → translation-validate (Check.Verify) → \
           differential execution across backends, with shrunk \
-          counterexamples on failure.  $(b,--failures-json) checkpoints one \
-          manifest line per case as it completes; $(b,--resume) skips cases \
-          an earlier manifest already proved green; $(b,--timeout-ms) arms a \
-          per-case watchdog.")
+          counterexamples on failure.  Runs are deterministic in \
+          $(b,--seed): rerunning a seed reproduces a run.")
     Term.(
       const run $ cases $ seed $ backends_term $ inject $ profile2_arg
-      $ save_failure $ corpus_dir $ quiet_arg $ failures_json_arg $ resume
-      $ timeout_ms_arg)
+      $ save_failure $ corpus_dir $ quiet_arg)
 
 let lint_cmd =
   let run source hs json no_explain facts divergence input =

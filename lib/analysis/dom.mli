@@ -23,9 +23,6 @@ val virtual_exit : string
 (** The synthetic root of the reversed CFG (["<exit>"]; not a valid MIR
     label, so it can never collide). *)
 
-val of_graph : root:string -> succs:(string -> string list) -> t
-(** The raw engine, for non-CFG graphs and tests. *)
-
 val idom : t -> string -> string option
 (** Immediate dominator; [None] for the root and unanalyzed labels. *)
 

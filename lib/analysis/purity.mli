@@ -20,7 +20,6 @@ val effects : ?intervals:Intervals.t -> Mir.Block.t -> effect list
 
 val pure : ?intervals:Intervals.t -> Mir.Block.t -> bool
 
-val pp_effect : Format.formatter -> effect -> unit
 val describe : effect list -> string
 (** Human-readable one-line summary, e.g.
     ["stores to counts; calls put_char"] — ["pure"] when empty. *)

@@ -10,10 +10,6 @@ type failure = {
 
 type stats = {
   st_cases : int;
-  st_skipped : int;
-      (* cases not re-run because a resume manifest already proved them *)
-  st_timeouts : int;
-      (* cases abandoned by the per-case watchdog (reported, not failed) *)
   st_reordered : int;
   st_coalesced : int;
   st_unchanged : int;
@@ -45,11 +41,6 @@ let pp_stats ppf st =
     st.st_cases st.st_reordered st.st_coalesced st.st_unchanged st.st_pieces
     (String.concat ", "
        (List.map (fun (f, n) -> Printf.sprintf "%s=%d" f n) st.st_form_counts));
-  if st.st_skipped > 0 then
-    Format.fprintf ppf "%d cases skipped (already green in resume manifest)@,"
-      st.st_skipped;
-  if st.st_timeouts > 0 then
-    Format.fprintf ppf "%d cases timed out (watchdog)@," st.st_timeouts;
   if st.st_injected > 0 then
     Format.fprintf ppf "injected %d bugs, caught %d%s@," st.st_injected
       st.st_caught
@@ -93,8 +84,7 @@ let coalesce_machine_for case =
 (* alternate the detector too: even cases use the interval-facts walk
    (the pipeline default), odd cases the syntactic one, so both are
    under the verifier and the backend differential *)
-let transform_built ?coalesce_machine ?(config = Sim.Machine.default_config)
-    ?(profile = `Trained) ~facts ~train base =
+let transform_built ?coalesce_machine ?(profile = `Trained) ~facts ~train base =
   let seqs = Detect.find_program ~facts base in
   let table =
     match profile with
@@ -106,7 +96,7 @@ let transform_built ?coalesce_machine ?(config = Sim.Machine.default_config)
       let train_prog = Mir.Clone.program base in
       let table = Reorder.Profiles.instrument train_prog seqs in
       let (_ : Sim.Machine.result) =
-        Sim.Machine.run ~config ~profile:table train_prog ~input:train
+        Sim.Machine.run ~profile:table train_prog ~input:train
       in
       table
   in
@@ -114,8 +104,8 @@ let transform_built ?coalesce_machine ?(config = Sim.Machine.default_config)
   let report = Pass.run ?coalesce_machine reord seqs table in
   (base, reord, report)
 
-let transform ?coalesce_machine ?config ?profile ~facts spec =
-  transform_built ?coalesce_machine ?config ?profile ~facts
+let transform ?coalesce_machine ?profile ~facts spec =
+  transform_built ?coalesce_machine ?profile ~facts
     ~train:spec.Gen.sp_train (build spec)
 
 (* ------------------------------------------------------------------ *)
@@ -214,7 +204,7 @@ type execution = {
   x_blocks : (string * string) list;
 }
 
-let capture ?(config = Sim.Machine.default_config) backend prog ~input =
+let capture backend prog ~input =
   let branches = ref [] in
   let blocks = ref [] in
   let sink =
@@ -223,21 +213,21 @@ let capture ?(config = Sim.Machine.default_config) backend prog ~input =
   in
   let on_block ~func ~label = blocks := (func, label) :: !blocks in
   let result =
-    try Ok (Sim.Machine.run ~config ~backend ~sink ~on_block prog ~input)
+    try Ok (Sim.Machine.run ~backend ~sink ~on_block prog ~input)
     with Sim.Machine.Trap m -> Error m
   in
   { x_result = result; x_branches = List.rev !branches; x_blocks = List.rev !blocks }
 
 (* all requested backends must agree on everything observable *)
-let cross_backend_errors ?config ~what backends prog ~input =
+let cross_backend_errors ~what backends prog ~input =
   match backends with
   | [] | [ _ ] -> ([], [])
   | first :: rest ->
-    let base = capture ?config first prog ~input in
+    let base = capture first prog ~input in
     let errors = ref [] in
     List.iter
       (fun b ->
-        let r = capture ?config b prog ~input in
+        let r = capture b prog ~input in
         let clash field =
           errors :=
             !errors
@@ -262,14 +252,14 @@ let cross_backend_errors ?config ~what backends prog ~input =
       rest;
     ([ base ], !errors)
 
-let differential_errors ?config backends ~orig ~reord ~input =
+let differential_errors backends ~orig ~reord ~input =
   let run1 prog what =
-    match cross_backend_errors ?config ~what backends prog ~input with
+    match cross_backend_errors ~what backends prog ~input with
     | [ base ], errs -> (Some base, errs)
     | _, errs -> (
       match backends with
       | [] -> (None, errs)
-      | b :: _ -> (Some (capture ?config b prog ~input), errs))
+      | b :: _ -> (Some (capture b prog ~input), errs))
   in
   let o, errs_o = run1 orig "original" in
   let r, errs_r = run1 reord "reordered" in
@@ -309,13 +299,13 @@ let differential_errors ?config backends ~orig ~reord ~input =
    symmetrically), and a subsumed arm's test must never fire.  Run on
    the untransformed program over both fuzz inputs; any contradiction is
    a lint false positive and fails the case. *)
-let lint_cross_errors ?(config = Sim.Machine.default_config) prog ~inputs =
+let lint_cross_errors prog ~inputs =
   let diags = Analysis.Lint.check_program prog in
   if diags = [] then ([], 0)
   else begin
     let visited = Hashtbl.create 64 in
     let outcomes =
-      Sim.Machine.branch_counts ~config
+      Sim.Machine.branch_counts ~config:Sim.Machine.default_config
         ~on_block:(fun ~func ~label -> Hashtbl.replace visited (func, label) ())
         prog ~inputs
     in
@@ -389,7 +379,7 @@ let contained f =
    tally, and — unless [verdict] settles the outcome from the
    certification alone — the lint cross-check, finalizing both versions
    exactly like the pipeline, validation, and the backend race *)
-let check_transformed ?config ?(verdict = fun _ _ -> None) ~backends
+let check_transformed ?(verdict = fun _ _ -> None) ~backends
     ~train ~test (base, reord, report) =
   let summary = Verify.certify_report ~before:base ~after:reord report in
   let reo, coa, unc = count_outcomes report in
@@ -409,23 +399,23 @@ let check_transformed ?config ?(verdict = fun _ _ -> None) ~backends
       { out with co_errors = Verify.all_errors summary }
     else begin
       let lint_errors, lint_diags =
-        lint_cross_errors ?config base ~inputs:[ train; test ]
+        lint_cross_errors base ~inputs:[ train; test ]
       in
       let orig = Mir.Clone.program base in
       ignore (Mopt.Cleanup.finalize orig);
       ignore (Mopt.Cleanup.finalize reord);
       Mir.Validate.check orig;
       Mir.Validate.check reord;
-      let errors = differential_errors ?config backends ~orig ~reord ~input:test in
+      let errors = differential_errors backends ~orig ~reord ~input:test in
       { out with co_errors = lint_errors @ errors; co_lint_diags = lint_diags }
     end
 
-let run_case ?config ?profile ~backends ~inject ~case spec =
+let run_case ?profile ~backends ~inject ~case spec =
   contained (fun () ->
       let ((base, reord, report) as transformed) =
         transform
           ?coalesce_machine:(coalesce_machine_for case)
-          ?config ?profile ~facts:(case_facts case) spec
+          ?profile ~facts:(case_facts case) spec
       in
       (* inject mode judges the verifier, not the program: a wrong
          default planted before certification must be caught, and a case
@@ -449,7 +439,7 @@ let run_case ?config ?profile ~backends ~inject ~case spec =
               }
           else Some { out with co_caught = true; co_blocks = Some blocks }
       in
-      check_transformed ?config ~verdict ~backends ~train:spec.Gen.sp_train
+      check_transformed ~verdict ~backends ~train:spec.Gen.sp_train
         ~test:spec.Gen.sp_test transformed)
 
 let spec_of_case ~seed ~case = Gen.spec_of_seed ((seed * 1_000_003) + case)
@@ -472,7 +462,7 @@ let all_backends () : Sim.Machine.backend list =
    instead of a generated spec — what [bromc bench corpus] feeds saved
    [.mir] repros through.  The program may still contain [Switch]
    terminators; it is cloned first, so the caller's copy survives. *)
-let run_program ?config ?(backends = default_backends) ?(facts = true)
+let run_program ?(backends = default_backends) ?(facts = true)
     ?(coalesce = false) ?profile ~heuristic ~train ~test prog =
   contained (fun () ->
       let built = Mir.Clone.program prog in
@@ -480,11 +470,11 @@ let run_program ?config ?(backends = default_backends) ?(facts = true)
       Mopt.Switch_lower.lower_program heuristic built;
       Mopt.Cleanup.run built;
       Mir.Validate.check built;
-      check_transformed ?config ~backends ~train ~test
+      check_transformed ~backends ~train ~test
         (transform_built
            ?coalesce_machine:
              (if coalesce then Some Sim.Cycle_model.sparc_ipc else None)
-           ?config ?profile ~facts ~train built))
+           ?profile ~facts ~train built))
 
 (* ------------------------------------------------------------------ *)
 (* The driver loop                                                      *)
@@ -498,7 +488,7 @@ let form_name = function
   | Gen.F_between _ -> "between"
 
 let run ?(backends = default_backends) ?(inject = false) ?(log = ignore)
-    ?profile ?skip ?on_case ?deadline_ms ~cases ~seed () =
+    ?profile ~cases ~seed () =
   let form_tally = Hashtbl.create 8 in
   let tally spec =
     List.iter
@@ -516,29 +506,11 @@ let run ?(backends = default_backends) ?(inject = false) ?(log = ignore)
   and injected = ref 0
   and caught = ref 0
   and lint_diags = ref 0
-  and best_blocks = ref None
-  and skipped = ref 0
-  and timeouts = ref 0 in
-  let notify case status =
-    match on_case with Some f -> f case status | None -> ()
-  in
-  (* one latching watchdog covers the whole case: the training run, every
-     differential execution, the lint cross-check, and any shrinking *)
-  let case_config () =
-    match deadline_ms with
-    | None -> None
-    | Some ms ->
-      Some
-        {
-          Sim.Machine.default_config with
-          Sim.Machine.cancel = Some (Sim.Runtime.watchdog ~ms);
-        }
-  in
+  and best_blocks = ref None in
   let process case =
     let spec = spec_of_case ~seed ~case in
     tally spec;
-    let config = case_config () in
-    let out = run_case ?config ?profile ~backends ~inject ~case spec in
+    let out = run_case ?profile ~backends ~inject ~case spec in
     reordered := !reordered + out.co_reordered;
     coalesced := !coalesced + out.co_coalesced;
     unchanged := !unchanged + out.co_unchanged;
@@ -550,11 +522,11 @@ let run ?(backends = default_backends) ?(inject = false) ?(log = ignore)
       (* shrink the caught case once, for the smallest demonstration *)
       if !best_blocks = None then begin
         let keep s =
-          (run_case ?config ?profile ~backends ~inject:true ~case s).co_caught
+          (run_case ?profile ~backends ~inject:true ~case s).co_caught
         in
         let shrunk = Gen.shrink_spec ~keep spec in
         let blocks =
-          (run_case ?config ?profile ~backends ~inject:true ~case shrunk)
+          (run_case ?profile ~backends ~inject:true ~case shrunk)
             .co_blocks
         in
         best_blocks := blocks
@@ -562,7 +534,7 @@ let run ?(backends = default_backends) ?(inject = false) ?(log = ignore)
     end;
     if out.co_errors <> [] then begin
       let keep s =
-        (run_case ?config ?profile ~backends ~inject ~case s).co_errors <> []
+        (run_case ?profile ~backends ~inject ~case s).co_errors <> []
       in
       let shrunk = Gen.shrink_spec ~keep spec in
       let f =
@@ -575,23 +547,10 @@ let run ?(backends = default_backends) ?(inject = false) ?(log = ignore)
       in
       failures := !failures @ [ f ];
       log (Format.asprintf "%a" pp_failure f)
-    end;
-    out.co_errors <> []
+    end
   in
   for case = 0 to cases - 1 do
-    (match skip with
-    | Some p when p case -> incr skipped
-    | _ -> (
-      match process case with
-      | failed -> notify case (if failed then "failed" else "ok")
-      | exception Sim.Runtime.Cancelled ->
-        (* the per-case watchdog fired; abandon this case (its partial
-           tallies stand) and keep the corpus going *)
-        incr timeouts;
-        log
-          (Printf.sprintf "fuzz: case %d timed out after %d ms" case
-             (Option.value ~default:0 deadline_ms));
-        notify case "timeout"));
+    process case;
     if (case + 1) mod 100 = 0 then
       log
         (Printf.sprintf "fuzz: %d/%d cases, %d sequences reordered, %d failures"
@@ -600,8 +559,6 @@ let run ?(backends = default_backends) ?(inject = false) ?(log = ignore)
   done;
   {
     st_cases = cases;
-    st_skipped = !skipped;
-    st_timeouts = !timeouts;
     st_reordered = !reordered;
     st_coalesced = !coalesced;
     st_unchanged = !unchanged;

@@ -32,13 +32,6 @@ type failure = {
 
 type stats = {
   st_cases : int;
-  st_skipped : int;
-      (** cases not re-run because [skip] said a resume manifest already
-          proved them green *)
-  st_timeouts : int;
-      (** cases abandoned by the per-case watchdog ([deadline_ms]);
-          reported, but not counted as failures — a slow case is not a
-          wrong one *)
   st_reordered : int;   (** sequences reordered across all cases *)
   st_coalesced : int;
   st_unchanged : int;
@@ -104,7 +97,6 @@ val case_coalesce : int -> bool
     replay of case [i] makes the same choices. *)
 
 val run_case :
-  ?config:Sim.Machine.config ->
   ?profile:[ `Trained | `Static ] ->
   backends:Sim.Machine.backend list ->
   inject:bool ->
@@ -120,7 +112,6 @@ val run_case :
     predicted counts. *)
 
 val run_program :
-  ?config:Sim.Machine.config ->
   ?backends:Sim.Machine.backend list ->
   ?facts:bool ->
   ?coalesce:bool ->
@@ -141,16 +132,13 @@ val run :
   ?inject:bool ->
   ?log:(string -> unit) ->
   ?profile:[ `Trained | `Static ] ->
-  ?skip:(int -> bool) ->
-  ?on_case:(int -> string -> unit) ->
-  ?deadline_ms:int ->
   cases:int ->
   seed:int ->
   unit ->
   stats
 (** Deterministic in [seed]: case [i] draws from a PRNG seeded with
     [seed] and [i], so the same [(cases, seed)] always replays the same
-    corpus — which is what makes checkpoint/resume sound.  [log]
+    corpus, and rerunning a seed reproduces a run.  [log]
     receives one progress line every few hundred cases.  [backends]
     defaults to the reference and closure engines
     ({!default_backends}); native code generation compiles out of
@@ -159,14 +147,6 @@ val run :
     (default [`Trained]) selects the counts source for every case; with
     [`Static] the fuzzer exercises the profile-free prediction path —
     injection self-tests still apply, since the verifier must reject a
-    planted bug no matter where the counts came from.
-
-    [skip case] short-circuits a case without running it (resume from a
-    checkpoint manifest); skipped cases count in [st_skipped] and do not
-    reach [on_case].  [on_case case status] fires after every executed
-    case with ["ok"], ["failed"] or ["timeout"] — the checkpoint hook
-    ([bromc fuzz --failures-json] appends and flushes one manifest line
-    per case, so a killed run resumes).  [deadline_ms] arms one latching
-    {!Sim.Runtime.watchdog} per case spanning training, differential
-    execution, lint cross-check and shrinking; an expired case is
-    abandoned (the corpus continues) and tallied in [st_timeouts]. *)
+    planted bug no matter where the counts came from.  Every simulated
+    run is bounded by the default fuel, so a runaway case ends as a
+    contained failure, never a hang. *)

@@ -33,8 +33,6 @@ type cond =
   | Cge of int
   | Cbetween of int * int
 
-val cond_to_c : cond -> string
-val gen_cond : cond QCheck2.Gen.t
 
 type dispatch = {
   conds : (cond * bool) list;  (** condition, side effect before it *)
@@ -48,7 +46,6 @@ val dispatch_source : dispatch -> string
     side-effect counter. *)
 
 val print_dispatch : dispatch -> string
-val gen_input : string QCheck2.Gen.t
 val gen_dispatch : dispatch QCheck2.Gen.t
 
 val switch_source : int list -> string

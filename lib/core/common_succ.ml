@@ -8,6 +8,7 @@ type run = {
   costs : int array;
 }
 
+(* as the paper suggests for the combination-counter table *)
 let max_run_length = 7
 
 (* a chain link: pure compare + branch.  Non-head links must be exactly

@@ -27,9 +27,6 @@ type run = {
   costs : int array;           (** instructions per block (compare + branch) *)
 }
 
-val max_run_length : int
-(** 7, as the paper suggests for the combination-counter table. *)
-
 val find_func :
   ?exclude:(string -> bool) -> next_id:int ref -> Mir.Func.t -> run list
 

@@ -44,8 +44,6 @@ val drifted : served:string -> current:string -> bool
     [None], forcing the restored daemon to recompute rather than compare
     incomparable signatures. *)
 
-val state_version : int
-
 val state_to_string : generation:int -> executions:int -> string -> string
 (** Render [(generation, executions, signature)] as one line (the
     signature may contain any characters except newline). *)

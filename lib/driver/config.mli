@@ -57,7 +57,7 @@ type t = {
 val default : t
 
 val backend_name : Sim.Machine.backend -> string
-(** {!Sim.Machine.backend_name}: the stable tag used in manifests and
+(** {!Sim.Machine.backend_name}: the stable tag used in outcomes and
     reports. *)
 
 val rungs : t -> Sim.Machine.backend list

@@ -4,8 +4,8 @@
    runner ({!Pipeline.run_jobs_guarded}) arms the fault only on the
    job's originally-requested backend, so the degradation ladder has
    something real to recover from.  Every fault must end up contained:
-   attributed to its job in the outcome list (and failure manifest)
-   without disturbing any sibling. *)
+   attributed to its job in the outcome list without disturbing any
+   sibling. *)
 
 type kind =
   | Raise      (* an exception thrown inside the worker *)

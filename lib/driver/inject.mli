@@ -4,9 +4,9 @@
     all five kinds cycled) for a run of [jobs] jobs;
     {!Pipeline.run_jobs_guarded} arms each fault on its victim's
     originally-requested backend only, so backend degradation has a
-    real recovery path.  The tests and the CI smoke job assert that
-    every planted fault is contained: attributed to its job id in the
-    outcome list and failure manifest, with every sibling's result
+    real recovery path.  The tests and [bromc suite --inject] assert
+    that every planted fault is contained: attributed to its job in the
+    outcome list ({!Pipeline.containment}), with every sibling's result
     intact. *)
 
 type kind =
@@ -19,8 +19,8 @@ type kind =
 val all_kinds : kind list
 
 val kind_name : kind -> string
-(** Stable machine-readable tag ("raise", "trap", "fuel", "deadline",
-    "corrupt") used in manifests. *)
+(** Stable tag ("raise", "trap", "fuel", "deadline", "corrupt"), the
+    [o_injected] of a victim's outcome. *)
 
 type fault = {
   i_job : int;          (** victim job index *)
@@ -59,8 +59,6 @@ type server_kind =
   | S_truncate_artifact  (** a cached [.cmxs] truncated on disk *)
   | S_tear_journal  (** the durability journal's tail torn mid-record *)
 
-val all_server_kinds : server_kind list
-
 val server_kind_name : server_kind -> string
 (** Stable tag ("kill_worker", "stall", "corrupt_artifact",
     "truncate_artifact", "tear_journal") used in chaos reports. *)
@@ -69,8 +67,8 @@ type server_fault = { sv_request : int; sv_kind : server_kind }
 
 val server_plan : seed:int -> requests:int -> count:int -> server_fault list
 (** [min count requests] faults against distinct victim requests,
-    deterministic in [seed], kinds cycled in {!all_server_kinds} order
-    (every class appears whenever [count >= 5]), sorted by request
-    index. *)
+    deterministic in [seed], kinds cycled in the order of
+    {!server_kind}'s constructors (every class appears whenever
+    [count >= 5]), sorted by request index. *)
 
 val server_find : server_fault list -> request:int -> server_fault option

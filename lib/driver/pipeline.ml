@@ -473,14 +473,6 @@ let run_jobs_guarded ?domains ?(policy = Guard.default) ?(inject = []) jobs =
       run_guarded_job ?fault:(Inject.find inject ~job:i) ~index:i ~policy j)
     indexed
 
-let manifest_of_outcome o =
-  Manifest.entry ~label:o.o_name
-    ~message:(Pool.outcome_message o.o_outcome)
-    ~attempts:o.o_attempts ~retried:o.o_retried ~backend:o.o_backend
-    ~degraded:o.o_degraded ~injected:o.o_injected
-    ~wall_ms:(o.o_seconds *. 1000.0) ~id:o.o_index
-    ~status:(Pool.outcome_status o.o_outcome) ()
-
 type containment = {
   c_planted : int;
   c_recovered : int;

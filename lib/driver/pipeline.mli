@@ -200,9 +200,6 @@ val run_jobs_guarded :
     {!Pool.default_domains}, and no job's failure can abort or disturb
     a sibling. *)
 
-val manifest_of_outcome : job_outcome -> Manifest.entry
-(** The failure-manifest row for one job outcome ([--failures-json]). *)
-
 type containment = {
   c_planted : int;
   c_recovered : int;  (** victims that still ended [ok] *)

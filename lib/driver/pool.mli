@@ -48,8 +48,8 @@ type 'a outcome =
 val outcome_ok : 'a outcome -> bool
 
 val outcome_status : 'a outcome -> string
-(** ["ok" | "trap" | "timeout" | "crash"] — the stable
-    machine-readable tag used by failure manifests. *)
+(** ["ok" | "trap" | "timeout" | "crash"] — the stable tag
+    [bromc suite] prints in its status column. *)
 
 val outcome_message : 'a outcome -> string
 (** Human-readable failure description; [""] for {!Ok}. *)

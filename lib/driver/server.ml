@@ -584,7 +584,9 @@ let oracle t ~name ~source ~input =
   in
   (r.Sim.Machine.output, r.Sim.Machine.exit_code)
 
-(* [ready], not [find]: the lookup must not count in the cache stats *)
+(* [ready], not [find]: the lookup must not count in the cache stats.
+   Only a native server loads plugins: on any other, a file an earlier
+   native run left in the store for this generation is not its own *)
 let native_artifact t ~source =
   let key = content_key t source in
   match
@@ -592,10 +594,10 @@ let native_artifact t ~source =
       (fun e -> String.equal e.e_key key)
       (Sim.Artifact.ready t.programs)
   with
-  | None -> None
-  | Some e ->
+  | Some e when t.config.Config.backend = `Native ->
     Sim.Native.store_path ?cache_dir:t.config.Config.native_cache_dir
       (Atomic.get e.e_artifact).a_image
+  | _ -> None
 
 let stats t =
   {

@@ -137,8 +137,10 @@ val oracle : t -> name:string -> source:string -> input:string -> string * int
 val native_artifact : t -> source:string -> string option
 (** The store path the native rung loads the plugin of [source]'s
     served generation from ({!Sim.Native.store_path}), whether or not
-    it has been built yet.  [None] when the program has no entry yet or
-    no native plugin can exist.  The chaos replay damages this file. *)
+    it has been built yet.  [None] when the program has no entry yet,
+    no native plugin can exist, or the server's backend is not
+    [`Native] (it never loads a plugin).  The chaos replay damages this
+    file. *)
 
 val sync : t -> unit
 (** Block until every program's shards are merged and the drift check

@@ -1,7 +1,7 @@
 (** A dependency-free JSON value type, parser and printer.
 
     The repo's machine-readable artifacts — the historical [BENCH_PR*.json]
-    snapshots, failure manifests, the durable serving journal, the serve
+    snapshots, the durable serving journal, the serve
     [stats] line, replay records and [lint --json] — are all JSON, and the toolchain deliberately carries
     no third-party JSON dependency.  This module is the one codec every
     reader and writer of them shares: full recursive values, arrays,

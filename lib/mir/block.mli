@@ -50,7 +50,6 @@ val retarget_term : term -> from:string -> into:string -> term
     (a jump table's targets are left alone). *)
 
 val equal_term_kind : term_kind -> term_kind -> bool
-val pp_term : Format.formatter -> term -> unit
 val pp : Format.formatter -> t -> unit
 
 val static_insn_count : layout_next:string option -> t -> int

@@ -44,7 +44,7 @@ type backend = [ `Reference | `Compiled | `Native ]
 
 val backend_name : backend -> string
 (** Stable machine-readable tag ("reference" / "compiled" / "native")
-    used on the command line, in manifests and in reports. *)
+    used on the command line and in reports. *)
 
 val backend_of_name : string -> backend option
 (** Inverse of {!backend_name}; also accepts the aliases "ref" and

@@ -11,11 +11,6 @@ type t = {
   test_input : string Lazy.t;
 }
 
-val runtime_preamble : string
-(** Shared MiniC helpers prepended to every workload: [print_num] (the
-    utilities do their own decimal output, so the digit loop counts as
-    user code, like the paper's measured programs). *)
-
 val make :
   name:string ->
   description:string ->
@@ -23,4 +18,6 @@ val make :
   training_input:string Lazy.t ->
   test_input:string Lazy.t ->
   t
-(** Prepends {!runtime_preamble} to [source]. *)
+(** Prepends the shared MiniC helpers to [source]: [print_num] (the
+    utilities do their own decimal output, so the digit loop counts as
+    user code, like the paper's measured programs). *)

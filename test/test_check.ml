@@ -155,37 +155,6 @@ let test_fuzz_inject_caught () =
     check_bool "shrunk counterexample is small (<= 10 blocks)" true
       (blocks <= 10)
 
-let test_fuzz_skip_and_notify () =
-  (* the checkpoint/resume contract: [skip]-ped cases are not executed
-     but are counted, and [on_case] sees every executed case exactly
-     once with its status *)
-  let seen = Hashtbl.create 16 in
-  let on_case case status = Hashtbl.replace seen case status in
-  let skip case = case < 8 in
-  let stats =
-    Check.Fuzz.run ~cases:12 ~seed:7 ~skip ~on_case
-      ~log:(fun _ -> ())
-      ()
-  in
-  check_bool "run passed" true (Check.Fuzz.ok stats);
-  check_int "skipped count" 8 stats.Check.Fuzz.st_skipped;
-  check_int "executed cases notified" 4 (Hashtbl.length seen);
-  for case = 8 to 11 do
-    check_output
-      (Printf.sprintf "case %d status" case)
-      "ok"
-      (try Hashtbl.find seen case with Not_found -> "<missing>")
-  done;
-  check_int "no watchdog firings expected" 0 stats.Check.Fuzz.st_timeouts;
-  (* resuming everything is a no-op run *)
-  let stats =
-    Check.Fuzz.run ~cases:12 ~seed:7 ~skip:(fun _ -> true)
-      ~log:(fun _ -> ())
-      ()
-  in
-  check_int "all skipped" 12 stats.Check.Fuzz.st_skipped;
-  check_int "nothing executed" 0 stats.Check.Fuzz.st_reordered
-
 let test_spec_of_seed_deterministic () =
   let a = Check.Gen.spec_of_seed 12345 and b = Check.Gen.spec_of_seed 12345 in
   check_output "same seed, same spec" (Check.Gen.show_spec a)
@@ -221,7 +190,6 @@ let suite =
     case "generated specs validate" test_generated_specs_validate;
     case "shrinking preserves the predicate" test_shrink_keeps_predicate;
     slow_case "fuzz smoke (20 cases, all backends)" test_fuzz_smoke;
-    slow_case "fuzz skip/on_case checkpoint contract" test_fuzz_skip_and_notify;
     slow_case "fuzz injection mode catches planted bugs"
       test_fuzz_inject_caught;
   ]

@@ -1,5 +1,5 @@
-(* The dependency-free JSON codec behind the serving journal, failure
-   manifests, replay records, lint --json and the repro headers. *)
+(* The dependency-free JSON codec behind the serving journal, replay
+   records, lint --json and the repro headers. *)
 
 open Helpers
 

@@ -826,6 +826,34 @@ let test_replay_report_golden () =
       in
       check_golden "replay-chaos.txt" (Driver.Replay.report outcome))
 
+(* The golden replay serves on the compiled backend, so it loads no
+   plugin, and an artifact fault has nothing of its own to damage: the
+   report is the same on a store that an earlier native replay filled
+   with the plugins of the very generations it serves. *)
+let test_replay_golden_on_seeded_store () =
+  if not (Sim.Native.available ()) then Alcotest.skip ();
+  with_state_dir (fun dir ->
+      let store = Filename.concat dir "store" in
+      let workloads = [ "wc"; "grep"; "sort"; "awk"; "cb" ] in
+      let native =
+        {
+          Driver.Config.default with
+          Driver.Config.backend = `Native;
+          native_cache_dir = Some store;
+        }
+      in
+      let (_ : Driver.Replay.outcome) =
+        Driver.Replay.run ~config:native ~workloads ~requests:200
+          ~concurrency:1 ~state_dir:(Filename.concat dir "seed") ()
+      in
+      let outcome =
+        Driver.Replay.run
+          ~config:{ Driver.Config.default with native_cache_dir = Some store }
+          ~workloads ~requests:200 ~concurrency:1 ~chaos:5 ~chaos_seed:7
+          ~state_dir:(Filename.concat dir "state") ()
+      in
+      check_golden "replay-chaos.txt" (Driver.Replay.report outcome))
+
 let test_input_slice () =
   check_output "empty stays empty" "" (Driver.Replay.input_slice ~seed:1 "");
   let text = String.concat "\n" (List.init 200 string_of_int) ^ "\n" in
@@ -1018,6 +1046,8 @@ let suite =
       test_replay_artifact_fault_hits_served_plugin;
     slow_case "replay: one-domain chaos report matches golden"
       test_replay_report_golden;
+    slow_case "replay: golden report holds on a store seeded by a native replay"
+      test_replay_golden_on_seeded_store;
     case "replay: unknown workload rejected" test_replay_rejects_unknown_workload;
     case "replay: input slices" test_input_slice;
     case "server: shadow sampler counts per program" test_sampler_per_program;

@@ -1,5 +1,5 @@
 (* Durable serving state: CRC framing, journal + snapshot roundtrips,
-   torn-tail tolerance, and the manifest reader's crash hardening. *)
+   torn-tail tolerance, and the readers' crash hardening. *)
 
 open Helpers
 
@@ -207,44 +207,10 @@ let test_snapshot_compacts_journal () =
         (Sys.file_exists (Driver.State.snapshot_path ~dir ^ ".tmp")))
 
 (* ---------------------------------------------------------------- *)
-(* Satellite: manifest reader skips a torn final line                 *)
-(* ---------------------------------------------------------------- *)
-
-let test_manifest_torn_tail () =
-  let path = Filename.temp_file "bromc_manifest" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let e1 = Driver.Manifest.entry ~id:0 ~status:"ok" () in
-      let e2 =
-        Driver.Manifest.entry ~id:1 ~status:"crash" ~message:"boom" ()
-      in
-      Driver.Manifest.write path [ e1; e2 ];
-      (* a crash mid-append leaves a partial final line *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{ \"id\": 2, \"status\": \"o";
-      close_out oc;
-      let back = Driver.Manifest.read path in
-      Alcotest.(check int) "torn tail dropped, prefix kept" 2
-        (List.length back);
-      check_bool "surviving entries intact" true (back = [ e1; e2 ]);
-      (* a malformed line with valid lines *after* it is corruption *)
-      Driver.Manifest.write path [ e1 ];
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{ garbage }\n";
-      close_out oc;
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "{ \"id\": 3, \"status\": \"ok\" }\n";
-      close_out oc;
-      match Driver.Manifest.read path with
-      | _ -> Alcotest.fail "mid-file corruption must raise"
-      | exception Driver.Manifest.Parse_error _ -> ())
-
-(* ---------------------------------------------------------------- *)
 (* Readers are total on arbitrary bytes                                *)
 (* ---------------------------------------------------------------- *)
 
-(* a \u escape with no hex digits once made the manifest reader raise
+(* a \u escape with no hex digits once made the JSON reader raise
    [Failure "int_of_string"], which slipped past the torn-tail handler
    and, inside a CRC-valid journal frame, out of [State.load] *)
 let bad_unicode = {|{"a": "\uzzzz"}|}
@@ -259,9 +225,9 @@ let write_frames dir payloads =
   close_out oc
 
 let test_bad_escape_is_a_parse_error () =
-  (match Driver.Manifest.entry_of_line bad_unicode with
+  (match Json.parse bad_unicode with
   | _ -> Alcotest.fail "a bad \\u escape must not parse"
-  | exception Driver.Manifest.Parse_error _ -> ());
+  | exception Json.Parse_error _ -> ());
   with_dir (fun dir ->
       write_frames dir
         [
@@ -300,13 +266,6 @@ let parse_raises_only_parse_error =
       | _ -> true
       | exception Json.Parse_error _ -> true)
 
-let manifest_raises_only_parse_error =
-  qcheck ~count:1000 "manifest: entry_of_line raises only Parse_error" jsonish
-    (fun s ->
-      match Driver.Manifest.entry_of_line s with
-      | _ -> true
-      | exception Driver.Manifest.Parse_error _ -> true)
-
 let state_load_is_total =
   qcheck ~count:200 "state: load on framed arbitrary payloads never raises"
     (QCheck.list_of_size (QCheck.Gen.int_range 1 6) jsonish)
@@ -320,8 +279,8 @@ let state_load_is_total =
           = List.length payloads))
 
 (* lines in the spaced format earlier releases wrote, pinned verbatim:
-   manifests and state directories written then must still read back *)
-let legacy_manifest_line =
+   JSON records and state directories written then must still read back *)
+let legacy_spaced_line =
   {|{"id": 4, "label": "a \"quoted\"\nlabel", "status": "crash", "message": "tab\there", "attempts": 3, "retried": 2, "backend": "compiled", "degraded": true, "injected": "raise", "wall_ms": 12.500}|}
 
 let legacy_journal =
@@ -331,16 +290,25 @@ let legacy_journal =
   ]
 
 let test_legacy_lines_read_back () =
-  let e =
-    Driver.Manifest.entry ~label:"a \"quoted\"\nlabel" ~message:"tab\there"
-      ~attempts:3 ~retried:2 ~backend:"compiled" ~degraded:true
-      ~injected:"raise" ~wall_ms:12.5 ~id:4 ~status:"crash" ()
+  let v =
+    Json.Obj
+      [
+        ("id", Json.Int 4);
+        ("label", Json.Str "a \"quoted\"\nlabel");
+        ("status", Json.Str "crash");
+        ("message", Json.Str "tab\there");
+        ("attempts", Json.Int 3);
+        ("retried", Json.Int 2);
+        ("backend", Json.Str "compiled");
+        ("degraded", Json.Bool true);
+        ("injected", Json.Str "raise");
+        ("wall_ms", Json.Float 12.5);
+      ]
   in
-  check_bool "legacy manifest line reads back exactly" true
-    (Driver.Manifest.entry_of_line legacy_manifest_line = e);
-  (* the resume check strips wall-clock fields with this exact pattern *)
-  check_bool "new manifest lines are compact" true
-    (contains_substring (Driver.Manifest.to_line e) {|,"wall_ms":12.5}|});
+  check_bool "legacy spaced line reads back exactly" true
+    (Json.equal (Json.parse legacy_spaced_line) v);
+  check_bool "new lines are compact" true
+    (contains_substring (Json.to_string v) {|,"wall_ms":12.5}|});
   with_dir (fun dir ->
       let oc = open_out_bin (Driver.State.journal_path ~dir) in
       List.iter (fun l -> output_string oc (l ^ "\n")) legacy_journal;
@@ -398,14 +366,11 @@ let suite =
       test_garbage_never_raises;
     case "state: snapshot compacts, journal beats snapshot"
       test_snapshot_compacts_journal;
-    case "manifest: torn final line skipped, mid-file corruption raises"
-      test_manifest_torn_tail;
     case "readers: a bad \\u escape is a parse error, never a Failure"
       test_bad_escape_is_a_parse_error;
     parse_raises_only_parse_error;
-    manifest_raises_only_parse_error;
     state_load_is_total;
-    case "readers: legacy spaced manifest and journal lines read back"
+    case "readers: legacy spaced JSON and journal lines read back"
       test_legacy_lines_read_back;
     case "inject: server chaos plans are seeded and exhaustive"
       test_server_plan;
