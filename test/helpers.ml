@@ -27,6 +27,15 @@ let reorder_pipeline ?(config = Driver.Config.default) ~training_input
   Driver.Pipeline.run ~config ~name:"test" ~source:src ~training_input
     ~test_input ()
 
+(* the suite's own native store, so the user's store is never read or
+   written.  It sits at the root of the build tree, [_build/], since
+   dune deletes what it did not make from [_build/<context>/test/]
+   before each run, and the plugins the suite compiles stay warm for
+   the next one *)
+let native_store =
+  let build_root = Filename.(dirname (dirname (dirname Sys.executable_name))) in
+  Filename.concat build_root "test-native-store"
+
 let check_output = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -1,12 +1,5 @@
-(* the suite's own native store, so the user's store is never read or
-   written.  It sits at the root of the build tree, [_build/], since
-   dune deletes what it did not make from [_build/<context>/test/]
-   before each run, and the plugins the suite compiles stay warm for
-   the next one *)
 let () =
-  let build_root = Filename.(dirname (dirname (dirname Sys.executable_name))) in
-  Sim.Native.set_default_cache_dir
-    (Some (Filename.concat build_root "test-native-store"));
+  Sim.Native.set_default_cache_dir (Some Helpers.native_store);
   Alcotest.run "branch_reorder"
     [
       ("mir", Test_mir.suite);

@@ -405,6 +405,17 @@ let test_machine_run_cache_dir () =
       check_int "a fresh process-side run is a disk hit" 1
         (Sim.Native.stats ()).Sim.Native.disk_hits)
 
+(* a call without [~cache_dir] resolves to the suite's private store,
+   never to the user's: a test run leaves [~/.cache/bromc] as it was *)
+let test_suite_store_is_private () =
+  require_native ();
+  let img = Sim.Image.build (compile_final "int main() { return 44; }") in
+  match Sim.Native.store_path img with
+  | None -> Alcotest.fail "no store path while the backend is available"
+  | Some path ->
+    check_bool "default store is the suite's own" true
+      (String.starts_with ~prefix:(native_store ^ Filename.dir_sep) path)
+
 let test_cache_clear_and_evict () =
   require_native ();
   with_temp_store (fun dir ->
@@ -626,6 +637,8 @@ let suite =
     case "cache: miss, disk hit, memo hit, determinism"
       test_cache_hit_determinism;
     case "cache: Machine.run passes cache_dir" test_machine_run_cache_dir;
+    case "cache: the suite's default store is private"
+      test_suite_store_is_private;
     case "cache: list, evict stale fingerprints, clear"
       test_cache_clear_and_evict;
     case "cache: checksum mismatch quarantined and rebuilt"

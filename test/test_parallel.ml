@@ -440,6 +440,57 @@ let test_fault_containment_certification () =
   | lost ->
     Alcotest.failf "%d escapes: %s" (List.length lost) (String.concat "; " lost)
 
+(* [suite --inject]'s printed verdict is the run's only record, so it
+   must see each way a fault can go wrong: a victim that ends ok on its
+   own rung left no trace (an escape), and a sibling that fails without
+   a fault is collateral.  Outcomes of a clean run, edited into each
+   case by hand. *)
+let test_containment_flags_escape_and_collateral () =
+  let jobs =
+    List.init 5 (fun i ->
+        Driver.Pipeline.job
+          ~name:(Printf.sprintf "j%d" i)
+          ~source:tiny_src ~training_input:"" ~test_input:"" ())
+  in
+  let clean = Driver.Pipeline.run_jobs_guarded ~domains:1 jobs in
+  let fault i_job i_kind = { Driver.Inject.i_job; i_kind } in
+  let faults =
+    [ fault 0 Driver.Inject.Raise; fault 1 Driver.Inject.Trap;
+      fault 3 Driver.Inject.Corrupt ]
+  in
+  let outcomes =
+    List.map
+      (fun (o : Driver.Pipeline.job_outcome) ->
+        match o.Driver.Pipeline.o_index with
+        | 0 -> { o with Driver.Pipeline.o_injected = "raise" }
+        | 1 ->
+          { o with
+            Driver.Pipeline.o_injected = "trap";
+            o_outcome = Driver.Pool.Trap "injected trap" }
+        | 2 ->
+          { o with
+            Driver.Pipeline.o_outcome =
+              Driver.Pool.Crash (Driver.Pool.exn_info (Failure "boom")) }
+        | 3 ->
+          { o with
+            Driver.Pipeline.o_injected = "corrupt";
+            o_degraded = true;
+            o_backend = "reference" }
+        | _ -> o)
+      clean
+  in
+  let c = Driver.Pipeline.containment faults outcomes in
+  check_int "planted" 3 c.Driver.Pipeline.c_planted;
+  check_int "recovered" 2 c.Driver.Pipeline.c_recovered;
+  check_int "contained failures" 1 c.Driver.Pipeline.c_contained;
+  (match c.Driver.Pipeline.c_escapes with
+  | [ e ] -> check_bool "escape names job 0" true (contains_substring e "job 0")
+  | es -> Alcotest.failf "expected one escape, got %d" (List.length es));
+  match c.Driver.Pipeline.c_collateral with
+  | [ e ] ->
+    check_bool "collateral names job 2" true (contains_substring e "job 2")
+  | es -> Alcotest.failf "expected one collateral, got %d" (List.length es)
+
 (* ------------------------------------------------------------------ *)
 (* Backend degradation preserves observables on the real workloads      *)
 (* ------------------------------------------------------------------ *)
@@ -579,6 +630,8 @@ let suite =
     case "the first failure in sequential order wins" test_failure_precedence;
     slow_case "200 injected faults, zero escapes, siblings intact"
       test_fault_containment_certification;
+    case "containment flags an escape and a collateral failure"
+      test_containment_flags_escape_and_collateral;
     slow_case "backend fallback preserves workload observables"
       test_backend_fallback_observables;
     case "pipeline stage hook fires in order" test_on_stage_hook;

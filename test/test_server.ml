@@ -854,6 +854,38 @@ let test_replay_golden_on_seeded_store () =
       in
       check_golden "replay-chaos.txt" (Driver.Replay.report outcome))
 
+(* Only a native server loads plugins, so only a native server names
+   one for an artifact fault to damage: on the other backends the
+   served program's store path is not its own, even on a host where the
+   native backend is available *)
+let test_native_artifact_only_on_native () =
+  let artifact backend =
+    let srv =
+      Driver.Server.create
+        ~config:{ Driver.Config.default with Driver.Config.backend }
+        ~domains:1 ()
+    in
+    Fun.protect
+      ~finally:(fun () -> Driver.Server.shutdown srv)
+      (fun () ->
+        let r =
+          Driver.Server.submit srv ~name:"wc" ~source:wc_source
+            ~input:(wc_input ())
+        in
+        check_output "served" "ok" r.Driver.Server.rs_status;
+        Driver.Server.native_artifact srv ~source:wc_source)
+  in
+  if Sim.Native.available () then
+    check_bool "a native server names its plugin" true
+      (Option.is_some (artifact `Native));
+  List.iter
+    (fun backend ->
+      check_bool
+        (Sim.Machine.backend_name backend ^ " server names no plugin")
+        true
+        (Option.is_none (artifact backend)))
+    [ `Compiled; `Reference ]
+
 let test_input_slice () =
   check_output "empty stays empty" "" (Driver.Replay.input_slice ~seed:1 "");
   let text = String.concat "\n" (List.init 200 string_of_int) ^ "\n" in
@@ -1050,6 +1082,8 @@ let suite =
       test_replay_golden_on_seeded_store;
     case "replay: unknown workload rejected" test_replay_rejects_unknown_workload;
     case "replay: input slices" test_input_slice;
+    case "server: only a native server names a plugin to damage"
+      test_native_artifact_only_on_native;
     case "server: shadow sampler counts per program" test_sampler_per_program;
     qcheck "serve protocol: any bytes parse to a command"
       (QCheck.make ~print:(Printf.sprintf "%S") protocol_line)
