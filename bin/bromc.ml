@@ -124,6 +124,8 @@ let handle_errors ?(code = 1) f =
   | Sim.Machine.Trap msg -> fail "runtime trap: %s" msg
   | Mir.Parse.Error (line, msg) -> fail "error: line %d: %s" line msg
   | Failure msg | Sys_error msg -> fail "error: %s" msg
+  | Unix.Unix_error (e, fn, arg) ->
+    fail "error: %s %s: %s" fn arg (Unix.error_message e)
   | Not_found -> fail "error: no such file or workload"
 
 (* ------------------------------------------------------------------ *)
@@ -911,9 +913,10 @@ let domains_arg =
 
 let state_dir_arg =
   maybe Arg.string [ "state-dir" ] ~docv:"DIR"
-    "Durable state directory: journal + snapshots of merged profiles \
-     and drift generations.  Existing state found there is restored \
-     on startup (crash-safe warm start)."
+    "Durable state directory: one record file per program, holding its \
+     merged profile and drift generation, atomically replaced on every \
+     merge.  The records found there are restored on startup \
+     (crash-safe warm start)."
 
 let serve_cmd =
   let run domains backend profile state_dir =
@@ -982,9 +985,10 @@ let serve_cmd =
           training run and serve on the static prediction; the online \
           shard profiles and the drift check re-optimize as real counts \
           diverge from it.  With $(b,--state-dir) the daemon is crash-safe: \
-          learned profiles and drift generations are \
-          journaled and snapshotted there, and a restart warm-starts every \
-          persisted program at its learned generation.  $(b,run) accepts an \
+          each program's learned profile and drift generation is kept \
+          there in one record file, rewritten on every merge, and a \
+          restart warm-starts every persisted program at its learned \
+          generation.  $(b,run) accepts an \
           optional third argument, a per-request deadline in milliseconds.")
     Term.(
       const run $ domains_arg $ backend_term () $ profile_arg $ state_dir_arg)
@@ -1050,7 +1054,7 @@ let replay_cmd =
       & info [ "chaos" ] ~docv:"N"
           ~doc:
             "Plant N seeded faults across the request stream (worker \
-             kills, stalls, artifact corruption/truncation, journal \
+             kills, stalls, artifact corruption/truncation, record \
              tears) and certify containment: a victim served with a \
              wrong result or lost is an escape and fails the run.")
   in

@@ -66,27 +66,27 @@ let find plans ~job = List.find_opt (fun f -> f.i_job = job) plans
 (* The serving counterpart: faults against a {!Server} under replay
    traffic rather than against one batch job.  The first two strike
    inside the victim request's guarded closure; the other three damage
-   the environment (artifact store, durability journal) from the
+   the environment (artifact store, durable records) from the
    driver thread just before the victim request fires, so the
-   self-healing and torn-tail machinery recover under live load. *)
+   self-healing store and the record rewrite recover under live load. *)
 
 type server_kind =
   | S_kill_worker  (* exception inside the serving closure *)
   | S_stall        (* the attempt stalls past the request deadline *)
   | S_corrupt_artifact   (* flip bytes of a cached .cmxs on disk *)
   | S_truncate_artifact  (* truncate a cached .cmxs on disk *)
-  | S_tear_journal       (* tear the durability journal's tail *)
+  | S_tear_record        (* tear a program's durable record *)
 
 let all_server_kinds =
   [ S_kill_worker; S_stall; S_corrupt_artifact; S_truncate_artifact;
-    S_tear_journal ]
+    S_tear_record ]
 
 let server_kind_name = function
   | S_kill_worker -> "kill_worker"
   | S_stall -> "stall"
   | S_corrupt_artifact -> "corrupt_artifact"
   | S_truncate_artifact -> "truncate_artifact"
-  | S_tear_journal -> "tear_journal"
+  | S_tear_record -> "tear_record"
 
 type server_fault = { sv_request : int; sv_kind : server_kind }
 

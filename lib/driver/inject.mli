@@ -47,9 +47,9 @@ val find : fault list -> job:int -> fault option
     strike {e inside} the victim request's guarded closure (via
     {!Server.submit}'s [inject] hook), so the degradation ladder
     recovers a kill and the deadline fails a stall; the other three damage the environment — artifact
-    store bytes, the durability journal's tail — just before the victim
-    request fires, so the self-healing store and the torn-tail-tolerant
-    {!State} reader recover under live load.  The certification bar is
+    store bytes, the victim program's durable record — just before the victim
+    request fires, so the self-healing store and the next merge's record
+    rewrite recover under live load.  The certification bar is
     the same as for jobs: zero wrong results, zero escapes. *)
 
 type server_kind =
@@ -57,11 +57,11 @@ type server_kind =
   | S_stall  (** the attempt stalls past the per-request deadline *)
   | S_corrupt_artifact  (** bytes of a cached [.cmxs] flipped on disk *)
   | S_truncate_artifact  (** a cached [.cmxs] truncated on disk *)
-  | S_tear_journal  (** the durability journal's tail torn mid-record *)
+  | S_tear_record  (** the victim program's durable record torn *)
 
 val server_kind_name : server_kind -> string
 (** Stable tag ("kill_worker", "stall", "corrupt_artifact",
-    "truncate_artifact", "tear_journal") used in chaos reports. *)
+    "truncate_artifact", "tear_record") used in chaos reports. *)
 
 type server_fault = { sv_request : int; sv_kind : server_kind }
 

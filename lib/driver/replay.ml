@@ -360,10 +360,10 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
                                 | Inject.S_truncate_artifact) as k; _ } ->
         if not (apply_artifact_fault srv ~source:q.q_source k) then
           Hashtbl.replace vacuous i ()
-      | Some { Inject.sv_kind = Inject.S_tear_journal; _ } ->
+      | Some { Inject.sv_kind = Inject.S_tear_record; _ } ->
         let torn =
-          match state_dir with
-          | Some dir -> State.tear_journal ~dir
+          match Server.state_record srv ~source:q.q_source with
+          | Some path -> truncate_file path
           | None -> false
         in
         if not torn then Hashtbl.replace vacuous i ()
@@ -392,15 +392,15 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
   (* crash-restart-resume: kill the durable server without any final
      flush (power-loss semantics), restart on the same state dir, and
      certify the restore against the pre-crash learned state — [sync]
-     journaled an absolute record per program, so the match must be
-     exact even if a tear fault struck the journal earlier *)
+     rewrote an absolute record per program, so the match must be
+     exact even if a tear fault struck a record earlier *)
   let crash_restarts = ref 0 and restored = ref 0 in
   let restore_exact = ref true in
   let pre_crash_events = ref [] in
   let pre_crash_stats = ref None in
   (match state_dir with
   | Some _ ->
-    progress "crash (no final snapshot) and restart from the state dir";
+    progress "crash (no final merge) and restart from the state dir";
     let pre_stats = Server.stats !server in
     let pre = List.sort compare pre_stats.Server.st_programs in
     pre_crash_events := Server.reopt_events !server;

@@ -129,7 +129,7 @@ val run :
     [chaos] (default 0) plants that many {!Inject.server_plan} faults
     (seeded by [chaos_seed], default 7) across the request stream:
     worker kills and stalls strike inside the victim's guarded
-    closure; artifact corruption/truncation and journal tears damage
+    closure; artifact corruption/truncation and record tears damage
     the environment just before the victim fires.  A victim served
     [ok] with a wrong result is an escape; the certification bar is
     [ro_chaos_escapes = 0].

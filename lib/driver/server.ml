@@ -72,12 +72,9 @@ type t = {
   reopts : int Atomic.t;
   events : reopt_event list ref;
   events_lock : Mutex.t;
-  (* durable state: a journal appended after every merge plus periodic
-     snapshots.  [None] = ephemeral server (the default) *)
+  (* durable state: one record file per program, rewritten after every
+     merge.  [None] = ephemeral server (the default) *)
   state_dir : string option;
-  journal : State.writer option;
-  snap_mark : int Atomic.t;  (* journal records at the last snapshot *)
-  snap_lock : Mutex.t;  (* one snapshot writer at a time *)
   restored : int Atomic.t;  (* programs warm-started from disk *)
   mutable stopped : bool;
 }
@@ -102,10 +99,7 @@ let config_fingerprint (c : Config.t) =
           | None -> "-"
           | Some (h, cbits, e) -> Printf.sprintf "%d.%d.%d" h cbits e)
   in
-  (* the "tt" stands for two fields that no longer exist, both always
-     on now (reordering enabled, detection with interval facts); it is
-     kept so that state written by earlier versions still restores *)
-  Printf.sprintf "%s|%s|%d.%s.%s|tt%s%s|%s|%s|%s"
+  Printf.sprintf "%s|%s|%d.%s.%s|%s%s|%s|%s|%s"
     c.Config.heuristic.Mopt.Switch_lower.hs_name
     (match c.Config.selector with `Greedy -> "greedy" | `Exhaustive -> "exhaustive")
     c.Config.apply_options.Reorder.Apply.tail_dup_limit
@@ -157,9 +151,9 @@ let build_artifact t ~key ~generation ~signature served =
 (* Durable state                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* one absolute journal/snapshot record for a program entry; the caller
-   must hold [e_merge] (or otherwise know the globals are quiescent) so
-   counters and generation are read consistently *)
+(* one absolute record for a program entry; the caller must hold
+   [e_merge] (or otherwise know the globals are quiescent) so counters
+   and generation are read consistently *)
 let program_record (e : entry) =
   let art = Atomic.get e.e_artifact in
   let ranges, combs = Sim.Profile.counters e.e_global in
@@ -175,14 +169,9 @@ let program_record (e : entry) =
     p_combs = combs;
   }
 
-(* caller holds [e_merge] *)
-let journal_entry t e =
-  match t.journal with
-  | None -> ()
-  | Some w -> State.journal_program w (program_record e)
-
-(* journal records between snapshot compactions *)
-let snapshot_every = 64
+(* replace the entry's record file; caller holds [e_merge] *)
+let persist t e =
+  Option.iter (fun dir -> State.write ~dir (program_record e)) t.state_dir
 
 (* every n-th successful request of a program runs the profiling
    shadow *)
@@ -196,47 +185,11 @@ let merge_every = 8
    requests from thrashing the artifacts *)
 let drift_min_execs = 32
 
-let snapshot_due t =
-  match t.journal with
-  | None -> false
-  | Some w -> State.appended w - Atomic.get t.snap_mark >= snapshot_every
-
 (* every built program, by name (content key among equal names) *)
 let entries t =
   List.sort
     (fun a b -> compare (a.e_name, a.e_key) (b.e_name, b.e_key))
     (Sim.Artifact.ready t.programs)
-
-(* [f e] for every entry, each under its [e_merge] taken one at a
-   time: callers must hold NO [e_merge] *)
-let map_entries_locked t f =
-  List.map
-    (fun e ->
-      Mutex.lock e.e_merge;
-      Fun.protect ~finally:(fun () -> Mutex.unlock e.e_merge) (fun () -> f e))
-    (entries t)
-
-(* write a full snapshot and truncate the journal; caller holds
-   [snap_lock] and NO [e_merge].  A merge that lands between record
-   collection and the journal truncation loses only its journal record,
-   and only until that program's next merge re-journals it (records are
-   absolute). *)
-let write_snapshot_locked t =
-  match (t.state_dir, t.journal) with
-  | Some dir, Some w ->
-    State.write_snapshot ~dir (map_entries_locked t program_record);
-    State.truncate_journal ~dir;
-    Atomic.set t.snap_mark (State.appended w)
-  | _ -> ()
-
-(* the merge paths signal "due" and snapshot after unlocking their
-   [e_merge], so two concurrent snapshotters cannot deadlock;
-   [snap_lock]'s try_lock makes the loser skip rather than queue *)
-let snapshot t =
-  if Mutex.try_lock t.snap_lock then
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.snap_lock)
-      (fun () -> write_snapshot_locked t)
 
 (* the one entry constructor: parse + optimize the base, detect,
    instrument, let [fill] give the fresh table its counts, reoptimize
@@ -296,11 +249,9 @@ let build_entry t ~name ~key ~source ~input =
            with _ -> ());
           if mode = `Both then Reorder.Profiles.add_static base seqs table)
   in
-  (* journal the newborn entry: a crash before its first merge must
+  (* record the newborn entry: a crash before its first merge must
      still find the program (training counts included) on restart *)
-  (match t.journal with
-  | None -> ()
-  | Some w -> State.journal_program w (program_record entry));
+  persist t entry;
   entry
 
 (* warm-start one persisted program: recompile the base from its
@@ -338,12 +289,8 @@ let restore_state t dir =
     r.State.r_programs
 
 let create ?(config = Config.default) ?domains ?state_dir () =
+  Option.iter (fun dir -> State.prepare ~dir) state_dir;
   let pool = Pool.Workers.create ?domains () in
-  let journal =
-    match state_dir with
-    | None -> None
-    | Some dir -> Some (State.open_journal ~dir)
-  in
   let t =
     {
       config;
@@ -360,16 +307,11 @@ let create ?(config = Config.default) ?domains ?state_dir () =
       events = ref [];
       events_lock = Mutex.create ();
       state_dir;
-      journal;
-      snap_mark = Atomic.make 0;
-      snap_lock = Mutex.create ();
       restored = Atomic.make 0;
       stopped = false;
     }
   in
-  (match state_dir with
-  | Some dir when State.exists ~dir -> restore_state t dir
-  | _ -> ());
+  Option.iter (restore_state t) state_dir;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -420,24 +362,21 @@ let merge_locked t (e : entry) =
     end;
     e.e_last_opt_execs <- execs
   end;
-  (* every merge journals the program's full (absolute) state, so a
-     crash at any point loses at most the samples since this record *)
-  journal_entry t e
+  (* every merge rewrites the program's full (absolute) record, so a
+     crash at any point loses at most the samples since this write *)
+  persist t e
 
 let try_merge t e =
-  if Mutex.try_lock e.e_merge then begin
+  if Mutex.try_lock e.e_merge then
     Fun.protect
       ~finally:(fun () -> Mutex.unlock e.e_merge)
-      (fun () -> merge_locked t e);
-    (* snapshot with no [e_merge] held — see [snapshot] *)
-    if snapshot_due t then snapshot t
-  end
+      (fun () -> merge_locked t e)
 
-let merge_all t = ignore (map_entries_locked t (merge_locked t))
-
+(* every entry, each under its [e_merge] taken one at a time *)
 let sync t =
-  merge_all t;
-  if snapshot_due t then snapshot t
+  List.iter
+    (fun e -> Mutex.protect e.e_merge (fun () -> merge_locked t e))
+    (entries t)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
@@ -584,19 +523,23 @@ let oracle t ~name ~source ~input =
   in
   (r.Sim.Machine.output, r.Sim.Machine.exit_code)
 
-(* [ready], not [find]: the lookup must not count in the cache stats.
-   Only a native server loads plugins: on any other, a file an earlier
+(* [ready], not [find]: the lookup must not count in the cache stats *)
+let ready_entry t ~source =
+  let key = content_key t source in
+  List.find_opt (fun e -> String.equal e.e_key key) (Sim.Artifact.ready t.programs)
+
+(* Only a native server loads plugins: on any other, a file an earlier
    native run left in the store for this generation is not its own *)
 let native_artifact t ~source =
-  let key = content_key t source in
-  match
-    List.find_opt
-      (fun e -> String.equal e.e_key key)
-      (Sim.Artifact.ready t.programs)
-  with
+  match ready_entry t ~source with
   | Some e when t.config.Config.backend = `Native ->
     Sim.Native.store_path ?cache_dir:t.config.Config.native_cache_dir
       (Atomic.get e.e_artifact).a_image
+  | _ -> None
+
+let state_record t ~source =
+  match (t.state_dir, ready_entry t ~source) with
+  | Some dir, Some e -> Some (State.record_path ~dir e.e_key)
   | _ -> None
 
 let stats t =
@@ -673,21 +616,11 @@ let reopt_events t =
 let shutdown ?(crash = false) t =
   if not t.stopped then begin
     t.stopped <- true;
-    if crash then
-      (* simulated power loss: abandon the pool's queue-drain niceties
-         as far as we safely can, and above all write NOTHING — restart
-         must stand on the journal alone *)
-      Pool.Workers.shutdown t.pool
-    else begin
-      (* graceful drain: stop accepting (the pool refuses new posts
-         once stopping), finish in-flight work, capture every
-         straggling shard, then leave a fresh snapshot and an empty
-         journal for the next boot *)
-      Pool.Workers.shutdown t.pool;
-      merge_all t;
-      Mutex.protect t.snap_lock (fun () -> write_snapshot_locked t)
-    end;
-    match t.journal with
-    | Some w -> State.close_journal w
-    | None -> ()
+    (* stop accepting (the pool refuses new posts once stopping) and
+       finish in-flight work *)
+    Pool.Workers.shutdown t.pool;
+    (* a graceful drain captures every straggling shard; a simulated
+       power loss writes NOTHING more — restart must stand on the
+       records the merges already wrote *)
+    if not crash then sync t
   end

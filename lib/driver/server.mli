@@ -40,13 +40,13 @@
     down.
 
     {b Durability.}  With [state_dir] set, everything the online loop
-    learns is persisted through {!State}: every merge appends an
-    absolute per-program journal record, a snapshot compacts the
-    journal every 64 records, and graceful {!shutdown} drains, merges
-    and leaves a fresh snapshot.  A restarting server warm-starts each persisted
-    program at its learned drift generation with its merged profile
-    counters intact — no retraining, no generation reset — and drops
-    records whose content key no longer matches (config change).
+    learns is persisted through {!State}: a program's first build and
+    every merge atomically replace its one record file with its
+    absolute state, and graceful {!shutdown} drains and merges.  A
+    restarting server warm-starts each persisted program at its
+    learned drift generation with its merged profile counters intact —
+    no retraining, no generation reset — and drops records whose
+    content key no longer matches (config change).
 
     {b Deadlines.}  The request queue is unbounded.  A per-request
     deadline ([deadline_ms]) tightens the watchdog for that request
@@ -94,11 +94,13 @@ val create : ?config:Config.t -> ?domains:int -> ?state_dir:string -> unit -> t
     {!Guard.default} with degradation enabled; sampling, merging and
     the drift damper run at the fixed rates above.
 
-    [state_dir] makes the server durable: learned state is journaled
-    and snapshotted there ({!State}), and existing state found in the
-    directory is restored before the first request — each surviving
-    program warm-starts at its persisted drift generation with its
-    merged profile counters. *)
+    [state_dir] makes the server durable: each program's learned state
+    is kept there as one record file ({!State}), and the records found
+    in the directory are restored before the first request — each
+    surviving program warm-starts at its persisted drift generation
+    with its merged profile counters.  The directory is created as
+    needed; one that cannot be raises [Sys_error] or [Unix.Unix_error]
+    before any worker starts. *)
 
 val submit :
   ?deadline_ms:int ->
@@ -142,11 +144,16 @@ val native_artifact : t -> source:string -> string option
     [`Native] (it never loads a plugin).  The chaos replay damages this
     file. *)
 
+val state_record : t -> source:string -> string option
+(** The record file ({!State.record_path}) that holds [source]'s
+    learned state.  [None] without a [state_dir] or before the program
+    has an entry.  The chaos replay tears this file. *)
+
 val sync : t -> unit
 (** Block until every program's shards are merged and the drift check
     has run (re-optimizing where drifted).  Deterministic alternative
-    to waiting for the opportunistic merge.  On a durable server every
-    program's state is journaled by the merge, so after [sync] a crash
+    to waiting for the opportunistic merge.  On a durable server the
+    merge rewrites every program's record, so after [sync] a crash
     loses nothing learned before it. *)
 
 val stats : t -> stats
@@ -164,8 +171,7 @@ val domains : t -> int
 
 val shutdown : ?crash:bool -> t -> unit
 (** Graceful by default: stop accepting, drain the queue, join the
-    workers, merge every straggling shard, and (durable servers) leave
-    a final snapshot and an empty journal.  [~crash:true] simulates
-    power loss for fault drills: the workers are stopped but {e no}
-    final merge or snapshot is written — a restart must stand on the
-    journal alone.  Idempotent. *)
+    workers, and merge every straggling shard (rewriting each record
+    on durable servers).  [~crash:true] simulates power loss for fault
+    drills: the workers are stopped but {e no} final merge is run — a
+    restart must stand on the records already written.  Idempotent. *)

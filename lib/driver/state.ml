@@ -1,19 +1,18 @@
-(* Durable serving state: a write-ahead journal plus periodic snapshots.
+(* Durable serving state: one record file per program.
 
    Everything the online-profiling loop learns — merged profile
    counters and drift generations — is re-creatable absolute state, so
-   the format is deliberately dumb: every record carries the *whole*
-   current state of one program, one CRC-framed flat-JSON line each,
-   and restore is last-record-wins over snapshot-then-journal.  No
-   deltas, no compaction logic beyond "snapshot, then truncate the
-   journal".
+   the format is deliberately dumb: a record carries the *whole*
+   current state of one program, and each program's latest record is
+   all there is to keep.  It lives in [<dir>/<key>.rec], replaced
+   atomically (tmp, fsync, rename) on every write, so a reader sees
+   the old record or the new one, never a partial file.
 
    Frame: "crc32hex payload\n" where payload is one flat JSON object
-   written and read through {!Json}.  The CRC makes torn tails and mid-file
-   corruption (a hole from an interrupted write, a chaos-injected tear)
-   detectable per line; the reader skips frames that fail the check and
-   resynchronizes at the next newline, so one damaged record never
-   poisons the rest of the file. *)
+   written and read through {!Json}.  The CRC makes a torn or flipped
+   file (a crash mid-write on a filesystem that reorders, a
+   chaos-injected tear) detectable; the reader skips it, and the other
+   programs restore. *)
 
 type program = {
   p_key : string;  (* Server content key: config fingerprint + source *)
@@ -28,15 +27,13 @@ type program = {
 }
 
 type restore = {
-  r_programs : program list;  (* unique keys, journal beats snapshot *)
-  r_records : int;  (* valid frames consumed *)
-  r_skipped : int;  (* frames dropped by the CRC or the parser *)
+  r_programs : program list;  (* one per record file, in name order *)
+  r_skipped : int;  (* *.rec entries dropped: damaged, misfiled, unreadable *)
 }
 
 let version = 1
 
-let journal_path ~dir = Filename.concat dir "journal"
-let snapshot_path ~dir = Filename.concat dir "snapshot"
+let record_path ~dir key = Filename.concat dir (key ^ ".rec")
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3), table-driven                                    *)
@@ -127,48 +124,39 @@ let program_payload p =
          ("combs", Json.Str (encode_counters p.p_combs));
        ])
 
-(* earlier versions also wrote ["t":"bank"] records of predictor
-   tallies; they are valid frames whose content is no longer kept *)
-type record = Program of program | Legacy_bank
-
 let record_of_payload payload =
   match Json.parse payload with
   | exception Json.Parse_error _ -> None
   | j -> (
     let str k = Option.value ~default:"" (Option.bind (Json.member k j) Json.str) in
     let int k = Option.bind (Json.member k j) Json.int in
-    if int "v" <> Some version then None
-    else
-      match str "t" with
-      | "program" -> (
-        match
-          ( Reorder.Drift.state_of_string (str "drift"),
-            int "last_opt",
-            decode_counters (str "ranges"),
-            decode_counters (str "combs") )
-        with
-        | Some (generation, executions, signature), Some last_opt,
-          Some ranges, Some combs
-          when str "key" <> "" ->
-          Some
-            (Program
-               {
-                 p_key = str "key";
-                 p_name = str "name";
-                 p_source = str "source";
-                 p_generation = generation;
-                 p_signature = signature;
-                 p_executions = executions;
-                 p_last_opt_execs = last_opt;
-                 p_ranges = ranges;
-                 p_combs = combs;
-               })
-        | _ -> None)
-      | "bank" -> Some Legacy_bank
-      | _ -> None)
+    match
+      ( int "v",
+        str "t",
+        Reorder.Drift.state_of_string (str "drift"),
+        int "last_opt",
+        decode_counters (str "ranges"),
+        decode_counters (str "combs") )
+    with
+    | Some v, "program", Some (generation, executions, signature),
+      Some last_opt, Some ranges, Some combs
+      when v = version && str "key" <> "" ->
+      Some
+        {
+          p_key = str "key";
+          p_name = str "name";
+          p_source = str "source";
+          p_generation = generation;
+          p_signature = signature;
+          p_executions = executions;
+          p_last_opt_execs = last_opt;
+          p_ranges = ranges;
+          p_combs = combs;
+        }
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Writing                                                              *)
+(* Record files                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let mkdirs dir =
@@ -180,158 +168,45 @@ let mkdirs dir =
   in
   go dir
 
-type writer = { w_oc : out_channel; w_lock : Mutex.t; mutable w_appended : int }
-
-(* O_APPEND, so every flush lands at the file's current end even after
-   a concurrent snapshot truncated it under us; readable, so [append]
-   can look at the last byte *)
-let open_journal ~dir =
+let prepare ~dir =
   mkdirs dir;
-  let fd =
-    Unix.openfile (journal_path ~dir)
-      [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ]
-      0o644
-  in
-  {
-    w_oc = Unix.out_channel_of_descr fd;
-    w_lock = Mutex.create ();
-    w_appended = 0;
-  }
+  if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": not a directory"))
 
-(* does the file end without a newline, as a crash mid-append (or a
-   chaos tear) leaves it?  A record appended there would be glued to
-   the torn fragment and fail its CRC with it *)
-let ends_torn oc =
-  let fd = Unix.descr_of_out_channel oc in
-  match Unix.lseek fd (-1) Unix.SEEK_END with
-  | exception Unix.Unix_error _ -> false (* empty *)
-  | _ ->
-    let b = Bytes.create 1 in
-    Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n'
+(* tmp-then-rename: readers see the old record or the complete new
+   one, never a partial write.  A tmp a failed write leaves behind is
+   ignored by [load] and truncated by the next write *)
+let write ~dir p =
+  let path = record_path ~dir p.p_key in
+  let tmp = path ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (frame (program_payload p) ^ "\n");
+      flush oc;
+      try Unix.fsync (Unix.descr_of_out_channel oc)
+      with Unix.Unix_error _ -> ());
+  Sys.rename tmp path
 
-let append w payload =
-  Mutex.lock w.w_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.w_lock)
-    (fun () ->
-      (* start on a line of our own: the torn fragment becomes one
-         skipped frame and this record survives *)
-      if ends_torn w.w_oc then output_char w.w_oc '\n';
-      output_string w.w_oc (frame payload);
-      output_char w.w_oc '\n';
-      flush w.w_oc;
-      w.w_appended <- w.w_appended + 1;
-      w.w_appended)
-
-let journal_program w p = ignore (append w (program_payload p))
-let appended w = w.w_appended
-
-let close_journal w =
-  Mutex.lock w.w_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.w_lock)
-    (fun () -> close_out_noerr w.w_oc)
-
-let fsync_out oc =
-  flush oc;
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-(* atomic tmp-then-rename; readers see either the old snapshot or the
-   complete new one, never a partial write.  The journal is truncated
-   only after the rename: a crash between the two leaves journal
-   records that duplicate the snapshot, which last-record-wins replay
-   absorbs for free *)
-let write_snapshot ~dir programs =
-  mkdirs dir;
-  let tmp = snapshot_path ~dir ^ ".tmp" in
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
-  (try
-     List.iter
-       (fun p ->
-         output_string oc (frame (program_payload p));
-         output_char oc '\n')
-       programs;
-     fsync_out oc;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp (snapshot_path ~dir)
-
-let truncate_journal ~dir =
-  let oc =
-    open_out_gen
-      [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
-      0o644 (journal_path ~dir)
-  in
-  close_out_noerr oc
-
-(* ------------------------------------------------------------------ *)
-(* Restore                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ([], 0, 0)
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let records = ref [] and ok = ref 0 and skipped = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match Option.bind (unframe line) record_of_payload with
-               | Some r ->
-                 incr ok;
-                 records := r :: !records
-               | None -> incr skipped
-           done
-         with End_of_file -> ());
-        (List.rev !records, !ok, !skipped))
+(* the record in [dir/name], if it is whole and filed under its own
+   key: a copy under another name would restore one program twice *)
+let read_record ~dir name =
+  match
+    In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+  with
+  | exception Sys_error _ -> None
+  | s -> (
+    match Option.bind (unframe (String.trim s)) record_of_payload with
+    | Some p when String.equal name (p.p_key ^ ".rec") -> Some p
+    | _ -> None)
 
 let load ~dir =
-  let snap, n1, s1 = read_file (snapshot_path ~dir) in
-  let jour, n2, s2 = read_file (journal_path ~dir) in
-  let programs : (string, program) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun r ->
-      match r with
-      | Program p ->
-        if not (Hashtbl.mem programs p.p_key) then
-          order := p.p_key :: !order;
-        Hashtbl.replace programs p.p_key p
-      | Legacy_bank -> ())
-    (snap @ jour);
+  let names =
+    match Sys.readdir dir with
+    | exception Sys_error _ -> []
+    | a ->
+      List.filter (fun f -> Filename.check_suffix f ".rec") (Array.to_list a)
+  in
+  let records = List.map (read_record ~dir) (List.sort compare names) in
   {
-    r_programs =
-      List.rev_map (fun k -> Hashtbl.find programs k) !order;
-    r_records = n1 + n2;
-    r_skipped = s1 + s2;
+    r_programs = List.filter_map Fun.id records;
+    r_skipped = List.length (List.filter Option.is_none records);
   }
-
-let exists ~dir =
-  Sys.file_exists (snapshot_path ~dir) || Sys.file_exists (journal_path ~dir)
-
-(* ------------------------------------------------------------------ *)
-(* Chaos helper                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* cut the journal mid-record: drop the trailing newline and the last
-   few bytes of the final frame, exactly the shape an interrupted
-   append leaves behind.  Returns false when there is nothing to tear *)
-let tear_journal ~dir =
-  let path = journal_path ~dir in
-  match Unix.stat path with
-  | exception Unix.Unix_error _ -> false
-  | st when st.Unix.st_size < 8 -> false
-  | st ->
-    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.ftruncate fd (st.Unix.st_size - 7);
-        true)

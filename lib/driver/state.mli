@@ -1,22 +1,17 @@
-(** Durable serving state: write-ahead journal + periodic snapshots.
+(** Durable serving state: one atomic record file per program.
 
     The crash-safety substrate under {!Server}.  Everything the online
     profiling loop learns — merged {!Sim.Profile} counters,
-    {!Reorder.Drift} generations and signatures — is persisted as
-    {e absolute} per-program records, one CRC-framed flat JSON line
-    each (a {!Json} object under a [crc32hex ] prefix).  The journal is
-    appended and flushed record by record; a snapshot rewrites the
-    whole state atomically (tmp-then-rename) and truncates the journal.
-    Restore replays snapshot then journal with last-record-wins, so
-    duplicated or superseded records are free.
+    {!Reorder.Drift} generations and signatures — is persisted as one
+    {e absolute} record per program, a CRC-framed flat JSON line (a
+    {!Json} object under a [crc32hex ] prefix) in [<dir>/<key>.rec].
+    Every write replaces that file atomically (tmp, fsync, rename), so
+    the directory always holds each program's latest complete record.
 
-    The reader is torn-tail and corruption tolerant: a frame that fails
-    its CRC or does not parse — the partial final line of an
-    interrupted append, a hole torn mid-file — is skipped and counted,
-    and reading resumes at the next newline.  One damaged record never
-    poisons the rest of the file, and losing one journal record only
-    costs the delta since the previous record for that program (records
-    are absolute). *)
+    The reader is corruption tolerant: a record that fails its CRC or
+    does not parse — a torn or flipped file — is skipped and counted,
+    and the other programs restore.  Losing one record only costs that
+    program its learned state; it cold-starts on its next request. *)
 
 type program = {
   p_key : string;
@@ -34,67 +29,33 @@ type program = {
 }
 
 type restore = {
-  r_programs : program list;  (** unique keys; journal beats snapshot *)
-  r_records : int;
-      (** valid frames consumed across both files, including the
-          predictor-bank records earlier versions wrote, which are read
-          and dropped *)
-  r_skipped : int;  (** frames dropped by the CRC check or the parser *)
+  r_programs : program list;  (** one per valid record file, in name order *)
+  r_skipped : int;
+      (** [*.rec] entries dropped: torn, flipped, empty, unreadable,
+          filed under another key's name, or not a file *)
 }
 
 val version : int
 (** Record format version; mismatched records are skipped on restore. *)
 
-val journal_path : dir:string -> string
-val snapshot_path : dir:string -> string
+val record_path : dir:string -> string -> string
+(** [record_path ~dir key] is [<dir>/<key>.rec]. *)
 
-val exists : dir:string -> bool
-(** Does [dir] hold any persisted state (snapshot or journal)? *)
+val prepare : dir:string -> unit
+(** Create [dir] and its parents as needed.  Raises [Sys_error
+    "<dir>: not a directory"] when [dir] exists as something else, and
+    [Unix.Unix_error] when it cannot be created. *)
 
-(** {2 The journal} *)
-
-type writer
-
-val open_journal : dir:string -> writer
-(** Create [dir] as needed and open the journal for appending
-    ([O_APPEND]: records land at the current end of file even if a
-    concurrent snapshot truncates the journal underneath).  Writes are
-    serialized by an internal lock and flushed per record.  A record
-    appended after a torn tail starts on a fresh line, so only the torn
-    fragment is lost. *)
-
-val journal_program : writer -> program -> unit
-
-val appended : writer -> int
-(** Records appended through this writer so far (the snapshot-cadence
-    counter). *)
-
-val close_journal : writer -> unit
-
-(** {2 Snapshots} *)
-
-val write_snapshot : dir:string -> program list -> unit
-(** Write the complete state to [snapshot.tmp], fsync, and rename over
-    the snapshot — readers see the old state or the new state, never a
-    partial file.  Does {e not} truncate the journal; call
-    {!truncate_journal} after (a crash between the two merely leaves
-    journal records that restore absorbs by last-record-wins). *)
-
-val truncate_journal : dir:string -> unit
-
-(** {2 Restore} *)
+val write : dir:string -> program -> unit
+(** Replace [program]'s record: write [<key>.rec.tmp], fsync it and
+    rename it over [<key>.rec].  A crash leaves the old record or the
+    new one, never a partial file. *)
 
 val load : dir:string -> restore
-(** Replay snapshot then journal, last record wins per program key.
-    Never raises on damaged state: unreadable files restore as empty,
-    damaged frames are counted in [r_skipped]. *)
-
-(** {2 Fault injection} *)
-
-val tear_journal : dir:string -> bool
-(** Chaos hook: cut the journal a few bytes short of its end, exactly
-    the shape a crash mid-append leaves behind.  [false] when there is
-    no journal (or it is too short to tear). *)
+(** Read every [*.rec] file of [dir] in name order.  Never raises: a
+    missing directory restores as empty, damaged records are counted
+    in [r_skipped], and files with other names ([*.tmp] included) are
+    ignored. *)
 
 (**/**)
 

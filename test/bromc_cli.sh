@@ -6,8 +6,8 @@
 # For every command and subcommand: the header line of each argument and
 # option in its --help=plain page (names, value name, default), sorted.
 # Then the exit code and first stderr line of commands whose source or
-# input file does not exist: 1, or 2 for lint, whose 1 means
-# "diagnostics found".
+# input file does not exist, or whose state dir cannot be a directory:
+# 1, or 2 for lint, whose 1 means "diagnostics found".
 bromc=$1
 missing=/nonexistent/missing
 
@@ -38,3 +38,5 @@ exit_of dot $missing.mc
 exit_of lint $missing.mc
 exit_of lint @nosuch
 exit_of lint @wc --divergence --input $missing
+exit_of serve --state-dir /dev/null
+exit_of replay --requests 1 --workloads wc --state-dir /dev/null/x

@@ -1,4 +1,4 @@
-(* The dependency-free JSON codec behind the serving journal, replay
+(* The dependency-free JSON codec behind the durable serving state, replay
    records, lint --json and the repro headers. *)
 
 open Helpers

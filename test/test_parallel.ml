@@ -363,7 +363,7 @@ let test_inject_plans_pinned () =
     (List.map snd (pairs p));
   Alcotest.(check (list (pair int string)))
     "server plan seed 7, 5 of 200"
-    [ (3, "stall"); (23, "tear_journal"); (105, "corrupt_artifact");
+    [ (3, "stall"); (23, "tear_record"); (105, "corrupt_artifact");
       (119, "kill_worker"); (134, "truncate_artifact") ]
     (List.map
        (fun f ->

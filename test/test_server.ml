@@ -571,7 +571,7 @@ let test_server_crash_restart_resumes () =
         (List.exists
            (fun (n, g, _) -> String.equal n "drift" && g >= 2)
            pre_programs);
-      (* power loss: no final merge, no snapshot *)
+      (* power loss: no final merge *)
       Driver.Server.shutdown ~crash:true srv;
       let srv2 = make () in
       Fun.protect
@@ -604,10 +604,10 @@ let test_server_crash_restart_resumes () =
           check_bool "drift serves at its resumed generation" true
             (rd.Driver.Server.rs_generation >= 2)))
 
-(* a merge journals the program record and nothing else: every frame
-   the journal holds after [sync] is a program record, and a restart
-   from it alone restores every program exactly *)
-let test_journal_holds_programs_only () =
+(* the state dir is one record file per program and nothing else: a
+   merge replaces the file, leaves no tmp behind, and a restart from
+   the files alone restores every program exactly *)
+let test_one_record_file_per_program () =
   with_state_dir (fun dir ->
       let make () =
         Driver.Server.create ~domains:1 ~state_dir:dir ()
@@ -623,34 +623,27 @@ let test_journal_holds_programs_only () =
       done;
       Driver.Server.sync srv;
       let pre = (Driver.Server.stats srv).Driver.Server.st_programs in
-      Driver.Server.shutdown ~crash:true srv;
-      let ic = open_in_bin (Driver.State.journal_path ~dir) in
-      let lines =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            let rec go acc =
-              match input_line ic with
-              | l -> go (l :: acc)
-              | exception End_of_file -> List.rev acc
-            in
-            go [])
+      let records =
+        List.filter_map
+          (fun source -> Driver.Server.state_record srv ~source)
+          [ wc_source; Driver.Replay.drift_source ]
       in
-      check_bool "the merges journaled records" true (List.length lines > 2);
+      Driver.Server.shutdown ~crash:true srv;
+      check_bool "the directory holds exactly the two record files" true
+        (List.sort compare (Array.to_list (Sys.readdir dir))
+        = List.sort compare (List.map Filename.basename records));
       List.iter
-        (fun line ->
-          let kind =
-            match Driver.State.unframe line with
-            | None -> "damaged"
-            | Some payload ->
-              Option.value ~default:"?"
-                (Option.bind
-                   (Json.member "t" (Json.parse payload))
-                   Json.str)
+        (fun path ->
+          let r =
+            In_channel.with_open_bin path In_channel.input_all
+            |> String.trim |> Driver.State.unframe
           in
-          check_output "every journal frame is a program record" "program"
-            kind)
-        lines;
+          check_bool "each file holds one whole program frame" true
+            (match r with
+            | Some payload ->
+              Json.member "t" (Json.parse payload) = Some (Json.Str "program")
+            | None -> false))
+        records;
       let srv2 = make () in
       Fun.protect
         ~finally:(fun () -> Driver.Server.shutdown srv2)
@@ -659,6 +652,62 @@ let test_journal_holds_programs_only () =
           check_int "both programs restored" 2 post.Driver.Server.st_restored;
           check_bool "programs restored exactly" true
             (post.Driver.Server.st_programs = pre)))
+
+(* a torn record costs nothing once the program merges again: [sync]
+   rewrites it whole, so a crash-restart still restores exactly *)
+let test_torn_record_rewritten_by_sync () =
+  with_state_dir (fun dir ->
+      let make () = Driver.Server.create ~domains:1 ~state_dir:dir () in
+      let srv = make () in
+      let input = wc_input () in
+      check_bool "no record before the program has an entry" true
+        (Driver.Server.state_record srv ~source:wc_source = None);
+      for _ = 1 to 6 do
+        ignore (Driver.Server.submit srv ~name:"wc" ~source:wc_source ~input)
+      done;
+      let path =
+        match Driver.Server.state_record srv ~source:wc_source with
+        | Some p -> p
+        | None -> Alcotest.fail "a built program on a durable server has a record"
+      in
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub whole 0 (String.length whole / 2)));
+      check_int "the torn record is skipped" 1
+        (Driver.State.load ~dir).Driver.State.r_skipped;
+      Driver.Server.sync srv;
+      let pre = (Driver.Server.stats srv).Driver.Server.st_programs in
+      Driver.Server.shutdown ~crash:true srv;
+      let srv2 = make () in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv2)
+        (fun () ->
+          let post = Driver.Server.stats srv2 in
+          check_int "the program restored" 1 post.Driver.Server.st_restored;
+          check_bool "restore exact after the rewrite" true
+            (post.Driver.Server.st_programs = pre)))
+
+(* an unusable state dir fails [create] at once, before a request
+   could find out, and an ephemeral server has no record to name *)
+let test_unusable_state_dir_fails_create () =
+  with_state_dir (fun dir ->
+      let file = Filename.concat dir "plain" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+      (match Driver.Server.create ~domains:1 ~state_dir:file () with
+      | srv ->
+        Driver.Server.shutdown srv;
+        Alcotest.fail "a file is not a state dir"
+      | exception Sys_error m ->
+        check_output "the error names the path" (file ^ ": not a directory") m);
+      let srv = Driver.Server.create ~domains:1 () in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv)
+        (fun () ->
+          ignore
+            (Driver.Server.submit srv ~name:"wc" ~source:wc_source
+               ~input:(wc_input ()));
+          check_bool "no state dir, no record" true
+            (Driver.Server.state_record srv ~source:wc_source = None)))
 
 (* a config change must not resurrect stale state: the content key
    embeds the config fingerprint, so restore drops every record *)
@@ -1063,8 +1112,12 @@ let suite =
       test_artifact_many_key_single_flight;
     slow_case "server: crash-restart resumes generation and counters"
       test_server_crash_restart_resumes;
-    case "server: journal holds program records only, restart exact"
-      test_journal_holds_programs_only;
+    case "server: one record file per program, restart exact"
+      test_one_record_file_per_program;
+    case "server: a torn record is rewritten by sync, restore exact"
+      test_torn_record_rewritten_by_sync;
+    case "server: an unusable state dir fails create at once"
+      test_unusable_state_dir_fails_create;
     case "server: restore drops state on config change"
       test_restore_drops_on_config_change;
     slow_case "server: one native prepare per generation"

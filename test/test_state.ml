@@ -1,5 +1,5 @@
-(* Durable serving state: CRC framing, journal + snapshot roundtrips,
-   torn-tail tolerance, and the readers' crash hardening. *)
+(* Durable serving state: CRC framing, per-program record files,
+   damaged-record tolerance, and the readers' crash hardening. *)
 
 open Helpers
 
@@ -66,163 +66,96 @@ let test_crc_frame_roundtrip () =
   check_bool "short garbage rejected" true (Driver.State.unframe "zzz" = None)
 
 (* ---------------------------------------------------------------- *)
-(* Journal roundtrip and last-record-wins                            *)
+(* Record files                                                      *)
 (* ---------------------------------------------------------------- *)
 
-let test_journal_roundtrip () =
+let test_write_replaces_record () =
   with_dir (fun dir ->
-      check_bool "no state yet" false (Driver.State.exists ~dir);
-      let w = Driver.State.open_journal ~dir in
       let p1 = program ~key:"k1" ~name:"alpha" () in
       let p2 = program ~key:"k2" ~name:"beta" ~generation:3 () in
-      Driver.State.journal_program w p1;
-      Driver.State.journal_program w p2;
-      (* a newer absolute record for k1 supersedes the first *)
+      Driver.State.write ~dir p1;
+      Driver.State.write ~dir p2;
+      (* a newer absolute record for k1 replaces the first *)
       let p1' = program ~key:"k1" ~name:"alpha" ~generation:2 ~executions:500 () in
-      Driver.State.journal_program w p1';
-      Alcotest.(check int) "appended counts records" 3 (Driver.State.appended w);
-      Driver.State.close_journal w;
-      check_bool "state exists now" true (Driver.State.exists ~dir);
+      Driver.State.write ~dir p1';
+      check_bool "one file per program, no tmp left behind" true
+        (List.sort compare (Array.to_list (Sys.readdir dir))
+        = [ "k1.rec"; "k2.rec" ]);
+      check_output "record_path names the file"
+        (Filename.concat dir "k1.rec")
+        (Driver.State.record_path ~dir "k1");
       let r = Driver.State.load ~dir in
-      Alcotest.(check int) "no frames skipped" 0 r.Driver.State.r_skipped;
-      Alcotest.(check int) "two distinct programs" 2
-        (List.length r.Driver.State.r_programs);
-      let k1 =
-        List.find
-          (fun p -> p.Driver.State.p_key = "k1")
-          r.Driver.State.r_programs
+      check_int "no record skipped" 0 r.Driver.State.r_skipped;
+      check_bool "the latest record of each program, in name order" true
+        (r.Driver.State.r_programs = [ p1'; p2 ]))
+
+let test_damaged_records_skipped () =
+  with_dir (fun dir ->
+      let p1 = program ~key:"k1" ~name:"alpha" () in
+      let p2 = program ~key:"k2" ~name:"beta" ~generation:4 ~executions:900 () in
+      let p3 = program ~key:"k3" ~name:"gamma" () in
+      List.iter (Driver.State.write ~dir) [ p1; p2; p3 ];
+      let put name bytes =
+        Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+            output_string oc bytes)
       in
-      Alcotest.(check int) "last record wins: generation" 2
-        k1.Driver.State.p_generation;
-      Alcotest.(check int) "last record wins: executions" 500
-        k1.Driver.State.p_executions;
-      check_bool "counters roundtrip" true
-        (k1.Driver.State.p_ranges = p1'.Driver.State.p_ranges
-        && k1.Driver.State.p_combs = p1'.Driver.State.p_combs);
-      let k2 =
-        List.find
-          (fun p -> p.Driver.State.p_key = "k2")
-          r.Driver.State.r_programs
+      (* a torn record: the first half of k2's file *)
+      let whole =
+        In_channel.with_open_bin (Driver.State.record_path ~dir "k2")
+          In_channel.input_all
       in
-      check_bool "untouched program intact" true (k2 = p2))
-
-let test_torn_tail_tolerated () =
-  with_dir (fun dir ->
-      let w = Driver.State.open_journal ~dir in
-      Driver.State.journal_program w (program ~key:"k1" ~name:"alpha" ());
-      Driver.State.journal_program w
-        (program ~key:"k2" ~name:"beta" ~generation:4 ~executions:900 ());
-      Driver.State.close_journal w;
-      check_bool "tear applies" true (Driver.State.tear_journal ~dir);
+      put "k2.rec" (String.sub whole 0 (String.length whole / 2));
+      put "junk.rec" "\x00\x01\x02 total nonsense";
+      put "empty.rec" "";
+      Unix.mkdir (Filename.concat dir "dir.rec") 0o755;
+      (* a whole record filed under another key's name *)
+      put "k9.rec" whole;
+      (* an interrupted write's tmp and unrelated files are not records *)
+      put "k4.rec.tmp" "half a reco";
+      put "notes.txt" "x";
       let r = Driver.State.load ~dir in
-      (* the torn final record is dropped; the first survives whole *)
-      Alcotest.(check int) "torn frame counted as skipped" 1
+      check_int "torn, junk, empty, misfiled and directory skipped" 5
         r.Driver.State.r_skipped;
-      Alcotest.(check int) "prefix record survives" 1
-        (List.length r.Driver.State.r_programs);
-      check_output "the surviving record is the first" "k1"
-        (List.hd r.Driver.State.r_programs).Driver.State.p_key)
+      check_bool "the other programs restore" true
+        (r.Driver.State.r_programs = [ p1; p3 ]);
+      check_int "a missing directory restores as empty" 0
+        (List.length
+           (Driver.State.load ~dir:(Filename.concat dir "absent"))
+             .Driver.State.r_programs))
 
-(* the writer that tore (a live server's, in the chaos replay) keeps
-   appending: its next record must not be glued to the torn fragment *)
-let test_append_after_torn_tail () =
+let test_prepare () =
   with_dir (fun dir ->
-      let w = Driver.State.open_journal ~dir in
-      Driver.State.journal_program w (program ~key:"k1" ~name:"alpha" ());
-      Driver.State.journal_program w (program ~key:"k2" ~name:"beta" ());
-      check_bool "tear applies" true (Driver.State.tear_journal ~dir);
-      Driver.State.journal_program w
-        (program ~key:"k3" ~name:"gamma" ~generation:2 ());
-      Driver.State.close_journal w;
-      let r = Driver.State.load ~dir in
-      Alcotest.(check int) "only the torn frame is skipped" 1
-        r.Driver.State.r_skipped;
-      check_bool "the records around the tear survive" true
-        (List.map (fun p -> p.Driver.State.p_key) r.Driver.State.r_programs
-        = [ "k1"; "k3" ]))
-
-let test_garbage_never_raises () =
-  with_dir (fun dir ->
-      (* hole torn mid-file: garbage between two valid records *)
-      let w = Driver.State.open_journal ~dir in
-      Driver.State.journal_program w (program ~key:"k1" ~name:"alpha" ());
-      Driver.State.close_journal w;
-      let oc =
-        open_out_gen [ Open_append ] 0o644 (Driver.State.journal_path ~dir)
-      in
-      output_string oc "deadbeef {not json}\n\n08x nope\n";
-      close_out oc;
-      let w = Driver.State.open_journal ~dir in
-      Driver.State.journal_program w
-        (program ~key:"k2" ~name:"beta" ~generation:2 ());
-      Driver.State.close_journal w;
-      let r = Driver.State.load ~dir in
-      Alcotest.(check int) "damaged frames skipped, not fatal" 2
-        r.Driver.State.r_skipped;
-      Alcotest.(check int) "records on both sides survive" 2
-        (List.length r.Driver.State.r_programs);
-      (* an unreadable snapshot restores as empty, never raises *)
-      let oc = open_out (Driver.State.snapshot_path ~dir) in
-      output_string oc "\x00\x01\x02 total nonsense";
-      close_out oc;
-      let r = Driver.State.load ~dir in
-      Alcotest.(check int) "journal still restores past a junk snapshot" 2
-        (List.length r.Driver.State.r_programs))
-
-(* ---------------------------------------------------------------- *)
-(* Snapshots                                                         *)
-(* ---------------------------------------------------------------- *)
-
-let test_snapshot_compacts_journal () =
-  with_dir (fun dir ->
-      let w = Driver.State.open_journal ~dir in
-      Driver.State.journal_program w (program ~key:"k1" ~name:"alpha" ());
-      Driver.State.close_journal w;
-      (* snapshot the superseding state, then truncate the journal *)
-      let p1' = program ~key:"k1" ~name:"alpha" ~generation:5 ~executions:777 () in
-      Driver.State.write_snapshot ~dir [ p1' ];
-      (* before the truncate, load sees snapshot then stale journal:
-         the journal's k1 record is older but still *absolute*, so the
-         snapshot must not lose to it only when the journal is empty.
-         Truncate-after-rename is the contract. *)
-      Driver.State.truncate_journal ~dir;
-      let r = Driver.State.load ~dir in
-      Alcotest.(check int) "one program" 1
-        (List.length r.Driver.State.r_programs);
-      let k1 = List.hd r.Driver.State.r_programs in
-      Alcotest.(check int) "snapshot state restored" 5
-        k1.Driver.State.p_generation;
-      Alcotest.(check int) "snapshot executions restored" 777
-        k1.Driver.State.p_executions;
-      (* journal records appended after the snapshot win over it *)
-      let w = Driver.State.open_journal ~dir in
-      Driver.State.journal_program w
-        (program ~key:"k1" ~name:"alpha" ~generation:6 ~executions:800 ());
-      Driver.State.close_journal w;
-      let r = Driver.State.load ~dir in
-      Alcotest.(check int) "journal beats snapshot" 6
-        (List.hd r.Driver.State.r_programs).Driver.State.p_generation;
-      (* no tmp file left behind by the atomic rename *)
-      check_bool "no snapshot.tmp residue" false
-        (Sys.file_exists (Driver.State.snapshot_path ~dir ^ ".tmp")))
+      let sub = Filename.concat (Filename.concat dir "a") "b" in
+      Driver.State.prepare ~dir:sub;
+      check_bool "prepare creates the directory and its parents" true
+        (Sys.is_directory sub);
+      Driver.State.prepare ~dir:sub;
+      let file = Filename.concat dir "plain" in
+      Out_channel.with_open_bin file (fun oc -> output_string oc "x");
+      match Driver.State.prepare ~dir:file with
+      | () -> Alcotest.fail "a file is not a state dir"
+      | exception Sys_error m ->
+        check_output "a file is refused" (file ^ ": not a directory") m)
 
 (* ---------------------------------------------------------------- *)
 (* Readers are total on arbitrary bytes                                *)
 (* ---------------------------------------------------------------- *)
 
 (* a \u escape with no hex digits once made the JSON reader raise
-   [Failure "int_of_string"], which slipped past the torn-tail handler
-   and, inside a CRC-valid journal frame, out of [State.load] *)
+   [Failure "int_of_string"], which slipped past the damaged-record
+   handler and, inside a CRC-valid frame, out of [State.load] *)
 let bad_unicode = {|{"a": "\uzzzz"}|}
 
+(* one frame per record file, [f0.rec], [f1.rec], ... *)
 let write_frames dir payloads =
-  let oc = open_out_bin (Driver.State.journal_path ~dir) in
-  List.iter
-    (fun p ->
-      output_string oc (Driver.State.frame p);
-      output_char oc '\n')
-    payloads;
-  close_out oc
+  List.iteri
+    (fun i p ->
+      Out_channel.with_open_bin
+        (Filename.concat dir (Printf.sprintf "f%d.rec" i))
+        (fun oc ->
+          output_string oc (Driver.State.frame p);
+          output_char oc '\n'))
+    payloads
 
 let test_bad_escape_is_a_parse_error () =
   (match Json.parse bad_unicode with
@@ -230,15 +163,12 @@ let test_bad_escape_is_a_parse_error () =
   | exception Json.Parse_error _ -> ());
   with_dir (fun dir ->
       write_frames dir
-        [
-          {|{"t": "program", "v": 1, "key": "\uzzzz"}|};
-          bad_unicode;
-          Printf.sprintf {|{"t": "bank", "v": %d, "tallies": ""}|}
-            Driver.State.version;
-        ];
+        [ {|{"t": "program", "v": 1, "key": "\uzzzz"}|}; bad_unicode ];
+      Driver.State.write ~dir (program ~key:"k1" ~name:"alpha" ());
       let r = Driver.State.load ~dir in
       check_int "bad frames skipped" 2 r.Driver.State.r_skipped;
-      check_int "the good frame still restores" 1 r.Driver.State.r_records)
+      check_int "the good record still restores" 1
+        (List.length r.Driver.State.r_programs))
 
 (* random bytes, heavy on the characters that steer a JSON reader *)
 let jsonish =
@@ -275,19 +205,16 @@ let state_load_is_total =
       with_dir (fun dir ->
           write_frames dir payloads;
           let r = Driver.State.load ~dir in
-          r.Driver.State.r_records + r.Driver.State.r_skipped
+          List.length r.Driver.State.r_programs + r.Driver.State.r_skipped
           = List.length payloads))
 
 (* lines in the spaced format earlier releases wrote, pinned verbatim:
-   JSON records and state directories written then must still read back *)
+   JSON records and program records written then must still read back *)
 let legacy_spaced_line =
   {|{"id": 4, "label": "a \"quoted\"\nlabel", "status": "crash", "message": "tab\there", "attempts": 3, "retried": 2, "backend": "compiled", "degraded": true, "injected": "raise", "wall_ms": 12.500}|}
 
-let legacy_journal =
-  [
-    {|a2df6da5 {"t": "program", "v": 1, "key": "k1", "name": "alpha", "source": "int main() {\n\tputs(\"a\\\\b\");\n}", "drift": "v1 g3 e100 sig-g3", "last_opt": 50, "ranges": "0:100:7,3;1:6:1,2,3", "combs": "0:4:4"}|};
-    {|cb6a8ddf {"t": "bank", "v": 1, "tallies": "2.2.64:1000:37"}|};
-  ]
+let legacy_record =
+  {|a2df6da5 {"t": "program", "v": 1, "key": "k1", "name": "alpha", "source": "int main() {\n\tputs(\"a\\\\b\");\n}", "drift": "v1 g3 e100 sig-g3", "last_opt": 50, "ranges": "0:100:7,3;1:6:1,2,3", "combs": "0:4:4"}|}
 
 let test_legacy_lines_read_back () =
   let v =
@@ -310,13 +237,10 @@ let test_legacy_lines_read_back () =
   check_bool "new lines are compact" true
     (contains_substring (Json.to_string v) {|,"wall_ms":12.5}|});
   with_dir (fun dir ->
-      let oc = open_out_bin (Driver.State.journal_path ~dir) in
-      List.iter (fun l -> output_string oc (l ^ "\n")) legacy_journal;
-      close_out oc;
+      Out_channel.with_open_bin (Driver.State.record_path ~dir "k1") (fun oc ->
+          output_string oc (legacy_record ^ "\n"));
       let r = Driver.State.load ~dir in
-      check_int "no legacy frame skipped" 0 r.Driver.State.r_skipped;
-      check_int "the bank frame is read and dropped" 2
-        r.Driver.State.r_records;
+      check_int "the legacy record is not skipped" 0 r.Driver.State.r_skipped;
       check_bool "legacy program record reads back exactly" true
         (r.Driver.State.r_programs
         = [
@@ -358,19 +282,17 @@ let suite =
   [
     case "state: CRC-32 framing roundtrip and rejection"
       test_crc_frame_roundtrip;
-    case "state: journal roundtrip, last record wins" test_journal_roundtrip;
-    case "state: torn tail dropped, prefix survives" test_torn_tail_tolerated;
-    case "state: a record appended after a tear survives"
-      test_append_after_torn_tail;
-    case "state: damaged frames and junk snapshots never raise"
-      test_garbage_never_raises;
-    case "state: snapshot compacts, journal beats snapshot"
-      test_snapshot_compacts_journal;
+    case "state: a write replaces its program's record file"
+      test_write_replaces_record;
+    case "state: damaged records skipped, other files ignored"
+      test_damaged_records_skipped;
+    case "state: prepare creates the directory, refuses a file"
+      test_prepare;
     case "readers: a bad \\u escape is a parse error, never a Failure"
       test_bad_escape_is_a_parse_error;
     parse_raises_only_parse_error;
     state_load_is_total;
-    case "readers: legacy spaced JSON and journal lines read back"
+    case "readers: legacy spaced JSON and record lines read back"
       test_legacy_lines_read_back;
     case "inject: server chaos plans are seeded and exhaustive"
       test_server_plan;
