@@ -928,11 +928,12 @@ let serve_cmd =
         let out_lock = Mutex.create () in
         let print_line s = Mutex.protect out_lock (fun () -> print_endline s) in
         let inflight = Driver.Pool.Inflight.create () in
+        let st = Driver.Server.stats srv in
         print_line
-          (Printf.sprintf "ready domains=%d backend=%s restored=%d"
+          (Printf.sprintf "ready domains=%d backend=%s restored=%d skipped=%d"
              (Driver.Server.domains srv)
              (Driver.Config.backend_name backend)
-             (Driver.Server.stats srv).Driver.Server.st_restored);
+             st.Driver.Server.st_restored st.Driver.Server.st_skipped);
         let next_id = ref 0 in
         let quit = ref false in
         while not !quit do

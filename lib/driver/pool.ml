@@ -60,6 +60,11 @@ let outcome_message = function
 (* Long-lived worker pool                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* true on a [Workers] domain whose pool already runs one domain per
+   core of the host: a [both] there runs its two halves in turn, since
+   a third domain would only take a core from a sibling worker *)
+let full_pool_worker = Domain.DLS.new_key (fun () -> false)
+
 (* a daemon taking an open-ended request stream wants the domain spawn
    (milliseconds) paid once, and per-domain state (profile shards) needs
    workers with stable identities.  [Workers] keeps [n] domains alive
@@ -79,6 +84,8 @@ module Workers = struct
   let size t = t.w_size
 
   let worker_loop t w =
+    Domain.DLS.set full_pool_worker
+      (t.w_size >= Domain.recommended_domain_count ());
     let continue = ref true in
     while !continue do
       Mutex.lock t.w_lock;
@@ -188,17 +195,23 @@ end
 (* Fan-out                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* one job split in two: [f] on a fresh domain, [g] on the caller's.
-   The join comes before any exception leaves, so no domain outlives
-   the call *)
+(* one job split in two: [f] on a fresh domain, [g] on the caller's,
+   or both in turn on a worker of a full pool.  The join comes before
+   any exception leaves, so no domain outlives the call *)
 let both f g =
-  let d = Domain.spawn f in
-  match g () with
-  | b -> (Domain.join d, b)
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    (try ignore (Domain.join d) with _ -> ());
-    Printexc.raise_with_backtrace e bt
+  if Domain.DLS.get full_pool_worker then begin
+    let a = f () in
+    (a, g ())
+  end
+  else begin
+    let d = Domain.spawn f in
+    match g () with
+    | b -> (Domain.join d, b)
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try ignore (Domain.join d) with _ -> ());
+      Printexc.raise_with_backtrace e bt
+  end
 
 (* every item's [f] runs to completion (or to a captured exception), on
    the caller's domain when one domain is asked for, else on a [Workers]

@@ -15,7 +15,8 @@
     half while the caller runs the other, and the domain is joined
     before either result or exception leaves.  {!Pipeline.run} uses it
     to measure the original while the reordered version trains, so
-    [map] over [d] domains runs up to [2d] at once.
+    [map] over [d] domains runs up to [2d] at once; on a host with no
+    more than [d] cores the halves run in turn on the worker instead.
 
     The pipeline has no global mutable state, so jobs are data-parallel;
     callers must only take care to force any [lazy] inputs *before*
@@ -69,7 +70,12 @@ val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
     domain is joined on every path: if [g] raises, its exception is
     re-raised after the join and [f]'s outcome is dropped; otherwise an
     exception of [f] is re-raised by the join.  Callers that need both
-    outcomes make [f] and [g] total. *)
+    outcomes make [f] and [g] total.
+
+    Called on a {!Workers} domain of a pool that already has one
+    worker per core of the host ([Domain.recommended_domain_count]),
+    it spawns nothing: it runs [f], then [g], on the calling domain,
+    and an exception of [f] leaves before [g] runs. *)
 
 (** {2 Long-lived worker pool}
 

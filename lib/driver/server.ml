@@ -27,6 +27,7 @@ type stats = {
   st_caches : Sim.Artifact.stats list;
   st_native : Sim.Native.stats;
   st_restored : int;
+  st_skipped : int;
   st_programs : (string * int * int) list;
 }
 
@@ -76,6 +77,7 @@ type t = {
      merge.  [None] = ephemeral server (the default) *)
   state_dir : string option;
   restored : int Atomic.t;  (* programs warm-started from disk *)
+  skipped : int Atomic.t;  (* damaged record files [State.load] passed over *)
   mutable stopped : bool;
 }
 
@@ -277,6 +279,7 @@ let restore_entry t (p : State.program) =
    (config change, unparsable source); never fails the boot *)
 let restore_state t dir =
   let r = State.load ~dir in
+  Atomic.set t.skipped r.State.r_skipped;
   List.iter
     (fun (p : State.program) ->
       if String.equal (content_key t p.State.p_source) p.State.p_key then
@@ -308,6 +311,7 @@ let create ?(config = Config.default) ?domains ?state_dir () =
       events_lock = Mutex.create ();
       state_dir;
       restored = Atomic.make 0;
+      skipped = Atomic.make 0;
       stopped = false;
     }
   in
@@ -558,6 +562,7 @@ let stats t =
       ];
     st_native = Sim.Native.stats ();
     st_restored = Atomic.get t.restored;
+    st_skipped = Atomic.get t.skipped;
     st_programs =
       List.map
         (fun e ->
@@ -604,7 +609,7 @@ let stats_json st =
                  ("quarantined", ns.quarantined);
                ]) );
       ]
-    @ ints [ ("restored", st.st_restored) ]
+    @ ints [ ("restored", st.st_restored); ("skipped", st.st_skipped) ]
     @ [ ("programs", Json.Arr (List.map program st.st_programs)) ])
 
 let reopt_events t =

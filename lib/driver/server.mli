@@ -84,6 +84,9 @@ type stats = {
       (** the [programs], [image] and [closure] caches, in that order *)
   st_native : Sim.Native.stats;
   st_restored : int;  (** programs warm-started from [state_dir] *)
+  st_skipped : int;
+      (** record files in [state_dir] that could not be read back
+          (torn, damaged or misfiled) and were passed over *)
   st_programs : (string * int * int) list;
       (** per program, ordered by name: (name, served generation,
           profile executions) *)

@@ -1,15 +1,20 @@
 (* Native execution backend: runtime OCaml code generation.
 
    {!generate} emits an {!Image.t} as a self-contained OCaml module
-   that depends on the standard library only: each MIR function becomes
-   one OCaml function whose basic blocks are mutually tail-recursive
-   inner functions, registers are [let]-bound [ref] cells, and the
-   charge batching plan of {!Image.plan} is emitted at code-generation
-   time — pure instructions run straight-line and their counter/fuel
-   charges are flushed, already folded into constants, where the plan
-   says, so the fuel trap fires under exactly the same conditions and
-   with the same message as the other backends and the ten counters
-   are exact at every exit.
+   that depends on the standard library only.  The run's state is one
+   record [st], allocated by [entry] once per exec; each MIR function
+   becomes a top-level [f_F] that takes the register file of its call
+   depth from [st.frames] (zeroed, grown on demand, reused by every
+   later frame at that depth) and each basic block a top-level [b_F_B]
+   over the state and that file, all in one [let rec] group, so block
+   transfers are direct tail calls and a simulated call allocates
+   nothing.  The charge batching plan of {!Image.plan} is emitted at
+   code-generation time — pure instructions run straight-line and
+   their counter/fuel charges are flushed, already folded into
+   constants, where the plan says, through top-level [let[@inline]]
+   helpers — so the fuel trap fires under exactly the same conditions
+   and with the same message as the other backends and the ten
+   counters are exact at every exit.
 
    The module is compiled out of process with [ocamlfind ocamlopt
    -shared] and loaded with [Dynlink.loadfile_private].  The plugin and
@@ -48,7 +53,7 @@ exception Unavailable of string
    not support (none are produced by {!Image.build}) *)
 exception Unsupported of string
 
-let schema_version = 2
+let schema_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Process-wide configuration and statistics                           *)
@@ -151,6 +156,63 @@ let cond_op : Mir.Cond.t -> string = function
   | Mir.Cond.Gt -> ">"
   | Mir.Cond.Ge -> ">="
 
+(* The plugin's fixed prelude, after [ctx_decl] and the [st] record:
+   the charging helpers, the trap formatters, the input reader and the
+   per-depth register files.  Everything here is a top-level function
+   over the run state [s], so the blocks that call it allocate
+   nothing.  Counter slots 0, 3 and 9 are [ix_insns], [ix_jumps] and
+   [ix_nops]. *)
+let prelude =
+  {|let[@inline] bump s i = Array.unsafe_set s.k i (Array.unsafe_get s.k i + 1)
+let[@inline never] fuel_out s =
+  s.c.x_trap (Printf.sprintf "fuel exhausted (%d instructions)" s.c.x_fuel)
+let[@inline] ch s n =
+  Array.unsafe_set s.k 0 (Array.unsafe_get s.k 0 + n);
+  let f = s.fuel - n in
+  s.fuel <- f;
+  if f < 0 then ignore (fuel_out s)
+let[@inline] fl s pi pn =
+  Array.unsafe_set s.k 9 (Array.unsafe_get s.k 9 + pn);
+  ch s pi
+let[@inline] np s = bump s 9; ch s 1
+let[@inline] lj s = bump s 3; bump s 9; ch s 2
+let[@inline] enter s fn lb =
+  if s.c.x_use_poll && s.c.x_poll () then ignore (s.c.x_cancelled ());
+  if s.c.x_use_on_block then s.c.x_on_block fn lb
+let[@inline never] oob s nm i len =
+  ignore
+    (s.c.x_trap
+       (Printf.sprintf "out-of-bounds access %s[%d] (size %d)" nm i len))
+let[@inline never] jtab s ix lb =
+  s.c.x_trap (Printf.sprintf "jump table index %d out of bounds (%s)" ix lb)
+let getch s =
+  if s.pos >= String.length s.c.x_input then -1
+  else begin
+    let c = Char.code (String.unsafe_get s.c.x_input s.pos) in
+    s.pos <- s.pos + 1;
+    c
+  end
+let frame s n : int array =
+  let d = s.depth in
+  if d >= Array.length s.frames then begin
+    let bigger = Array.make (max (d + 1) (2 * Array.length s.frames)) [||] in
+    Array.blit s.frames 0 bigger 0 (Array.length s.frames);
+    s.frames <- bigger
+  end;
+  let f = Array.unsafe_get s.frames d in
+  if Array.length f < n then begin
+    let f = Array.make n 0 in
+    Array.unsafe_set s.frames d f;
+    f
+  end
+  else begin
+    for i = 0 to n - 1 do
+      Array.unsafe_set f i 0
+    done;
+    f
+  end
+|}
+
 let generate (img : Image.t) : string * exn array =
   let b = Buffer.create 16384 in
   let pf fmt = Printf.bprintf b fmt in
@@ -165,333 +227,246 @@ let generate (img : Image.t) : string * exn array =
   let funcs = img.Image.funcs in
   let globals = img.Image.globals in
 
-  (* operand printer, relative to the current function's registers *)
+  (* operand printer over the current frame's register file [r] *)
   let pop = function
-    | Image.Preg r -> Printf.sprintf "!r%d" r
+    | Image.Preg r -> Printf.sprintf "(Array.unsafe_get r %d)" r
     | Image.Pimm n -> Printf.sprintf "(%d)" n
   in
 
   (* the operational code of one instruction, without any charging; the
      caller has already emitted the flush required by its kind *)
   let gen_insn ind (i : Image.pinsn) =
-    let p fmt = Printf.bprintf b fmt in
     let line fmt =
       Buffer.add_string b ind;
       Printf.bprintf b fmt
     in
+    let set r fmt =
+      Buffer.add_string b ind;
+      Printf.kbprintf (fun b -> Buffer.add_string b ");\n") b
+        ("Array.unsafe_set r %d (" ^^ fmt) r
+    in
     match i with
     | Image.Pnop -> ()
-    | Image.Pmov (r, o) -> line "r%d := %s;\n" r (pop o)
-    | Image.Punop (Mir.Insn.Neg, r, o) -> line "r%d := - %s;\n" r (pop o)
+    | Image.Pmov (r, o) -> set r "%s" (pop o)
+    | Image.Punop (Mir.Insn.Neg, r, o) -> set r "- %s" (pop o)
     | Image.Punop (Mir.Insn.Not, r, o) ->
-      line "r%d := (if %s = 0 then 1 else 0);\n" r (pop o)
+      set r "if %s = 0 then 1 else 0" (pop o)
     | Image.Pbinop (op, r, x, y) -> (
       let open Mir.Insn in
       match (op, x, y) with
       | (Div | Rem), _, Image.Pimm 0 ->
-        line "ignore (trap \"division by zero\");\n"
-      | Div, _, Image.Pimm n -> line "r%d := %s / (%d);\n" r (pop x) n
-      | Rem, _, Image.Pimm n -> line "r%d := %s mod (%d);\n" r (pop x) n
+        line "ignore (s.c.x_trap \"division by zero\");\n"
+      | Div, _, Image.Pimm n -> set r "%s / (%d)" (pop x) n
+      | Rem, _, Image.Pimm n -> set r "%s mod (%d)" (pop x) n
       | (Div | Rem), _, Image.Preg y ->
-        line "let d = !r%d in\n" y;
-        line "if d = 0 then ignore (trap \"division by zero\");\n";
-        line "r%d := %s %s d;\n" r (pop x)
-          (if op = Div then "/" else "mod")
+        line "let d = Array.unsafe_get r %d in\n" y;
+        line "if d = 0 then ignore (s.c.x_trap \"division by zero\");\n";
+        set r "%s %s d" (pop x) (if op = Div then "/" else "mod")
       | _, Image.Pimm vx, Image.Pimm vy ->
         (* constant folded at code-generation time, like {!Compiled} *)
-        line "r%d := (%d);\n" r (eval_binop op vx vy)
-      | Shl, _, Image.Pimm n -> line "r%d := %s lsl %d;\n" r (pop x) (n land 63)
-      | Shr, _, Image.Pimm n -> line "r%d := %s asr %d;\n" r (pop x) (n land 63)
-      | Shl, _, _ -> line "r%d := %s lsl (%s land 63);\n" r (pop x) (pop y)
-      | Shr, _, _ -> line "r%d := %s asr (%s land 63);\n" r (pop x) (pop y)
-      | Add, _, _ -> line "r%d := %s + %s;\n" r (pop x) (pop y)
-      | Sub, _, _ -> line "r%d := %s - %s;\n" r (pop x) (pop y)
-      | Mul, _, _ -> line "r%d := %s * %s;\n" r (pop x) (pop y)
-      | And, _, _ -> line "r%d := %s land %s;\n" r (pop x) (pop y)
-      | Or, _, _ -> line "r%d := %s lor %s;\n" r (pop x) (pop y)
-      | Xor, _, _ -> line "r%d := %s lxor %s;\n" r (pop x) (pop y))
+        set r "%d" (eval_binop op vx vy)
+      | Shl, _, Image.Pimm n -> set r "%s lsl %d" (pop x) (n land 63)
+      | Shr, _, Image.Pimm n -> set r "%s asr %d" (pop x) (n land 63)
+      | Shl, _, _ -> set r "%s lsl (%s land 63)" (pop x) (pop y)
+      | Shr, _, _ -> set r "%s asr (%s land 63)" (pop x) (pop y)
+      | Add, _, _ -> set r "%s + %s" (pop x) (pop y)
+      | Sub, _, _ -> set r "%s - %s" (pop x) (pop y)
+      | Mul, _, _ -> set r "%s * %s" (pop x) (pop y)
+      | And, _, _ -> set r "%s land %s" (pop x) (pop y)
+      | Or, _, _ -> set r "%s lor %s" (pop x) (pop y)
+      | Xor, _, _ -> set r "%s lxor %s" (pop x) (pop y))
     | Image.Pcmp (x, y) ->
-      line "cc_a := %s;\n" (pop x);
-      line "cc_b := %s;\n" (pop y)
+      line "s.cc_a <- %s;\n" (pop x);
+      line "s.cc_b <- %s;\n" (pop y)
     | Image.Pload (r, slot, idx) ->
-      let name = globals.(slot).Image.g_name in
-      line "bump %d;\n" ix_loads;
-      line "let i = %s in\n" (pop idx);
-      line "if i < 0 || i >= Array.length g%d then oob %S i (Array.length g%d);\n"
-        slot name slot;
-      line "r%d := Array.unsafe_get g%d i;\n" r slot
+      line "bump s %d;\n" ix_loads;
+      line "let g = s.g%d and i = %s in\n" slot (pop idx);
+      line "if i < 0 || i >= Array.length g then oob s %S i (Array.length g);\n"
+        globals.(slot).Image.g_name;
+      set r "Array.unsafe_get g i"
     | Image.Pstore (slot, idx, v) ->
-      let name = globals.(slot).Image.g_name in
-      line "bump %d;\n" ix_stores;
-      line "let i = %s in\n" (pop idx);
-      line "if i < 0 || i >= Array.length g%d then oob %S i (Array.length g%d);\n"
-        slot name slot;
-      line "Array.unsafe_set g%d i %s;\n" slot (pop v)
+      line "bump s %d;\n" ix_stores;
+      line "let g = s.g%d and i = %s in\n" slot (pop idx);
+      line "if i < 0 || i >= Array.length g then oob s %S i (Array.length g);\n"
+        globals.(slot).Image.g_name;
+      line "Array.unsafe_set g i %s;\n" (pop v)
     | Image.Pcall (dst, fid, args) ->
       let callee = funcs.(fid) in
       let nparams = Array.length callee.Image.pf_params in
-      line "bump %d;\n" ix_calls;
+      line "bump s %d;\n" ix_calls;
       if Array.length args < nparams then begin
-        line "if !depth + 1 >= max_depth then ignore (trap %S);\n"
+        line "if s.depth + 1 >= s.c.x_max_depth then ignore (s.c.x_trap %S);\n"
           ("call depth exceeded in " ^ callee.Image.pf_name);
-        line "ignore (trap %S);\n"
+        line "ignore (s.c.x_trap %S);\n"
           ("too few arguments to " ^ callee.Image.pf_name)
       end
       else begin
-        line "let d = !depth + 1 in\n";
-        line "if d >= max_depth then ignore (trap %S);\n"
+        line "let d = s.depth + 1 in\n";
+        line "if d >= s.c.x_max_depth then ignore (s.c.x_trap %S);\n"
           ("call depth exceeded in " ^ callee.Image.pf_name);
-        line "depth := d;\n";
-        Buffer.add_string b ind;
-        p "let v = f_%d" fid;
-        if nparams = 0 then p " ()"
-        else
-          for i = 0 to nparams - 1 do
-            p " %s" (pop args.(i))
-          done;
-        p " in\n";
-        line "depth := d - 1;\n";
-        if dst >= 0 then line "r%d := v;\n" dst else line "ignore v;\n"
+        line "s.depth <- d;\n";
+        line "let v = f_%d s%s in\n" fid
+          (String.concat ""
+             (List.init nparams (fun i -> " " ^ pop args.(i))));
+        line "s.depth <- d - 1;\n";
+        if dst >= 0 then set dst "v" else line "ignore v;\n"
       end
     | Image.Pbuiltin (dst, bi, args) -> (
-      line "bump %d;\n" ix_calls;
+      line "bump s %d;\n" ix_calls;
       match bi with
       | Image.Bgetchar ->
-        if dst >= 0 then line "r%d := getch ();\n" dst
-        else line "if !pos < ilen then incr pos;\n"
+        if dst >= 0 then set dst "getch s"
+        else line "ignore (getch s);\n"
       | Image.Bputchar ->
-        if dst >= 0 then begin
-          line "let v = %s in\n" (pop args.(0));
-          line "Buffer.add_char out (Char.chr (v land 255));\n";
-          line "r%d := v;\n" dst
-        end
-        else
-          line "Buffer.add_char out (Char.chr (%s land 255));\n" (pop args.(0))
+        line "let v = %s in\n" (pop args.(0));
+        line "Buffer.add_char s.c.x_out (Char.unsafe_chr (v land 255));\n";
+        if dst >= 0 then set dst "v"
       | Image.Bprint_int ->
-        line "Buffer.add_string out (string_of_int %s);\n" (pop args.(0));
-        if dst >= 0 then line "r%d := 0;\n" dst
+        line "Buffer.add_string s.c.x_out (string_of_int %s);\n" (pop args.(0));
+        if dst >= 0 then set dst "0"
       | Image.Bexit -> line "raise (Exitp %s);\n" (pop args.(0)))
     | Image.Pprofile_range (id, r) ->
-      line "if uprof then prange %d !r%d;\n" id r
-    | Image.Pprofile_comb id -> line "if uprof then pcomb %d rdr;\n" id
-    | Image.Ptrap_insn msg -> line "ignore (trap %S);\n" msg
+      line "if s.c.x_use_profile then s.c.x_range %d (Array.unsafe_get r %d);\n"
+        id r
+    | Image.Pprofile_comb id ->
+      line "if s.c.x_use_profile then s.c.x_comb %d (fun i -> r.(i));\n" id
+    | Image.Ptrap_insn msg -> line "ignore (s.c.x_trap %S);\n" msg
   in
 
   (* pending charge flush: [pi] instructions of which [pn] are nops *)
   let gen_flush ind pi pn =
     if pn = 0 then begin
-      if pi > 0 then pf "%sch %d;\n" ind pi
+      if pi > 0 then pf "%sch s %d;\n" ind pi
     end
-    else pf "%sfl %d %d;\n" ind pi pn
+    else pf "%sfl s %d %d;\n" ind pi pn
   in
 
   (* a delay-slot instruction executed standalone pays its own charge *)
   let gen_delay ind (i : Image.pinsn option) =
     match i with
-    | None -> pf "%snp ();\n" ind
+    | None -> pf "%snp s;\n" ind
     | Some i -> (
       match Image.batching i with
-      | Image.Bnop -> pf "%snp ();\n" ind
+      | Image.Bnop -> pf "%snp s;\n" ind
       | Image.Bpure | Image.Beffect ->
-        pf "%sch 1;\n" ind;
+        pf "%sch s 1;\n" ind;
         gen_insn ind i
       | Image.Bobserve -> gen_insn ind i)
   in
 
-  let gen_func fid (f : Image.pfunc) =
-    let unknowns = f.Image.pf_unknown in
-    let nparams = Array.length f.Image.pf_params in
-    let has_comb =
-      Array.exists
-        (fun (blk : Image.pblock) ->
-          let is_comb = function Image.Pprofile_comb _ -> true | _ -> false in
-          Array.exists is_comb blk.Image.pb_insns
-          || match blk.Image.pb_delay with
-             | Some i -> is_comb i
-             | None -> false)
-        f.Image.pf_blocks
+  (* one basic block: a top-level function of the run state and the
+     register file of its frame, entered by a direct tail call *)
+  let gen_block fid (f : Image.pfunc) bix (blk : Image.pblock) =
+    let target t =
+      if t >= 0 then Printf.sprintf "b_%d_%d s r" fid t
+      else
+        Printf.sprintf "s.c.x_trap %S"
+          ("jump to unknown label " ^ f.Image.pf_unknown.(-t - 1))
     in
-    (* registers to materialize: everything the code touches, or the
-       whole file when a comb reader needs dynamic access *)
-    let used = Array.make (max f.Image.pf_nregs 1) has_comb in
-    let mark r = if r >= 0 && r < Array.length used then used.(r) <- true in
-    let mark_op = function Image.Preg r -> mark r | Image.Pimm _ -> () in
-    Array.iter mark f.Image.pf_params;
-    let mark_insn (i : Image.pinsn) =
-      match i with
-      | Image.Pnop -> ()
-      | Image.Pmov (r, o) | Image.Punop (_, r, o) ->
-        mark r;
-        mark_op o
-      | Image.Pbinop (_, r, x, y) ->
-        mark r;
-        mark_op x;
-        mark_op y
-      | Image.Pcmp (x, y) ->
-        mark_op x;
-        mark_op y
-      | Image.Pload (r, _, ix) ->
-        mark r;
-        mark_op ix
-      | Image.Pstore (_, ix, v) ->
-        mark_op ix;
-        mark_op v
-      | Image.Pcall (dst, _, args) ->
-        mark dst;
-        Array.iter mark_op args
-      | Image.Pbuiltin (dst, _, args) ->
-        mark dst;
-        Array.iter mark_op args
-      | Image.Pprofile_range (_, r) -> mark r
-      | Image.Pprofile_comb _ -> ()
-      | Image.Ptrap_insn _ -> ()
-    in
-    Array.iter
-      (fun (blk : Image.pblock) ->
-        Array.iter mark_insn blk.Image.pb_insns;
-        (match blk.Image.pb_delay with Some i -> mark_insn i | None -> ());
-        match blk.Image.pb_term with
-        | Image.Pjtab (r, _) -> mark r
-        | Image.Pret (Some (Image.Preg r)) -> mark r
-        | _ -> ())
-      f.Image.pf_blocks;
-    (* which parameter (by position) initializes each register; the last
-       binding wins, matching the compiled backend's bind loop *)
-    let param_of = Hashtbl.create 8 in
+    pf "and b_%d_%d (s : st) (r : int array) : int =\n" fid bix;
+    pf "  enter s %S %S;\n" f.Image.pf_name blk.Image.pb_label;
+    let ind = "  " in
+    let plan = Image.plan blk in
     Array.iteri
-      (fun i slot -> Hashtbl.replace param_of slot i)
-      f.Image.pf_params;
-    pf "  %s f_%d" (if fid = 0 then "let rec" else "and") fid;
-    if nparams = 0 then pf " ()"
-    else
-      for i = 0 to nparams - 1 do
-        pf " a%d" i
-      done;
+      (fun k i ->
+        let fi, fn = plan.Image.flushes.(k) in
+        gen_flush ind fi fn;
+        gen_insn ind i)
+      blk.Image.pb_insns;
+    let pi, pn = plan.Image.owed in
+    let site = blk.Image.pb_site in
+    match blk.Image.pb_term with
+    | Image.Pbr (cond, t, nt, nt_falls) ->
+      gen_flush ind (pi + 1) pn;
+      pf "  bump s %d;\n" ix_cond;
+      pf "  if s.cc_a %s s.cc_b then begin\n" (cond_op cond);
+      pf "    bump s %d;\n" ix_taken;
+      pf "    if s.c.x_use_sink then s.c.x_sink %d true;\n" site;
+      let d_taken, d_not_taken =
+        if blk.Image.pb_annul then
+          match blk.Image.pb_delay with
+          | Some _ -> (blk.Image.pb_delay, `Skip)
+          | None -> (None, `Nop)
+        else (blk.Image.pb_delay, `Run)
+      in
+      gen_delay "    " d_taken;
+      pf "    %s\n" (target t);
+      pf "  end\n";
+      pf "  else begin\n";
+      pf "    if s.c.x_use_sink then s.c.x_sink %d false;\n" site;
+      (match d_not_taken with
+      | `Run -> gen_delay "    " blk.Image.pb_delay
+      | `Nop -> gen_delay "    " None
+      | `Skip -> ());
+      if not nt_falls then pf "    lj s;\n";
+      pf "    %s\n" (target nt);
+      pf "  end\n"
+    | Image.Pjmp (t, falls) ->
+      if falls then begin
+        if t < 0 then
+          raise (Unsupported "fall-through jump to an unknown label");
+        gen_flush ind pi pn;
+        pf "  %s\n" (target t)
+      end
+      else begin
+        gen_flush ind (pi + 1) pn;
+        pf "  bump s %d;\n" ix_jumps;
+        gen_delay ind blk.Image.pb_delay;
+        pf "  %s\n" (target t)
+      end
+    | Image.Pjtab (reg, table) ->
+      gen_flush ind (pi + 1) pn;
+      pf "  bump s %d;\n" ix_indirect;
+      gen_delay ind blk.Image.pb_delay;
+      pf "  let ix = Array.unsafe_get r %d in\n" reg;
+      let n = Array.length table in
+      if n = 0 then pf "  jtab s ix %S\n" blk.Image.pb_label
+      else begin
+        pf "  if ix < 0 || ix >= %d then ignore (jtab s ix %S);\n" n
+          blk.Image.pb_label;
+        pf "  (match ix with\n";
+        for j = 0 to n - 2 do
+          pf "   | %d -> %s\n" j (target table.(j))
+        done;
+        pf "   | _ -> %s)\n" (target table.(n - 1))
+      end
+    | Image.Pret v ->
+      gen_flush ind (pi + 1) pn;
+      pf "  bump s %d;\n" ix_returns;
+      (* the delay slot runs before the return value is read *)
+      gen_delay ind blk.Image.pb_delay;
+      pf "  %s\n"
+        (match v with
+        | None -> "0"
+        | Some o -> pop o)
+    | Image.Ptrap_term msg ->
+      gen_flush ind pi pn;
+      pf "  s.c.x_trap %S\n" msg
+    | Image.Praise_term e ->
+      gen_flush ind pi pn;
+      pf "  s.c.x_raise %d\n" (raise_slot e)
+  in
+
+  (* a function takes the register file of its call depth, binds its
+     parameters (the last binding of a slot wins, as in the compiled
+     backend's bind loop) and tail-calls its entry block *)
+  let gen_func fid (f : Image.pfunc) =
+    let nparams = Array.length f.Image.pf_params in
+    pf "%s f_%d (s : st)" (if fid = 0 then "let rec" else "and") fid;
+    for i = 0 to nparams - 1 do
+      pf " a%d" i
+    done;
     pf " : int =\n";
     if Array.length f.Image.pf_blocks = 0 then
       (* the same failure as [run_blocks] indexing an empty array *)
-      pf "    raise (Invalid_argument \"index out of bounds\")\n"
+      pf "  raise (Invalid_argument \"index out of bounds\")\n"
     else begin
+      pf "  let r = frame s %d in\n" (max f.Image.pf_nregs 1);
       Array.iteri
-        (fun r u ->
-          if u && r < f.Image.pf_nregs then
-            match Hashtbl.find_opt param_of r with
-            | Some i -> pf "    let r%d = ref a%d in\n" r i
-            | None -> pf "    let r%d = ref 0 in\n" r)
-        used;
-      if has_comb then begin
-        pf "    let rdr i = match i with\n";
-        for r = 0 to f.Image.pf_nregs - 1 do
-          pf "      | %d -> !r%d\n" r r
-        done;
-        pf "      | _ -> raise (Invalid_argument \"index out of bounds\")\n";
-        pf "    in\n"
-      end;
-      let target t =
-        if t >= 0 then Printf.sprintf "b_%d ()" t
-        else
-          Printf.sprintf "trap %S"
-            ("jump to unknown label " ^ unknowns.(-t - 1))
-      in
-      Array.iteri
-        (fun bix (blk : Image.pblock) ->
-          pf "    %s b_%d () : int =\n"
-            (if bix = 0 then "let rec" else "and")
-            bix;
-          pf "      if upoll && poll () then ignore (cancelled ());\n";
-          pf "      if ublock then on_block %S %S;\n" f.Image.pf_name
-            blk.Image.pb_label;
-          let ind = "      " in
-          let plan = Image.plan blk in
-          Array.iteri
-            (fun k i ->
-              let fi, fn = plan.Image.flushes.(k) in
-              gen_flush ind fi fn;
-              gen_insn ind i)
-            blk.Image.pb_insns;
-          let pi, pn = plan.Image.owed in
-          let site = blk.Image.pb_site in
-          (match blk.Image.pb_term with
-          | Image.Pbr (cond, t, nt, nt_falls) ->
-            gen_flush ind (pi + 1) pn;
-            pf "      bump %d;\n" ix_cond;
-            pf "      if !cc_a %s !cc_b then begin\n" (cond_op cond);
-            pf "        bump %d;\n" ix_taken;
-            pf "        if usink then sink %d true;\n" site;
-            let d_taken, d_not_taken =
-              if blk.Image.pb_annul then
-                match blk.Image.pb_delay with
-                | Some _ -> (blk.Image.pb_delay, `Skip)
-                | None -> (None, `Nop)
-              else (blk.Image.pb_delay, `Run)
-            in
-            gen_delay "        " d_taken;
-            pf "        %s\n" (target t);
-            pf "      end\n";
-            pf "      else begin\n";
-            pf "        if usink then sink %d false;\n" site;
-            (match d_not_taken with
-            | `Run -> gen_delay "        " blk.Image.pb_delay
-            | `Nop -> gen_delay "        " None
-            | `Skip -> ());
-            if not nt_falls then pf "        lj ();\n";
-            pf "        %s\n" (target nt);
-            pf "      end\n"
-          | Image.Pjmp (t, falls) ->
-            if falls then begin
-              if t < 0 then
-                raise
-                  (Unsupported "fall-through jump to an unknown label");
-              gen_flush ind pi pn;
-              pf "      b_%d ()\n" t
-            end
-            else begin
-              gen_flush ind (pi + 1) pn;
-              pf "      bump %d;\n" ix_jumps;
-              gen_delay ind blk.Image.pb_delay;
-              pf "      %s\n" (target t)
-            end
-          | Image.Pjtab (r, table) ->
-            gen_flush ind (pi + 1) pn;
-            pf "      bump %d;\n" ix_indirect;
-            gen_delay ind blk.Image.pb_delay;
-            pf "      let ix = !r%d in\n" r;
-            let n = Array.length table in
-            if n = 0 then
-              pf
-                "      trap (Printf.sprintf \"jump table index %%d out of \
-                 bounds (%%s)\" ix %S)\n"
-                blk.Image.pb_label
-            else begin
-              pf
-                "      if ix < 0 || ix >= %d then ignore (trap \
-                 (Printf.sprintf \"jump table index %%d out of bounds \
-                 (%%s)\" ix %S));\n"
-                n blk.Image.pb_label;
-              pf "      (match ix with\n";
-              for j = 0 to n - 2 do
-                pf "       | %d -> %s\n" j (target table.(j))
-              done;
-              pf "       | _ -> %s)\n" (target table.(n - 1))
-            end
-          | Image.Pret v ->
-            gen_flush ind (pi + 1) pn;
-            pf "      bump %d;\n" ix_returns;
-            (* the delay slot runs before the return value is read *)
-            gen_delay ind blk.Image.pb_delay;
-            (match v with
-            | None -> pf "      0\n"
-            | Some (Image.Pimm n) -> pf "      (%d)\n" n
-            | Some (Image.Preg r) -> pf "      !r%d\n" r)
-          | Image.Ptrap_term msg ->
-            gen_flush ind pi pn;
-            pf "      trap %S\n" msg
-          | Image.Praise_term e ->
-            gen_flush ind pi pn;
-            pf "      raisek %d\n" (raise_slot e)))
-        f.Image.pf_blocks;
-      pf "    in\n";
-      pf "    b_0 ()\n"
+        (fun i slot -> pf "  Array.unsafe_set r %d a%d;\n" slot i)
+        f.Image.pf_params;
+      pf "  b_%d_0 s r\n" fid;
+      Array.iteri (gen_block fid f) f.Image.pf_blocks
     end
   in
 
@@ -500,74 +475,36 @@ let generate (img : Image.t) : string * exn array =
   Buffer.add_string b ctx_decl;
   pf "exception Handoff of (ctx -> int)\n";
   pf "exception Exitp of int\n";
+  pf "type st = {\n";
+  pf "  c : ctx;\n";
+  pf "  k : int array;\n";
+  Array.iteri (fun i _ -> pf "  g%d : int array;\n" i) globals;
+  pf "  mutable fuel : int;\n";
+  pf "  mutable cc_a : int;\n";
+  pf "  mutable cc_b : int;\n";
+  pf "  mutable depth : int;\n";
+  pf "  mutable pos : int;\n";
+  pf "  mutable frames : int array array;\n";
+  pf "}\n";
+  Buffer.add_string b prelude;
+  Array.iteri gen_func funcs;
   pf "let entry (c : ctx) : int =\n";
-  pf "  let mem = c.x_mem in\n";
-  pf "  let input = c.x_input in\n";
-  pf "  let ilen = String.length input in\n";
-  pf "  let k = c.x_counters in\n";
-  pf "  let out = c.x_out in\n";
-  pf "  let trap = c.x_trap in\n";
-  pf "  let max_depth = c.x_max_depth in\n";
-  pf "  let upoll = c.x_use_poll in\n";
-  pf "  let poll = c.x_poll in\n";
-  pf "  let cancelled = c.x_cancelled in\n";
-  pf "  let usink = c.x_use_sink in\n";
-  pf "  let sink = c.x_sink in\n";
-  pf "  let ublock = c.x_use_on_block in\n";
-  pf "  let on_block = c.x_on_block in\n";
-  pf "  let uprof = c.x_use_profile in\n";
-  pf "  let prange = c.x_range in\n";
-  pf "  let pcomb = c.x_comb in\n";
-  pf "  let raisek = c.x_raise in\n";
-  pf
-    "  let fuel_msg = Printf.sprintf \"fuel exhausted (%%d instructions)\" \
-     c.x_fuel in\n";
-  pf "  let pos = ref 0 in\n";
-  pf "  let fuel = ref c.x_fuel in\n";
-  pf "  let cc_a = ref 0 in\n";
-  pf "  let cc_b = ref 0 in\n";
-  pf "  let depth = ref 0 in\n";
-  pf "  let bump i = Array.unsafe_set k i (Array.unsafe_get k i + 1) in\n";
-  pf "  let ch n =\n";
-  pf "    Array.unsafe_set k 0 (Array.unsafe_get k 0 + n);\n";
-  pf "    fuel := !fuel - n;\n";
-  pf "    if !fuel < 0 then ignore (trap fuel_msg)\n";
-  pf "  in\n";
-  pf
-    "  let fl pi pn = Array.unsafe_set k 9 (Array.unsafe_get k 9 + pn); ch pi \
-     in\n";
-  pf "  let np () = Array.unsafe_set k 9 (Array.unsafe_get k 9 + 1); ch 1 in\n";
-  pf "  let lj () = bump %d; bump %d; ch 2 in\n" ix_jumps ix_nops;
-  pf "  let oob nm i len =\n";
-  pf
-    "    ignore (trap (Printf.sprintf \"out-of-bounds access %%s[%%d] (size \
-     %%d)\" nm i len))\n";
-  pf "  in\n";
-  pf "  let getch () =\n";
-  pf "    if !pos >= ilen then -1\n";
-  pf "    else begin\n";
-  pf "      let c = Char.code (String.unsafe_get input !pos) in\n";
-  pf "      incr pos;\n";
-  pf "      c\n";
-  pf "    end\n";
-  pf "  in\n";
-  Array.iteri (fun i _ -> pf "  let g%d = Array.unsafe_get mem %d in\n" i i)
+  pf "  let s = {\n";
+  pf "    c; k = c.x_counters;\n";
+  Array.iteri (fun i _ -> pf "    g%d = Array.unsafe_get c.x_mem %d;\n" i i)
     globals;
-  if Array.length funcs = 0 then pf "  let f_none () = 0 in\n  ignore f_none;\n"
-  else begin
-    Array.iteri gen_func funcs;
-    pf "  in\n"
-  end;
+  pf "    fuel = c.x_fuel; cc_a = 0; cc_b = 0; depth = 0; pos = 0;\n";
+  pf "    frames = Array.make 16 [||] } in\n";
   pf "  try\n";
   (if img.Image.main_id < 0 then
-     pf "    trap \"call to unknown function main\"\n"
+     pf "    c.x_trap \"call to unknown function main\"\n"
    else begin
      let mf = funcs.(img.Image.main_id) in
-     pf "    if 0 >= max_depth then ignore (trap %S);\n"
+     pf "    if 0 >= c.x_max_depth then ignore (c.x_trap %S);\n"
        ("call depth exceeded in " ^ mf.Image.pf_name);
      if Array.length mf.Image.pf_params > 0 then
-       pf "    trap %S\n" ("too few arguments to " ^ mf.Image.pf_name)
-     else pf "    f_%d ()\n" img.Image.main_id
+       pf "    c.x_trap %S\n" ("too few arguments to " ^ mf.Image.pf_name)
+     else pf "    f_%d s\n" img.Image.main_id
    end);
   pf "  with Exitp code -> code\n";
   pf "let () = raise (Handoff entry)\n";

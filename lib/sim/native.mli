@@ -1,8 +1,10 @@
 (** Native execution backend: runtime OCaml code generation.
 
-    Emits a {!Image.t} as OCaml source — basic blocks become mutually
-    tail-recursive functions, registers become [let]-bound mutable
-    cells, counter/fuel charging follows {!Image.plan} and predictor
+    Emits a {!Image.t} as OCaml source — functions and basic blocks
+    become top-level functions over a per-exec state record, blocks
+    transfer by direct tail calls, registers live in one reused
+    register file per call depth (so a simulated call allocates
+    nothing), counter/fuel charging follows {!Image.plan} and predictor
     events are delivered at branch terminators — compiles it out of
     process with
     [ocamlfind ocamlopt -shared], loads the resulting [.cmxs] with
@@ -165,8 +167,10 @@ module Cache : sig
   val evict_stale : ?dir:string -> unit -> int
   (** Remove artifacts whose fingerprint differs from the running
       toolchain's (requires a working compiler to know which one that
-      is); returns the number of files removed.  The [quarantine/]
-      subdirectory is preserved. *)
+      is); returns the number of files removed.  The fingerprint
+      carries the plugin schema, so plugins of an older schema (schema
+      2's closure-per-call shape, say) are stale too.  The
+      [quarantine/] subdirectory is preserved. *)
 
   type verify_report = {
     v_checked : int;  (** artifacts digested *)

@@ -199,6 +199,163 @@ let test_trap_messages () =
     "int main() { int i; i = 0; while (i >= 0) i = i + 1; return 0; }"
     ~input:""
 
+(* Generated code keeps one register file per call depth and zeroes it
+   on entry, so reuse must never clobber a live register: [deep]
+   recurses with several registers live across the call, [wide] (more
+   registers than any caller) runs at depths [deep] used before, and
+   the mutual recursion of [ping]/[pong] ends in a depth trap on input
+   ["!"].  MiniC zeroes its locals, so the textual MIR of [peek_mir]
+   reads two registers it never wrote, in the depth-1 file that [wide]
+   filled just before.  The three engines must agree on everything
+   observable. *)
+let frames_src =
+  {|
+int wide(int a, int b) {
+  int p; int q; int r; int s; int t; int u; int v; int w; int x; int y;
+  p = a * 3; q = b * 5; r = p - q; s = r * 7 + a; t = s % 13 + b;
+  u = t * p - q; v = u + r * s; w = v % 101 - t; x = w * 2 + u; y = x - p;
+  return p + q + r + s + t + u + v + w + x + y;
+}
+
+int small(int a) { return a + 1; }
+
+int deep(int n, int a, int b) {
+  int x; int y; int z; int w;
+  if (n == 0) return wide(a, b);
+  x = n * 3 + a;
+  y = b - n * 7;
+  z = (x * 5) % 11 + y;
+  w = x - y + z;
+  return x + deep(n - 1, y, z) * 2 + y - z * w + small(w);
+}
+
+int ping(int n, int lim) {
+  if (n > lim) return n;
+  return pong(n + 1, lim) + 1;
+}
+
+int pong(int n, int lim) { return ping(n + 1, lim) * 3 % 1009; }
+
+int main() {
+  int i; int acc; int c; int lim;
+  acc = 0;
+  c = getchar();
+  lim = 40;
+  if (c == 33) lim = 1000000;
+  for (i = 0; i < 6; i = i + 1) {
+    acc = acc + small(i) + deep(i + 3, i, c);
+    acc = (acc + wide(i, acc % 13)) % 1000003;
+    print_int(acc);
+    putchar(10);
+  }
+  return ping(0, lim) % 256;
+}
+|}
+
+let peek_mir =
+  {|function wide(r0):
+wide.entry:
+  r1 = add r0, 1
+  r2 = add r1, 2
+  r3 = add r2, 3
+  r4 = add r3, 4
+  r5 = add r4, 5
+  r6 = add r5, 6
+  r7 = add r6, 7
+  ret r7
+
+function peek(r0):
+peek.entry:
+  r5 = add r3, r4
+  r6 = add r5, r0
+  ret r6
+
+function main():
+main.entry:
+  r0 = call wide(7)
+  r1 = call peek(r0)
+  call print_int(r1)
+  ret r1
+|}
+
+let test_frame_reuse () =
+  require_native ();
+  let observe prog backend input =
+    let events = ref [] in
+    let on_branch ~site ~taken = events := (site, taken) :: !events in
+    let outcome =
+      match
+        Sim.Machine.run ~backend ~sink:(Sim.Predictor.Sink_fun on_branch) prog
+          ~input
+      with
+      | r ->
+        Ok
+          ( r.Sim.Machine.output,
+            r.Sim.Machine.exit_code,
+            counter_fields r.Sim.Machine.counters )
+      | exception Sim.Machine.Trap m -> Error m
+    in
+    (outcome, List.rev !events)
+  in
+  let minic = compile_final frames_src in
+  List.iter
+    (fun (prog, input, traps) ->
+      let want = observe prog `Reference input in
+      (match fst want with
+      | Error m ->
+        check_bool (input ^ ": reference traps") true traps;
+        check_output (input ^ ": depth trap") "call depth exceeded in pong" m
+      | Ok _ -> check_bool (input ^ ": reference runs to exit") false traps);
+      List.iter
+        (fun (name, backend) ->
+          let got = observe prog backend input in
+          check_bool
+            (Printf.sprintf "%s on %S: outcome" name input)
+            true
+            (fst got = fst want);
+          check_bool
+            (Printf.sprintf "%s on %S: branch events" name input)
+            true
+            (snd got = snd want))
+        [ ("compiled", `Compiled); ("native", `Native) ])
+    [ (minic, "a", false); (minic, "!", true);
+      (Mir.Parse.program peek_mir, "", false) ]
+
+(* The generated code allocates per run, not per simulated call or
+   block: one warm native exec of each program on its 1 KB input
+   allocates at most twice the minor words of the closure backend's *)
+let test_native_allocation () =
+  require_native ();
+  let cold_input text =
+    if String.length text <= 1024 then text
+    else
+      match String.rindex_from_opt text 1023 '\n' with
+      | Some i when i > 0 -> String.sub text 0 (i + 1)
+      | _ -> String.sub text 0 1024
+  in
+  let minor_words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (w : Workloads.Spec.t) ->
+      let image = Sim.Image.build (compile_final w.Workloads.Spec.source) in
+      let input = cold_input (Lazy.force w.Workloads.Spec.test_input) in
+      let code = Sim.Compiled.compile image in
+      let native =
+        match Sim.Native.prepare image with
+        | Ok t -> t
+        | Error e -> Alcotest.failf "%s: native prepare: %s" w.Workloads.Spec.name e
+      in
+      let compiled_w = minor_words (fun () -> Sim.Compiled.exec code ~input) in
+      let native_w = minor_words (fun () -> Sim.Native.exec native ~input) in
+      if native_w > 2.0 *. compiled_w then
+        Alcotest.failf "%s: native exec allocates %.0f words, compiled %.0f"
+          w.Workloads.Spec.name native_w compiled_w)
+    Workloads.Registry.all
+
 (* the watchdog must still fire inside generated code: cancellation is
    polled at every basic-block entry, exactly like the other backends *)
 let test_watchdog_fires () =
@@ -632,6 +789,10 @@ let suite =
       test_workloads_all_sets;
     slow_case "reordered pipeline output" test_reordered_version;
     case "trap messages identical" test_trap_messages;
+    case "frame reuse keeps live registers, three engines agree"
+      test_frame_reuse;
+    case "native exec allocates what the closure backend does"
+      test_native_allocation;
     case "watchdog fires inside native code" test_watchdog_fires;
     slow_case "fuel sweep: every budget, three engines agree" test_fuel_sweep;
     case "cache: miss, disk hit, memo hit, determinism"

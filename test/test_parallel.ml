@@ -78,6 +78,24 @@ let test_both_joins () =
   | _ -> Alcotest.fail "the spawned domain's exception was lost"
   | exception Boom 2 -> ()
 
+(* a worker of a pool with one domain per core runs [both] inline: a
+   third domain would only take a core from its sibling.  Outside a
+   pool, or in a pool smaller than the host, [both] still spawns *)
+let test_both_inline_in_full_pool () =
+  let halves () =
+    Driver.Pool.both (fun () -> Domain.self ()) (fun () -> Domain.self ())
+  in
+  let a, b = halves () in
+  check_bool "outside a pool the halves run on two domains" true (a <> b);
+  let full = Domain.recommended_domain_count () <= 2 in
+  List.iter
+    (fun (a, b) ->
+      check_bool
+        (if full then "a full pool's worker runs both halves itself"
+         else "a pool smaller than the host still spawns")
+        full (a = b))
+    (Driver.Pool.map ~domains:2 (fun () -> halves ()) [ (); () ])
+
 let test_default_domains_env () =
   let saved = Sys.getenv_opt "BROMC_DOMAINS" in
   Unix.putenv "BROMC_DOMAINS" "3";
@@ -619,6 +637,8 @@ let suite =
     case "map on empty and singleton lists" test_map_empty_and_singleton;
     case "map re-raises the first error in input order" test_map_exception;
     case "both joins its domain on every path" test_both_joins;
+    case "both runs inline on a worker of a full pool"
+      test_both_inline_in_full_pool;
     case "BROMC_DOMAINS overrides the domain count" test_default_domains_env;
     case "a crash is final on its rung; traps are final"
       test_guard_crash_and_trap_final;

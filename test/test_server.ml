@@ -687,6 +687,44 @@ let test_torn_record_rewritten_by_sync () =
           check_bool "restore exact after the rewrite" true
             (post.Driver.Server.st_programs = pre)))
 
+(* a record torn after the last [sync] is passed over at restart, and
+   the server says so: the other program restores, the torn one counts
+   as skipped (in [stats] and so in [bromc serve]'s ready line) *)
+let test_torn_record_counted_as_skipped () =
+  with_state_dir (fun dir ->
+      let make () = Driver.Server.create ~domains:1 ~state_dir:dir () in
+      let srv = make () in
+      let input = wc_input () in
+      for _ = 1 to 6 do
+        ignore (Driver.Server.submit srv ~name:"wc" ~source:wc_source ~input);
+        ignore
+          (Driver.Server.submit srv ~name:"drift"
+             ~source:Driver.Replay.drift_source
+             ~input:(Driver.Replay.drift_input ~phase:0 ~seed:3))
+      done;
+      Driver.Server.sync srv;
+      check_int "a clean boot skips nothing" 0
+        (Driver.Server.stats srv).Driver.Server.st_skipped;
+      let path =
+        match Driver.Server.state_record srv ~source:wc_source with
+        | Some p -> p
+        | None -> Alcotest.fail "a built program on a durable server has a record"
+      in
+      Driver.Server.shutdown ~crash:true srv;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub whole 0 (String.length whole / 2)));
+      let srv2 = make () in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv2)
+        (fun () ->
+          let st = Driver.Server.stats srv2 in
+          check_int "the intact program restored" 1 st.Driver.Server.st_restored;
+          check_int "the torn record skipped" 1 st.Driver.Server.st_skipped;
+          check_bool "stats JSON reports it" true
+            (Json.member "skipped" (Driver.Server.stats_json st)
+            = Some (Json.Int 1))))
+
 (* an unusable state dir fails [create] at once, before a request
    could find out, and an ephemeral server has no record to name *)
 let test_unusable_state_dir_fails_create () =
@@ -1116,6 +1154,8 @@ let suite =
       test_one_record_file_per_program;
     case "server: a torn record is rewritten by sync, restore exact"
       test_torn_record_rewritten_by_sync;
+    case "server: a record torn after sync is counted as skipped"
+      test_torn_record_counted_as_skipped;
     case "server: an unusable state dir fails create at once"
       test_unusable_state_dir_fails_create;
     case "server: restore drops state on config change"
