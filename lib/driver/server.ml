@@ -117,8 +117,21 @@ let config_fingerprint (c : Config.t) =
    sets a deadline, degradation down the backend ladder *)
 let policy = { Guard.default with Guard.degrade = true }
 
+(* The MD5 of [fingerprint ^ "\x00" ^ source], hashed from a scratch
+   buffer of the serving domain: a source over 2 KB would otherwise
+   copy itself twice onto the major heap on every request. *)
+let key_scratch = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
 let content_key t source =
-  Digest.to_hex (Digest.string (t.fingerprint ^ "\x00" ^ source))
+  let nf = String.length t.fingerprint and ns = String.length source in
+  let len = nf + 1 + ns in
+  let scratch = Domain.DLS.get key_scratch in
+  if Bytes.length !scratch < len then scratch := Bytes.create len;
+  let b = !scratch in
+  Bytes.blit_string t.fingerprint 0 b 0 nf;
+  Bytes.set b nf '\x00';
+  Bytes.blit_string source 0 b (nf + 1) ns;
+  Digest.to_hex (Digest.subbytes b 0 len)
 
 let gen_key key gen = Printf.sprintf "%s#g%d" key gen
 

@@ -703,36 +703,37 @@ let compile (img : Image.t) : t =
 let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
     ?on_block (ct : t) ~input =
   let img = ct.c_image in
-  let st =
-    {
-      memory = Image.fresh_memory img;
-      counters = Counters.make ();
-      out = Buffer.create 1024;
-      input;
-      input_pos = 0;
-      cc_a = 0;
-      cc_b = 0;
-      fuel_left = config.fuel;
-      depth = 0;
-      frames = Array.make 16 [||];
-      ret = 0;
-      fuel = config.fuel;
-      max_depth = config.max_depth;
-      profile;
-      sink;
-      on_block;
-      cancel = config.cancel;
-    }
-  in
-  let exit_code =
-    try
-      if img.Image.main_id < 0 then trap "call to unknown function main";
-      let mf = ct.c_funcs.(img.Image.main_id) in
-      if st.depth >= st.max_depth then
-        trap "call depth exceeded in %s" mf.c_name;
-      if Array.length mf.c_params > 0 then
-        trap "too few arguments to %s" mf.c_name;
-      run_blocks st mf.c_blocks (frame st 0 (max mf.c_nregs 1))
-    with Program_exit code -> code
-  in
-  { counters = st.counters; output = Buffer.contents st.out; exit_code }
+  Image.with_memory img (fun memory ->
+    let st =
+      {
+        memory;
+        counters = Counters.make ();
+        out = Buffer.create 1024;
+        input;
+        input_pos = 0;
+        cc_a = 0;
+        cc_b = 0;
+        fuel_left = config.fuel;
+        depth = 0;
+        frames = Array.make 16 [||];
+        ret = 0;
+        fuel = config.fuel;
+        max_depth = config.max_depth;
+        profile;
+        sink;
+        on_block;
+        cancel = config.cancel;
+      }
+    in
+    let exit_code =
+      try
+        if img.Image.main_id < 0 then trap "call to unknown function main";
+        let mf = ct.c_funcs.(img.Image.main_id) in
+        if st.depth >= st.max_depth then
+          trap "call depth exceeded in %s" mf.c_name;
+        if Array.length mf.c_params > 0 then
+          trap "too few arguments to %s" mf.c_name;
+        run_blocks st mf.c_blocks (frame st 0 (max mf.c_nregs 1))
+      with Program_exit code -> code
+    in
+    { counters = st.counters; output = Buffer.contents st.out; exit_code })

@@ -17,7 +17,9 @@
 
 type t
 (** A compiled program.  Compile once, execute many times — executions
-    are independent (fresh memory, registers and counters each run). *)
+    are independent: each run starts from zeroed registers and
+    counters and from the initial global memory, whose large arrays
+    {!Image.with_memory} reuses from earlier runs on the domain. *)
 
 val compile : Image.t -> t
 

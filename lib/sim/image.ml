@@ -224,16 +224,43 @@ let site_of (t : t) ~func ~label =
       f.pf_blocks;
     if !site < 0 then None else Some !site
 
-let fresh_memory (t : t) =
-  Array.map
-    (fun g ->
-      match g.g_init with
-      | Some init ->
-        let arr = Array.make g.g_size 0 in
-        Array.blit init 0 arr 0 (Array.length init);
-        arr
-      | None -> Array.make g.g_size 0)
-    t.globals
+(* Global arrays longer than [Max_young_wosize] (256 words) are
+   allocated straight on the major heap, so each domain keeps the ones
+   its finished runs used, listed by length, and hands them out again
+   zeroed and re-initialized.  Shorter arrays come from the minor heap,
+   where a fresh one is cheaper than a lookup. *)
+let pooled size = size > 256
+
+let pool_key : (int, int array list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let take pool g =
+  let init = match g.g_init with Some a -> a | None -> [||] in
+  let n = Array.length init in
+  match if pooled g.g_size then Hashtbl.find_opt pool g.g_size else None with
+  | Some (arr :: rest) ->
+    Hashtbl.replace pool g.g_size rest;
+    Array.blit init 0 arr 0 n;
+    Array.fill arr n (g.g_size - n) 0;
+    arr
+  | _ ->
+    let arr = Array.make g.g_size 0 in
+    Array.blit init 0 arr 0 n;
+    arr
+
+let give_back mem =
+  let pool = Domain.DLS.get pool_key in
+  Array.iter
+    (fun arr ->
+      let n = Array.length arr in
+      if pooled n then
+        Hashtbl.replace pool n
+          (arr :: Option.value ~default:[] (Hashtbl.find_opt pool n)))
+    mem
+
+let with_memory (t : t) f =
+  let mem = Array.map (take (Domain.DLS.get pool_key)) t.globals in
+  Fun.protect ~finally:(fun () -> give_back mem) (fun () -> f mem)
 
 type batching = Bnop | Bpure | Beffect | Bobserve
 

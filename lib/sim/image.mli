@@ -102,9 +102,20 @@ val site_of : t -> func:string -> label:string -> int option
 (** The site number of the branch terminating the given block, or
     [None] if the function or label does not exist. *)
 
-val fresh_memory : t -> int array array
-(** Zeroed global memory with initializers applied, indexed by slot:
-    the starting state of every fast-backend execution. *)
+val with_memory : t -> (int array array -> 'a) -> 'a
+(** [with_memory t f] runs [f] on the global memory of one execution,
+    indexed by slot: zeroed, with initializers applied, the starting
+    state of every fast-backend run.  Arrays longer than 256 words
+    (the minor heap's [Max_young_wosize]) would otherwise be allocated
+    directly on the major heap on every run, so they come from a
+    per-domain pool keyed by length, are zeroed and re-initialized
+    when taken, and go back to it when [f] returns or raises.  [f]
+    must not let the memory escape.  A nested call takes its own
+    arrays, so a domain keeps at most as many arrays of each length as
+    it had in use at once; the pool is never trimmed, and grows with
+    the distinct large global lengths of the programs run on it.  The
+    reference interpreter allocates its own memory and shares no state
+    with this pool. *)
 
 (** {2 Charge batching}
 

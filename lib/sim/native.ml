@@ -932,58 +932,59 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
   let k = Array.make 10 0 in
   let out = Buffer.create 1024 in
   let raises = t.n_raises in
-  let ctx =
-    {
-      x_mem = Image.fresh_memory t.n_image;
-      x_input = input;
-      x_fuel = config.fuel;
-      x_max_depth = config.max_depth;
-      x_counters = k;
-      x_out = out;
-      x_trap = (fun msg -> raise (Trap msg));
-      x_cancelled = (fun () -> raise Cancelled);
-      x_poll = (match config.cancel with Some f -> f | None -> never);
-      x_use_poll = config.cancel <> None;
-      x_sink =
-        (match sink with
-        | Predictor.Sink_none -> no_sink
-        | Predictor.Sink_fun f -> fun site taken -> f ~site ~taken
-        | Predictor.Sink_bank b ->
-          fun site taken -> Predictor.bank_access b ~site ~taken);
-      x_use_sink = (match sink with Predictor.Sink_none -> false | _ -> true);
-      x_on_block =
-        (match on_block with
-        | Some f -> fun func label -> f ~func ~label
-        | None -> no_block);
-      x_use_on_block = on_block <> None;
-      x_range =
-        (match profile with
-        | Some p -> fun id v -> Profile.record_range p id v
-        | None -> no_range);
-      x_comb =
-        (match profile with
-        | Some p ->
-          fun id rd ->
-            Profile.record_comb p id ~read_reg:(fun r ->
-                rd (Mir.Reg.to_int r))
-        | None -> no_comb);
-      x_use_profile = profile <> None;
-      x_raise = (fun i -> raise raises.(i));
-    }
-  in
-  let exit_code = t.n_entry ctx in
-  let c = Counters.make () in
-  c.Counters.insns <- k.(ix_insns);
-  c.Counters.cond_branches <- k.(ix_cond);
-  c.Counters.taken_branches <- k.(ix_taken);
-  c.Counters.jumps <- k.(ix_jumps);
-  c.Counters.indirect_jumps <- k.(ix_indirect);
-  c.Counters.calls <- k.(ix_calls);
-  c.Counters.returns <- k.(ix_returns);
-  c.Counters.loads <- k.(ix_loads);
-  c.Counters.stores <- k.(ix_stores);
-  c.Counters.nops <- k.(ix_nops);
-  { counters = c; output = Buffer.contents out; exit_code }
+  Image.with_memory t.n_image (fun x_mem ->
+    let ctx =
+      {
+        x_mem;
+        x_input = input;
+        x_fuel = config.fuel;
+        x_max_depth = config.max_depth;
+        x_counters = k;
+        x_out = out;
+        x_trap = (fun msg -> raise (Trap msg));
+        x_cancelled = (fun () -> raise Cancelled);
+        x_poll = (match config.cancel with Some f -> f | None -> never);
+        x_use_poll = config.cancel <> None;
+        x_sink =
+          (match sink with
+          | Predictor.Sink_none -> no_sink
+          | Predictor.Sink_fun f -> fun site taken -> f ~site ~taken
+          | Predictor.Sink_bank b ->
+            fun site taken -> Predictor.bank_access b ~site ~taken);
+        x_use_sink = (match sink with Predictor.Sink_none -> false | _ -> true);
+        x_on_block =
+          (match on_block with
+          | Some f -> fun func label -> f ~func ~label
+          | None -> no_block);
+        x_use_on_block = on_block <> None;
+        x_range =
+          (match profile with
+          | Some p -> fun id v -> Profile.record_range p id v
+          | None -> no_range);
+        x_comb =
+          (match profile with
+          | Some p ->
+            fun id rd ->
+              Profile.record_comb p id ~read_reg:(fun r ->
+                  rd (Mir.Reg.to_int r))
+          | None -> no_comb);
+        x_use_profile = profile <> None;
+        x_raise = (fun i -> raise raises.(i));
+      }
+    in
+    let exit_code = t.n_entry ctx in
+    let c = Counters.make () in
+    c.Counters.insns <- k.(ix_insns);
+    c.Counters.cond_branches <- k.(ix_cond);
+    c.Counters.taken_branches <- k.(ix_taken);
+    c.Counters.jumps <- k.(ix_jumps);
+    c.Counters.indirect_jumps <- k.(ix_indirect);
+    c.Counters.calls <- k.(ix_calls);
+    c.Counters.returns <- k.(ix_returns);
+    c.Counters.loads <- k.(ix_loads);
+    c.Counters.stores <- k.(ix_stores);
+    c.Counters.nops <- k.(ix_nops);
+    { counters = c; output = Buffer.contents out; exit_code })
 
 let run_image ?config ?profile ?sink ?on_block ?cache_dir img ~input =
   match prepare ?cache_dir img with

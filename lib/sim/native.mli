@@ -83,7 +83,8 @@ val exec :
     generated code hands each branch event to [sink] in execution order
     and each block entry to [on_block], as every engine does; a
     [Sink_bank] buffers the events in the bank itself
-    ({!Predictor.bank_access}). *)
+    ({!Predictor.bank_access}).  Global memory comes from
+    {!Image.with_memory}, as for {!Compiled.exec}. *)
 
 val run_image :
   ?config:Runtime.config ->

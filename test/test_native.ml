@@ -321,18 +321,19 @@ let test_frame_reuse () =
     [ (minic, "a", false); (minic, "!", true);
       (Mir.Parse.program peek_mir, "", false) ]
 
+(* a workload's test input cut to at most 1 KB, at a newline *)
+let cold_input text =
+  if String.length text <= 1024 then text
+  else
+    match String.rindex_from_opt text 1023 '\n' with
+    | Some i when i > 0 -> String.sub text 0 (i + 1)
+    | _ -> String.sub text 0 1024
+
 (* The generated code allocates per run, not per simulated call or
    block: one warm native exec of each program on its 1 KB input
    allocates at most twice the minor words of the closure backend's *)
 let test_native_allocation () =
   require_native ();
-  let cold_input text =
-    if String.length text <= 1024 then text
-    else
-      match String.rindex_from_opt text 1023 '\n' with
-      | Some i when i > 0 -> String.sub text 0 (i + 1)
-      | _ -> String.sub text 0 1024
-  in
   let minor_words f =
     ignore (f ());
     let w0 = Gc.minor_words () in
@@ -355,6 +356,242 @@ let test_native_allocation () =
         Alcotest.failf "%s: native exec allocates %.0f words, compiled %.0f"
           w.Workloads.Spec.name native_w compiled_w)
     Workloads.Registry.all
+
+(* [sort]'s globals (136,000 words) are over the minor heap's size
+   limit, so they are pooled: a warm exec on either fast engine
+   allocates no major-heap words directly (major words minus the words
+   the minor collector promoted) beyond a small bound *)
+let test_warm_exec_no_major_allocation () =
+  let w = Workloads.Registry.find "sort" in
+  let image = Sim.Image.build (compile_final w.Workloads.Spec.source) in
+  let input = cold_input (Lazy.force w.Workloads.Spec.test_input) in
+  let direct_major_words f =
+    ignore (f ());
+    let _, promoted0, major0 = Gc.counters () in
+    ignore (f ());
+    let _, promoted1, major1 = Gc.counters () in
+    major1 -. major0 -. (promoted1 -. promoted0)
+  in
+  let bound = 512. in
+  let check name words =
+    if words > bound then
+      Alcotest.failf "%s exec of sort allocates %.0f major words directly" name
+        words
+  in
+  let code = Sim.Compiled.compile image in
+  check "compiled" (direct_major_words (fun () -> Sim.Compiled.exec code ~input));
+  require_native ();
+  match Sim.Native.prepare image with
+  | Error e -> Alcotest.failf "sort: native prepare: %s" e
+  | Ok native ->
+    check "native" (direct_major_words (fun () -> Sim.Native.exec native ~input))
+
+(* Reused global memory must be indistinguishable from fresh memory.
+   Each scenario is a sequence of runs on one domain; every run on the
+   compiled and native engines must match the reference interpreter's
+   output, exit code and counters, or its trap.  All the programs'
+   arrays have one length over the pool's 256-word threshold, so each
+   run may take an array an earlier run dirtied. *)
+let pool_writer =
+  compile_final
+    {|int a[300];
+int main() { int i; i = 0; while (i < 300) { a[i] = i + 1; i = i + 1; }
+  print_int(a[299]); return 0; }|}
+
+(* reads cells it never wrote *)
+let pool_reader =
+  compile_final
+    {|int b[300];
+int main() { int i; int s; s = 0; i = 0;
+  while (i < 300) { s = s + b[i] * (i + 1); i = i + 1; }
+  print_int(s); return s; }|}
+
+(* two globals of one length, as [sort]'s [offs] and [perm]: prints 300
+   only if they are distinct zeroed arrays *)
+let pool_pair =
+  compile_final
+    {|int p[300]; int q[300];
+int main() { int i; int s; int t;
+  i = 0; while (i < 300) { p[i] = 1; i = i + 1; }
+  s = 0; i = 0; while (i < 300) { s = s + q[i]; i = i + 1; }
+  i = 0; while (i < 300) { q[i] = 2; i = i + 1; }
+  t = 0; i = 0; while (i < 300) { t = t + p[i]; i = i + 1; }
+  print_int(s * 1000 + t); return 0; }|}
+
+(* an initializer shorter than its array: the first three cells and
+   nothing else are nonzero on entry, every run *)
+let pool_init =
+  Mir.Parse.program
+    {|global s[300] = {5, 6, 7}
+
+function main():
+main.entry:
+  r0 = 0
+  r1 = 0
+  jmp sum
+sum:
+  r2 = M[s + r0]
+  r1 = add r1, r2
+  r0 = add r0, 1
+  cmp r0, 300
+  bl -> sum | fill0
+fill0:
+  r0 = 0
+  jmp fill
+fill:
+  M[s + r0] = 9
+  r0 = add r0, 1
+  cmp r0, 300
+  bl -> fill | done
+done:
+  call print_int(r1)
+  ret r1
+|}
+
+(* traps out of bounds halfway through dirtying its array *)
+let pool_trapper =
+  compile_final
+    {|int a[300];
+int main() { int i; i = 0;
+  while (i < 300) { a[i] = 7; if (i == 150) a[i + 1000] = 1; i = i + 1; }
+  return 0; }|}
+
+let pool_outcome run =
+  match run () with
+  | (r : Sim.Machine.result) ->
+    Ok (r.Sim.Machine.output, r.Sim.Machine.exit_code,
+        counter_fields r.Sim.Machine.counters)
+  | exception Sim.Machine.Trap m -> Error m
+
+type pool_engine = {
+  e_name : string;
+  e_run :
+    ?config:Sim.Machine.config -> ?sink:Sim.Predictor.sink ->
+    Mir.Program.t -> Sim.Machine.result;
+}
+
+(* the fast engines under test, each program compiled or prepared once
+   and then shared by every run (and domain) that executes it *)
+let pool_engines () =
+  let programs =
+    [ pool_writer; pool_reader; pool_pair; pool_init; pool_trapper ]
+  in
+  let compiled =
+    List.map (fun p -> (p, Sim.Compiled.compile (Sim.Image.build p))) programs
+  in
+  let native () =
+    List.map
+      (fun p ->
+        match Sim.Native.prepare (Sim.Image.build p) with
+        | Ok t -> (p, t)
+        | Error e -> Alcotest.failf "native prepare: %s" e)
+      programs
+  in
+  {
+    e_name = "compiled";
+    e_run =
+      (fun ?config ?sink p ->
+        Sim.Compiled.exec ?config ?sink (List.assq p compiled) ~input:"");
+  }
+  ::
+  (if Sim.Native.available () then
+     let native = native () in
+     [
+       {
+         e_name = "native";
+         e_run =
+           (fun ?config ?sink p ->
+             Sim.Native.exec ?config ?sink (List.assq p native) ~input:"");
+       };
+     ]
+   else [])
+
+let reference_run ?config ?sink prog =
+  Sim.Machine.run_reference ?config ?sink prog ~input:""
+
+let test_pooled_memory_is_fresh () =
+  let engines = pool_engines () in
+  let starved = { Sim.Machine.default_config with Sim.Machine.fuel = 500 } in
+  let scenarios =
+    [
+      ("shared length", [ (pool_writer, None); (pool_reader, None) ]);
+      ("two globals of one length", [ (pool_pair, None); (pool_pair, None) ]);
+      ( "initializer re-applied",
+        [ (pool_writer, None); (pool_init, None); (pool_init, None) ] );
+      ("trap mid-write", [ (pool_trapper, None); (pool_reader, None) ]);
+      ("fuel mid-write", [ (pool_writer, Some starved); (pool_reader, None) ]);
+    ]
+  in
+  List.iter
+    (fun (scenario, runs) ->
+      List.iteri
+        (fun i (prog, config) ->
+          let want = pool_outcome (fun () -> reference_run ?config prog) in
+          (match config, want with
+          | Some _, Ok _ -> Alcotest.failf "%s: the starved run must trap" scenario
+          | _ -> ());
+          List.iter
+            (fun e ->
+              check_bool
+                (Printf.sprintf "%s, run %d: %s agrees with the reference"
+                   scenario i e.e_name)
+                true
+                (pool_outcome (fun () -> e.e_run ?config prog) = want))
+            engines)
+        runs)
+    scenarios;
+  (* a branch-event callback that runs the writer, nested inside a run
+     that holds its own array of the same length *)
+  let nested run =
+    let inner = ref [] and events = ref 0 in
+    let sink =
+      Sim.Predictor.Sink_fun
+        (fun ~site:_ ~taken:_ ->
+          incr events;
+          if !events mod 100 = 0 then
+            inner :=
+              pool_outcome (fun () -> run Sim.Predictor.Sink_none pool_writer)
+              :: !inner)
+    in
+    let outer = pool_outcome (fun () -> run sink pool_pair) in
+    (outer, !inner)
+  in
+  let want = nested (fun sink prog -> reference_run ~sink prog) in
+  check_bool "nested runs happened" true (snd want <> []);
+  List.iter
+    (fun e ->
+      check_bool
+        (Printf.sprintf "nested exec: %s agrees with the reference" e.e_name)
+        true
+        (nested (fun sink prog -> e.e_run ~sink prog) = want))
+    engines;
+  (* two domains running one artifact at once, each alternating a
+     writer with programs that read what they never wrote *)
+  let want =
+    List.map
+      (fun p -> pool_outcome (fun () -> reference_run p))
+      [ pool_writer; pool_pair; pool_reader ]
+  in
+  List.iter
+    (fun e ->
+      let worker () =
+        List.init 20 (fun _ ->
+            List.map
+              (fun p -> pool_outcome (fun () -> e.e_run p))
+              [ pool_writer; pool_pair; pool_reader ])
+      in
+      let doms = List.init 2 (fun _ -> Domain.spawn worker) in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun got ->
+              check_bool
+                (Printf.sprintf "two domains: %s agrees with the reference"
+                   e.e_name)
+                true (got = want))
+            (Domain.join d))
+        doms)
+    engines
 
 (* the watchdog must still fire inside generated code: cancellation is
    polled at every basic-block entry, exactly like the other backends *)
@@ -793,6 +1030,10 @@ let suite =
       test_frame_reuse;
     case "native exec allocates what the closure backend does"
       test_native_allocation;
+    case "warm sort allocates no major words directly"
+      test_warm_exec_no_major_allocation;
+    case "pooled global memory is indistinguishable from fresh"
+      test_pooled_memory_is_fresh;
     case "watchdog fires inside native code" test_watchdog_fires;
     slow_case "fuel sweep: every budget, three engines agree" test_fuel_sweep;
     case "cache: miss, disk hit, memo hit, determinism"

@@ -653,6 +653,31 @@ let test_one_record_file_per_program () =
           check_bool "programs restored exactly" true
             (post.Driver.Server.st_programs = pre)))
 
+(* Content keys name a durable server's record files, so they are
+   pinned: a state dir written by an earlier build restores only while
+   they stay byte-identical.  The long source (over 2 KB) grows the
+   serving domain's scratch buffer; the short one after it is hashed
+   from a buffer longer than its own bytes. *)
+let test_content_keys_pinned () =
+  let short = "int main() { putchar(65); return 0; }\n" in
+  let long = short ^ "/*" ^ String.make 3000 'x' ^ "*/\n" in
+  with_state_dir (fun dir ->
+      let srv = Driver.Server.create ~domains:1 ~state_dir:dir () in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv)
+        (fun () ->
+          let key source =
+            let r = Driver.Server.submit srv ~name:"k" ~source ~input:"" in
+            check_output "served" "A" r.Driver.Server.rs_output;
+            match Driver.Server.state_record srv ~source with
+            | Some path -> Filename.(remove_extension (basename path))
+            | None -> Alcotest.fail "a built program has a record"
+          in
+          check_output "long source key" "28c957941cbbbf4a1314210f37245a36"
+            (key long);
+          check_output "short source key" "0378b00ed530ff26468207c06315ce5b"
+            (key short)))
+
 (* a torn record costs nothing once the program merges again: [sync]
    rewrites it whole, so a crash-restart still restores exactly *)
 let test_torn_record_rewritten_by_sync () =
@@ -1152,6 +1177,7 @@ let suite =
       test_server_crash_restart_resumes;
     case "server: one record file per program, restart exact"
       test_one_record_file_per_program;
+    case "server: content keys are pinned" test_content_keys_pinned;
     case "server: a torn record is rewritten by sync, restore exact"
       test_torn_record_rewritten_by_sync;
     case "server: a record torn after sync is counted as skipped"
