@@ -979,9 +979,9 @@ let serve_cmd =
           $(b,drift) workload maps even seeds to phase-0 and odd seeds to \
           phase-1 inputs), $(b,sync) (drain, merge shards, run the drift \
           check), $(b,stats) (one JSON line), $(b,quit).  Every 4th \
-          successful request of each program also runs the profiling shadow, \
-          shards merge after 8 shadow runs, and the drift check waits for \
-          32 new profiled executions.  With $(b,--profile=static) cold \
+          successful request of each program is profiled on the rung that \
+          serves it, shards merge after 8 such samples, and the drift check \
+          waits for 32 new profiled executions.  With $(b,--profile=static) cold \
           requests skip the first-request \
           training run and serve on the static prediction; the online \
           shard profiles and the drift check re-optimize as real counts \

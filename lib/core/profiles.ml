@@ -26,6 +26,24 @@ let rows (seq : Detect.t) =
     (fun a b -> Range.compare a.row_range b.row_range)
     (explicit @ defaults)
 
+(* the rows' bounds, the outermost widened to [min_int] / [max_int]:
+   the rows partition [Range.min_value, Range.max_value], but the
+   simulator's values are full-width ints, and every compare constant
+   lies strictly inside that interval, so a value beyond it branches
+   through the sequence as the nearest bound does.  The table then
+   covers every value, and a probe never fails the run it is in *)
+let register (table : Sim.Profile.t) (seq : Detect.t) =
+  let bounds =
+    Array.of_list
+      (List.map
+         (fun r -> (Range.lo r.row_range, Range.hi r.row_range))
+         (rows seq))
+  in
+  let last = Array.length bounds - 1 in
+  bounds.(0) <- (min_int, snd bounds.(0));
+  bounds.(last) <- (fst bounds.(last), max_int);
+  ignore (Sim.Profile.register_range_seq table seq.Detect.seq_id bounds)
+
 let insert_profile_insn fn (seq : Detect.t) =
   let head = Mir.Func.find_block fn seq.Detect.head in
   (* splice the probe immediately before the head's last compare — the
@@ -47,12 +65,7 @@ let instrument (p : Mir.Program.t) (seqs : Detect.t list) =
   let table = Sim.Profile.make () in
   List.iter
     (fun (seq : Detect.t) ->
-      let rs = rows seq in
-      let bounds =
-        Array.of_list
-          (List.map (fun r -> (Range.lo r.row_range, Range.hi r.row_range)) rs)
-      in
-      ignore (Sim.Profile.register_range_seq table seq.Detect.seq_id bounds);
+      register table seq;
       let fn = Mir.Program.find_func p seq.Detect.func_name in
       insert_profile_insn fn seq)
     seqs;
@@ -228,14 +241,6 @@ let add_static ?(scale = static_scale) (p : Mir.Program.t) (seqs : Detect.t list
                 fill_static ~scale freq seq prof)
           fn_seqs)
     p.Mir.Program.funcs
-
-let register (table : Sim.Profile.t) (seq : Detect.t) =
-  let rs = rows seq in
-  let bounds =
-    Array.of_list
-      (List.map (fun r -> (Range.lo r.row_range, Range.hi r.row_range)) rs)
-  in
-  ignore (Sim.Profile.register_range_seq table seq.Detect.seq_id bounds)
 
 let of_static ?scale (p : Mir.Program.t) (seqs : Detect.t list) =
   let table = Sim.Profile.make () in

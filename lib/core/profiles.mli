@@ -15,7 +15,9 @@ type counts_view = {
 
 val instrument : Mir.Program.t -> Detect.t list -> Sim.Profile.t
 (** Registers every sequence's range table and inserts the profiling
-    pseudo instruction at each head.  The program is modified in place. *)
+    pseudo instruction at each head.  The program is modified in place.
+    A table's outermost rows reach [min_int] and [max_int], so a probe
+    records every value the simulator can hold. *)
 
 val counts : Sim.Profile.t -> Detect.t -> counts_view
 (** Read back training counts after a profiling run. *)

@@ -44,7 +44,7 @@ type outcome = {
   ro_events : Server.reopt_event list;
   ro_stats : Server.stats;
       (** server counters at shutdown; with a crash-restart, the event
-          counters (requests, cold, shadow runs, merges, re-opts, cache
+          counters (requests, cold, samples, merges, re-opts, cache
           hits/misses/builds/failures) sum both servers' *)
   ro_chaos_planned : int;  (** faults drawn from the chaos plan *)
   ro_chaos_ok : int;  (** victims still served correctly *)

@@ -36,7 +36,7 @@ type stats = {
 type artifact = {
   a_generation : int;
   a_signature : string;  (* Drift.signature at (re-)optimization time *)
-  a_served : Mir.Program.t;  (* reordered + finalized *)
+  a_served : Mir.Program.t;  (* the clone reordered + finalized, probed *)
   a_image : Sim.Image.t;
   a_compiled : Sim.Compiled.t;
   a_native : Sim.Native.t option Atomic.t;
@@ -49,14 +49,16 @@ type entry = {
   e_source : string;  (* verbatim, so durable state can rebuild cold *)
   e_base : Mir.Program.t;  (* optimized base, never transformed *)
   e_seqs : Reorder.Detect.t list;
-  e_train_compiled : Sim.Compiled.t;  (* instrumented clone, compiled *)
+  e_train : Mir.Program.t;  (* instrumented clone; re-opts reorder a copy *)
   e_global : Sim.Profile.t;  (* merged profile; counts under e_merge *)
   e_shards : (Mutex.t * Sim.Profile.t) array;  (* one per worker *)
+  e_scratch : Sim.Profile.t array;
+      (* one per worker: a sampled request's counts until it ends ok *)
   e_artifact : artifact Atomic.t;
   e_merge : Mutex.t;  (* serializes merge + drift check + re-opt *)
   mutable e_last_opt_execs : int;  (* under e_merge *)
-  e_pending : int Atomic.t;  (* shadow runs since last merge attempt *)
-  e_served : int Atomic.t;  (* successful requests, for the sampler *)
+  e_pending : int Atomic.t;  (* samples since last merge attempt *)
+  e_served : int Atomic.t;  (* sampling tickets: ok and in-flight requests *)
 }
 
 type t = {
@@ -68,7 +70,7 @@ type t = {
   closure_cache : Sim.Compiled.t Sim.Artifact.t;
   requests : int Atomic.t;
   cold : int Atomic.t;
-  shadow_runs : int Atomic.t;
+  samples : int Atomic.t;  (* sampled requests recorded *)
   merges : int Atomic.t;
   reopts : int Atomic.t;
   events : reopt_event list ref;
@@ -188,11 +190,10 @@ let program_record (e : entry) =
 let persist t e =
   Option.iter (fun dir -> State.write ~dir (program_record e)) t.state_dir
 
-(* every n-th successful request of a program runs the profiling
-   shadow *)
+(* every n-th successful request of a program records its profile *)
 let sample_every = 4
 
-(* shadow runs accumulated across workers before an opportunistic merge *)
+(* samples accumulated across workers before an opportunistic merge *)
 let merge_every = 8
 
 (* new profile executions since the last (re-)optimization before the
@@ -208,15 +209,19 @@ let entries t =
 
 (* the one entry constructor: parse + optimize the base, detect,
    instrument, let [fill] give the fresh table its counts, reoptimize
-   under them and pre-build every serving artifact of [generation].
-   [last_opt] defaults to the filled table's executions *)
+   the instrumented clone under them and pre-build every serving
+   artifact of [generation].  Reordering keeps each sequence head's
+   leading instructions, so the served program's probes record what
+   the clone's would: a sampled request profiles the very run that
+   answers it.  [last_opt] defaults to the filled table's executions *)
 let make_entry t ~name ~key ~source ~generation ?last_opt fill =
   let base = Pipeline.compile_base t.config source in
   let seqs = Pipeline.detect_seqs t.config base in
   let train_prog, table = Pipeline.instrument t.config base seqs in
-  let train_compiled = Sim.Compiled.compile (Sim.Image.build train_prog) in
-  fill base seqs table train_compiled;
-  let served, _report = Pipeline.reoptimize t.config ~name base seqs table in
+  fill base seqs train_prog table;
+  let served, _report =
+    Pipeline.reoptimize t.config ~name train_prog seqs table
+  in
   let signature = signature_of t base seqs table in
   let artifact = build_artifact t ~key ~generation ~signature served in
   {
@@ -225,12 +230,15 @@ let make_entry t ~name ~key ~source ~generation ?last_opt fill =
     e_source = source;
     e_base = base;
     e_seqs = seqs;
-    e_train_compiled = train_compiled;
+    e_train = train_prog;
     e_global = table;
     e_shards =
       Array.init
         (Pool.Workers.size t.pool)
         (fun _ -> (Mutex.create (), Sim.Profile.copy_shape table));
+    e_scratch =
+      Array.init (Pool.Workers.size t.pool) (fun _ ->
+          Sim.Profile.copy_shape table);
     e_artifact = Atomic.make artifact;
     e_merge = Mutex.create ();
     e_last_opt_execs =
@@ -244,7 +252,7 @@ let make_entry t ~name ~key ~source ~generation ?last_opt fill =
 let build_entry t ~name ~key ~source ~input =
   let entry =
     make_entry t ~name ~key ~source ~generation:1
-      (fun base seqs table train_compiled ->
+      (fun base seqs train_prog table ->
         match t.config.Config.profile with
         | `Static ->
           (* cold requests start on the pure static prediction: no
@@ -260,7 +268,9 @@ let build_entry t ~name ~key ~source ~input =
           (try
              ignore
                (Sim.Compiled.exec ~config:(Pipeline.sim_config t.config)
-                  ~profile:table train_compiled ~input)
+                  ~profile:table
+                  (Sim.Compiled.compile (Sim.Image.build train_prog))
+                  ~input)
            with _ -> ());
           if mode = `Both then Reorder.Profiles.add_static base seqs table)
   in
@@ -278,7 +288,7 @@ let build_entry t ~name ~key ~source ~input =
 let restore_entry t (p : State.program) =
   make_entry t ~name:p.State.p_name ~key:p.State.p_key
     ~source:p.State.p_source ~generation:p.State.p_generation
-    ~last_opt:p.State.p_last_opt_execs (fun _ _ table _ ->
+    ~last_opt:p.State.p_last_opt_execs (fun _ _ _ table ->
       let applied =
         Sim.Profile.set_counters table ~ranges:p.State.p_ranges
           ~combs:p.State.p_combs
@@ -317,7 +327,7 @@ let create ?(config = Config.default) ?domains ?state_dir () =
       closure_cache = Sim.Artifact.create ~name:"closure" ();
       requests = Atomic.make 0;
       cold = Atomic.make 0;
-      shadow_runs = Atomic.make 0;
+      samples = Atomic.make 0;
       merges = Atomic.make 0;
       reopts = Atomic.make 0;
       events = ref [];
@@ -355,9 +365,9 @@ let merge_locked t (e : entry) =
     let current = signature_of t e.e_base e.e_seqs e.e_global in
     if Reorder.Drift.drifted ~served:art.a_signature ~current then begin
       (* live traffic justifies a different ordering: rebuild from the
-         cached base and swap generations atomically *)
+         cached clone and swap generations atomically *)
       let served, _report =
-        Pipeline.reoptimize t.config ~name:e.e_name e.e_base e.e_seqs
+        Pipeline.reoptimize t.config ~name:e.e_name e.e_train e.e_seqs
           e.e_global
       in
       let generation = art.a_generation + 1 in
@@ -399,7 +409,7 @@ let sync t =
 (* Request execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let exec_rung t (art : artifact) backend ~cancel ~input =
+let exec_rung t (art : artifact) ?profile backend ~cancel ~input =
   let sc = Pipeline.sim_config { t.config with Config.cancel } in
   match backend with
   | `Native ->
@@ -418,24 +428,19 @@ let exec_rung t (art : artifact) backend ~cancel ~input =
           n
         | Error msg -> raise (Sim.Native.Unavailable msg))
     in
-    Sim.Native.exec ~config:sc n ~input
-  | `Compiled -> Sim.Compiled.exec ~config:sc art.a_compiled ~input
-  | `Reference -> Sim.Machine.run_reference ~config:sc art.a_served ~input
+    Sim.Native.exec ~config:sc ?profile n ~input
+  | `Compiled -> Sim.Compiled.exec ~config:sc ?profile art.a_compiled ~input
+  | `Reference ->
+    Sim.Machine.run_reference ~config:sc ?profile art.a_served ~input
 
-(* the sampled profiling shadow: run the instrumented training clone on
-   this request's input, recording into this worker's private shard.
-   Failures are swallowed — the shadow feeds the profile, not the
-   response *)
-let shadow_run t (e : entry) ~worker ~input =
+(* a sampled request ended ok: move the counts its serving rung
+   recorded into this worker's shard *)
+let record_sample t (e : entry) ~worker =
   let m, shard = e.e_shards.(worker) in
   Mutex.lock m;
-  (try
-     ignore
-       (Sim.Compiled.exec ~config:(Pipeline.sim_config t.config)
-          ~profile:shard e.e_train_compiled ~input)
-   with _ -> ());
+  ignore (Sim.Profile.absorb ~into:shard e.e_scratch.(worker));
   Mutex.unlock m;
-  Atomic.incr t.shadow_runs;
+  Atomic.incr t.samples;
   let pending = 1 + Atomic.fetch_and_add e.e_pending 1 in
   if pending >= merge_every then begin
     Atomic.set e.e_pending 0;
@@ -480,10 +485,22 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
     }
   | entry ->
     let art = Atomic.get entry.e_artifact in
+    (* the n-th ok request of a program is sampled when n is a multiple
+       of [sample_every]: each request draws a distinct ticket here and
+       gives it back unless it ends ok.  Each rung records afresh into
+       the worker's scratch, so a rung that crashed leaves no partial
+       counts behind *)
+    let counted = entry.e_seqs <> [] in
+    let sampled =
+      counted
+      && (1 + Atomic.fetch_and_add entry.e_served 1) mod sample_every = 0
+    in
+    let profile = if sampled then Some entry.e_scratch.(worker) else None in
     let backend, outcome, _meta =
       Guard.ladder policy t.config (fun ~backend ~cancel ->
+          Option.iter Sim.Profile.clear profile;
           fire_inject ();
-          exec_rung t art backend ~cancel ~input)
+          exec_rung t art ?profile backend ~cancel ~input)
     in
     let response =
       match outcome with
@@ -512,12 +529,9 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
           rs_wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
         }
     in
-    (* profiling shadow on a sampling of successful requests *)
-    if
-      response.rs_status = "ok"
-      && entry.e_seqs <> []
-      && (1 + Atomic.fetch_and_add entry.e_served 1) mod sample_every = 0
-    then shadow_run t entry ~worker ~input;
+    if counted then
+      if response.rs_status <> "ok" then Atomic.decr entry.e_served
+      else if sampled then record_sample t entry ~worker;
     response
 
 let submit ?deadline_ms ?inject t ~name ~source ~input =
@@ -563,7 +577,7 @@ let stats t =
   {
     st_requests = Atomic.get t.requests;
     st_cold = Atomic.get t.cold;
-    st_shadow_runs = Atomic.get t.shadow_runs;
+    st_shadow_runs = Atomic.get t.samples;
     st_merges = Atomic.get t.merges;
     st_reopts = Atomic.get t.reopts;
     st_domains = Pool.Workers.size t.pool;

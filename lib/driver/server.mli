@@ -3,7 +3,7 @@
     A server owns a {!Pool.Workers} pool and fans run requests across
     it.  In front of the engines sit three content-hash
     {!Sim.Artifact} caches — program entries (the optimized base, its
-    training clone, profiles and served generation), pre-decoded
+    instrumented clone, profiles and served generation), pre-decoded
     {!Sim.Image}s and compiled closure programs (the native rung additionally reuses
     {!Sim.Native}'s on-disk [.cmxs] store and in-process memo) — so
     each distinct program is parsed, trained, reordered, pre-decoded
@@ -11,15 +11,22 @@
     single-flight builds when several domains request the same cold
     key at once.
 
-    {b Online profiles.}  The served artifact is never instrumented
-    (responses stay byte-identical to a batch run, and the hot path
-    touches one atomic counter of its program).  Instead every 4th
-    successful request of each program also executes the cached {e instrumented training clone}
-    on the request's input, recording into that worker's private
-    profile shard ({!Sim.Profile.copy_shape}).  Shards are merged
-    asynchronously into the program's global profile —
-    opportunistically once 8 shadow runs accumulate (a [try_lock];
-    nobody blocks), or forced by {!sync}.
+    {b Online profiles.}  Each generation is the program's
+    {e instrumented training clone}, reordered and finalized: the
+    reordering keeps every sequence head's leading instructions, so
+    the served code carries the clone's range probes and they record
+    what the clone's would.  Probes are free and record nothing unless
+    a run is given a profile, so responses stay byte-identical to a
+    batch run, and they cover every value, so a probe never fails a
+    request.  Every 4th successful request of each program is sampled
+    (each request draws a distinct ticket, given back unless it ends
+    ok): the rung that serves it runs with a profile, recording
+    into the worker's scratch table, zeroed at each rung attempt, and
+    only an [ok] response moves those counts into the worker's private
+    profile shard ({!Sim.Profile.copy_shape}).  No request runs the
+    program twice.  Shards are merged asynchronously into the
+    program's global profile — opportunistically once 8 samples
+    accumulate (a [try_lock]; nobody blocks), or forced by {!sync}.
 
     {b Drift-triggered re-optimization.}  After a merge, if at least 32
     new executions accumulated since the last (re-)optimization (the
@@ -28,7 +35,7 @@
     selection signature ({!Reorder.Drift}) under the merged counts.  A
     changed signature means live traffic now justifies a different
     ordering for at least one sequence: the server re-optimizes from
-    the cached base ({!Pipeline.reoptimize} — no re-parse, no
+    the cached clone ({!Pipeline.reoptimize} — no re-parse, no
     re-detect), rebuilds image and closure artifacts under a new
     generation key, and atomically swaps the served artifact.
     In-flight requests keep the generation they started with.
@@ -76,7 +83,7 @@ type reopt_event = {
 type stats = {
   st_requests : int;
   st_cold : int;  (** requests that found their program cold *)
-  st_shadow_runs : int;  (** sampled instrumented executions *)
+  st_shadow_runs : int;  (** sampled requests recorded into the profile *)
   st_merges : int;  (** shard-merge passes *)
   st_reopts : int;  (** drift-triggered re-optimizations *)
   st_domains : int;

@@ -703,12 +703,13 @@ let compile (img : Image.t) : t =
 let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
     ?on_block (ct : t) ~input =
   let img = ct.c_image in
+  Image.with_output (fun out ->
   Image.with_memory img (fun memory ->
     let st =
       {
         memory;
         counters = Counters.make ();
-        out = Buffer.create 1024;
+        out;
         input;
         input_pos = 0;
         cc_a = 0;
@@ -736,4 +737,4 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
         run_blocks st mf.c_blocks (frame st 0 (max mf.c_nregs 1))
       with Program_exit code -> code
     in
-    { counters = st.counters; output = Buffer.contents st.out; exit_code })
+    { counters = st.counters; output = Buffer.contents st.out; exit_code }))

@@ -19,7 +19,8 @@ type t
 (** A compiled program.  Compile once, execute many times — executions
     are independent: each run starts from zeroed registers and
     counters and from the initial global memory, whose large arrays
-    {!Image.with_memory} reuses from earlier runs on the domain. *)
+    {!Image.with_memory} reuses from earlier runs on the domain, as
+    {!Image.with_output} reuses the output buffer. *)
 
 val compile : Image.t -> t
 

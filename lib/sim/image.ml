@@ -262,6 +262,24 @@ let with_memory (t : t) f =
   let mem = Array.map (take (Domain.DLS.get pool_key)) t.globals in
   Fun.protect ~finally:(fun () -> give_back mem) (fun () -> f mem)
 
+(* The output buffer of a run, likewise per domain: an output past 1 KB
+   would otherwise regrow a fresh buffer onto the major heap on every
+   run.  A nested run takes a buffer of its own off the list. *)
+let output_key : Buffer.t list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let with_output f =
+  let free = Domain.DLS.get output_key in
+  let buf =
+    match !free with
+    | b :: rest ->
+      free := rest;
+      Buffer.clear b;
+      b
+    | [] -> Buffer.create 1024
+  in
+  Fun.protect ~finally:(fun () -> free := buf :: !free) (fun () -> f buf)
+
 type batching = Bnop | Bpure | Beffect | Bobserve
 
 let batching = function

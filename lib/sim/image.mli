@@ -117,6 +117,13 @@ val with_memory : t -> (int array array -> 'a) -> 'a
     reference interpreter allocates its own memory and shares no state
     with this pool. *)
 
+val with_output : (Buffer.t -> 'a) -> 'a
+(** [with_output f] runs [f] on an empty output buffer of the calling
+    domain, taken from a per-domain list and given back, with the
+    capacity it grew to, when [f] returns or raises: a warm run whose
+    output outgrows the initial 1 KB regrows nothing.  [f] must not let
+    the buffer escape; a nested call takes a buffer of its own. *)
+
 (** {2 Charge batching}
 
     Both fast backends charge the instruction counter and fuel in

@@ -930,8 +930,8 @@ let never () = false
 let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
     ?on_block t ~input =
   let k = Array.make 10 0 in
-  let out = Buffer.create 1024 in
   let raises = t.n_raises in
+  Image.with_output (fun out ->
   Image.with_memory t.n_image (fun x_mem ->
     let ctx =
       {
@@ -984,7 +984,7 @@ let exec ?(config = default_config) ?profile ?(sink = Predictor.Sink_none)
     c.Counters.loads <- k.(ix_loads);
     c.Counters.stores <- k.(ix_stores);
     c.Counters.nops <- k.(ix_nops);
-    { counters = c; output = Buffer.contents out; exit_code })
+    { counters = c; output = Buffer.contents out; exit_code }))
 
 let run_image ?config ?profile ?sink ?on_block ?cache_dir img ~input =
   match prepare ?cache_dir img with

@@ -84,7 +84,8 @@ val exec :
     and each block entry to [on_block], as every engine does; a
     [Sink_bank] buffers the events in the bank itself
     ({!Predictor.bank_access}).  Global memory comes from
-    {!Image.with_memory}, as for {!Compiled.exec}. *)
+    {!Image.with_memory} and the output buffer from
+    {!Image.with_output}, as for {!Compiled.exec}. *)
 
 val run_image :
   ?config:Runtime.config ->

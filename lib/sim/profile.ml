@@ -60,8 +60,9 @@ let register_comb_seq t id conds =
 
 let find_comb_seq t id = Hashtbl.find_opt t.comb_seqs id
 
-(* binary search for the range containing v *)
-let range_index bounds v =
+(* binary search for the range containing v; typed, so the compares
+   are integer compares rather than calls to the polymorphic one *)
+let range_index (bounds : (int * int) array) (v : int) =
   let lo = ref 0 and hi = ref (Array.length bounds - 1) in
   let found = ref (-1) in
   while !found < 0 && !lo <= !hi do
@@ -107,6 +108,18 @@ let copy_shape src =
         })
     src.comb_seqs;
   t
+
+let clear t =
+  iter_ranges
+    (fun _ (s : range_seq) ->
+      Array.fill s.counts 0 (Array.length s.counts) 0;
+      s.executions <- 0)
+    t;
+  Hashtbl.iter
+    (fun _ (s : comb_seq) ->
+      Array.fill s.comb_counts 0 (Array.length s.comb_counts) 0;
+      s.comb_executions <- 0)
+    t.comb_seqs
 
 let absorb ~into src =
   let moved = ref 0 in

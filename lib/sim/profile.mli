@@ -54,6 +54,9 @@ val copy_shape : t -> t
     [t].  Descriptor arrays (bounds, conditions) are shared; counter
     arrays are private. *)
 
+val clear : t -> unit
+(** Zero every counter of [t]; its descriptors stay registered. *)
+
 val absorb : into:t -> t -> int
 (** [absorb ~into shard] adds every counter of [shard] into the
     matching sequence of [into] and zeroes [shard], so repeated merges

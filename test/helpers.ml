@@ -36,6 +36,15 @@ let native_store =
   let build_root = Filename.(dirname (dirname (dirname Sys.executable_name))) in
   Filename.concat build_root "test-native-store"
 
+(* a workload input cut to at most 1 KB, at a newline: the size of the
+   server's cold inputs *)
+let cold_input text =
+  if String.length text <= 1024 then text
+  else
+    match String.rindex_from_opt text 1023 '\n' with
+    | Some i when i > 0 -> String.sub text 0 (i + 1)
+    | _ -> String.sub text 0 1024
+
 let check_output = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -582,6 +582,72 @@ let test_fuel_sweep_range_tests () =
   | Ok _, _, _, _ -> ()
   | Error msg, _, _, _ -> Alcotest.failf "full fuel still traps: %s" msg
 
+(* A served generation is the instrumented clone reordered, so its
+   sequence heads keep their range probes.  With and without a profile,
+   the compiled backend must give the reference's output, exit code,
+   ten counters, branch events and block trace, and with one the same
+   range counts. *)
+let test_probed_heads_agree () =
+  let w = Workloads.Registry.find "hyphen" in
+  let input = String.sub (Lazy.force w.Workloads.Spec.test_input) 0 500 in
+  let config = Driver.Config.default in
+  let base = Driver.Pipeline.compile_base config w.Workloads.Spec.source in
+  let seqs = Driver.Pipeline.detect_seqs config base in
+  let clone, table = Driver.Pipeline.instrument config base seqs in
+  ignore (Sim.Machine.run ~profile:table clone ~input);
+  let prog, _ =
+    Driver.Pipeline.reoptimize config ~name:"hyphen" clone seqs table
+  in
+  let probed_heads =
+    Array.exists
+      (fun (f : Sim.Image.pfunc) ->
+        Array.exists
+          (fun (b : Sim.Image.pblock) ->
+            Array.exists
+              (function Sim.Image.Pprofile_range _ -> true | _ -> false)
+              b.Sim.Image.pb_insns)
+          f.Sim.Image.pf_blocks)
+      (Sim.Image.build prog).Sim.Image.funcs
+  in
+  check_bool "program has probed heads" true probed_heads;
+  List.iter
+    (fun profiled ->
+      let run backend =
+        let profile =
+          if profiled then Some (Sim.Profile.copy_shape table) else None
+        in
+        let branches = ref [] and blocks = ref [] in
+        let r =
+          Sim.Machine.run ?profile ~backend
+            ~sink:
+              (Sim.Predictor.Sink_fun
+                 (fun ~site ~taken -> branches := (site, taken) :: !branches))
+            ~on_block:(fun ~func ~label -> blocks := (func, label) :: !blocks)
+            prog ~input
+        in
+        ( (r.Sim.Machine.output, r.Sim.Machine.exit_code,
+           counter_fields r.Sim.Machine.counters),
+          List.rev !branches,
+          List.rev !blocks,
+          Option.map Sim.Profile.counters profile )
+      in
+      let name what =
+        Printf.sprintf "%s, %s" what
+          (if profiled then "profiled" else "unprofiled")
+      in
+      let r_obs, r_br, r_bl, r_counts = run `Reference in
+      let c_obs, c_br, c_bl, c_counts = run `Compiled in
+      check_bool (name "output, exit code and counters") true (r_obs = c_obs);
+      Alcotest.(check (list (pair int bool))) (name "branch events") r_br c_br;
+      Alcotest.(check (list (pair string string))) (name "block trace") r_bl c_bl;
+      check_bool (name "range counts") true (r_counts = c_counts);
+      if profiled then
+        check_bool "the probes recorded" true
+          (match c_counts with
+          | Some (ranges, _) -> List.exists (fun (_, _, n) -> n > 0) ranges
+          | None -> false))
+    [ false; true ]
+
 (* Machine.sites/site_of are now derived from the pre-decoded image;
    the numbering must round-trip and match the image's own tables *)
 let test_sites_roundtrip () =
@@ -621,6 +687,8 @@ let suite =
     prop_bank_matches_oracle;
     case "bank after a fuel trap equals the oracle" test_bank_after_fuel_trap;
     case "fuel sweep over compare-and-branch blocks" test_fuel_sweep_range_tests;
+    case "probed sequence heads agree, with and without a profile"
+      test_probed_heads_agree;
     case "site numbering round-trips through the image" test_sites_roundtrip;
     prop_differential;
     slow_case "all workloads agree across backends" test_all_workloads;

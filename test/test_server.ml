@@ -307,9 +307,9 @@ let test_server_drift_reopt () =
       Driver.Server.sync srv;
       let before = List.length (Driver.Server.reopt_events srv) in
       (* phase 1: digit-heavy traffic; accumulated counts flip Eq. 1-4.
-         A worker shadows every 4th request, so two workers can take at
+         A worker samples every 4th request, so two workers can take at
          most 6 more without one: 8 requests sample phase 1 at least
-         once, and one phase-1 shadow outweighs the few phase-0 ones *)
+         once, and one phase-1 sample outweighs the few phase-0 ones *)
       for s = 1 to 8 do
         ignore (submit 1 s)
       done;
@@ -328,7 +328,7 @@ let test_server_drift_reopt () =
       check_bool "served from the re-optimized generation" true
         (r.Driver.Server.rs_generation >= 2);
       let st = Driver.Server.stats srv in
-      check_bool "shadow runs happened" true
+      check_bool "samples recorded" true
         (st.Driver.Server.st_shadow_runs > 0);
       check_bool "merges happened" true (st.Driver.Server.st_merges > 0);
       check_bool "re-opt counted in stats" true
@@ -512,7 +512,7 @@ let test_server_native_prepare_per_generation () =
           let gens = Hashtbl.create 4 in
           for s = 1 to 16 do
             Hashtbl.replace gens (submit 1 s) ();
-            (* merge the phase-1 shadow runs so far: the flip lands
+            (* merge the phase-1 samples so far: the flip lands
                mid-loop whatever the merge cadence *)
             if s = 8 then Driver.Server.sync srv
           done;
@@ -557,8 +557,8 @@ let test_server_crash_restart_resumes () =
              ~source:Driver.Replay.drift_source ~input:d0)
       done;
       Driver.Server.sync srv;
-      (* two workers shadowing every 4th request take at most 6 more
-         without a shadow run: 8 sample phase 1 at least once *)
+      (* two workers sampling every 4th request take at most 6 more
+         without a sample: 8 sample phase 1 at least once *)
       for _ = 1 to 8 do
         ignore
           (Driver.Server.submit srv ~name:"drift"
@@ -1011,10 +1011,10 @@ let test_input_slice () =
   check_bool "newline-aligned" true
     (String.length s1 = 0 || s1.[String.length s1 - 1] = '\n')
 
-(* the shadow sampler counts per program: in a round-robin mix of six
+(* the sampler counts per program: in a round-robin mix of six
    programs, whose period shares a factor with the sampling interval of
    4, every program still gets every 4th of its own successful requests
-   profiled, so 8 rounds give each exactly two shadow runs.  One fixed
+   profiled, so 8 rounds give each exactly two samples.  One fixed
    input per program, so each run adds the same profile executions *)
 let test_sampler_per_program () =
   let names = [ "wc"; "grep"; "sort"; "awk"; "cb"; "pr" ] in
@@ -1045,16 +1045,244 @@ let test_sampler_per_program () =
       let trained = rounds 3 in
       let once = rounds 1 in
       let twice = rounds 4 in
-      check_int "shadow runs" 12
+      check_int "samples" 12
         (Driver.Server.stats srv).Driver.Server.st_shadow_runs;
       List.iter
         (fun name ->
           let e0 = List.assoc name trained in
           let run = List.assoc name once - e0 in
           check_bool (name ^ " profiled online") true (run > 0);
-          check_int (name ^ ": two shadow runs") (2 * run)
+          check_int (name ^ ": two samples") (2 * run)
             (List.assoc name twice - e0))
         names)
+
+(* Two workers serving one program draw distinct sampling tickets, so
+   when every request ends ok exactly every 4th is sampled, however
+   their runs overlap *)
+let test_sampler_tickets_concurrent () =
+  let source, input = Result.get_ok (Driver.Replay.request "wc" ~seed:1) in
+  let srv = Driver.Server.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.Server.shutdown srv)
+    (fun () ->
+      check_output "cold" "ok"
+        (Driver.Server.submit srv ~name:"wc" ~source ~input)
+          .Driver.Server.rs_status;
+      let m = Mutex.create () and c = Condition.create () in
+      let left = ref 79 and failed = ref 0 in
+      for _ = 1 to !left do
+        Driver.Server.post srv ~name:"wc" ~source ~input (fun r ->
+            Mutex.lock m;
+            if r.Driver.Server.rs_status <> "ok" then incr failed;
+            decr left;
+            if !left = 0 then Condition.signal c;
+            Mutex.unlock m)
+      done;
+      Mutex.lock m;
+      while !left > 0 do
+        Condition.wait c m
+      done;
+      Mutex.unlock m;
+      check_int "all ok" 0 !failed;
+      check_int "every 4th of 80 sampled" 20
+        (Driver.Server.stats srv).Driver.Server.st_shadow_runs)
+
+(* ---------------------------------------------------------------- *)
+(* Profiling the served generation                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* What a sampled request relies on.  A generation is the instrumented
+   clone reordered, and reordering keeps each sequence head's leading
+   instructions, so the served program's probes must record what the
+   clone's record on the same input, on every backend.  Its output,
+   exit code and ten counters must be those of the unprobed reordering
+   of the base (the probes are free), or its trap that one's. *)
+let check_served_probes ~name ~backends config base ~train ~inputs =
+  let seqs = Driver.Pipeline.detect_seqs config base in
+  let clone, table = Driver.Pipeline.instrument config base seqs in
+  (try ignore (Sim.Machine.run_reference ~profile:table clone ~input:train)
+   with Sim.Machine.Trap _ -> ());
+  let served, _ = Driver.Pipeline.reoptimize config ~name clone seqs table in
+  let plain, _ = Driver.Pipeline.reoptimize config ~name base seqs table in
+  let image = Sim.Image.build served in
+  let observe ?profile ~backend ?image prog input =
+    match Sim.Machine.run ?profile ~backend ?image prog ~input with
+    | r ->
+      Ok
+        ( r.Sim.Machine.output,
+          r.Sim.Machine.exit_code,
+          r.Sim.Machine.counters )
+    | exception Sim.Machine.Trap m -> Error m
+  in
+  List.iteri
+    (fun i input ->
+      let counts run =
+        let p = Sim.Profile.copy_shape table in
+        let r = run p in
+        (r, Sim.Profile.counters p)
+      in
+      let _, clone_counts =
+        counts (fun profile -> observe ~profile ~backend:`Reference clone input)
+      in
+      let expect = observe ~backend:`Reference plain input in
+      List.iter
+        (fun backend ->
+          let what =
+            Printf.sprintf "%s input %d on %s" name i
+              (Driver.Config.backend_name backend)
+          in
+          let r, served_counts =
+            counts (fun profile -> observe ~profile ~backend ~image served input)
+          in
+          if r <> expect then
+            Alcotest.failf "%s: probed run differs from the unprobed one" what;
+          if served_counts <> clone_counts then
+            Alcotest.failf "%s: probes count other than the clone's" what)
+        backends)
+    inputs
+
+let test_served_probes_count_like_the_clone () =
+  let backends =
+    `Reference :: `Compiled
+    :: (if Sim.Native.available () then [ `Native ] else [])
+  in
+  List.iter
+    (fun (w : Workloads.Spec.t) ->
+      let train = cold_input (Lazy.force w.Workloads.Spec.training_input) in
+      let test = cold_input (Lazy.force w.Workloads.Spec.test_input) in
+      List.iter
+        (fun (hs : Mopt.Switch_lower.heuristic_set) ->
+          let config =
+            { Driver.Config.default with Driver.Config.heuristic = hs; verify = true }
+          in
+          check_served_probes
+            ~name:(w.Workloads.Spec.name ^ "/" ^ hs.Mopt.Switch_lower.hs_name)
+            ~backends config
+            (Driver.Pipeline.compile_base config w.Workloads.Spec.source)
+            ~train ~inputs:[ train; test ])
+        Mopt.Switch_lower.all_sets)
+    Workloads.Registry.all
+
+(* the same on fuzz-shaped programs: range chains in every form, shared
+   entries and switches lowered under all three sets *)
+let prop_served_probes_count_like_the_clone =
+  qcheck2 ~count:60 ~print:Check.Gen.show_spec
+    "served probes count what the clone counts on fuzz specs"
+    Check.Gen.gen_spec (fun (spec : Check.Gen.spec) ->
+      let base = Check.Gen.to_program spec in
+      Mopt.Switch_lower.lower_program (Check.Gen.heuristic_of_spec spec) base;
+      Mopt.Cleanup.run base;
+      check_served_probes ~name:"spec" ~backends:[ `Reference; `Compiled ]
+        { Driver.Config.default with Driver.Config.verify = true }
+        base ~train:spec.Check.Gen.sp_train
+        ~inputs:[ spec.Check.Gen.sp_train; spec.Check.Gen.sp_test ];
+      true)
+
+(* Only a sampled request that ends ok records, and only the run of the
+   rung that served it: a sampled request that traps records nothing
+   (the next ok request is sampled in its place), and one whose first
+   rung crashes is served by the next.  Each adds to the merged profile
+   exactly what one clean sampled request adds. *)
+let test_sampled_failures_record_one_run () =
+  let source =
+    {|int main() { int c; int n; n = 0;
+  while ((c = getchar()) != EOF) {
+    if (c == 'a') n = n + 1;
+    else if (c == 'b') n = n + 2;
+    else if (c == 'z') n = n / (c - 'z');
+    else n = n + 3;
+  }
+  print_int(n); return 0; }|}
+  in
+  let srv = Driver.Server.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.Server.shutdown srv)
+    (fun () ->
+      let serve ?inject ?(input = "abcab\n") status backend =
+        let r = Driver.Server.submit ?inject srv ~name:"p" ~source ~input in
+        check_output "status" status r.Driver.Server.rs_status;
+        check_output "rung" backend r.Driver.Server.rs_backend
+      in
+      let executions () =
+        Driver.Server.sync srv;
+        match (Driver.Server.stats srv).Driver.Server.st_programs with
+        | [ (_, _, n) ] -> n
+        | ps -> Alcotest.failf "%d programs served, not 1" (List.length ps)
+      in
+      let ok () = serve "ok" "compiled" in
+      ok (); ok (); ok ();
+      let e0 = executions () in
+      ok ();
+      let one = executions () - e0 in
+      check_bool "the 4th ok request was sampled" true (one > 0);
+      ok (); ok (); ok ();
+      let e1 = executions () in
+      check_int "unsampled requests record nothing" (e0 + one) e1;
+      serve ~input:"aaaz" "trap" "compiled";
+      check_int "a trapped sample records nothing" e1 (executions ());
+      ok ();
+      let e2 = executions () in
+      check_int "the next ok request adds one run" one (e2 - e1);
+      ok (); ok (); ok ();
+      serve ~inject:(fun () -> failwith "injected crash") "ok" "reference";
+      check_int "a crashed rung's sample adds one run" one
+        (executions () - e2);
+      check_int "three samples" 3
+        (Driver.Server.stats srv).Driver.Server.st_shadow_runs)
+
+(* A range chain's rows cover [Range.min_value, Range.max_value], but
+   the simulator's values are full-width ints.  A sampled request whose
+   branch variable lies beyond both ends must still be answered ok by
+   the rung that serves it, on every backend, and its run counted. *)
+let test_sampled_wide_values_stay_ok () =
+  let source =
+    {|int main() { int c; int x; int n; n = 0;
+  while ((c = getchar()) != EOF) {
+    x = (c - 'm') * 100000000;
+    if (x == 0) n = n + 1;
+    else if (x == 100000000) n = n + 2;
+    else if (x == -100000000) n = n + 5;
+    else n = n + 3;
+  }
+  print_int(n); return 0; }|}
+  in
+  let backends =
+    `Reference :: `Compiled
+    :: (if Sim.Native.available () then [ `Native ] else [])
+  in
+  List.iter
+    (fun backend ->
+      let name = Driver.Config.backend_name backend in
+      let srv =
+        Driver.Server.create ~domains:1
+          ~config:{ Driver.Config.default with Driver.Config.backend }
+          ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv)
+        (fun () ->
+          let executions () =
+            Driver.Server.sync srv;
+            match (Driver.Server.stats srv).Driver.Server.st_programs with
+            | [ (_, _, n) ] -> n
+            | ps -> Alcotest.failf "%d programs served, not 1" (List.length ps)
+          in
+          let e0 = ref 0 in
+          for i = 1 to 8 do
+            let r =
+              Driver.Server.submit srv ~name:"wide" ~source ~input:"azmnlz\n"
+            in
+            check_output (Printf.sprintf "%s: request %d" name i) "ok"
+              r.Driver.Server.rs_status;
+            check_output (name ^ ": rung") name r.Driver.Server.rs_backend;
+            check_output (name ^ ": output") "20" r.Driver.Server.rs_output;
+            if i = 3 then e0 := executions ()
+          done;
+          check_int (name ^ ": two samples") 2
+            (Driver.Server.stats srv).Driver.Server.st_shadow_runs;
+          check_bool (name ^ ": the samples recorded") true
+            (executions () > !e0)))
+    backends
 
 (* the serve line protocol: total on arbitrary bytes, and today's
    replies pinned *)
@@ -1204,8 +1432,17 @@ let suite =
     case "server: only a native server names a plugin to damage"
       test_native_artifact_only_on_native;
     case "server: shadow sampler counts per program" test_sampler_per_program;
+    case "server: concurrent requests draw distinct sample tickets"
+      test_sampler_tickets_concurrent;
+    slow_case "served probes count what the clone counts"
+      test_served_probes_count_like_the_clone;
+    prop_served_probes_count_like_the_clone;
+    case "server: a failed sample records nothing, a degraded one its rung"
+      test_sampled_failures_record_one_run;
     qcheck "serve protocol: any bytes parse to a command"
       (QCheck.make ~print:(Printf.sprintf "%S") protocol_line)
       prop_protocol_total;
+    case "server: sampled values beyond the range rows stay ok"
+      test_sampled_wide_values_stay_ok;
     case "serve protocol: replies pinned" test_protocol_replies;
   ]

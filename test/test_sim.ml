@@ -356,6 +356,76 @@ let test_profile_range_ids () =
   check_bool "9 still unregistered" true
     (Sim.Profile.find_range_seq copy 9 = None)
 
+(* [record_range] bumps the range a linear scan of the bounds finds,
+   and raises exactly when none holds the value: random bounds, with
+   and without gaps and single-value ranges, probed at [min_int],
+   [max_int], every bound, its neighbours and random values *)
+let test_profile_range_matches_linear_scan () =
+  let rng = Random.State.make [| 41 |] in
+  let any () =
+    match Random.State.int rng 8 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 | 3 -> Random.State.int rng 64 - 32
+    | _ ->
+      Random.State.bits rng
+      lxor (Random.State.bits rng lsl 30)
+      lxor (Random.State.bits rng lsl 60)
+  in
+  for trial = 1 to 300 do
+    let points =
+      List.sort_uniq Int.compare
+        ((if Random.State.bool rng then [ min_int ] else [])
+        @ List.init (1 + Random.State.int rng 12) (fun _ -> any ()))
+    in
+    let rec ranges = function
+      | [] -> []
+      | [ p ] -> [ (p, if Random.State.bool rng then max_int else p) ]
+      | p :: (q :: _ as rest) ->
+        let hi = if Random.State.int rng 4 = 0 then p else q - 1 in
+        if Random.State.int rng 5 = 0 then ranges rest
+        else (p, hi) :: ranges rest
+    in
+    let bounds = Array.of_list (ranges points) in
+    let t = Sim.Profile.make () in
+    let seq = Sim.Profile.register_range_seq t 0 bounds in
+    let expect = Array.make (Array.length bounds) 0 in
+    let probes =
+      [ min_int; max_int ]
+      @ List.concat_map
+          (fun (lo, hi) -> [ lo; hi; lo - 1; hi + 1 ])
+          (Array.to_list bounds)
+      @ List.init 20 (fun _ -> any ())
+    in
+    List.iter
+      (fun v ->
+        let scan = ref (-1) in
+        Array.iteri
+          (fun i (lo, hi) -> if !scan < 0 && lo <= v && v <= hi then scan := i)
+          bounds;
+        match Sim.Profile.record_range t 0 v with
+        | () ->
+          if !scan < 0 then
+            Alcotest.failf "trial %d: %d recorded but no range holds it" trial v;
+          expect.(!scan) <- expect.(!scan) + 1
+        | exception Invalid_argument _ ->
+          if !scan >= 0 then
+            Alcotest.failf "trial %d: %d rejected but range %d holds it" trial v
+              !scan)
+      probes;
+    Alcotest.(check (array int))
+      (Printf.sprintf "trial %d counts" trial)
+      expect seq.Sim.Profile.counts;
+    check_int
+      (Printf.sprintf "trial %d executions" trial)
+      (Array.fold_left ( + ) 0 expect)
+      seq.Sim.Profile.executions;
+    match Sim.Profile.record_range t 1 0 with
+    | () -> Alcotest.failf "trial %d: an unknown id was recorded" trial
+    | exception Invalid_argument m ->
+      check_bool "unknown id named" true (contains_substring m "unknown id")
+  done
+
 let test_profile_comb_counting () =
   let t = Sim.Profile.make () in
   let conds =
@@ -415,6 +485,8 @@ let suite =
     case "cycle model: parameters" test_cycle_model;
     case "profile: range counters" test_profile_range_counting;
     case "profile: range sequences by id" test_profile_range_ids;
+    case "profile: range lookup agrees with a linear scan"
+      test_profile_range_matches_linear_scan;
     case "profile: combination counters" test_profile_comb_counting;
     case "profile: end-to-end through the machine" test_profile_through_machine;
   ]
